@@ -82,10 +82,7 @@ def _require_polys(payload) -> list[np.ndarray]:
 def cmd_gz_map(payload, args):
     B = _require_matrix(payload)
     basis = payload.get("basis", args.mode or "tr-power")
-    try:
-        coords = gzcore.gz_map(B, basis=basis)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    coords = gzcore.gz_map(B, basis=basis)
     return serialize.encode_coords(coords), EXIT_OK
 
 
@@ -93,10 +90,7 @@ def cmd_gz_flow(payload, args):
     B = _require_matrix(payload)
     triples = _flow_triples(payload)
     n = B.shape[0]
-    try:
-        lam = gzcore.GZGroupElement.from_pairs(n, triples)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    lam = gzcore.GZGroupElement.from_pairs(n, triples)
     moved = gzcore.gz_flow(B, lam)
     defect = verify.conservation_defect(
         lambda M: gzcore.gz_flow(M, lam), lambda M: gzcore.gz_map(M).values, B
@@ -121,10 +115,7 @@ def cmd_sregular(payload, args):
 def cmd_orbit_count(payload, args):
     polys = _require_polys(payload)
     mode = payload.get("mode", args.mode or "matrices")
-    try:
-        data = gzcore.fiber_orbit_data(polys, mode=mode, tol=args.tol)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    data = gzcore.fiber_orbit_data(polys, mode=mode, tol=args.tol)
     return {
         "t": data.t,
         "s": data.s,
@@ -186,10 +177,7 @@ def cmd_ak_act(payload, args):
     if not isinstance(params, list):
         raise InputError("expected 'params' as a list of coefficient vectors")
     coeffs = [serialize.decode_vector(p) for p in params]
-    try:
-        moved = ratmodel.ak_act(F, coeffs)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    moved = ratmodel.ak_act(F, coeffs)
     return {"data": serialize.encode_matricial(moved)}, EXIT_OK
 
 
@@ -286,13 +274,10 @@ def cmd_lax_run(payload, args):
     serialize._need_keys(payload, ("alpha", "beta", "t_start", "t_end", "steps"))
     alpha_fn = _alpha_from_spec(payload["alpha"])
     beta = serialize.decode_matrix(payload["beta"])
-    try:
-        path = lax.lax_integrate(
-            alpha_fn, beta, float(payload["t_start"]), float(payload["t_end"]),
-            int(payload["steps"]),
-        )
-    except (TypeError, ValueError) as exc:
-        raise InputError(str(exc)) from exc
+    path = lax.lax_integrate(
+        alpha_fn, beta, float(payload["t_start"]), float(payload["t_end"]),
+        int(payload["steps"]),
+    )
     return {
         "path": serialize.encode_lax_path(path),
         "lax_residual": float(lax.lax_residual(path)),
@@ -379,12 +364,19 @@ USAGE = (
 )
 
 
+def _sample_count(text: str) -> int:
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
+
+
 def _build_parser(name: str) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog=f"gzflows {name}", add_help=True)
     parser.add_argument("--input", default=None, help="input file path or inline JSON")
     parser.add_argument("--output", default=None, help="output file path (default stdout)")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--samples", type=int, default=50)
+    parser.add_argument("--samples", type=_sample_count, default=50)
     parser.add_argument("--tol", type=float, default=None)
     parser.add_argument("--mode", default=None)
     return parser
@@ -438,7 +430,8 @@ def run(argv) -> int:
     try:
         payload = _load_payload(args.input)
         doc, code = handler(payload, args)
-    except InputError as exc:
+    except (InputError, ValueError, TypeError) as exc:
+        # library code raises ValueError/TypeError on input it cannot take
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_BAD_INPUT
     except ValidationError as exc:

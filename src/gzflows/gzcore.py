@@ -62,6 +62,13 @@ def gz_indices(n: int) -> list[tuple[int, int]]:
     return [(m, i) for m in range(1, n + 1) for i in range(1, m + 1)]
 
 
+def _gz_position(n: int, m: int, i: int) -> int:
+    """Position of (m, i) in gz_indices(n), in closed form."""
+    if not 1 <= i <= m <= n:
+        raise ValueError(f"index ({m}, {i}) invalid for n = {n}")
+    return m * (m - 1) // 2 + i - 1
+
+
 @dataclass(frozen=True)
 class GZCoordinates:
     """Invariant vector indexed by (m, i) pairs in lexicographic order."""
@@ -69,9 +76,6 @@ class GZCoordinates:
     n: int
     basis: str
     values: np.ndarray
-
-    def value(self, m: int, i: int) -> complex:
-        return complex(self.values[gz_indices(self.n).index((m, i))])
 
 
 @dataclass(frozen=True)
@@ -93,15 +97,14 @@ class GZGroupElement:
     @classmethod
     def single(cls, n: int, m: int, i: int, z: complex) -> "GZGroupElement":
         values = np.zeros(n * (n + 1) // 2, dtype=complex)
-        values[gz_indices(n).index((m, i))] = z
+        values[_gz_position(n, m, i)] = z
         return cls(n, values)
 
     @classmethod
     def from_pairs(cls, n: int, pairs) -> "GZGroupElement":
         values = np.zeros(n * (n + 1) // 2, dtype=complex)
-        idx = gz_indices(n)
         for m, i, z in pairs:
-            values[idx.index((m, i))] += z
+            values[_gz_position(n, m, i)] += z
         return cls(n, values)
 
     def items(self):
@@ -182,9 +185,10 @@ def flow_factor(B: np.ndarray, m: int, i: int, z: complex) -> np.ndarray:
     return h
 
 
-def _flow_step(B: np.ndarray, m: int, i: int, z: complex) -> np.ndarray:
+def _flow_step(B: np.ndarray, m: int, i: int, z: complex) -> tuple[np.ndarray, np.ndarray]:
+    """(h, h B h^-1) for one index; for m = n, h is a polynomial in B and B is returned."""
     h = flow_factor(B, m, i, z)
-    return h @ B @ np.linalg.inv(h)
+    return h, (B if m == B.shape[0] else h @ B @ np.linalg.inv(h))
 
 
 def _as_group_element(n: int, lam) -> GZGroupElement:
@@ -209,7 +213,7 @@ def gz_flow(B, lam) -> np.ndarray:
     for m, i, z in lam.items():
         if z == 0 or m == n:
             continue
-        out = _flow_step(out, m, i, z)
+        out = _flow_step(out, m, i, z)[1]
     return out
 
 
@@ -263,7 +267,7 @@ def _checked_monic(polys, expected_degrees=None) -> list[np.ndarray]:
 
 
 def _clustered_roots(polys, tol):
-    """Cluster the union of all roots; returns (reps, per-poly counts)."""
+    """Cluster the union of all roots; returns (reps, per-poly counts, scaled tol)."""
     all_roots = []
     owners = []
     for j, p in enumerate(polys):
@@ -271,16 +275,16 @@ def _clustered_roots(polys, tol):
             for r in roots(p):
                 all_roots.append(complex(r))
                 owners.append(j)
-    if not all_roots:
-        return [], []
-    scale = 1.0 + max(abs(r) for r in all_roots)
+    scale = 1.0 + max((abs(r) for r in all_roots), default=0.0)
     eff_tol = (CLUSTER_TOL if tol is None else tol) * scale
+    if not all_roots:
+        return [], [], eff_tol
     reps = cluster_points(all_roots, eff_tol)
     counts = [np.zeros(len(polys), dtype=int) for _ in reps]
     for r, j in zip(all_roots, owners):
         best = min(range(len(reps)), key=lambda idx: abs(r - reps[idx][0]))
         counts[best][j] += 1
-    return reps, counts
+    return reps, counts, eff_tol
 
 
 def stratum_signature(polys_or_coords, tol: float | None = None) -> StratumSignature:
@@ -294,13 +298,11 @@ def stratum_signature(polys_or_coords, tol: float | None = None) -> StratumSigna
         polys = coords_to_polys(polys_or_coords)
     else:
         polys = _checked_monic(polys_or_coords)
-    reps, counts = _clustered_roots(polys, tol)
-    all_roots = [r for p in polys if poly_degree(p) >= 1 for r in roots(p)]
-    scale = 1.0 + (max(abs(r) for r in all_roots) if all_roots else 0.0)
+    reps, counts, eff_tol = _clustered_roots(polys, tol)
     return StratumSignature(
         roots=tuple(r for r, _ in reps),
         multiplicities=tuple(tuple(int(x) for x in c) for c in counts),
-        cluster_tol=(CLUSTER_TOL if tol is None else tol) * scale,
+        cluster_tol=eff_tol,
     )
 
 
@@ -322,7 +324,7 @@ def fiber_orbit_data(polys, mode: str = "matrices", tol: float | None = None) ->
     polys = _checked_monic(polys, expected_degrees=expected)
     n = len(polys)
     total = sum(max(poly_degree(p), 0) for p in polys)
-    reps, counts = _clustered_roots(polys, tol)
+    reps, counts, _ = _clustered_roots(polys, tol)
     t_parts, s_parts = [], []
     for c in counts:
         vanishes = [c[j] > 0 for j in range(n)]

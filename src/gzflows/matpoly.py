@@ -17,12 +17,9 @@ __all__ = [
     "as_matrix",
     "leading_minor",
     "charpoly",
-    "adjugate_poly",
     "matexp",
     "poly_trim",
     "poly_degree",
-    "poly_eval",
-    "poly_mul",
     "poly_divmod",
     "poly_from_roots",
     "is_monic",
@@ -62,45 +59,29 @@ def leading_minor(A, m: int) -> np.ndarray:
     return A[:m, :m].copy()
 
 
-def charpoly(A) -> np.ndarray:
-    """Monic characteristic polynomial det(zI - A), ascending coefficients.
+def _faddeev_leverrier(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients of det(zI - A) and matrices H with adj(zI - A) = sum_l z**l H[l].
 
-    Uses the Faddeev-LeVerrier recursion: coefficient-level reproducible and
-    adequate for the desk scales (n <= 12) this package targets.
+    One Faddeev-LeVerrier recursion yields both: H[l] is the intermediate
+    multiplying z**l, so the two are consistent to the last bit.  Adequate
+    for the desk scales (n <= 12) this package targets.
     """
-    A = as_matrix(A)
     n = A.shape[0]
-    if n == 0:
-        return np.array([1.0 + 0j])
     coeffs = np.zeros(n + 1, dtype=complex)
     coeffs[n] = 1.0
-    M = np.eye(n, dtype=complex)
-    for k in range(1, n + 1):
-        AM = A @ M
-        coeffs[n - k] = -np.trace(AM) / k
-        M = AM + coeffs[n - k] * np.eye(n)
-    return coeffs
-
-
-def adjugate_poly(A) -> np.ndarray:
-    """Coefficient matrices H with adj(zI - A) = sum_l z**l H[l].
-
-    Returns an (n, n, n) array; H[l] is the matrix multiplying z**l.  These
-    are the Faddeev-LeVerrier intermediates, so the result is consistent with
-    :func:`charpoly` to the last bit.
-    """
-    A = as_matrix(A)
-    n = A.shape[0]
     H = np.zeros((n, n, n), dtype=complex)
-    c = np.zeros(n + 1, dtype=complex)
-    c[n] = 1.0
     M = np.eye(n, dtype=complex)
     for k in range(1, n + 1):
         H[n - k] = M
         AM = A @ M
-        c[n - k] = -np.trace(AM) / k
-        M = AM + c[n - k] * np.eye(n)
-    return H
+        coeffs[n - k] = -np.trace(AM) / k
+        M = AM + coeffs[n - k] * np.eye(n)
+    return coeffs, H
+
+
+def charpoly(A) -> np.ndarray:
+    """Monic characteristic polynomial det(zI - A), ascending coefficients."""
+    return _faddeev_leverrier(as_matrix(A))[0]
 
 
 # Pade approximant data for the scaling-and-squaring exponential
@@ -186,18 +167,6 @@ def poly_degree(p) -> int:
     p = np.atleast_1d(np.asarray(p, dtype=complex))
     nz = np.nonzero(p)[0]
     return -1 if nz.size == 0 else int(nz[-1])
-
-
-def poly_eval(p, z):
-    p = np.asarray(p, dtype=complex)
-    acc = 0.0 + 0j
-    for coeff in p[::-1]:
-        acc = acc * z + coeff
-    return acc
-
-
-def poly_mul(p, q) -> np.ndarray:
-    return np.convolve(np.asarray(p, dtype=complex), np.asarray(q, dtype=complex))
 
 
 def poly_divmod(p, q) -> tuple[np.ndarray, np.ndarray]:
@@ -326,7 +295,7 @@ def numerical_rank(M, rtol: float = RANK_RTOL) -> int:
     sigma = np.linalg.svd(M, compute_uv=False)
     if sigma.size == 0 or sigma[0] == 0.0:
         return 0
-    return int(np.sum(sigma > max(M.shape) * sigma[0] * rtol))
+    return int(np.count_nonzero(sigma > max(M.shape) * sigma[0] * rtol))
 
 
 def krylov_rank(B, b, rtol: float = RANK_RTOL) -> int:

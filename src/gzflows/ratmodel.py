@@ -27,7 +27,7 @@ import numpy as np
 from .errors import ValidationError
 from .matpoly import (
     RANK_RTOL,
-    adjugate_poly,
+    _faddeev_leverrier,
     as_matrix,
     charpoly,
     companion_of,
@@ -260,7 +260,7 @@ def md_validate(F: MatricialData, tol: float = VALIDATE_TOL) -> MatricialData:
     for i in range(n):
         if k[i] == 0:
             continue
-        if abs(np.linalg.det(F.g[i])) <= 1e-12 * max(1.0, np.linalg.norm(F.g[i])) ** k[i]:
+        if numerical_rank(F.g[i]) < k[i]:
             violations.append(f"conjugacy: g[{i + 1}] is numerically singular")
             continue
         resid = np.linalg.norm(
@@ -302,7 +302,7 @@ def gk_act(F: MatricialData, factors) -> MatricialData:
         h = as_matrix(h)
         if h.shape != (m, m):
             raise ValueError(f"factor {j + 1} has shape {h.shape}, expected ({m}, {m})")
-        if abs(np.linalg.det(h)) <= 1e-12 * max(1.0, np.linalg.norm(h)) ** m:
+        if numerical_rank(h) < m:
             raise ValidationError(f"factor {j + 1} is not invertible")
         hs.append(h)
     out = F.copy()
@@ -599,27 +599,17 @@ def _isotropy_matrix(F: MatricialData) -> tuple[np.ndarray, int]:
     """
     k = F.k
     n = F.n
-    lam_offsets = []
-    pos = 0
-    for i in range(n):
-        lam_offsets.append(pos)
-        pos += k[i]
-    xi_offsets = []
-    for j in range(n - 1):
-        xi_offsets.append(pos)
-        pos += F.junction_size(j) ** 2
-    unknowns = pos
+    sizes = [F.junction_size(j) for j in range(n - 1)]
+    lam_offsets = np.cumsum((0,) + k)
+    xi_offsets = lam_offsets[-1] + np.cumsum([0] + [m * m for m in sizes])
+    unknowns = int(xi_offsets[-1])
 
+    def xi_cols(j):
+        return slice(xi_offsets[j], xi_offsets[j + 1])
+
+    # Row-major vec identity: (A X C).reshape(-1) = kron(A, C.T) @ X.reshape(-1).
+    # The m-by-m centralizer xi embeds in a size-k block as P xi P^T, P = eye(k, m).
     rows: list[np.ndarray] = []
-
-    def xi_basis(j):
-        m = F.junction_size(j)
-        for a in range(m):
-            for b in range(m):
-                E = np.zeros((m, m), dtype=complex)
-                E[a, b] = 1.0
-                yield xi_offsets[j] + a * m + b, E
-
     for i in range(n):
         if k[i] == 0:
             continue
@@ -628,39 +618,29 @@ def _isotropy_matrix(F: MatricialData) -> tuple[np.ndarray, int]:
         for jdx in range(1, k[i] + 1):
             block[:, lam_offsets[i] + jdx - 1] = (jdx * power).reshape(-1)
             power = power @ F.b_minus[i]
-        if i > 0 and F.junction_size(i - 1) > 0:
-            for col, E in xi_basis(i - 1):
-                block[:, col] -= np.pad(E, ((0, k[i] - E.shape[0]),) * 2).reshape(-1)
-        if i < n - 1 and F.junction_size(i) > 0:
+        if i > 0 and sizes[i - 1] > 0:
+            P = np.eye(k[i], sizes[i - 1], dtype=complex)
+            block[:, xi_cols(i - 1)] -= np.kron(P, P)
+        if i < n - 1 and sizes[i] > 0:
+            m = sizes[i]
             g_inv = np.linalg.inv(F.g[i])
-            for col, E in xi_basis(i):
-                emb = np.pad(E, ((0, k[i] - E.shape[0]),) * 2)
-                block[:, col] += (F.g[i] @ emb @ g_inv).reshape(-1)
+            block[:, xi_cols(i)] += np.kron(F.g[i][:, :m], g_inv[:m, :].T)
         rows.append(block)
 
     for j in range(n - 1):
-        m = F.junction_size(j)
+        m = sizes[j]
         if m == 0:
             continue
-        comm_plus = np.zeros((k[j] * k[j], unknowns), dtype=complex)
-        comm_minus = np.zeros((k[j + 1] * k[j + 1], unknowns), dtype=complex)
-        for col, E in xi_basis(j):
-            emb_p = np.pad(E, ((0, k[j] - m),) * 2)
-            emb_m = np.pad(E, ((0, k[j + 1] - m),) * 2)
-            comm_plus[:, col] = (emb_p @ F.b_plus[j] - F.b_plus[j] @ emb_p).reshape(-1)
-            comm_minus[:, col] = (
-                emb_m @ F.b_minus[j + 1] - F.b_minus[j + 1] @ emb_m
-            ).reshape(-1)
-        rows.append(comm_plus)
-        rows.append(comm_minus)
+        for B in (F.b_plus[j], F.b_minus[j + 1]):
+            P = np.eye(B.shape[0], m, dtype=complex)
+            comm = np.zeros((B.size, unknowns), dtype=complex)
+            comm[:, xi_cols(j)] = np.kron(P, (P.T @ B).T) - np.kron(B @ P, P)
+            rows.append(comm)
         if k[j] == k[j + 1]:
-            fix_u = np.zeros((m, unknowns), dtype=complex)
-            fix_w = np.zeros((m, unknowns), dtype=complex)
-            for col, E in xi_basis(j):
-                fix_u[:, col] = E @ F.u[j]
-                fix_w[:, col] = F.w[j] @ E
-            rows.append(fix_u)
-            rows.append(fix_w)
+            fix = np.zeros((2 * m, unknowns), dtype=complex)
+            fix[:m, xi_cols(j)] = np.kron(np.eye(m), F.u[j][None, :])
+            fix[m:, xi_cols(j)] = np.kron(F.w[j][None, :], np.eye(m))
+            rows.append(fix)
 
     return np.vstack(rows), unknowns
 
@@ -709,12 +689,6 @@ class OpenStratumChart:
         return np.concatenate(
             [p for p in self.poles] + [r for r in self.residues]
         )
-
-    def index_of_pole(self, level: int, j: int) -> int:
-        return sum(p.size for p in self.poles[:level]) + j
-
-    def index_of_residue(self, level: int, j: int) -> int:
-        return self.size + self.index_of_pole(level, j)
 
 
 def open_stratum_chart(poles, residues, tol: float = 1e-10) -> OpenStratumChart:
@@ -811,8 +785,7 @@ def _solve_gcomp(X: np.ndarray, target: np.ndarray, rng: np.random.Generator) ->
     """
     m = X.shape[0]
     k = poly_degree(target)
-    qx = charpoly(X)
-    H = adjugate_poly(X)
+    qx, H = _faddeev_leverrier(X)
     _, rem = poly_divmod(target, qx)
     rhs = np.zeros(m, dtype=complex)
     rhs[: rem.size] = -rem
@@ -842,9 +815,8 @@ def _solve_gcomp(X: np.ndarray, target: np.ndarray, rng: np.random.Generator) ->
 def _solve_rank_one(b_plus: np.ndarray, target: np.ndarray, rng: np.random.Generator):
     """(u, w) with char(b_plus - u w^T) = target, via the adjugate identity."""
     k = b_plus.shape[0]
-    H = adjugate_poly(b_plus)
+    base, H = _faddeev_leverrier(b_plus)
     gap = np.zeros(k, dtype=complex)
-    base = charpoly(b_plus)
     diff = np.asarray(target, dtype=complex) - base
     gap[: k] = diff[:k]
     for _ in range(20):

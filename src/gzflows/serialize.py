@@ -14,7 +14,6 @@ from .errors import InputError
 from .gzcore import GZCoordinates, StratumSignature
 from .lax import LaxPath
 from .ratmodel import MatricialData
-from .spaces import CotangentPoint, VnPoint
 
 __all__ = [
     "encode_complex",
@@ -27,10 +26,6 @@ __all__ = [
     "decode_poly",
     "encode_coords",
     "encode_signature",
-    "encode_vn_point",
-    "decode_vn_point",
-    "encode_cotangent",
-    "decode_cotangent",
     "encode_matricial",
     "decode_matricial",
     "encode_lax_path",
@@ -54,7 +49,8 @@ def decode_complex(obj) -> complex:
 
 
 def encode_vector(v) -> list:
-    return [encode_complex(z) for z in np.asarray(v, dtype=complex).reshape(-1)]
+    v = np.ascontiguousarray(v, dtype=complex).reshape(-1)
+    return v.view(float).reshape(-1, 2).tolist()
 
 
 def decode_vector(obj) -> np.ndarray:
@@ -64,8 +60,8 @@ def decode_vector(obj) -> np.ndarray:
 
 
 def encode_matrix(M) -> list:
-    M = np.asarray(M, dtype=complex)
-    return [[encode_complex(z) for z in row] for row in M]
+    M = np.ascontiguousarray(M, dtype=complex)
+    return M.view(float).reshape(M.shape + (2,)).tolist()
 
 
 def decode_matrix(obj, square: bool = True) -> np.ndarray:
@@ -99,24 +95,6 @@ def encode_signature(sig: StratumSignature) -> list:
         {"root": encode_complex(r), "multiplicities": list(mult)}
         for r, mult in zip(sig.roots, sig.multiplicities)
     ]
-
-
-def encode_vn_point(p: VnPoint) -> dict:
-    return {"B": encode_matrix(p.B), "b": encode_vector(p.b)}
-
-
-def decode_vn_point(obj) -> tuple[np.ndarray, np.ndarray]:
-    _need_keys(obj, ("B", "b"))
-    return decode_matrix(obj["B"]), decode_vector(obj["b"])
-
-
-def encode_cotangent(x: CotangentPoint) -> dict:
-    return {"g": encode_matrix(x.g), "B": encode_matrix(x.B)}
-
-
-def decode_cotangent(obj) -> tuple[np.ndarray, np.ndarray]:
-    _need_keys(obj, ("g", "B"))
-    return decode_matrix(obj["g"]), decode_matrix(obj["B"])
 
 
 def encode_matricial(F: MatricialData) -> dict:

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .gzcore import _as_group_element, flow_factor
-from .matpoly import as_matrix, krylov_matrix, krylov_rank
+from .gzcore import _as_group_element, _flow_step, flow_factor
+from .matpoly import as_matrix, krylov_matrix, krylov_rank, numerical_rank
 
 __all__ = [
     "VnPoint",
@@ -30,9 +30,6 @@ __all__ = [
     "tgl_flow",
     "tilde_a_flow",
 ]
-
-# |det g| must exceed DET_RTOL * max(1, ||g||_F)^n for a valid cotangent point.
-DET_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -104,9 +101,7 @@ def vn_gz_flow(p: VnPoint, lam) -> VnPoint:
     for m, i, z in lam.items():
         if z == 0:
             continue
-        h = flow_factor(B, m, i, z)
-        if m < p.n:
-            B = h @ B @ np.linalg.inv(h)
+        h, B = _flow_step(B, m, i, z)
         b = h @ b
     return VnPoint(B=B, b=b)
 
@@ -116,8 +111,7 @@ def cotangent_validate(g, B) -> CotangentPoint:
     B = as_matrix(B)
     if g.shape != B.shape:
         raise ValidationError(f"shape mismatch: g {g.shape}, B {B.shape}")
-    scale = max(1.0, float(np.linalg.norm(g))) ** g.shape[0]
-    if abs(np.linalg.det(g)) <= DET_RTOL * scale:
+    if numerical_rank(g) < g.shape[0]:
         raise ValidationError("g is numerically singular")
     return CotangentPoint(g=g, B=B)
 
@@ -146,10 +140,8 @@ def tgl_flow(x: CotangentPoint, side: str, m: int, i: int, z: complex) -> Cotang
     if not (1 <= i <= m <= n):
         raise ValueError(f"index ({m}, {i}) invalid for n = {n}")
     if side == "left":
-        h = flow_factor(x.B, m, i, z)
-        if m == n:
-            return CotangentPoint(g=h @ x.g, B=x.B)
-        return CotangentPoint(g=h @ x.g, B=h @ x.B @ np.linalg.inv(h))
+        h, B = _flow_step(x.B, m, i, z)
+        return CotangentPoint(g=h @ x.g, B=B)
     if side == "right":
         C = x.right_moment()
         h = flow_factor(C, m, i, -z)

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from gzflows import serialize
 from gzflows.cli import run
@@ -200,6 +201,29 @@ class TestCliContract:
         code, _, _ = call(capsys, "gz-map", "--input", '{"matrix": [[[1,0]],[[0,0]]]}')
         assert code == 65
 
+    @pytest.mark.parametrize("name, payload", [
+        ("gz-flow", {"matrix": [[[float("nan"), 0], [0, 0]], [[0, 0], [1, 0]]],
+                     "flows": [{"m": 1, "i": 1, "z": [0.1, 0]}]}),
+        ("sregular", {"matrix": [[[float("nan"), 0], [0, 0]], [[0, 0], [1, 0]]]}),
+        ("enumerate-orbits", {"k": []}),
+        ("strata", {"coords": {"n": 2, "basis": "tr-power", "values": [[1, 0]]}}),
+    ])
+    def test_input_the_library_refuses_65(self, capsys, name, payload):
+        code, _, err = call(capsys, name, "--input", json.dumps(payload))
+        assert code == 65 and "input error" in err
+
+    def test_md_validate_block_of_wrong_shape_65(self, capsys):
+        doc = serialize.encode_matricial(enumerate_sr((1, 2))[0])
+        doc["B_minus"][1] = serialize.encode_matrix(np.zeros((1, 1)))
+        code, _, err = call(capsys, "md-validate", "--input", json.dumps({"data": doc}))
+        assert code == 65 and "input error" in err
+
+    @pytest.mark.parametrize("name", ["verify-suite", "kw-check", "bracket-table"])
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_samples_below_one_64(self, capsys, name, samples):
+        code, out, _ = call(capsys, name, "--input", '{"n": 2}', "--samples", samples)
+        assert code == 64 and out == ""
+
     def test_determinism_byte_identical(self, capsys):
         argv = [
             "verify-suite", "--input", '{"n": 2}', "--samples", "3", "--seed", "7",
@@ -251,17 +275,3 @@ class TestSerializationRoundTrip:
         )
         assert np.max(np.abs(back.alpha - path.alpha)) < 1e-15
         assert np.max(np.abs(back.beta - path.beta)) < 1e-15
-
-    def test_point_roundtrips(self):
-        from gzflows.spaces import cotangent_validate, vn_validate
-
-        p = vn_validate(np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([1.0, 0.5]))
-        B2, b2 = serialize.decode_vn_point(
-            json.loads(json.dumps(serialize.encode_vn_point(p)))
-        )
-        assert np.array_equal(B2, p.B) and np.array_equal(b2, p.b)
-        x = cotangent_validate(np.eye(2) + 0.1j, np.array([[0.3, 0.0], [0.1, -0.3]]))
-        g2, Bc2 = serialize.decode_cotangent(
-            json.loads(json.dumps(serialize.encode_cotangent(x)))
-        )
-        assert np.array_equal(g2, x.g) and np.array_equal(Bc2, x.B)

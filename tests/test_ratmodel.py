@@ -115,6 +115,19 @@ class TestMdValidate:
             md_validate(F)
         assert any("conjugacy" in v for v in err.value.violations)
 
+    def test_well_conditioned_conjugator_with_small_determinant_accepted(self):
+        # k = (4, 3) point moved by ak_act: cond(g[1]) is about 1.5e5, far from
+        # singular, but |det g[1]| is below 1e-12 * ||g[1]||_F^4
+        rng = np.random.default_rng(0)
+        while True:
+            r = rng.uniform(-1, 1, 7) + 1j * rng.uniform(-1, 1, 7)
+            if (np.abs(r[:, None] - r[None, :]) + 9 * np.eye(7)).min() > 0.1:
+                break
+        polys = [np.poly(rs)[::-1].astype(complex) for rs in (r[:4], r[4:])]
+        F = fixture_from_polar(polys, rng=rng)
+        params = [0.3 * (rng.uniform(-1, 1, d) + 1j * rng.uniform(-1, 1, d)) for d in (4, 3)]
+        md_validate(ak_act(F, params))
+
     def test_missing_uw_is_structural(self):
         F = scalar_pair_fixture(0.5, 0.5, 1.0, 0.0)
         F.u = {}
@@ -167,6 +180,11 @@ class TestGkAct:
         F = self.fixture(rng)
         with pytest.raises(ValidationError):
             gk_act(F, [np.zeros((1, 1)), np.eye(2)])
+
+    def test_small_multiple_of_identity_accepted(self):
+        F = enumerate_sr((3, 3))[0]
+        moved = gk_act(F, [1e-5 * np.eye(3)])
+        assert np.allclose(moved.u[0], 1e-5 * F.u[0])
 
     def test_tied_sizes_rescale_uw(self):
         F = scalar_pair_fixture(0.5, 0.5 - 2.0 * 0.25, 2.0, 0.25)
@@ -296,7 +314,9 @@ class TestEnumerate:
         sigmas = {sigma_of(F).values for F in reps}
         assert len(reps) == 4 and len(sigmas) == 4
 
-    @pytest.mark.parametrize("k", [(1, 1), (1, 2), (2, 2), (2, 1), (1, 2, 3), (3, 1, 2)])
+    @pytest.mark.parametrize(
+        "k", [(1, 1), (1, 2), (2, 2), (2, 1), (1, 2, 3), (3, 1, 2), (3, 3, 3), (1, 2, 3, 3, 2)]
+    )
     def test_all_validated_and_regular(self, k):
         reps = enumerate_sr(k)
         assert len(reps) == 2 ** (len(k) - 1)

@@ -231,6 +231,11 @@ class TestCotangentValidate:
         with pytest.raises(ValidationError):
             cotangent_validate(np.zeros((2, 2)), np.eye(2))
 
+    def test_small_multiple_of_identity_accepted(self):
+        # condition number 1, determinant 1e-36
+        x = cotangent_validate(1e-3 * np.eye(12), np.eye(12))
+        assert np.array_equal(x.g, 1e-3 * np.eye(12))
+
     def test_shape_mismatch(self):
         with pytest.raises(ValidationError):
             cotangent_validate(np.eye(2), np.eye(3))
