@@ -14,6 +14,8 @@ Subpackages:
   fixing;
 * :mod:`gzflows.verify` -- finite-difference gradients, Poisson brackets,
   and defect measurements;
+* :mod:`gzflows.serialize` -- JSON codecs: a complex array of any rank is
+  nested lists of JSON numbers with ``[re, im]`` pairs innermost;
 * :mod:`gzflows.cli` -- the ``gzflows`` command.
 """
 

@@ -8,6 +8,7 @@ Identical requests produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -15,6 +16,7 @@ import numpy as np
 
 from . import gzcore, lax, ratmodel, serialize, verify
 from .errors import InputError, ToleranceError, ValidationError
+from .matpoly import as_matrix
 
 __all__ = ["main", "run"]
 
@@ -62,21 +64,21 @@ def _flow_triples(payload) -> list[tuple[int, int, complex]]:
             raise InputError("each flow needs keys m, i, z")
         if not isinstance(entry["m"], int) or not isinstance(entry["i"], int):
             raise InputError("flow indices must be integers")
-        out.append((entry["m"], entry["i"], serialize.decode_complex(entry["z"])))
+        out.append((entry["m"], entry["i"], complex(serialize.decode_array(entry["z"], 0))))
     return out
 
 
 def _require_matrix(payload, key: str = "matrix") -> np.ndarray:
     if key not in payload:
         raise InputError(f"missing key: {key}")
-    return serialize.decode_matrix(payload[key])
+    return as_matrix(serialize.decode_array(payload[key], 2))
 
 
 def _require_polys(payload) -> list[np.ndarray]:
     polys = payload.get("polys")
     if not isinstance(polys, list) or not polys:
         raise InputError("expected a nonempty 'polys' list")
-    return [serialize.decode_poly(p) for p in polys]
+    return [serialize.decode_array(p, 1) for p in polys]
 
 
 def cmd_gz_map(payload, args):
@@ -96,7 +98,7 @@ def cmd_gz_flow(payload, args):
         lambda M: gzcore.gz_flow(M, lam), lambda M: gzcore.gz_map(M).values, B
     )
     return {
-        "matrix": serialize.encode_matrix(moved),
+        "matrix": serialize.encode_array(moved),
         "conservation_defect": float(defect),
     }, EXIT_OK
 
@@ -121,7 +123,7 @@ def cmd_orbit_count(payload, args):
         "s": data.s,
         "count": data.count,
         "shape": data.shape,
-        "roots": serialize.encode_vector(np.array(data.roots)),
+        "roots": serialize.encode_array(np.array(data.roots)),
     }, EXIT_OK
 
 
@@ -130,7 +132,7 @@ def cmd_strata(payload, args):
         obj = payload["coords"]
         serialize._need_keys(obj, ("n", "basis", "values"))
         coords = gzcore.GZCoordinates(
-            n=obj["n"], basis=obj["basis"], values=serialize.decode_vector(obj["values"])
+            n=obj["n"], basis=obj["basis"], values=serialize.decode_array(obj["values"], 1)
         )
         sig = gzcore.stratum_signature(coords, tol=args.tol)
     else:
@@ -176,7 +178,7 @@ def cmd_ak_act(payload, args):
     params = payload.get("params")
     if not isinstance(params, list):
         raise InputError("expected 'params' as a list of coefficient vectors")
-    coeffs = [serialize.decode_vector(p) for p in params]
+    coeffs = [serialize.decode_array(p, 1) for p in params]
     moved = ratmodel.ak_act(F, coeffs)
     return {"data": serialize.encode_matricial(moved)}, EXIT_OK
 
@@ -184,7 +186,7 @@ def cmd_ak_act(payload, args):
 def cmd_polar(payload, args):
     F = ratmodel.md_validate(_payload_matricial(payload))
     return {
-        "polys": [serialize.encode_poly(q) for q in ratmodel.polar(F)]
+        "polys": [serialize.encode_array(q) for q in ratmodel.polar(F)]
     }, EXIT_OK
 
 
@@ -259,13 +261,13 @@ def _alpha_from_spec(spec):
     if not isinstance(spec, dict) or "type" not in spec:
         raise InputError("alpha spec needs a 'type'")
     if spec["type"] == "constant":
-        M = serialize.decode_matrix(spec.get("matrix"))
+        M = serialize.decode_array(spec.get("matrix"), 2)
         return lambda t: M
     if spec["type"] == "polynomial":
         coeffs = spec.get("coefficients")
         if not isinstance(coeffs, list) or not coeffs:
             raise InputError("polynomial alpha needs matrix coefficients")
-        mats = [serialize.decode_matrix(M) for M in coeffs]
+        mats = serialize.decode_array(coeffs, 3)
         return lambda t: sum(mats[j] * t ** j for j in range(len(mats)))
     raise InputError(f"unknown alpha type {spec['type']!r}")
 
@@ -273,7 +275,7 @@ def _alpha_from_spec(spec):
 def cmd_lax_run(payload, args):
     serialize._need_keys(payload, ("alpha", "beta", "t_start", "t_end", "steps"))
     alpha_fn = _alpha_from_spec(payload["alpha"])
-    beta = serialize.decode_matrix(payload["beta"])
+    beta = serialize.decode_array(payload["beta"], 2)
     path = lax.lax_integrate(
         alpha_fn, beta, float(payload["t_start"]), float(payload["t_end"]),
         int(payload["steps"]),
@@ -289,8 +291,8 @@ def cmd_lax_gauge(payload, args):
     path = serialize.decode_lax_path(payload.get("path", payload))
     result = lax.gauge_fix_regular(path, residual_tol=args.tol or 1e-3)
     return {
-        "g_end": serialize.encode_matrix(result.g_end),
-        "constant_matrix": serialize.encode_matrix(result.constant_matrix),
+        "g_end": serialize.encode_array(result.g_end),
+        "constant_matrix": serialize.encode_array(result.constant_matrix),
         "drift": float(result.drift),
         "max_condition": float(result.max_condition),
     }, EXIT_OK
@@ -371,6 +373,7 @@ def _sample_count(text: str) -> int:
     return count
 
 
+@functools.cache
 def _build_parser(name: str) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog=f"gzflows {name}", add_help=True)
     parser.add_argument("--input", default=None, help="input file path or inline JSON")

@@ -95,12 +95,6 @@ class GZGroupElement:
         return cls(n, np.zeros(n * (n + 1) // 2, dtype=complex))
 
     @classmethod
-    def single(cls, n: int, m: int, i: int, z: complex) -> "GZGroupElement":
-        values = np.zeros(n * (n + 1) // 2, dtype=complex)
-        values[_gz_position(n, m, i)] = z
-        return cls(n, values)
-
-    @classmethod
     def from_pairs(cls, n: int, pairs) -> "GZGroupElement":
         values = np.zeros(n * (n + 1) // 2, dtype=complex)
         for m, i, z in pairs:

@@ -137,11 +137,8 @@ def lax_residual(path: LaxPath) -> float:
 
 def isospectral_drift(path: LaxPath) -> float:
     """Max coefficient drift of charpoly(beta(t)) from its initial value."""
-    base = charpoly(path.beta[0])
-    worst = 0.0
-    for j in range(1, path.grid.size):
-        worst = max(worst, float(np.max(np.abs(charpoly(path.beta[j]) - base))))
-    return worst
+    coeffs = charpoly(path.beta)
+    return float(np.max(np.abs(coeffs[1:] - coeffs[0]), initial=0.0))
 
 
 def gauge_apply(g_path, path: LaxPath) -> LaxPath:

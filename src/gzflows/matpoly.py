@@ -43,7 +43,14 @@ CLUSTER_TOL = 1e-8
 def as_matrix(A) -> np.ndarray:
     """Coerce to a square complex matrix, rejecting non-square or non-finite input."""
     A = np.asarray(A, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+    if A.ndim != 2:
+        raise ValueError(f"expected a square matrix, got shape {A.shape}")
+    return _check_square(A)
+
+
+def _check_square(A: np.ndarray) -> np.ndarray:
+    """A itself if it is square in its last two axes and finite, else ValueError."""
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
     if A.size and not np.all(np.isfinite(A)):
         raise ValueError("matrix entries must be finite")
@@ -59,29 +66,34 @@ def leading_minor(A, m: int) -> np.ndarray:
     return A[:m, :m].copy()
 
 
-def _faddeev_leverrier(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients of det(zI - A) and matrices H with adj(zI - A) = sum_l z**l H[l].
+def _faddeev_leverrier(A: np.ndarray):
+    """Faddeev-LeVerrier recursion on a matrix or a stack (..., n, n).
 
-    One Faddeev-LeVerrier recursion yields both: H[l] is the intermediate
-    multiplying z**l, so the two are consistent to the last bit.  Adequate
-    for the desk scales (n <= 12) this package targets.
+    Yields (c, M) for k = 1, ..., n, the terms of z**(n-k) in det(zI - A)
+    and in adj(zI - A): one recursion for both, consistent to the last bit.
+    Adequate for the desk scales (n <= 12) this package targets.
     """
-    n = A.shape[0]
-    coeffs = np.zeros(n + 1, dtype=complex)
-    coeffs[n] = 1.0
-    H = np.zeros((n, n, n), dtype=complex)
-    M = np.eye(n, dtype=complex)
+    n = A.shape[-1]
+    M = np.broadcast_to(np.eye(n, dtype=complex), A.shape)
     for k in range(1, n + 1):
-        H[n - k] = M
         AM = A @ M
-        coeffs[n - k] = -np.trace(AM) / k
-        M = AM + coeffs[n - k] * np.eye(n)
-    return coeffs, H
+        c = -np.trace(AM, axis1=-2, axis2=-1) / k
+        yield c, M
+        M = AM + c[..., None, None] * np.eye(n)
 
 
 def charpoly(A) -> np.ndarray:
-    """Monic characteristic polynomial det(zI - A), ascending coefficients."""
-    return _faddeev_leverrier(as_matrix(A))[0]
+    """Monic characteristic polynomial det(zI - A), ascending coefficients.
+
+    A stack (..., n, n) gives the stack (..., n + 1) of its polynomials.
+    """
+    A = _check_square(np.asarray(A, dtype=complex))
+    n = A.shape[-1]
+    coeffs = np.zeros(A.shape[:-2] + (n + 1,), dtype=complex)
+    coeffs[..., n] = 1.0
+    for k, (c, _) in enumerate(_faddeev_leverrier(A), start=1):
+        coeffs[..., n - k] = c
+    return coeffs
 
 
 # Pade approximant data for the scaling-and-squaring exponential

@@ -776,6 +776,12 @@ def _conjugator(b_plus: np.ndarray, b_minus: np.ndarray, rng: np.random.Generato
     raise ValidationError("could not build a well-conditioned conjugator")
 
 
+def _charpoly_adjugate(A: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Coefficients of det(zI - A) and H with adj(zI - A) = sum_l z**l H[l]."""
+    pairs = list(_faddeev_leverrier(A))[::-1]
+    return np.array([c for c, _ in pairs] + [1.0], dtype=complex), [M for _, M in pairs]
+
+
 def _solve_gcomp(X: np.ndarray, target: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Generalized companion with X-block X and characteristic polynomial target.
 
@@ -785,7 +791,7 @@ def _solve_gcomp(X: np.ndarray, target: np.ndarray, rng: np.random.Generator) ->
     """
     m = X.shape[0]
     k = poly_degree(target)
-    qx, H = _faddeev_leverrier(X)
+    qx, H = _charpoly_adjugate(X)
     _, rem = poly_divmod(target, qx)
     rhs = np.zeros(m, dtype=complex)
     rhs[: rem.size] = -rem
@@ -815,7 +821,7 @@ def _solve_gcomp(X: np.ndarray, target: np.ndarray, rng: np.random.Generator) ->
 def _solve_rank_one(b_plus: np.ndarray, target: np.ndarray, rng: np.random.Generator):
     """(u, w) with char(b_plus - u w^T) = target, via the adjugate identity."""
     k = b_plus.shape[0]
-    base, H = _faddeev_leverrier(b_plus)
+    base, H = _charpoly_adjugate(b_plus)
     gap = np.zeros(k, dtype=complex)
     diff = np.asarray(target, dtype=complex) - base
     gap[: k] = diff[:k]

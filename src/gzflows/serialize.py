@@ -1,9 +1,11 @@
 """JSON wire formats.
 
-Complex scalars are two-element arrays [re, im]; matrices are row-major
-nested arrays of those; polynomials are ascending coefficient arrays.
-Decoding validates shapes and raises :class:`InputError` on anything
-malformed, so the CLI can map it to its own exit code.
+Every complex array, of any rank, is a nested list of JSON numbers whose
+innermost lists are [re, im] pairs: a scalar is [re, im], a vector a list
+of pairs, a matrix a row-major list of rows.  Polynomials are ascending
+coefficient vectors.  Decoding checks the rank and the element types and
+raises :class:`InputError` on anything malformed, so the CLI can map it
+to its own exit code.
 """
 
 from __future__ import annotations
@@ -16,14 +18,8 @@ from .lax import LaxPath
 from .ratmodel import MatricialData
 
 __all__ = [
-    "encode_complex",
-    "decode_complex",
-    "encode_vector",
-    "decode_vector",
-    "encode_matrix",
-    "decode_matrix",
-    "encode_poly",
-    "decode_poly",
+    "encode_array",
+    "decode_array",
     "encode_coords",
     "encode_signature",
     "encode_matricial",
@@ -33,78 +29,59 @@ __all__ = [
 ]
 
 
-def encode_complex(z) -> list[float]:
-    z = complex(z)
-    return [float(z.real), float(z.imag)]
+def encode_array(A) -> list:
+    """Nested lists of [re, im] pairs for a complex array (or scalar) of any rank."""
+    A = np.asarray(A, dtype=complex)
+    return np.ascontiguousarray(A).view(float).reshape(A.shape + (2,)).tolist()
 
 
-def decode_complex(obj) -> complex:
-    if (
-        not isinstance(obj, (list, tuple))
-        or len(obj) != 2
-        or not all(isinstance(v, (int, float)) for v in obj)
-    ):
-        raise InputError(f"expected [re, im], got {obj!r}")
-    return complex(obj[0], obj[1])
+def decode_array(obj, ndim: int) -> np.ndarray:
+    """Complex array of rank ``ndim`` from nested lists with [re, im] innermost.
 
-
-def encode_vector(v) -> list:
-    v = np.ascontiguousarray(v, dtype=complex).reshape(-1)
-    return v.view(float).reshape(-1, 2).tolist()
-
-
-def decode_vector(obj) -> np.ndarray:
-    if not isinstance(obj, list):
-        raise InputError(f"expected a list of [re, im] pairs, got {obj!r}")
-    return np.array([decode_complex(z) for z in obj], dtype=complex)
-
-
-def encode_matrix(M) -> list:
-    M = np.ascontiguousarray(M, dtype=complex)
-    return M.view(float).reshape(M.shape + (2,)).tolist()
-
-
-def decode_matrix(obj, square: bool = True) -> np.ndarray:
-    if not isinstance(obj, list) or not all(isinstance(r, list) for r in obj):
-        raise InputError("expected a nested list of [re, im] pairs")
-    if not obj:
-        return np.zeros((0, 0), dtype=complex)
-    width = len(obj[0])
-    if any(len(r) != width for r in obj):
-        raise InputError("matrix rows have unequal lengths")
-    M = np.array([[decode_complex(z) for z in row] for row in obj], dtype=complex)
-    if square and M.shape[0] != M.shape[1]:
-        raise InputError(f"expected a square matrix, got shape {M.shape}")
-    return M
-
-
-encode_poly = encode_vector
-decode_poly = decode_vector
+    Entries must be JSON numbers (bools count, as in JSON-decoded Python);
+    ``[]`` decodes to an empty array of rank ``ndim``.
+    """
+    try:
+        A = np.array(obj)
+        if A.dtype.kind == "O" and all(isinstance(x, (int, float)) for x in A.flat):
+            A = A.astype(float)  # integers beyond int64; OverflowError past float
+    except (ValueError, OverflowError) as exc:
+        raise InputError(f"expected nested [re, im] pairs: {exc}") from exc
+    if A.dtype.kind not in "biuf":
+        raise InputError("expected nested [re, im] pairs of JSON numbers")
+    if A.shape == (0,) and ndim > 0:
+        return np.zeros((0,) * ndim, dtype=complex)
+    if A.ndim != ndim + 1 or A.shape[-1] != 2:
+        raise InputError(
+            f"expected a rank-{ndim} array of [re, im] pairs, got nested shape {A.shape}"
+        )
+    return np.ascontiguousarray(A, dtype=float).view(complex)[..., 0]
 
 
 def encode_coords(c: GZCoordinates) -> dict:
     return {
         "n": c.n,
         "basis": c.basis,
-        "values": encode_vector(c.values),
+        "values": encode_array(c.values),
     }
 
 
 def encode_signature(sig: StratumSignature) -> list:
+    roots = encode_array(np.array(sig.roots, dtype=complex))
     return [
-        {"root": encode_complex(r), "multiplicities": list(mult)}
-        for r, mult in zip(sig.roots, sig.multiplicities)
+        {"root": r, "multiplicities": list(mult)}
+        for r, mult in zip(roots, sig.multiplicities)
     ]
 
 
 def encode_matricial(F: MatricialData) -> dict:
     return {
         "k": list(F.k),
-        "B_minus": [encode_matrix(M) for M in F.b_minus],
-        "B_plus": [encode_matrix(M) for M in F.b_plus],
-        "g": [encode_matrix(M) for M in F.g],
+        "B_minus": [encode_array(M) for M in F.b_minus],
+        "B_plus": [encode_array(M) for M in F.b_plus],
+        "g": [encode_array(M) for M in F.g],
         "uw": [
-            {"i": j + 1, "u": encode_vector(F.u[j]), "w": encode_vector(F.w[j])}
+            {"i": j + 1, "u": encode_array(F.u[j]), "w": encode_array(F.w[j])}
             for j in sorted(F.u)
         ],
     }
@@ -116,9 +93,9 @@ def decode_matricial(obj) -> MatricialData:
     if not isinstance(k, list) or not all(isinstance(x, int) and x >= 0 for x in k):
         raise InputError("k must be a list of nonnegative integers")
     k = tuple(k)
-    b_minus = [decode_matrix(M) for M in _need_list(obj["B_minus"], len(k), "B_minus")]
-    b_plus = [decode_matrix(M) for M in _need_list(obj["B_plus"], len(k), "B_plus")]
-    g = [decode_matrix(M) for M in _need_list(obj["g"], len(k), "g")]
+    b_minus = [_decode_square(M) for M in _need_list(obj["B_minus"], len(k), "B_minus")]
+    b_plus = [_decode_square(M) for M in _need_list(obj["B_plus"], len(k), "B_plus")]
+    g = [_decode_square(M) for M in _need_list(obj["g"], len(k), "g")]
     u: dict[int, np.ndarray] = {}
     w: dict[int, np.ndarray] = {}
     for entry in obj.get("uw", []):
@@ -126,16 +103,16 @@ def decode_matricial(obj) -> MatricialData:
         if not isinstance(entry["i"], int) or not 1 <= entry["i"] < len(k):
             raise InputError(f"junction index {entry.get('i')!r} out of range")
         j = entry["i"] - 1
-        u[j] = decode_vector(entry["u"])
-        w[j] = decode_vector(entry["w"])
+        u[j] = decode_array(entry["u"], 1)
+        w[j] = decode_array(entry["w"], 1)
     return MatricialData(k=k, b_minus=b_minus, b_plus=b_plus, g=g, u=u, w=w)
 
 
 def encode_lax_path(path: LaxPath) -> dict:
     return {
-        "grid": [float(t) for t in path.grid],
-        "alpha": [encode_matrix(M) for M in path.alpha],
-        "beta": [encode_matrix(M) for M in path.beta],
+        "grid": path.grid.tolist(),
+        "alpha": encode_array(path.alpha),
+        "beta": encode_array(path.beta),
     }
 
 
@@ -144,12 +121,20 @@ def decode_lax_path(obj) -> LaxPath:
     grid = obj["grid"]
     if not isinstance(grid, list) or not all(isinstance(t, (int, float)) for t in grid):
         raise InputError("grid must be a list of real times")
-    alpha = np.array([decode_matrix(M) for M in obj["alpha"]])
-    beta = np.array([decode_matrix(M) for M in obj["beta"]])
+    alpha = decode_array(obj["alpha"], 3)
+    beta = decode_array(obj["beta"], 3)
     try:
         return LaxPath(grid=np.asarray(grid, dtype=float), alpha=alpha, beta=beta).validate()
     except ValueError as exc:
         raise InputError(str(exc)) from exc
+
+
+def _decode_square(obj) -> np.ndarray:
+    # model blocks reach ak_act unvalidated, so their shape is checked here
+    M = decode_array(obj, 2)
+    if M.shape[0] != M.shape[1]:
+        raise InputError(f"expected a square matrix, got shape {M.shape}")
+    return M
 
 
 def _need_keys(obj, keys) -> None:

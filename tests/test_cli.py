@@ -5,6 +5,7 @@ import pytest
 
 from gzflows import serialize
 from gzflows.cli import run
+from gzflows.errors import InputError
 from gzflows.matpoly import poly_from_roots
 from gzflows.ratmodel import enumerate_sr, fixture_from_polar
 
@@ -32,7 +33,7 @@ class TestBasicCommands:
 
     def test_gz_flow_conserves(self, capsys):
         payload = {
-            "matrix": serialize.encode_matrix(np.array([[0.1, 0.4], [0.0, -0.2]])),
+            "matrix": serialize.encode_array(np.array([[0.1, 0.4], [0.0, -0.2]])),
             "flows": [{"m": 1, "i": 1, "z": [0.3, 0.1]}],
         }
         doc = call_json(capsys, "gz-flow", "--input", json.dumps(payload))
@@ -49,8 +50,8 @@ class TestBasicCommands:
     def test_orbit_count_example(self, capsys):
         payload = {
             "polys": [
-                serialize.encode_poly([0, 1]),
-                serialize.encode_poly([0, 0, 1]),
+                serialize.encode_array([0, 1]),
+                serialize.encode_array([0, 0, 1]),
             ],
             "mode": "matrices",
         }
@@ -60,8 +61,8 @@ class TestBasicCommands:
     def test_strata(self, capsys):
         payload = {
             "polys": [
-                serialize.encode_poly(poly_from_roots([1.0])),
-                serialize.encode_poly(poly_from_roots([1.0, 5.0])),
+                serialize.encode_array(poly_from_roots([1.0])),
+                serialize.encode_array(poly_from_roots([1.0, 5.0])),
             ]
         }
         doc = call_json(capsys, "strata", "--input", json.dumps(payload))
@@ -90,7 +91,7 @@ class TestBasicCommands:
         )
         payload = {"data": serialize.encode_matricial(F)}
         doc = call_json(capsys, "polar", "--input", json.dumps(payload))
-        got = serialize.decode_poly(doc["polys"][1])
+        got = serialize.decode_array(doc["polys"][1], 1)
         assert np.max(np.abs(got - poly_from_roots([-1.0, 2.0]))) < 1e-8
 
 
@@ -130,10 +131,10 @@ class TestAkActCommand:
 class TestLaxCommands:
     def payload(self):
         return {
-            "alpha": {"type": "constant", "matrix": serialize.encode_matrix(
+            "alpha": {"type": "constant", "matrix": serialize.encode_array(
                 np.array([[0.0, 0.5], [-0.5, 0.0]])
             )},
-            "beta": serialize.encode_matrix(np.array([[0.2, 0.1], [0.0, -0.2]])),
+            "beta": serialize.encode_array(np.array([[0.2, 0.1], [0.0, -0.2]])),
             "t_start": 0.0,
             "t_end": 1.0,
             "steps": 100,
@@ -150,8 +151,8 @@ class TestLaxCommands:
             capsys, "lax-gauge", "--input", json.dumps({"path": run_doc["path"]})
         )
         assert gauge_doc["drift"] < 1e-8
-        X = serialize.decode_matrix(gauge_doc["constant_matrix"])
-        beta0 = serialize.decode_matrix(self.payload()["beta"])
+        X = serialize.decode_array(gauge_doc["constant_matrix"], 2)
+        beta0 = serialize.decode_array(self.payload()["beta"], 2)
         assert np.max(np.abs(X - beta0)) < 1e-10
 
 
@@ -207,6 +208,7 @@ class TestCliContract:
         ("sregular", {"matrix": [[[float("nan"), 0], [0, 0]], [[0, 0], [1, 0]]]}),
         ("enumerate-orbits", {"k": []}),
         ("strata", {"coords": {"n": 2, "basis": "tr-power", "values": [[1, 0]]}}),
+        ("gz-map", {"matrix": [[[10**400, 0]]]}),
     ])
     def test_input_the_library_refuses_65(self, capsys, name, payload):
         code, _, err = call(capsys, name, "--input", json.dumps(payload))
@@ -214,9 +216,25 @@ class TestCliContract:
 
     def test_md_validate_block_of_wrong_shape_65(self, capsys):
         doc = serialize.encode_matricial(enumerate_sr((1, 2))[0])
-        doc["B_minus"][1] = serialize.encode_matrix(np.zeros((1, 1)))
+        doc["B_minus"][1] = serialize.encode_array(np.zeros((1, 1)))
         code, _, err = call(capsys, "md-validate", "--input", json.dumps({"data": doc}))
         assert code == 65 and "input error" in err
+
+    def test_polynomial_alpha_of_unequal_sizes_65(self, capsys):
+        # a 1x1 coefficient used to be broadcast against the 2x2 one
+        two = [[[1, 0], [0, 0]], [[0, 0], [2, 0]]]
+        payload = {
+            "alpha": {"type": "polynomial", "coefficients": [two, [[[1, 0]]]]},
+            "beta": two, "t_start": 0, "t_end": 1, "steps": 4,
+        }
+        code, _, err = call(capsys, "lax-run", "--input", json.dumps(payload))
+        assert code == 65 and "input error" in err
+
+    def test_parser_defaults_do_not_leak_between_requests(self, capsys):
+        matrix = '{"matrix": [[[1,0],[0,0]],[[0,0],[2,0]]]}'
+        first = call_json(capsys, "gz-map", "--input", matrix, "--mode", "charpoly")
+        second = call_json(capsys, "gz-map", "--input", matrix)
+        assert first["basis"] == "charpoly" and second["basis"] == "tr-power"
 
     @pytest.mark.parametrize("name", ["verify-suite", "kw-check", "bracket-table"])
     @pytest.mark.parametrize("samples", ["0", "-3"])
@@ -260,7 +278,7 @@ class TestSerializationRoundTrip:
             json.loads(json.dumps(serialize.encode_matricial(F)))
         )
         assert back.k == F.k
-        assert np.max(np.abs(back.as_vector() - F.as_vector())) < 1e-15
+        assert np.array_equal(back.as_vector(), F.as_vector())
 
     def test_lax_path_roundtrip(self):
         from gzflows.lax import lax_integrate
@@ -273,5 +291,70 @@ class TestSerializationRoundTrip:
         back = serialize.decode_lax_path(
             json.loads(json.dumps(serialize.encode_lax_path(path)))
         )
-        assert np.max(np.abs(back.alpha - path.alpha)) < 1e-15
-        assert np.max(np.abs(back.beta - path.beta)) < 1e-15
+        assert np.array_equal(back.alpha, path.alpha)
+        assert np.array_equal(back.beta, path.beta)
+
+
+EDGE_VALUES = np.array([-0.0, 5e-324, 1e308, -1e308, 0.1, 1.0 / 3.0])
+
+
+class TestArrayCodec:
+    @staticmethod
+    def roundtrip(A, ndim):
+        return serialize.decode_array(json.loads(json.dumps(serialize.encode_array(A))), ndim)
+
+    @pytest.mark.parametrize("shape", [(), (6,), (2, 3), (3, 1, 2)])
+    def test_exact_roundtrip(self, shape):
+        size = int(np.prod(shape))
+        A = np.empty(size, dtype=complex)
+        A.real = EDGE_VALUES[:size]
+        A.imag = EDGE_VALUES[::-1][:size]
+        A = A.reshape(shape)
+        back = self.roundtrip(A, len(shape))
+        assert back.shape == A.shape and back.dtype == complex
+        assert np.array_equal(back, A)
+        assert np.array_equal(np.signbit(back.real), np.signbit(A.real))
+        assert np.array_equal(np.signbit(back.imag), np.signbit(A.imag))
+
+    def test_non_contiguous_view(self):
+        rng = np.random.default_rng(4)
+        A = rng.normal(size=(5, 6)) + 1j * rng.normal(size=(5, 6))
+        view = A[::2, 1::2].T
+        assert np.array_equal(self.roundtrip(view, 2), view)
+
+    def test_real_integer_input(self):
+        A = np.arange(6).reshape(2, 3)
+        assert serialize.encode_array(A) == [[[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]],
+                                             [[3.0, 0.0], [4.0, 0.0], [5.0, 0.0]]]
+        assert np.array_equal(self.roundtrip(A, 2), A)
+
+    def test_scalar_is_a_pair(self):
+        assert serialize.encode_array(1.5 - 2j) == [1.5, -2.0]
+        assert complex(serialize.decode_array([1, True], 0)) == 1 + 1j
+
+    def test_empty_list_has_the_requested_rank(self):
+        for ndim in (1, 2, 3):
+            assert serialize.decode_array([], ndim).shape == (0,) * ndim
+
+    def test_integer_beyond_int64(self):
+        assert serialize.decode_array([[[2**70, 0]]], 2)[0, 0] == 1.1805916207174113e21
+
+    @pytest.mark.parametrize("obj, ndim", [
+        ([[[1, 0], [0, 0]], [[1, 0]]], 2),
+        ([[1, 0], [0, 0, 0]], 1),
+        ("[[1, 0]]", 1),
+        ([["1", 0]], 1),
+        (None, 1),
+        ([[None, 0]], 1),
+        ({"re": 1, "im": 0}, 0),
+        ([[1, 0, 2]], 1),
+        ([1, 0, 2], 0),
+        ([[1, 0]], 2),
+        ([[[1, 0]]], 1),
+        ([1, 0], 1),
+        ([], 0),
+        ([[10**400, 0]], 1),
+    ])
+    def test_rejects(self, obj, ndim):
+        with pytest.raises(InputError):
+            serialize.decode_array(obj, ndim)

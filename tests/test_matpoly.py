@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from gzflows.matpoly import (
+    as_matrix,
     charpoly,
     cluster_points,
     companion_of,
@@ -57,6 +60,44 @@ class TestCharpoly:
             expected = poly_from_roots(np.linalg.eigvals(A))
             got = charpoly(A)
             assert np.max(np.abs(got - expected) / (1 + np.abs(expected))) < 1e-9
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    @pytest.mark.parametrize("lead", [(5,), (2, 3)])
+    def test_stack_bit_equal_to_single_matrices(self, n, lead):
+        rng = np.random.default_rng(n)
+        A = random_matrix(rng, n).reshape(1, n, n) * rng.uniform(0.5, 2, lead + (1, 1))
+        A = A + random_matrix(rng, n)
+        got = charpoly(A)
+        assert got.shape == lead + (n + 1,)
+        for idx in np.ndindex(*lead):
+            assert np.array_equal(got[idx], charpoly(A[idx]))
+
+    def test_empty_stack(self):
+        assert charpoly(np.zeros((0, 4, 4))).shape == (0, 5)
+
+    def test_stack_rejects_non_square_and_non_finite(self):
+        with pytest.raises(ValueError, match="square"):
+            charpoly(np.zeros((3, 2, 4)))
+        A = np.zeros((3, 4, 4))
+        A[1, 2, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            charpoly(A)
+
+    def test_as_matrix_stays_two_dimensional(self):
+        with pytest.raises(ValueError, match="square"):
+            as_matrix(np.zeros((2, 3, 3)))
+
+    def test_stack_peak_memory(self):
+        # the recursion keeps a few stack-sized arrays live, never the n adjugate terms
+        rng = np.random.default_rng(3)
+        A = rng.normal(size=(2000, 12, 12)) + 1j * rng.normal(size=(2000, 12, 12))
+        tracemalloc.start()
+        try:
+            charpoly(A)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * A.nbytes
 
 
 class TestMatexp:
