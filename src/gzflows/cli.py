@@ -160,14 +160,13 @@ def cmd_enumerate_orbits(payload, args):
 
 
 def _payload_matricial(payload) -> ratmodel.MatricialData:
-    obj = payload.get("data", payload)
-    return serialize.decode_matricial(obj)
+    return ratmodel.md_validate(serialize.decode_matricial(payload.get("data", payload)))
 
 
 def cmd_md_validate(payload, args):
-    F = _payload_matricial(payload)
+    F = serialize.decode_matricial(payload.get("data", payload))
     try:
-        ratmodel.md_validate(F, tol=args.tol if args.tol else ratmodel.VALIDATE_TOL)
+        ratmodel.md_validate(F, tol=args.tol or ratmodel.VALIDATE_TOL)
     except ValidationError as exc:
         return {"valid": False, "violations": exc.violations}, EXIT_VALIDATION
     return {"valid": True, "violations": []}, EXIT_OK
@@ -184,7 +183,7 @@ def cmd_ak_act(payload, args):
 
 
 def cmd_polar(payload, args):
-    F = ratmodel.md_validate(_payload_matricial(payload))
+    F = _payload_matricial(payload)
     return {
         "polys": [serialize.encode_array(q) for q in ratmodel.polar(F)]
     }, EXIT_OK
@@ -373,6 +372,13 @@ def _sample_count(text: str) -> int:
     return count
 
 
+def _tolerance(text: str) -> float:
+    tol = float(text)
+    if not (tol > 0 and np.isfinite(tol)):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+    return tol
+
+
 @functools.cache
 def _build_parser(name: str) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog=f"gzflows {name}", add_help=True)
@@ -380,7 +386,7 @@ def _build_parser(name: str) -> argparse.ArgumentParser:
     parser.add_argument("--output", default=None, help="output file path (default stdout)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--samples", type=_sample_count, default=50)
-    parser.add_argument("--tol", type=float, default=None)
+    parser.add_argument("--tol", type=_tolerance, default=None)
     parser.add_argument("--mode", default=None)
     return parser
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ToleranceError, ValidationError
 from .matpoly import (
     RANK_RTOL,
     _faddeev_leverrier,
@@ -94,7 +94,10 @@ class MatricialData:
     def scale(self) -> float:
         parts = [np.linalg.norm(m) for m in (*self.b_minus, *self.b_plus, *self.g)]
         parts += [np.linalg.norm(v) for v in (*self.u.values(), *self.w.values())]
-        return 1.0 + (max(parts) if parts else 0.0)
+        scale = 1.0 + max(parts, default=0.0)
+        if not np.isfinite(scale):
+            raise ValueError("model data too large: its scale overflows")
+        return scale
 
     def as_vector(self) -> np.ndarray:
         pieces = [m.reshape(-1) for m in (*self.b_minus, *self.b_plus, *self.g)]
@@ -215,11 +218,13 @@ def _minor_shapes(k: tuple[int, ...], i: int) -> tuple[int, int]:
 
 
 def md_validate(F: MatricialData, tol: float = VALIDATE_TOL) -> MatricialData:
-    """Check all validity bullets; every violated one is reported.
+    """The one validity check of a model point; every violated bullet is reported.
 
-    Bullets: (a) generalized companion shapes, (b) X-block matching across
-    junctions with unequal sizes, (c) rank-one matching u w^T at tied sizes,
-    (d) the conjugacy g_i B_i^+ g_i^-1 = B_i^- up to tol * scale.
+    Structural faults raise ValueError: shapes, non-finite entries or scale,
+    and (u, w) pairs not exactly at the tied junctions.  Bullets: (a)
+    generalized companion shapes, (b) X-block matching across junctions with
+    unequal sizes, (c) rank-one matching u w^T at tied sizes, (d) the
+    conjugacy g_i B_i^+ g_i^-1 = B_i^- up to tol * scale.
     """
     k = F.k
     n = len(k)
@@ -230,12 +235,13 @@ def md_validate(F: MatricialData, tol: float = VALIDATE_TOL) -> MatricialData:
             M = as_matrix(M)
             if M.shape != (k[i], k[i]):
                 raise ValueError(f"{name}[{i}] has shape {M.shape}, expected ({k[i]}, {k[i]})")
-    for j in range(n - 1):
-        if k[j] == k[j + 1]:
-            if j not in F.u or j not in F.w:
-                raise ValueError(f"junction {j + 1} ties sizes but has no (u, w) pair")
-            if F.u[j].size != k[j] or F.w[j].size != k[j]:
-                raise ValueError(f"(u, w) at junction {j + 1} have wrong length")
+    tied = {j for j in range(n - 1) if k[j] == k[j + 1]}
+    if set(F.u) != tied or set(F.w) != tied:
+        where = ", ".join(str(j + 1) for j in sorted(tied)) or "none"
+        raise ValueError(f"(u, w) pairs must sit exactly at the junctions of equal sizes ({where})")
+    for j in sorted(tied):
+        if any(v.size != k[j] or not np.all(np.isfinite(v)) for v in (F.u[j], F.w[j])):
+            raise ValueError(f"(u, w) at junction {j + 1} must be finite with length {k[j]}")
 
     eff = tol * F.scale()
     violations: list[str] = []
@@ -330,7 +336,8 @@ def ak_act(F: MatricialData, params) -> MatricialData:
     ``params`` holds one coefficient vector per block, the coefficients of
     z, z^2, ..., z^(k_i) of a polynomial with zero constant term.  The
     exponential factor commutes with B_i^-, so the conjugacy bullet is
-    untouched and the polar part is preserved.
+    untouched and the polar part is preserved: a valid F stays valid and is
+    not re-checked.  A g_i that overflows raises ToleranceError.
     """
     n = F.n
     params = list(params)
@@ -349,6 +356,8 @@ def ak_act(F: MatricialData, params) -> MatricialData:
             deriv = deriv + j * coeff * power
             power = power @ out.b_minus[i]
         out.g[i] = matexp(deriv) @ out.g[i]
+        if not np.all(np.isfinite(out.g[i])):
+            raise ToleranceError(f"exp(p_{i + 1}'(B_minus[{i + 1}])) g[{i + 1}] overflows")
     return out
 
 
@@ -479,9 +488,8 @@ def sigma_of(F: MatricialData, rtol: float = NONZERO_RTOL) -> SigmaMap:
     column entry (or u) survives, 0 when both vanish.  Both surviving
     contradicts validity on the zero fiber and is rejected.  Decisions
     within a decade of the threshold raise a warning instead of silently
-    classifying.
+    classifying.  F must be validated (md_validate); it is not re-checked.
     """
-    md_validate(F)
     if any(x < 1 for x in F.k):
         raise ValidationError("sign classification needs all degrees >= 1")
     scale = F.scale()
@@ -905,9 +913,9 @@ def pairing_residual(F: MatricialData) -> float:
     For unequal sizes this is a adj(z - X) b of the larger matrix, for tied
     sizes w^T adj(z - B^+) u; each has degree below the block size, so
     evaluation at that many Chebyshev-spaced points (away from the nilpotent
-    spectrum) certifies the identity without symbolic adjugates.
+    spectrum) certifies the identity without symbolic adjugates.  F must be
+    validated (md_validate); it is not re-checked.
     """
-    md_validate(F)
     _require_nilpotent_fiber(F, VALIDATE_TOL * F.scale())
     worst = 0.0
     for j in range(F.n - 1):

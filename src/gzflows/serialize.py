@@ -93,9 +93,9 @@ def decode_matricial(obj) -> MatricialData:
     if not isinstance(k, list) or not all(isinstance(x, int) and x >= 0 for x in k):
         raise InputError("k must be a list of nonnegative integers")
     k = tuple(k)
-    b_minus = [_decode_square(M) for M in _need_list(obj["B_minus"], len(k), "B_minus")]
-    b_plus = [_decode_square(M) for M in _need_list(obj["B_plus"], len(k), "B_plus")]
-    g = [_decode_square(M) for M in _need_list(obj["g"], len(k), "g")]
+    b_minus = [decode_array(M, 2) for M in _need_list(obj["B_minus"], len(k), "B_minus")]
+    b_plus = [decode_array(M, 2) for M in _need_list(obj["B_plus"], len(k), "B_plus")]
+    g = [decode_array(M, 2) for M in _need_list(obj["g"], len(k), "g")]
     u: dict[int, np.ndarray] = {}
     w: dict[int, np.ndarray] = {}
     for entry in obj.get("uw", []):
@@ -127,14 +127,6 @@ def decode_lax_path(obj) -> LaxPath:
         return LaxPath(grid=np.asarray(grid, dtype=float), alpha=alpha, beta=beta).validate()
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-
-
-def _decode_square(obj) -> np.ndarray:
-    # model blocks reach ak_act unvalidated, so their shape is checked here
-    M = decode_array(obj, 2)
-    if M.shape[0] != M.shape[1]:
-        raise InputError(f"expected a square matrix, got shape {M.shape}")
-    return M
 
 
 def _need_keys(obj, keys) -> None:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from gzflows import serialize
+from gzflows import ratmodel, serialize
 from gzflows.cli import run
 from gzflows.errors import InputError
 from gzflows.matpoly import poly_from_roots
@@ -110,6 +110,76 @@ class TestMdValidateCommand:
         assert code == 2
         doc = json.loads(out)
         assert doc["valid"] is False and doc["violations"]
+
+
+OVERFLOWS = pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the norm overflows on purpose
+
+# (k, path into the first enumerate_sr(k) document, value put there)
+BAD_MODEL_POINTS = [
+    pytest.param((1, 2), ("B_minus", 0), [[[1e308, 0]]], id="scale-1e308", marks=OVERFLOWS),
+    pytest.param((1, 2), ("B_minus", 0), [[[1e200, 0]]], id="scale-1e200", marks=OVERFLOWS),
+    pytest.param((1, 2), ("B_minus", 0), [[[np.nan, 0]]], id="nan-block"),
+    pytest.param((1, 2), ("B_minus", 1), [[[0, 0]]], id="wrong-size-block"),
+    pytest.param((1, 1), ("uw", 0, "u"), [[np.nan, 0]], id="nan-u"),
+    pytest.param((1, 1), ("uw", 0, "w"), [[np.inf, 0]], id="inf-w"),
+    pytest.param((1, 1), ("uw", 0, "u"), [[1, 0], [0, 0]], id="long-u"),
+    pytest.param((1, 2), ("uw",), [{"i": 1, "u": [[0, 0]], "w": [[0, 0]]}], id="uw-at-untied-junction"),
+]
+
+
+def model_request(k, path=(), value=None, params=None):
+    """The first enumerate_sr(k) point as a request, one field replaced."""
+    doc = serialize.encode_matricial(enumerate_sr(k)[0])
+    if path:
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    params = params or [[[0, 0]] * size for size in k]
+    return json.dumps({"data": doc, "params": params})
+
+
+class TestModelPointBoundary:
+    @pytest.mark.parametrize("name", ["md-validate", "polar", "ak-act"])
+    @pytest.mark.parametrize("k, path, value", BAD_MODEL_POINTS)
+    def test_invalid_point_65(self, capsys, name, k, path, value):
+        code, out, err = call(capsys, name, "--input", model_request(k, path, value))
+        assert code == 65 and out == "" and "input error" in err
+
+    def test_ak_act_on_a_point_that_fails_a_bullet_2(self, capsys):
+        payload = model_request((1, 2), ("B_minus", 0), [[[0.25, 0]]])
+        code, out, err = call(capsys, "ak-act", "--input", payload)
+        assert code == 2 and out == "" and "conjugacy" in err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # exp(1e3) overflows on purpose
+    def test_ak_act_whose_exponential_overflows_3(self, capsys):
+        params = [[[1e3, 0], [0, 0]], [[0, 0], [0, 0]]]
+        code, out, err = call(capsys, "ak-act", "--input", model_request((2, 2), params=params))
+        assert code == 3 and out == "" and "overflows" in err
+
+    @staticmethod
+    def count_validations(monkeypatch) -> list:
+        calls = []
+        validate = ratmodel.md_validate
+
+        def counted(F, *args, **kwargs):
+            calls.append(F.k)
+            return validate(F, *args, **kwargs)
+
+        monkeypatch.setattr(ratmodel, "md_validate", counted)
+        return calls
+
+    def test_enumerate_orbits_validates_each_representative_once(self, capsys, monkeypatch):
+        calls = self.count_validations(monkeypatch)
+        doc = call_json(capsys, "enumerate-orbits", "--input", '{"k": [1, 2, 3, 3, 2]}')
+        assert doc["count"] == 16 and len(calls) == 16
+
+    @pytest.mark.parametrize("name", ["md-validate", "polar", "ak-act"])
+    def test_a_request_validates_its_point_once(self, capsys, monkeypatch, name):
+        payload = model_request((1, 2), params=[[[0.1, 0]], [[0.2, 0], [0, 0.1]]])
+        calls = self.count_validations(monkeypatch)
+        call_json(capsys, name, "--input", payload)
+        assert calls == [(1, 2)]
 
 
 class TestAkActCommand:
@@ -241,6 +311,25 @@ class TestCliContract:
     def test_samples_below_one_64(self, capsys, name, samples):
         code, out, _ = call(capsys, name, "--input", '{"n": 2}', "--samples", samples)
         assert code == 64 and out == ""
+
+    @pytest.mark.parametrize("name, payload", [
+        pytest.param("md-validate", model_request((1, 2)), id="md-validate"),
+        pytest.param("orbit-count", '{"polys": [[[0, 0], [1, 0]]]}', id="orbit-count"),
+    ])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    def test_tol_not_positive_and_finite_64(self, capsys, name, payload, tol):
+        code, out, _ = call(capsys, name, "--input", payload, "--tol", tol)
+        assert code == 64 and out == ""
+
+    def test_positive_tol_reaches_the_handler(self, capsys):
+        # a conjugacy residual of 1e-6: rejected at the default 1e-8, accepted at 1e-3
+        payload = model_request((1, 2), ("B_minus", 0), [[[1e-6, 0]]])
+        assert call(capsys, "md-validate", "--input", payload)[0] == 2
+        doc = call_json(capsys, "md-validate", "--input", payload, "--tol", "1e-3")
+        assert doc["valid"] is True
+        doc = call_json(capsys, "orbit-count", "--input", '{"polys": [[[0, 0], [1, 0]]]}',
+                        "--tol", "1e-6")
+        assert doc["count"] == 1
 
     def test_determinism_byte_identical(self, capsys):
         argv = [

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gzflows import ratmodel
 from gzflows.errors import ValidationError
 from gzflows.matpoly import companion_of, poly_from_roots
 from gzflows.ratmodel import (
@@ -134,6 +135,20 @@ class TestMdValidate:
         F.w = {}
         with pytest.raises(ValueError):
             md_validate(F)
+
+    def test_consumers_take_a_validated_point_without_rechecking(self, monkeypatch):
+        F = enumerate_sr((2, 3, 3))[1]
+        params = [np.array([0.1, 0.2j]), np.zeros(3), np.array([0.3])]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("md_validate called again")
+
+        monkeypatch.setattr(ratmodel, "md_validate", refuse)
+        sigma_of(F)
+        md_strongly_regular(F)
+        isotropy_nullity(F)
+        pairing_residual(F)
+        polar(ak_act(F, params))
 
 
 class TestGkAct:
