@@ -202,22 +202,22 @@ def cmd_kw_check(payload, args):
         chart = _random_chart(rng, n)
         N = chart.size
         x = chart.flat()
-        cross_chart = ratmodel.chart_as_poisson_chart(chart)
+        rho = x[N:]
+        cross_pi = ratmodel.chart_as_poisson_chart(chart).tensor_at(x)
+        # one FD gradient per function: q_l = y[l] and s_l = 1 / rho_l
+        dq = [verify.fd_gradient(lambda y, l=l: y[l], x) for l in range(N)]
+        ds = [verify.fd_gradient(lambda y, l=l: 1.0 / y[N + l], x) for l in range(N)]
         for l in range(N):
             for m in range(N):
-                r_l = lambda y, l=l: y[l]
-                s_m = lambda y, m=m: 1.0 / y[N + m]
-                val = ratmodel.chart_bracket(chart, r_l, s_m)
+                val = ratmodel._chart_pairing(rho, dq[l], ds[m])
                 expect = (1.0 / x[N + m]) if l == m else 0.0
                 worst = max(worst, abs(val - expect) / (1.0 + abs(expect)))
-                cross = verify.poisson_bracket(cross_chart, r_l, s_m, x)
+                cross = complex(dq[l] @ cross_pi @ ds[m])
                 worst_cross = max(worst_cross, abs(val - cross))
                 worst = max(
                     worst,
-                    abs(ratmodel.chart_bracket(chart, r_l, lambda y, m=m: y[m])),
-                    abs(ratmodel.chart_bracket(
-                        chart, lambda y, l=l: 1.0 / y[N + l], s_m
-                    )),
+                    abs(ratmodel._chart_pairing(rho, dq[l], dq[m])),
+                    abs(ratmodel._chart_pairing(rho, ds[l], ds[m])),
                 )
     reports = [
         verify.report("kw-relations", args.samples, worst, tol),
@@ -238,15 +238,11 @@ def cmd_bracket_table(payload, args):
     worst = 0.0
     for _ in range(args.samples):
         B = _random_matrix(rng, n, unit_norm=False)
-        grads = {}
-        for m, i in indices:
-            f = lambda M, m=m, i=i: np.trace(
-                np.linalg.matrix_power(M[:m, :m], i)
-            )
-            grads[(m, i)] = verify.matrix_gradient(f, B)
+        # exact trace-pairing gradient of tr(B_m^i): i * pad(B_m^(i-1))
+        grads = [i * gzcore._padded_minor_power(B, m, i) for m, i in indices]
         for a in range(len(indices)):
             for b in range(a + 1, len(indices)):
-                gf, gg = grads[indices[a]], grads[indices[b]]
+                gf, gg = grads[a], grads[b]
                 val = np.trace(B @ (gf @ gg - gg @ gf))
                 scale = 1.0 + np.linalg.norm(B) * np.linalg.norm(gf) * np.linalg.norm(gg)
                 worst = max(worst, abs(val) / scale)

@@ -104,17 +104,15 @@ def lax_integrate(alpha_fn, beta_start, t_start: float, t_end: float, steps: int
     grid[-1] = t_end
     alphas = [as_matrix(alpha_fn(grid[0]))]
     betas = [beta]
-
-    def rhs(t, b):
-        return _commutator(b, as_matrix(alpha_fn(t)))
-
     for j in range(steps):
         t = grid[j]
         b = betas[-1]
-        k1 = rhs(t, b)
-        k2 = rhs(t + h / 2, b + h / 2 * k1)
-        k3 = rhs(t + h / 2, b + h / 2 * k2)
-        k4 = rhs(t + h, b + h * k3)
+        # alpha once per distinct time; t + h need not equal grid[j + 1] bit for bit
+        mid = as_matrix(alpha_fn(t + h / 2))
+        k1 = _commutator(b, alphas[j])
+        k2 = _commutator(b + h / 2 * k1, mid)
+        k3 = _commutator(b + h / 2 * k2, mid)
+        k4 = _commutator(b + h * k3, as_matrix(alpha_fn(t + h)))
         betas.append(b + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4))
         alphas.append(as_matrix(alpha_fn(grid[j + 1])))
     return LaxPath(grid=grid, alpha=np.array(alphas), beta=np.array(betas)).validate()

@@ -92,8 +92,9 @@ class MatricialData:
         return min(self.k[j], self.k[j + 1])
 
     def scale(self) -> float:
-        parts = [np.linalg.norm(m) for m in (*self.b_minus, *self.b_plus, *self.g)]
-        parts += [np.linalg.norm(v) for v in (*self.u.values(), *self.w.values())]
+        with np.errstate(over="ignore"):  # an overflow is reported below
+            parts = [np.linalg.norm(m) for m in (*self.b_minus, *self.b_plus, *self.g)]
+            parts += [np.linalg.norm(v) for v in (*self.u.values(), *self.w.values())]
         scale = 1.0 + max(parts, default=0.0)
         if not np.isfinite(scale):
             raise ValueError("model data too large: its scale overflows")
@@ -355,7 +356,8 @@ def ak_act(F: MatricialData, params) -> MatricialData:
         for j, coeff in enumerate(lam, start=1):
             deriv = deriv + j * coeff * power
             power = power @ out.b_minus[i]
-        out.g[i] = matexp(deriv) @ out.g[i]
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+            out.g[i] = matexp(deriv) @ out.g[i]
         if not np.all(np.isfinite(out.g[i])):
             raise ToleranceError(f"exp(p_{i + 1}'(B_minus[{i + 1}])) g[{i + 1}] overflows")
     return out
@@ -370,11 +372,14 @@ def md_tangent_violations(F: MatricialData, t: MdTangent, tol: float = VALIDATE_
     """Linearized validity bullets for a tangent at F."""
     k = F.k
     n = F.n
-    scale = F.scale() + max(
-        [np.linalg.norm(m) for m in (*t.d_b_minus, *t.d_b_plus, *t.d_g)]
-        + [np.linalg.norm(v) for v in (*t.d_u.values(), *t.d_w.values())]
-        + [0.0]
-    )
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        scale = F.scale() + max(
+            [np.linalg.norm(m) for m in (*t.d_b_minus, *t.d_b_plus, *t.d_g)]
+            + [np.linalg.norm(v) for v in (*t.d_u.values(), *t.d_w.values())]
+            + [0.0]
+        )
+    if not np.isfinite(scale):
+        raise ValueError("tangent too large: its scale overflows")
     eff = tol * scale
     out: list[str] = []
     for i in range(n):
@@ -737,7 +742,12 @@ def chart_bracket(chart: OpenStratumChart, f, g, step: float | None = None) -> c
     N = chart.size
     df = fd_gradient(f, x, step=step)
     dg = fd_gradient(g, x, step=step)
-    rho = x[N:]
+    return _chart_pairing(x[N:], df, dg)
+
+
+def _chart_pairing(rho: np.ndarray, df: np.ndarray, dg: np.ndarray) -> complex:
+    """{f, g} from flat gradients (poles first, then residues) at residues rho."""
+    N = rho.size
     return complex(np.sum(rho * (df[N:] * dg[:N] - df[:N] * dg[N:])))
 
 

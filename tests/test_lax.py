@@ -57,6 +57,34 @@ class TestIntegrate:
         assert isospectral_drift(path) < 1e-8
         assert lax_residual(path) < 1e-7
 
+    @pytest.mark.parametrize("n", [2, 5])
+    @pytest.mark.parametrize("kind", ["constant", "quadratic"])
+    def test_bit_equal_to_classical_rk4_with_one_alpha_per_time(self, n, kind):
+        rng = np.random.default_rng(n)
+        A0, A1, A2, beta = (random_matrix(rng, n) for _ in range(4))
+        calls = []
+
+        def alpha(t):
+            calls.append(t)
+            return A0 if kind == "constant" else A0 + t * A1 + t * t * A2
+
+        steps = 500
+        path = lax_integrate(alpha, beta, 0.0, 1.0, steps)
+        assert len(calls) == 1 + 3 * steps
+        # classical RK4, alpha evaluated at every stage
+        h = 1.0 / steps
+        f = lambda t, b: b @ alpha(t) - alpha(t) @ b
+        b, betas = beta, [beta]
+        for t in path.grid[:-1]:
+            k1 = f(t, b)
+            k2 = f(t + h / 2, b + h / 2 * k1)
+            k3 = f(t + h / 2, b + h / 2 * k2)
+            k4 = f(t + h, b + h * k3)
+            b = b + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            betas.append(b)
+        assert np.array_equal(path.beta, np.array(betas))
+        assert np.array_equal(path.alpha, np.array([alpha(t) for t in path.grid]))
+
     def test_bad_interval(self):
         with pytest.raises(ValueError):
             lax_integrate(lambda t: np.zeros((2, 2)), np.zeros((2, 2)), 1.0, 0.0, 10)

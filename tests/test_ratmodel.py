@@ -17,6 +17,7 @@ from gzflows.ratmodel import (
     isotropy_nullity,
     md_strongly_regular,
     md_symplectic,
+    md_tangent_violations,
     md_validate,
     open_stratum_chart,
     pairing_residual,
@@ -419,6 +420,18 @@ class TestSymplecticForm:
         got = md_symplectic(F, t1, t2)
         want = -(t1.d_w[0][0] * t2.d_u[0][0] - t2.d_w[0][0] * t1.d_u[0][0])
         assert abs(got - want) < 1e-12
+
+    def test_tangent_whose_scale_overflows_raises(self):
+        # a tangent entry of 1e308 used to make the threshold inf and hide this violation
+        F = enumerate_sr((1, 2))[0]
+        t = self.zero_tangent(F)
+        t.d_b_minus[1][1, 0] = 1.0
+        assert md_tangent_violations(F, t) == ["tangent conjugacy violated at block 2"]
+        t.d_g[0][0, 0] = 1e308
+        with pytest.raises(ValueError, match="overflows"):
+            md_tangent_violations(F, t)
+        with pytest.raises(ValueError, match="overflows"):
+            md_symplectic(F, t, t)
 
     def test_constraint_violating_tangent_rejected(self):
         F = scalar_pair_fixture(0.0, 0.0, 1.0, 0.0)

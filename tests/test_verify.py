@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gzflows.errors import ValidationError
-from gzflows.gzcore import gz_flow, gz_map, gz_vector_field
+from gzflows.gzcore import _padded_minor_power, gz_flow, gz_indices, gz_map, gz_vector_field
 from gzflows.verify import (
     Chart,
     commute_defect,
@@ -10,6 +13,7 @@ from gzflows.verify import (
     fd_gradient,
     lie_poisson_bracket,
     lie_poisson_chart,
+    matrix_gradient,
     poisson_bracket,
     report,
 )
@@ -113,6 +117,23 @@ class TestLiePoissonBracket:
         for a, b, c in ((f, g, h), (g, h, f), (h, f, g)):
             total += lie_poisson_bracket(a, bracket(b, c), B, step=step)
         assert abs(total) < 1e-5
+
+
+class TestExactBracketGradient:
+    """i * pad(B_m^(i-1)), the gradient bracket-table uses, against finite differences."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @settings(max_examples=10, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_matches_fd_gradient(self, n, data):
+        entries = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+        B = data.draw(arrays(np.complex128, (n, n), elements=entries))
+        for m, i in gz_indices(n):
+            exact = i * _padded_minor_power(B, m, i)
+            fd = matrix_gradient(
+                lambda M, m=m, i=i: np.trace(np.linalg.matrix_power(M[:m, :m], i)), B
+            )
+            assert np.linalg.norm(fd - exact) <= 1e-7 * (1.0 + np.linalg.norm(exact))
 
 
 class TestChart:
