@@ -407,12 +407,16 @@ def _load_payload(arg: str | None):
 
 
 def _emit(doc, output: str | None) -> None:
-    text = json.dumps(doc, indent=2) + "\n"
+    # render before opening: a refused document leaves an existing file untouched
+    text = serialize._dumps(doc) + "\n"
     if output is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write output file: {exc}") from exc
 
 
 def run(argv) -> int:
@@ -435,6 +439,7 @@ def run(argv) -> int:
     try:
         payload = _load_payload(args.input)
         doc, code = handler(payload, args)
+        _emit(doc, args.output)
     except (InputError, ValueError, TypeError) as exc:
         # library code raises ValueError/TypeError on input it cannot take
         sys.stderr.write(f"input error: {exc}\n")
@@ -447,7 +452,6 @@ def run(argv) -> int:
     except ToleranceError as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return EXIT_NUMERICAL
-    _emit(doc, args.output)
     return code
 
 

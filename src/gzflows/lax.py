@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ToleranceError, ValidationError
-from .matpoly import as_matrix, charpoly
+from .matpoly import _check_square, as_matrix, charpoly
 
 __all__ = [
     "LaxPath",
@@ -102,20 +102,23 @@ def lax_integrate(alpha_fn, beta_start, t_start: float, t_end: float, steps: int
     h = (t_end - t_start) / steps
     grid = t_start + h * np.arange(steps + 1)
     grid[-1] = t_end
-    alphas = [as_matrix(alpha_fn(grid[0]))]
+    # alpha depends on t only: one evaluation per distinct time, checked as one
+    # stack (t + h need not equal grid[j + 1] bit for bit)
+    times = np.concatenate([grid, grid[:-1] + h / 2, grid[:-1] + h])
+    stack = np.array([alpha_fn(t) for t in times], dtype=complex)
+    if stack.ndim != 3:
+        raise ValueError(f"expected square alpha matrices, got shape {stack.shape[1:]}")
+    _check_square(stack)
+    alphas, mids, ends = np.split(stack, [steps + 1, 2 * steps + 1])
     betas = [beta]
-    for j in range(steps):
-        t = grid[j]
+    for a0, am, a1 in zip(alphas, mids, ends):
         b = betas[-1]
-        # alpha once per distinct time; t + h need not equal grid[j + 1] bit for bit
-        mid = as_matrix(alpha_fn(t + h / 2))
-        k1 = _commutator(b, alphas[j])
-        k2 = _commutator(b + h / 2 * k1, mid)
-        k3 = _commutator(b + h / 2 * k2, mid)
-        k4 = _commutator(b + h * k3, as_matrix(alpha_fn(t + h)))
+        k1 = _commutator(b, a0)
+        k2 = _commutator(b + h / 2 * k1, am)
+        k3 = _commutator(b + h / 2 * k2, am)
+        k4 = _commutator(b + h * k3, a1)
         betas.append(b + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4))
-        alphas.append(as_matrix(alpha_fn(grid[j + 1])))
-    return LaxPath(grid=grid, alpha=np.array(alphas), beta=np.array(betas)).validate()
+    return LaxPath(grid=grid, alpha=alphas, beta=np.array(betas)).validate()
 
 
 def lax_residual(path: LaxPath) -> float:

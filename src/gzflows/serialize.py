@@ -6,13 +6,21 @@ of pairs, a matrix a row-major list of rows.  Polynomials are ascending
 coefficient vectors.  Decoding checks the rank and the element types and
 raises :class:`InputError` on anything malformed, so the CLI can map it
 to its own exit code.
+
+Encoders return float arrays (shape + (2,)) where the wire holds nested
+lists.  The CLI writes documents with :func:`_dumps`, the bytes of
+``json.dumps(doc, indent=2)``, which renders each array whole instead of
+visiting its elements one by one.
 """
 
 from __future__ import annotations
 
+import math
+from json.encoder import encode_basestring_ascii
+
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, ToleranceError
 from .gzcore import GZCoordinates, StratumSignature
 from .lax import LaxPath
 from .ratmodel import MatricialData
@@ -29,10 +37,10 @@ __all__ = [
 ]
 
 
-def encode_array(A) -> list:
-    """Nested lists of [re, im] pairs for a complex array (or scalar) of any rank."""
+def encode_array(A) -> np.ndarray:
+    """Real view (shape + (2,), [re, im] innermost) of a complex array or scalar of any rank."""
     A = np.asarray(A, dtype=complex)
-    return np.ascontiguousarray(A).view(float).reshape(A.shape + (2,)).tolist()
+    return np.ascontiguousarray(A).view(float).reshape(A.shape + (2,))
 
 
 def decode_array(obj, ndim: int) -> np.ndarray:
@@ -67,7 +75,8 @@ def encode_coords(c: GZCoordinates) -> dict:
 
 
 def encode_signature(sig: StratumSignature) -> list:
-    roots = encode_array(np.array(sig.roots, dtype=complex))
+    # one [re, im] list per root: many one-pair arrays render slower than lists
+    roots = encode_array(np.array(sig.roots, dtype=complex)).tolist()
     return [
         {"root": r, "multiplicities": list(mult)}
         for r, mult in zip(roots, sig.multiplicities)
@@ -110,7 +119,7 @@ def decode_matricial(obj) -> MatricialData:
 
 def encode_lax_path(path: LaxPath) -> dict:
     return {
-        "grid": path.grid.tolist(),
+        "grid": path.grid,
         "alpha": encode_array(path.alpha),
         "beta": encode_array(path.beta),
     }
@@ -141,3 +150,70 @@ def _need_list(obj, length: int, label: str) -> list:
     if not isinstance(obj, list) or len(obj) != length:
         raise InputError(f"{label} must be a list of length {length}")
     return obj
+
+
+_NON_FINITE = "non-finite number in the output (NaN and Infinity are not JSON)"
+
+
+def _dumps(doc) -> str:
+    """The text of ``json.dumps(doc, indent=2)``, with float arrays as nested lists.
+
+    A float that is not finite raises :class:`ToleranceError`: NaN and
+    Infinity are not JSON.  A type ``json.dumps`` rejects raises TypeError.
+    """
+    return _render(doc, "\n")
+
+
+def _render(obj, nl: str) -> str:
+    # nl is the newline and indent that closes this value's brackets
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = nl + "  "
+        return "{" + inner + ("," + inner).join([
+            encode_basestring_ascii(key if isinstance(key, str) else _scalar(key))
+            + ": " + _render(value, inner)
+            for key, value in obj.items()
+        ]) + nl + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = nl + "  "
+        return "[" + inner + ("," + inner).join([_render(x, inner) for x in obj]) + nl + "]"
+    if isinstance(obj, np.ndarray) and obj.dtype.kind == "f":
+        return _render_array(obj, nl)
+    return _scalar(obj)
+
+
+def _scalar(obj) -> str:
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ToleranceError(_NON_FINITE)
+        return float.__repr__(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _render_array(A: np.ndarray, nl: str) -> str:
+    """Nested-list text of a float array: the leaves at once, then one join per axis."""
+    if not np.all(np.isfinite(A)):
+        raise ToleranceError(_NON_FINITE)
+    texts = list(map(float.__repr__, A.ravel().tolist()))
+    for axis in range(A.ndim - 1, -1, -1):
+        size = A.shape[axis]
+        if size == 0:
+            texts = ["[]"] * math.prod(A.shape[:axis])
+            continue
+        inner = nl + "  " * (axis + 1)
+        head, sep, tail = "[" + inner, "," + inner, inner[:-2] + "]"
+        texts = [head + sep.join(group) + tail for group in zip(*[iter(texts)] * size)]
+    return texts[0]

@@ -153,7 +153,7 @@ def commute_defect(flow1, flow2, x) -> float:
 
 
 def conservation_defect(flow, invariants, x) -> float:
-    """Max relative change of the invariants between x and flow(x)."""
+    """Max relative change of the invariants between x and flow(x); NaN if one is NaN."""
     y = flow(x)
     if callable(invariants):
         invariants = [invariants]
@@ -162,7 +162,8 @@ def conservation_defect(flow, invariants, x) -> float:
         before = np.atleast_1d(np.asarray(inv(x), dtype=complex))
         after = np.atleast_1d(np.asarray(inv(y), dtype=complex))
         defect = np.abs(after - before) / (1.0 + np.abs(before))
-        worst = max(worst, float(np.max(defect)) if defect.size else 0.0)
+        # np.maximum keeps a NaN that max() would drop
+        worst = float(np.maximum(worst, np.max(defect, initial=0.0)))
     return worst
 
 

@@ -6,10 +6,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from gzflows import ratmodel, serialize, verify
-from gzflows.cli import run
-from gzflows.errors import InputError
+from gzflows.cli import HANDLERS, run
+from gzflows.errors import InputError, ToleranceError
 from gzflows.matpoly import poly_from_roots
 from gzflows.ratmodel import enumerate_sr, fixture_from_polar
 
@@ -40,7 +43,7 @@ class TestBasicCommands:
             "matrix": serialize.encode_array(np.array([[0.1, 0.4], [0.0, -0.2]])),
             "flows": [{"m": 1, "i": 1, "z": [0.3, 0.1]}],
         }
-        doc = call_json(capsys, "gz-flow", "--input", json.dumps(payload))
+        doc = call_json(capsys, "gz-flow", "--input", json.dumps(payload, default=np.ndarray.tolist))
         assert doc["conservation_defect"] < 1e-9
 
     def test_sregular(self, capsys):
@@ -59,7 +62,7 @@ class TestBasicCommands:
             ],
             "mode": "matrices",
         }
-        doc = call_json(capsys, "orbit-count", "--input", json.dumps(payload))
+        doc = call_json(capsys, "orbit-count", "--input", json.dumps(payload, default=np.ndarray.tolist))
         assert doc["t"] == 1 and doc["count"] == 2
 
     def test_strata(self, capsys):
@@ -69,7 +72,7 @@ class TestBasicCommands:
                 serialize.encode_array(poly_from_roots([1.0, 5.0])),
             ]
         }
-        doc = call_json(capsys, "strata", "--input", json.dumps(payload))
+        doc = call_json(capsys, "strata", "--input", json.dumps(payload, default=np.ndarray.tolist))
         mults = {tuple(e["multiplicities"]) for e in doc["signature"]}
         assert mults == {(1, 1), (0, 1)}
 
@@ -78,7 +81,7 @@ class TestBasicCommands:
             capsys, "gz-map",
             "--input", '{"matrix": [[[1,0],[0,0]],[[0,0],[2,0]]], "basis": "charpoly"}',
         )
-        doc = call_json(capsys, "strata", "--input", json.dumps({"coords": coords}))
+        doc = call_json(capsys, "strata", "--input", json.dumps({"coords": coords}, default=np.ndarray.tolist))
         assert len(doc["signature"]) == 2
 
     def test_enumerate_orbits(self, capsys):
@@ -94,7 +97,7 @@ class TestBasicCommands:
             [poly_from_roots([0.5]), poly_from_roots([-1.0, 2.0])], rng=rng
         )
         payload = {"data": serialize.encode_matricial(F)}
-        doc = call_json(capsys, "polar", "--input", json.dumps(payload))
+        doc = call_json(capsys, "polar", "--input", json.dumps(payload, default=np.ndarray.tolist))
         got = serialize.decode_array(doc["polys"][1], 1)
         assert np.max(np.abs(got - poly_from_roots([-1.0, 2.0]))) < 1e-8
 
@@ -103,14 +106,14 @@ class TestMdValidateCommand:
     def test_valid_fixture(self, capsys):
         F = enumerate_sr((1, 2))[0]
         payload = {"data": serialize.encode_matricial(F)}
-        doc = call_json(capsys, "md-validate", "--input", json.dumps(payload))
+        doc = call_json(capsys, "md-validate", "--input", json.dumps(payload, default=np.ndarray.tolist))
         assert doc["valid"] is True
 
     def test_invalid_exits_2(self, capsys):
         F = enumerate_sr((1, 2))[0]
         F.b_plus[1][1, 0] += 0.25
         payload = {"data": serialize.encode_matricial(F)}
-        code, out, err = call(capsys, "md-validate", "--input", json.dumps(payload))
+        code, out, err = call(capsys, "md-validate", "--input", json.dumps(payload, default=np.ndarray.tolist))
         assert code == 2
         doc = json.loads(out)
         assert doc["valid"] is False and doc["violations"]
@@ -138,7 +141,7 @@ def model_request(k, path=(), value=None, params=None):
             target = target[key]
         target[path[-1]] = value
     params = params or [[[0, 0]] * size for size in k]
-    return json.dumps({"data": doc, "params": params})
+    return json.dumps({"data": doc, "params": params}, default=np.ndarray.tolist)
 
 
 class TestModelPointBoundary:
@@ -208,7 +211,7 @@ class TestAkActCommand:
                 [[0.0, 0.2]],
             ],
         }
-        doc = call_json(capsys, "ak-act", "--input", json.dumps(payload))
+        doc = call_json(capsys, "ak-act", "--input", json.dumps(payload, default=np.ndarray.tolist))
         moved = serialize.decode_matricial(doc["data"])
         assert np.array_equal(moved.b_minus[0], F.b_minus[0])
         assert not np.array_equal(moved.g[0], F.g[0])
@@ -227,14 +230,14 @@ class TestLaxCommands:
         }
 
     def test_lax_run(self, capsys):
-        doc = call_json(capsys, "lax-run", "--input", json.dumps(self.payload()))
+        doc = call_json(capsys, "lax-run", "--input", json.dumps(self.payload(), default=np.ndarray.tolist))
         assert doc["isospectral_drift"] < 1e-8
         assert len(doc["path"]["grid"]) == 101
 
     def test_lax_gauge_chain(self, capsys):
-        run_doc = call_json(capsys, "lax-run", "--input", json.dumps(self.payload()))
+        run_doc = call_json(capsys, "lax-run", "--input", json.dumps(self.payload(), default=np.ndarray.tolist))
         gauge_doc = call_json(
-            capsys, "lax-gauge", "--input", json.dumps({"path": run_doc["path"]})
+            capsys, "lax-gauge", "--input", json.dumps({"path": run_doc["path"]}, default=np.ndarray.tolist)
         )
         assert gauge_doc["drift"] < 1e-8
         X = serialize.decode_array(gauge_doc["constant_matrix"], 2)
@@ -320,6 +323,70 @@ class TestVerificationCommands:
         assert out == KW_CHECK_N3_SAMPLES2_SEED7
 
 
+# entries whose power sums overflow: tr(B^2) = 2e400
+HUGE_MATRIX = {"matrix": [[[1e200, 0], [0, 0]], [[0, 0], [1e200, 0]]]}
+
+
+class TestNonFiniteOutput:
+    """NaN and Infinity are not JSON: a request whose answer holds one exits 3."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy overflow in the power sums
+    @pytest.mark.parametrize("basis", ["tr-power", "charpoly"])
+    def test_gz_map_3(self, capsys, basis):
+        payload = json.dumps({**HUGE_MATRIX, "basis": basis})
+        code, out, err = call(capsys, "gz-map", "--input", payload)
+        assert code == 3 and out == "" and "numerical failure" in err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_gz_flow_with_nan_invariants_3(self, capsys):
+        payload = json.dumps({**HUGE_MATRIX, "flows": [{"m": 1, "i": 1, "z": [0.1, 0]}]})
+        code, out, err = call(capsys, "gz-flow", "--input", payload)
+        assert code == 3 and out == "" and "numerical failure" in err
+
+
+def _requests(tmp_path):
+    """One request of every subcommand, small enough to run in a test."""
+    model = model_request((1, 2))
+    lax_payload = json.dumps({
+        "alpha": {"type": "polynomial", "coefficients": [
+            [[[0, 0], [0.5, 0]], [[-0.5, 0], [0, 0]]], [[[0, 0.1], [0, 0]], [[0, 0], [0, 0]]],
+        ]},
+        "beta": [[[0.2, 0], [0.1, 0]], [[0, 0], [-0.2, 0]]],
+        "t_start": 0, "t_end": 1, "steps": 20,
+    })
+    path_file = tmp_path / "path.json"
+    run(["lax-run", "--input", lax_payload, "--output", str(path_file)])
+    matrix = '"matrix": [[[0.1,0],[0.4,0.2]],[[0,0],[-0.2,0]]]'
+    polys = '{"polys": [[[-1, 0], [1, 0]], [[1, 0], [-2, 0], [1, 0]]]}'
+    return [
+        ["gz-map", "--input", "{" + matrix + "}"],
+        ["gz-flow", "--input", "{" + matrix + ', "flows": [{"m": 1, "i": 1, "z": [0.3, 0]}]}'],
+        ["sregular", "--input", "{" + matrix + "}"],
+        ["orbit-count", "--input", polys],
+        ["strata", "--input", polys],
+        ["enumerate-orbits", "--input", '{"k": [1, 2]}'],
+        ["md-validate", "--input", model],
+        ["md-validate", "--input", model_request((1, 2), ("B_minus", 0), [[[1e-3, 0]]])],
+        ["ak-act", "--input", model],
+        ["polar", "--input", model],
+        ["kw-check", "--input", '{"n": 2}', "--samples", "2"],
+        ["bracket-table", "--input", '{"n": 3}', "--samples", "2"],
+        ["lax-run", "--input", lax_payload],
+        ["lax-gauge", "--input", str(path_file)],
+        ["verify-suite", "--input", '{"n": 2}', "--samples", "2"],
+    ]
+
+
+def test_every_subcommand_writes_indent_2_json(capsys, tmp_path):
+    requests = _requests(tmp_path)
+    capsys.readouterr()
+    assert {argv[0] for argv in requests} == set(HANDLERS)
+    for argv in requests:
+        code, out, err = call(capsys, *argv)
+        assert code in (0, 2), (argv[0], err)
+        assert out == json.dumps(json.loads(out), indent=2) + "\n", argv[0]
+
+
 class TestCliContract:
     def test_unknown_subcommand_64(self, capsys):
         code, _, err = call(capsys, "frobnicate")
@@ -349,13 +416,13 @@ class TestCliContract:
         ("gz-map", {"matrix": [[[10**400, 0]]]}),
     ])
     def test_input_the_library_refuses_65(self, capsys, name, payload):
-        code, _, err = call(capsys, name, "--input", json.dumps(payload))
+        code, _, err = call(capsys, name, "--input", json.dumps(payload, default=np.ndarray.tolist))
         assert code == 65 and "input error" in err
 
     def test_md_validate_block_of_wrong_shape_65(self, capsys):
         doc = serialize.encode_matricial(enumerate_sr((1, 2))[0])
         doc["B_minus"][1] = serialize.encode_array(np.zeros((1, 1)))
-        code, _, err = call(capsys, "md-validate", "--input", json.dumps({"data": doc}))
+        code, _, err = call(capsys, "md-validate", "--input", json.dumps({"data": doc}, default=np.ndarray.tolist))
         assert code == 65 and "input error" in err
 
     def test_polynomial_alpha_of_unequal_sizes_65(self, capsys):
@@ -365,7 +432,7 @@ class TestCliContract:
             "alpha": {"type": "polynomial", "coefficients": [two, [[[1, 0]]]]},
             "beta": two, "t_start": 0, "t_end": 1, "steps": 4,
         }
-        code, _, err = call(capsys, "lax-run", "--input", json.dumps(payload))
+        code, _, err = call(capsys, "lax-run", "--input", json.dumps(payload, default=np.ndarray.tolist))
         assert code == 65 and "input error" in err
 
     def test_parser_defaults_do_not_leak_between_requests(self, capsys):
@@ -408,6 +475,23 @@ class TestCliContract:
         assert code1 == code2 == 0
         assert out1 == out2
 
+    def test_unwritable_output_65(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "out.json"
+        code, out, err = call(
+            capsys, "gz-map", "--input", '{"matrix": [[[2,0]]]}', "--output", str(target),
+        )
+        assert code == 65 and out == "" and "cannot write output file" in err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy overflow in the power sums
+    def test_refused_document_leaves_output_file_untouched(self, capsys, tmp_path):
+        target = tmp_path / "out.json"
+        target.write_text("earlier answer\n")
+        code, out, err = call(
+            capsys, "gz-map", "--input", json.dumps(HUGE_MATRIX), "--output", str(target),
+        )
+        assert code == 3 and out == "" and "numerical failure" in err
+        assert target.read_text() == "earlier answer\n"
+
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "out.json"
         code, out, _ = call(
@@ -432,7 +516,7 @@ class TestSerializationRoundTrip:
             [poly_from_roots([0.3]), poly_from_roots([1.5, -0.5])], rng=rng
         )
         back = serialize.decode_matricial(
-            json.loads(json.dumps(serialize.encode_matricial(F)))
+            json.loads(json.dumps(serialize.encode_matricial(F), default=np.ndarray.tolist))
         )
         assert back.k == F.k
         assert np.array_equal(back.as_vector(), F.as_vector())
@@ -446,7 +530,7 @@ class TestSerializationRoundTrip:
             0.0, 1.0, 10,
         )
         back = serialize.decode_lax_path(
-            json.loads(json.dumps(serialize.encode_lax_path(path)))
+            json.loads(json.dumps(serialize.encode_lax_path(path), default=np.ndarray.tolist))
         )
         assert np.array_equal(back.alpha, path.alpha)
         assert np.array_equal(back.beta, path.beta)
@@ -458,7 +542,7 @@ EDGE_VALUES = np.array([-0.0, 5e-324, 1e308, -1e308, 0.1, 1.0 / 3.0])
 class TestArrayCodec:
     @staticmethod
     def roundtrip(A, ndim):
-        return serialize.decode_array(json.loads(json.dumps(serialize.encode_array(A))), ndim)
+        return serialize.decode_array(json.loads(json.dumps(serialize.encode_array(A), default=np.ndarray.tolist)), ndim)
 
     @pytest.mark.parametrize("shape", [(), (6,), (2, 3), (3, 1, 2)])
     def test_exact_roundtrip(self, shape):
@@ -481,12 +565,12 @@ class TestArrayCodec:
 
     def test_real_integer_input(self):
         A = np.arange(6).reshape(2, 3)
-        assert serialize.encode_array(A) == [[[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]],
-                                             [[3.0, 0.0], [4.0, 0.0], [5.0, 0.0]]]
+        assert serialize.encode_array(A).tolist() == [[[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]],
+                                                      [[3.0, 0.0], [4.0, 0.0], [5.0, 0.0]]]
         assert np.array_equal(self.roundtrip(A, 2), A)
 
     def test_scalar_is_a_pair(self):
-        assert serialize.encode_array(1.5 - 2j) == [1.5, -2.0]
+        assert serialize.encode_array(1.5 - 2j).tolist() == [1.5, -2.0]
         assert complex(serialize.decode_array([1, True], 0)) == 1 + 1j
 
     def test_empty_list_has_the_requested_rank(self):
@@ -515,3 +599,41 @@ class TestArrayCodec:
     def test_rejects(self, obj, ndim):
         with pytest.raises(InputError):
             serialize.decode_array(obj, ndim)
+
+
+FLOATS = st.sampled_from(EDGE_VALUES.tolist()) | st.floats(allow_nan=False, allow_infinity=False)
+STRINGS = st.sampled_from(['', 'say "hi"', "back\\slash", "\x00\x1f\n\t\x7f", "é ∑ ☃ 𝄞"]) | st.text()
+DOCS = st.recursive(
+    STRINGS | FLOATS | st.booleans() | st.none() | st.integers()
+    | st.integers(min_value=-(2**100), max_value=2**100)
+    | arrays(np.float64, array_shapes(min_dims=1, max_dims=4, min_side=0, max_side=3),
+             elements=FLOATS),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(STRINGS, inner, max_size=4),
+    max_leaves=12,
+)
+
+
+class TestDumps:
+    """serialize._dumps writes the bytes of json.dumps(doc, indent=2)."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(doc=DOCS)
+    def test_matches_json_dumps(self, doc):
+        assert serialize._dumps(doc) == json.dumps(doc, indent=2, default=np.ndarray.tolist)
+
+    @pytest.mark.parametrize("doc", [
+        float("nan"),
+        {"a": [1.0, float("inf")]},
+        np.array([[0.0, -np.inf]]),
+        {"x": serialize.encode_array([1.0, complex(0.0, np.nan)])},
+    ])
+    def test_non_finite_raises(self, doc):
+        with pytest.raises(ToleranceError):
+            serialize._dumps(doc)
+
+    @pytest.mark.parametrize("doc", [object(), {"a": np.arange(3)}, [1j], {"a": {1, 2}}])
+    def test_what_json_rejects_raises_type_error(self, doc):
+        with pytest.raises(TypeError):
+            json.dumps(doc)
+        with pytest.raises(TypeError):
+            serialize._dumps(doc)

@@ -89,6 +89,18 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             lax_integrate(lambda t: np.zeros((2, 2)), np.zeros((2, 2)), 1.0, 0.0, 10)
 
+    def test_alpha_checked_at_every_midpoint(self):
+        steps, h = 10, 0.1
+        midpoint = (h * np.arange(steps + 1))[3] + h / 2
+        alpha = lambda t: np.full((2, 2), np.nan) if t == midpoint else np.eye(2)
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            lax_integrate(alpha, np.eye(2), 0.0, 1.0, steps)
+
+    @pytest.mark.parametrize("value", [0.5, np.zeros((2, 3)), np.zeros((1, 2, 2))])
+    def test_alpha_must_be_square_matrices(self, value):
+        with pytest.raises(ValueError, match="square"):
+            lax_integrate(lambda t: value, np.eye(2), 0.0, 1.0, 4)
+
 
 class TestGaugeApply:
     def make_path(self, rng, n=3, steps=200):

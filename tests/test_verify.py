@@ -198,6 +198,12 @@ class TestDefects:
         assert conservation_defect(lambda M: gz_flow(M, [(2, 1, 1.0)]),
                                    lambda M: 7.0, B) == 0.0
 
+    def test_nan_invariant_gives_nan_defect(self):
+        # max(0.0, nan) is 0.0: a NaN invariant used to read as perfectly conserved
+        B = np.eye(2, dtype=complex)
+        invariants = [lambda M: np.array([1.0, np.nan]), lambda M: 2.0]
+        assert np.isnan(conservation_defect(lambda M: M, invariants, B))
+
     def test_conservation_of_invariants(self):
         rng = np.random.default_rng(13)
         B = random_matrix(rng, 4)
