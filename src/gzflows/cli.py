@@ -94,9 +94,7 @@ def cmd_gz_flow(payload, args):
     n = B.shape[0]
     lam = gzcore.GZGroupElement.from_pairs(n, triples)
     moved = gzcore.gz_flow(B, lam)
-    defect = verify.conservation_defect(
-        lambda M: gzcore.gz_flow(M, lam), lambda M: gzcore.gz_map(M).values, B
-    )
+    defect = verify.conservation_defect(lambda _: moved, lambda M: gzcore.gz_map(M).values, B)
     return {
         "matrix": serialize.encode_array(moved),
         "conservation_defect": float(defect),

@@ -22,10 +22,9 @@ import numpy as np
 from .errors import ValidationError
 from .matpoly import (
     CLUSTER_TOL,
-    RANK_RTOL,
+    _clusters,
     as_matrix,
     charpoly,
-    cluster_points,
     is_monic,
     leading_minor,
     matexp,
@@ -211,7 +210,7 @@ def gz_flow(B, lam) -> np.ndarray:
     return out
 
 
-def strongly_regular(B, rtol: float = RANK_RTOL) -> tuple[bool, int]:
+def strongly_regular(B) -> tuple[bool, int]:
     """Whether the span of all generators with m < n has full rank n(n-1)/2.
 
     Stacks each generator as a vector in C^(n^2) and takes the numerical
@@ -227,7 +226,7 @@ def strongly_regular(B, rtol: float = RANK_RTOL) -> tuple[bool, int]:
     target = n * (n - 1) // 2
     if not fields:
         return True, 0
-    rank = numerical_rank(np.array(fields), rtol=rtol)
+    rank = numerical_rank(np.array(fields))
     return rank == target, rank
 
 
@@ -273,11 +272,9 @@ def _clustered_roots(polys, tol):
     eff_tol = (CLUSTER_TOL if tol is None else tol) * scale
     if not all_roots:
         return [], [], eff_tol
-    reps = cluster_points(all_roots, eff_tol)
-    counts = [np.zeros(len(polys), dtype=int) for _ in reps]
-    for r, j in zip(all_roots, owners):
-        best = min(range(len(reps)), key=lambda idx: abs(r - reps[idx][0]))
-        counts[best][j] += 1
+    reps, member = _clusters(all_roots, eff_tol)
+    counts = np.zeros((len(reps), len(polys)), dtype=int)
+    np.add.at(counts, (member, owners), 1)
     return reps, counts, eff_tol
 
 

@@ -28,6 +28,9 @@ __all__ = [
     "lax_symplectic",
 ]
 
+# gauge factors with a larger condition number are refused
+_CONDITION_LIMIT = 1e12
+
 
 @dataclass
 class LaxPath:
@@ -41,13 +44,11 @@ class LaxPath:
     def n(self) -> int:
         return self.alpha.shape[-1]
 
-    @property
-    def steps(self) -> int:
-        return self.grid.size - 1
-
     def validate(self) -> "LaxPath":
         if self.grid.ndim != 1 or self.grid.size < 2:
             raise ValueError("grid must hold at least two times")
+        if not np.all(np.isfinite(self.grid)):
+            raise ValueError("grid times must be finite")
         gaps = np.diff(self.grid)
         if np.any(gaps <= 0):
             raise ValueError("grid must be strictly increasing")
@@ -79,8 +80,7 @@ def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _diff4(values: np.ndarray, h: float) -> np.ndarray:
     """Fourth-order first derivative along axis 0 (one-sided at the ends)."""
     if values.shape[0] < 5:
-        out = np.gradient(values, h, axis=0)
-        return out
+        return np.gradient(values, h, axis=0)
     d = np.empty_like(values)
     d[2:-2] = (values[:-4] - 8 * values[1:-3] + 8 * values[3:-1] - values[4:]) / (12 * h)
     edge0 = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
@@ -90,6 +90,19 @@ def _diff4(values: np.ndarray, h: float) -> np.ndarray:
     d[-1] = -sum(edge0[i] * values[-1 - i] for i in range(5)) / h
     d[-2] = -sum(edge1[i] * values[-1 - i] for i in range(5)) / h
     return d
+
+
+def _rk4(y, rhs, starts, mids, ends, h: float) -> np.ndarray:
+    """Classical RK4 for y' = rhs(y, a(t)), a given at each step's start, midpoint and end."""
+    ys = [y]
+    for a0, am, a1 in zip(starts, mids, ends):
+        k1 = rhs(y, a0)
+        k2 = rhs(y + h / 2 * k1, am)
+        k3 = rhs(y + h / 2 * k2, am)
+        k4 = rhs(y + h * k3, a1)
+        y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        ys.append(y)
+    return np.array(ys)
 
 
 def lax_integrate(alpha_fn, beta_start, t_start: float, t_end: float, steps: int) -> LaxPath:
@@ -110,30 +123,19 @@ def lax_integrate(alpha_fn, beta_start, t_start: float, t_end: float, steps: int
         raise ValueError(f"expected square alpha matrices, got shape {stack.shape[1:]}")
     _check_square(stack)
     alphas, mids, ends = np.split(stack, [steps + 1, 2 * steps + 1])
-    betas = [beta]
-    for a0, am, a1 in zip(alphas, mids, ends):
-        b = betas[-1]
-        k1 = _commutator(b, a0)
-        k2 = _commutator(b + h / 2 * k1, am)
-        k3 = _commutator(b + h / 2 * k2, am)
-        k4 = _commutator(b + h * k3, a1)
-        betas.append(b + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4))
-    return LaxPath(grid=grid, alpha=alphas, beta=np.array(betas)).validate()
+    betas = _rk4(beta, _commutator, alphas, mids, ends, h)
+    return LaxPath(grid=grid, alpha=alphas, beta=betas).validate()
 
 
 def lax_residual(path: LaxPath) -> float:
-    """Max grid defect of d(beta)/dt - [beta, alpha], relative to (1 + |beta|)."""
+    """Max grid defect of d(beta)/dt - [beta, alpha], relative to (1 + |beta|); NaN stays NaN."""
     path.validate()
     h = float(path.grid[1] - path.grid[0])
-    dbeta = _diff4(path.beta, h)
-    worst = 0.0
-    for j in range(path.grid.size):
-        defect = dbeta[j] - _commutator(path.beta[j], path.alpha[j])
-        worst = max(
-            worst,
-            float(np.linalg.norm(defect) / (1.0 + np.linalg.norm(path.beta[j]))),
-        )
-    return worst
+    defects = _diff4(path.beta, h) - _commutator(path.beta, path.alpha)
+    # one norm per sample: a norm over axes rounds differently
+    return float(np.max([
+        np.linalg.norm(d) / (1.0 + np.linalg.norm(b)) for d, b in zip(defects, path.beta)
+    ]))
 
 
 def isospectral_drift(path: LaxPath) -> float:
@@ -153,14 +155,12 @@ def gauge_apply(g_path, path: LaxPath) -> LaxPath:
     if g.shape != path.alpha.shape:
         raise ValueError("gauge samples must match the path grid and size")
     h = float(path.grid[1] - path.grid[0])
-    g_dot = _diff4(g, h)
-    alphas = np.empty_like(path.alpha)
-    betas = np.empty_like(path.beta)
-    for j in range(path.grid.size):
-        g_inv = np.linalg.inv(g[j])
-        alphas[j] = g[j] @ path.alpha[j] @ g_inv - g_dot[j] @ g_inv
-        betas[j] = g[j] @ path.beta[j] @ g_inv
-    return LaxPath(grid=path.grid.copy(), alpha=alphas, beta=betas)
+    g_inv = np.linalg.inv(g)
+    return LaxPath(
+        grid=path.grid.copy(),
+        alpha=g @ path.alpha @ g_inv - _diff4(g, h) @ g_inv,
+        beta=g @ path.beta @ g_inv,
+    )
 
 
 def _alpha_midpoints(alpha: np.ndarray) -> np.ndarray:
@@ -168,71 +168,59 @@ def _alpha_midpoints(alpha: np.ndarray) -> np.ndarray:
     count = alpha.shape[0] - 1
     mids = np.empty((count,) + alpha.shape[1:], dtype=complex)
     if alpha.shape[0] < 4:
-        for j in range(count):
-            mids[j] = (alpha[j] + alpha[j + 1]) / 2.0
+        mids[:] = (alpha[:-1] + alpha[1:]) / 2.0
         return mids
-    for j in range(count):
-        if j == 0:
-            stencil, weights = (0, 1, 2, 3), (5.0, 15.0, -5.0, 1.0)
-        elif j == count - 1:
-            stencil, weights = (count - 3, count - 2, count - 1, count), (1.0, -5.0, 15.0, 5.0)
-        else:
-            stencil, weights = (j - 1, j, j + 1, j + 2), (-1.0, 9.0, 9.0, -1.0)
-        mids[j] = sum(wq * alpha[s] for wq, s in zip(weights, stencil)) / 16.0
+    mids[0] = sum(w * a for w, a in zip((5.0, 15.0, -5.0, 1.0), alpha[:4])) / 16.0
+    inner = enumerate((-1.0, 9.0, 9.0, -1.0))
+    mids[1:-1] = sum(w * alpha[k : k + count - 2] for k, w in inner) / 16.0
+    mids[-1] = sum(w * a for w, a in zip((1.0, -5.0, 15.0, 5.0), alpha[-4:])) / 16.0
     return mids
 
 
-def gauge_fix_regular(
-    path: LaxPath,
-    residual_tol: float = 1e-3,
-    condition_limit: float = 1e12,
-) -> GaugeFixResult:
+def gauge_fix_regular(path: LaxPath, residual_tol: float = 1e-3) -> GaugeFixResult:
     """Straightening gauge for a regular solution: solve g' = g alpha, g(a) = I.
 
     The conjugate g beta g^-1 is then a constant matrix X (checked; the
     drift is reported), and (g(b), X) is the endpoint chart of the moduli
     space with regular behavior at both ends.  Rejects paths whose Lax
-    residual is large and reports condition blowup of g.
+    residual is large or NaN, and reports condition blowup or overflow of g.
     """
     path.validate()
     resid = lax_residual(path)
-    if resid > residual_tol:
+    if not resid <= residual_tol:
         raise ValidationError(
             f"path is not a Lax solution (residual {resid:.3e} > {residual_tol:.1e})"
         )
-    n = path.n
     h = float(path.grid[1] - path.grid[0])
-    mids = _alpha_midpoints(path.alpha)
-    gs = [np.eye(n, dtype=complex)]
-    for j in range(path.steps):
-        g = gs[-1]
-        a0, am, a1 = path.alpha[j], mids[j], path.alpha[j + 1]
-        k1 = g @ a0
-        k2 = (g + h / 2 * k1) @ am
-        k3 = (g + h / 2 * k2) @ am
-        k4 = (g + h * k3) @ a1
-        gs.append(g + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4))
-    g_path = np.array(gs)
+    # an overflow leaves non-finite samples, which are reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        g_path = _rk4(
+            np.eye(path.n, dtype=complex), np.matmul,
+            path.alpha, _alpha_midpoints(path.alpha), path.alpha[1:], h,
+        )
+    finite = np.isfinite(g_path).all(axis=(1, 2))
+    stop = finite.size if finite.all() else int(np.argmin(finite))
+    conds = np.linalg.cond(g_path[:stop])
+    over = np.flatnonzero(conds > _CONDITION_LIMIT)
+    if over.size:
+        cond = float(conds[over[0]])
+        raise ToleranceError(
+            f"gauge factor lost invertibility (condition {cond:.3e})",
+            defect=cond,
+            tolerance=_CONDITION_LIMIT,
+        )
+    if stop < finite.size:
+        raise ToleranceError(f"gauge factor overflowed (not finite at t = {path.grid[stop]:.6g})")
     X = path.beta[0].copy()
-    drift = 0.0
-    max_cond = 1.0
-    for j in range(path.grid.size):
-        cond = float(np.linalg.cond(g_path[j]))
-        max_cond = max(max_cond, cond)
-        if cond > condition_limit:
-            raise ToleranceError(
-                f"gauge factor lost invertibility (condition {cond:.3e})",
-                defect=cond,
-                tolerance=condition_limit,
-            )
-        conj = g_path[j] @ path.beta[j] @ np.linalg.inv(g_path[j])
-        drift = max(drift, float(np.linalg.norm(conj - X) / (1.0 + np.linalg.norm(X))))
+    conj = g_path @ path.beta @ np.linalg.inv(g_path)
+    # one norm per sample: a norm over axes rounds differently
+    drift = np.max([np.linalg.norm(c - X) / (1.0 + np.linalg.norm(X)) for c in conj])
     return GaugeFixResult(
         g_end=g_path[-1],
         constant_matrix=X,
         g_path=g_path,
-        drift=drift,
-        max_condition=max_cond,
+        drift=float(drift),
+        max_condition=float(np.max(conds, initial=1.0)),
     )
 
 
@@ -247,9 +235,6 @@ def lax_symplectic(path: LaxPath, tangent1, tangent2) -> complex:
     for arr in (da1, db1, da2, db2):
         if arr.shape != path.alpha.shape:
             raise ValueError("tangent samples must match the path grid")
-    values = np.array([
-        np.trace(da1[j] @ db2[j] - da2[j] @ db1[j])
-        for j in range(path.grid.size)
-    ])
+    values = np.trace(da1 @ db2 - da2 @ db1, axis1=-2, axis2=-1)
     h = float(path.grid[1] - path.grid[0])
     return complex(h * (values[0] / 2 + values[1:-1].sum() + values[-1] / 2))

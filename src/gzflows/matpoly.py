@@ -300,19 +300,19 @@ def krylov_matrix(B, b) -> np.ndarray:
     return K
 
 
-def numerical_rank(M, rtol: float = RANK_RTOL) -> int:
+def numerical_rank(M) -> int:
     M = np.asarray(M, dtype=complex)
     if M.size == 0:
         return 0
     sigma = np.linalg.svd(M, compute_uv=False)
     if sigma.size == 0 or sigma[0] == 0.0:
         return 0
-    return int(np.count_nonzero(sigma > max(M.shape) * sigma[0] * rtol))
+    return int(np.count_nonzero(sigma > max(M.shape) * sigma[0] * RANK_RTOL))
 
 
-def krylov_rank(B, b, rtol: float = RANK_RTOL) -> int:
+def krylov_rank(B, b) -> int:
     """Numerical rank of the Krylov matrix; equals n iff b is cyclic for B."""
-    return numerical_rank(krylov_matrix(B, b), rtol=rtol)
+    return numerical_rank(krylov_matrix(B, b))
 
 
 def cluster_points(points, tol: float) -> list[tuple[complex, int]]:
@@ -322,28 +322,29 @@ def cluster_points(points, tol: float) -> list[tuple[complex, int]]:
     cluster means.  Input is sorted by (re, im) first so the result is
     deterministic regardless of input order.
     """
+    return _clusters(points, tol)[0]
+
+
+def _clusters(points, tol: float) -> tuple[list[tuple[complex, int]], np.ndarray]:
+    """The pairs of :func:`cluster_points`, and the index of each point's pair."""
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    pts = sorted((complex(p) for p in points), key=lambda z: (z.real, z.imag))
-    if not pts:
-        return []
-    parent = list(range(len(pts)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if abs(pts[i] - pts[j]) <= tol:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
-    groups: dict[int, list[complex]] = {}
-    for i, p in enumerate(pts):
-        groups.setdefault(find(i), []).append(p)
-    reps = [(sum(g) / len(g), len(g)) for g in groups.values()]
-    reps.sort(key=lambda t: (t[0].real, t[0].imag))
-    return reps
+    z = np.array([complex(p) for p in points], dtype=complex)
+    perm = np.lexsort((z.imag, z.real))
+    pts = z[perm]
+    gaps = pts[:, None] - pts[None, :]
+    # hypot rounds as Python's abs does; np.abs of a complex array may not
+    near = np.hypot(gaps.real, gaps.imag) <= tol
+    # each point takes the least index in its connected component
+    labels = np.arange(z.size)
+    while True:
+        low = np.where(near, labels, z.size).min(axis=1, initial=z.size)
+        if np.array_equal(low, labels):
+            break
+        labels = low
+    heads, member = np.unique(labels, return_inverse=True)
+    reps = [(sum(g) / len(g), len(g)) for g in (pts[labels == r].tolist() for r in heads)]
+    order = sorted(range(len(reps)), key=lambda c: (reps[c][0].real, reps[c][0].imag))
+    index = np.empty(z.size, dtype=int)
+    index[perm] = np.argsort(order)[member]
+    return [reps[c] for c in order], index

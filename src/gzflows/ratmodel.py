@@ -26,7 +26,6 @@ import numpy as np
 
 from .errors import ToleranceError, ValidationError
 from .matpoly import (
-    RANK_RTOL,
     _faddeev_leverrier,
     as_matrix,
     charpoly,
@@ -486,7 +485,7 @@ def _canonical_junction(F: MatricialData, j: int, tol: float):
     return big[m, m - 1], big[0, size - 1]
 
 
-def sigma_of(F: MatricialData, rtol: float = NONZERO_RTOL) -> SigmaMap:
+def sigma_of(F: MatricialData) -> SigmaMap:
     """Junction sign map of canonical zero-fiber data.
 
     -1 when the trailing row entry (or w) survives, +1 when the leading
@@ -499,7 +498,7 @@ def sigma_of(F: MatricialData, rtol: float = NONZERO_RTOL) -> SigmaMap:
         raise ValidationError("sign classification needs all degrees >= 1")
     scale = F.scale()
     canon_tol = VALIDATE_TOL * scale
-    nz_tol = rtol * scale
+    nz_tol = NONZERO_RTOL * scale
     _require_nilpotent_fiber(F, canon_tol)
     signs = []
     for j in range(F.n - 1):
@@ -658,13 +657,13 @@ def _isotropy_matrix(F: MatricialData) -> tuple[np.ndarray, int]:
     return np.vstack(rows), unknowns
 
 
-def isotropy_nullity(F: MatricialData, rtol: float = RANK_RTOL) -> int:
+def isotropy_nullity(F: MatricialData) -> int:
     """Dimension of the linearized isotropy (0 means discrete, continuous otherwise)."""
     system, unknowns = _isotropy_matrix(F)
-    return unknowns - numerical_rank(system, rtol=rtol)
+    return unknowns - numerical_rank(system)
 
 
-def md_strongly_regular(F: MatricialData, rtol: float = RANK_RTOL) -> bool:
+def md_strongly_regular(F: MatricialData) -> bool:
     """Sign classification with a linearized-isotropy cross-check.
 
     The answer is whether the junction sign map avoids zero; the nullity of
@@ -673,7 +672,7 @@ def md_strongly_regular(F: MatricialData, rtol: float = RANK_RTOL) -> bool:
     """
     sigma = sigma_of(F)
     primary = all(v != 0 for v in sigma.values)
-    nullity = isotropy_nullity(F, rtol=rtol)
+    nullity = isotropy_nullity(F)
     if (nullity == 0) != primary:
         warnings.warn(
             f"sign classification ({primary}) disagrees with linearized "

@@ -133,9 +133,12 @@ def decode_lax_path(obj) -> LaxPath:
     alpha = decode_array(obj["alpha"], 3)
     beta = decode_array(obj["beta"], 3)
     try:
-        return LaxPath(grid=np.asarray(grid, dtype=float), alpha=alpha, beta=beta).validate()
+        path = LaxPath(grid=np.asarray(grid, dtype=float), alpha=alpha, beta=beta).validate()
     except ValueError as exc:
         raise InputError(str(exc)) from exc
+    if not (np.isfinite(alpha).all() and np.isfinite(beta).all()):
+        raise InputError("matrix entries must be finite")
+    return path
 
 
 def _need_keys(obj, keys) -> None:

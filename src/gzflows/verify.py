@@ -26,7 +26,6 @@ __all__ = [
     "lie_poisson_chart",
     "commute_defect",
     "conservation_defect",
-    "flatten_point",
     "report",
 ]
 
@@ -120,36 +119,18 @@ def lie_poisson_chart(n: int) -> Chart:
     names = tuple(f"B{a + 1}{b + 1}" for a in range(n) for b in range(n))
 
     def tensor(x: np.ndarray) -> np.ndarray:
-        B = x.reshape(n, n)
-        pi = np.zeros((n * n, n * n), dtype=complex)
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    for d in range(n):
-                        val = (B[c, b] if a == d else 0.0) - (B[a, d] if c == b else 0.0)
-                        if val != 0.0:
-                            pi[a * n + b, c * n + d] = val
-        return pi
+        # the second term is the first with (a, b) and (c, d) swapped
+        first = np.einsum("ad,cb->abcd", np.eye(n), x.reshape(n, n)).reshape(n * n, n * n)
+        return first - first.T
 
     return Chart(names=names, poisson_tensor=tensor)
 
 
-def flatten_point(x) -> np.ndarray:
-    """Flatten a point (array, tuple of arrays, or object with as_vector)."""
-    if isinstance(x, np.ndarray):
-        return x.reshape(-1)
-    if hasattr(x, "as_vector"):
-        return np.asarray(x.as_vector(), dtype=complex).reshape(-1)
-    if isinstance(x, (tuple, list)):
-        return np.concatenate([flatten_point(part) for part in x])
-    return np.asarray(x, dtype=complex).reshape(-1)
-
-
 def commute_defect(flow1, flow2, x) -> float:
-    """|flow1(flow2(x)) - flow2(flow1(x))| / (1 + |x|)."""
-    a = flatten_point(flow1(flow2(x)))
-    b = flatten_point(flow2(flow1(x)))
-    return float(np.linalg.norm(a - b) / (1.0 + np.linalg.norm(flatten_point(x))))
+    """|flow1(flow2(x)) - flow2(flow1(x))| / (1 + |x|) for array points x."""
+    a = flow1(flow2(x)).reshape(-1)
+    b = flow2(flow1(x)).reshape(-1)
+    return float(np.linalg.norm(a - b) / (1.0 + np.linalg.norm(x.reshape(-1))))
 
 
 def conservation_defect(flow, invariants, x) -> float:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +46,19 @@ class TestBasicCommands:
         }
         doc = call_json(capsys, "gz-flow", "--input", json.dumps(payload, default=np.ndarray.tolist))
         assert doc["conservation_defect"] < 1e-9
+
+    def test_gz_flow_flows_once(self, capsys, monkeypatch):
+        from gzflows import gzcore
+
+        calls = []
+        flow = gzcore.gz_flow
+        monkeypatch.setattr(gzcore, "gz_flow", lambda *a: calls.append(a) or flow(*a))
+        payload = {
+            "matrix": serialize.encode_array(np.array([[0.1, 0.4], [0.0, -0.2]])),
+            "flows": [{"m": 1, "i": 1, "z": [0.3, 0.1]}],
+        }
+        call_json(capsys, "gz-flow", "--input", json.dumps(payload, default=np.ndarray.tolist))
+        assert len(calls) == 1
 
     def test_sregular(self, capsys):
         doc = call_json(
@@ -243,6 +257,42 @@ class TestLaxCommands:
         X = serialize.decode_array(gauge_doc["constant_matrix"], 2)
         beta0 = serialize.decode_array(self.payload()["beta"], 2)
         assert np.max(np.abs(X - beta0)) < 1e-10
+
+    def gauge(self, capsys, alpha, steps=200):
+        # a diagonal beta commutes with a diagonal alpha: the path is constant
+        payload = {**self.payload(), "steps": steps, "beta": serialize.encode_array(np.diag([1.0, 2.0]))}
+        payload["alpha"]["matrix"] = serialize.encode_array(alpha)
+        run_doc = call_json(capsys, "lax-run", "--input", json.dumps(payload, default=np.ndarray.tolist))
+        return call(capsys, "lax-gauge", "--input", json.dumps({"path": run_doc["path"]}))
+
+    def test_condition_gate_3(self, capsys):
+        code, out, err = self.gauge(capsys, np.diag([30.0, -30.0]))
+        assert code == 3 and out == ""
+        assert err == "numerical failure: gauge factor lost invertibility (condition 1.308e+12)\n"
+
+    def test_gauge_overflow_3_without_warnings(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = self.gauge(capsys, 800.0 * np.eye(2))
+        assert code == 3 and out == ""
+        assert err == "numerical failure: gauge factor overflowed (not finite at t = 0.995)\n"
+
+    @pytest.mark.parametrize("key", ["alpha", "beta"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_path_sample_65(self, capsys, key, value):
+        run_doc = call_json(capsys, "lax-run", "--input", json.dumps(self.payload(), default=np.ndarray.tolist))
+        run_doc["path"][key][7][1][0][1] = value
+        code, out, err = call(capsys, "lax-gauge", "--input", json.dumps({"path": run_doc["path"]}))
+        assert code == 65 and out == ""
+        assert err == "input error: matrix entries must be finite\n"
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_grid_time_65(self, capsys, value):
+        run_doc = call_json(capsys, "lax-run", "--input", json.dumps(self.payload(), default=np.ndarray.tolist))
+        run_doc["path"]["grid"][7] = value
+        code, out, err = call(capsys, "lax-gauge", "--input", json.dumps({"path": run_doc["path"]}))
+        assert code == 65 and out == ""
+        assert err == "input error: grid times must be finite\n"
 
 
 KW_CHECK_N3_SAMPLES2_SEED7 = """{

@@ -210,6 +210,16 @@ class TestStratumSignature:
         with pytest.raises(ValidationError):
             stratum_signature([[0, 2]])
 
+    def test_chained_cluster_owns_its_roots(self):
+        # at tol 0.27 (scaled: 0.999) the roots 0, 0.9, 1.8, 2.7 chain into one
+        # cluster with mean 1.35; the root 0 lies nearer -1.1 than that mean
+        polys = [poly_from_roots([-1.1]), poly_from_roots([0, 0.9, 1.8, 2.7])]
+        sig = stratum_signature(polys, tol=0.27)
+        assert len(sig.roots) == 2
+        assert sig.multiplicities == ((1, 0), (0, 4))
+        data = fiber_orbit_data(polys, mode="rational-maps", tol=0.27)
+        assert (data.t, data.s, data.count) == (0, 2, 1)
+
 
 class TestFiberOrbitData:
     def test_simple_spectrum(self):

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from gzflows.errors import ValidationError
+from gzflows.errors import ToleranceError, ValidationError
 from gzflows.lax import (
     LaxPath,
+    _alpha_midpoints,
+    _commutator,
+    _diff4,
     gauge_apply,
     gauge_fix_regular,
     isospectral_drift,
@@ -240,3 +243,142 @@ class TestSymplectic:
         lhs = lax_symplectic(path, t3, t2)
         rhs = lax_symplectic(path, t1, t2) + 2.0 * lax_symplectic(path, t2, t2)
         assert abs(lhs - rhs) < 1e-12
+
+
+# Per-sample loops the stacked forms replaced, kept as references: on a
+# stack, @, inv and cond give each matrix the bits it gets alone.
+
+def loop_residual(path):
+    h = float(path.grid[1] - path.grid[0])
+    dbeta = _diff4(path.beta, h)
+    worst = 0.0
+    for j in range(path.grid.size):
+        defect = dbeta[j] - _commutator(path.beta[j], path.alpha[j])
+        worst = max(
+            worst,
+            float(np.linalg.norm(defect) / (1.0 + np.linalg.norm(path.beta[j]))),
+        )
+    return worst
+
+
+def loop_gauge_apply(g, path):
+    h = float(path.grid[1] - path.grid[0])
+    g_dot = _diff4(g, h)
+    alphas = np.empty_like(path.alpha)
+    betas = np.empty_like(path.beta)
+    for j in range(path.grid.size):
+        g_inv = np.linalg.inv(g[j])
+        alphas[j] = g[j] @ path.alpha[j] @ g_inv - g_dot[j] @ g_inv
+        betas[j] = g[j] @ path.beta[j] @ g_inv
+    return alphas, betas
+
+
+def loop_midpoints(alpha):
+    count = alpha.shape[0] - 1
+    mids = np.empty((count,) + alpha.shape[1:], dtype=complex)
+    if alpha.shape[0] < 4:
+        for j in range(count):
+            mids[j] = (alpha[j] + alpha[j + 1]) / 2.0
+        return mids
+    for j in range(count):
+        if j == 0:
+            stencil, weights = (0, 1, 2, 3), (5.0, 15.0, -5.0, 1.0)
+        elif j == count - 1:
+            stencil, weights = (count - 3, count - 2, count - 1, count), (1.0, -5.0, 15.0, 5.0)
+        else:
+            stencil, weights = (j - 1, j, j + 1, j + 2), (-1.0, 9.0, 9.0, -1.0)
+        mids[j] = sum(wq * alpha[s] for wq, s in zip(weights, stencil)) / 16.0
+    return mids
+
+
+def loop_gauge_fix(path):
+    """g_path, X, drift and max condition as the per-sample loops computed them."""
+    n = path.n
+    h = float(path.grid[1] - path.grid[0])
+    mids = loop_midpoints(path.alpha)
+    gs = [np.eye(n, dtype=complex)]
+    for j in range(path.grid.size - 1):
+        g = gs[-1]
+        a0, am, a1 = path.alpha[j], mids[j], path.alpha[j + 1]
+        k1 = g @ a0
+        k2 = (g + h / 2 * k1) @ am
+        k3 = (g + h / 2 * k2) @ am
+        k4 = (g + h * k3) @ a1
+        gs.append(g + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4))
+    g_path = np.array(gs)
+    X = path.beta[0].copy()
+    drift = 0.0
+    max_cond = 1.0
+    for j in range(path.grid.size):
+        max_cond = max(max_cond, float(np.linalg.cond(g_path[j])))
+        conj = g_path[j] @ path.beta[j] @ np.linalg.inv(g_path[j])
+        drift = max(drift, float(np.linalg.norm(conj - X) / (1.0 + np.linalg.norm(X))))
+    return g_path, X, drift, max_cond
+
+
+def sample_path(n, kind, seed, steps=120):
+    rng = np.random.default_rng(seed)
+    A0, A1, A2, beta = (random_matrix(rng, n) for _ in range(4))
+    if kind == "constant":
+        return lax_integrate(lambda t: A0, beta, 0.0, 1.0, steps)
+    return lax_integrate(lambda t: A0 + t * A1 + t * t * A2, beta, -0.5, 1.0, steps)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("kind", ["constant", "polynomial"])
+class TestStackedFormsBitEqual:
+    def test_residual(self, n, kind):
+        path = sample_path(n, kind, seed=n)
+        assert lax_residual(path) == loop_residual(path)
+
+    def test_gauge_apply(self, n, kind):
+        path = sample_path(n, kind, seed=10 + n)
+        rng = np.random.default_rng(n)
+        g = np.array([np.eye(n) + 0.3 * random_matrix(rng, n) for _ in path.grid])
+        out = gauge_apply(g, path)
+        alphas, betas = loop_gauge_apply(g, path)
+        assert np.array_equal(out.alpha, alphas) and np.array_equal(out.beta, betas)
+
+    def test_gauge_fix(self, n, kind):
+        # coarse grids: a drift near 1e-7 shows rounding that one at 1e-12 may hide
+        for seed in range(10):
+            path = sample_path(n, kind, seed=20 + seed, steps=30)
+            fix = gauge_fix_regular(path)
+            g_path, X, drift, max_cond = loop_gauge_fix(path)
+            assert np.array_equal(fix.g_path, g_path)
+            assert np.array_equal(fix.g_end, g_path[-1])
+            assert np.array_equal(fix.constant_matrix, X)
+            assert fix.drift == drift and fix.max_condition == max_cond
+
+
+@pytest.mark.parametrize("samples", [2, 3, 4, 5, 6, 501])
+def test_alpha_midpoints_bit_equal(samples):
+    rng = np.random.default_rng(samples)
+    alpha = np.array([random_matrix(rng, 3) for _ in range(samples)])
+    assert np.array_equal(_alpha_midpoints(alpha), loop_midpoints(alpha))
+
+
+class TestNonFinitePaths:
+    def test_residual_keeps_nan(self):
+        path = sample_path(2, "constant", seed=0, steps=20)
+        path.beta[5, 0, 0] = np.nan
+        assert np.isnan(lax_residual(path))
+        with pytest.raises(ValidationError, match="residual nan"):
+            gauge_fix_regular(path)
+
+    def test_gauge_overflow_is_a_numerical_failure(self):
+        # a constant beta is a Lax solution for any alpha; g = exp(800 t) I overflows
+        alpha = 800.0 * np.eye(2)
+        path = lax_integrate(lambda t: alpha, np.diag([1.0, 2.0]), 0.0, 1.0, 200)
+        with pytest.raises(ToleranceError, match="gauge factor overflowed"):
+            gauge_fix_regular(path)
+
+    def test_condition_gate_reports_first_offending_sample(self):
+        alpha = np.diag([30.0, -30.0])
+        path = lax_integrate(lambda t: alpha, np.diag([1.0, 2.0]), 0.0, 1.0, 200)
+        conds = [np.linalg.cond(g) for g in loop_gauge_fix(path)[0]]
+        first = next(c for c in conds if c > 1e12)
+        with pytest.raises(ToleranceError) as info:
+            gauge_fix_regular(path)
+        assert info.value.defect == first
+        assert f"condition {first:.3e}" in str(info.value)

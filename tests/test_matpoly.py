@@ -2,8 +2,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gzflows.matpoly import (
+    _clusters,
     as_matrix,
     charpoly,
     cluster_points,
@@ -254,6 +257,61 @@ class TestClusterPoints:
     def test_bad_tol(self):
         with pytest.raises(ValueError):
             cluster_points([0], 0.0)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        tol=st.sampled_from([1e-8, 0.27, 1.0]),
+        walk=st.lists(
+            st.tuples(
+                st.one_of(st.sampled_from([0.0, 0.5, 1.0, 1.0 + 1e-12, 2.0]), st.floats(0.0, 3.0)),
+                st.floats(0.0, 6.3),
+                st.booleans(),
+            ),
+            max_size=24,
+        ),
+    )
+    def test_matches_union_find(self, tol, walk):
+        # chains: each point steps about tol away from the last, or jumps to a new start
+        pts, z = [], 0j
+        for step, angle, jump in walk:
+            if jump:
+                z = complex(10 * np.cos(7 * angle), 10 * np.sin(3 * angle))
+            else:
+                z = z + step * tol * np.exp(1j * angle)
+            pts.append(z)
+        reps, index = _clusters(pts, tol)
+        assert reps == union_find_clusters(pts, tol) == cluster_points(pts, tol)
+        assert [size for _, size in reps] == np.bincount(index, minlength=len(reps)).tolist()
+        for i, p in enumerate(pts):
+            others = [q for j, q in enumerate(pts) if index[j] == index[i] and j != i]
+            assert not others or min(abs(p - q) for q in others) <= tol
+
+
+def union_find_clusters(points, tol):
+    """Single-linkage clusters by union-find, the form cluster_points replaced."""
+    pts = sorted((complex(p) for p in points), key=lambda z: (z.real, z.imag))
+    if not pts:
+        return []
+    parent = list(range(len(pts)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            if abs(pts[i] - pts[j]) <= tol:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[rj] = ri
+    groups: dict[int, list[complex]] = {}
+    for i, p in enumerate(pts):
+        groups.setdefault(find(i), []).append(p)
+    reps = [(sum(g) / len(g), len(g)) for g in groups.values()]
+    reps.sort(key=lambda t: (t[0].real, t[0].imag))
+    return reps
 
 
 class TestEigenvalueMultiset:

@@ -168,6 +168,19 @@ class TestChart:
         )
         assert abs(direct - via_chart) < 1e-7
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_lie_poisson_chart_matches_entry_loop(self, n):
+        B = random_matrix(np.random.default_rng(n), n, unit_norm=False)
+        pi = np.zeros((n * n, n * n), dtype=complex)
+        for a in range(n):
+            for b in range(n):
+                for c in range(n):
+                    for d in range(n):
+                        val = (B[c, b] if a == d else 0.0) - (B[a, d] if c == b else 0.0)
+                        if val != 0.0:
+                            pi[a * n + b, c * n + d] = val
+        assert np.array_equal(lie_poisson_chart(n).tensor_at(B.reshape(-1)), pi)
+
 
 class TestDefects:
     def test_identity_flows(self):
