@@ -23,6 +23,7 @@ from .errors import ValidationError
 from .matpoly import (
     CLUSTER_TOL,
     _clusters,
+    _companion,
     as_matrix,
     charpoly,
     is_monic,
@@ -32,7 +33,6 @@ from .matpoly import (
     numerical_rank,
     poly_degree,
     poly_trim,
-    roots,
 )
 
 __all__ = [
@@ -136,20 +136,24 @@ def gz_map(B, basis: str = "tr-power") -> GZCoordinates:
     if basis not in GZ_BASES:
         raise ValueError(f"unknown basis {basis!r}")
     values = np.empty(n * (n + 1) // 2, dtype=complex)
-    pos = 0
     for m in range(1, n + 1):
-        minor = leading_minor(B, m)
+        pos = m * (m - 1) // 2
         if basis == "tr-power":
-            power = np.eye(m, dtype=complex)
-            for _ in range(m):
-                power = power @ minor
-                values[pos] = np.trace(power)
-                pos += 1
+            values[pos : pos + m] = np.trace(_minor_powers(B, m)[1:], axis1=1, axis2=2)
         else:
-            coeffs = charpoly(minor)
-            values[pos : pos + m] = coeffs[:m]
-            pos += m
+            values[pos : pos + m] = charpoly(B[:m, :m])[:m]
     return GZCoordinates(n=n, basis=basis, values=values)
+
+
+def _minor_powers(B: np.ndarray, m: int) -> np.ndarray:
+    """I, B_m, ..., B_m**m for a checked B; an overflow leaves non-finite powers."""
+    minor = B[:m, :m]
+    P = np.empty((m + 1, m, m), dtype=complex)
+    P[0] = np.eye(m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, m + 1):
+            np.matmul(P[k - 1], minor, out=P[k])
+    return P
 
 
 def _padded_minor_power(B: np.ndarray, m: int, i: int) -> np.ndarray:
@@ -213,20 +217,18 @@ def gz_flow(B, lam) -> np.ndarray:
 def strongly_regular(B) -> tuple[bool, int]:
     """Whether the span of all generators with m < n has full rank n(n-1)/2.
 
-    Stacks each generator as a vector in C^(n^2) and takes the numerical
-    rank; the point is strongly regular iff the rank is maximal.
+    One stacked commutator of B with the padded powers of each minor's power
+    chain gives every generator; strongly regular iff their rank is maximal.
     """
     B = as_matrix(B)
     n = B.shape[0]
-    fields = [
-        gz_vector_field(B, m, i).ravel()
-        for m in range(1, n)
-        for i in range(1, m + 1)
-    ]
     target = n * (n - 1) // 2
-    if not fields:
+    if target == 0:
         return True, 0
-    rank = numerical_rank(np.array(fields))
+    P = np.zeros((target, n, n), dtype=complex)
+    for m in range(1, n):
+        P[m * (m - 1) // 2 : m * (m + 1) // 2, :m, :m] = _minor_powers(B, m)[:m]
+    rank = numerical_rank((P @ B - B @ P).reshape(target, n * n))
     return rank == target, rank
 
 
@@ -260,18 +262,14 @@ def _checked_monic(polys, expected_degrees=None) -> list[np.ndarray]:
 
 
 def _clustered_roots(polys, tol):
-    """Cluster the union of all roots; returns (reps, per-poly counts, scaled tol)."""
-    all_roots = []
-    owners = []
-    for j, p in enumerate(polys):
-        if poly_degree(p) >= 1:
-            for r in roots(p):
-                all_roots.append(complex(r))
-                owners.append(j)
-    scale = 1.0 + max((abs(r) for r in all_roots), default=0.0)
+    """Cluster the roots of trimmed polys; returns (reps, per-poly counts, scaled tol)."""
+    found = [np.linalg.eigvals(_companion(p / p[-1])) for p in polys if p.size > 1]
+    owners = [j for j, p in enumerate(polys) for _ in range(p.size - 1)]
+    all_roots = np.concatenate(found).tolist() if found else []
+    scale = 1.0 + max(map(abs, all_roots), default=0.0)
     eff_tol = (CLUSTER_TOL if tol is None else tol) * scale
     if not all_roots:
-        return [], [], eff_tol
+        return [], np.zeros((0, len(polys)), dtype=int), eff_tol
     reps, member = _clusters(all_roots, eff_tol)
     counts = np.zeros((len(reps), len(polys)), dtype=int)
     np.add.at(counts, (member, owners), 1)
@@ -292,7 +290,7 @@ def stratum_signature(polys_or_coords, tol: float | None = None) -> StratumSigna
     reps, counts, eff_tol = _clustered_roots(polys, tol)
     return StratumSignature(
         roots=tuple(r for r, _ in reps),
-        multiplicities=tuple(tuple(int(x) for x in c) for c in counts),
+        multiplicities=tuple(map(tuple, counts.tolist())),
         cluster_tol=eff_tol,
     )
 
@@ -313,24 +311,20 @@ def fiber_orbit_data(polys, mode: str = "matrices", tol: float | None = None) ->
     if mode == "matrices":
         expected = list(range(1, len(polys) + 1))
     polys = _checked_monic(polys, expected_degrees=expected)
-    n = len(polys)
-    total = sum(max(poly_degree(p), 0) for p in polys)
+    total = sum(p.size - 1 for p in polys)
     reps, counts, _ = _clustered_roots(polys, tol)
-    t_parts, s_parts = [], []
-    for c in counts:
-        vanishes = [c[j] > 0 for j in range(n)]
-        s_parts.append(sum(vanishes))
-        t_parts.append(sum(1 for j in range(n - 1) if vanishes[j] and vanishes[j + 1]))
-    t = int(sum(t_parts))
-    s = int(sum(s_parts))
+    vanishes = counts > 0
+    s_parts = vanishes.sum(1)
+    t_parts = (vanishes[:, :-1] & vanishes[:, 1:]).sum(1)
+    t, s = int(t_parts.sum()), int(s_parts.sum())
     return FiberOrbitData(
         t=t,
         s=s,
         count=2 ** t,
         shape=f"(C*)^{s} x C^{total - s}",
         roots=tuple(r for r, _ in reps),
-        t_per_root=tuple(int(x) for x in t_parts),
-        s_per_root=tuple(int(x) for x in s_parts),
+        t_per_root=tuple(t_parts.tolist()),
+        s_per_root=tuple(s_parts.tolist()),
     )
 
 

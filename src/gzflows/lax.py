@@ -123,7 +123,13 @@ def lax_integrate(alpha_fn, beta_start, t_start: float, t_end: float, steps: int
         raise ValueError(f"expected square alpha matrices, got shape {stack.shape[1:]}")
     _check_square(stack)
     alphas, mids, ends = np.split(stack, [steps + 1, 2 * steps + 1])
-    betas = _rk4(beta, _commutator, alphas, mids, ends, h)
+    # an overflow leaves non-finite samples, which are refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        betas = _rk4(beta, _commutator, alphas, mids, ends, h)
+    finite = np.isfinite(betas).all(axis=(1, 2))
+    if not finite.all():
+        t = grid[np.argmin(finite)]
+        raise ToleranceError(f"integration overflowed (not finite at t = {t:.6g})")
     return LaxPath(grid=grid, alpha=alphas, beta=betas).validate()
 
 
@@ -132,10 +138,11 @@ def lax_residual(path: LaxPath) -> float:
     path.validate()
     h = float(path.grid[1] - path.grid[0])
     defects = _diff4(path.beta, h) - _commutator(path.beta, path.alpha)
-    # one norm per sample: a norm over axes rounds differently
-    return float(np.max([
-        np.linalg.norm(d) / (1.0 + np.linalg.norm(b)) for d, b in zip(defects, path.beta)
-    ]))
+    # one norm per sample: a norm over axes rounds differently; an overflow gives NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.max([
+            np.linalg.norm(d) / (1.0 + np.linalg.norm(b)) for d, b in zip(defects, path.beta)
+        ]))
 
 
 def isospectral_drift(path: LaxPath) -> float:

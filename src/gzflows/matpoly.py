@@ -74,12 +74,13 @@ def _faddeev_leverrier(A: np.ndarray):
     Adequate for the desk scales (n <= 12) this package targets.
     """
     n = A.shape[-1]
+    ident = np.eye(n)
     M = np.broadcast_to(np.eye(n, dtype=complex), A.shape)
     for k in range(1, n + 1):
         AM = A @ M
         c = -np.trace(AM, axis1=-2, axis2=-1) / k
         yield c, M
-        M = AM + c[..., None, None] * np.eye(n)
+        M = AM + c[..., None, None] * ident
 
 
 def charpoly(A) -> np.ndarray:
@@ -91,8 +92,9 @@ def charpoly(A) -> np.ndarray:
     n = A.shape[-1]
     coeffs = np.zeros(A.shape[:-2] + (n + 1,), dtype=complex)
     coeffs[..., n] = 1.0
-    for k, (c, _) in enumerate(_faddeev_leverrier(A), start=1):
-        coeffs[..., n - k] = c
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, (c, _) in enumerate(_faddeev_leverrier(A), start=1):
+            coeffs[..., n - k] = c
     return coeffs
 
 
@@ -225,10 +227,13 @@ def companion_of(p) -> np.ndarray:
         raise ValueError("companion matrix needs degree >= 1")
     if not is_monic(p, tol=1e-12):
         raise ValueError("companion matrix needs a monic polynomial")
-    C = np.zeros((n, n), dtype=complex)
-    for j in range(n - 1):
-        C[j + 1, j] = 1.0
-    C[:, n - 1] = -p[:n]
+    return _companion(p)
+
+
+def _companion(p: np.ndarray) -> np.ndarray:
+    """Companion matrix of a trimmed p of degree >= 1, taken as monic: p[-1] is not read."""
+    C = np.eye(p.size - 1, k=-1, dtype=complex)
+    C[:, -1] = -p[:-1]
     return C
 
 
@@ -238,9 +243,7 @@ def roots(p) -> np.ndarray:
     d = poly_degree(p)
     if d < 1:
         raise ValueError("roots need a polynomial of degree >= 1")
-    monic = p / p[d]
-    monic[d] = 1.0
-    return np.linalg.eigvals(companion_of(monic))
+    return np.linalg.eigvals(_companion(p / p[d]))
 
 
 def newton_convert(values, direction: str) -> np.ndarray:

@@ -184,7 +184,9 @@ def _render(obj, nl: str) -> str:
         if not obj:
             return "[]"
         inner = nl + "  "
-        return "[" + inner + ("," + inner).join([_render(x, inner) for x in obj]) + nl + "]"
+        ints = all(type(x) is int for x in obj)  # bool is not int here
+        items = map(int.__repr__, obj) if ints else [_render(x, inner) for x in obj]
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
     if isinstance(obj, np.ndarray) and obj.dtype.kind == "f":
         return _render_array(obj, nl)
     return _scalar(obj)

@@ -142,7 +142,9 @@ def conservation_defect(flow, invariants, x) -> float:
     for inv in invariants:
         before = np.atleast_1d(np.asarray(inv(x), dtype=complex))
         after = np.atleast_1d(np.asarray(inv(y), dtype=complex))
-        defect = np.abs(after - before) / (1.0 + np.abs(before))
+        # invariants that overflowed give a NaN defect, which the output refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            defect = np.abs(after - before) / (1.0 + np.abs(before))
         # np.maximum keeps a NaN that max() would drop
         worst = float(np.maximum(worst, np.max(defect, initial=0.0)))
     return worst

@@ -380,18 +380,60 @@ HUGE_MATRIX = {"matrix": [[[1e200, 0], [0, 0]], [[0, 0], [1e200, 0]]]}
 class TestNonFiniteOutput:
     """NaN and Infinity are not JSON: a request whose answer holds one exits 3."""
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy overflow in the power sums
     @pytest.mark.parametrize("basis", ["tr-power", "charpoly"])
     def test_gz_map_3(self, capsys, basis):
         payload = json.dumps({**HUGE_MATRIX, "basis": basis})
         code, out, err = call(capsys, "gz-map", "--input", payload)
         assert code == 3 and out == "" and "numerical failure" in err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_gz_flow_with_nan_invariants_3(self, capsys):
         payload = json.dumps({**HUGE_MATRIX, "flows": [{"m": 1, "i": 1, "z": [0.1, 0]}]})
         code, out, err = call(capsys, "gz-flow", "--input", payload)
         assert code == 3 and out == "" and "numerical failure" in err
+
+
+def run_fresh(*argv):
+    """(exit code, stdout, stderr) of one request in a fresh interpreter, whose
+    numpy warnings reach stderr instead of pytest's warning filters."""
+    src = str(Path(ratmodel.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-m", "gzflows.cli", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    return done.returncode, done.stdout, done.stderr
+
+
+def overflowing_lax_run(steps):
+    # beta grows like exp(1600 t) off the diagonal
+    return json.dumps({
+        "alpha": {"type": "constant", "matrix": [[[800, 0], [0, 0]], [[0, 0], [-800, 0]]]},
+        "beta": [[[1, 0], [2, 0]], [[3, 0], [4, 0]]], "t_start": 0, "t_end": 1, "steps": steps,
+    })
+
+
+class TestQuietOverflow:
+    """A request that overflows exits 3 with the CLI's one line on stderr, no numpy warnings."""
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["gz-map", "--input", json.dumps({**HUGE_MATRIX, "basis": "tr-power"})], id="gz-map-tr-power"),
+        pytest.param(["gz-map", "--input", json.dumps({**HUGE_MATRIX, "basis": "charpoly"})], id="gz-map-charpoly"),
+        pytest.param(["gz-flow", "--input", json.dumps(
+            {**HUGE_MATRIX, "flows": [{"m": 1, "i": 1, "z": [0.1, 0]}]})], id="gz-flow"),
+        pytest.param(["lax-run", "--input", overflowing_lax_run(40)], id="lax-run-40"),
+    ])
+    def test_non_finite_output_is_one_line(self, argv):
+        assert run_fresh(*argv) == (
+            3, "", "numerical failure: non-finite number in the output (NaN and Infinity are not JSON)\n",
+        )
+
+    @pytest.mark.parametrize("steps, t", [(100, "0.86"), (200, "0.62"), (500, "0.476")])
+    def test_lax_run_overflow_3(self, steps, t):
+        assert run_fresh("lax-run", "--input", overflowing_lax_run(steps)) == (
+            3, "", f"numerical failure: integration overflowed (not finite at t = {t})\n",
+        )
+
+    @pytest.mark.parametrize("steps", [40, 100, 200, 500])
+    def test_lax_run_overflow_3_in_process(self, capsys, steps):
+        code, out, err = call(capsys, "lax-run", "--input", overflowing_lax_run(steps))
+        assert code == 3 and out == "" and err.startswith("numerical failure: ")
 
 
 def _requests(tmp_path):
@@ -532,7 +574,6 @@ class TestCliContract:
         )
         assert code == 65 and out == "" and "cannot write output file" in err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy overflow in the power sums
     def test_refused_document_leaves_output_file_untouched(self, capsys, tmp_path):
         target = tmp_path / "out.json"
         target.write_text("earlier answer\n")
@@ -670,6 +711,15 @@ class TestDumps:
     @given(doc=DOCS)
     def test_matches_json_dumps(self, doc):
         assert serialize._dumps(doc) == json.dumps(doc, indent=2, default=np.ndarray.tolist)
+
+    @pytest.mark.parametrize("doc", [
+        [0, 1, -7, 2**63, -(2**63) - 1, 10**40],
+        [True, False, True],
+        [1, True, 0, False],
+        {"a": [3, 1], "b": [[1, 2], [True]], "c": [2**64, 1.5]},
+    ])
+    def test_int_lists_match_json_dumps(self, doc):
+        assert serialize._dumps(doc) == json.dumps(doc, indent=2)
 
     @pytest.mark.parametrize("doc", [
         float("nan"),

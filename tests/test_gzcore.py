@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gzflows.errors import ValidationError
 from gzflows.gzcore import (
+    FiberOrbitData,
     GZGroupElement,
+    StratumSignature,
+    _checked_monic,
     coords_to_polys,
     fiber_orbit_data,
     gz_flow,
@@ -14,7 +19,15 @@ from gzflows.gzcore import (
     stratum_signature,
     strongly_regular,
 )
-from gzflows.matpoly import charpoly, poly_from_roots
+from gzflows.matpoly import (
+    CLUSTER_TOL,
+    _clusters,
+    charpoly,
+    leading_minor,
+    numerical_rank,
+    poly_degree,
+    poly_from_roots,
+)
 
 
 def random_matrix(rng, n, unit_norm=True):
@@ -302,3 +315,179 @@ class TestZeroFiberCount:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             sr_orbit_count_zero_fiber([1, -1])
+
+
+# ---------------------------------------------------------------- oracles
+# The per-(m, i) constructions that one power chain per minor and whole-array
+# root counting replaced, kept as oracles.
+
+
+def loop_tr_power(B):
+    """tr(B_m**i) for every (m, i), one power and one trace at a time."""
+    n = B.shape[0]
+    values = np.empty(n * (n + 1) // 2, dtype=complex)
+    pos = 0
+    for m in range(1, n + 1):
+        minor = leading_minor(B, m)
+        power = np.eye(m, dtype=complex)
+        for _ in range(m):
+            power = power @ minor
+            values[pos] = np.trace(power)
+            pos += 1
+    return values
+
+
+def loop_strongly_regular(B):
+    """(flag, rank) from one gz_vector_field call per generator."""
+    n = B.shape[0]
+    fields = [gz_vector_field(B, m, i).ravel() for m in range(1, n) for i in range(1, m + 1)]
+    if not fields:
+        return True, 0
+    rank = numerical_rank(np.array(fields))
+    return rank == n * (n - 1) // 2, rank
+
+
+def loop_clustered_roots(polys, tol):
+    """Roots through companion_of, one Python complex at a time."""
+    all_roots, owners = [], []
+    for j, p in enumerate(polys):
+        d = poly_degree(p)
+        if d >= 1:
+            C = np.zeros((d, d), dtype=complex)
+            for k in range(d - 1):
+                C[k + 1, k] = 1.0
+            C[:, d - 1] = -(p / p[d])[:d]
+            for r in np.linalg.eigvals(C):
+                all_roots.append(complex(r))
+                owners.append(j)
+    scale = 1.0 + max((abs(r) for r in all_roots), default=0.0)
+    eff_tol = (CLUSTER_TOL if tol is None else tol) * scale
+    if not all_roots:
+        return [], [], eff_tol
+    reps, member = _clusters(all_roots, eff_tol)
+    counts = np.zeros((len(reps), len(polys)), dtype=int)
+    np.add.at(counts, (member, owners), 1)
+    return reps, counts, eff_tol
+
+
+def loop_stratum_signature(polys, tol):
+    reps, counts, eff_tol = loop_clustered_roots(_checked_monic(polys), tol)
+    return StratumSignature(
+        roots=tuple(r for r, _ in reps),
+        multiplicities=tuple(tuple(int(x) for x in c) for c in counts),
+        cluster_tol=eff_tol,
+    )
+
+
+def loop_fiber_orbit_data(polys, mode, tol):
+    expected = list(range(1, len(polys) + 1)) if mode == "matrices" else None
+    polys = _checked_monic(polys, expected_degrees=expected)
+    n = len(polys)
+    total = sum(max(poly_degree(p), 0) for p in polys)
+    reps, counts, _ = loop_clustered_roots(polys, tol)
+    t_parts, s_parts = [], []
+    for c in counts:
+        vanishes = [c[j] > 0 for j in range(n)]
+        s_parts.append(sum(vanishes))
+        t_parts.append(sum(1 for j in range(n - 1) if vanishes[j] and vanishes[j + 1]))
+    t = int(sum(t_parts))
+    s = int(sum(s_parts))
+    return FiberOrbitData(
+        t=t, s=s, count=2 ** t, shape=f"(C*)^{s} x C^{total - s}",
+        roots=tuple(r for r, _ in reps),
+        t_per_root=tuple(int(x) for x in t_parts),
+        s_per_root=tuple(int(x) for x in s_parts),
+    )
+
+
+def circular(rng, n):
+    """Entries of variance 1/n, as the benchmark's query-mix draws them."""
+    return (rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n))) / np.sqrt(2 * n / 3)
+
+
+class TestPowerChainOracles:
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(n=st.integers(1, 12), exponent=st.integers(-3, 3), seed=st.integers(0, 2**32 - 1))
+    def test_gz_map_equals_the_per_power_loop(self, n, exponent, seed):
+        B = 10.0 ** exponent * circular(np.random.default_rng(seed), n)
+        assert np.array_equal(gz_map(B).values, loop_tr_power(B))
+        want = np.concatenate([charpoly(leading_minor(B, m))[:m] for m in range(1, n + 1)])
+        assert np.array_equal(gz_map(B, basis="charpoly").values, want)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_strongly_regular_equals_the_per_generator_loop(self, n):
+        rng = np.random.default_rng([n, 40])
+        for _ in range(4):
+            B = circular(rng, n)
+            split = B.copy()  # b (+) B': the first basis vector split off
+            split[0, 1:] = split[1:, 0] = 0.0
+            for M in (B, split):
+                assert strongly_regular(M) == loop_strongly_regular(M)
+        assert strongly_regular(np.zeros((n, n))) == loop_strongly_regular(np.zeros((n, n)))
+        diagonal = np.diag(rng.normal(size=n) + 1j * rng.normal(size=n))
+        assert strongly_regular(diagonal) == loop_strongly_regular(diagonal)
+
+    def test_split_matrix_is_not_strongly_regular(self):
+        B = circular(np.random.default_rng(5), 12)
+        B[0, 1:] = B[1:, 0] = 0.0
+        assert strongly_regular(B) == (False, 55)
+
+
+def chained_polys(tol, walk, shares, degrees, lead=1.0):
+    """Polys of the given degrees, leading coefficient ``lead``, whose roots chain
+    about tol apart and are shared with the previous poly where ``shares`` says so."""
+    pool, z = [], 0j
+    for step, angle, jump in walk:
+        if jump:
+            z = complex(3 * np.cos(7 * angle), 3 * np.sin(3 * angle))
+        else:
+            z = z + step * tol * np.exp(1j * angle)
+        pool.append(z)
+    pool = iter(pool * (1 + sum(degrees)))
+    flags = iter(shares * (1 + sum(degrees)))
+    polys, prev = [], []
+    for d in degrees:
+        rs = [prev.pop() if prev and next(flags) else next(pool) for _ in range(d)]
+        polys.append(lead * poly_from_roots(rs) if d else np.array([2.0 + 0j]))
+        prev = list(rs)
+    return polys
+
+
+WALKS = st.lists(
+    st.tuples(st.sampled_from([0.0, 0.5, 1.0, 2.0]), st.floats(0.0, 6.3), st.booleans()),
+    min_size=1, max_size=12,
+)
+
+
+class TestRootCountOracles:
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(tol=st.sampled_from([None, 1e-3, 0.27]), walk=WALKS,
+           shares=st.lists(st.booleans(), min_size=1, max_size=8), n=st.integers(1, 6),
+           lead=st.sampled_from([1.0, 1.0 + 5e-10, 1.0 - 3e-10j]))
+    def test_matrices_mode_equals_the_loops(self, tol, walk, shares, n, lead):
+        # a leading coefficient within 1e-9 of 1 passes as monic; roots are normalised by it
+        polys = chained_polys(tol or 1e-8, walk, shares, range(1, n + 1), lead)
+        data = fiber_orbit_data(polys, mode="matrices", tol=tol)
+        assert data == loop_fiber_orbit_data(polys, "matrices", tol)
+        assert all(type(x) is int for x in data.t_per_root + data.s_per_root)
+        sig = stratum_signature(polys, tol=tol)
+        assert sig == loop_stratum_signature(polys, tol)
+        assert all(type(x) is int for mult in sig.multiplicities for x in mult)
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(tol=st.sampled_from([None, 0.27]), walk=WALKS,
+           shares=st.lists(st.booleans(), min_size=1, max_size=8),
+           degrees=st.lists(st.integers(0, 3), min_size=1, max_size=5))
+    def test_rational_maps_mode_equals_the_loops(self, tol, walk, shares, degrees):
+        # degree-0 polynomials have no roots; all of degree 0 leave no counts
+        polys = chained_polys(tol or 1e-8, walk, shares, degrees)
+        data = fiber_orbit_data(polys, mode="rational-maps", tol=tol)
+        assert data == loop_fiber_orbit_data(polys, "rational-maps", tol)
+        assert stratum_signature(polys, tol=tol) == loop_stratum_signature(polys, tol)
+
+    def test_only_constants_leave_no_roots(self):
+        polys = [np.array([2.0 + 0j]), np.array([1.0 + 0j])]
+        data = fiber_orbit_data(polys, mode="rational-maps")
+        assert data == loop_fiber_orbit_data(polys, "rational-maps", None)
+        assert (data.t, data.s, data.roots, data.t_per_root) == (0, 0, (), ())
+        assert stratum_signature(polys).multiplicities == ()
