@@ -12,7 +12,7 @@ Subpackages:
   orbit enumeration on the zero fiber, and open-stratum chart brackets;
 * :mod:`gzflows.lax` -- Lax-equation integration and the regular gauge
   fixing;
-* :mod:`gzflows.verify` -- finite-difference gradients, Poisson brackets,
+* :mod:`gzflows.verify` -- finite-difference gradients, Poisson charts
   and defect measurements;
 * :mod:`gzflows.serialize` -- JSON codecs: a complex array of any rank is
   nested lists of JSON numbers with ``[re, im]`` pairs innermost;
@@ -65,11 +65,6 @@ from .spaces import (
     vn_iso,
     vn_validate,
 )
-from .verify import (
-    commute_defect,
-    conservation_defect,
-    fd_gradient,
-    lie_poisson_bracket,
-)
+from .verify import commute_defect, conservation_defect, fd_gradient
 
 __version__ = "0.1.0"

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ToleranceError, ValidationError
 from .matpoly import (
     CLUSTER_TOL,
     _clusters,
@@ -183,8 +183,14 @@ def flow_factor(B: np.ndarray, m: int, i: int, z: complex) -> np.ndarray:
 
 
 def _flow_step(B: np.ndarray, m: int, i: int, z: complex) -> tuple[np.ndarray, np.ndarray]:
-    """(h, h B h^-1) for one index; for m = n, h is a polynomial in B and B is returned."""
-    h = flow_factor(B, m, i, z)
+    """(h, h B h^-1) for one index; for m = n, h is a polynomial in B and B is returned.
+
+    A flow factor that overflows is a numerical failure.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = flow_factor(B, m, i, z)
+    if not np.isfinite(h).all():
+        raise ToleranceError(f"flow factor for (m, i) = ({m}, {i}) overflowed")
     return h, (B if m == B.shape[0] else h @ B @ np.linalg.inv(h))
 
 

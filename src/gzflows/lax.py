@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ToleranceError, ValidationError
-from .matpoly import _check_square, as_matrix, charpoly
+from .matpoly import _check_square, charpoly
 
 __all__ = [
     "LaxPath",
@@ -34,7 +34,11 @@ _CONDITION_LIMIT = 1e12
 
 @dataclass
 class LaxPath:
-    """Sampled pair (alpha(t), beta(t)) on a strictly increasing uniform grid."""
+    """Sampled pair (alpha(t), beta(t)) on a strictly increasing uniform grid.
+
+    alpha and beta hold one (n, n) sample per grid time, shape (N, n, n),
+    or a stack of S such paths on the one grid, shape (S, N, n, n).
+    """
 
     grid: np.ndarray
     alpha: np.ndarray
@@ -57,9 +61,17 @@ class LaxPath:
             raise ValueError("grid must be uniform")
         n = self.alpha.shape[-1]
         want = (self.grid.size, n, n)
-        if self.alpha.shape != want or self.beta.shape != want:
+        shape = self.alpha.shape
+        if len(shape) not in (3, 4) or shape[-3:] != want or self.beta.shape != shape:
             raise ValueError("alpha and beta must be square and match the grid")
         return self
+
+
+def _one_path(path: LaxPath) -> LaxPath:
+    """The path itself if it holds one path; a stacked path is refused."""
+    if path.beta.ndim == 4:
+        raise ValueError(f"expected one path, got a stack of {path.beta.shape[0]}")
+    return path
 
 
 @dataclass
@@ -93,7 +105,11 @@ def _diff4(values: np.ndarray, h: float) -> np.ndarray:
 
 
 def _rk4(y, rhs, starts, mids, ends, h: float) -> np.ndarray:
-    """Classical RK4 for y' = rhs(y, a(t)), a given at each step's start, midpoint and end."""
+    """Classical RK4 for y' = rhs(y, a(t)), a given at each step's start, midpoint and end.
+
+    A stack y of S matrices steps all S at once; the samples come back
+    on the axis before the matrix axes, shape ([S,] N, n, n).
+    """
     ys = [y]
     for a0, am, a1 in zip(starts, mids, ends):
         k1 = rhs(y, a0)
@@ -102,16 +118,25 @@ def _rk4(y, rhs, starts, mids, ends, h: float) -> np.ndarray:
         k4 = rhs(y + h * k3, a1)
         y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         ys.append(y)
-    return np.array(ys)
+    return np.stack(ys, axis=-3)
 
 
 def lax_integrate(alpha_fn, beta_start, t_start: float, t_end: float, steps: int) -> LaxPath:
-    """Integrate the Lax equation with classical RK4 on a uniform grid."""
+    """Integrate the Lax equation with classical RK4 on a uniform grid.
+
+    ``beta_start`` is one (n, n) start or a stack (S, n, n) of S starts.
+    ``alpha_fn(t)`` returns one (n, n) alpha, shared by every start, or a
+    stack shaped like ``beta_start``.  A stack runs all S paths in the one
+    RK4 loop, each with the bits it gets alone, and gives a stacked path.
+    """
     if not t_start < t_end:
         raise ValueError("need t_start < t_end")
     if steps < 1:
         raise ValueError("need at least one step")
-    beta = as_matrix(beta_start)
+    beta = _check_square(np.asarray(beta_start, dtype=complex))
+    if beta.ndim not in (2, 3):
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {beta.shape}")
+    n = beta.shape[-1]
     h = (t_end - t_start) / steps
     grid = t_start + h * np.arange(steps + 1)
     grid[-1] = t_end
@@ -119,23 +144,25 @@ def lax_integrate(alpha_fn, beta_start, t_start: float, t_end: float, steps: int
     # stack (t + h need not equal grid[j + 1] bit for bit)
     times = np.concatenate([grid, grid[:-1] + h / 2, grid[:-1] + h])
     stack = np.array([alpha_fn(t) for t in times], dtype=complex)
-    if stack.ndim != 3:
-        raise ValueError(f"expected square alpha matrices, got shape {stack.shape[1:]}")
+    if stack.shape[1:] not in ((n, n), beta.shape):
+        raise ValueError(f"expected square alpha matrices like beta, got shape {stack.shape[1:]}")
     _check_square(stack)
     alphas, mids, ends = np.split(stack, [steps + 1, 2 * steps + 1])
     # an overflow leaves non-finite samples, which are refused below
     with np.errstate(over="ignore", invalid="ignore"):
         betas = _rk4(beta, _commutator, alphas, mids, ends, h)
-    finite = np.isfinite(betas).all(axis=(1, 2))
+    finite = np.isfinite(betas).reshape(-1, grid.size, n * n).all(axis=(0, 2))
     if not finite.all():
         t = grid[np.argmin(finite)]
         raise ToleranceError(f"integration overflowed (not finite at t = {t:.6g})")
-    return LaxPath(grid=grid, alpha=alphas, beta=betas).validate()
+    # the grid axis of alpha goes behind the sample axis, as in beta
+    alpha = np.broadcast_to(np.moveaxis(alphas, 0, -3), betas.shape).copy()
+    return LaxPath(grid=grid, alpha=alpha, beta=betas).validate()
 
 
 def lax_residual(path: LaxPath) -> float:
     """Max grid defect of d(beta)/dt - [beta, alpha], relative to (1 + |beta|); NaN stays NaN."""
-    path.validate()
+    _one_path(path).validate()
     h = float(path.grid[1] - path.grid[0])
     defects = _diff4(path.beta, h) - _commutator(path.beta, path.alpha)
     # one norm per sample: a norm over axes rounds differently; an overflow gives NaN
@@ -145,10 +172,14 @@ def lax_residual(path: LaxPath) -> float:
         ]))
 
 
-def isospectral_drift(path: LaxPath) -> float:
-    """Max coefficient drift of charpoly(beta(t)) from its initial value."""
+def isospectral_drift(path: LaxPath) -> float | np.ndarray:
+    """Max coefficient drift of charpoly(beta(t)) from its initial value.
+
+    A float for one path; for a stacked path, the (S,) array of each path's drift.
+    """
     coeffs = charpoly(path.beta)
-    return float(np.max(np.abs(coeffs[1:] - coeffs[0]), initial=0.0))
+    drift = np.abs(coeffs[..., 1:, :] - coeffs[..., :1, :])
+    return np.max(drift, axis=(-2, -1), initial=0.0)
 
 
 def gauge_apply(g_path, path: LaxPath) -> LaxPath:
@@ -157,7 +188,7 @@ def gauge_apply(g_path, path: LaxPath) -> LaxPath:
     ``g_path`` is sampled on the same grid; its time derivative is taken by
     the grid stencils, so solutions map to solutions up to discretization.
     """
-    path.validate()
+    _one_path(path).validate()
     g = np.asarray(g_path, dtype=complex)
     if g.shape != path.alpha.shape:
         raise ValueError("gauge samples must match the path grid and size")
@@ -192,7 +223,7 @@ def gauge_fix_regular(path: LaxPath, residual_tol: float = 1e-3) -> GaugeFixResu
     space with regular behavior at both ends.  Rejects paths whose Lax
     residual is large or NaN, and reports condition blowup or overflow of g.
     """
-    path.validate()
+    _one_path(path).validate()
     resid = lax_residual(path)
     if not resid <= residual_tol:
         raise ValidationError(
@@ -236,7 +267,7 @@ def lax_symplectic(path: LaxPath, tangent1, tangent2) -> complex:
 
     Tangents are (dalpha, dbeta) arrays sampled on the path grid.
     """
-    path.validate()
+    _one_path(path).validate()
     da1, db1 = (np.asarray(t, dtype=complex) for t in tangent1)
     da2, db2 = (np.asarray(t, dtype=complex) for t in tangent2)
     for arr in (da1, db1, da2, db2):

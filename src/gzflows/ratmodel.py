@@ -741,13 +741,18 @@ def chart_bracket(chart: OpenStratumChart, f, g, step: float | None = None) -> c
     N = chart.size
     df = fd_gradient(f, x, step=step)
     dg = fd_gradient(g, x, step=step)
-    return _chart_pairing(x[N:], df, dg)
+    return complex(_chart_pairing(x[N:], df, dg))
 
 
-def _chart_pairing(rho: np.ndarray, df: np.ndarray, dg: np.ndarray) -> complex:
-    """{f, g} from flat gradients (poles first, then residues) at residues rho."""
+def _chart_pairing(rho: np.ndarray, df: np.ndarray, dg: np.ndarray) -> np.ndarray:
+    """{f, g} from flat gradients (poles first, then residues) at residues rho.
+
+    Leading axes of the gradients broadcast: stacks give the stack of brackets.
+    """
     N = rho.size
-    return complex(np.sum(rho * (df[N:] * dg[:N] - df[:N] * dg[N:])))
+    terms = df[..., N:] * dg[..., :N] - df[..., :N] * dg[..., N:]
+    # rho at the full shape: a broadcast size-1 rho takes another multiply kernel
+    return np.sum(np.broadcast_to(rho, terms.shape).copy() * terms, axis=-1)
 
 
 def chart_as_poisson_chart(chart: OpenStratumChart) -> Chart:

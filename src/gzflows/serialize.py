@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import InputError, ToleranceError
 from .gzcore import GZCoordinates, StratumSignature
-from .lax import LaxPath
+from .lax import LaxPath, _one_path
 from .ratmodel import MatricialData
 
 __all__ = [
@@ -118,6 +118,7 @@ def decode_matricial(obj) -> MatricialData:
 
 
 def encode_lax_path(path: LaxPath) -> dict:
+    _one_path(path)
     return {
         "grid": path.grid,
         "alpha": encode_array(path.alpha),

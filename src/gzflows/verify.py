@@ -1,4 +1,4 @@
-"""Generic numerical verification: finite differences, Poisson brackets, defects.
+"""Generic numerical verification: finite differences, Poisson charts, defects.
 
 This module measures defects; it proves nothing.  Gradients of holomorphic
 functions are taken by central differences in the real and imaginary
@@ -14,16 +14,11 @@ from typing import Callable
 import numpy as np
 
 from .errors import ValidationError
-from .matpoly import as_matrix
 
 __all__ = [
     "DEFAULT_STEP",
     "Chart",
     "fd_gradient",
-    "matrix_gradient",
-    "poisson_bracket",
-    "lie_poisson_bracket",
-    "lie_poisson_chart",
     "commute_defect",
     "conservation_defect",
     "report",
@@ -60,70 +55,29 @@ class Chart:
 
 
 def fd_gradient(f, x, step: float | None = None) -> np.ndarray:
-    """O(h^2) gradient of f at the flat complex point x.
+    """O(h^2) gradient of f at the flat complex point x of dimension d.
 
     Each coordinate is probed along the real and the imaginary axis with a
     step scaled by (1 + |x_j|); the Wirtinger combination (d_re - i*d_im)/2
     is returned, which is the complex derivative when f is holomorphic.
+    A scalar f gives its (d,) gradient.  A vector-valued f of shape (k,)
+    gives its (k, d) Jacobian from the same 4d evaluations; row l is the
+    gradient that component l alone would give, bit for bit.
     """
     x = np.asarray(x, dtype=complex).reshape(-1)
     base = DEFAULT_STEP if step is None else step
-    grad = np.empty(x.size, dtype=complex)
+    columns = []
     for j in range(x.size):
         h = base * (1.0 + abs(x[j]))
         e = np.zeros(x.size, dtype=complex)
         e[j] = h
         d_re = (f(x + e) - f(x - e)) / (2.0 * h)
         d_im = (f(x + 1j * e) - f(x - 1j * e)) / (2.0 * h)
-        grad[j] = (d_re - 1j * d_im) / 2.0
+        columns.append((d_re - 1j * d_im) / 2.0)
+    grad = np.ascontiguousarray(np.array(columns, dtype=complex).T)
     if not np.all(np.isfinite(grad)):
         raise ValidationError("non-finite values in finite-difference gradient")
     return grad
-
-
-def poisson_bracket(chart: Chart, f, g, x, step: float | None = None) -> complex:
-    """{f, g} at x from the chart tensor with finite-difference gradients."""
-    x = np.asarray(x, dtype=complex).reshape(-1)
-    pi = chart.tensor_at(x)
-    df = fd_gradient(f, x, step=step)
-    dg = fd_gradient(g, x, step=step)
-    return complex(df @ pi @ dg)
-
-
-def matrix_gradient(f, B, step: float | None = None) -> np.ndarray:
-    """Trace-pairing gradient of a matrix function: df(D) = tr(grad @ D)."""
-    B = as_matrix(B)
-    n = B.shape[0]
-    flat = fd_gradient(lambda x: f(x.reshape(n, n)), B.reshape(-1), step=step)
-    return flat.reshape(n, n).T
-
-
-def lie_poisson_bracket(f, g, B, step: float | None = None) -> complex:
-    """{f, g}(B) = tr(B [grad f, grad g]) with trace-pairing gradients.
-
-    The sign makes the flow of tr(minor(B, m)**i) / i the conjugation flow
-    used by :func:`gzflows.gzcore.gz_flow`, with dF/dt = {F, H}.
-    """
-    B = as_matrix(B)
-    gf = matrix_gradient(f, B, step)
-    gg = matrix_gradient(g, B, step)
-    return complex(np.trace(B @ (gf @ gg - gg @ gf)))
-
-
-def lie_poisson_chart(n: int) -> Chart:
-    """Entry-coordinate chart of gl(n,C) with the Lie-Poisson tensor.
-
-    Coordinates are the matrix entries, row major; the tensor realizes
-    {B_ab, B_cd} = delta_ad B_cb - delta_cb B_ad.
-    """
-    names = tuple(f"B{a + 1}{b + 1}" for a in range(n) for b in range(n))
-
-    def tensor(x: np.ndarray) -> np.ndarray:
-        # the second term is the first with (a, b) and (c, d) swapped
-        first = np.einsum("ad,cb->abcd", np.eye(n), x.reshape(n, n)).reshape(n * n, n * n)
-        return first - first.T
-
-    return Chart(names=names, poisson_tensor=tensor)
 
 
 def commute_defect(flow1, flow2, x) -> float:

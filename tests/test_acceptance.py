@@ -39,12 +39,8 @@ from gzflows.ratmodel import (
     sigma_of,
 )
 from gzflows.spaces import cotangent_validate, tgl_flow
-from gzflows.verify import (
-    commute_defect,
-    conservation_defect,
-    lie_poisson_bracket,
-    poisson_bracket,
-)
+from gzflows.verify import commute_defect, conservation_defect
+from oracles import lie_poisson_bracket, poisson_bracket
 
 _MODULE_START = time.monotonic()
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from gzflows import ratmodel, serialize, verify
+from gzflows import gzcore, ratmodel, serialize, verify
 from gzflows.cli import HANDLERS, run
 from gzflows.errors import InputError, ToleranceError
 from gzflows.matpoly import poly_from_roots
@@ -356,10 +357,10 @@ class TestVerificationCommands:
         return calls
 
     def test_kw_check_takes_one_fd_gradient_per_function(self, capsys, monkeypatch):
-        # n=3 has N=6 poles: 2N functions q_l, 1/rho_l per sample
+        # one Jacobian per sample for each family: (q_l) = y[:N] and (1 / rho_l)
         calls = self.count_fd_gradients(monkeypatch)
         call_json(capsys, "kw-check", "--input", '{"n": 3}', "--samples", "2")
-        assert len(calls) == 2 * 2 * 6
+        assert len(calls) == 2 * 2
 
     def test_bracket_table_takes_no_fd_gradient(self, capsys, monkeypatch):
         calls = self.count_fd_gradients(monkeypatch)
@@ -371,6 +372,99 @@ class TestVerificationCommands:
         code, out, _ = call(capsys, "kw-check", "--input", '{"n": 3}', "--samples", "2", "--seed", "7")
         assert code == 0
         assert out == KW_CHECK_N3_SAMPLES2_SEED7
+
+    def test_verify_suite_nan_commute_defect_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr(verify, "commute_defect", lambda *a: float("nan"))
+        code, out, err = call(capsys, "verify-suite", "--input", '{"n": 2}', "--samples", "2")
+        assert code == 3 and "numerical failure" in err
+
+    def test_bracket_table_nan_gradient_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr(gzcore, "_padded_minor_power", lambda B, m, i: np.full(B.shape, np.nan))
+        code, out, err = call(capsys, "bracket-table", "--input", '{"n": 3}', "--samples", "2")
+        assert code == 3 and "numerical failure" in err
+
+    def test_kw_check_nan_pairing_fails(self, capsys, monkeypatch):
+        pairing = ratmodel._chart_pairing
+        monkeypatch.setattr(ratmodel, "_chart_pairing", lambda *a: np.nan * pairing(*a))
+        code, out, err = call(capsys, "kw-check", "--input", '{"n": 2}', "--samples", "2")
+        assert code == 3 and "numerical failure" in err
+
+    def test_kw_check_nan_relation_fails(self, capsys, monkeypatch):
+        # pairings come as {q_l, 1/rho_m}, {q_l, q_m}, {1/rho_l, 1/rho_m}: NaN in
+        # the last two reaches kw-relations alone, not the cross-check
+        pairing, calls = ratmodel._chart_pairing, []
+
+        def patched(*args):
+            calls.append(args)
+            return pairing(*args) * (1.0 if len(calls) % 3 == 1 else np.nan)
+
+        monkeypatch.setattr(ratmodel, "_chart_pairing", patched)
+        code, out, err = call(capsys, "kw-check", "--input", '{"n": 2}', "--samples", "2")
+        assert code == 3 and "numerical failure" in err
+
+
+# sha256 of stdout and the exit code of each (subcommand, n, samples, seed,
+# tol), recorded when every sample, pair and path was checked on its own
+VERIFICATION_BYTES = {
+    ("verify-suite", 2, 1, 0, None): ("4849471b2b8385dfb4bfda1acd9f2024151cd2d2f84608a21a37c93e094cedf4", 0),
+    ("verify-suite", 2, 1, 1000, None): ("a2071ad3114a3443cc06d4a30f429763c2cfe7e640c8107e73456d72138127f2", 0),
+    ("verify-suite", 2, 3, 0, None): ("d4fbad6069bb0d9c645eae30aa46ef2f3e96c0f7cacef1dbc4a6c9c7398ceb6d", 0),
+    ("verify-suite", 2, 3, 1000, None): ("c85c18916e9b1903034c1f642951d4f08d94cd02f06b5fbfdb5d4b5190309118", 0),
+    ("verify-suite", 2, 12, 0, None): ("5bac15c6ceb75e9da5e6a07c87d95b26fe031fad4d7d6a8e7134e49a8cac99e9", 0),
+    ("verify-suite", 2, 12, 1000, None): ("0ff4d8645823e09c9095dae57bbe17cf9b85d0efdc6cb7ec623d662bb4edde30", 0),
+    ("verify-suite", 3, 1, 0, None): ("fd1cbcb2e0c1919b0fbf14e643c1a278e6283f8d95ef453ca42b8879eee914b6", 0),
+    ("verify-suite", 3, 1, 1000, None): ("55ee79e032b0e7ff67c17809ecbe4d62a926d1fcde1e1fcd8b4c9f45d22ef5c4", 0),
+    ("verify-suite", 3, 3, 0, None): ("590172cb01795571108fa9862a33cf7ee27585df40ec0bd70ef9aa1094dbde17", 0),
+    ("verify-suite", 3, 3, 1000, None): ("44ae6eb94eb6156128578f71eab84d899e0592c8fb34f16fb6e6bba7d47a4944", 0),
+    ("verify-suite", 3, 12, 0, None): ("a8dafe8cefc309392d5cb59a1023efff789a96964dc9cb6fe96d9c94b4896117", 0),
+    ("verify-suite", 3, 12, 1000, None): ("425de5180733bf36f16a20c34aed1d987a6a2f3d8f124fe0516aab4701adc23d", 0),
+    ("verify-suite", 4, 1, 0, None): ("f72678f429d657429a66eff2aa0cb433da5e91d483e6bac0fa15acce2fb2c305", 0),
+    ("verify-suite", 4, 1, 1000, None): ("bd13cb2a0e67dc391267b9019a59b92c2e662b17c71c6ea43694c734d02c7991", 0),
+    ("verify-suite", 4, 3, 0, None): ("daa4317aa6b49809857d11d476415dcfd0e980125c670ed8d1ffbd94def0844e", 0),
+    ("verify-suite", 4, 3, 1000, None): ("2dd4b03e7bba874580b48266307031c7ded962e6747b74cdca981e3a85f4ea15", 0),
+    ("verify-suite", 4, 12, 0, None): ("9ddfe4435b68fef87b7c71880806649154e3dcbd8ef33b46792b35f1889511e0", 0),
+    ("verify-suite", 4, 12, 1000, None): ("349a37c4cc6036855be2d53bd7c3cf169061dfa1c2c9a0453a71a8c3edceeb0a", 0),
+    ("kw-check", 1, 1, 0, None): ("594c97bbeb1de00367fd689a43b3c4447ea55487cbf1a72295592f5ed01b66ae", 0),
+    ("kw-check", 1, 1, 4007, None): ("6fa0271aaf30751df4f712229fd8d9e709d8cdda7d1fae92804c6be660be91d0", 0),
+    ("kw-check", 1, 4, 0, None): ("18021d07a6f834073d1accdc4df53f2672a77a41466ca330ef8724599c00581b", 0),
+    ("kw-check", 1, 4, 4007, None): ("4b7cd8f7ece0b84b3e10cd63f97851dc43726753d19fb28ad77d38a9f28419bf", 0),
+    ("kw-check", 2, 1, 0, None): ("32169922e5be3658ce57baca3a9731c85d8230632e6749cce3329a4cf57f716d", 0),
+    ("kw-check", 2, 1, 4007, None): ("aa4ec314f0f2ace71c54990a9c8d4a0ae37c7401f5113f7526bfe94955db219b", 0),
+    ("kw-check", 2, 4, 0, None): ("6cf490c3ff93b624905cf41b7d69252af5a9c19bde9344a8de0b40bfdb45627b", 0),
+    ("kw-check", 2, 4, 4007, None): ("3d579c8baa78819b19635c562c3d074c5d7b98a86e75c36b7797f34c37577464", 0),
+    ("kw-check", 3, 1, 0, None): ("05226c91f4132a0441e3ca69d76f246abd665105b7fe63524583084d53f1aea5", 0),
+    ("kw-check", 3, 1, 4007, None): ("5ebf9c48fe434623d7a96e86e539ae261b2d0b38e6c60e4efecc07a0a8fedbf6", 0),
+    ("kw-check", 3, 4, 0, None): ("58a3771fabe1d64167d6631198016f9fffa072609d9d8c32efc67f83aaf05f7b", 0),
+    ("kw-check", 3, 4, 4007, None): ("8ef2138cdf52ad52c66b71a274db3fa03a51e6d9f6de4e7ff606a57fcbde5e17", 0),
+    ("kw-check", 4, 2, 0, None): ("5275876dd192705cae23198c1268447441a1f7b1646ded64a0270e946ff4f6ce", 0),
+    ("bracket-table", 1, 1, 0, None): ("4d032da02ff2a8ea2a8707fcaedd32497e52b05202baac8bf6fc4956894d83d2", 0),
+    ("bracket-table", 1, 1, 4007, None): ("4d032da02ff2a8ea2a8707fcaedd32497e52b05202baac8bf6fc4956894d83d2", 0),
+    ("bracket-table", 1, 7, 0, None): ("f5f6ce49274b29439797c2eb3331baaf781e243f08d999c21d999729c7961584", 0),
+    ("bracket-table", 1, 7, 4007, None): ("f5f6ce49274b29439797c2eb3331baaf781e243f08d999c21d999729c7961584", 0),
+    ("bracket-table", 2, 1, 0, None): ("4d032da02ff2a8ea2a8707fcaedd32497e52b05202baac8bf6fc4956894d83d2", 0),
+    ("bracket-table", 2, 1, 4007, None): ("4d032da02ff2a8ea2a8707fcaedd32497e52b05202baac8bf6fc4956894d83d2", 0),
+    ("bracket-table", 2, 7, 0, None): ("cf1dac473f07565fdc76bb47bf17dea8842de2c136ed790a3977008cbd7e6921", 0),
+    ("bracket-table", 2, 7, 4007, None): ("a583ebe24a2ca3ed7787dda29b11798a2197a2ae7fd7e5fc4e7916b615571dd1", 0),
+    ("bracket-table", 5, 1, 0, None): ("404daf20ca6b0b3e41bc2b07a6165d75ac5a610751dcc122e9d1887b94fede11", 0),
+    ("bracket-table", 5, 1, 4007, None): ("d5dd4d55a7e320dc993779e74b3791512f0844c8da50ad1af6f683820f5fe43c", 0),
+    ("bracket-table", 5, 7, 0, None): ("f1d25f7ddc72661fecf2f7dc0f6468148bf70cd6b2a322bb490a1df1cebb17d5", 0),
+    ("bracket-table", 5, 7, 4007, None): ("578ff4c152970750dc2522627654bbe8cacd734b7e31461edc362a781d851803", 0),
+    ("bracket-table", 8, 1, 0, None): ("9353facebcda9b4635bb9ec92ee604f9134c617f6251fb2ac5b910a8720ac6f0", 0),
+    ("bracket-table", 8, 1, 4007, None): ("f0391a33be26bbd7f0400a0f31415ef8a851c20f57690a7a080a12b845cf2f65", 0),
+    ("bracket-table", 8, 7, 0, None): ("7ff89765ecbb9997573e4c40f954d8356f4381291a23b38614a35d88e27a51ba", 0),
+    ("bracket-table", 8, 7, 4007, None): ("1bd9b47992bff9e2ebd2dbc7ea88e3e4a028f55779dd8980e858f7ce387420d0", 0),
+    ("bracket-table", 4, 2, 0, "1e-300"): ("2798dd92c098c104aa5204341c4557a0c917c7834f98d863bdfa2fe3e48763d5", 3),
+    ("kw-check", 2, 2, 0, "1e-300"): ("4fb95b6cff7d7d766018b8fcc669f4fa4ebbb433258fbf70e578ce2a9013f42a", 3),
+    ("verify-suite", 3, 2, 0, "1e-300"): ("6e10c75f5930b1e0896f3f4035865d9fd3f8f2376a2de325fb42889824f67720", 3),
+}
+
+
+@pytest.mark.parametrize("key", list(VERIFICATION_BYTES), ids=lambda k: "-".join(map(str, k)))
+def test_verification_bytes(capsys, key):
+    cmd, n, samples, seed, tol = key
+    argv = [cmd, "--input", json.dumps({"n": n}), "--samples", str(samples), "--seed", str(seed)]
+    code, out, _ = call(capsys, *argv, *(["--tol", tol] if tol else []))
+    assert (hashlib.sha256(out.encode()).hexdigest(), code) == VERIFICATION_BYTES[key]
 
 
 # entries whose power sums overflow: tr(B^2) = 2e400
@@ -409,6 +503,15 @@ def overflowing_lax_run(steps):
     })
 
 
+def overflowing_composite_flow(seed):
+    # entries U(-1, 1) + iU(-1, 1), not normalised: exp(0.3 B_m^(i-1)) overflows for large i
+    rng = np.random.default_rng(seed)
+    n = 12
+    B = rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n))
+    flows = [{"m": m, "i": i, "z": [0.3, 0]} for m in range(1, n) for i in range(1, m + 1)]
+    return json.dumps({"matrix": serialize.encode_array(B).tolist(), "flows": flows})
+
+
 class TestQuietOverflow:
     """A request that overflows exits 3 with the CLI's one line on stderr, no numpy warnings."""
 
@@ -434,6 +537,12 @@ class TestQuietOverflow:
     def test_lax_run_overflow_3_in_process(self, capsys, steps):
         code, out, err = call(capsys, "lax-run", "--input", overflowing_lax_run(steps))
         assert code == 3 and out == "" and err.startswith("numerical failure: ")
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_composite_gz_flow_overflow_3(self, seed):
+        code, out, err = run_fresh("gz-flow", "--input", overflowing_composite_flow(seed))
+        assert (code, out) == (3, "") and err.count("\n") == 1
+        assert err.startswith("numerical failure: flow factor for (m, i) = (")
 
 
 def _requests(tmp_path):

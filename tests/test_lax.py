@@ -382,3 +382,95 @@ class TestNonFinitePaths:
             gauge_fix_regular(path)
         assert info.value.defect == first
         assert f"condition {first:.3e}" in str(info.value)
+
+
+def random_stack(rng, S, n):
+    return np.array([random_matrix(rng, n) for _ in range(S)])
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+class TestSampleAxis:
+    """A stack of S starts runs in the one RK4 loop and gives each path its own bits."""
+
+    def test_stacked_integrate_equals_separate_calls(self, n):
+        rng = np.random.default_rng(n)
+        for S in range(1, 11):
+            alphas, betas = random_stack(rng, S, n), random_stack(rng, S, n)
+            path = lax_integrate(lambda t: alphas, betas, 0.0, 1.0, 40)
+            assert path.alpha.shape == path.beta.shape == (S, 41, n, n)
+            for a, b, pa, pb in zip(alphas, betas, path.alpha, path.beta):
+                one = lax_integrate(lambda t: a, b, 0.0, 1.0, 40)
+                assert np.array_equal(pb, one.beta) and np.array_equal(pa, one.alpha)
+                assert np.array_equal(path.grid, one.grid)
+
+    def test_shared_time_dependent_alpha(self, n):
+        rng = np.random.default_rng(100 + n)
+        A0, A1 = random_matrix(rng, n), random_matrix(rng, n)
+        alpha = lambda t: A0 + t * A1
+        betas = random_stack(rng, 3, n)
+        path = lax_integrate(alpha, betas, -0.5, 1.0, 30)
+        for start, a, b in zip(betas, path.alpha, path.beta):
+            one = lax_integrate(alpha, start, -0.5, 1.0, 30)
+            assert np.array_equal(b, one.beta) and np.array_equal(a, one.alpha)
+
+    def test_stacked_drift_is_each_paths_drift(self, n):
+        rng = np.random.default_rng(200 + n)
+        alphas, betas = random_stack(rng, 4, n), random_stack(rng, 4, n)
+        drift = isospectral_drift(lax_integrate(lambda t: alphas, betas, 0.0, 1.0, 25))
+        assert drift.shape == (4,)
+        for d, a, b in zip(drift, alphas, betas):
+            assert d == isospectral_drift(lax_integrate(lambda t: a, b, 0.0, 1.0, 25))
+
+
+def stacked_path():
+    rng = np.random.default_rng(0)
+    alphas, betas = random_stack(rng, 2, 3), random_stack(rng, 2, 3)
+    return lax_integrate(lambda t: alphas, betas, 0.0, 1.0, 20)
+
+
+class TestOnePathConsumers:
+    """Functions that take one path refuse a stack instead of misreading its axes."""
+
+    def test_residual(self):
+        with pytest.raises(ValueError, match="one path"):
+            lax_residual(stacked_path())
+
+    def test_gauge_apply(self):
+        path = stacked_path()
+        with pytest.raises(ValueError, match="one path"):
+            gauge_apply(np.broadcast_to(np.eye(3), path.alpha.shape), path)
+
+    def test_gauge_fix(self):
+        with pytest.raises(ValueError, match="one path"):
+            gauge_fix_regular(stacked_path())
+
+    def test_symplectic(self):
+        path = stacked_path()
+        tangent = (np.zeros_like(path.alpha), np.zeros_like(path.beta))
+        with pytest.raises(ValueError, match="one path"):
+            lax_symplectic(path, tangent, tangent)
+
+    def test_encode(self):
+        from gzflows.serialize import encode_lax_path
+
+        with pytest.raises(ValueError, match="one path"):
+            encode_lax_path(stacked_path())
+
+
+class TestSampleAxisInput:
+    def test_alpha_stack_must_match_beta_stack(self):
+        rng = np.random.default_rng(1)
+        alphas, betas = random_stack(rng, 2, 3), random_stack(rng, 3, 3)
+        with pytest.raises(ValueError, match="alpha matrices like beta"):
+            lax_integrate(lambda t: alphas, betas, 0.0, 1.0, 10)
+
+    def test_beta_of_rank_four_refused(self):
+        with pytest.raises(ValueError, match="stack"):
+            lax_integrate(lambda t: np.eye(2), np.zeros((1, 1, 2, 2)), 0.0, 1.0, 10)
+
+    def test_one_overflowing_path_fails_the_stack_at_its_first_time(self):
+        # the second path alone overflows at t = 0.62 with 200 steps
+        alphas = np.array([np.zeros((2, 2)), np.diag([800.0, -800.0])])
+        betas = np.array([np.eye(2), [[1.0, 2.0], [3.0, 4.0]]])
+        with pytest.raises(ToleranceError, match="not finite at t = 0.62"):
+            lax_integrate(lambda t: alphas, betas, 0.0, 1.0, 200)

@@ -5,6 +5,7 @@ from gzflows import ratmodel
 from gzflows.errors import ValidationError
 from gzflows.matpoly import companion_of, poly_from_roots
 from gzflows.ratmodel import (
+    _chart_pairing,
     MatricialData,
     MdTangent,
     ak_act,
@@ -25,7 +26,7 @@ from gzflows.ratmodel import (
     relinked_shift,
     sigma_of,
 )
-from gzflows.verify import poisson_bracket
+from oracles import poisson_bracket
 
 
 def scalar_pair_fixture(z1, z2, u, w, gamma1=1.0, gamma2=1.0):
@@ -586,6 +587,18 @@ class TestChartBracket:
                 direct = chart_bracket(chart, f, g)
                 inverted = poisson_bracket(cross, f, g, x)
                 assert abs(direct - inverted) < 1e-7
+
+    @pytest.mark.parametrize("N", range(1, 8))
+    def test_stacked_pairing_is_each_pairs_bits(self, N):
+        # N = 1 is the case where a broadcast rho would take another multiply kernel
+        rng = np.random.default_rng(N)
+        c = lambda *shape: rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        rho, df, dg = c(N), c(N, 2 * N), c(N, 2 * N)
+        stacked = _chart_pairing(rho, df[:, None], dg[None, :])
+        for l in range(N):
+            for m in range(N):
+                one = np.sum(rho * (df[l, N:] * dg[m, :N] - df[l, :N] * dg[m, N:]))
+                assert stacked[l, m] == one
 
     def test_coincident_poles_rejected(self):
         with pytest.raises(ValidationError):

@@ -6,17 +6,8 @@ from hypothesis.extra.numpy import arrays
 
 from gzflows.errors import ValidationError
 from gzflows.gzcore import _padded_minor_power, gz_flow, gz_indices, gz_map, gz_vector_field
-from gzflows.verify import (
-    Chart,
-    commute_defect,
-    conservation_defect,
-    fd_gradient,
-    lie_poisson_bracket,
-    lie_poisson_chart,
-    matrix_gradient,
-    poisson_bracket,
-    report,
-)
+from gzflows.verify import Chart, commute_defect, conservation_defect, fd_gradient, report
+from oracles import lie_poisson_bracket, lie_poisson_chart, matrix_gradient, poisson_bracket
 
 
 def random_matrix(rng, n, unit_norm=True):
@@ -238,3 +229,33 @@ class TestReport:
         assert ok["pass"] and ok["samples"] == 5
         bad = report("thing", 5, 1e-3, 1e-6)
         assert not bad["pass"]
+
+
+class TestVectorValuedFdGradient:
+    """A vector-valued f gives the Jacobian whose rows are the scalar gradients, bit for bit."""
+
+    @staticmethod
+    def family(y):
+        return np.array([y[0] * y[1], 1.0 / y[2], np.exp(y[0] - y[3]), y[1] ** 3, np.sum(y * y)])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rows_are_scalar_gradients(self, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-1, 1, 4) + 1j * rng.uniform(-1, 1, 4)
+        jac = fd_gradient(self.family, x)
+        assert jac.shape == (5, 4) and jac.flags.c_contiguous
+        for l in range(5):
+            assert np.array_equal(jac[l], fd_gradient(lambda y: self.family(y)[l], x))
+
+    def test_chart_families(self):
+        # the kw-check families: q_l = y[l] and 1 / rho_l
+        rng = np.random.default_rng(9)
+        N = 6
+        x = rng.uniform(-2, 2, 2 * N) + 1j * rng.uniform(-2, 2, 2 * N)
+        dq, ds = fd_gradient(lambda y: y[:N], x), fd_gradient(lambda y: 1.0 / y[N:], x)
+        for l in range(N):
+            assert np.array_equal(dq[l], fd_gradient(lambda y: y[l], x))
+            assert np.array_equal(ds[l], fd_gradient(lambda y: 1.0 / y[N + l], x))
+
+    def test_scalar_still_a_vector(self):
+        assert fd_gradient(lambda y: y[0] * y[1], np.ones(3, dtype=complex)).shape == (3,)
