@@ -24,6 +24,7 @@ from .matpoly import (
     CLUSTER_TOL,
     _clusters,
     _companion,
+    _powers,
     as_matrix,
     charpoly,
     is_monic,
@@ -139,21 +140,10 @@ def gz_map(B, basis: str = "tr-power") -> GZCoordinates:
     for m in range(1, n + 1):
         pos = m * (m - 1) // 2
         if basis == "tr-power":
-            values[pos : pos + m] = np.trace(_minor_powers(B, m)[1:], axis1=1, axis2=2)
+            values[pos : pos + m] = np.trace(_powers(B[:m, :m], m + 1)[1:], axis1=1, axis2=2)
         else:
             values[pos : pos + m] = charpoly(B[:m, :m])[:m]
     return GZCoordinates(n=n, basis=basis, values=values)
-
-
-def _minor_powers(B: np.ndarray, m: int) -> np.ndarray:
-    """I, B_m, ..., B_m**m for a checked B; an overflow leaves non-finite powers."""
-    minor = B[:m, :m]
-    P = np.empty((m + 1, m, m), dtype=complex)
-    P[0] = np.eye(m)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, m + 1):
-            np.matmul(P[k - 1], minor, out=P[k])
-    return P
 
 
 def _padded_minor_power(B: np.ndarray, m: int, i: int) -> np.ndarray:
@@ -225,6 +215,7 @@ def strongly_regular(B) -> tuple[bool, int]:
 
     One stacked commutator of B with the padded powers of each minor's power
     chain gives every generator; strongly regular iff their rank is maximal.
+    A generator that overflows is a numerical failure.
     """
     B = as_matrix(B)
     n = B.shape[0]
@@ -233,8 +224,12 @@ def strongly_regular(B) -> tuple[bool, int]:
         return True, 0
     P = np.zeros((target, n, n), dtype=complex)
     for m in range(1, n):
-        P[m * (m - 1) // 2 : m * (m + 1) // 2, :m, :m] = _minor_powers(B, m)[:m]
-    rank = numerical_rank((P @ B - B @ P).reshape(target, n * n))
+        P[m * (m - 1) // 2 : m * (m + 1) // 2, :m, :m] = _powers(B[:m, :m], m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        generators = (P @ B - B @ P).reshape(target, n * n)
+    if not np.isfinite(generators).all():
+        raise ToleranceError("a generator [pad(B_m**(i-1)), B] overflowed")
+    rank = numerical_rank(generators)
     return rank == target, rank
 
 

@@ -57,6 +57,19 @@ def _check_square(A: np.ndarray) -> np.ndarray:
     return A
 
 
+def _powers(A: np.ndarray, count: int) -> np.ndarray:
+    """I, A, ..., A**(count-1) as one stack, each power one product with A.
+
+    A is not re-checked; an overflow leaves non-finite powers without warnings.
+    """
+    P = np.empty((count,) + A.shape, dtype=complex)
+    P[0] = np.eye(A.shape[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, count):
+            np.matmul(P[k - 1], A, out=P[k])
+    return P
+
+
 def leading_minor(A, m: int) -> np.ndarray:
     """Upper-left m-by-m submatrix (rows and columns 1..m)."""
     A = as_matrix(A)
@@ -210,7 +223,7 @@ def poly_from_roots(rts) -> np.ndarray:
     return p
 
 
-def is_monic(p, tol: float = 0.0) -> bool:
+def is_monic(p, tol: float) -> bool:
     p = np.atleast_1d(np.asarray(p, dtype=complex))
     d = poly_degree(p)
     return d >= 0 and abs(p[d] - 1.0) <= tol

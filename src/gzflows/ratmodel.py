@@ -27,6 +27,7 @@ import numpy as np
 from .errors import ToleranceError, ValidationError
 from .matpoly import (
     _faddeev_leverrier,
+    _powers,
     as_matrix,
     charpoly,
     companion_of,
@@ -70,6 +71,8 @@ __all__ = [
 VALIDATE_TOL = 1e-8
 # Nonzero decisions in the sign classification, times (1 + data scale).
 NONZERO_RTOL = 1e-10
+# Open-stratum chart: pole separation (times 1 + max |pole|) and residue size.
+_OPEN_STRATUM_TOL = 1e-10
 
 
 @dataclass
@@ -217,6 +220,17 @@ def _minor_shapes(k: tuple[int, ...], i: int) -> tuple[int, int]:
     return min(left, k[i]), min(right, k[i])
 
 
+def _by_size(k: tuple[int, ...], j: int, a, b):
+    """(larger, smaller) from (item at B_plus[j], item at B_minus[j+1]), and back.
+
+    At a junction of unequal sizes the larger block is the generalized
+    companion carrying the smaller one as its X-block (tied sizes differ by
+    u w^T instead).  The swap is its own inverse, so the same call reads a
+    junction and fills one.
+    """
+    return (b, a) if k[j] < k[j + 1] else (a, b)
+
+
 def md_validate(F: MatricialData, tol: float = VALIDATE_TOL) -> MatricialData:
     """The one validity check of a model point; every violated bullet is reported.
 
@@ -251,18 +265,16 @@ def md_validate(F: MatricialData, tol: float = VALIDATE_TOL) -> MatricialData:
         violations += _pattern_violations(F.b_plus[i], m_plus, eff, f"B_plus[{i + 1}]")
     for j in range(n - 1):
         m = min(k[j], k[j + 1])
-        if k[j] > k[j + 1]:
-            gap = np.linalg.norm(F.b_plus[j][:m, :m] - F.b_minus[j + 1])
-            if gap > eff:
-                violations.append(f"matching: X-block of B_plus[{j + 1}] differs from B_minus[{j + 2}]")
-        elif k[j] < k[j + 1]:
-            gap = np.linalg.norm(F.b_minus[j + 1][:m, :m] - F.b_plus[j])
-            if gap > eff:
-                violations.append(f"matching: X-block of B_minus[{j + 2}] differs from B_plus[{j + 1}]")
-        else:
+        if k[j] == k[j + 1]:
             gap = np.linalg.norm(F.b_plus[j] - F.b_minus[j + 1] - np.outer(F.u[j], F.w[j]))
-            if gap > eff:
-                violations.append(f"matching: B_plus[{j + 1}] - B_minus[{j + 2}] is not u w^T")
+            fault = f"B_plus[{j + 1}] - B_minus[{j + 2}] is not u w^T"
+        else:
+            big, small = _by_size(k, j, F.b_plus[j], F.b_minus[j + 1])
+            gap = np.linalg.norm(big[:m, :m] - small)
+            big_label, small_label = _by_size(k, j, f"B_plus[{j + 1}]", f"B_minus[{j + 2}]")
+            fault = f"X-block of {big_label} differs from {small_label}"
+        if gap > eff:
+            violations.append(f"matching: {fault}")
     for i in range(n):
         if k[i] == 0:
             continue
@@ -351,11 +363,9 @@ def ak_act(F: MatricialData, params) -> MatricialData:
         if lam.size == 0 or not lam.any():
             continue
         deriv = np.zeros((F.k[i], F.k[i]), dtype=complex)
-        power = np.eye(F.k[i], dtype=complex)
-        for j, coeff in enumerate(lam, start=1):
-            deriv = deriv + j * coeff * power
-            power = power @ out.b_minus[i]
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+            for j, (coeff, power) in enumerate(zip(lam, _powers(out.b_minus[i], lam.size)), start=1):
+                deriv = deriv + j * coeff * power
             out.g[i] = matexp(deriv) @ out.g[i]
         if not np.all(np.isfinite(out.g[i])):
             raise ToleranceError(f"exp(p_{i + 1}'(B_minus[{i + 1}])) g[{i + 1}] overflows")
@@ -367,7 +377,7 @@ def polar(F: MatricialData) -> list[np.ndarray]:
     return [charpoly(B) for B in F.b_minus]
 
 
-def md_tangent_violations(F: MatricialData, t: MdTangent, tol: float = VALIDATE_TOL) -> list[str]:
+def md_tangent_violations(F: MatricialData, t: MdTangent) -> list[str]:
     """Linearized validity bullets for a tangent at F."""
     k = F.k
     n = F.n
@@ -379,7 +389,7 @@ def md_tangent_violations(F: MatricialData, t: MdTangent, tol: float = VALIDATE_
         )
     if not np.isfinite(scale):
         raise ValueError("tangent too large: its scale overflows")
-    eff = tol * scale
+    eff = VALIDATE_TOL * scale
     out: list[str] = []
     for i in range(n):
         m_minus, m_plus = _minor_shapes(k, i)
@@ -387,23 +397,19 @@ def md_tangent_violations(F: MatricialData, t: MdTangent, tol: float = VALIDATE_
             (t.d_b_minus[i], m_minus, f"dB_minus[{i + 1}]"),
             (t.d_b_plus[i], m_plus, f"dB_plus[{i + 1}]"),
         ):
-            mask, ones = _free_mask(k[i], m)
-            for pos in ones:
-                mask[pos] = False
-            off = np.abs(M[~mask])
+            off = np.abs(M[~_free_mask(k[i], m)[0]])
             if off.size and off.max() > eff:
                 out.append(f"tangent shape: {label} moves structural entries")
     for j in range(n - 1):
         m = min(k[j], k[j + 1])
-        if k[j] > k[j + 1]:
-            gap = np.linalg.norm(t.d_b_plus[j][:m, :m] - t.d_b_minus[j + 1])
-        elif k[j] < k[j + 1]:
-            gap = np.linalg.norm(t.d_b_minus[j + 1][:m, :m] - t.d_b_plus[j])
-        else:
+        if k[j] == k[j + 1]:
             gap = np.linalg.norm(
                 t.d_b_plus[j] - t.d_b_minus[j + 1]
                 - np.outer(t.d_u[j], F.w[j]) - np.outer(F.u[j], t.d_w[j])
             )
+        else:
+            big, small = _by_size(k, j, t.d_b_plus[j], t.d_b_minus[j + 1])
+            gap = np.linalg.norm(big[:m, :m] - small)
         if gap > eff:
             out.append(f"tangent matching violated at junction {j + 1}")
     for i in range(n):
@@ -421,8 +427,7 @@ def md_tangent_violations(F: MatricialData, t: MdTangent, tol: float = VALIDATE_
     return out
 
 
-def md_symplectic(F: MatricialData, t1: MdTangent, t2: MdTangent,
-                  check: bool = True, tol: float = VALIDATE_TOL) -> complex:
+def md_symplectic(F: MatricialData, t1: MdTangent, t2: MdTangent, check: bool = True) -> complex:
     """Evaluate the model symplectic form on a tangent pair.
 
     omega = sum_i tr(dg_i g_i^-1 ^ dB_i^- - B_i^- (dg_i g_i^-1)^2)
@@ -432,7 +437,7 @@ def md_symplectic(F: MatricialData, t1: MdTangent, t2: MdTangent,
     constraints are rejected when ``check`` is set.
     """
     if check:
-        bad = md_tangent_violations(F, t1, tol) + md_tangent_violations(F, t2, tol)
+        bad = md_tangent_violations(F, t1) + md_tangent_violations(F, t2)
         if bad:
             raise ValidationError("tangent pair rejected", violations=bad)
     val = 0.0 + 0j
@@ -466,23 +471,19 @@ def _canonical_junction(F: MatricialData, j: int, tol: float):
     matrix; for tied sizes it is (w_last, u_first).
     """
     k = F.k
-    if k[j] > k[j + 1]:
-        anchor, label = F.b_minus[j + 1], f"B_minus[{j + 2}]"
-        big, m, size = F.b_plus[j], k[j + 1], k[j]
-    elif k[j] < k[j + 1]:
-        anchor, label = F.b_plus[j], f"B_plus[{j + 1}]"
-        big, m, size = F.b_minus[j + 1], k[j], k[j + 1]
+    m = min(k[j], k[j + 1])
+    if k[j] == k[j + 1]:
+        big, anchor, label = None, F.b_plus[j], f"B_plus[{j + 1}]"
     else:
-        anchor, label = F.b_plus[j], f"B_plus[{j + 1}]"
-        big = None
-        m = size = k[j]
-    if np.linalg.norm(anchor - shift_matrix(anchor.shape[0])) > tol:
+        big, anchor = _by_size(k, j, F.b_plus[j], F.b_minus[j + 1])
+        label = _by_size(k, j, f"B_plus[{j + 1}]", f"B_minus[{j + 2}]")[1]
+    if np.linalg.norm(anchor - shift_matrix(m)) > tol:
         raise ValidationError(
             f"not in canonical position: {label} is not the plain shift"
         )
     if big is None:
         return F.w[j][m - 1], F.u[j][0]
-    return big[m, m - 1], big[0, size - 1]
+    return big[m, m - 1], big[0, -1]
 
 
 def sigma_of(F: MatricialData) -> SigmaMap:
@@ -568,23 +569,12 @@ def enumerate_sr(k) -> list[MatricialData]:
         b_minus[0] = shift_matrix(k[0])
         b_plus[n - 1] = shift_matrix(k[n - 1])
         for j in range(n - 1):
-            if k[j] > k[j + 1]:
-                b_minus[j + 1] = shift_matrix(k[j + 1])
-                b_plus[j] = (
-                    shift_matrix(k[j]) if signs[j] == -1
-                    else relinked_shift(k[j], k[j + 1])
-                )
-            elif k[j] < k[j + 1]:
-                b_plus[j] = shift_matrix(k[j])
-                b_minus[j + 1] = (
-                    shift_matrix(k[j + 1]) if signs[j] == -1
-                    else relinked_shift(k[j + 1], k[j])
-                )
-            else:
-                b_plus[j] = shift_matrix(k[j])
-                b_minus[j + 1] = shift_matrix(k[j + 1])
-                u[j] = np.zeros(k[j], dtype=complex)
-                w[j] = np.zeros(k[j], dtype=complex)
+            size, m = _by_size(k, j, k[j], k[j + 1])
+            big = relinked_shift(size, m) if signs[j] == 1 and m < size else shift_matrix(size)
+            b_plus[j], b_minus[j + 1] = _by_size(k, j, big, shift_matrix(m))
+            if m == size:
+                u[j] = np.zeros(m, dtype=complex)
+                w[j] = np.zeros(m, dtype=complex)
                 if signs[j] == -1:
                     w[j][-1] = 1.0
                 else:
@@ -626,10 +616,8 @@ def _isotropy_matrix(F: MatricialData) -> tuple[np.ndarray, int]:
         if k[i] == 0:
             continue
         block = np.zeros((k[i] * k[i], unknowns), dtype=complex)
-        power = np.eye(k[i], dtype=complex)
-        for jdx in range(1, k[i] + 1):
-            block[:, lam_offsets[i] + jdx - 1] = (jdx * power).reshape(-1)
-            power = power @ F.b_minus[i]
+        derivs = np.arange(1, k[i] + 1)[:, None, None] * _powers(F.b_minus[i], k[i])
+        block[:, lam_offsets[i] : lam_offsets[i + 1]] = derivs.reshape(k[i], -1).T
         if i > 0 and sizes[i - 1] > 0:
             P = np.eye(k[i], sizes[i - 1], dtype=complex)
             block[:, xi_cols(i - 1)] -= np.kron(P, P)
@@ -703,7 +691,7 @@ class OpenStratumChart:
         )
 
 
-def open_stratum_chart(poles, residues, tol: float = 1e-10) -> OpenStratumChart:
+def open_stratum_chart(poles, residues) -> OpenStratumChart:
     poles = tuple(np.asarray(p, dtype=complex).reshape(-1) for p in poles)
     residues = tuple(np.asarray(r, dtype=complex).reshape(-1) for r in residues)
     if len(poles) != len(residues) or any(
@@ -714,10 +702,10 @@ def open_stratum_chart(poles, residues, tol: float = 1e-10) -> OpenStratumChart:
     scale = 1.0 + (np.max(np.abs(allp)) if allp.size else 0.0)
     for a in range(allp.size):
         for b in range(a + 1, allp.size):
-            if abs(allp[a] - allp[b]) <= tol * scale:
+            if abs(allp[a] - allp[b]) <= _OPEN_STRATUM_TOL * scale:
                 raise ValidationError("coincident poles are outside the open stratum")
     for r in residues:
-        if r.size and np.min(np.abs(r)) <= tol:
+        if r.size and np.min(np.abs(r)) <= _OPEN_STRATUM_TOL:
             raise ValidationError("residual values must be nonzero")
     return OpenStratumChart(poles=poles, residues=residues)
 
@@ -731,7 +719,7 @@ def chart_symplectic_form(chart: OpenStratumChart, t1, t2) -> complex:
     return complex(np.sum((t1[N:] * t2[:N] - t2[N:] * t1[:N]) / rho))
 
 
-def chart_bracket(chart: OpenStratumChart, f, g, step: float | None = None) -> complex:
+def chart_bracket(chart: OpenStratumChart, f, g) -> complex:
     """Poisson bracket of two chart functions via the closed-form tensor.
 
     Functions take the flat coordinate vector.  The convention is the one
@@ -739,9 +727,7 @@ def chart_bracket(chart: OpenStratumChart, f, g, step: float | None = None) -> c
     """
     x = chart.flat()
     N = chart.size
-    df = fd_gradient(f, x, step=step)
-    dg = fd_gradient(g, x, step=step)
-    return complex(_chart_pairing(x[N:], df, dg))
+    return complex(_chart_pairing(x[N:], fd_gradient(f, x), fd_gradient(g, x)))
 
 
 def _chart_pairing(rho: np.ndarray, df: np.ndarray, dg: np.ndarray) -> np.ndarray:
@@ -804,6 +790,19 @@ def _charpoly_adjugate(A: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     return np.array([c for c, _ in pairs] + [1.0], dtype=complex), [M for _, M in pairs]
 
 
+def _adjugate_attempt(H: list[np.ndarray], rhs: np.ndarray, rng: np.random.Generator):
+    """(v, x) for a random v and the solution x of M x = rhs with rows M[l] = H[l] v.
+
+    x is None when M is numerically singular or worse conditioned than 1e10.
+    """
+    size = len(H)
+    v = rng.normal(size=size) + 1j * rng.normal(size=size)
+    M = np.array([h @ v for h in H])
+    if numerical_rank(M) < size or np.linalg.cond(M) > 1e10:
+        return v, None
+    return v, np.linalg.solve(M, rhs)
+
+
 def _solve_gcomp(X: np.ndarray, target: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Generalized companion with X-block X and characteristic polynomial target.
 
@@ -818,13 +817,9 @@ def _solve_gcomp(X: np.ndarray, target: np.ndarray, rng: np.random.Generator) ->
     rhs = np.zeros(m, dtype=complex)
     rhs[: rem.size] = -rem
     for _ in range(20):
-        b = rng.normal(size=m) + 1j * rng.normal(size=m)
-        M = np.zeros((m, m), dtype=complex)
-        for l in range(m):
-            M[l, :] = H[l] @ b
-        if numerical_rank(M) < m or np.linalg.cond(M) > 1e10:
+        b, a = _adjugate_attempt(H, rhs, rng)
+        if a is None:
             continue
-        a = np.linalg.solve(M, rhs)
         cross = np.zeros(k + 1, dtype=complex)
         for l in range(m):
             cross[l] = a @ H[l] @ b
@@ -848,13 +843,9 @@ def _solve_rank_one(b_plus: np.ndarray, target: np.ndarray, rng: np.random.Gener
     diff = np.asarray(target, dtype=complex) - base
     gap[: k] = diff[:k]
     for _ in range(20):
-        u = rng.normal(size=k) + 1j * rng.normal(size=k)
-        M = np.zeros((k, k), dtype=complex)
-        for l in range(k):
-            M[l, :] = H[l] @ u
-        if numerical_rank(M) < k or np.linalg.cond(M) > 1e10:
+        u, w = _adjugate_attempt(H, gap, rng)
+        if w is None:
             continue
-        w = np.linalg.solve(M, gap)
         if np.max(np.abs(charpoly(b_plus - np.outer(u, w)) - target)) < 1e-8 * (
             1 + np.max(np.abs(target))
         ):
@@ -891,22 +882,16 @@ def fixture_from_polar(polys, rng=None) -> MatricialData:
     b_minus[0] = plain(0)
     b_plus[n - 1] = plain(n - 1)
     for j in range(n - 1):
-        m = min(k[j], k[j + 1])
-        if m == 0:
-            if b_plus[j] is None:
-                b_plus[j] = plain(j)
-            if b_minus[j + 1] is None:
-                b_minus[j + 1] = plain(j + 1)
-        elif k[j] > k[j + 1]:
-            b_minus[j + 1] = plain(j + 1)
-            b_plus[j] = _solve_gcomp(b_minus[j + 1], polys[j], rng)
-        elif k[j] < k[j + 1]:
-            b_plus[j] = plain(j)
-            b_minus[j + 1] = _solve_gcomp(b_plus[j], polys[j + 1], rng)
-        else:
+        if min(k[j], k[j + 1]) == 0:
+            b_plus[j], b_minus[j + 1] = plain(j), plain(j + 1)
+        elif k[j] == k[j + 1]:
             b_plus[j] = plain(j)
             u[j], w[j] = _solve_rank_one(b_plus[j], polys[j + 1], rng)
             b_minus[j + 1] = b_plus[j] - np.outer(u[j], w[j])
+        else:
+            big, small = _by_size(k, j, j, j + 1)
+            X = plain(small)
+            b_plus[j], b_minus[j + 1] = _by_size(k, j, _solve_gcomp(X, polys[big], rng), X)
     g = []
     for i in range(n):
         if k[i] == 0:
@@ -936,21 +921,11 @@ def pairing_residual(F: MatricialData) -> float:
         m = min(F.k[j], F.k[j + 1])
         if m == 0:
             continue
-        if F.k[j] > F.k[j + 1]:
-            big, size = F.b_plus[j], F.k[j]
-            X = big[:m, :m]
-            row = big[m, :m]
-            col = big[:m, size - 1]
-        elif F.k[j] < F.k[j + 1]:
-            big, size = F.b_minus[j + 1], F.k[j + 1]
-            X = big[:m, :m]
-            row = big[m, :m]
-            col = big[:m, size - 1]
+        if F.k[j] == F.k[j + 1]:
+            X, row, col = F.b_plus[j], F.w[j], F.u[j]
         else:
-            X = F.b_plus[j]
-            row = F.w[j]
-            col = F.u[j]
-            m = F.k[j]
+            big = _by_size(F.k, j, F.b_plus[j], F.b_minus[j + 1])[0]
+            X, row, col = big[:m, :m], big[m, :m], big[:m, -1]
         for z in _chebyshev_nodes(m):
             zi = z * np.eye(X.shape[0], dtype=complex) - X
             adj = np.linalg.det(zi) * np.linalg.inv(zi)

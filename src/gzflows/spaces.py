@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .gzcore import _as_group_element, _flow_step, flow_factor
-from .matpoly import as_matrix, krylov_matrix, krylov_rank, numerical_rank
+from .matpoly import _powers, as_matrix, krylov_matrix, krylov_rank, numerical_rank
 
 __all__ = [
     "VnPoint",
@@ -81,12 +81,7 @@ def vn_validate(B, b) -> VnPoint:
 def vn_iso(p: VnPoint) -> tuple[np.ndarray, np.ndarray]:
     """Chart ((b, Bb, ..., B^(n-1) b), (tr B, ..., tr B^n))."""
     K = krylov_matrix(p.B, p.b)
-    traces = np.empty(p.n, dtype=complex)
-    power = np.eye(p.n, dtype=complex)
-    for i in range(p.n):
-        power = power @ p.B
-        traces[i] = np.trace(power)
-    return K, traces
+    return K, np.trace(_powers(p.B, p.n + 1)[1:], axis1=1, axis2=2)
 
 
 def vn_gz_flow(p: VnPoint, lam) -> VnPoint:

@@ -467,6 +467,89 @@ def test_verification_bytes(capsys, key):
     assert (hashlib.sha256(out.encode()).hexdigest(), code) == VERIFICATION_BYTES[key]
 
 
+def fixture_point(k, seed=5):
+    """fixture_from_polar over degrees k, roots drawn uniformly in the square |re|, |im| < 2."""
+    rng = np.random.default_rng(seed)
+    polys = [poly_from_roots(rng.uniform(-2, 2, d) + 1j * rng.uniform(-2, 2, d)) for d in k]
+    return fixture_from_polar(polys, rng=rng)
+
+
+def model_argv(cmd, k, variant):
+    """One model-subcommand request: a fixture or enumerated point, or a fixture
+    whose block on the given side of the last junction has its (1, 1) entry moved."""
+    if cmd == "enumerate-orbits":
+        return [cmd, "--input", json.dumps({"k": list(k)})]
+    F = enumerate_sr(k)[-1] if variant == "enumerated" else fixture_point(k)
+    j = len(k) - 2
+    if variant == "B_plus":
+        F.b_plus[j][0, 0] += 0.5
+    elif variant == "B_minus":
+        F.b_minus[j + 1][0, 0] += 0.5
+    params = [[[0.1 * (l + 1), -0.05 * l] for l in range(d)] for d in k]
+    payload = {"data": serialize.encode_matricial(F), "params": params}
+    return [cmd, "--input", json.dumps(payload, default=np.ndarray.tolist)]
+
+
+# sha256 of stdout and the exit code of model requests over junctions k_j > k_(j+1),
+# k_j < k_(j+1) and k_j = k_(j+1), and zero degrees; the "B_plus" and "B_minus"
+# points break the matching at the last junction from either side
+MODEL_BYTES = {
+    ("enumerate-orbits", (3, 2), None): ("d8c8f3cca47c286e1d1a9884a723c7253b84e1b67b18358807f1129d31c05d11", 0),
+    ("enumerate-orbits", (2, 3), None): ("288a899a91727692492a11d290b10382ed2474f0c65b0a6ce1b9050534539ea1", 0),
+    ("enumerate-orbits", (2, 2), None): ("9efe56d4184e586bd4b257f9dc75e11d0ebfa9237ac7054e542289a73383ce29", 0),
+    ("enumerate-orbits", (1, 3, 2), None): ("8e709e7515f30ea99a34b9c647aac218483fe3553240aa31d7cdedcdef531601", 0),
+    ("enumerate-orbits", (1, 2, 3), None): ("d6944728d3f384872177642ccfa8a7c4871a69860b76cb18ed568e6aa042a408", 0),
+    ("enumerate-orbits", (3, 1, 2, 2), None): ("3953fa838f5e516b6b3a0b7ce9a5c3bcb931c83792afc001fcfaf3f152f631c6", 0),
+    ("enumerate-orbits", (1, 2, 3, 3, 2), None): ("b4bb39714aabbf3e1561ecc821c701011b67c9d5cdd761b61c33984b41037904", 0),
+    ("md-validate", (3, 2), "fixture"): ("1bc74e199bcc58b41274850ff74d9609d82c2e26cb4a253d86acd73ceb545328", 0),
+    ("polar", (3, 2), "fixture"): ("0eaf96a62e212ce21dcde5dd442e65cdcfdcd4fbd3d182138c3ef2adfba0f143", 0),
+    ("ak-act", (3, 2), "fixture"): ("c5174225cc1e21772c906bf03ad072a88a757ea412ddcc26c3327558a5c3e9ea", 0),
+    ("md-validate", (2, 3), "fixture"): ("1bc74e199bcc58b41274850ff74d9609d82c2e26cb4a253d86acd73ceb545328", 0),
+    ("polar", (2, 3), "fixture"): ("3368b71b3a30bae62c3053c3d7a0ba2cb63064efb93b0e3fd431006a138a0e76", 0),
+    ("ak-act", (2, 3), "fixture"): ("e9dd0d406710008f47a67d96cde80f34ce4b2e2713e30447e46fa58b8c8946ba", 0),
+    ("md-validate", (2, 2), "fixture"): ("1bc74e199bcc58b41274850ff74d9609d82c2e26cb4a253d86acd73ceb545328", 0),
+    ("polar", (2, 2), "fixture"): ("4d1f49ca5b33509a9a1eb9b78950f885fc371684bfa89af71c0dc5b4ab0a13df", 0),
+    ("ak-act", (2, 2), "fixture"): ("16b4ea3eccac8a902965d851cd5c265e99f4b012613cb1e18a532c6d166c23de", 0),
+    ("md-validate", (1, 3, 2), "fixture"): ("1bc74e199bcc58b41274850ff74d9609d82c2e26cb4a253d86acd73ceb545328", 0),
+    ("polar", (1, 3, 2), "fixture"): ("23e001a9abec8c79de843b40fa6e5b54263ca7a93d32d14325a452ac4d728b34", 0),
+    ("ak-act", (1, 3, 2), "fixture"): ("1b4a517c4dd9213e5046a5fb6bbd142285c997a5ee63b6690f0e7882b50158b2", 0),
+    ("md-validate", (1, 2, 3), "fixture"): ("1bc74e199bcc58b41274850ff74d9609d82c2e26cb4a253d86acd73ceb545328", 0),
+    ("polar", (1, 2, 3), "fixture"): ("befcffb472efe24f537e2c0721cfcafe491332ffa2b15e0be7ddd420b5131e0c", 0),
+    ("ak-act", (1, 2, 3), "fixture"): ("d9bd11543b4fa74b381da0874f5839bed876f5798da1b57a6c2d27d335129e47", 0),
+    ("md-validate", (2, 0, 3), "fixture"): ("1bc74e199bcc58b41274850ff74d9609d82c2e26cb4a253d86acd73ceb545328", 0),
+    ("polar", (2, 0, 3), "fixture"): ("4f0b69deb50b4ff50ca42487d01bfedeee747e1886d3900dd65d64152b04e2f5", 0),
+    ("ak-act", (2, 0, 3), "fixture"): ("7e55c510bb04a5cb8031db16ff5e9e224db51ad72cf3f350f36a17f091ac83d3", 0),
+    ("md-validate", (0, 2, 2, 1), "fixture"): ("1bc74e199bcc58b41274850ff74d9609d82c2e26cb4a253d86acd73ceb545328", 0),
+    ("polar", (0, 2, 2, 1), "fixture"): ("cf052eb13cdffb285ff33da28e909b906f092d6043d5dba71a34ab1e07ed7f57", 0),
+    ("ak-act", (0, 2, 2, 1), "fixture"): ("c050bc6607faff1cfa8070159c51a1daeea45b99e3a0c7c515a6ee4027106df6", 0),
+    ("md-validate", (3, 1, 2, 2), "fixture"): ("1bc74e199bcc58b41274850ff74d9609d82c2e26cb4a253d86acd73ceb545328", 0),
+    ("polar", (3, 1, 2, 2), "fixture"): ("c0a57591831ccbabf458cb4f6bdc7944e39b54957f4ea7e6377b8ddfda6524af", 0),
+    ("ak-act", (3, 1, 2, 2), "fixture"): ("56f638dacd1786b0020146cf70166ed0b59dd2b123ec9e47f8bb7926b4ede9c4", 0),
+    ("md-validate", (3, 2), "enumerated"): ("1bc74e199bcc58b41274850ff74d9609d82c2e26cb4a253d86acd73ceb545328", 0),
+    ("md-validate", (2, 3), "enumerated"): ("1bc74e199bcc58b41274850ff74d9609d82c2e26cb4a253d86acd73ceb545328", 0),
+    ("md-validate", (2, 2), "enumerated"): ("1bc74e199bcc58b41274850ff74d9609d82c2e26cb4a253d86acd73ceb545328", 0),
+    ("md-validate", (1, 3, 2), "enumerated"): ("1bc74e199bcc58b41274850ff74d9609d82c2e26cb4a253d86acd73ceb545328", 0),
+    ("md-validate", (3, 2), "B_plus"): ("7abba78368d0b5b45b10bd6b94a079f7a6476287c20761080c06632b53d21410", 2),
+    ("md-validate", (3, 2), "B_minus"): ("a7ead0d77788cce01490108bec2034f677d18da8bc1179783034290bf22bba97", 2),
+    ("md-validate", (2, 3), "B_plus"): ("e7d6c0423e0e7988eb2685ce888c7af4ab142def7fb2753b05c841c513cee533", 2),
+    ("md-validate", (2, 3), "B_minus"): ("29fe0a6cc9a67afddf01979f048a2d8323e1d4722e21bc37cad8f01c53782d8c", 2),
+    ("md-validate", (2, 2), "B_plus"): ("e187dcfaa13e26e88a80451d035f1f804edcdb72d00527a6c9074b26e79a9ef1", 2),
+    ("md-validate", (2, 2), "B_minus"): ("5d48dbb90d5e7435e854891735e420b8080c7daf8be0523b288a9bce254fa943", 2),
+    ("md-validate", (1, 3, 2), "B_plus"): ("6861eed3156923ed413e2d137714c8b308413e287076db8d3922c445cbff0cb2", 2),
+    ("md-validate", (1, 3, 2), "B_minus"): ("a497a2e6f8e3b7f95b2cb400828a07e1d3c9238d1cd4dd08f9dda539bd108e7d", 2),
+    ("md-validate", (1, 2, 3), "B_plus"): ("f19abde44af78765b2f21ace02125f9e6734644c51bb620912acf0b74855bd14", 2),
+    ("md-validate", (1, 2, 3), "B_minus"): ("3a0b4100c4cc3c020fea097fb466e09888ceab49700968c97565ce90608c23ba", 2),
+    ("md-validate", (2, 1, 1), "B_plus"): ("c34a8e6993703ce4d0187086688ef238e5e8bf6cc55ef8edc7e47bb894dd87af", 2),
+    ("md-validate", (2, 1, 1), "B_minus"): ("def7aceef6597d7045040be122b9df9d20af4827262a8953b9e95590c39213f0", 2),
+}
+
+
+@pytest.mark.parametrize("key", list(MODEL_BYTES), ids=lambda k: "-".join(map(str, k)))
+def test_model_bytes(capsys, key):
+    code, out, _ = call(capsys, *model_argv(*key))
+    assert (hashlib.sha256(out.encode()).hexdigest(), code) == MODEL_BYTES[key]
+
+
 # entries whose power sums overflow: tr(B^2) = 2e400
 HUGE_MATRIX = {"matrix": [[[1e200, 0], [0, 0]], [[0, 0], [1e200, 0]]]}
 
@@ -537,6 +620,14 @@ class TestQuietOverflow:
     def test_lax_run_overflow_3_in_process(self, capsys, steps):
         code, out, err = call(capsys, "lax-run", "--input", overflowing_lax_run(steps))
         assert code == 3 and out == "" and err.startswith("numerical failure: ")
+
+    def test_sregular_generator_overflow_3(self):
+        # the minor powers are finite, but the commutators [pad(B_m**(i-1)), B] overflow
+        payload = json.dumps({"matrix": [[[1e200, 0], [1e200, 0], [0, 0]], [[0, 0], [1e200, 0], [0, 0]],
+                                         [[1, 0], [1, 0], [1e200, 0]]]})
+        assert run_fresh("sregular", "--input", payload) == (
+            3, "", "numerical failure: a generator [pad(B_m**(i-1)), B] overflowed\n",
+        )
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_composite_gz_flow_overflow_3(self, seed):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from gzflows.matpoly import (
     _clusters,
+    _powers,
     as_matrix,
     charpoly,
     cluster_points,
@@ -22,6 +23,16 @@ from gzflows.matpoly import (
 
 def random_matrix(rng, n, scale=1.0):
     return scale * (rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n)))
+
+
+class TestPowers:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_each_power_is_one_product_with_a(self, n):
+        A = random_matrix(np.random.default_rng(n), n)
+        power = np.eye(n, dtype=complex)
+        for k, got in enumerate(_powers(A, n + 2)):
+            assert np.array_equal(got, power), k
+            power = power @ A
 
 
 class TestLeadingMinor:

@@ -1,3 +1,6 @@
+import hashlib
+import re
+
 import numpy as np
 import pytest
 
@@ -26,6 +29,7 @@ from gzflows.ratmodel import (
     relinked_shift,
     sigma_of,
 )
+from gzflows.verify import fd_gradient
 from oracles import poisson_bracket
 
 
@@ -306,6 +310,13 @@ class TestSigma:
         with pytest.warns(UserWarning, match="threshold"):
             sigma_of(F)
 
+    @pytest.mark.parametrize("k, label", [((1, 3, 2), "B_minus[3]"), ((1, 2, 3), "B_plus[2]")])
+    def test_non_canonical_junction_names_the_smaller_side(self, k, label):
+        # the unipotent factor at junction 2 moves the smaller side off the plain shift
+        F = gk_act(enumerate_sr(k)[0], [np.eye(1), np.array([[1.0, 1.0], [0.0, 1.0]])])
+        with pytest.raises(ValidationError, match=re.escape(f"{label} is not the plain shift")):
+            sigma_of(F)
+
     def test_invariant_under_ak(self):
         for F in enumerate_sr((2, 2)):
             before = sigma_of(F).values
@@ -566,12 +577,16 @@ class TestChartBracket:
         f = lambda y: y[0] ** 2 + y[N] * y[1]
         g = lambda y: y[N + 1] ** 2 - 3.0 * y[2]
         h = lambda y: y[0] * y[N + 2]
-        ab = chart_bracket(chart, f, g, step=1e-5) + chart_bracket(chart, g, f, step=1e-5)
-        assert abs(ab) < 1e-10
-        fg_h = chart_bracket(chart, lambda y: f(y) * g(y), h, step=1e-5)
         x = chart.flat()
-        want = (f(x) * chart_bracket(chart, g, h, step=1e-5)
-                + g(x) * chart_bracket(chart, f, h, step=1e-5))
+
+        def bracket(a, b):
+            # chart_bracket with its gradients taken at step 1e-5
+            return complex(_chart_pairing(x[N:], fd_gradient(a, x, step=1e-5), fd_gradient(b, x, step=1e-5)))
+
+        ab = bracket(f, g) + bracket(g, f)
+        assert abs(ab) < 1e-10
+        fg_h = bracket(lambda y: f(y) * g(y), h)
+        want = f(x) * bracket(g, h) + g(x) * bracket(f, h)
         assert abs(fg_h - want) < 1e-10
 
     def test_fd_cross_check(self):
@@ -609,6 +624,40 @@ class TestChartBracket:
             open_stratum_chart([[0.5]], [[0.0]])
 
 
+# sha256 of the bytes of fixture_from_polar(...).as_vector() over junctions
+# k_j > k_(j+1), k_j < k_(j+1), k_j = k_(j+1) and zero degrees, recorded
+# before the junction rule and the adjugate solve were shared
+FIXTURE_BITS = {
+    ((3, 2), 0): "0545b4a90f8e0dc10dbf36574839a373e7b1f02940c58a880b53512e348d974c",
+    ((3, 2), 1): "0827ccac3d51117959d24f5924fb27c5731bdde9e9b9a9fe2079fe5364c5dc1d",
+    ((3, 2), 2): "96df80a60ca5a2a9c751e595210b295921cca46da7e43323a904d2089bb62fe1",
+    ((2, 3), 0): "a7fb560867d593333321034d69b785c7cd404a8edf520667ebbbb8b07ae2258e",
+    ((2, 3), 1): "e577619d030172bbc47af1af81fff19d21785e022b8cdaa0d186722144fd1774",
+    ((2, 3), 2): "d4823d071465b9ec3b5f0d0ec0b26caf5c2e0ef916bc0c24c46836d4e6442510",
+    ((2, 2), 0): "81640da079aff626802f165ec3befd762ba2c6742dbc39209d2435dd1e25aef5",
+    ((2, 2), 1): "0b27757d294accf855ea1f8359111b5f0739275ec3d86877983418203ebf2661",
+    ((2, 2), 2): "268e9caf19c140416852834186ca26adbc8c72d0d9750c717a9962cfe1d80d5c",
+    ((0, 2), 0): "368f9b0d25aa97831e3ed52a1731890440bdaea9d6c26dfa79cf9457845c4811",
+    ((0, 2), 1): "cb8a1d7f99f5b1e64f44aa68b93243b739db2649628692f3f275cf41b2974861",
+    ((0, 2), 2): "11543bcf13b065f17fa15721c2612e8aaeb1376c8b40c18c886be6b0057d3c94",
+    ((3, 0), 0): "75155b6c16e741941095c02b15181717355700331f4cab9fa219c35b1e65085f",
+    ((3, 0), 1): "e4f5c14d2afb002a1e8dad647ffcaf5615c5cabf8b0cb6cadb246e787e3dc0d3",
+    ((3, 0), 2): "ad7377fbaf78ea84394d1f52ee88f5f2e9927a441faccad380690d727d5bbb85",
+    ((2, 0, 3), 0): "4e883609dac649bf9b65f5a461c03f5ad4975f3f87738f56405ffb5696a47584",
+    ((2, 0, 3), 1): "dc8b3e43ac87cfebdb7a6f8e02a77dc4b3cafd18cef1239de9d81c1f5abc1239",
+    ((2, 0, 3), 2): "bdbae7f62d9453a3002143df37eaff7bd0ba0308c8833c8eef11c677abcaade0",
+    ((1, 3, 3, 2), 0): "d198d5e9f7e0ae94df9c77c8dfc00c4b580c11e66e8a5ac8c95efd658b76f007",
+    ((1, 3, 3, 2), 1): "2ee60805b3ada3652207b3fa5d2732809e95f6cf1f8e8f854adedb4f1bf3be24",
+    ((1, 3, 3, 2), 2): "2f641abb1ecb0c50650aa5b7e610048cce410bbed274a11f2a585dd01bdad84a",
+    ((3, 1, 2, 2), 0): "4884d6803b4f98c18ef1d59f7ca4424cc49f049f56a21112a4b3e81a1aef976d",
+    ((3, 1, 2, 2), 1): "95bd1c3ee7d4bd09bfc3d2a5d3192ee9607d41e391ece663189bd74c1c56fb7d",
+    ((3, 1, 2, 2), 2): "a2422a8e03d38d3f27a38754bf85c3d59c5c0f04b7f05da95fb12c7d4f6c78f1",
+    ((0, 2, 2, 1), 0): "5e1bb2c828a1ff999d2b551496141c56f40c9455a3f0e060623a245dc80f26e8",
+    ((0, 2, 2, 1), 1): "53dbe980c6a962e40fd32d44239b7dbefabbdde656fe1235286b4a974026e025",
+    ((0, 2, 2, 1), 2): "15f81781934106652ca9901ec508d080d254e82266f55ccd0f090e94abdcdf32",
+}
+
+
 class TestFixtureFromPolar:
     @pytest.mark.parametrize(
         "degrees",
@@ -626,3 +675,10 @@ class TestFixtureFromPolar:
         md_validate(F)
         for got, want in zip(polar(F), polys):
             assert np.max(np.abs(got - want)) < 1e-8
+
+    @pytest.mark.parametrize("k, seed", list(FIXTURE_BITS), ids=str)
+    def test_same_bits_at_a_fixed_seed(self, k, seed):
+        rng = np.random.default_rng(seed)
+        polys = [poly_from_roots(rng.uniform(-2, 2, d) + 1j * rng.uniform(-2, 2, d)) for d in k]
+        F = fixture_from_polar(polys, rng=rng)
+        assert hashlib.sha256(F.as_vector().tobytes()).hexdigest() == FIXTURE_BITS[(k, seed)]

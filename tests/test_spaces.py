@@ -69,6 +69,16 @@ class TestVnIso:
         assert np.allclose(K, np.array([[1, 1], [1, 2]]))
         assert np.allclose(traces, [3, 5])
 
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_traces_of_the_per_step_power_loop(self, n):
+        rng = np.random.default_rng(n)
+        B = random_matrix(rng, n)
+        _, traces = vn_iso(vn_validate(B, rng.uniform(-1, 1, n) + 0j))
+        power = np.eye(n, dtype=complex)
+        for i in range(n):
+            power = power @ B
+            assert traces[i] == np.trace(power)
+
     def test_traces_match_invariants(self):
         rng = np.random.default_rng(1)
         B = random_matrix(rng, 3)
