@@ -16,7 +16,7 @@ import numpy as np
 
 from . import gzcore, lax, ratmodel, serialize, verify
 from .errors import InputError, ToleranceError, ValidationError
-from .matpoly import as_matrix
+from .matpoly import _frobenius, as_matrix
 
 __all__ = ["main", "run"]
 
@@ -246,7 +246,7 @@ def cmd_bracket_table(payload, args):
         B = _random_matrix(rng, n, unit_norm=False)
         # exact trace-pairing gradient of tr(B_m^i): i * pad(B_m^(i-1))
         grads = np.array([i * gzcore._padded_minor_power(B, m, i) for m, i in indices])
-        norms = np.array([np.linalg.norm(g) for g in grads])
+        norms = _frobenius(grads)
         # every pair a < b at once
         vals = np.trace(B @ (grads[a] @ grads[b] - grads[b] @ grads[a]), axis1=-2, axis2=-1)
         scales = 1.0 + np.linalg.norm(B) * norms[a] * norms[b]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ToleranceError, ValidationError
-from .matpoly import _check_square, charpoly
+from .matpoly import _check_square, _frobenius, charpoly
 
 __all__ = [
     "LaxPath",
@@ -30,6 +30,9 @@ __all__ = [
 
 # gauge factors with a larger condition number are refused
 _CONDITION_LIMIT = 1e12
+# RK4 steps h with h * rho(alpha) above this are refused: RK4 is stable up to
+# 2.785 on the negative real axis and up to 2 sqrt(2) on the imaginary axis
+_RK4_LIMIT = 2.78
 
 
 @dataclass
@@ -165,11 +168,9 @@ def lax_residual(path: LaxPath) -> float:
     _one_path(path).validate()
     h = float(path.grid[1] - path.grid[0])
     defects = _diff4(path.beta, h) - _commutator(path.beta, path.alpha)
-    # one norm per sample: a norm over axes rounds differently; an overflow gives NaN
+    # an overflow gives NaN
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.max([
-            np.linalg.norm(d) / (1.0 + np.linalg.norm(b)) for d, b in zip(defects, path.beta)
-        ]))
+        return float(np.max(_frobenius(defects) / (1.0 + _frobenius(path.beta))))
 
 
 def isospectral_drift(path: LaxPath) -> float | np.ndarray:
@@ -221,7 +222,8 @@ def gauge_fix_regular(path: LaxPath, residual_tol: float = 1e-3) -> GaugeFixResu
     The conjugate g beta g^-1 is then a constant matrix X (checked; the
     drift is reported), and (g(b), X) is the endpoint chart of the moduli
     space with regular behavior at both ends.  Rejects paths whose Lax
-    residual is large or NaN, and reports condition blowup or overflow of g.
+    residual is large or NaN, and reports condition blowup or overflow of g
+    and a grid step outside RK4's stable range for alpha.
     """
     _one_path(path).validate()
     resid = lax_residual(path)
@@ -249,10 +251,20 @@ def gauge_fix_regular(path: LaxPath, residual_tol: float = 1e-3) -> GaugeFixResu
         )
     if stop < finite.size:
         raise ToleranceError(f"gauge factor overflowed (not finite at t = {path.grid[stop]:.6g})")
+    # rho(alpha) <= |alpha|_F: eigenvalues only for the samples that bound leaves open
+    loose = h * _frobenius(path.alpha) > _RK4_LIMIT
+    if loose.any():
+        step = h * float(np.max(np.abs(np.linalg.eigvals(path.alpha[loose]))))
+        if step > _RK4_LIMIT:
+            raise ToleranceError(
+                f"gauge factor step is unstable (h * spectral radius of alpha {step:.3e} "
+                f"> {_RK4_LIMIT})",
+                defect=step,
+                tolerance=_RK4_LIMIT,
+            )
     X = path.beta[0].copy()
     conj = g_path @ path.beta @ np.linalg.inv(g_path)
-    # one norm per sample: a norm over axes rounds differently
-    drift = np.max([np.linalg.norm(c - X) / (1.0 + np.linalg.norm(X)) for c in conj])
+    drift = np.max(_frobenius(conj - X) / (1.0 + np.linalg.norm(X)))
     return GaugeFixResult(
         g_end=g_path[-1],
         constant_matrix=X,

@@ -57,6 +57,19 @@ def _check_square(A: np.ndarray) -> np.ndarray:
     return A
 
 
+def _frobenius(A: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack (..., n, n), shape (...).
+
+    For a C-ordered stack each norm has the bits of ``np.linalg.norm`` of
+    that matrix alone, sqrt(re . re + im . im): the same dots, taken for
+    every sample as one stacked product.  (``np.linalg.norm(axis=...)``
+    rounds differently.)
+    """
+    flat = A.reshape(A.shape[:-2] + (-1,))
+    parts = (flat.real, flat.imag) if np.iscomplexobj(flat) else (flat,)
+    return np.sqrt(sum(np.matmul(p[..., None, :], p[..., :, None])[..., 0, 0] for p in parts))
+
+
 def _powers(A: np.ndarray, count: int) -> np.ndarray:
     """I, A, ..., A**(count-1) as one stack, each power one product with A.
 

@@ -590,6 +590,13 @@ def enumerate_sr(k) -> list[MatricialData]:
     return reps
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two matrices: the same products, to the bit, without its generic set-up."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]
+    )
+
+
 def _isotropy_matrix(F: MatricialData) -> tuple[np.ndarray, int]:
     """Linear system whose kernel is the infinitesimal isotropy at F.
 
@@ -620,11 +627,11 @@ def _isotropy_matrix(F: MatricialData) -> tuple[np.ndarray, int]:
         block[:, lam_offsets[i] : lam_offsets[i + 1]] = derivs.reshape(k[i], -1).T
         if i > 0 and sizes[i - 1] > 0:
             P = np.eye(k[i], sizes[i - 1], dtype=complex)
-            block[:, xi_cols(i - 1)] -= np.kron(P, P)
+            block[:, xi_cols(i - 1)] -= _kron(P, P)
         if i < n - 1 and sizes[i] > 0:
             m = sizes[i]
             g_inv = np.linalg.inv(F.g[i])
-            block[:, xi_cols(i)] += np.kron(F.g[i][:, :m], g_inv[:m, :].T)
+            block[:, xi_cols(i)] += _kron(F.g[i][:, :m], g_inv[:m, :].T)
         rows.append(block)
 
     for j in range(n - 1):
@@ -634,12 +641,12 @@ def _isotropy_matrix(F: MatricialData) -> tuple[np.ndarray, int]:
         for B in (F.b_plus[j], F.b_minus[j + 1]):
             P = np.eye(B.shape[0], m, dtype=complex)
             comm = np.zeros((B.size, unknowns), dtype=complex)
-            comm[:, xi_cols(j)] = np.kron(P, (P.T @ B).T) - np.kron(B @ P, P)
+            comm[:, xi_cols(j)] = _kron(P, (P.T @ B).T) - _kron(B @ P, P)
             rows.append(comm)
         if k[j] == k[j + 1]:
             fix = np.zeros((2 * m, unknowns), dtype=complex)
-            fix[:m, xi_cols(j)] = np.kron(np.eye(m), F.u[j][None, :])
-            fix[m:, xi_cols(j)] = np.kron(F.w[j][None, :], np.eye(m))
+            fix[:m, xi_cols(j)] = _kron(np.eye(m), F.u[j][None, :])
+            fix[m:, xi_cols(j)] = _kron(F.w[j][None, :], np.eye(m))
             rows.append(fix)
 
     return np.vstack(rows), unknowns
@@ -884,6 +891,9 @@ def fixture_from_polar(polys, rng=None) -> MatricialData:
     for j in range(n - 1):
         if min(k[j], k[j + 1]) == 0:
             b_plus[j], b_minus[j + 1] = plain(j), plain(j + 1)
+            if k[j] == k[j + 1]:
+                # two empty blocks tie: their (u, w) pair is empty
+                u[j], w[j] = np.zeros(0, dtype=complex), np.zeros(0, dtype=complex)
         elif k[j] == k[j + 1]:
             b_plus[j] = plain(j)
             u[j], w[j] = _solve_rank_one(b_plus[j], polys[j + 1], rng)

@@ -157,6 +157,7 @@ def _need_list(obj, length: int, label: str) -> list:
 
 
 _NON_FINITE = "non-finite number in the output (NaN and Infinity are not JSON)"
+_NON_FINITE_TEXTS = frozenset(("nan", "inf", "-inf"))
 
 
 def _dumps(doc) -> str:
@@ -210,16 +211,30 @@ def _scalar(obj) -> str:
 
 
 def _render_array(A: np.ndarray, nl: str) -> str:
-    """Nested-list text of a float array: the leaves at once, then one join per axis."""
-    if not np.all(np.isfinite(A)):
+    """Nested-list text of a float array: the leaves at once, then one join per axis.
+
+    When every slice along the first axis has the bytes of the first, as
+    in a path sampled from a constant, only the first slice is rendered and
+    its texts are repeated.  Bytes, not values, are compared, so -0.0 and
+    0.0 keep their own texts.  The brackets of the inner axes go into the
+    separators of the outer ones.
+    """
+    flat = A.ravel()
+    rows = A.shape[0] if A.ndim else 1
+    step = flat.size // rows if rows else 0  # floats per slice along the first axis
+    repeated = flat[step:].tobytes() == flat[: flat.size - step].tobytes()
+    texts = list(map(float.__repr__, (flat[:step] if repeated else flat).tolist()))
+    if not _NON_FINITE_TEXTS.isdisjoint(texts):
         raise ToleranceError(_NON_FINITE)
-    texts = list(map(float.__repr__, A.ravel().tolist()))
+    if repeated:
+        texts *= rows
+    opening = closing = ""  # brackets not yet written around each of texts
     for axis in range(A.ndim - 1, -1, -1):
         size = A.shape[axis]
         if size == 0:
-            texts = ["[]"] * math.prod(A.shape[:axis])
+            texts, opening, closing = ["[]"] * math.prod(A.shape[:axis]), "", ""
             continue
         inner = nl + "  " * (axis + 1)
-        head, sep, tail = "[" + inner, "," + inner, inner[:-2] + "]"
-        texts = [head + sep.join(group) + tail for group in zip(*[iter(texts)] * size)]
-    return texts[0]
+        texts = list(map((closing + "," + inner + opening).join, zip(*[iter(texts)] * size)))
+        opening, closing = "[" + inner + opening, closing + inner[:-2] + "]"
+    return opening + texts[0] + closing

@@ -278,6 +278,23 @@ class TestLaxCommands:
         assert code == 3 and out == ""
         assert err == "numerical failure: gauge factor overflowed (not finite at t = 0.995)\n"
 
+    def test_unstable_gauge_step_3(self, capsys):
+        # 40 steps of h = 0.025 for alpha = 800 I: RK4 would answer g_end = 3.95e156 I
+        code, out, err = self.gauge(capsys, 800.0 * np.eye(2), steps=40)
+        assert code == 3 and out == ""
+        assert err == (
+            "numerical failure: gauge factor step is unstable "
+            "(h * spectral radius of alpha 2.000e+01 > 2.78)\n"
+        )
+
+    def test_nilpotent_alpha_with_a_large_norm_answers(self, capsys):
+        payload = {**self.payload(), "steps": 40,
+                   "beta": serialize.encode_array(np.array([[1.0, 5.0], [0.0, 1.0]]))}
+        payload["alpha"]["matrix"] = serialize.encode_array(np.array([[0.0, 1000.0], [0.0, 0.0]]))
+        run_doc = call_json(capsys, "lax-run", "--input", json.dumps(payload, default=np.ndarray.tolist))
+        gauge_doc = call_json(capsys, "lax-gauge", "--input", json.dumps({"path": run_doc["path"]}))
+        assert gauge_doc["g_end"] == [[[1.0, 0.0], [1000.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+
     @pytest.mark.parametrize("key", ["alpha", "beta"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_path_sample_65(self, capsys, key, value):
@@ -466,6 +483,287 @@ def test_verification_bytes(capsys, key):
     code, out, _ = call(capsys, *argv, *(["--tol", tol] if tol else []))
     assert (hashlib.sha256(out.encode()).hexdigest(), code) == VERIFICATION_BYTES[key]
 
+
+
+def lax_payload(kind, n, steps):
+    """A lax-run request on [0, 1]: alpha constant or quadratic in t, every |matrix|_F below 1."""
+    rng = np.random.default_rng([n, steps, kind == "polynomial"])
+    mat = lambda: 0.5 / n * (rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n)))  # noqa: E731
+    if kind == "constant":
+        alpha = {"type": "constant", "matrix": serialize.encode_array(mat())}
+    else:
+        alpha = {"type": "polynomial", "coefficients": serialize.encode_array([mat() for _ in range(3)])}
+    payload = {"alpha": alpha, "beta": serialize.encode_array(mat()),
+               "t_start": 0.0, "t_end": 1.0, "steps": steps}
+    return json.dumps(payload, default=np.ndarray.tolist)
+
+
+def lax_round_trip(capsys, tmp_path, kind, n, steps):
+    """(sha256 of lax-run's stdout, its exit code, the same for lax-gauge on that path).
+
+    Each request also runs with --output; the file must hold the bytes of
+    stdout, and a refused request must leave no file.
+    """
+    got = []
+    argvs = [["lax-run", "--input", lax_payload(kind, n, steps)],
+             ["lax-gauge", "--input", str(tmp_path / "lax-run.json")]]
+    for argv in argvs:
+        code, out, _ = call(capsys, *argv)
+        target = tmp_path / f"{argv[0]}.json"
+        assert call(capsys, *argv, "--output", str(target))[:2] == (code, "")
+        assert (target.read_text(encoding="utf-8") if target.exists() else "") == out
+        got += [hashlib.sha256(out.encode()).hexdigest(), code]
+    return tuple(got)
+
+
+# sha256 of stdout and the exit code of lax-run, then of lax-gauge on its path
+LAX_BYTES = {
+    ("constant", 1, 1): (
+        "3999acb0fe0df316fc6d5f661c2de9bc38a6b22317ef3df07e453d7a96cfc3b5", 0,
+        "f7d226a6c217b9ac42c3a35056d3e869a4e49c933ef1c20ea05a7e1ecd420cbe", 0,
+    ),
+    ("constant", 1, 4): (
+        "872422689beab48c730e497272c2c5fc8506d2acc37db13085d2a0a548a845c0", 0,
+        "5ae59b81a52fa98a709ed7eb36b593b1456c29cd5a0ed267b5b912730b5ea672", 0,
+    ),
+    ("constant", 1, 5): (
+        "52222e349a1f7d13f5ae168124ec8793a15cb9a2dfc19563e6001bc5c4711c9a", 0,
+        "755a3c52eeee8ee935fe0744c931406ec036334f5a3550abc97af8e96d7638b5", 0,
+    ),
+    ("constant", 1, 40): (
+        "5a28bed360b5a22f17f80a26998538ea2add223548305e2ac3df18a09c21a74a", 0,
+        "8b0125285f4a9d705a6a4d7808ec3064e9418de567e1cb601858d3dbd09b5f4c", 0,
+    ),
+    ("constant", 1, 500): (
+        "05bd09277014fb2f57d02e0e63634172737db9140e7eb202bf17f72387511aa3", 0,
+        "076cde79a6d552c86eb93d1de8c646d0727163350f6aa418e312ab662fe2a550", 0,
+    ),
+    ("constant", 2, 1): (
+        "3bc2dc7b716b8264b18e1396658701cfe84bc8368d6ff0a04da2448db0f13ce3", 0,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2,
+    ),
+    ("constant", 2, 4): (
+        "d9b2a6aaf5c2efbc52f6f831a44376a96bdfd97d873a3984c390ccc15ee49df8", 0,
+        "7ddcb51ddb5c35a654e652e5b86ddff39ba5f6861ade4c1651beebdda26d47a2", 0,
+    ),
+    ("constant", 2, 5): (
+        "20b559fdba1d3c0849fb1b0f40abeee00bc72c1236280d05e399f592e6c6be94", 0,
+        "0dcecf5290fb06e83c62bf0242eef28560a4f1bd6f63538ab95b670c1ee0ea22", 0,
+    ),
+    ("constant", 2, 40): (
+        "288481703932c8e49d92f79d537add5ddd84fb7e04165cd921ecff2f949daeee", 0,
+        "7907b689ad564d720ffb02261989459956302754ef29be438deae8a63a24e2ec", 0,
+    ),
+    ("constant", 2, 500): (
+        "9365776008ebf752a2703d13de59bc8f2cdc7c3c64fac3995ae881b5242b1625", 0,
+        "354d45fdfb0cc0ba48629c1d6702db4d76ffbc90cceffaed18d95ed9ad0d5164", 0,
+    ),
+    ("constant", 3, 1): (
+        "fbbc0ccd8123ce7bcf9b85cc03523cb45e345fa934c66e7deb957877dec78fce", 0,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2,
+    ),
+    ("constant", 3, 4): (
+        "88136ed248c6151b7f3142ecbe0ad15f4745505f6d9205b35c5f1ca5a605523e", 0,
+        "39e5c06cba139b6f084fe3dd32e05b2740007e7033ba07cf6a9ce2ec05cf1a4d", 0,
+    ),
+    ("constant", 3, 5): (
+        "6793bab8504431679fec33ff908d060839e6af941c21d4a517d34c5debf2606d", 0,
+        "aa4b5c0ca027d9b0887dc961234d33e332c2f7b95d14e576997330dc7722c157", 0,
+    ),
+    ("constant", 3, 40): (
+        "ff754896e737fcf87ef7f9e7a7600e54d2e9f0d0ad653224d79074ac6a6fab48", 0,
+        "e8e30c2bd8f30bf3b313429498336a7c9ae39d9ea98ccdc24997dda9675bf846", 0,
+    ),
+    ("constant", 3, 500): (
+        "d8929455fa870f81d6efb00856455b8e0e036e7a256b698de2a13acf72d31e82", 0,
+        "4878ed689ae1eecc9dcf1243e97477332d52dadf511f6b9b3d98d5c5d9d1cf94", 0,
+    ),
+    ("constant", 4, 1): (
+        "ffa37aaea2ac72f4313f8751f34774e0d7e786f68d9bdb6d6c384218af9a50ad", 0,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2,
+    ),
+    ("constant", 4, 4): (
+        "9a8d8b57a57dc4ec4dd480152b9d615f5e825cba95a95033effd249d16690e60", 0,
+        "669d0a838afcb0bcf5eab8a52ef2a40b803b41f41e25ed07de367403fc3ebae4", 0,
+    ),
+    ("constant", 4, 5): (
+        "94a8bc6708b317e6f3dcc1dd05fd43c0dd94b61a9fee226de26fe2637b1c150c", 0,
+        "41b649a16a656f1de50159943f31f4dd4f99dd98d813a5c1b6769939cd6637ad", 0,
+    ),
+    ("constant", 4, 40): (
+        "cd5e6947b4121232afe8e724c7ad9300ad30a58092a213a4bfb34c120f86ccc3", 0,
+        "1c65f2493ac2ee5b0118fa7fbc9ef81d0b5f38000f897c6dd2de17cf2408934f", 0,
+    ),
+    ("constant", 4, 500): (
+        "9ef1bd51f741e056755bb8c2c28993cf51f1e388d74ac0d6620387ef9b2df21c", 0,
+        "197d266fc41e1250024b305355c400b437a1e1e9f455f0c49255768c1f6dd790", 0,
+    ),
+    ("constant", 5, 1): (
+        "c56607a6f0b1ea0673f69d8d07ae721aaffbf9ee74e9d9d37c2cbe102dda4092", 0,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2,
+    ),
+    ("constant", 5, 4): (
+        "5063528cc56a5d77815439b3339fe5db68b877f11821b95a6696cac18ee80845", 0,
+        "8803ee62c6fbff5ae382c4899e2e59c302e1e82bdd9426ec8a8403a68932c1d9", 0,
+    ),
+    ("constant", 5, 5): (
+        "7b79db0d74b9614160b09311b7f882d47fbee406c2f5b76b45d8583c10b98d4c", 0,
+        "c7b717d0a206dd4277d33d0b4b4479f0ce68824c25e64f829a05129c422105e0", 0,
+    ),
+    ("constant", 5, 40): (
+        "af0fcf72a952c254bb0db4e831e07a943bcdfccacfe50f37c937fcb4dd936a80", 0,
+        "5cbc05b27df8c163e4974db71c5bcc74cb048b004b8b01d5c0bfb729221f910d", 0,
+    ),
+    ("constant", 5, 500): (
+        "167a851591b3309e9fa9723b45099820969f0520521ac43f4bf7384caa822485", 0,
+        "a68f9e5b420dad8f2caedc3ffe73553c98d8aee4d583c8ca568a5ef8dd0c838f", 0,
+    ),
+    ("constant", 6, 1): (
+        "9aeecf933c7a3bc912590a4275b17e7d23d24d468374366f4af67994df789841", 0,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2,
+    ),
+    ("constant", 6, 4): (
+        "648b9aea8795671a98a91451c213d1eee1ee7b791d3cb76cad86d8d7d9f231ce", 0,
+        "f9916a13c5749f69793c3b2744b06a9930a1b9e107b4e5d8d67388f766bfd3e4", 0,
+    ),
+    ("constant", 6, 5): (
+        "b86f52b4c567722e1a239d2dbce66ce54cb9448c86f935f7754f8edf85078ada", 0,
+        "12888bd71ee9453ee36e3fdd7c2e2cbfdbbb58a16314745d5c29322aa7cc5554", 0,
+    ),
+    ("constant", 6, 40): (
+        "2a1ffb262583ffb9e00d953028eec50ae40264f2b9868c35363ed4372ceb9d29", 0,
+        "da1a0e85999e4ad719edf6fec47a82782311930a4c06f8186b8a29251911cbf8", 0,
+    ),
+    ("constant", 6, 500): (
+        "9af56009c4c1b9d2b4476e59774e7a9ab7e1bfd2789e4e6be15f1d78145dc556", 0,
+        "6b99acea0e6e135089b7e30e111acddc492dbdb7f7bdc33400f4d9db0b325f3b", 0,
+    ),
+    ("polynomial", 1, 1): (
+        "d50e0f9ec67489947817942fe6052f95aa60aa4c23b6856476d23ff5b2b31e03", 0,
+        "52462357b1df29e72f8ad34a1a4148e9566ed6b76c6eadb6ac8b44ed2cdf08ca", 0,
+    ),
+    ("polynomial", 1, 4): (
+        "47b66d8c19bedadb3a82e60c733bfd72214c583593ab029afd223dbf7a27ca1a", 0,
+        "5f540035c5a26ddc906e4eb4ade5ed4fe9d7164e479c03cf95c8f843e775be19", 0,
+    ),
+    ("polynomial", 1, 5): (
+        "265145f94e268c68cf5d21548c1af57288abf738f8a74ceb92b137c620196e65", 0,
+        "3e966993effe0221c02a206f9939981864d289410f9e4001b13840b6293f4c12", 0,
+    ),
+    ("polynomial", 1, 40): (
+        "31061c58eca6903fa850c1ce05fe6312306b7b69de24ab2bc20662ec8c20567f", 0,
+        "83ca92858dd9d5e2cfc655d743bdcabdc140df4bab9b1a180e03d40f8c58c921", 0,
+    ),
+    ("polynomial", 1, 500): (
+        "3ac63d1dbe88eed65747083774ca3c3b567b252dd658c43af7e102716980feff", 0,
+        "a4118db0ee1ad260195f54d8ff4e41d3ad6f65b0e4918475728ad44bcabfc8e5", 0,
+    ),
+    ("polynomial", 2, 1): (
+        "6efe1ee706af0c485f9cf4d4408742bfbc7fef051abd5257c73cee0c8577b301", 0,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2,
+    ),
+    ("polynomial", 2, 4): (
+        "78e93ba2c698e20f0eaa1fce4be19b6af7a13b7620f765a80f491eef719f6b9c", 0,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2,
+    ),
+    ("polynomial", 2, 5): (
+        "9b84dc5528e57972282f50cd5fd05a3a48d3adfb3d7e82c16fe808ea169a50b9", 0,
+        "aa9c637ecf715141db24f10190f9130cf22c5adb42a8c17450f683bd68ac5f88", 0,
+    ),
+    ("polynomial", 2, 40): (
+        "f664575cbca74dfdba258a82ade080deb0a36b05899b69bf74b94364f8a269b7", 0,
+        "2aaa3b25caa82a60d47daf6438b1d82f0c762bdb9136b275a520089f30d85338", 0,
+    ),
+    ("polynomial", 2, 500): (
+        "7351fc44c8aec15d21caa59d2523b491188d46253d1ae11d80e5771843d7c823", 0,
+        "1ef93c359b6f5cb61194d3532afcca43b471efcb8d18ef8d18f3c871d2960c62", 0,
+    ),
+    ("polynomial", 3, 1): (
+        "81500df2168412ff533d66092c53b1815b6fa6fdcc8d2d4b699c98eaf1336e53", 0,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2,
+    ),
+    ("polynomial", 3, 4): (
+        "9cdc473ff0c8d1c3866ca7788e5e425b83c44e2567388d8e940729907fc16adf", 0,
+        "18d0f4022f9f9da331473dd5fc7f33e4794336d66fa03c8213ba7f055e616631", 0,
+    ),
+    ("polynomial", 3, 5): (
+        "50e4d66b53f80c69bc59b00162cc62d232f48679f7a9e8b56774fc6023318437", 0,
+        "da078268b958b484d9d73fb1264a12702ac85bac983999116a51cf6fd38178c2", 0,
+    ),
+    ("polynomial", 3, 40): (
+        "9a9d3b9c729e9d0e5d5513b6581ab5e4a49b78ce505d289e204a74aca635818f", 0,
+        "bc77b12db1bacdcab98c897c35edb45e706b916473373ebeaca9a017550bd285", 0,
+    ),
+    ("polynomial", 3, 500): (
+        "1849cddc69975cdddac19999155ca187b54bd7acb75926b75157ee7eff556c35", 0,
+        "f8b8ca2b79bc9dd5089c2225f4f8b60b6f4b3b33a0d6ef3531463c2369bf9a62", 0,
+    ),
+    ("polynomial", 4, 1): (
+        "4d3d705d04a642176d81c40fff5807a2b75edc22e41cda0fde7511c7bc5e6ef8", 0,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2,
+    ),
+    ("polynomial", 4, 4): (
+        "16e93b7913bea331ffb602ce1b4cf5e7248d81470b40306471ca22cf1f1f1b52", 0,
+        "e69c12ca7610050b571b30ae29d8438588ee78cd5487f4c04d6983e60fd9b023", 0,
+    ),
+    ("polynomial", 4, 5): (
+        "da91a93d8bc659e0da3ccc8d51f2c9a1f50559f4dd815e1de489255e21db5764", 0,
+        "dd21f6416cabb701bb4285464920ebce939c8f063a9136785eb500405451e5b5", 0,
+    ),
+    ("polynomial", 4, 40): (
+        "29a2a4ebc7524b1e0628b719fa3df5d27a192c3d8812d53ecf55320042456c62", 0,
+        "8a09a6dc41137f6c964f2ab28fdb5fe8958da01e99694020fec8920146a98bdc", 0,
+    ),
+    ("polynomial", 4, 500): (
+        "b947fdab54ab7a59bb6f366c79aae3e13ae810cfc88c012093618286f1259e25", 0,
+        "6832010b9a382a90d08fd77fd200bc649105d041c7f93b611f686a27ff90e3cc", 0,
+    ),
+    ("polynomial", 5, 1): (
+        "0a87e2a0379f92948751457b0fd3f4aaab2fd026a45195286fe844bcfacf6dde", 0,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2,
+    ),
+    ("polynomial", 5, 4): (
+        "e0ec412fe6948ecdafa67eb3810d33699fe7566b611db293de3bb2198c1449ac", 0,
+        "9ebaaa3e3c0301adc3914f6c2c429a324918473afb23a258b7064cf3dca65b58", 0,
+    ),
+    ("polynomial", 5, 5): (
+        "676ee85df573075cc006ca1bb2ba1463689128c89486b1e56fe6a7bb262f2c0f", 0,
+        "9e34cb5827194a8853b5563fe97e2d5120d31383d997708e2fef51e9e3d3fec6", 0,
+    ),
+    ("polynomial", 5, 40): (
+        "bcc7e6867d9278e971bcaeef64519789845e210260e83b1ed2af417dbd73b296", 0,
+        "539a08d9fe7b1b324aceec83c53f0c63e4a06e9ea672cca566e93889e656cd7b", 0,
+    ),
+    ("polynomial", 5, 500): (
+        "79ec0d45877990930a3bd9256a9c58e141a173188df5b7a2c10e07dbbd3a0f41", 0,
+        "6817c61d5a50db282c50fcb469b0cc03e6da8d18e3f0b07475e8cdc2d84a7d0a", 0,
+    ),
+    ("polynomial", 6, 1): (
+        "7cdc866ce376eb16729796ab80f12888864b7a7ca54a93da3070827875a8f4e4", 0,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2,
+    ),
+    ("polynomial", 6, 4): (
+        "a1074f614aecb65bab0016b20ce2dc5e6ebe63fea66648745b5853b44d39998d", 0,
+        "57d64c53ad22b8c485e08e192a16adf2d387b2f1f9eae2c9fedb224814c9057a", 0,
+    ),
+    ("polynomial", 6, 5): (
+        "3faa9feacf781621da494aaa4f4c612e83308d1847dd0b5aff1ac09f17eef30e", 0,
+        "c05e3849ca24f398197aeddc79863afa76fa16af9468d1fdd53522fe0f25e8ac", 0,
+    ),
+    ("polynomial", 6, 40): (
+        "e29548b2d1725c68732fb33b07f55ca71ee99dc2257fc009230b4bd74d55685a", 0,
+        "1b7149ea96ed1e1781265f8878995c565c07ed2bc55c5766da4bbe0e926623d9", 0,
+    ),
+    ("polynomial", 6, 500): (
+        "df1ea5658e472e7ab8188f0a76823c95d6c61b6c6f20cd1f958dc7e54a33e786", 0,
+        "b1226a4ae4391c308204c52a8c7593a4fbb78fac637b7792849a4f9e9dd9fb12", 0,
+    ),
+}
+
+
+@pytest.mark.parametrize("key", list(LAX_BYTES), ids=lambda k: "-".join(map(str, k)))
+def test_lax_bytes(capsys, tmp_path, key):
+    assert lax_round_trip(capsys, tmp_path, *key) == LAX_BYTES[key]
 
 def fixture_point(k, seed=5):
     """fixture_from_polar over degrees k, roots drawn uniformly in the square |re|, |im| < 2."""
@@ -894,11 +1192,23 @@ class TestArrayCodec:
 
 FLOATS = st.sampled_from(EDGE_VALUES.tolist()) | st.floats(allow_nan=False, allow_infinity=False)
 STRINGS = st.sampled_from(['', 'say "hi"', "back\\slash", "\x00\x1f\n\t\x7f", "é ∑ ☃ 𝄞"]) | st.text()
+SHAPES = array_shapes(min_dims=1, max_dims=4, min_side=0, max_side=3)
+# arrays whose leaves share a few values, as a constant alpha path does: each
+# distinct value is rendered once and its text used for every leaf holding it
+FEW_VALUES = st.lists(FLOATS, min_size=1, max_size=3).flatmap(
+    lambda values: arrays(np.float64, SHAPES, elements=st.sampled_from(values))
+)
+SIGNED_ZEROS = arrays(np.float64, SHAPES, elements=st.sampled_from([0.0, -0.0]))
+CONSTANT_STACKS = st.builds(
+    lambda count, sample: np.broadcast_to(sample, (count,) + sample.shape),
+    st.integers(min_value=1, max_value=5),
+    arrays(np.float64, array_shapes(min_dims=1, max_dims=3, max_side=3), elements=FLOATS),
+)
 DOCS = st.recursive(
     STRINGS | FLOATS | st.booleans() | st.none() | st.integers()
     | st.integers(min_value=-(2**100), max_value=2**100)
-    | arrays(np.float64, array_shapes(min_dims=1, max_dims=4, min_side=0, max_side=3),
-             elements=FLOATS),
+    | arrays(np.float64, SHAPES, elements=FLOATS)
+    | FEW_VALUES | SIGNED_ZEROS | CONSTANT_STACKS,
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(STRINGS, inner, max_size=4),
     max_leaves=12,
 )
@@ -910,6 +1220,18 @@ class TestDumps:
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(doc=DOCS)
     def test_matches_json_dumps(self, doc):
+        assert serialize._dumps(doc) == json.dumps(doc, indent=2, default=np.ndarray.tolist)
+
+    @pytest.mark.parametrize("doc", [
+        np.array([0.0, -0.0, 0.0, -0.0]),
+        np.array([[-0.0, 0.0], [0.0, 0.0]]),
+        np.broadcast_to(np.array([[-0.0, 1.5], [0.0, -0.0]]), (4, 2, 2)),
+        np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]]),
+        np.array([[[1.5, -0.0]], [[1.5, -0.0]], [[1.5, 0.0]]]),
+        {"a": np.array([-0.0]), "b": np.array([0.0, 0.0])},
+    ])
+    def test_signed_zeros_keep_their_texts(self, doc):
+        # 0.0 == -0.0: slices compared by value instead of by bytes would lose a sign
         assert serialize._dumps(doc) == json.dumps(doc, indent=2, default=np.ndarray.tolist)
 
     @pytest.mark.parametrize("doc", [

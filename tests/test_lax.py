@@ -373,6 +373,23 @@ class TestNonFinitePaths:
         with pytest.raises(ToleranceError, match="gauge factor overflowed"):
             gauge_fix_regular(path)
 
+    def test_unstable_step_is_a_numerical_failure(self):
+        # h * rho(alpha) = 20 > 2.78: RK4 multiplies g by R(20) ~ 8221 per step
+        # instead of exp(20), so g(1) ~ 4e156 I would come back as the answer
+        alpha = 800.0 * np.eye(2)
+        path = lax_integrate(lambda t: alpha, np.diag([1.0, 2.0]), 0.0, 1.0, 40)
+        with pytest.raises(ToleranceError, match="step is unstable") as info:
+            gauge_fix_regular(path)
+        assert info.value.defect == 20.0 and info.value.tolerance == 2.78
+
+    def test_nilpotent_alpha_with_a_large_norm_answers(self):
+        # |alpha|_F = 1000 fails the norm bound, but rho(alpha) = 0: g = I + t alpha
+        alpha = np.array([[0.0, 1000.0], [0.0, 0.0]])
+        beta = np.array([[1.0, 5.0], [0.0, 1.0]])
+        path = lax_integrate(lambda t: alpha, beta, 0.0, 1.0, 40)
+        fix = gauge_fix_regular(path)
+        assert np.array_equal(fix.g_end, np.eye(2) + alpha)
+
     def test_condition_gate_reports_first_offending_sample(self):
         alpha = np.diag([30.0, -30.0])
         path = lax_integrate(lambda t: alpha, np.diag([1.0, 2.0]), 0.0, 1.0, 200)

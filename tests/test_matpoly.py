@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from gzflows.matpoly import (
     _clusters,
+    _frobenius,
     _powers,
     as_matrix,
     charpoly,
@@ -33,6 +34,29 @@ class TestPowers:
         for k, got in enumerate(_powers(A, n + 2)):
             assert np.array_equal(got, power), k
             power = power @ A
+
+
+class TestFrobenius:
+    """One stacked dot per part gives each matrix the bits np.linalg.norm gives it alone."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_equals_the_per_sample_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        N, n = int(rng.integers(1, 600)), int(rng.integers(0, 13))
+        A = 10.0 ** rng.uniform(-5, 5) * (rng.normal(size=(N, n, n)) + 1j * rng.normal(size=(N, n, n)))
+        if seed % 2:
+            A = A - A[0]  # differences from one sample, as in a drift
+        loop = np.array([np.linalg.norm(a) for a in A])
+        assert np.array_equal(_frobenius(A), loop)
+
+    def test_real_and_stacked_stacks(self):
+        rng = np.random.default_rng(7)
+        real = rng.normal(size=(30, 5, 5))
+        assert np.array_equal(_frobenius(real), [np.linalg.norm(a) for a in real])
+        stack = rng.normal(size=(3, 20, 4, 4)) + 1j * rng.normal(size=(3, 20, 4, 4))
+        loop = [[np.linalg.norm(a) for a in path] for path in stack]
+        assert np.array_equal(_frobenius(stack), loop)
+        assert np.array_equal(_frobenius(stack[0, 0]), np.linalg.norm(stack[0, 0]))
 
 
 class TestLeadingMinor:

@@ -9,6 +9,7 @@ from gzflows.errors import ValidationError
 from gzflows.matpoly import companion_of, poly_from_roots
 from gzflows.ratmodel import (
     _chart_pairing,
+    _kron,
     MatricialData,
     MdTangent,
     ak_act,
@@ -676,9 +677,58 @@ class TestFixtureFromPolar:
         for got, want in zip(polar(F), polys):
             assert np.max(np.abs(got - want)) < 1e-8
 
+    @pytest.mark.parametrize("degrees", [(0, 0, 2, 1), (1, 0, 0, 2), (0, 0), (2, 0, 0, 0, 1)])
+    def test_adjacent_zero_degrees(self, degrees):
+        # two empty blocks tie: the junction between them holds an empty (u, w) pair
+        rng = np.random.default_rng(len(degrees))
+        roots = separated_roots(rng, sum(degrees))
+        polys = [poly_from_roots(roots[sum(degrees[:i]) : sum(degrees[: i + 1])])
+                 for i in range(len(degrees))]
+        F = fixture_from_polar(polys, rng=rng)
+        md_validate(F)
+        assert sorted(F.u) == [j for j in range(len(degrees) - 1) if degrees[j] == degrees[j + 1]]
+        for got, want in zip(polar(F), polys):
+            assert np.max(np.abs(got - want)) < 1e-8
+
     @pytest.mark.parametrize("k, seed", list(FIXTURE_BITS), ids=str)
     def test_same_bits_at_a_fixed_seed(self, k, seed):
         rng = np.random.default_rng(seed)
         polys = [poly_from_roots(rng.uniform(-2, 2, d) + 1j * rng.uniform(-2, 2, d)) for d in k]
         F = fixture_from_polar(polys, rng=rng)
         assert hashlib.sha256(F.as_vector().tobytes()).hexdigest() == FIXTURE_BITS[(k, seed)]
+
+
+class TestKron:
+    """ratmodel._kron has the bits of np.kron on matrices."""
+
+    @staticmethod
+    def assert_same(a, b):
+        want = np.kron(a, b)
+        got = _kron(a, b)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_random_factors(self, seed):
+        rng = np.random.default_rng(seed)
+        shapes = rng.integers(0, 5, size=4)
+        a, b = (
+            (rng.normal(size=(p, q)) + 1j * rng.normal(size=(p, q))) * 10.0 ** rng.integers(-150, 150)
+            for p, q in (shapes[:2], shapes[2:])
+        )
+        a[rng.random(a.shape) < 0.3] = -0.0
+        b[rng.random(b.shape) < 0.3] = complex(0.0, -0.0)
+        self.assert_same(a, b)
+        self.assert_same(a, b.T)
+
+    @pytest.mark.parametrize("k, m", [(3, 2), (4, 4), (2, 0), (0, 0), (5, 1)])
+    def test_embedding_and_identity_factors(self, k, m):
+        rng = np.random.default_rng(k + 7 * m)
+        P = np.eye(k, m, dtype=complex)
+        B = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+        v = rng.normal(size=m) - 1j * rng.normal(size=m)
+        self.assert_same(P, P)
+        self.assert_same(P, (P.T @ B).T)
+        self.assert_same(B @ P, P)
+        self.assert_same(np.eye(m), v[None, :])
+        self.assert_same(v[None, :], np.eye(m))
