@@ -95,10 +95,7 @@ def cmd_gz_map(payload, args):
 
 def cmd_gz_flow(payload, args):
     B = _require_matrix(payload)
-    triples = _flow_triples(payload)
-    n = B.shape[0]
-    lam = gzcore.GZGroupElement.from_pairs(n, triples)
-    moved = gzcore.gz_flow(B, lam)
+    moved = gzcore.gz_flow(B, _flow_triples(payload))
     defect = verify.conservation_defect(lambda _: moved, lambda M: gzcore.gz_map(M).values, B)
     return {
         "matrix": serialize.encode_array(moved),

@@ -24,12 +24,11 @@ from .matpoly import (
     CLUSTER_TOL,
     _clusters,
     _companion,
+    _expm,
     _powers,
     as_matrix,
     charpoly,
     is_monic,
-    leading_minor,
-    matexp,
     newton_convert,
     numerical_rank,
     poly_degree,
@@ -102,8 +101,10 @@ class GZGroupElement:
         return cls(n, values)
 
     def items(self):
+        """(m, i, z) for each nonzero z, lexicographic in (m, i); a zero z acts as the identity."""
         for (m, i), z in zip(gz_indices(self.n), self.values):
-            yield m, i, complex(z)
+            if z != 0:
+                yield m, i, complex(z)
 
 
 @dataclass(frozen=True)
@@ -149,7 +150,7 @@ def gz_map(B, basis: str = "tr-power") -> GZCoordinates:
 def _padded_minor_power(B: np.ndarray, m: int, i: int) -> np.ndarray:
     n = B.shape[0]
     P = np.zeros((n, n), dtype=complex)
-    P[:m, :m] = np.linalg.matrix_power(leading_minor(B, m), i - 1)
+    P[:m, :m] = np.linalg.matrix_power(B[:m, :m], i - 1)
     return P
 
 
@@ -164,23 +165,24 @@ def gz_vector_field(B, m: int, i: int) -> np.ndarray:
 
 
 def flow_factor(B: np.ndarray, m: int, i: int, z: complex) -> np.ndarray:
-    """blockdiag(exp(z * minor(B, m)**(i-1)), I), the conjugating factor."""
+    """blockdiag(exp(z * minor(B, m)**(i-1)), I), the conjugating factor.
+
+    The one factor of every flow: on gl(n,C), on V_n and both sides of T*GL(n,C).
+    B and (m, i) are checked where they enter; an overflowing factor is a numerical failure.
+    """
     n = B.shape[0]
-    block = matexp(z * np.linalg.matrix_power(leading_minor(B, m), i - 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        block = _expm(z * np.linalg.matrix_power(B[:m, :m], i - 1))
+    if not np.isfinite(block).all():
+        raise ToleranceError(f"flow factor for (m, i) = ({m}, {i}) overflowed")
     h = np.eye(n, dtype=complex)
     h[:m, :m] = block
     return h
 
 
 def _flow_step(B: np.ndarray, m: int, i: int, z: complex) -> tuple[np.ndarray, np.ndarray]:
-    """(h, h B h^-1) for one index; for m = n, h is a polynomial in B and B is returned.
-
-    A flow factor that overflows is a numerical failure.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        h = flow_factor(B, m, i, z)
-    if not np.isfinite(h).all():
-        raise ToleranceError(f"flow factor for (m, i) = ({m}, {i}) overflowed")
+    """(h, h B h^-1) for one index; for m = n, h is a polynomial in B and B is returned."""
+    h = flow_factor(B, m, i, z)
     return h, (B if m == B.shape[0] else h @ B @ np.linalg.inv(h))
 
 
@@ -204,9 +206,8 @@ def gz_flow(B, lam) -> np.ndarray:
     lam = _as_group_element(n, lam)
     out = B.copy()
     for m, i, z in lam.items():
-        if z == 0 or m == n:
-            continue
-        out = _flow_step(out, m, i, z)[1]
+        if m < n:
+            out = _flow_step(out, m, i, z)[1]
     return out
 
 

@@ -30,8 +30,8 @@ __all__ = [
 
 # gauge factors with a larger condition number are refused
 _CONDITION_LIMIT = 1e12
-# RK4 steps h with h * rho(alpha) above this are refused: RK4 is stable up to
-# 2.785 on the negative real axis and up to 2 sqrt(2) on the imaginary axis
+# RK4 steps h with h * (largest rate) above this are refused: RK4 is stable up
+# to 2.785 on the negative real axis and up to 2 sqrt(2) on the imaginary axis
 _RK4_LIMIT = 2.78
 
 
@@ -107,6 +107,28 @@ def _diff4(values: np.ndarray, h: float) -> np.ndarray:
     return d
 
 
+def _require_stable_step(h: float, alpha: np.ndarray, gaps: bool) -> None:
+    """Refuse a step h outside RK4's stable range for the rates that alpha sets.
+
+    The gauge ODE g' = g alpha has alpha's eigenvalues as rates, at most |alpha|_F;
+    the Lax ODE has their gaps (the eigenvalues of ad alpha), at most 2 |alpha|_F.
+    Eigenvalues are taken only for the samples (..., n, n) the bound leaves open.
+    """
+    loose = h * (2.0 if gaps else 1.0) * _frobenius(alpha) > _RK4_LIMIT
+    if not loose.any():
+        return
+    lam = np.linalg.eigvals(alpha[loose])
+    rates = lam[:, :, None] - lam[:, None, :] if gaps else lam
+    step = h * float(np.max(np.abs(rates)))
+    if step > _RK4_LIMIT:
+        ode, what = ("Lax", "largest eigenvalue gap") if gaps else ("gauge factor", "spectral radius")
+        raise ToleranceError(
+            f"{ode} step is unstable (h * {what} of alpha {step:.3e} > {_RK4_LIMIT})",
+            defect=step,
+            tolerance=_RK4_LIMIT,
+        )
+
+
 def _rk4(y, rhs, starts, mids, ends, h: float) -> np.ndarray:
     """Classical RK4 for y' = rhs(y, a(t)), a given at each step's start, midpoint and end.
 
@@ -131,6 +153,7 @@ def lax_integrate(alpha_fn, beta_start, t_start: float, t_end: float, steps: int
     ``alpha_fn(t)`` returns one (n, n) alpha, shared by every start, or a
     stack shaped like ``beta_start``.  A stack runs all S paths in the one
     RK4 loop, each with the bits it gets alone, and gives a stacked path.
+    An overflow and a step outside RK4's stable range for ad alpha are refused.
     """
     if not t_start < t_end:
         raise ValueError("need t_start < t_end")
@@ -158,6 +181,7 @@ def lax_integrate(alpha_fn, beta_start, t_start: float, t_end: float, steps: int
     if not finite.all():
         t = grid[np.argmin(finite)]
         raise ToleranceError(f"integration overflowed (not finite at t = {t:.6g})")
+    _require_stable_step(h, stack, gaps=True)
     # the grid axis of alpha goes behind the sample axis, as in beta
     alpha = np.broadcast_to(np.moveaxis(alphas, 0, -3), betas.shape).copy()
     return LaxPath(grid=grid, alpha=alpha, beta=betas).validate()
@@ -251,17 +275,7 @@ def gauge_fix_regular(path: LaxPath, residual_tol: float = 1e-3) -> GaugeFixResu
         )
     if stop < finite.size:
         raise ToleranceError(f"gauge factor overflowed (not finite at t = {path.grid[stop]:.6g})")
-    # rho(alpha) <= |alpha|_F: eigenvalues only for the samples that bound leaves open
-    loose = h * _frobenius(path.alpha) > _RK4_LIMIT
-    if loose.any():
-        step = h * float(np.max(np.abs(np.linalg.eigvals(path.alpha[loose]))))
-        if step > _RK4_LIMIT:
-            raise ToleranceError(
-                f"gauge factor step is unstable (h * spectral radius of alpha {step:.3e} "
-                f"> {_RK4_LIMIT})",
-                defect=step,
-                tolerance=_RK4_LIMIT,
-            )
+    _require_stable_step(h, path.alpha, gaps=False)
     X = path.beta[0].copy()
     conj = g_path @ path.beta @ np.linalg.inv(g_path)
     drift = np.max(_frobenius(conj - X) / (1.0 + np.linalg.norm(X)))

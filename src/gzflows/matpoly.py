@@ -178,10 +178,16 @@ def _pade(A: np.ndarray, order: int) -> np.ndarray:
 
 def matexp(A) -> np.ndarray:
     """Matrix exponential by scaling and squaring with Pade approximants."""
-    A = as_matrix(A)
+    return _expm(as_matrix(A))
+
+
+def _expm(A: np.ndarray) -> np.ndarray:
+    """:func:`matexp` of a checked A; a 1-norm that is not finite gives a NaN matrix."""
     if A.shape[0] == 0:
         return A.copy()
     norm = np.linalg.norm(A, 1)
+    if not np.isfinite(norm):
+        return np.full(A.shape, np.nan, dtype=complex)
     if norm <= _PADE_BOUNDS[-1][1]:
         for order, bound in _PADE_BOUNDS:
             if norm <= bound:

@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import ToleranceError, ValidationError
 from .matpoly import (
+    _expm,
     _faddeev_leverrier,
     _powers,
     as_matrix,
@@ -33,7 +34,6 @@ from .matpoly import (
     companion_of,
     is_monic,
     krylov_matrix,
-    matexp,
     numerical_rank,
     poly_degree,
     poly_divmod,
@@ -366,7 +366,7 @@ def ak_act(F: MatricialData, params) -> MatricialData:
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
             for j, (coeff, power) in enumerate(zip(lam, _powers(out.b_minus[i], lam.size)), start=1):
                 deriv = deriv + j * coeff * power
-            out.g[i] = matexp(deriv) @ out.g[i]
+            out.g[i] = _expm(deriv) @ out.g[i]
         if not np.all(np.isfinite(out.g[i])):
             raise ToleranceError(f"exp(p_{i + 1}'(B_minus[{i + 1}])) g[{i + 1}] overflows")
     return out
@@ -525,26 +525,6 @@ def sigma_of(F: MatricialData) -> SigmaMap:
     return SigmaMap(values=tuple(signs))
 
 
-def _chain_permutation(M: np.ndarray) -> np.ndarray:
-    """Permutation P with P M P^-1 = shift, for M a shift or relinked shift."""
-    size = M.shape[0]
-    S = shift_matrix(size)
-    if np.array_equal(M, S):
-        return np.eye(size, dtype=complex)
-    start = None
-    for m in range(1, size):
-        if np.array_equal(M, relinked_shift(size, m)):
-            start = m
-            break
-    if start is None:
-        raise ValueError("matrix is neither the shift nor a relinked shift")
-    inv = np.zeros((size, size), dtype=complex)
-    order = list(range(start, size)) + list(range(start))
-    for col, row in enumerate(order):
-        inv[row, col] = 1.0
-    return inv.T
-
-
 def enumerate_sr(k) -> list[MatricialData]:
     """Canonical strongly regular representatives over the zero fiber.
 
@@ -564,14 +544,19 @@ def enumerate_sr(k) -> list[MatricialData]:
     for signs in itertools.product((-1, 1), repeat=n - 1):
         b_minus: list[np.ndarray | None] = [None] * n
         b_plus: list[np.ndarray | None] = [None] * n
+        # the basis vector each block's Jordan chain starts at: 0 for the plain shift
+        start_minus = [0] * n
+        start_plus = [0] * n
         u: dict[int, np.ndarray] = {}
         w: dict[int, np.ndarray] = {}
         b_minus[0] = shift_matrix(k[0])
         b_plus[n - 1] = shift_matrix(k[n - 1])
         for j in range(n - 1):
             size, m = _by_size(k, j, k[j], k[j + 1])
-            big = relinked_shift(size, m) if signs[j] == 1 and m < size else shift_matrix(size)
+            start = m if signs[j] == 1 and m < size else 0
+            big = relinked_shift(size, start) if start else shift_matrix(size)
             b_plus[j], b_minus[j + 1] = _by_size(k, j, big, shift_matrix(m))
+            start_plus[j], start_minus[j + 1] = _by_size(k, j, start, 0)
             if m == size:
                 u[j] = np.zeros(m, dtype=complex)
                 w[j] = np.zeros(m, dtype=complex)
@@ -579,11 +564,10 @@ def enumerate_sr(k) -> list[MatricialData]:
                     w[j][-1] = 1.0
                 else:
                     u[j][0] = 1.0
-        g = []
-        for i in range(n):
-            p_minus = _chain_permutation(b_minus[i])
-            p_plus = _chain_permutation(b_plus[i])
-            g.append(p_minus.conj().T @ p_plus)
+        # g_i = P_minus^-1 P_plus, where P = eye[roll(arange, -s)] takes the shift
+        # relinked at start s to the shift: the identity rolled by the starts' difference
+        g = [np.roll(np.eye(size, dtype=complex), plus - minus, axis=1)
+             for size, minus, plus in zip(k, start_minus, start_plus)]
         reps.append(md_validate(MatricialData(
             k=k, b_minus=b_minus, b_plus=b_plus, g=g, u=u, w=w,
         )))
@@ -800,12 +784,12 @@ def _charpoly_adjugate(A: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
 def _adjugate_attempt(H: list[np.ndarray], rhs: np.ndarray, rng: np.random.Generator):
     """(v, x) for a random v and the solution x of M x = rhs with rows M[l] = H[l] v.
 
-    x is None when M is numerically singular or worse conditioned than 1e10.
+    x is None when M is numerically singular; otherwise cond(M) < 1e10 / size.
     """
     size = len(H)
     v = rng.normal(size=size) + 1j * rng.normal(size=size)
     M = np.array([h @ v for h in H])
-    if numerical_rank(M) < size or np.linalg.cond(M) > 1e10:
+    if numerical_rank(M) < size:
         return v, None
     return v, np.linalg.solve(M, rhs)
 
@@ -911,19 +895,15 @@ def fixture_from_polar(polys, rng=None) -> MatricialData:
     return md_validate(MatricialData(k=k, b_minus=b_minus, b_plus=b_plus, g=g, u=u, w=w))
 
 
-def _chebyshev_nodes(count: int, lo: float = 1.0, hi: float = 2.0) -> np.ndarray:
-    angles = (2 * np.arange(1, count + 1) - 1) * np.pi / (2 * count)
-    return (lo + hi) / 2.0 + (hi - lo) / 2.0 * np.cos(angles)
-
-
 def pairing_residual(F: MatricialData) -> float:
-    """Max sampled value of the junction pairing polynomials on zero-fiber data.
+    """Largest coefficient size of the junction pairing polynomials on zero-fiber data.
 
-    For unequal sizes this is a adj(z - X) b of the larger matrix, for tied
-    sizes w^T adj(z - B^+) u; each has degree below the block size, so
-    evaluation at that many Chebyshev-spaced points (away from the nilpotent
-    spectrum) certifies the identity without symbolic adjugates.  F must be
-    validated (md_validate); it is not re-checked.
+    For unequal sizes the polynomial is a adj(z - X) b of the larger matrix,
+    for tied sizes w^T adj(z - B^+) u.  Its coefficients are row H[l] col
+    with the exact adjugate coefficients H[l] of the Faddeev-LeVerrier
+    recursion, so the value is max |row H[l] col|, zero iff every pairing
+    polynomial vanishes.  F must be validated (md_validate); it is not
+    re-checked.
     """
     _require_nilpotent_fiber(F, VALIDATE_TOL * F.scale())
     worst = 0.0
@@ -936,8 +916,6 @@ def pairing_residual(F: MatricialData) -> float:
         else:
             big = _by_size(F.k, j, F.b_plus[j], F.b_minus[j + 1])[0]
             X, row, col = big[:m, :m], big[m, :m], big[:m, -1]
-        for z in _chebyshev_nodes(m):
-            zi = z * np.eye(X.shape[0], dtype=complex) - X
-            adj = np.linalg.det(zi) * np.linalg.inv(zi)
-            worst = max(worst, abs(row @ adj @ col))
+        for H in _charpoly_adjugate(X)[1]:
+            worst = max(worst, abs(row @ H @ col))
     return worst

@@ -94,8 +94,6 @@ def vn_gz_flow(p: VnPoint, lam) -> VnPoint:
     B = p.B.copy()
     b = p.b.copy()
     for m, i, z in lam.items():
-        if z == 0:
-            continue
         h, B = _flow_step(B, m, i, z)
         b = h @ b
     return VnPoint(B=B, b=b)
@@ -151,13 +149,9 @@ def tilde_a_flow(x: CotangentPoint, left, right) -> CotangentPoint:
     and right flows leave B unchanged, so each family's generators are
     constant along the other's orbits.
     """
-    left = _as_group_element(x.n, left)
-    right = _as_group_element(x.n, right)
+    families = (("left", _as_group_element(x.n, left)), ("right", _as_group_element(x.n, right)))
     out = x
-    for m, i, z in left.items():
-        if z != 0:
-            out = tgl_flow(out, "left", m, i, z)
-    for m, i, z in right.items():
-        if z != 0:
-            out = tgl_flow(out, "right", m, i, z)
+    for side, lam in families:
+        for m, i, z in lam.items():
+            out = tgl_flow(out, side, m, i, z)
     return out

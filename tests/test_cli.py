@@ -287,6 +287,28 @@ class TestLaxCommands:
             "(h * spectral radius of alpha 2.000e+01 > 2.78)\n"
         )
 
+    @pytest.mark.parametrize("alpha, steps", [
+        (np.diag([100j, -100j]), 400),
+        # ad alpha = 0 whatever |alpha|_F
+        (800.0 * np.eye(2), 40),
+    ])
+    def test_stable_lax_step_answers(self, capsys, alpha, steps):
+        payload = {**self.payload(), "steps": steps, "beta": [[[1, 0], [2, 0]], [[3, 0], [4, 0]]]}
+        payload["alpha"]["matrix"] = serialize.encode_array(alpha)
+        doc = call_json(capsys, "lax-run", "--input", json.dumps(payload, default=np.ndarray.tolist))
+        # the exact path keeps |beta_ij|: at most 4
+        assert np.max(np.abs(serialize.decode_lax_path(doc["path"]).beta)) < 4.5
+
+    def test_unstable_lax_step_3(self):
+        # h * |100i - (-100i)| = 5 > 2 sqrt(2): RK4 would answer |beta| ~ 6e53 where the
+        # exact path stays near 5
+        payload = {**self.payload(), "steps": 40, "beta": [[[1, 0], [2, 0]], [[3, 0], [4, 0]]]}
+        payload["alpha"]["matrix"] = serialize.encode_array(np.diag([100j, -100j]))
+        assert run_fresh("lax-run", "--input", json.dumps(payload, default=np.ndarray.tolist)) == (
+            3, "", "numerical failure: Lax step is unstable "
+            "(h * largest eigenvalue gap of alpha 5.000e+00 > 2.78)\n",
+        )
+
     def test_nilpotent_alpha_with_a_large_norm_answers(self, capsys):
         payload = {**self.payload(), "steps": 40,
                    "beta": serialize.encode_array(np.array([[1.0, 5.0], [0.0, 1.0]]))}
@@ -850,6 +872,7 @@ def test_model_bytes(capsys, key):
 
 # entries whose power sums overflow: tr(B^2) = 2e400
 HUGE_MATRIX = {"matrix": [[[1e200, 0], [0, 0]], [[0, 0], [1e200, 0]]]}
+NOT_JSON = "numerical failure: non-finite number in the output (NaN and Infinity are not JSON)\n"
 
 
 class TestNonFiniteOutput:
@@ -896,16 +919,37 @@ def overflowing_composite_flow(seed):
 class TestQuietOverflow:
     """A request that overflows exits 3 with the CLI's one line on stderr, no numpy warnings."""
 
-    @pytest.mark.parametrize("argv", [
-        pytest.param(["gz-map", "--input", json.dumps({**HUGE_MATRIX, "basis": "tr-power"})], id="gz-map-tr-power"),
-        pytest.param(["gz-map", "--input", json.dumps({**HUGE_MATRIX, "basis": "charpoly"})], id="gz-map-charpoly"),
+    @pytest.mark.parametrize("argv, err", [
+        pytest.param(["gz-map", "--input", json.dumps({**HUGE_MATRIX, "basis": "tr-power"})], NOT_JSON,
+                     id="gz-map-tr-power"),
+        pytest.param(["gz-map", "--input", json.dumps({**HUGE_MATRIX, "basis": "charpoly"})], NOT_JSON,
+                     id="gz-map-charpoly"),
         pytest.param(["gz-flow", "--input", json.dumps(
-            {**HUGE_MATRIX, "flows": [{"m": 1, "i": 1, "z": [0.1, 0]}]})], id="gz-flow"),
-        pytest.param(["lax-run", "--input", overflowing_lax_run(40)], id="lax-run-40"),
+            {**HUGE_MATRIX, "flows": [{"m": 1, "i": 1, "z": [0.1, 0]}]})], NOT_JSON, id="gz-flow"),
+        # ad alpha has the rates +-1600, and h * 1600 = 40: refused before any output is made
+        pytest.param(["lax-run", "--input", overflowing_lax_run(40)],
+                     "numerical failure: Lax step is unstable "
+                     "(h * largest eigenvalue gap of alpha 4.000e+01 > 2.78)\n", id="lax-run-40"),
     ])
-    def test_non_finite_output_is_one_line(self, argv):
-        assert run_fresh(*argv) == (
-            3, "", "numerical failure: non-finite number in the output (NaN and Infinity are not JSON)\n",
+    def test_non_finite_output_is_one_line(self, argv, err):
+        assert run_fresh(*argv) == (3, "", err)
+
+    def test_overflowing_minor_power_is_a_flow_failure(self):
+        # B_3**2 = 1e320 I_3 overflows inside the flow: a numerical failure, not malformed input
+        B = 1e160 * np.eye(4)
+        payload = json.dumps({"matrix": serialize.encode_array(B).tolist(),
+                              "flows": [{"m": 3, "i": 3, "z": [0.1, 0]}]})
+        assert run_fresh("gz-flow", "--input", payload) == (
+            3, "", "numerical failure: flow factor for (m, i) = (3, 3) overflowed\n",
+        )
+
+    def test_overflowing_ak_act_exponent_3(self):
+        F = fixture_from_polar([poly_from_roots([1, -1]), poly_from_roots([1, 2])], rng=0)
+        payload = json.dumps({"data": serialize.encode_matricial(F),
+                              "params": [[[1e308, 0], [1e308, 0]], [[0, 0], [0, 0]]]},
+                             default=np.ndarray.tolist)
+        assert run_fresh("ak-act", "--input", payload) == (
+            3, "", "numerical failure: exp(p_1'(B_minus[1])) g[1] overflows\n",
         )
 
     @pytest.mark.parametrize("steps, t", [(100, "0.86"), (200, "0.62"), (500, "0.476")])

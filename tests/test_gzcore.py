@@ -95,6 +95,10 @@ class TestFlow:
             want[m:, :m] = np.exp(-z) * B[m:, :m]
             assert np.max(np.abs(moved - want)) < 1e-12 * (1 + np.max(np.abs(want)))
 
+    def test_items_skip_zeros_in_lexicographic_order(self):
+        lam = GZGroupElement.from_pairs(3, [(3, 1, 2j), (1, 1, 0.5), (2, 2, 0), (2, 1, -1)])
+        assert list(lam.items()) == [(1, 1, 0.5 + 0j), (2, 1, -1 + 0j), (3, 1, 2j)]
+
     def test_identity_element(self):
         rng = np.random.default_rng(4)
         B = random_matrix(rng, 3)

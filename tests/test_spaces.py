@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from gzflows.errors import ValidationError
+from gzflows.errors import ToleranceError, ValidationError
 from gzflows.gzcore import GZGroupElement, gz_flow, gz_map
 from gzflows.matpoly import companion_of, krylov_rank
 from gzflows.spaces import (
@@ -234,6 +236,16 @@ class TestTildeAFlow:
         right_before = gz_map(x.right_moment()).values
         right_after = gz_map(moved.right_moment()).values
         assert np.max(np.abs(right_after - right_before) / (1 + np.abs(right_before))) < 1e-9
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_overflowing_factor_raises_quietly(self, side):
+        # exp(30 * 50 * M) overflows on either side: refused, never a non-finite g
+        x = CotangentPoint(np.eye(3, dtype=complex), 50.0 * np.array([[1, 2, 0], [0, 3, 1], [1, 0, 2]]))
+        flows = {"left": ([(2, 2, 30)], []), "right": ([], [(2, 2, 30)])}[side]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ToleranceError, match=r"flow factor for \(m, i\) = \(2, 2\) overflowed"):
+                tilde_a_flow(x, *flows)
 
 
 class TestCotangentValidate:
