@@ -16,7 +16,7 @@ import numpy as np
 
 from . import gzcore, lax, ratmodel, serialize, verify
 from .errors import InputError, ToleranceError, ValidationError
-from .matpoly import _frobenius, as_matrix
+from .matpoly import _coincident, _frobenius, as_matrix
 
 __all__ = ["main", "run"]
 
@@ -38,13 +38,7 @@ def _random_chart(rng: np.random.Generator, n: int) -> ratmodel.OpenStratumChart
     # degrees (1, ..., n); poles drawn until pairwise separated
     while True:
         poles = [rng.uniform(-2, 2, i) + 1j * rng.uniform(-2, 2, i) for i in range(1, n + 1)]
-        flat = np.concatenate(poles)
-        gaps = [
-            abs(flat[a] - flat[b])
-            for a in range(flat.size)
-            for b in range(a + 1, flat.size)
-        ]
-        if not gaps or min(gaps) > 1e-2:
+        if not _coincident(np.concatenate(poles), 1e-2):
             break
     residues = []
     for i in range(1, n + 1):
@@ -150,10 +144,10 @@ def cmd_enumerate_orbits(payload, args):
     reps = ratmodel.enumerate_sr(k)
     entries = []
     for F in reps:
-        sigma = ratmodel.sigma_of(F)
+        sigma, regular = ratmodel._classify(F)
         entries.append({
             "sigma": list(sigma.values),
-            "strongly_regular": bool(ratmodel.md_strongly_regular(F)),
+            "strongly_regular": bool(regular),
             "data": serialize.encode_matricial(F),
         })
     return {"k": list(k), "count": len(reps), "representatives": entries}, EXIT_OK
@@ -189,6 +183,16 @@ def cmd_polar(payload, args):
     }, EXIT_OK
 
 
+def _tensor_pairings(df: np.ndarray, pi: np.ndarray, dg: np.ndarray) -> np.ndarray:
+    """df[l] @ pi @ dg[m] at [l, m], each with the bits of (df[l] @ pi) @ dg[m].
+
+    A (1, d) @ (d, d) product per row and a (1, d) @ (d, 1) product per pair
+    take the one gemv and the one dot that the 1-d products take.
+    """
+    left = np.matmul(df[:, None, :], pi)
+    return np.matmul(left[:, None], dg[:, :, None])[..., 0, 0]
+
+
 def cmd_kw_check(payload, args):
     n = payload.get("n", 3)
     if not isinstance(n, int) or n < 1:
@@ -205,14 +209,12 @@ def cmd_kw_check(payload, args):
         rho = x[N:]
         cross_pi = ratmodel.chart_as_poisson_chart(chart).tensor_at(x)
         # one FD Jacobian per function family: q_l = y[l] and s_l = 1 / rho_l
-        dq = verify.fd_gradient(lambda y: y[:N], x)
-        ds = verify.fd_gradient(lambda y: 1.0 / y[N:], x)
+        dq = verify.fd_gradient(lambda y: y[..., :N], x)
+        ds = verify.fd_gradient(lambda y: 1.0 / y[..., N:], x)
         # every pairing of rows l and m at [l, m]
         val = ratmodel._chart_pairing(rho, dq[:, None], ds[None, :])
         expect = np.diag(1.0 / rho)
-        # one dot per pair: a stacked product rounds the cross-check differently
-        left = [row @ cross_pi for row in dq]
-        cross = np.array([[v @ w for w in ds] for v in left])
+        cross = _tensor_pairings(dq, cross_pi, ds)
         # np.max keeps a NaN that max() would drop
         worst = np.max([
             worst,
@@ -277,9 +279,18 @@ def cmd_lax_run(payload, args):
         alpha_fn, beta, float(payload["t_start"]), float(payload["t_end"]),
         int(payload["steps"]),
     )
+    # lax-gauge's gate: no path is written that lax-gauge would refuse
+    tol = args.tol or 1e-3
+    residual = lax.lax_residual(path)
+    if not residual <= tol:
+        raise ToleranceError(
+            f"Lax path is inaccurate (residual {residual:.3e} > {tol:.1e}); take more steps",
+            defect=residual,
+            tolerance=tol,
+        )
     return {
         "path": serialize.encode_lax_path(path),
-        "lax_residual": float(lax.lax_residual(path)),
+        "lax_residual": float(residual),
         "isospectral_drift": float(lax.isospectral_drift(path)),
     }, EXIT_OK
 

@@ -350,6 +350,21 @@ def krylov_rank(B, b) -> int:
     return numerical_rank(krylov_matrix(B, b))
 
 
+def _distances(z: np.ndarray) -> np.ndarray:
+    """|z[a] - z[b]| at [a, b] for the points z, each with the bits of Python's abs()."""
+    gaps = z[:, None] - z[None, :]
+    # hypot rounds as Python's abs does; np.abs of a complex array may not
+    return np.hypot(gaps.real, gaps.imag)
+
+
+def _coincident(z: np.ndarray, tol: float) -> bool:
+    """Whether two of the points z lie within tol of each other."""
+    near = _distances(z) <= tol
+    # the diagonal compares each point with itself
+    near.flat[:: z.size + 1] = False
+    return bool(near.any())
+
+
 def cluster_points(points, tol: float) -> list[tuple[complex, int]]:
     """Single-linkage clustering of a complex multiset.
 
@@ -367,9 +382,7 @@ def _clusters(points, tol: float) -> tuple[list[tuple[complex, int]], np.ndarray
     z = np.array([complex(p) for p in points], dtype=complex)
     perm = np.lexsort((z.imag, z.real))
     pts = z[perm]
-    gaps = pts[:, None] - pts[None, :]
-    # hypot rounds as Python's abs does; np.abs of a complex array may not
-    near = np.hypot(gaps.real, gaps.imag) <= tol
+    near = _distances(pts) <= tol
     # each point takes the least index in its connected component
     labels = np.arange(z.size)
     while True:

@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import ToleranceError, ValidationError
 from .matpoly import (
+    _coincident,
     _expm,
     _faddeev_leverrier,
     _powers,
@@ -649,6 +650,11 @@ def md_strongly_regular(F: MatricialData) -> bool:
     the linearized isotropy system is computed independently and any
     disagreement raises a warning.
     """
+    return _classify(F)[1]
+
+
+def _classify(F: MatricialData) -> tuple[SigmaMap, bool]:
+    """(sigma_of(F), md_strongly_regular(F)) from one sign map."""
     sigma = sigma_of(F)
     primary = all(v != 0 for v in sigma.values)
     nullity = isotropy_nullity(F)
@@ -656,9 +662,9 @@ def md_strongly_regular(F: MatricialData) -> bool:
         warnings.warn(
             f"sign classification ({primary}) disagrees with linearized "
             f"isotropy nullity {nullity}",
-            stacklevel=2,
+            stacklevel=3,
         )
-    return primary
+    return sigma, primary
 
 
 @dataclass(frozen=True)
@@ -691,10 +697,8 @@ def open_stratum_chart(poles, residues) -> OpenStratumChart:
         raise ValueError("poles and residues must match level by level")
     allp = np.concatenate(poles) if poles else np.zeros(0, dtype=complex)
     scale = 1.0 + (np.max(np.abs(allp)) if allp.size else 0.0)
-    for a in range(allp.size):
-        for b in range(a + 1, allp.size):
-            if abs(allp[a] - allp[b]) <= _OPEN_STRATUM_TOL * scale:
-                raise ValidationError("coincident poles are outside the open stratum")
+    if _coincident(allp, _OPEN_STRATUM_TOL * scale):
+        raise ValidationError("coincident poles are outside the open stratum")
     for r in residues:
         if r.size and np.min(np.abs(r)) <= _OPEN_STRATUM_TOL:
             raise ValidationError("residual values must be nonzero")
@@ -713,8 +717,10 @@ def chart_symplectic_form(chart: OpenStratumChart, t1, t2) -> complex:
 def chart_bracket(chart: OpenStratumChart, f, g) -> complex:
     """Poisson bracket of two chart functions via the closed-form tensor.
 
-    Functions take the flat coordinate vector.  The convention is the one
-    in the module header: {q_l, 1/rho_k} = delta_lk / rho_k.
+    Functions map a stack of flat coordinate vectors, shape (..., 2N), to
+    the stack of their values, shape (...); each is called once, by
+    :func:`gzflows.verify.fd_gradient`.  The convention is the one in the
+    module header: {q_l, 1/rho_k} = delta_lk / rho_k.
     """
     x = chart.flat()
     N = chart.size

@@ -57,24 +57,30 @@ class Chart:
 def fd_gradient(f, x, step: float | None = None) -> np.ndarray:
     """O(h^2) gradient of f at the flat complex point x of dimension d.
 
-    Each coordinate is probed along the real and the imaginary axis with a
-    step scaled by (1 + |x_j|); the Wirtinger combination (d_re - i*d_im)/2
-    is returned, which is the complex derivative when f is holomorphic.
-    A scalar f gives its (d,) gradient.  A vector-valued f of shape (k,)
-    gives its (k, d) Jacobian from the same 4d evaluations; row l is the
-    gradient that component l alone would give, bit for bit.
+    f maps a stack of points, shape (..., d), to the stack of its values,
+    shape (...) for a scalar f or (..., k) for a vector-valued one; it is
+    called once, on all 4d probe points.  Each coordinate is probed along
+    the real and the imaginary axis with a step scaled by (1 + |x_j|); the
+    Wirtinger combination (d_re - i*d_im)/2 is returned, which is the
+    complex derivative when f is holomorphic.  A scalar f gives its (d,)
+    gradient, a vector-valued f its (k, d) Jacobian.  For an f that acts
+    entry by entry, every entry has the bits of probing one point at a time.
     """
     x = np.asarray(x, dtype=complex).reshape(-1)
+    d = x.size
     base = DEFAULT_STEP if step is None else step
-    columns = []
-    for j in range(x.size):
-        h = base * (1.0 + abs(x[j]))
-        e = np.zeros(x.size, dtype=complex)
-        e[j] = h
-        d_re = (f(x + e) - f(x - e)) / (2.0 * h)
-        d_im = (f(x + 1j * e) - f(x - 1j * e)) / (2.0 * h)
-        columns.append((d_re - 1j * d_im) / 2.0)
-    grad = np.ascontiguousarray(np.array(columns, dtype=complex).T)
+    # hypot rounds as Python's abs() of each entry does
+    h = base * (1.0 + np.hypot(x.real, x.imag))
+    # row j of e is h_j e_j; the probes are x + e, x - e, x + ie, x - ie
+    e = np.diag(h).astype(complex)
+    probes = np.concatenate([x + e, x - e, x + 1j * e, x - 1j * e])
+    values = np.asarray(f(probes), dtype=complex)
+    values = values.reshape((4, d) + values.shape[1:])
+    two_h = (2.0 * h).reshape((d,) + (1,) * (values.ndim - 2))
+    d_re = (values[0] - values[1]) / two_h
+    d_im = (values[2] - values[3]) / two_h
+    # (d,) or (d, k) columns: the transpose is the (k, d) Jacobian
+    grad = np.ascontiguousarray(((d_re - 1j * d_im) / 2.0).T)
     if not np.all(np.isfinite(grad)):
         raise ValidationError("non-finite values in finite-difference gradient")
     return grad

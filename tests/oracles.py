@@ -9,8 +9,37 @@ from __future__ import annotations
 
 import numpy as np
 
+from gzflows.errors import ValidationError
 from gzflows.matpoly import as_matrix
-from gzflows.verify import Chart, fd_gradient
+from gzflows.verify import DEFAULT_STEP, Chart, fd_gradient
+
+
+def probe_loop_gradient(f, x, step: float | None = None) -> np.ndarray:
+    """:func:`gzflows.verify.fd_gradient` one probe point at a time.
+
+    The reference for the stacked probes: f is called 4d times, each on one
+    flat point, and the columns are combined as the stacked form combines
+    them.  For an f that acts entry by entry both give the same bits.
+    """
+    x = np.asarray(x, dtype=complex).reshape(-1)
+    base = DEFAULT_STEP if step is None else step
+    columns = []
+    for j in range(x.size):
+        h = base * (1.0 + abs(x[j]))
+        e = np.zeros(x.size, dtype=complex)
+        e[j] = h
+        d_re = (f(x + e) - f(x - e)) / (2.0 * h)
+        d_im = (f(x + 1j * e) - f(x - 1j * e)) / (2.0 * h)
+        columns.append((d_re - 1j * d_im) / 2.0)
+    grad = np.ascontiguousarray(np.array(columns, dtype=complex).T)
+    if not np.all(np.isfinite(grad)):
+        raise ValidationError("non-finite values in finite-difference gradient")
+    return grad
+
+
+def trace(M: np.ndarray) -> np.ndarray:
+    """Trace over the last two axes: the stack of traces of a stack of matrices."""
+    return np.trace(M, axis1=-2, axis2=-1)
 
 
 def poisson_bracket(chart: Chart, f, g, x, step: float | None = None) -> complex:
@@ -23,10 +52,13 @@ def poisson_bracket(chart: Chart, f, g, x, step: float | None = None) -> complex
 
 
 def matrix_gradient(f, B, step: float | None = None) -> np.ndarray:
-    """Trace-pairing gradient of a matrix function: df(D) = tr(grad @ D)."""
+    """Trace-pairing gradient of a matrix function: df(D) = tr(grad @ D).
+
+    f maps a stack of matrices, shape (..., n, n), to the stack of its values.
+    """
     B = as_matrix(B)
     n = B.shape[0]
-    flat = fd_gradient(lambda x: f(x.reshape(n, n)), B.reshape(-1), step=step)
+    flat = fd_gradient(lambda x: f(x.reshape(x.shape[:-1] + (n, n))), B.reshape(-1), step=step)
     return flat.reshape(n, n).T
 
 

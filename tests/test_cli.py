@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from gzflows import gzcore, ratmodel, serialize, verify
-from gzflows.cli import HANDLERS, run
+from gzflows import gzcore, lax, ratmodel, serialize, verify
+from gzflows.cli import HANDLERS, _tensor_pairings, run
 from gzflows.errors import InputError, ToleranceError
 from gzflows.matpoly import poly_from_roots
 from gzflows.ratmodel import enumerate_sr, fixture_from_polar
@@ -208,6 +208,17 @@ class TestModelPointBoundary:
         doc = call_json(capsys, "enumerate-orbits", "--input", '{"k": [1, 2, 3, 3, 2]}')
         assert doc["count"] == 16 and len(calls) == 16
 
+    def test_enumerate_orbits_takes_each_sign_map_once(self, capsys, monkeypatch):
+        calls, sigma_of = [], ratmodel.sigma_of
+
+        def counted(F):
+            calls.append(F.k)
+            return sigma_of(F)
+
+        monkeypatch.setattr(ratmodel, "sigma_of", counted)
+        doc = call_json(capsys, "enumerate-orbits", "--input", '{"k": [1, 2, 3, 3, 2]}')
+        assert doc["count"] == 16 and len(calls) == 16
+
     @pytest.mark.parametrize("name", ["md-validate", "polar", "ak-act"])
     def test_a_request_validates_its_point_once(self, capsys, monkeypatch, name):
         payload = model_request((1, 2), params=[[[0.1, 0]], [[0.2, 0], [0, 0.1]]])
@@ -295,7 +306,10 @@ class TestLaxCommands:
     def test_stable_lax_step_answers(self, capsys, alpha, steps):
         payload = {**self.payload(), "steps": steps, "beta": [[[1, 0], [2, 0]], [[3, 0], [4, 0]]]}
         payload["alpha"]["matrix"] = serialize.encode_array(alpha)
-        doc = call_json(capsys, "lax-run", "--input", json.dumps(payload, default=np.ndarray.tolist))
+        # --tol 2 lets the inaccurate 400-step path (residual 1.35) past the
+        # residual gate, so that the step check alone is tested
+        doc = call_json(capsys, "lax-run", "--input", json.dumps(payload, default=np.ndarray.tolist),
+                        "--tol", "2")
         # the exact path keeps |beta_ij|: at most 4
         assert np.max(np.abs(serialize.decode_lax_path(doc["path"]).beta)) < 4.5
 
@@ -308,6 +322,30 @@ class TestLaxCommands:
             3, "", "numerical failure: Lax step is unstable "
             "(h * largest eigenvalue gap of alpha 5.000e+00 > 2.78)\n",
         )
+
+    def test_inaccurate_lax_path_3(self, tmp_path):
+        # stable (h * gap = 0.5) but inaccurate: RK4 damps the rotating entries by
+        # about 4%, a residual of 1.35 and a spectrum drift of 0.48
+        payload = {**self.payload(), "steps": 400, "beta": [[[1, 0], [2, 0]], [[3, 0], [4, 0]]]}
+        payload["alpha"]["matrix"] = serialize.encode_array(np.diag([100j, -100j]))
+        target = tmp_path / "path.json"
+        assert run_fresh(
+            "lax-run", "--input", json.dumps(payload, default=np.ndarray.tolist), "--output", str(target)
+        ) == (3, "", "numerical failure: Lax path is inaccurate (residual 1.353e+00 > 1.0e-03); "
+                     "take more steps\n")
+        assert not target.exists()
+
+    @pytest.mark.parametrize("tol, code", [("1e-3", 0), ("1e-12", 3)])
+    def test_lax_run_residual_gate_follows_tol(self, capsys, tol, code):
+        # the residual of the default request is about 5e-10
+        argv = ["lax-run", "--input", json.dumps(self.payload(), default=np.ndarray.tolist), "--tol", tol]
+        assert call(capsys, *argv)[0] == code
+
+    def test_nan_lax_residual_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(lax, "lax_residual", lambda path: float("nan"))
+        code, out, err = call(capsys, "lax-run", "--input", json.dumps(self.payload(), default=np.ndarray.tolist))
+        assert (code, out) == (3, "")
+        assert err == "numerical failure: Lax path is inaccurate (residual nan > 1.0e-03); take more steps\n"
 
     def test_nilpotent_alpha_with_a_large_norm_answers(self, capsys):
         payload = {**self.payload(), "steps": 40,
@@ -442,6 +480,20 @@ class TestVerificationCommands:
         assert code == 3 and "numerical failure" in err
 
 
+@pytest.mark.parametrize("N", range(1, 13))
+def test_stacked_cross_check_is_each_pairs_bits(N):
+    # the products kw-check made per row and per pair before they were stacked
+    rng = np.random.default_rng(N)
+    c = lambda *shape: rng.normal(size=shape) + 1j * rng.normal(size=shape)  # noqa: E731
+    for scale in (1e-5, 1.0, 1e5):
+        df, pi, dg = scale * c(N, 2 * N), c(2 * N, 2 * N), c(N, 2 * N) / scale
+        left = [row @ pi for row in df]
+        want = np.array([[v @ w for w in dg] for v in left])
+        got = _tensor_pairings(df, pi, dg)
+        assert got.shape == (N, N)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 # sha256 of stdout and the exit code of each (subcommand, n, samples, seed,
 # tol), recorded when every sample, pair and path was checked on its own
 VERIFICATION_BYTES = {
@@ -476,6 +528,12 @@ VERIFICATION_BYTES = {
     ("kw-check", 3, 4, 0, None): ("58a3771fabe1d64167d6631198016f9fffa072609d9d8c32efc67f83aaf05f7b", 0),
     ("kw-check", 3, 4, 4007, None): ("8ef2138cdf52ad52c66b71a274db3fa03a51e6d9f6de4e7ff606a57fcbde5e17", 0),
     ("kw-check", 4, 2, 0, None): ("5275876dd192705cae23198c1268447441a1f7b1646ded64a0270e946ff4f6ce", 0),
+    ("kw-check", 2, 4, 3, None): ("fc6c43b65012f3b88cd536c1b6ac6ba659657bf4c8143512790f1b5dd360de97", 0),
+    ("kw-check", 3, 1, 4, None): ("ac8c03621c9a767bb4bc71a80d90cd0b6ae5bf94fb07b15d8cb2930c8e97cd09", 0),
+    ("kw-check", 3, 2, 5, None): ("23e7496c4b5c89171b631390e6f240ba183e6efbbbaf1a74a53b9593bdc5314e", 0),
+    ("verify-suite", 3, 3, 5, None): ("f6c7a6079451fa1acf17b4fe57c08cb82cc330d88c1617236d7d9aafedecc268", 0),
+    ("verify-suite", 4, 2, 5, None): ("b16f4c63325e363a36a465e8f354ec5395ecbdc0b91e7d500f171eb85096683e", 0),
+    ("verify-suite", 5, 2, 5, None): ("7c8fb8de10edd6a918725b9d65625b7fe8c011840bff38119ce0ee2f9afb228c", 0),
     ("bracket-table", 1, 1, 0, None): ("4d032da02ff2a8ea2a8707fcaedd32497e52b05202baac8bf6fc4956894d83d2", 0),
     ("bracket-table", 1, 1, 4007, None): ("4d032da02ff2a8ea2a8707fcaedd32497e52b05202baac8bf6fc4956894d83d2", 0),
     ("bracket-table", 1, 7, 0, None): ("f5f6ce49274b29439797c2eb3331baaf781e243f08d999c21d999729c7961584", 0),
@@ -538,7 +596,9 @@ def lax_round_trip(capsys, tmp_path, kind, n, steps):
     return tuple(got)
 
 
-# sha256 of stdout and the exit code of lax-run, then of lax-gauge on its path
+# sha256 of stdout and the exit code of lax-run, then of lax-gauge on its path;
+# lax-run refuses a path whose residual exceeds 1e-3 (exit 3, no file), and
+# lax-gauge then finds no input file (exit 65)
 LAX_BYTES = {
     ("constant", 1, 1): (
         "3999acb0fe0df316fc6d5f661c2de9bc38a6b22317ef3df07e453d7a96cfc3b5", 0,
@@ -561,8 +621,8 @@ LAX_BYTES = {
         "076cde79a6d552c86eb93d1de8c646d0727163350f6aa418e312ab662fe2a550", 0,
     ),
     ("constant", 2, 1): (
-        "3bc2dc7b716b8264b18e1396658701cfe84bc8368d6ff0a04da2448db0f13ce3", 0,
-        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 3,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 65,
     ),
     ("constant", 2, 4): (
         "d9b2a6aaf5c2efbc52f6f831a44376a96bdfd97d873a3984c390ccc15ee49df8", 0,
@@ -581,8 +641,8 @@ LAX_BYTES = {
         "354d45fdfb0cc0ba48629c1d6702db4d76ffbc90cceffaed18d95ed9ad0d5164", 0,
     ),
     ("constant", 3, 1): (
-        "fbbc0ccd8123ce7bcf9b85cc03523cb45e345fa934c66e7deb957877dec78fce", 0,
-        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 3,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 65,
     ),
     ("constant", 3, 4): (
         "88136ed248c6151b7f3142ecbe0ad15f4745505f6d9205b35c5f1ca5a605523e", 0,
@@ -601,8 +661,8 @@ LAX_BYTES = {
         "4878ed689ae1eecc9dcf1243e97477332d52dadf511f6b9b3d98d5c5d9d1cf94", 0,
     ),
     ("constant", 4, 1): (
-        "ffa37aaea2ac72f4313f8751f34774e0d7e786f68d9bdb6d6c384218af9a50ad", 0,
-        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 3,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 65,
     ),
     ("constant", 4, 4): (
         "9a8d8b57a57dc4ec4dd480152b9d615f5e825cba95a95033effd249d16690e60", 0,
@@ -621,8 +681,8 @@ LAX_BYTES = {
         "197d266fc41e1250024b305355c400b437a1e1e9f455f0c49255768c1f6dd790", 0,
     ),
     ("constant", 5, 1): (
-        "c56607a6f0b1ea0673f69d8d07ae721aaffbf9ee74e9d9d37c2cbe102dda4092", 0,
-        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 3,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 65,
     ),
     ("constant", 5, 4): (
         "5063528cc56a5d77815439b3339fe5db68b877f11821b95a6696cac18ee80845", 0,
@@ -641,8 +701,8 @@ LAX_BYTES = {
         "a68f9e5b420dad8f2caedc3ffe73553c98d8aee4d583c8ca568a5ef8dd0c838f", 0,
     ),
     ("constant", 6, 1): (
-        "9aeecf933c7a3bc912590a4275b17e7d23d24d468374366f4af67994df789841", 0,
-        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 3,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 65,
     ),
     ("constant", 6, 4): (
         "648b9aea8795671a98a91451c213d1eee1ee7b791d3cb76cad86d8d7d9f231ce", 0,
@@ -681,12 +741,12 @@ LAX_BYTES = {
         "a4118db0ee1ad260195f54d8ff4e41d3ad6f65b0e4918475728ad44bcabfc8e5", 0,
     ),
     ("polynomial", 2, 1): (
-        "6efe1ee706af0c485f9cf4d4408742bfbc7fef051abd5257c73cee0c8577b301", 0,
-        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 3,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 65,
     ),
     ("polynomial", 2, 4): (
-        "78e93ba2c698e20f0eaa1fce4be19b6af7a13b7620f765a80f491eef719f6b9c", 0,
-        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 3,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 65,
     ),
     ("polynomial", 2, 5): (
         "9b84dc5528e57972282f50cd5fd05a3a48d3adfb3d7e82c16fe808ea169a50b9", 0,
@@ -701,8 +761,8 @@ LAX_BYTES = {
         "1ef93c359b6f5cb61194d3532afcca43b471efcb8d18ef8d18f3c871d2960c62", 0,
     ),
     ("polynomial", 3, 1): (
-        "81500df2168412ff533d66092c53b1815b6fa6fdcc8d2d4b699c98eaf1336e53", 0,
-        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 3,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 65,
     ),
     ("polynomial", 3, 4): (
         "9cdc473ff0c8d1c3866ca7788e5e425b83c44e2567388d8e940729907fc16adf", 0,
@@ -721,8 +781,8 @@ LAX_BYTES = {
         "f8b8ca2b79bc9dd5089c2225f4f8b60b6f4b3b33a0d6ef3531463c2369bf9a62", 0,
     ),
     ("polynomial", 4, 1): (
-        "4d3d705d04a642176d81c40fff5807a2b75edc22e41cda0fde7511c7bc5e6ef8", 0,
-        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 3,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 65,
     ),
     ("polynomial", 4, 4): (
         "16e93b7913bea331ffb602ce1b4cf5e7248d81470b40306471ca22cf1f1f1b52", 0,
@@ -741,8 +801,8 @@ LAX_BYTES = {
         "6832010b9a382a90d08fd77fd200bc649105d041c7f93b611f686a27ff90e3cc", 0,
     ),
     ("polynomial", 5, 1): (
-        "0a87e2a0379f92948751457b0fd3f4aaab2fd026a45195286fe844bcfacf6dde", 0,
-        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 3,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 65,
     ),
     ("polynomial", 5, 4): (
         "e0ec412fe6948ecdafa67eb3810d33699fe7566b611db293de3bb2198c1449ac", 0,
@@ -761,8 +821,8 @@ LAX_BYTES = {
         "6817c61d5a50db282c50fcb469b0cc03e6da8d18e3f0b07475e8cdc2d84a7d0a", 0,
     ),
     ("polynomial", 6, 1): (
-        "7cdc866ce376eb16729796ab80f12888864b7a7ca54a93da3070827875a8f4e4", 0,
-        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 3,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 65,
     ),
     ("polynomial", 6, 4): (
         "a1074f614aecb65bab0016b20ce2dc5e6ebe63fea66648745b5853b44d39998d", 0,

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from gzflows.matpoly import (
     _clusters,
+    _coincident,
     _frobenius,
     _powers,
     as_matrix,
@@ -360,3 +361,36 @@ class TestEigenvalueMultiset:
             got = np.array(sorted(roots(charpoly(A)), key=lambda z: z.real))
             want = np.array(sorted(eigs, key=lambda z: z.real))
             assert np.max(np.abs(got - want)) < 1e-7
+
+
+class TestCoincident:
+    """One hypot over the pair differences decides as the pair loops did."""
+
+    @staticmethod
+    def loop_decisions(z, tol):
+        # open_stratum_chart's "some gap <= tol" and kw-check's "min gap > tol"
+        gaps = [abs(z[a] - z[b]) for a in range(z.size) for b in range(a + 1, z.size)]
+        return any(g <= tol for g in gaps), not (not gaps or min(gaps) > tol)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        points=st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), max_size=8),
+        tol=st.sampled_from([1e-2, 5e-3, 1.5e-2]),
+    )
+    def test_lattice_matches_pair_loops(self, points, tol):
+        # a 0.005 lattice puts many gaps within an ulp of the thresholds
+        z = np.array([complex(a, b) for a, b in points], dtype=complex) * 0.005
+        decision = _coincident(z, tol)
+        assert self.loop_decisions(z, tol) == (decision, decision)
+
+    @pytest.mark.parametrize("z", [
+        [0.0, 0.01], [0.01, 0.0], [0.0, 0.01j], [-0.01j, 0.0], [1.0, 0.5, 0.01, 3.0, 0.0],
+    ])
+    def test_gap_exactly_at_the_kw_check_threshold(self, z):
+        z = np.array(z, dtype=complex)
+        assert _coincident(z, 1e-2) and self.loop_decisions(z, 1e-2) == (True, True)
+        assert not _coincident(z, np.nextafter(1e-2, 0.0))
+
+    def test_fewer_than_two_points(self):
+        assert not _coincident(np.zeros(0, dtype=complex), 1.0)
+        assert not _coincident(np.ones(1, dtype=complex), 1.0)

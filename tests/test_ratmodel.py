@@ -8,6 +8,7 @@ from gzflows import ratmodel
 from gzflows.errors import ValidationError
 from gzflows.matpoly import companion_of, poly_from_roots
 from gzflows.ratmodel import (
+    _OPEN_STRATUM_TOL,
     _chart_pairing,
     _kron,
     MatricialData,
@@ -559,14 +560,14 @@ class TestChartBracket:
         x = chart.flat()
         for l in range(N):
             for m in range(N):
-                r_l = lambda y, l=l: y[l]
-                s_m = lambda y, m=m: 1.0 / y[N + m]
+                r_l = lambda y, l=l: y[..., l]
+                s_m = lambda y, m=m: 1.0 / y[..., N + m]
                 val = chart_bracket(chart, r_l, s_m)
                 want = (1.0 / x[N + m]) if l == m else 0.0
                 assert abs(val - want) < 1e-6 * (1 + abs(want))
-                assert abs(chart_bracket(chart, r_l, lambda y, m=m: y[m])) < 1e-9
+                assert abs(chart_bracket(chart, r_l, lambda y, m=m: y[..., m])) < 1e-9
                 assert abs(chart_bracket(
-                    chart, lambda y, l=l: 1.0 / y[N + l], s_m
+                    chart, lambda y, l=l: 1.0 / y[..., N + l], s_m
                 )) < 1e-6
 
     def test_antisymmetry_and_leibniz(self):
@@ -575,9 +576,9 @@ class TestChartBracket:
         rng = np.random.default_rng(16)
         chart = self.random_chart(rng, n=2)
         N = chart.size
-        f = lambda y: y[0] ** 2 + y[N] * y[1]
-        g = lambda y: y[N + 1] ** 2 - 3.0 * y[2]
-        h = lambda y: y[0] * y[N + 2]
+        f = lambda y: y[..., 0] ** 2 + y[..., N] * y[..., 1]
+        g = lambda y: y[..., N + 1] ** 2 - 3.0 * y[..., 2]
+        h = lambda y: y[..., 0] * y[..., N + 2]
         x = chart.flat()
 
         def bracket(a, b):
@@ -598,8 +599,8 @@ class TestChartBracket:
         cross = chart_as_poisson_chart(chart)
         for l in (0, N - 1):
             for m in (0, N // 2):
-                f = lambda y, l=l: y[l]
-                g = lambda y, m=m: 1.0 / y[N + m]
+                f = lambda y, l=l: y[..., l]
+                g = lambda y, m=m: 1.0 / y[..., N + m]
                 direct = chart_bracket(chart, f, g)
                 inverted = poisson_bracket(cross, f, g, x)
                 assert abs(direct - inverted) < 1e-7
@@ -623,6 +624,14 @@ class TestChartBracket:
     def test_zero_residue_rejected(self):
         with pytest.raises(ValidationError):
             open_stratum_chart([[0.5]], [[0.0]])
+
+    def test_pole_gap_exactly_at_the_threshold_is_coincident(self):
+        # poles 0 and t, scale 1 + t: the gap t is exactly _OPEN_STRATUM_TOL * scale
+        t = _OPEN_STRATUM_TOL * (1.0 + _OPEN_STRATUM_TOL)
+        assert t == _OPEN_STRATUM_TOL * (1.0 + t)
+        with pytest.raises(ValidationError, match="coincident"):
+            open_stratum_chart([[0.0], [t]], [[1.0], [1.0]])
+        open_stratum_chart([[0.0], [np.nextafter(t, 1.0)]], [[1.0], [1.0]])
 
 
 # sha256 of the bytes of fixture_from_polar(...).as_vector() over junctions

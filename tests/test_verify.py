@@ -7,7 +7,14 @@ from hypothesis.extra.numpy import arrays
 from gzflows.errors import ValidationError
 from gzflows.gzcore import _padded_minor_power, gz_flow, gz_indices, gz_map, gz_vector_field
 from gzflows.verify import Chart, commute_defect, conservation_defect, fd_gradient, report
-from oracles import lie_poisson_bracket, lie_poisson_chart, matrix_gradient, poisson_bracket
+from oracles import (
+    lie_poisson_bracket,
+    lie_poisson_chart,
+    matrix_gradient,
+    poisson_bracket,
+    probe_loop_gradient,
+    trace,
+)
 
 
 def random_matrix(rng, n, unit_norm=True):
@@ -21,18 +28,18 @@ class TestFdGradient:
         rng = np.random.default_rng(0)
         a = rng.uniform(-1, 1, 5) + 1j * rng.uniform(-1, 1, 5)
         x = rng.uniform(-1, 1, 5) + 1j * rng.uniform(-1, 1, 5)
-        grad = fd_gradient(lambda y: a @ y, x, step=1e-3)
+        grad = fd_gradient(lambda y: y @ a, x, step=1e-3)
         assert np.max(np.abs(grad - a)) < 1e-12
 
     def test_quadratic_at_origin(self):
-        grad = fd_gradient(lambda y: np.sum(y * y), np.zeros(4, dtype=complex))
+        grad = fd_gradient(lambda y: np.sum(y * y, axis=-1), np.zeros(4, dtype=complex))
         assert np.max(np.abs(grad)) < 1e-12
 
     def test_trace_cubed_matrix_chart(self):
         # d tr(B^3) / dB_ab = 3 (B^2)_ba
         rng = np.random.default_rng(1)
         B = random_matrix(rng, 3, unit_norm=False)
-        grad = fd_gradient(lambda x: np.trace(np.linalg.matrix_power(x.reshape(3, 3), 3)),
+        grad = fd_gradient(lambda x: trace(np.linalg.matrix_power(x.reshape(x.shape[:-1] + (3, 3)), 3)),
                            B.reshape(-1))
         want = 3 * (B @ B).T.reshape(-1)
         assert np.max(np.abs(grad - want)) < 1e-7
@@ -40,7 +47,7 @@ class TestFdGradient:
     def test_non_finite_rejected(self):
         with np.errstate(divide="ignore", invalid="ignore"):
             with pytest.raises(ValidationError):
-                fd_gradient(lambda y: 1.0 / (y[0] - y[0]), np.zeros(1, dtype=complex))
+                fd_gradient(lambda y: 1.0 / (y[..., 0] - y[..., 0]), np.zeros(1, dtype=complex))
 
 
 class TestLiePoissonBracket:
@@ -53,28 +60,28 @@ class TestLiePoissonBracket:
                 for b in range(a + 1, len(idx)):
                     m1, i1 = idx[a]
                     m2, i2 = idx[b]
-                    f = lambda M, m=m1, i=i1: np.trace(np.linalg.matrix_power(M[:m, :m], i))
-                    g = lambda M, m=m2, i=i2: np.trace(np.linalg.matrix_power(M[:m, :m], i))
+                    f = lambda M, m=m1, i=i1: trace(np.linalg.matrix_power(M[..., :m, :m], i))
+                    g = lambda M, m=m2, i=i2: trace(np.linalg.matrix_power(M[..., :m, :m], i))
                     val = lie_poisson_bracket(f, g, B)
                     assert abs(val) < 1e-6 * (1 + np.linalg.norm(B) ** (i1 + i2))
 
     def test_self_bracket_zero(self):
         rng = np.random.default_rng(3)
         B = random_matrix(rng, 3)
-        f = lambda M: np.trace(M @ M @ M)
+        f = lambda M: trace(M @ M @ M)
         assert abs(lie_poisson_bracket(f, f, B)) < 1e-10
 
     def test_center(self):
         rng = np.random.default_rng(4)
         B = random_matrix(rng, 3)
-        g = lambda M: M[0, 2] ** 2 + np.trace(M @ M)
-        assert abs(lie_poisson_bracket(np.trace, g, B)) < 1e-8
+        g = lambda M: M[..., 0, 2] ** 2 + trace(M @ M)
+        assert abs(lie_poisson_bracket(trace, g, B)) < 1e-8
 
     def test_entry_bracket_closed_form(self):
         # {B_11, B_12} = -B_12 in this convention
         rng = np.random.default_rng(5)
         B = random_matrix(rng, 2, unit_norm=False)
-        val = lie_poisson_bracket(lambda M: M[0, 0], lambda M: M[0, 1], B)
+        val = lie_poisson_bracket(lambda M: M[..., 0, 0], lambda M: M[..., 0, 1], B)
         assert abs(val + B[0, 1]) < 1e-9
 
     def test_generates_the_flow(self):
@@ -82,8 +89,8 @@ class TestLiePoissonBracket:
         rng = np.random.default_rng(6)
         B = random_matrix(rng, 3, unit_norm=False)
         m, i = 2, 2
-        F = lambda M: M[0, 2] * M[2, 1] + M[1, 1] ** 2
-        H = lambda M: np.trace(np.linalg.matrix_power(M[:m, :m], i)) / i
+        F = lambda M: M[..., 0, 2] * M[..., 2, 1] + M[..., 1, 1] ** 2
+        H = lambda M: trace(np.linalg.matrix_power(M[..., :m, :m], i)) / i
         bracket = lie_poisson_bracket(F, H, B)
         h = 1e-6
         deriv = (F(gz_flow(B, [(m, i, h)])) - F(gz_flow(B, [(m, i, -h)]))) / (2 * h)
@@ -94,14 +101,17 @@ class TestLiePoissonBracket:
         B = random_matrix(rng, 3)
         A1 = random_matrix(rng, 3)
         fs = [
-            lambda M: np.trace(M @ M),
-            lambda M: np.trace(M @ M @ M),
-            lambda M, A=A1: np.trace(A @ M),
+            lambda M: trace(M @ M),
+            lambda M: trace(M @ M @ M),
+            lambda M, A=A1: trace(A @ M),
         ]
         step = 1e-3
 
         def bracket(f, g):
-            return lambda M: lie_poisson_bracket(f, g, M, step=1e-6)
+            # the inner bracket at each matrix of the stack
+            return lambda M: np.array(
+                [lie_poisson_bracket(f, g, one, step=1e-6) for one in M.reshape(-1, 3, 3)]
+            ).reshape(M.shape[:-2])
 
         total = 0.0
         f, g, h = fs
@@ -122,7 +132,7 @@ class TestExactBracketGradient:
         for m, i in gz_indices(n):
             exact = i * _padded_minor_power(B, m, i)
             fd = matrix_gradient(
-                lambda M, m=m, i=i: np.trace(np.linalg.matrix_power(M[:m, :m], i)), B
+                lambda M, m=m, i=i: trace(np.linalg.matrix_power(M[..., :m, :m], i)), B
             )
             assert np.linalg.norm(fd - exact) <= 1e-7 * (1.0 + np.linalg.norm(exact))
 
@@ -140,7 +150,7 @@ class TestChart:
             poisson_tensor=lambda x: np.array([[0, 1], [-1, 0]], dtype=complex),
         )
         x = np.array([0.3 + 0.1j, -0.7 + 0.4j])
-        val = poisson_bracket(chart, lambda y: y[0], lambda y: y[1], x, step=1e-3)
+        val = poisson_bracket(chart, lambda y: y[..., 0], lambda y: y[..., 1], x, step=1e-3)
         assert abs(val - 1) < 1e-12
 
     def test_lie_poisson_chart_matches_bracket(self):
@@ -148,13 +158,13 @@ class TestChart:
         n = 3
         B = random_matrix(rng, n, unit_norm=False)
         chart = lie_poisson_chart(n)
-        f = lambda M: np.trace(M @ M)
-        g = lambda M: M[0, 1] * M[2, 2]
+        f = lambda M: trace(M @ M)
+        g = lambda M: M[..., 0, 1] * M[..., 2, 2]
         direct = lie_poisson_bracket(f, g, B)
         via_chart = poisson_bracket(
             chart,
-            lambda x: f(x.reshape(n, n)),
-            lambda x: g(x.reshape(n, n)),
+            lambda x: f(x.reshape(x.shape[:-1] + (n, n))),
+            lambda x: g(x.reshape(x.shape[:-1] + (n, n))),
             B.reshape(-1),
         )
         assert abs(direct - via_chart) < 1e-7
@@ -236,7 +246,10 @@ class TestVectorValuedFdGradient:
 
     @staticmethod
     def family(y):
-        return np.array([y[0] * y[1], 1.0 / y[2], np.exp(y[0] - y[3]), y[1] ** 3, np.sum(y * y)])
+        return np.stack([
+            y[..., 0] * y[..., 1], 1.0 / y[..., 2], np.exp(y[..., 0] - y[..., 3]),
+            y[..., 1] ** 3, np.sum(y * y, axis=-1),
+        ], axis=-1)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_rows_are_scalar_gradients(self, seed):
@@ -245,17 +258,65 @@ class TestVectorValuedFdGradient:
         jac = fd_gradient(self.family, x)
         assert jac.shape == (5, 4) and jac.flags.c_contiguous
         for l in range(5):
-            assert np.array_equal(jac[l], fd_gradient(lambda y: self.family(y)[l], x))
+            assert np.array_equal(jac[l], fd_gradient(lambda y: self.family(y)[..., l], x))
 
     def test_chart_families(self):
         # the kw-check families: q_l = y[l] and 1 / rho_l
         rng = np.random.default_rng(9)
         N = 6
         x = rng.uniform(-2, 2, 2 * N) + 1j * rng.uniform(-2, 2, 2 * N)
-        dq, ds = fd_gradient(lambda y: y[:N], x), fd_gradient(lambda y: 1.0 / y[N:], x)
+        dq, ds = fd_gradient(lambda y: y[..., :N], x), fd_gradient(lambda y: 1.0 / y[..., N:], x)
         for l in range(N):
-            assert np.array_equal(dq[l], fd_gradient(lambda y: y[l], x))
-            assert np.array_equal(ds[l], fd_gradient(lambda y: 1.0 / y[N + l], x))
+            assert np.array_equal(dq[l], fd_gradient(lambda y: y[..., l], x))
+            assert np.array_equal(ds[l], fd_gradient(lambda y: 1.0 / y[..., N + l], x))
 
     def test_scalar_still_a_vector(self):
-        assert fd_gradient(lambda y: y[0] * y[1], np.ones(3, dtype=complex)).shape == (3,)
+        assert fd_gradient(lambda y: y[..., 0] * y[..., 1], np.ones(3, dtype=complex)).shape == (3,)
+
+
+def same_bits(a, b) -> bool:
+    """Equal shapes and equal bits, signed zeros included."""
+    return a.shape == b.shape and np.array_equal(
+        np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64)
+    )
+
+
+# signed zeros and magnitudes from 1e-5 to 1e5
+SCALED = st.builds(
+    lambda sign, mantissa, exponent: sign * mantissa * 10.0 ** exponent,
+    st.sampled_from([1.0, -1.0]),
+    st.floats(1.0, 9.99),
+    st.integers(-5, 5),
+) | st.sampled_from([0.0, -0.0])
+
+
+class TestStackedProbes:
+    """One call of f on the 4d probe points gives the bits of probing one point at a time."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(data=st.data(), N=st.integers(2, 12))
+    def test_chart_families(self, data, N):
+        re, im = (np.array(data.draw(st.lists(SCALED, min_size=2 * N, max_size=2 * N)))
+                  for _ in range(2))
+        x = re + 1j * im
+        # both families as kw-check takes them
+        q = lambda y: y[..., :N]  # noqa: E731
+        s = lambda y: 1.0 / y[..., N:]  # noqa: E731
+        assert same_bits(fd_gradient(q, x), probe_loop_gradient(q, x))
+        # a residue of exactly 0 has no finite 1/rho gradient
+        if np.all(x[N:] != 0):
+            assert same_bits(fd_gradient(s, x), probe_loop_gradient(s, x))
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(values=st.lists(st.tuples(SCALED, SCALED), min_size=4, max_size=4))
+    def test_vector_family(self, values):
+        x = np.array([complex(*v) for v in values])
+        family = TestVectorValuedFdGradient.family
+        with np.errstate(all="ignore"):
+            try:
+                want = probe_loop_gradient(family, x)
+            except ValidationError:
+                with pytest.raises(ValidationError):
+                    fd_gradient(family, x)
+                return
+        assert same_bits(fd_gradient(family, x), want)

@@ -1,6 +1,6 @@
-"""Median latency of each request kind of one benchmark workload.
+"""Median latency of each request kind, or of each request, of one benchmark workload.
 
-    python3 tools/latency_by_kind.py WORKLOAD [--seed N] [--rounds R]
+    python3 tools/latency_by_kind.py WORKLOAD [--seed N] [--rounds R] [--by-request]
 
 Run from the root of a gzflows checkout.  It builds the workload's round
 for the seed in a temporary directory with ``bench/run.py``'s ``set_up``,
@@ -15,6 +15,16 @@ as ``bench/run.py`` scales them.  It shows which requests set
 ``req_tail_ms``, the 11th-largest latency in each block of whole rounds
 holding at least 1000 requests: in doc-roundtrip, whose round holds 54,
 that is the slowest kind with one request a round.
+
+With ``--by-request`` it prints one line per request of the round, in
+round order:
+
+    index  kind  median_ms  marks
+
+where marks names the metrics whose value, computed from these rounds as
+``bench/run.py`` computes it, is a latency of that request: ``p50`` for
+``req_p50_ms`` and ``tail`` for ``req_tail_ms``.  A median of two middle
+latencies marks the requests of both.
 """
 
 from __future__ import annotations
@@ -33,17 +43,35 @@ import run as bench  # noqa: E402  (sets one BLAS thread before numpy loads)
 import workloads  # noqa: E402
 
 
-def latencies_by_kind(name: str, seed: int, rounds: int) -> tuple[Counter, dict]:
-    """(requests per round of each kind, every scaled latency of each kind in seconds)."""
+def round_latencies(name: str, seed: int, rounds: int) -> tuple[list, list]:
+    """(kind of each request of the round, every scaled latency in run order, in seconds)."""
     with tempfile.TemporaryDirectory() as workdir:
         steps, _, _ = bench.set_up(name, seed, workdir)
         kinds = [s.kind for s in steps if s.kind != "glue"]
-        by_kind = defaultdict(list)
+        latencies = []
         for _ in range(rounds):
-            latencies, _, _ = bench.run_round(steps)
-            for kind, t in zip(kinds, latencies):
-                by_kind[kind].append(t)
-    return Counter(kinds), by_kind
+            latencies += bench.run_round(steps)[0]
+    return kinds, latencies
+
+
+def _middle(indices: list, latencies: list) -> set:
+    """The one or two indices at the median of their latencies."""
+    ranked = sorted(indices, key=latencies.__getitem__)
+    return {ranked[(len(ranked) - 1) // 2], ranked[len(ranked) // 2]}
+
+
+def metric_holders(latencies: list, per_round: int) -> dict:
+    """Positions in the round of the requests whose latencies give req_p50_ms and req_tail_ms."""
+    # bench.tail's blocks of whole rounds, and the request with TAIL_BEYOND above it in each
+    block = min(per_round * -(-bench.TAIL_BLOCK // per_round), len(latencies))
+    picks = [
+        sorted(range(i, i + block), key=latencies.__getitem__)[-bench.TAIL_BEYOND - 1]
+        for i in range(0, len(latencies) - block + 1, block)
+    ]
+    return {
+        "p50": {i % per_round for i in _middle(list(range(len(latencies))), latencies)},
+        "tail": {i % per_round for i in _middle(picks, latencies)},
+    }
 
 
 def main(argv=None) -> int:
@@ -51,8 +79,23 @@ def main(argv=None) -> int:
     p.add_argument("workload", choices=workloads.WORKLOADS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--rounds", type=int, default=20)
+    p.add_argument("--by-request", action="store_true",
+                   help="one line per request of the round, marking the p50 and tail holders")
     args = p.parse_args(argv)
-    counts, by_kind = latencies_by_kind(args.workload, args.seed, args.rounds)
+    kinds, latencies = round_latencies(args.workload, args.seed, args.rounds)
+    per_round = len(kinds)
+    if args.by_request:
+        holders = metric_holders(latencies, per_round)
+        width = max(map(len, kinds))
+        for j, kind in enumerate(kinds):
+            median = 1e3 * statistics.median(latencies[j::per_round])
+            marks = " ".join(m for m, at in holders.items() if j in at)
+            print(f"{j:4d}  {kind:<{width}}  {median:9.3f}  {marks}".rstrip(), flush=True)
+        return 0
+    by_kind = defaultdict(list)
+    for i, t in enumerate(latencies):
+        by_kind[kinds[i % per_round]].append(t)
+    counts = Counter(kinds)
     medians = {kind: 1e3 * statistics.median(ts) for kind, ts in by_kind.items()}
     width = max(map(len, medians))
     for kind in sorted(medians, key=medians.get, reverse=True):
