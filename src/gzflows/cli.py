@@ -61,9 +61,8 @@ def _flow_triples(payload) -> list[tuple[int, int, complex]]:
     for entry in flows:
         if not isinstance(entry, dict) or not {"m", "i", "z"} <= set(entry):
             raise InputError("each flow needs keys m, i, z")
-        if not isinstance(entry["m"], int) or not isinstance(entry["i"], int):
-            raise InputError("flow indices must be integers")
-        out.append((entry["m"], entry["i"], complex(serialize.decode_array(entry["z"], 0))))
+        m, i = (serialize._need_int(entry[key], f"flow index {key}", 1) for key in ("m", "i"))
+        out.append((m, i, complex(serialize.decode_array(entry["z"], 0))))
     return out
 
 
@@ -138,9 +137,7 @@ def cmd_strata(payload, args):
 
 
 def cmd_enumerate_orbits(payload, args):
-    k = payload.get("k")
-    if not isinstance(k, list) or not all(isinstance(x, int) for x in k):
-        raise InputError("expected 'k' as a list of integers")
+    k = serialize._need_degrees(payload.get("k"))
     reps = ratmodel.enumerate_sr(k)
     entries = []
     for F in reps:
@@ -194,9 +191,7 @@ def _tensor_pairings(df: np.ndarray, pi: np.ndarray, dg: np.ndarray) -> np.ndarr
 
 
 def cmd_kw_check(payload, args):
-    n = payload.get("n", 3)
-    if not isinstance(n, int) or n < 1:
-        raise InputError("'n' must be a positive integer")
+    n = serialize._need_int(payload.get("n", 3), "'n'", 1)
     rng = np.random.default_rng(args.seed)
     tol = args.tol or 1e-6
     cross_tol = 1e-7
@@ -232,9 +227,7 @@ def cmd_kw_check(payload, args):
 
 
 def cmd_bracket_table(payload, args):
-    n = payload.get("n", 3)
-    if not isinstance(n, int) or n < 1:
-        raise InputError("'n' must be a positive integer")
+    n = serialize._need_int(payload.get("n", 3), "'n'", 1)
     rng = np.random.default_rng(args.seed)
     tol = args.tol or 1e-6
     indices = gzcore.gz_indices(n)
@@ -307,9 +300,7 @@ def cmd_lax_gauge(payload, args):
 
 
 def cmd_verify_suite(payload, args):
-    n = payload.get("n", 3)
-    if not isinstance(n, int) or n < 2:
-        raise InputError("'n' must be an integer >= 2")
+    n = serialize._need_int(payload.get("n", 3), "'n'", 2)
     rng = np.random.default_rng(args.seed)
     reports = []
 
@@ -374,11 +365,13 @@ USAGE = (
 )
 
 
-def _sample_count(text: str) -> int:
-    count = int(text)
-    if count < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
-    return count
+def _at_least(low: int):
+    """The argparse type of an integer option of at least ``low``; below it is a usage error."""
+    def integer(text: str) -> int:
+        if (value := int(text)) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return integer
 
 
 def _tolerance(text: str) -> float:
@@ -393,8 +386,8 @@ def _build_parser(name: str) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog=f"gzflows {name}", add_help=True)
     parser.add_argument("--input", default=None, help="input file path or inline JSON")
     parser.add_argument("--output", default=None, help="output file path (default stdout)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--samples", type=_sample_count, default=50)
+    parser.add_argument("--seed", type=_at_least(0), default=0)
+    parser.add_argument("--samples", type=_at_least(1), default=50)
     parser.add_argument("--tol", type=_tolerance, default=None)
     parser.add_argument("--mode", default=None)
     return parser

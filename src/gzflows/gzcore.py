@@ -15,6 +15,7 @@ generates the same motion at i times the speed.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,12 +26,14 @@ from .matpoly import (
     _clusters,
     _companion,
     _expm,
+    _max_scaled,
     _powers,
+    _rank,
+    _unit,
     as_matrix,
     charpoly,
     is_monic,
     newton_convert,
-    numerical_rank,
     poly_degree,
     poly_trim,
 )
@@ -211,26 +214,39 @@ def gz_flow(B, lam) -> np.ndarray:
     return out
 
 
+@functools.cache
+def _minor_frames(n: int) -> tuple[np.ndarray, ...]:
+    """Constants for the leading minors m < n of an n-by-n matrix (read-only): the masks of
+    their entries, pad(I_m), the pairs [m - 1, k] with k < m, and where each m starts."""
+    support = np.tri(n - 1, n, dtype=bool)
+    frames = (support[:, :, None] & support[:, None, :], support[:, None, :] * np.eye(n),
+              np.tri(n - 1, dtype=bool), np.cumsum(np.arange(n - 1)))
+    for frame in frames:
+        frame.flags.writeable = False  # every call shares them
+    return frames
+
+
 def strongly_regular(B) -> tuple[bool, int]:
     """Whether the span of all generators with m < n has full rank n(n-1)/2.
 
-    One stacked commutator of B with the padded powers of each minor's power
-    chain gives every generator; strongly regular iff their rank is maximal.
-    A generator that overflows is a numerical failure.
+    One stacked commutator gives every generator [pad(B_m**(i-1)), B] on its line: the unit
+    powers of the minors against B-hat, B over its largest entry.  Each has norm at most
+    2 ||B-hat||_F, the bound the rank is cut against, so the scale of B does not move it.
     """
     B = as_matrix(B)
     n = B.shape[0]
     target = n * (n - 1) // 2
     if target == 0:
         return True, 0
-    P = np.zeros((target, n, n), dtype=complex)
-    for m in range(1, n):
-        P[m * (m - 1) // 2 : m * (m + 1) // 2, :m, :m] = _powers(B[:m, :m], m)
-    with np.errstate(over="ignore", invalid="ignore"):
-        generators = (P @ B - B @ P).reshape(target, n * n)
-    if not np.isfinite(generators).all():
-        raise ToleranceError("a generator [pad(B_m**(i-1)), B] overflowed")
-    rank = numerical_rank(generators)
+    masks, eyes, chains, starts = _minor_frames(n)
+    # lexicographic in (m, i = k + 1): powers of the padded minors, but pad(I_m) at k = 0
+    P = _powers(_max_scaled(B * masks), n - 1).swapaxes(0, 1)[chains]
+    P[starts] = eyes
+    _unit(P)
+    unit = _max_scaled(B)
+    generators = P @ unit
+    generators -= unit @ P
+    rank = _rank(generators.reshape(target, n * n), 2 * np.linalg.norm(unit))
     return rank == target, rank
 
 

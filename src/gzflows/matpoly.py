@@ -34,7 +34,7 @@ __all__ = [
     "CLUSTER_TOL",
 ]
 
-# Numerical rank: keep singular values above max-dimension * sigma_max * RANK_RTOL.
+# Numerical rank: keep singular values above max-dimension * RANK_RTOL * bound (see _rank).
 RANK_RTOL = 1e-10
 # Root clustering: absolute tolerance after dividing by (1 + max |root|).
 CLUSTER_TOL = 1e-8
@@ -65,7 +65,7 @@ def _frobenius(A: np.ndarray) -> np.ndarray:
     every sample as one stacked product.  (``np.linalg.norm(axis=...)``
     rounds differently.)
     """
-    flat = A.reshape(A.shape[:-2] + (-1,))
+    flat = A.reshape(A.shape[:-2] + (A.shape[-2] * A.shape[-1],))
     parts = (flat.real, flat.imag) if np.iscomplexobj(flat) else (flat,)
     return np.sqrt(sum(np.matmul(p[..., None, :], p[..., :, None])[..., 0, 0] for p in parts))
 
@@ -73,13 +73,28 @@ def _frobenius(A: np.ndarray) -> np.ndarray:
 def _powers(A: np.ndarray, count: int) -> np.ndarray:
     """I, A, ..., A**(count-1) as one stack, each power one product with A.
 
+    A stack of matrices (..., n, n) gives (count, ..., n, n).
     A is not re-checked; an overflow leaves non-finite powers without warnings.
     """
     P = np.empty((count,) + A.shape, dtype=complex)
-    P[0] = np.eye(A.shape[0])
+    P[:1] = np.eye(A.shape[-1])
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, count):
             np.matmul(P[k - 1], A, out=P[k])
+    return P
+
+
+def _max_scaled(A: np.ndarray) -> np.ndarray:
+    """Each matrix of a stack (..., n, n) over its largest real or imaginary part, a scale
+    that is finite for every finite A; a zero matrix stays zero."""
+    parts = np.abs(np.ascontiguousarray(A).view(float))
+    return A * (1.0 / parts.max(axis=(-2, -1), keepdims=True, initial=np.finfo(float).tiny))
+
+
+def _unit(P: np.ndarray) -> np.ndarray:
+    """Each matrix of a stack (..., n, n) over its Frobenius norm, in place; zero stays zero:
+    span decisions on such unit powers of a :func:`_max_scaled` matrix are scale-free."""
+    P *= (1.0 / np.maximum(_frobenius(P), np.finfo(float).tiny))[..., None, None]
     return P
 
 
@@ -336,18 +351,26 @@ def krylov_matrix(B, b) -> np.ndarray:
 
 
 def numerical_rank(M) -> int:
-    M = np.asarray(M, dtype=complex)
+    """Rank of M cut against its own sigma_max, the rule of invertibility tests."""
+    return _rank(np.asarray(M, dtype=complex))
+
+
+def _rank(M: np.ndarray, bound: float | None = None) -> int:
+    """Singular values above max(M.shape) * RANK_RTOL * bound (sigma_max, or a span's bound)."""
     if M.size == 0:
         return 0
     sigma = np.linalg.svd(M, compute_uv=False)
-    if sigma.size == 0 or sigma[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(sigma > max(M.shape) * sigma[0] * RANK_RTOL))
+    cut = max(M.shape) * RANK_RTOL * (sigma[0] if bound is None else bound)
+    return int(np.count_nonzero(sigma > cut))
 
 
 def krylov_rank(B, b) -> int:
-    """Numerical rank of the Krylov matrix; equals n iff b is cyclic for B."""
-    return numerical_rank(krylov_matrix(B, b))
+    """Numerical rank of the Krylov space of (B, b), n iff b is cyclic for B: its vectors
+    B**j b / (||B**j||_F ||b||) are cut against their bound 1, whatever the scale of B or b."""
+    B = as_matrix(B)
+    b = _max_scaled(np.asarray(b, dtype=complex).reshape(-1, 1))[:, 0]
+    columns = _unit(_powers(_max_scaled(B), B.shape[0])) @ (b / (np.linalg.norm(b) or 1.0))
+    return _rank(columns, 1.0)
 
 
 def _distances(z: np.ndarray) -> np.ndarray:

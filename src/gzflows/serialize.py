@@ -98,10 +98,7 @@ def encode_matricial(F: MatricialData) -> dict:
 
 def decode_matricial(obj) -> MatricialData:
     _need_keys(obj, ("k", "B_minus", "B_plus", "g"))
-    k = obj["k"]
-    if not isinstance(k, list) or not all(isinstance(x, int) and x >= 0 for x in k):
-        raise InputError("k must be a list of nonnegative integers")
-    k = tuple(k)
+    k = _need_degrees(obj["k"])
     b_minus = [decode_array(M, 2) for M in _need_list(obj["B_minus"], len(k), "B_minus")]
     b_plus = [decode_array(M, 2) for M in _need_list(obj["B_plus"], len(k), "B_plus")]
     g = [decode_array(M, 2) for M in _need_list(obj["g"], len(k), "g")]
@@ -109,9 +106,7 @@ def decode_matricial(obj) -> MatricialData:
     w: dict[int, np.ndarray] = {}
     for entry in obj.get("uw", []):
         _need_keys(entry, ("i", "u", "w"))
-        if not isinstance(entry["i"], int) or not 1 <= entry["i"] < len(k):
-            raise InputError(f"junction index {entry.get('i')!r} out of range")
-        j = entry["i"] - 1
+        j = _need_int(entry["i"], "junction index", 1, len(k) - 1) - 1
         u[j] = decode_array(entry["u"], 1)
         w[j] = decode_array(entry["w"], 1)
     return MatricialData(k=k, b_minus=b_minus, b_plus=b_plus, g=g, u=u, w=w)
@@ -148,6 +143,20 @@ def _need_keys(obj, keys) -> None:
     missing = [key for key in keys if key not in obj]
     if missing:
         raise InputError(f"missing keys: {', '.join(missing)}")
+
+
+def _need_int(obj, label: str, low: int, high: float = math.inf) -> int:
+    """obj if it is a JSON integer in low..high; a bool is not one here."""
+    if type(obj) is not int or not low <= obj <= high:
+        raise InputError(f"{label} must be an integer in {low}..{high}, got {obj!r}")
+    return obj
+
+
+def _need_degrees(obj) -> tuple[int, ...]:
+    """The degrees k, a list of integers >= 0, as a tuple."""
+    if not isinstance(obj, list):
+        raise InputError("k must be a list of nonnegative integers")
+    return tuple(_need_int(x, "a degree in k", 0) for x in obj)
 
 
 def _need_list(obj, length: int, label: str) -> list:

@@ -2,7 +2,7 @@
 
 The program computes bracket gradients in closed form; these helpers take
 every gradient by finite differences, so a test can check one against the
-other.
+other.  The model-point measures at the end serve only the tests.
 """
 
 from __future__ import annotations
@@ -11,6 +11,14 @@ import numpy as np
 
 from gzflows.errors import ValidationError
 from gzflows.matpoly import as_matrix
+from gzflows.ratmodel import (
+    VALIDATE_TOL,
+    MatricialData,
+    OpenStratumChart,
+    _by_size,
+    _charpoly_adjugate,
+    _require_nilpotent_fiber,
+)
 from gzflows.verify import DEFAULT_STEP, Chart, fd_gradient
 
 
@@ -88,3 +96,38 @@ def lie_poisson_chart(n: int) -> Chart:
         return first - first.T
 
     return Chart(names=names, poisson_tensor=tensor)
+
+
+def chart_symplectic_form(chart: OpenStratumChart, t1, t2) -> complex:
+    """sum_l (drho_l / rho_l) ^ dq_l on flat tangent vectors."""
+    N = chart.size
+    t1 = np.asarray(t1, dtype=complex).reshape(-1)
+    t2 = np.asarray(t2, dtype=complex).reshape(-1)
+    rho = chart.flat()[N:]
+    return complex(np.sum((t1[N:] * t2[:N] - t2[N:] * t1[:N]) / rho))
+
+
+def pairing_residual(F: MatricialData) -> float:
+    """Largest coefficient size of the junction pairing polynomials on zero-fiber data.
+
+    For unequal sizes the polynomial is a adj(z - X) b of the larger matrix,
+    for tied sizes w^T adj(z - B^+) u.  Its coefficients are row H[l] col
+    with the exact adjugate coefficients H[l] of the Faddeev-LeVerrier
+    recursion, so the value is max |row H[l] col|, zero iff every pairing
+    polynomial vanishes.  F must be validated (md_validate); it is not
+    re-checked.
+    """
+    _require_nilpotent_fiber(F, VALIDATE_TOL * F.scale())
+    worst = 0.0
+    for j in range(F.n - 1):
+        m = min(F.k[j], F.k[j + 1])
+        if m == 0:
+            continue
+        if F.k[j] == F.k[j + 1]:
+            X, row, col = F.b_plus[j], F.w[j], F.u[j]
+        else:
+            big = _by_size(F.k, j, F.b_plus[j], F.b_minus[j + 1])[0]
+            X, row, col = big[:m, :m], big[m, :m], big[:m, -1]
+        for H in _charpoly_adjugate(X)[1]:
+            worst = max(worst, abs(row @ H @ col))
+    return worst

@@ -34,13 +34,12 @@ from gzflows.ratmodel import (
     md_strongly_regular,
     md_validate,
     open_stratum_chart,
-    pairing_residual,
     polar,
     sigma_of,
 )
 from gzflows.spaces import cotangent_validate, tgl_flow
 from gzflows.verify import commute_defect, conservation_defect
-from oracles import lie_poisson_bracket, poisson_bracket, trace
+from oracles import lie_poisson_bracket, pairing_residual, poisson_bracket, trace
 
 _MODULE_START = time.monotonic()
 

@@ -159,6 +159,12 @@ def model_request(k, path=(), value=None, params=None):
     return json.dumps({"data": doc, "params": params}, default=np.ndarray.tolist)
 
 
+def flow_request(m, i) -> str:
+    """A gz-flow request on a 2 x 2 matrix with one flow (m, i, 0.1)."""
+    return json.dumps({"matrix": [[[1, 0], [2, 0]], [[3, 0], [4, 0]]],
+                       "flows": [{"m": m, "i": i, "z": [0.1, 0]}]})
+
+
 class TestModelPointBoundary:
     @pytest.mark.parametrize("name", ["md-validate", "polar", "ak-act"])
     @pytest.mark.parametrize("k, path, value", BAD_MODEL_POINTS)
@@ -977,7 +983,10 @@ def overflowing_composite_flow(seed):
 
 
 class TestQuietOverflow:
-    """A request that overflows exits 3 with the CLI's one line on stderr, no numpy warnings."""
+    """A request that overflows exits 3 with the CLI's one line on stderr, no numpy warnings.
+
+    A request that is only scaled near overflow answers as its scaled copy does.
+    """
 
     @pytest.mark.parametrize("argv, err", [
         pytest.param(["gz-map", "--input", json.dumps({**HUGE_MATRIX, "basis": "tr-power"})], NOT_JSON,
@@ -1023,12 +1032,14 @@ class TestQuietOverflow:
         code, out, err = call(capsys, "lax-run", "--input", overflowing_lax_run(steps))
         assert code == 3 and out == "" and err.startswith("numerical failure: ")
 
-    def test_sregular_generator_overflow_3(self):
-        # the minor powers are finite, but the commutators [pad(B_m**(i-1)), B] overflow
-        payload = json.dumps({"matrix": [[[1e200, 0], [1e200, 0], [0, 0]], [[0, 0], [1e200, 0], [0, 0]],
-                                         [[1, 0], [1, 0], [1e200, 0]]]})
-        assert run_fresh("sregular", "--input", payload) == (
-            3, "", "numerical failure: a generator [pad(B_m**(i-1)), B] overflowed\n",
+    def test_sregular_at_1e200_answers_as_its_scaled_copy(self):
+        # raw commutators [pad(B_m**(i-1)), B] of this B overflow; its unit-norm chain is
+        # that of B / 1e200, and so is the span
+        B = np.array([[1e200, 1e200, 0], [0, 1e200, 0], [1, 1, 1e200]])
+        payloads = [json.dumps({"matrix": serialize.encode_array(M).tolist()}) for M in (B, B / 1e200)]
+        answers = [run_fresh("sregular", "--input", payload) for payload in payloads]
+        assert answers[0] == answers[1] == (
+            0, '{\n  "strongly_regular": false,\n  "rank": 1,\n  "required_rank": 3\n}\n', "",
         )
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -1140,6 +1151,28 @@ class TestCliContract:
     def test_samples_below_one_64(self, capsys, name, samples):
         code, out, _ = call(capsys, name, "--input", '{"n": 2}', "--samples", samples)
         assert code == 64 and out == ""
+
+    @pytest.mark.parametrize("name, payload", [
+        pytest.param("gz-map", '{"matrix": [[[1, 0]]]}', id="gz-map"),
+        pytest.param("kw-check", '{"n": 2}', id="kw-check"),
+    ])
+    def test_seed_below_zero_64(self, capsys, name, payload):
+        code, out, _ = call(capsys, name, "--input", payload, "--seed", "-1")
+        assert code == 64 and out == ""
+
+    @pytest.mark.parametrize("name, payload", [
+        pytest.param("gz-flow", flow_request(True, True), id="flow-m-i-true"),
+        pytest.param("gz-flow", flow_request(2, 1.0), id="flow-i-float"),
+        pytest.param("kw-check", '{"n": true}', id="kw-check-n-true"),
+        pytest.param("bracket-table", '{"n": true}', id="bracket-table-n-true"),
+        pytest.param("verify-suite", '{"n": 2.0}', id="verify-suite-n-float"),
+        pytest.param("enumerate-orbits", '{"k": [true, 2]}', id="k-true"),
+        pytest.param("md-validate", model_request((1, 2), ("k", 0), True), id="model-k-true"),
+        pytest.param("md-validate", model_request((2, 2), ("uw", 0, "i"), True), id="model-uw-i-true"),
+    ])
+    def test_bool_or_non_integer_field_65(self, capsys, name, payload):
+        code, out, err = call(capsys, name, "--input", payload)
+        assert code == 65 and out == "" and "must be an integer" in err
 
     @pytest.mark.parametrize("name, payload", [
         pytest.param("md-validate", model_request((1, 2)), id="md-validate"),

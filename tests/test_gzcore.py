@@ -22,9 +22,9 @@ from gzflows.gzcore import (
 from gzflows.matpoly import (
     CLUSTER_TOL,
     _clusters,
+    _rank,
     charpoly,
     leading_minor,
-    numerical_rank,
     poly_degree,
     poly_from_roots,
 )
@@ -342,12 +342,24 @@ def loop_tr_power(B):
 
 
 def loop_strongly_regular(B):
-    """(flag, rank) from one gz_vector_field call per generator."""
+    """(flag, rank) from one generator at a time, ranked by the library's rule.
+
+    Each generator is [P / ||P||_F, B / ||B||_F] for the padded minor power P, so each
+    has norm at most 2, the bound the rank is cut against.
+    """
     n = B.shape[0]
-    fields = [gz_vector_field(B, m, i).ravel() for m in range(1, n) for i in range(1, m + 1)]
+    unit = B / (np.linalg.norm(B) or 1.0)
+    fields = []
+    for m in range(1, n):
+        minor = B[:m, :m] / (np.abs(B[:m, :m]).max() or 1.0)
+        for i in range(1, m + 1):
+            P = np.zeros((n, n), dtype=complex)
+            P[:m, :m] = np.linalg.matrix_power(minor, i - 1)
+            P /= np.linalg.norm(P) or 1.0
+            fields.append((P @ unit - unit @ P).ravel())
     if not fields:
         return True, 0
-    rank = numerical_rank(np.array(fields))
+    rank = _rank(np.array(fields), 2.0)
     return rank == n * (n - 1) // 2, rank
 
 

@@ -9,7 +9,9 @@ from gzflows.matpoly import (
     _clusters,
     _coincident,
     _frobenius,
+    _max_scaled,
     _powers,
+    _unit,
     as_matrix,
     charpoly,
     cluster_points,
@@ -35,6 +37,36 @@ class TestPowers:
         for k, got in enumerate(_powers(A, n + 2)):
             assert np.array_equal(got, power), k
             power = power @ A
+
+    def test_a_stack_gets_the_chain_of_each_matrix(self):
+        rng = np.random.default_rng(3)
+        stack = np.array([random_matrix(rng, 5) for _ in range(4)])
+        chains = _powers(stack, 6)
+        for j, A in enumerate(stack):
+            assert np.array_equal(chains[:, j], _powers(A, 6))
+
+
+class TestUnitChain:
+    """A chain of _powers of a _max_scaled matrix, put on unit lines by _unit."""
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-3, 1.0, 1e3, 1e300])
+    def test_scale_free_and_finite(self, scale):
+        A = random_matrix(np.random.default_rng(4), 6)
+        want = _unit(_powers(_max_scaled(A), 6))
+        got = _unit(_powers(_max_scaled(scale * A), 6))
+        assert np.all(np.isfinite(got)) and np.allclose(got, want, rtol=0, atol=1e-12)
+        assert np.allclose(_frobenius(got), 1.0)
+
+    def test_zero_powers_stay_zero(self):
+        shift = np.diag(np.ones(3), 1)  # its fourth power is zero
+        norms = _frobenius(_unit(_powers(_max_scaled(shift), 6)))
+        assert np.allclose(norms[:4], 1.0) and np.array_equal(norms[4:], [0.0, 0.0])
+        assert np.array_equal(_max_scaled(np.zeros((2, 3, 3))), np.zeros((2, 3, 3)))
+
+    def test_each_matrix_of_a_stack_gets_its_own_scale(self):
+        A = random_matrix(np.random.default_rng(5), 4)
+        stack = _max_scaled(np.array([1e-200 * A, A, 1e200 * A]))
+        assert np.allclose(stack, _max_scaled(A), rtol=0, atol=1e-15)
 
 
 class TestFrobenius:
@@ -271,6 +303,13 @@ class TestKrylovRank:
         for _ in range(5):
             b = rng.uniform(-1, 1, 2) + 1j * rng.uniform(-1, 1, 2)
             assert krylov_rank(np.eye(2), b) <= 1
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e300])
+    def test_extreme_scales(self, scale):
+        B = companion_of(poly_from_roots([1, 2, 3, 4]))
+        b = np.array([1.0, 0, 0, 0])
+        assert krylov_rank(scale * B, b) == krylov_rank(B, scale * b) == 4
+        assert krylov_rank(scale * np.eye(4), scale * b) == 1
 
 
 class TestClusterPoints:

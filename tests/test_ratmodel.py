@@ -16,7 +16,6 @@ from gzflows.ratmodel import (
     ak_act,
     chart_as_poisson_chart,
     chart_bracket,
-    chart_symplectic_form,
     enumerate_sr,
     fixture_from_polar,
     gk_act,
@@ -26,13 +25,12 @@ from gzflows.ratmodel import (
     md_tangent_violations,
     md_validate,
     open_stratum_chart,
-    pairing_residual,
     polar,
     relinked_shift,
     sigma_of,
 )
 from gzflows.verify import fd_gradient
-from oracles import poisson_bracket
+from oracles import chart_symplectic_form, pairing_residual, poisson_bracket
 
 
 def scalar_pair_fixture(z1, z2, u, w, gamma1=1.0, gamma2=1.0):

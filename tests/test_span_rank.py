@@ -1,0 +1,135 @@
+"""Span decisions that do not move with scale, each checked by a 50-digit oracle.
+
+strongly_regular and krylov_rank rank unit-norm power chains against the bound their
+generators can reach.  Raw power chains cut against sigma_max answer the generic, the
+diagonal and the small- and large-scale inputs below wrongly; the b (+) B' pin, the
+scale-1 cyclic pairs and the eigenvector come out right either way.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from gzflows import serialize
+from gzflows.cli import _random_matrix, run
+from gzflows.gzcore import strongly_regular
+from gzflows.matpoly import RANK_RTOL, krylov_rank
+from gzflows.spaces import vn_validate
+from span_oracle import count_above, krylov_rows, mp_singular_values, sregular_rows
+
+N = 12
+SEEDS = range(20)
+
+
+def circular(rng, n):
+    """Entries of variance 1/n, as the benchmark's query-mix draws them."""
+    return (rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n))) / np.sqrt(2 * n / 3)
+
+
+def generic(family, seed):
+    """A 12 x 12 strongly regular B: unit Frobenius norm, or variance 1/n times 1e-3 or 1e3."""
+    rng = np.random.default_rng(seed)
+    if family == "unit-norm":
+        return _random_matrix(rng, N)
+    return float(family) * circular(rng, N)
+
+
+def diagonal():
+    rng = np.random.default_rng(0)
+    return np.diag(rng.normal(size=6) + 1j * rng.normal(size=6))
+
+
+def split():
+    """b (+) B': rank (n-1)(n-2)/2, the pin of the benchmark's non-generic sregular."""
+    B = circular(np.random.default_rng(5), N)
+    B[0, 1:] = B[1:, 0] = 0.0
+    return B
+
+
+def cyclic_pair(seed, scale):
+    rng = np.random.default_rng([seed, 9])
+    return scale * circular(rng, N), rng.normal(size=N) + 1j * rng.normal(size=N)
+
+
+def eigenvector_pair(scale):
+    B = scale * circular(np.random.default_rng(3), N)
+    return B, np.linalg.eig(B)[1][:, 0]
+
+
+FAMILIES = ["unit-norm", "1e-3", "1e3"]
+SCALES = [1e-3, 1.0, 1e3]
+
+
+class TestStronglyRegular:
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_generic_matrices_at_every_scale(self, family):
+        for seed in SEEDS:
+            assert strongly_regular(generic(family, seed)) == (True, 66), seed
+
+    def test_complex_diagonal_has_no_generator(self):
+        assert strongly_regular(diagonal()) == (False, 0)
+
+    def test_split_matrix(self):
+        assert strongly_regular(split()) == (False, 55)
+
+    def test_unit_norm_request_answers_true(self, capsys):
+        B = generic("unit-norm", 0)
+        payload = json.dumps({"matrix": serialize.encode_array(B).tolist()})
+        assert run(["sregular", "--input", payload]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "strongly_regular": True, "rank": 66, "required_rank": 66,
+        }
+
+
+class TestKrylovRank:
+    def test_cyclic_pairs_at_every_scale(self):
+        for scale in SCALES:
+            for seed in SEEDS:
+                assert krylov_rank(*cyclic_pair(seed, scale)) == N, (scale, seed)
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_eigenvector_spans_a_line(self, scale):
+        assert krylov_rank(*eigenvector_pair(scale)) == 1
+
+    def test_vn_validate_accepts_a_small_cyclic_pair(self):
+        B, b = cyclic_pair(0, 1e-3)
+        assert vn_validate(B, b).n == N
+
+    def test_scale_of_b_does_not_matter(self):
+        B, b = cyclic_pair(1, 1.0)
+        assert [krylov_rank(B, s * b) for s in (1e-150, 1.0, 1e150)] == [N] * 3
+        assert krylov_rank(B, np.zeros(N)) == 0
+
+
+class TestFiftyDigitOracle:
+    """The library's rank r has sigma_r above the cut and sigma_(r+1) below it, at 50 digits.
+
+    A 66 x 144 generator matrix takes about a second here, so the oracle takes two seeds
+    of each strongly regular family; the library's answers above cover all twenty.
+    """
+
+    @pytest.mark.parametrize("B, want", [
+        *[pytest.param(generic(f, s), 66, id=f"{f}-{s}") for f in FAMILIES for s in (0, 2)],
+        pytest.param(diagonal(), 0, id="diagonal"),
+        pytest.param(split(), 55, id="split"),
+    ])
+    def test_strongly_regular(self, B, want):
+        assert count_above(*sregular_rows(B), RANK_RTOL) == strongly_regular(B)[1] == want
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_cyclic_pairs(self, scale):
+        for seed in SEEDS:
+            B, b = cyclic_pair(seed, scale)
+            assert count_above(*krylov_rows(B, b), RANK_RTOL) == krylov_rank(B, b) == N, seed
+
+    @pytest.mark.parametrize("pair, want", [
+        pytest.param(cyclic_pair(0, 1e-3), N, id="cyclic-1e-3"),
+        pytest.param(cyclic_pair(0, 1e3), N, id="cyclic-1e3"),
+        pytest.param(eigenvector_pair(1.0), 1, id="eigenvector"),
+    ])
+    def test_krylov_singular_values(self, pair, want):
+        sigma, cut = mp_singular_values(*krylov_rows(*pair), RANK_RTOL)
+        assert sigma[want - 1] > cut
+        assert want == N or sigma[want] < cut
+        assert krylov_rank(*pair) == want
