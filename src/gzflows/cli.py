@@ -16,7 +16,7 @@ import numpy as np
 
 from . import gzcore, lax, ratmodel, serialize, verify
 from .errors import InputError, ToleranceError, ValidationError
-from .matpoly import _coincident, _frobenius, as_matrix
+from .matpoly import CLUSTER_TOL, _coincident, _frobenius, as_matrix
 
 __all__ = ["main", "run"]
 
@@ -25,6 +25,15 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_USAGE = 64
 EXIT_BAD_INPUT = 65
+
+# Every tolerance an answer is judged by: the --tol default of each subcommand
+# that reads it, then the reports whose tolerance --tol does not set.
+_TOLERANCES = {
+    "gz-flow": 1e-9, "md-validate": ratmodel.VALIDATE_TOL,
+    "kw-check": 1e-6, "bracket-table": 1e-6, "verify-suite": 1e-6,
+    "lax-run": 1e-3, "lax-gauge": 1e-3, "orbit-count": CLUSTER_TOL, "strata": CLUSTER_TOL,
+    "kw-fd-cross-check": 1e-7, "flow-commutation": 1e-9, "lax-isospectral": 1e-8,
+}
 
 
 def _random_matrix(rng: np.random.Generator, n: int, unit_norm: bool = True) -> np.ndarray:
@@ -59,16 +68,14 @@ def _flow_triples(payload) -> list[tuple[int, int, complex]]:
         raise InputError("expected a 'flows' list of {m, i, z} objects")
     out = []
     for entry in flows:
-        if not isinstance(entry, dict) or not {"m", "i", "z"} <= set(entry):
-            raise InputError("each flow needs keys m, i, z")
+        serialize._need_keys(entry, ("m", "i", "z"))
         m, i = (serialize._need_int(entry[key], f"flow index {key}", 1) for key in ("m", "i"))
         out.append((m, i, complex(serialize.decode_array(entry["z"], 0))))
     return out
 
 
 def _require_matrix(payload, key: str = "matrix") -> np.ndarray:
-    if key not in payload:
-        raise InputError(f"missing key: {key}")
+    serialize._need_keys(payload, (key,))
     return as_matrix(serialize.decode_array(payload[key], 2))
 
 
@@ -77,6 +84,20 @@ def _require_polys(payload) -> list[np.ndarray]:
     if not isinstance(polys, list) or not polys:
         raise InputError("expected a nonempty 'polys' list")
     return [serialize.decode_array(p, 1) for p in polys]
+
+
+def _gate(defect, tol: float, message: str):
+    """defect if it is at most tol; a larger or NaN defect raises ToleranceError (exit 3)
+    with message formatted by ``defect`` and ``tol``."""
+    if not defect <= tol:
+        raise ToleranceError(message.format(defect=defect, tol=tol), defect=defect, tolerance=tol)
+    return defect
+
+
+def _verdict(reports: list[dict]):
+    """The verification document of reports, and exit 3 unless every report passes."""
+    ok = all(r["pass"] for r in reports)
+    return {"reports": reports, "pass": ok}, EXIT_OK if ok else EXIT_NUMERICAL
 
 
 def cmd_gz_map(payload, args):
@@ -90,6 +111,8 @@ def cmd_gz_flow(payload, args):
     B = _require_matrix(payload)
     moved = gzcore.gz_flow(B, _flow_triples(payload))
     defect = verify.conservation_defect(lambda _: moved, lambda M: gzcore.gz_map(M).values, B)
+    # the flows conserve every invariant exactly: a larger defect is a wrong answer
+    _gate(defect, args.tol, "flow does not conserve the invariants (defect {defect:.3e} > {tol:.1e})")
     return {
         "matrix": serialize.encode_array(moved),
         "conservation_defect": float(defect),
@@ -122,12 +145,7 @@ def cmd_orbit_count(payload, args):
 
 def cmd_strata(payload, args):
     if "coords" in payload:
-        obj = payload["coords"]
-        serialize._need_keys(obj, ("n", "basis", "values"))
-        coords = gzcore.GZCoordinates(
-            n=obj["n"], basis=obj["basis"], values=serialize.decode_array(obj["values"], 1)
-        )
-        sig = gzcore.stratum_signature(coords, tol=args.tol)
+        sig = gzcore.stratum_signature(serialize.decode_coords(payload["coords"]), tol=args.tol)
     else:
         sig = gzcore.stratum_signature(_require_polys(payload), tol=args.tol)
     return {
@@ -157,7 +175,7 @@ def _payload_matricial(payload) -> ratmodel.MatricialData:
 def cmd_md_validate(payload, args):
     F = serialize.decode_matricial(payload.get("data", payload))
     try:
-        ratmodel.md_validate(F, tol=args.tol or ratmodel.VALIDATE_TOL)
+        ratmodel.md_validate(F, tol=args.tol)
     except ValidationError as exc:
         return {"valid": False, "violations": exc.violations}, EXIT_VALIDATION
     return {"valid": True, "violations": []}, EXIT_OK
@@ -193,8 +211,6 @@ def _tensor_pairings(df: np.ndarray, pi: np.ndarray, dg: np.ndarray) -> np.ndarr
 def cmd_kw_check(payload, args):
     n = serialize._need_int(payload.get("n", 3), "'n'", 1)
     rng = np.random.default_rng(args.seed)
-    tol = args.tol or 1e-6
-    cross_tol = 1e-7
     worst = 0.0
     worst_cross = 0.0
     for _ in range(args.samples):
@@ -218,18 +234,15 @@ def cmd_kw_check(payload, args):
             np.max(_abs(ratmodel._chart_pairing(rho, ds[:, None], ds[None, :]))),
         ])
         worst_cross = np.maximum(worst_cross, np.max(_abs(val - cross)))
-    reports = [
-        verify.report("kw-relations", args.samples, worst, tol),
-        verify.report("kw-fd-cross-check", args.samples, worst_cross, cross_tol),
-    ]
-    ok = all(r["pass"] for r in reports)
-    return {"reports": reports, "pass": ok}, EXIT_OK if ok else EXIT_NUMERICAL
+    return _verdict([
+        verify.report("kw-relations", args.samples, worst, args.tol),
+        verify.report("kw-fd-cross-check", args.samples, worst_cross, _TOLERANCES["kw-fd-cross-check"]),
+    ])
 
 
 def cmd_bracket_table(payload, args):
     n = serialize._need_int(payload.get("n", 3), "'n'", 1)
     rng = np.random.default_rng(args.seed)
-    tol = args.tol or 1e-6
     indices = gzcore.gz_indices(n)
 
     a, b = np.triu_indices(len(indices), 1)
@@ -243,10 +256,7 @@ def cmd_bracket_table(payload, args):
         vals = np.trace(B @ (grads[a] @ grads[b] - grads[b] @ grads[a]), axis1=-2, axis2=-1)
         scales = 1.0 + np.linalg.norm(B) * norms[a] * norms[b]
         worst = np.maximum(worst, np.max(_abs(vals) / scales, initial=0.0))
-    rep = verify.report("lie-poisson-bracket-table", args.samples, worst, tol)
-    return {"reports": [rep], "pass": rep["pass"]}, (
-        EXIT_OK if rep["pass"] else EXIT_NUMERICAL
-    )
+    return _verdict([verify.report("lie-poisson-bracket-table", args.samples, worst, args.tol)])
 
 
 def _alpha_from_spec(spec):
@@ -273,14 +283,8 @@ def cmd_lax_run(payload, args):
         int(payload["steps"]),
     )
     # lax-gauge's gate: no path is written that lax-gauge would refuse
-    tol = args.tol or 1e-3
-    residual = lax.lax_residual(path)
-    if not residual <= tol:
-        raise ToleranceError(
-            f"Lax path is inaccurate (residual {residual:.3e} > {tol:.1e}); take more steps",
-            defect=residual,
-            tolerance=tol,
-        )
+    residual = _gate(lax.lax_residual(path), args.tol,
+                     "Lax path is inaccurate (residual {defect:.3e} > {tol:.1e}); take more steps")
     return {
         "path": serialize.encode_lax_path(path),
         "lax_residual": float(residual),
@@ -290,7 +294,7 @@ def cmd_lax_run(payload, args):
 
 def cmd_lax_gauge(payload, args):
     path = serialize.decode_lax_path(payload.get("path", payload))
-    result = lax.gauge_fix_regular(path, residual_tol=args.tol or 1e-3)
+    result = lax.gauge_fix_regular(path, residual_tol=args.tol)
     return {
         "g_end": serialize.encode_array(result.g_end),
         "constant_matrix": serialize.encode_array(result.constant_matrix),
@@ -302,10 +306,7 @@ def cmd_lax_gauge(payload, args):
 def cmd_verify_suite(payload, args):
     n = serialize._need_int(payload.get("n", 3), "'n'", 2)
     rng = np.random.default_rng(args.seed)
-    reports = []
-
-    table_doc, _ = cmd_bracket_table({"n": n}, args)
-    reports += table_doc["reports"]
+    reports = cmd_bracket_table({"n": n}, args)[0]["reports"]
 
     indices = [(m, i) for m in range(1, n) for i in range(1, m + 1)]
     worst_comm = 0.0
@@ -319,15 +320,14 @@ def cmd_verify_suite(payload, args):
         flow1 = lambda M: gzcore.gz_flow(M, [(m1, i1, z1)])
         flow2 = lambda M: gzcore.gz_flow(M, [(m2, i2, z2)])
         worst_comm = np.maximum(worst_comm, verify.commute_defect(flow1, flow2, B))
-        worst_cons = np.maximum(
-            worst_cons,
-            verify.conservation_defect(flow1, lambda M: gzcore.gz_map(M).values, B),
-        )
-    reports.append(verify.report("flow-commutation", args.samples, worst_comm, 1e-9))
-    reports.append(verify.report("flow-conservation", args.samples, worst_cons, 1e-9))
-
-    kw_doc, _ = cmd_kw_check({"n": min(n, 3)}, args)
-    reports += kw_doc["reports"]
+        cons = verify.conservation_defect(flow1, lambda M: gzcore.gz_map(M).values, B)
+        worst_cons = np.maximum(worst_cons, cons)
+    reports += [
+        verify.report("flow-commutation", args.samples, worst_comm, _TOLERANCES["flow-commutation"]),
+        # gz-flow's gate: a flow that passes here is one gz-flow answers
+        verify.report("flow-conservation", args.samples, worst_cons, _TOLERANCES["gz-flow"]),
+    ]
+    reports += cmd_kw_check({"n": min(n, 3)}, args)[0]["reports"]
 
     # every (alpha, beta) first, then all paths in one integration
     paths = min(args.samples, 10)
@@ -335,10 +335,8 @@ def cmd_verify_suite(payload, args):
     alphas, betas = (np.array(x) for x in zip(*pairs))
     path = lax.lax_integrate(lambda t: alphas, betas, 0.0, 1.0, 200)
     worst_iso = np.max(lax.isospectral_drift(path))
-    reports.append(verify.report("lax-isospectral", paths, worst_iso, 1e-8))
-
-    ok = all(r["pass"] for r in reports)
-    return {"reports": reports, "pass": ok}, EXIT_OK if ok else EXIT_NUMERICAL
+    reports.append(verify.report("lax-isospectral", paths, worst_iso, _TOLERANCES["lax-isospectral"]))
+    return _verdict(reports)
 
 
 HANDLERS = {
@@ -388,7 +386,7 @@ def _build_parser(name: str) -> argparse.ArgumentParser:
     parser.add_argument("--output", default=None, help="output file path (default stdout)")
     parser.add_argument("--seed", type=_at_least(0), default=0)
     parser.add_argument("--samples", type=_at_least(1), default=50)
-    parser.add_argument("--tol", type=_tolerance, default=None)
+    parser.add_argument("--tol", type=_tolerance, default=_TOLERANCES.get(name))
     parser.add_argument("--mode", default=None)
     return parser
 

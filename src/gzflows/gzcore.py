@@ -273,7 +273,7 @@ def _checked_monic(polys, expected_degrees=None) -> list[np.ndarray]:
                 f"polynomial {j + 1} has degree {poly_degree(p)}, "
                 f"expected {expected_degrees[j]}"
             )
-        if poly_degree(p) >= 1 and not is_monic(p, tol=1e-9):
+        if poly_degree(p) >= 1 and not is_monic(p):
             raise ValidationError(f"polynomial {j + 1} is not monic")
         out.append(p)
     return out

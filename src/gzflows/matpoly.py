@@ -38,6 +38,8 @@ __all__ = [
 RANK_RTOL = 1e-10
 # Root clustering: absolute tolerance after dividing by (1 + max |root|).
 CLUSTER_TOL = 1e-8
+# A polynomial is monic when its leading coefficient is within this of 1.
+_MONIC_TOL = 1e-9
 
 
 def as_matrix(A) -> np.ndarray:
@@ -257,24 +259,25 @@ def poly_from_roots(rts) -> np.ndarray:
     return p
 
 
-def is_monic(p, tol: float) -> bool:
+def is_monic(p) -> bool:
+    """Whether the leading coefficient of p is within _MONIC_TOL of 1."""
     p = np.atleast_1d(np.asarray(p, dtype=complex))
     d = poly_degree(p)
-    return d >= 0 and abs(p[d] - 1.0) <= tol
+    return d >= 0 and abs(p[d] - 1.0) <= _MONIC_TOL
 
 
 def companion_of(p) -> np.ndarray:
     """Companion matrix (unit subdiagonal, coefficients in the last column).
 
-    Requires a monic polynomial; charpoly(companion_of(p)) == p.
+    Requires a monic polynomial (see is_monic); charpoly(companion_of(p)) == p / p[-1].
     """
     p = poly_trim(p)
     n = poly_degree(p)
     if n < 1:
         raise ValueError("companion matrix needs degree >= 1")
-    if not is_monic(p, tol=1e-12):
+    if not is_monic(p):
         raise ValueError("companion matrix needs a monic polynomial")
-    return _companion(p)
+    return _companion(p / p[n])
 
 
 def _companion(p: np.ndarray) -> np.ndarray:
@@ -298,7 +301,7 @@ def newton_convert(values, direction: str) -> np.ndarray:
 
     ``power-to-coeffs``: input (p_1, ..., p_n), output the n+1 ascending
     coefficients of the monic degree-n polynomial with those power sums.
-    ``coeffs-to-power``: the inverse; input must be monic.
+    ``coeffs-to-power``: the inverse, for monic p (see is_monic) taken as p / p[-1].
     """
     values = np.atleast_1d(np.asarray(values, dtype=complex))
     if values.size == 0:
@@ -322,8 +325,9 @@ def newton_convert(values, direction: str) -> np.ndarray:
         n = coeffs.size - 1
         if n < 1:
             raise ValueError("need degree >= 1 coefficients")
-        if not is_monic(coeffs, tol=1e-12):
+        if not is_monic(coeffs):
             raise ValueError("coefficients must be monic")
+        coeffs = coeffs / coeffs[poly_degree(coeffs)]
         elem = np.array([(-1) ** k * coeffs[n - k] for k in range(n + 1)])
         psums = np.zeros(n, dtype=complex)
         for k in range(1, n + 1):

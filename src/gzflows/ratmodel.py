@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ToleranceError, ValidationError
+from .gzcore import _checked_monic
 from .matpoly import (
     _coincident,
     _expm,
@@ -33,12 +34,10 @@ from .matpoly import (
     as_matrix,
     charpoly,
     companion_of,
-    is_monic,
     krylov_matrix,
     numerical_rank,
     poly_degree,
     poly_divmod,
-    poly_trim,
 )
 from .verify import fd_gradient, Chart
 
@@ -756,8 +755,8 @@ def _conjugator(b_plus: np.ndarray, b_minus: np.ndarray, rng: np.random.Generato
         v = rng.normal(size=size) + 1j * rng.normal(size=size)
         K_plus = krylov_matrix(b_plus, x)
         K_minus = krylov_matrix(b_minus, v)
-        # for size < 100 each bound implies full numerical rank (short iff cond >= 1e10 / size)
-        if np.linalg.cond(K_plus) < 1e8 and np.linalg.cond(K_minus) < 1e8:
+        # with unit columns the condition does not grow with the scale of the roots
+        if all(np.linalg.cond(K / np.linalg.norm(K, axis=0)) < 1e8 for K in (K_plus, K_minus)):
             g = K_minus @ np.linalg.inv(K_plus)
             if np.linalg.norm(g @ b_plus @ np.linalg.inv(g) - b_minus) < 1e-7 * (
                 1.0 + np.linalg.norm(b_minus)
@@ -798,6 +797,7 @@ def _solve_gcomp(X: np.ndarray, target: np.ndarray, rng: np.random.Generator) ->
     _, rem = poly_divmod(target, qx)
     rhs = np.zeros(m, dtype=complex)
     rhs[: rem.size] = -rem
+    scale = 1 + np.max(np.abs(target))
     for _ in range(20):
         b, a = _adjugate_attempt(H, rhs, rng)
         if a is None:
@@ -806,13 +806,13 @@ def _solve_gcomp(X: np.ndarray, target: np.ndarray, rng: np.random.Generator) ->
         for l in range(m):
             cross[l] = a @ H[l] @ b
         quotient, leftover = poly_divmod(np.asarray(target, dtype=complex) + cross, qx)
-        if poly_degree(leftover) >= 0 and np.max(np.abs(leftover)) > 1e-8:
+        if poly_degree(leftover) >= 0 and np.max(np.abs(leftover)) > 1e-8 * scale:
             continue
         r_c = np.zeros(k - m + 1, dtype=complex)
         r_c[: quotient.size] = quotient
         c = -r_c[: k - m]
         B = generalized_companion(X, a, b, c)
-        if np.max(np.abs(charpoly(B) - target)) < 1e-8 * (1 + np.max(np.abs(target))):
+        if np.max(np.abs(charpoly(B) - target)) < 1e-8 * scale:
             return B
     raise ValidationError("could not realize the requested polar polynomial")
 
@@ -845,10 +845,7 @@ def fixture_from_polar(polys, rng=None) -> MatricialData:
     random Krylov bases.  The output is validated before return.
     """
     rng = np.random.default_rng(rng)
-    polys = [poly_trim(p) for p in polys]
-    for j, p in enumerate(polys):
-        if poly_degree(p) >= 1 and not is_monic(p, tol=1e-9):
-            raise ValidationError(f"polynomial {j + 1} is not monic")
+    polys = _checked_monic(polys)
     k = tuple(max(poly_degree(p), 0) for p in polys)
     n = len(k)
     b_minus: list[np.ndarray | None] = [None] * n

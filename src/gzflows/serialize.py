@@ -21,7 +21,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .errors import InputError, ToleranceError
-from .gzcore import GZCoordinates, StratumSignature
+from .gzcore import GZ_BASES, GZCoordinates, StratumSignature
 from .lax import LaxPath, _one_path
 from .ratmodel import MatricialData
 
@@ -29,6 +29,7 @@ __all__ = [
     "encode_array",
     "decode_array",
     "encode_coords",
+    "decode_coords",
     "encode_signature",
     "encode_matricial",
     "decode_matricial",
@@ -72,6 +73,16 @@ def encode_coords(c: GZCoordinates) -> dict:
         "basis": c.basis,
         "values": encode_array(c.values),
     }
+
+
+def decode_coords(obj) -> GZCoordinates:
+    """The inverse of :func:`encode_coords`: n(n+1)/2 values in a known basis."""
+    _need_keys(obj, ("n", "basis", "values"))
+    n = _need_int(obj["n"], "'n'", 0)
+    values = decode_array(obj["values"], 1)
+    if obj["basis"] not in GZ_BASES or values.size != n * (n + 1) // 2:
+        raise InputError(f"coords need a basis in {GZ_BASES} and n(n+1)/2 = {n * (n + 1) // 2} values")
+    return GZCoordinates(n=n, basis=obj["basis"], values=values)
 
 
 def encode_signature(sig: StratumSignature) -> list:

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from gzflows import gzcore, lax, ratmodel, serialize, verify
+from gzflows import cli, gzcore, lax, ratmodel, serialize, verify
 from gzflows.cli import HANDLERS, _tensor_pairings, run
 from gzflows.errors import InputError, ToleranceError
 from gzflows.matpoly import poly_from_roots
@@ -993,8 +993,11 @@ class TestQuietOverflow:
                      id="gz-map-tr-power"),
         pytest.param(["gz-map", "--input", json.dumps({**HUGE_MATRIX, "basis": "charpoly"})], NOT_JSON,
                      id="gz-map-charpoly"),
+        # the invariants of the moved matrix overflow: a NaN defect fails gz-flow's gate
         pytest.param(["gz-flow", "--input", json.dumps(
-            {**HUGE_MATRIX, "flows": [{"m": 1, "i": 1, "z": [0.1, 0]}]})], NOT_JSON, id="gz-flow"),
+            {**HUGE_MATRIX, "flows": [{"m": 1, "i": 1, "z": [0.1, 0]}]})],
+            "numerical failure: flow does not conserve the invariants (defect nan > 1.0e-09)\n",
+            id="gz-flow"),
         # ad alpha has the rates +-1600, and h * 1600 = 40: refused before any output is made
         pytest.param(["lax-run", "--input", overflowing_lax_run(40)],
                      "numerical failure: Lax step is unstable "
@@ -1047,6 +1050,92 @@ class TestQuietOverflow:
         code, out, err = run_fresh("gz-flow", "--input", overflowing_composite_flow(seed))
         assert (code, out) == (3, "") and err.count("\n") == 1
         assert err.startswith("numerical failure: flow factor for (m, i) = (")
+
+
+def gz_flow_request(B, m, i, z) -> str:
+    return json.dumps({"matrix": serialize.encode_array(B).tolist(),
+                       "flows": [{"m": m, "i": i, "z": [z, 0]}]})
+
+
+def normal_flow(seed) -> str:
+    # (m, i, z) = (2, 2, 8) on a 3x3 standard-normal B: h is ill-conditioned at seeds 2 and 3
+    return gz_flow_request(np.random.default_rng(seed).standard_normal((3, 3)), 2, 2, 8)
+
+
+# sha256 of the answers of normal_flow(seed) before gz-flow had a gate
+NORMAL_FLOW_BYTES = {
+    0: "ea198873c6396f9b3bb9bb41211bdb7bc0e0650d0ab25b74fdef5049e95d448c",
+    1: "293e97a1a8082828ad04ad84dec76a5791ca8f8033d49d48e0e3f4bedd9a05b5",
+    4: "72e948ba004e8bb7ae5e0354347f2f4155fbf927768515c9ec3fe0da931c2270",
+    5: "bd0a6499ad5051b00be560385c6496104948b79931f8ffdd026990a021e050b7",
+}
+FLOW_REFUSED = "numerical failure: flow does not conserve the invariants (defect "
+
+
+class TestToleranceContract:
+    """Every --tol default comes from one table, and gz-flow refuses a flow that drifts."""
+
+    def test_benchmark_fault_b_exits_3(self):
+        # (m, i, z) = (2, 2, 4) on U(-2, 2) + iU(-2, 2): cond(h) is about 3e7
+        rng = np.random.default_rng(197)
+        B = rng.uniform(-2, 2, (3, 3)) + 1j * rng.uniform(-2, 2, (3, 3))
+        code, out, err = run_fresh("gz-flow", "--input", gz_flow_request(B, 2, 2, 4))
+        assert (code, out) == (3, "") and err.count("\n") == 1 and err.startswith(FLOW_REFUSED)
+
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_drifting_flow_exits_3(self, capsys, seed):
+        code, out, err = call(capsys, "gz-flow", "--input", normal_flow(seed))
+        assert (code, out) == (3, "") and err.startswith(FLOW_REFUSED)
+
+    @pytest.mark.parametrize("seed", sorted(NORMAL_FLOW_BYTES))
+    def test_conserving_flow_keeps_its_bytes(self, capsys, seed):
+        code, out, _ = call(capsys, "gz-flow", "--input", normal_flow(seed))
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, NORMAL_FLOW_BYTES[seed])
+
+    def test_tol_sets_the_gate(self, capsys):
+        # seed 5 drifts by 8.8e-10: inside the default 1e-9, outside 1e-10
+        code, _, err = call(capsys, "gz-flow", "--input", normal_flow(5), "--tol", "1e-10")
+        assert code == 3 and err == FLOW_REFUSED + "8.839e-10 > 1.0e-10)\n"
+        assert call(capsys, "gz-flow", "--input", normal_flow(5))[0] == 0
+
+    def test_parser_defaults_are_the_table(self):
+        for name in HANDLERS:
+            assert cli._build_parser(name).get_default("tol") == cli._TOLERANCES.get(name), name
+        ignoring = {name for name in HANDLERS if name not in cli._TOLERANCES}
+        assert ignoring == {"gz-map", "sregular", "enumerate-orbits", "ak-act", "polar"}
+        assert cli._TOLERANCES["md-validate"] == ratmodel.VALIDATE_TOL
+        assert cli._TOLERANCES["strata"] == cli._TOLERANCES["orbit-count"] == gzcore.CLUSTER_TOL
+
+    def test_verify_suite_reports_read_the_table(self, capsys):
+        doc = json.loads(call(capsys, "verify-suite", "--input", '{"n": 2}', "--samples", "1")[1])
+        table = cli._TOLERANCES
+        assert {r["test"]: r["tolerance"] for r in doc["reports"]} == {
+            "lie-poisson-bracket-table": table["verify-suite"],
+            "flow-commutation": table["flow-commutation"],
+            "flow-conservation": table["gz-flow"],
+            "kw-relations": table["verify-suite"],
+            "kw-fd-cross-check": table["kw-fd-cross-check"],
+            "lax-isospectral": table["lax-isospectral"],
+        }
+
+    @pytest.mark.parametrize("coords, message", [
+        ({"n": 2, "basis": "foo", "values": [[1, 0], [2, 0], [3, 0]]}, "coords need a basis in"),
+        ({"n": 2, "basis": "charpoly", "values": [[1, 0], [2, 0], [3, 0], [4, 0]]},
+         "n(n+1)/2 = 3 values"),
+        ({"n": True, "basis": "charpoly", "values": [[1, 0]]}, "'n' must be an integer"),
+        ({"n": -1, "basis": "charpoly", "values": []}, "'n' must be an integer"),
+        ({"n": 2, "values": [[1, 0], [2, 0], [3, 0]]}, "missing keys: basis"),
+    ])
+    def test_strata_coords_are_checked_65(self, capsys, coords, message):
+        code, out, err = call(capsys, "strata", "--input", json.dumps({"coords": coords}))
+        assert (code, out) == (65, "") and message in err
+
+    def test_decode_coords_inverts_encode_coords(self):
+        B = np.arange(9.0).reshape(3, 3) + 1j
+        for basis in gzcore.GZ_BASES:
+            c = gzcore.gz_map(B, basis=basis)
+            back = serialize.decode_coords(json.loads(serialize._dumps(serialize.encode_coords(c))))
+            assert (back.n, back.basis) == (c.n, c.basis) and np.array_equal(back.values, c.values)
 
 
 def _requests(tmp_path):

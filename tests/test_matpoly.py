@@ -256,6 +256,15 @@ class TestCompanion:
     def test_non_monic(self):
         with pytest.raises(ValueError):
             companion_of([1, 2])
+        with pytest.raises(ValueError):
+            companion_of([1, 1 + 2e-9])
+
+    def test_near_monic_is_divided_by_its_leading_coefficient(self):
+        # one monic tolerance: what fixture_from_polar and strata accept, companion_of takes
+        p = np.array([2.0, -3.0, 1 + 5e-10])
+        C = companion_of(p)
+        assert np.array_equal(C, [[0, -2.0 / p[-1]], [1, 3.0 / p[-1]]])
+        assert np.array_equal(newton_convert(p, "coeffs-to-power"), newton_convert(p / p[-1], "coeffs-to-power"))
 
 
 class TestNewtonConvert:

@@ -7,6 +7,7 @@ import pytest
 from gzflows import ratmodel
 from gzflows.errors import ValidationError
 from gzflows.matpoly import companion_of, poly_from_roots
+from gzflows.matpoly import roots as matpoly_roots
 from gzflows.ratmodel import (
     _OPEN_STRATUM_TOL,
     _chart_pairing,
@@ -696,6 +697,24 @@ class TestFixtureFromPolar:
         assert sorted(F.u) == [j for j in range(len(degrees) - 1) if degrees[j] == degrees[j + 1]]
         for got, want in zip(polar(F), polys):
             assert np.max(np.abs(got - want)) < 1e-8
+
+    @pytest.mark.parametrize("scale", [100.0, 1000.0])
+    def test_large_roots(self, scale):
+        # Krylov columns grow like the roots' powers; the leftover of the junction solve
+        # grows with the target's coefficients: neither refuses a point at this scale
+        rng = np.random.default_rng(0)
+        roots = [scale * (rng.normal(size=d) + 1j * rng.normal(size=d)) for d in (2, 3)]
+        F = fixture_from_polar([poly_from_roots(r) for r in roots], rng=0)
+        for got, want in zip(polar(F), roots):
+            assert np.max(np.abs(np.sort_complex(matpoly_roots(got)) - np.sort_complex(want))) < 1e-9 * scale
+
+    def test_near_monic_leading_coefficient(self):
+        # a leading coefficient within the monic tolerance builds, as the monic polynomial
+        p = poly_from_roots([1.0, 2.0])
+        p[-1] = 1 + 5e-10
+        F = fixture_from_polar([p, poly_from_roots([3.0, 4.0, 5.0])], rng=0)
+        assert F.k == (2, 3)
+        assert np.max(np.abs(polar(F)[0] - p / p[-1])) < 1e-8
 
     @pytest.mark.parametrize("k, seed", list(FIXTURE_BITS), ids=str)
     def test_same_bits_at_a_fixed_seed(self, k, seed):
