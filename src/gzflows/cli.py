@@ -43,18 +43,36 @@ def _random_matrix(rng: np.random.Generator, n: int, unit_norm: bool = True) -> 
     return M
 
 
+@functools.cache
+def _chart_draws(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where the real and the imaginary part of each of the N = n(n+1)/2 values of a chart
+    sit in one draw of 2N uniforms: level i = 1..n drew i real parts, then i imaginary
+    parts (read-only)."""
+    sizes = np.repeat(np.arange(1, n + 1), np.arange(1, n + 1))
+    real = np.arange(sizes.size) + sizes * (sizes - 1) // 2
+    frames = (real, real + sizes)
+    for frame in frames:
+        frame.flags.writeable = False  # every call shares them
+    return frames
+
+
 def _random_chart(rng: np.random.Generator, n: int) -> ratmodel.OpenStratumChart:
-    # degrees (1, ..., n); poles drawn until pairwise separated
+    """Degrees (1, ..., n), each family in one draw; poles drawn until pairwise separated.
+
+    The chart holds all N poles as one level: its flat point, its brackets and the two
+    refusals of open_stratum_chart (coincident poles, a zero residue) do not depend on
+    how the values split into levels.
+    """
+    real, imag = _chart_draws(n)
     while True:
-        poles = [rng.uniform(-2, 2, i) + 1j * rng.uniform(-2, 2, i) for i in range(1, n + 1)]
-        if not _coincident(np.concatenate(poles), 1e-2):
+        u = rng.uniform(-2, 2, 2 * real.size)
+        poles = u[real] + 1j * u[imag]
+        if not _coincident(poles, 1e-2):
             break
-    residues = []
-    for i in range(1, n + 1):
-        r = rng.uniform(-2, 2, i) + 1j * rng.uniform(-2, 2, i)
-        r[np.abs(r) < 0.1] += 0.5
-        residues.append(r)
-    return ratmodel.open_stratum_chart(poles, residues)
+    u = rng.uniform(-2, 2, 2 * real.size)
+    residues = u[real] + 1j * u[imag]
+    residues[np.abs(residues) < 0.1] += 0.5
+    return ratmodel.open_stratum_chart([poles], [residues])
 
 
 def _abs(v) -> np.ndarray:
@@ -199,39 +217,60 @@ def cmd_polar(payload, args):
 
 
 def _tensor_pairings(df: np.ndarray, pi: np.ndarray, dg: np.ndarray) -> np.ndarray:
-    """df[l] @ pi @ dg[m] at [l, m], each with the bits of (df[l] @ pi) @ dg[m].
+    """df[..., l, :] @ pi @ dg[..., m, :] at [..., l, m], each with the bits of
+    (df[l] @ pi) @ dg[m] for one sample.
 
     A (1, d) @ (d, d) product per row and a (1, d) @ (d, 1) product per pair
     take the one gemv and the one dot that the 1-d products take.
     """
-    left = np.matmul(df[:, None, :], pi)
-    return np.matmul(left[:, None], dg[:, :, None])[..., 0, 0]
+    left = np.matmul(df[..., :, None, :], pi[..., None, :, :])
+    return np.matmul(left[..., :, None, :, :], dg[..., None, :, :, None])[..., 0, 0]
+
+
+# Complex entries that one stacked temporary of kw-check or bracket-table may hold.
+_BLOCK_ENTRIES = 2 ** 19
+
+
+def _blocks(samples: int, entries: int) -> list[int]:
+    """Sizes of the blocks the samples are evaluated in, in draw order: as many samples as
+    keep a stacked temporary of ``entries`` per sample under _BLOCK_ENTRIES, at least one."""
+    size = max(1, _BLOCK_ENTRIES // max(1, entries))
+    return [min(size, samples - start) for start in range(0, samples, size)]
 
 
 def cmd_kw_check(payload, args):
     n = serialize._need_int(payload.get("n", 3), "'n'", 1)
     rng = np.random.default_rng(args.seed)
+    N = n * (n + 1) // 2
+    # one FD Jacobian per function family: q_l = y[l] and s_l = 1 / rho_l
+    q = lambda y: y[..., :N]  # noqa: E731
+    s = lambda y: 1.0 / y[..., N:]  # noqa: E731
     worst = 0.0
     worst_cross = 0.0
-    for _ in range(args.samples):
-        chart = _random_chart(rng, n)
-        N = chart.size
-        x = chart.flat()
-        rho = x[N:]
-        cross_pi = ratmodel.chart_as_poisson_chart(chart).tensor_at(x)
-        # one FD Jacobian per function family: q_l = y[l] and s_l = 1 / rho_l
-        dq = verify.fd_gradient(lambda y: y[..., :N], x)
-        ds = verify.fd_gradient(lambda y: 1.0 / y[..., N:], x)
-        # every pairing of rows l and m at [l, m]
-        val = ratmodel._chart_pairing(rho, dq[:, None], ds[None, :])
-        expect = np.diag(1.0 / rho)
+    # the largest stacked temporaries: 16 N^2 probe entries, N^3 pairing terms
+    for count in _blocks(args.samples, max(16 * N * N, N ** 3)):
+        charts = [_random_chart(rng, n) for _ in range(count)]
+        x = np.array([chart.flat() for chart in charts])
+        inverted = ratmodel.chart_as_poisson_chart(charts[0])
+        cross_pi = inverted.poisson_tensor(x)
+        # a failing sample raises what it raises alone: its tensor check, then its gradients
+        checked, _ = verify._antisymmetric_count(cross_pi)
+        dq = verify.fd_gradient(q, x[:checked])
+        ds = verify.fd_gradient(s, x[:checked])
+        if checked < count:
+            inverted.tensor_at(x[checked])  # raises that sample's own message
+        # every pairing of rows l and m of each sample at [sample, l, m]
+        rho = x[:, None, None, N:]
+        val = ratmodel._chart_pairing(rho, dq[:, :, None], ds[:, None, :])
+        expect = np.zeros(val.shape, dtype=complex)
+        expect.reshape(count, N * N)[:, :: N + 1] = 1.0 / x[:, N:]
         cross = _tensor_pairings(dq, cross_pi, ds)
         # np.max keeps a NaN that max() would drop
         worst = np.max([
             worst,
             np.max(_abs(val - expect) / (1.0 + _abs(expect))),
-            np.max(_abs(ratmodel._chart_pairing(rho, dq[:, None], dq[None, :]))),
-            np.max(_abs(ratmodel._chart_pairing(rho, ds[:, None], ds[None, :]))),
+            np.max(_abs(ratmodel._chart_pairing(rho, dq[:, :, None], dq[:, None, :]))),
+            np.max(_abs(ratmodel._chart_pairing(rho, ds[:, :, None], ds[:, None, :]))),
         ])
         worst_cross = np.maximum(worst_cross, np.max(_abs(val - cross)))
     return _verdict([
@@ -240,21 +279,30 @@ def cmd_kw_check(payload, args):
     ])
 
 
+@functools.cache
+def _bracket_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair a < b of positions in gz_indices(n) (read-only)."""
+    pairs = np.triu_indices(n * (n + 1) // 2, 1)
+    for index in pairs:
+        index.flags.writeable = False  # every call shares them
+    return pairs
+
+
 def cmd_bracket_table(payload, args):
     n = serialize._need_int(payload.get("n", 3), "'n'", 1)
     rng = np.random.default_rng(args.seed)
     indices = gzcore.gz_indices(n)
-
-    a, b = np.triu_indices(len(indices), 1)
+    a, b = _bracket_pairs(n)
     worst = 0.0
-    for _ in range(args.samples):
-        B = _random_matrix(rng, n, unit_norm=False)
-        # exact trace-pairing gradient of tr(B_m^i): i * pad(B_m^(i-1))
+    # the largest stacked temporaries: a product for every pair a < b of each sample
+    for count in _blocks(args.samples, a.size * n * n):
+        B = np.array([_random_matrix(rng, n, unit_norm=False) for _ in range(count)])
+        # exact trace-pairing gradient of tr(B_m^i): i * pad(B_m^(i-1)), at [index, sample]
         grads = np.array([i * gzcore._padded_minor_power(B, m, i) for m, i in indices])
         norms = _frobenius(grads)
-        # every pair a < b at once
+        # every pair a < b of every sample at once
         vals = np.trace(B @ (grads[a] @ grads[b] - grads[b] @ grads[a]), axis1=-2, axis2=-1)
-        scales = 1.0 + np.linalg.norm(B) * norms[a] * norms[b]
+        scales = 1.0 + _frobenius(B) * norms[a] * norms[b]
         worst = np.maximum(worst, np.max(_abs(vals) / scales, initial=0.0))
     return _verdict([verify.report("lie-poisson-bracket-table", args.samples, worst, args.tol)])
 

@@ -151,9 +151,9 @@ def gz_map(B, basis: str = "tr-power") -> GZCoordinates:
 
 
 def _padded_minor_power(B: np.ndarray, m: int, i: int) -> np.ndarray:
-    n = B.shape[0]
-    P = np.zeros((n, n), dtype=complex)
-    P[:m, :m] = np.linalg.matrix_power(B[:m, :m], i - 1)
+    """pad(B_m^(i-1)) for B or a stack of matrices (..., n, n), each with the bits it gets alone."""
+    P = np.zeros(B.shape, dtype=complex)
+    P[..., :m, :m] = np.linalg.matrix_power(B[..., :m, :m], i - 1)
     return P
 
 

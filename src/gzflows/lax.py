@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ToleranceError, ValidationError
+from .errors import ToleranceError
 from .matpoly import _check_square, _frobenius, charpoly
 
 __all__ = [
@@ -245,15 +245,16 @@ def gauge_fix_regular(path: LaxPath, residual_tol: float = 1e-3) -> GaugeFixResu
 
     The conjugate g beta g^-1 is then a constant matrix X (checked; the
     drift is reported), and (g(b), X) is the endpoint chart of the moduli
-    space with regular behavior at both ends.  Rejects paths whose Lax
-    residual is large or NaN, and reports condition blowup or overflow of g
-    and a grid step outside RK4's stable range for alpha.
+    space with regular behavior at both ends.  Reports, as numerical
+    failures, a Lax residual above residual_tol or NaN, condition blowup or
+    overflow of g, and a grid step outside RK4's stable range for alpha.
     """
     _one_path(path).validate()
     resid = lax_residual(path)
     if not resid <= residual_tol:
-        raise ValidationError(
-            f"path is not a Lax solution (residual {resid:.3e} > {residual_tol:.1e})"
+        raise ToleranceError(
+            f"path is not a Lax solution (residual {resid:.3e} > {residual_tol:.1e})",
+            defect=resid, tolerance=residual_tol,
         )
     h = float(path.grid[1] - path.grid[0])
     # an overflow leaves non-finite samples, which are reported below

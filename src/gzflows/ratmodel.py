@@ -718,12 +718,14 @@ def chart_bracket(chart: OpenStratumChart, f, g) -> complex:
 def _chart_pairing(rho: np.ndarray, df: np.ndarray, dg: np.ndarray) -> np.ndarray:
     """{f, g} from flat gradients (poles first, then residues) at residues rho.
 
-    Leading axes of the gradients broadcast: stacks give the stack of brackets.
+    Leading axes of rho and of the gradients broadcast: stacks give the stack of brackets.
     """
-    N = rho.size
+    N = rho.shape[-1]
     terms = df[..., N:] * dg[..., :N] - df[..., :N] * dg[..., N:]
     # rho at the full shape: a broadcast size-1 rho takes another multiply kernel
-    return np.sum(np.broadcast_to(rho, terms.shape).copy() * terms, axis=-1)
+    full = np.empty(terms.shape, dtype=complex)
+    full[...] = rho
+    return np.sum(full * terms, axis=-1)
 
 
 def chart_as_poisson_chart(chart: OpenStratumChart) -> Chart:
@@ -735,13 +737,14 @@ def chart_as_poisson_chart(chart: OpenStratumChart) -> Chart:
     """
     N = chart.size
     names = tuple(f"q{l + 1}" for l in range(N)) + tuple(f"rho{l + 1}" for l in range(N))
+    q, r = np.arange(N), np.arange(N, 2 * N)
 
     def tensor(x: np.ndarray) -> np.ndarray:
-        rho = x[N:]
-        omega = np.zeros((2 * N, 2 * N), dtype=complex)
-        for l in range(N):
-            omega[N + l, l] = 1.0 / rho[l]
-            omega[l, N + l] = -1.0 / rho[l]
+        # one flat point or a stack of them: the stack of tensors
+        rho = x[..., N:]
+        omega = np.zeros(rho.shape[:-1] + (2 * N, 2 * N), dtype=complex)
+        omega[..., r, q] = 1.0 / rho
+        omega[..., q, r] = -1.0 / rho
         return -np.linalg.inv(omega)
 
     return Chart(names=names, poisson_tensor=tensor)

@@ -14,6 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ValidationError
+from .matpoly import _frobenius
 
 __all__ = [
     "DEFAULT_STEP",
@@ -34,7 +35,8 @@ class Chart:
 
     ``poisson_tensor`` maps a flat complex point to a d-by-d antisymmetric
     matrix pi; brackets are {f, g} = sum pi[a, b] df/dx_a dg/dx_b.
-    Antisymmetry is checked at every evaluation.
+    Antisymmetry is checked at every evaluation.  A tensor that also maps a
+    stack of points (S, d) to the stack (S, d, d) lets ``tensor_at`` take one.
     """
 
     names: tuple[str, ...]
@@ -45,45 +47,70 @@ class Chart:
         return len(self.names)
 
     def tensor_at(self, x: np.ndarray) -> np.ndarray:
-        pi = np.asarray(self.poisson_tensor(np.asarray(x, dtype=complex)), dtype=complex)
-        if pi.shape != (self.dim, self.dim):
+        """pi at the flat point x, or the stack of pi at a stack of points (S, d).
+
+        Every point's tensor is checked; the first that is not antisymmetric raises.
+        """
+        x = np.asarray(x, dtype=complex)
+        pi = np.asarray(self.poisson_tensor(x), dtype=complex)
+        if pi.shape != x.shape[:-1] + (self.dim, self.dim):
             raise ValidationError(f"tensor shape {pi.shape} does not match dim {self.dim}")
-        skew = np.linalg.norm(pi + pi.T)
-        if skew > 1e-9 * (1.0 + np.linalg.norm(pi)):
+        stack = pi.reshape((-1, self.dim, self.dim))
+        count, skew = _antisymmetric_count(stack)
+        if count < len(stack):
             raise ValidationError(f"Poisson tensor not antisymmetric (defect {skew:.3e})")
         return pi
 
 
+def _antisymmetric_count(pi: np.ndarray) -> tuple[int, float]:
+    """(k, skew): the first k tensors of the stack pi (S, d, d) are antisymmetric, and
+    for k < S tensor k is not, by skew = ||pi + pi^T||_F > 1e-9 (1 + ||pi||_F).
+
+    Each norm has the bits of ``np.linalg.norm`` of that tensor alone.
+    """
+    skew = _frobenius(pi + pi.swapaxes(-1, -2))
+    bad = skew > 1e-9 * (1.0 + _frobenius(pi))
+    if not bad.any():
+        return len(pi), 0.0
+    first = int(bad.argmax())
+    return first, skew[first]
+
+
 def fd_gradient(f, x, step: float | None = None) -> np.ndarray:
-    """O(h^2) gradient of f at the flat complex point x of dimension d.
+    """O(h^2) gradient of f at the flat complex point x of dimension d, or at each row
+    of a stack x of shape (S, d).
 
     f maps a stack of points, shape (..., d), to the stack of its values,
     shape (...) for a scalar f or (..., k) for a vector-valued one; it is
-    called once, on all 4d probe points.  Each coordinate is probed along
-    the real and the imaginary axis with a step scaled by (1 + |x_j|); the
-    Wirtinger combination (d_re - i*d_im)/2 is returned, which is the
-    complex derivative when f is holomorphic.  A scalar f gives its (d,)
-    gradient, a vector-valued f its (k, d) Jacobian.  For an f that acts
-    entry by entry, every entry has the bits of probing one point at a time.
+    called once, on all 4d probe points of every row.  Each coordinate is
+    probed along the real and the imaginary axis with a step scaled by
+    (1 + |x_j|); the Wirtinger combination (d_re - i*d_im)/2 is returned,
+    which is the complex derivative when f is holomorphic.  A scalar f gives
+    its (d,) gradient, a vector-valued f its (k, d) Jacobian, and a stack
+    (S, d) the stack (S, d) or (S, k, d) of them.  For an f that acts entry
+    by entry, every entry has the bits of probing one point at a time.
     """
-    x = np.asarray(x, dtype=complex).reshape(-1)
-    d = x.size
+    x = np.asarray(x, dtype=complex)
+    rows = x if x.ndim == 2 else x.reshape(1, -1)
+    S, d = rows.shape
     base = DEFAULT_STEP if step is None else step
     # hypot rounds as Python's abs() of each entry does
-    h = base * (1.0 + np.hypot(x.real, x.imag))
-    # row j of e is h_j e_j; the probes are x + e, x - e, x + ie, x - ie
-    e = np.diag(h).astype(complex)
-    probes = np.concatenate([x + e, x - e, x + 1j * e, x - 1j * e])
-    values = np.asarray(f(probes), dtype=complex)
-    values = values.reshape((4, d) + values.shape[1:])
-    two_h = (2.0 * h).reshape((d,) + (1,) * (values.ndim - 2))
-    d_re = (values[0] - values[1]) / two_h
-    d_im = (values[2] - values[3]) / two_h
-    # (d,) or (d, k) columns: the transpose is the (k, d) Jacobian
-    grad = np.ascontiguousarray(((d_re - 1j * d_im) / 2.0).T)
+    h = base * (1.0 + np.hypot(rows.real, rows.imag))
+    # row j of e[s] is h[s, j] e_j; the probes are x + e, x - e, x + ie, x - ie
+    e = np.zeros((S, d, d), dtype=complex)
+    e.reshape(S, d * d)[:, :: d + 1] = h
+    at = rows[:, None, :]
+    probes = np.concatenate([at + e, at - e, at + 1j * e, at - 1j * e], axis=1)
+    values = np.asarray(f(probes.reshape(4 * S * d, d)), dtype=complex)
+    values = values.reshape((S, 4, d) + values.shape[1:])
+    two_h = (2.0 * h).reshape((S, d) + (1,) * (values.ndim - 3))
+    d_re = (values[:, 0] - values[:, 1]) / two_h
+    d_im = (values[:, 2] - values[:, 3]) / two_h
+    # (S, d), or (S, d, k) whose last two axes swapped give each row's (k, d) Jacobian
+    grad = np.ascontiguousarray(((d_re - 1j * d_im) / 2.0).swapaxes(1, -1))
     if not np.all(np.isfinite(grad)):
         raise ValidationError("non-finite values in finite-difference gradient")
-    return grad
+    return grad if x.ndim == 2 else grad[0]
 
 
 def commute_defect(flow1, flow2, x) -> float:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from gzflows.errors import ValidationError
-from gzflows.matpoly import as_matrix
+from gzflows.matpoly import _coincident, as_matrix
 from gzflows.ratmodel import (
     VALIDATE_TOL,
     MatricialData,
@@ -18,6 +18,7 @@ from gzflows.ratmodel import (
     _by_size,
     _charpoly_adjugate,
     _require_nilpotent_fiber,
+    open_stratum_chart,
 )
 from gzflows.verify import DEFAULT_STEP, Chart, fd_gradient
 
@@ -43,6 +44,25 @@ def probe_loop_gradient(f, x, step: float | None = None) -> np.ndarray:
     if not np.all(np.isfinite(grad)):
         raise ValidationError("non-finite values in finite-difference gradient")
     return grad
+
+
+def per_level_chart(rng: np.random.Generator, n: int) -> OpenStratumChart:
+    """A random open-stratum chart of degrees (1, ..., n), drawn one level at a time.
+
+    The reference for the whole-array draws of ``cli._random_chart``: level i
+    draws i real parts, then i imaginary parts, first for the poles (again
+    until they are pairwise separated), then for the residues.
+    """
+    while True:
+        poles = [rng.uniform(-2, 2, i) + 1j * rng.uniform(-2, 2, i) for i in range(1, n + 1)]
+        if not _coincident(np.concatenate(poles), 1e-2):
+            break
+    residues = []
+    for i in range(1, n + 1):
+        r = rng.uniform(-2, 2, i) + 1j * rng.uniform(-2, 2, i)
+        r[np.abs(r) < 0.1] += 0.5
+        residues.append(r)
+    return open_stratum_chart(poles, residues)
 
 
 def trace(M: np.ndarray) -> np.ndarray:

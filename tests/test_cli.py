@@ -14,9 +14,10 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from gzflows import cli, gzcore, lax, ratmodel, serialize, verify
 from gzflows.cli import HANDLERS, _tensor_pairings, run
-from gzflows.errors import InputError, ToleranceError
+from gzflows.errors import InputError, ToleranceError, ValidationError
 from gzflows.matpoly import poly_from_roots
 from gzflows.ratmodel import enumerate_sr, fixture_from_polar
+from oracles import per_level_chart
 
 
 def call(capsys, *argv):
@@ -295,6 +296,16 @@ class TestLaxCommands:
         assert code == 3 and out == ""
         assert err == "numerical failure: gauge factor overflowed (not finite at t = 0.995)\n"
 
+    def test_inaccurate_path_gauge_3(self, capsys):
+        # lax-run's residual gate and lax-gauge's judge one residual alike: a numerical failure
+        run_doc = call_json(capsys, "lax-run", "--input",
+                            json.dumps({**self.payload(), "steps": 20}, default=np.ndarray.tolist))
+        assert run_doc["lax_residual"] == pytest.approx(2.919e-7, rel=1e-3)
+        code, out, err = call(capsys, "lax-gauge", "--input", json.dumps({"path": run_doc["path"]}),
+                              "--tol", "1e-12")
+        assert (code, out) == (3, "")
+        assert err == "numerical failure: path is not a Lax solution (residual 2.919e-07 > 1.0e-12)\n"
+
     def test_unstable_gauge_step_3(self, capsys):
         # 40 steps of h = 0.025 for alpha = 800 I: RK4 would answer g_end = 3.95e156 I
         code, out, err = self.gauge(capsys, 800.0 * np.eye(2), steps=40)
@@ -440,10 +451,79 @@ class TestVerificationCommands:
         return calls
 
     def test_kw_check_takes_one_fd_gradient_per_function(self, capsys, monkeypatch):
-        # one Jacobian per sample for each family: (q_l) = y[:N] and (1 / rho_l)
+        # one Jacobian for each family, (q_l) = y[:N] and (1 / rho_l), over all samples
         calls = self.count_fd_gradients(monkeypatch)
         call_json(capsys, "kw-check", "--input", '{"n": 3}', "--samples", "2")
-        assert len(calls) == 2 * 2
+        assert calls == [2 * 12, 2 * 12]
+
+    @pytest.mark.parametrize("samples", [1, 5])
+    def test_bracket_table_takes_one_minor_power_per_index(self, capsys, monkeypatch, samples):
+        power, calls = gzcore._padded_minor_power, []
+
+        def counted(B, m, i):
+            calls.append(B.shape)
+            return power(B, m, i)
+
+        monkeypatch.setattr(gzcore, "_padded_minor_power", counted)
+        call_json(capsys, "bracket-table", "--input", '{"n": 4}', "--samples", str(samples))
+        assert calls == [(samples, 4, 4)] * len(gzcore.gz_indices(4))
+
+    def test_bracket_table_memory_does_not_grow_with_samples(self, capsys):
+        # at n = 12 one sample's pair products fill a block: more samples, more blocks
+        import tracemalloc
+
+        def peak(samples):
+            tracemalloc.start()
+            try:
+                call_json(capsys, "bracket-table", "--input", '{"n": 12}', "--samples", str(samples))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one, eight = peak(1), peak(8)
+        assert eight <= 1.5 * one
+
+    @staticmethod
+    def break_samples(monkeypatch, n, seed, skewed=(), non_finite=()):
+        """Make the cross-check tensor of the samples ``skewed`` not antisymmetric and the
+        FD gradients of the samples ``non_finite`` fail, as drawn by kw-check at n, seed."""
+        rng = np.random.default_rng(seed)
+        points = [per_level_chart(rng, n).flat() for _ in range(max((*skewed, *non_finite)) + 1)]
+        is_one_of = lambda x, picks: np.array([  # noqa: E731
+            any(np.array_equal(row, points[k]) for k in picks) for row in np.reshape(x, (-1, x.shape[-1]))
+        ])
+        as_chart, gradient = ratmodel.chart_as_poisson_chart, verify.fd_gradient
+
+        def chart(c):
+            inverted = as_chart(c)
+
+            def tensor(x):
+                pi = inverted.poisson_tensor(x)
+                bumps = is_one_of(x, skewed).reshape(x.shape[:-1] + (1, 1))
+                return pi + bumps * np.eye(pi.shape[-1])
+
+            return verify.Chart(names=inverted.names, poisson_tensor=tensor)
+
+        def fd(f, x, *args, **kwargs):
+            if is_one_of(np.asarray(x), non_finite).any():
+                raise ValidationError("non-finite values in finite-difference gradient")
+            return gradient(f, x, *args, **kwargs)
+
+        monkeypatch.setattr(ratmodel, "chart_as_poisson_chart", chart)
+        monkeypatch.setattr(verify, "fd_gradient", fd)
+
+    @pytest.mark.parametrize("skewed, non_finite, message", [
+        ((1,), (), "Poisson tensor not antisymmetric (defect 4.899e+00)"),
+        ((1, 2), (2,), "Poisson tensor not antisymmetric (defect 4.899e+00)"),
+        ((1,), (1,), "Poisson tensor not antisymmetric (defect 4.899e+00)"),
+        ((2,), (1,), "non-finite values in finite-difference gradient"),
+        ((), (0, 2), "non-finite values in finite-difference gradient"),
+    ])
+    def test_kw_check_raises_the_first_failing_sample(self, capsys, monkeypatch, skewed, non_finite, message):
+        # one sample at a time, a sample's tensor was checked before its gradients
+        self.break_samples(monkeypatch, 2, 11, skewed, non_finite)
+        code, out, err = call(capsys, "kw-check", "--input", '{"n": 2}', "--samples", "3", "--seed", "11")
+        assert (code, out, err) == (2, "", f"validation error: {message}\n  - {message}\n")
 
     def test_bracket_table_takes_no_fd_gradient(self, capsys, monkeypatch):
         calls = self.count_fd_gradients(monkeypatch)
@@ -498,6 +578,13 @@ def test_stacked_cross_check_is_each_pairs_bits(N):
         got = _tensor_pairings(df, pi, dg)
         assert got.shape == (N, N)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        # a stack of samples: each sample's pairings with their own bits
+        pi2 = c(2 * N, 2 * N)
+        stacked = _tensor_pairings(np.array([df, dg]), np.array([pi, pi2]), np.array([dg, df]))
+        assert stacked.shape == (2, N, N)
+        assert np.array_equal(stacked[0].view(np.uint64), want.view(np.uint64))
+        other = _tensor_pairings(dg, pi2, df)
+        assert np.array_equal(stacked[1].view(np.uint64), other.view(np.uint64))
 
 
 # sha256 of stdout and the exit code of each (subcommand, n, samples, seed,
@@ -568,6 +655,60 @@ def test_verification_bytes(capsys, key):
     argv = [cmd, "--input", json.dumps({"n": n}), "--samples", str(samples), "--seed", str(seed)]
     code, out, _ = call(capsys, *argv, *(["--tol", tol] if tol else []))
     assert (hashlib.sha256(out.encode()).hexdigest(), code) == VERIFICATION_BYTES[key]
+
+
+# kw-check and bracket-table at n = 1..5, verify-suite at n = 2..4, over several
+# sample counts and seeds
+PINNED_VERIFICATION = [
+    [cmd, "--input", json.dumps({"n": n}), "--samples", str(samples), "--seed", str(seed)]
+    for cmd in ("kw-check", "bracket-table") for n in range(1, 6)
+    for samples in (1, 2, 4, 7) for seed in range(4)
+] + [
+    ["verify-suite", "--input", json.dumps({"n": n}), "--samples", str(samples), "--seed", str(seed)]
+    for n in range(2, 5) for samples in (1, 3) for seed in range(2)
+]
+# recorded when every sample was drawn and evaluated on its own
+PINNED_VERIFICATION_SHA256 = "6f3e68135064d41f58234bb72f3b9848adf3bbcc78e7125fadf7787a7ebd30af"
+
+
+def verification_digest(capsys) -> str:
+    """sha256 over (argv, exit code, stdout) of every pinned verification request."""
+    digest = hashlib.sha256()
+    for argv in PINNED_VERIFICATION:
+        code, out, _ = call(capsys, *argv)
+        digest.update(json.dumps([argv, code, out]).encode())
+    return digest.hexdigest()
+
+
+def test_pinned_verification_digest(capsys):
+    assert len(PINNED_VERIFICATION) == 172
+    assert verification_digest(capsys) == PINNED_VERIFICATION_SHA256
+
+
+def test_one_sample_blocks_give_the_same_bytes(capsys, monkeypatch):
+    # blocks draw in order, so the block size moves no byte
+    monkeypatch.setattr(cli, "_BLOCK_ENTRIES", 1)
+    assert cli._blocks(7, 3) == [1] * 7
+    assert verification_digest(capsys) == PINNED_VERIFICATION_SHA256
+
+
+def test_blocks_cover_the_samples_in_order():
+    assert cli._blocks(7, 2 ** 18) == [2, 2, 2, 1]
+    # at least one sample, however large a sample's temporaries
+    assert cli._blocks(3, 3003 * 144) == [1, 1, 1] == cli._blocks(3, 2 ** 30)
+    # bracket-table at n = 5 (105 pairs of 5x5 products) and kw-check at n = 5 (N = 15):
+    # 50 samples are one block
+    assert cli._blocks(50, 105 * 25) == [50] == cli._blocks(50, max(16 * 15 * 15, 15 ** 3))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_whole_array_chart_draws_are_the_per_level_draws(n):
+    for seed in range(50):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        x, want = cli._random_chart(ours, n).flat(), per_level_chart(theirs, n).flat()
+        assert x.shape == want.shape and np.array_equal(x.view(np.uint64), want.view(np.uint64))
+        # and the generators are left in the same state
+        assert ours.uniform() == theirs.uniform()
 
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gzflows.errors import ToleranceError, ValidationError
+from gzflows.errors import ToleranceError
 from gzflows.lax import (
     LaxPath,
     _alpha_midpoints,
@@ -194,7 +194,7 @@ class TestGaugeFix:
         alpha = np.array([random_matrix(rng, 2) for _ in grid])
         beta = np.array([random_matrix(rng, 2) for _ in grid])
         junk = LaxPath(grid=grid, alpha=alpha, beta=beta)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ToleranceError):
             gauge_fix_regular(junk)
 
 
@@ -363,7 +363,7 @@ class TestNonFinitePaths:
         path = sample_path(2, "constant", seed=0, steps=20)
         path.beta[5, 0, 0] = np.nan
         assert np.isnan(lax_residual(path))
-        with pytest.raises(ValidationError, match="residual nan"):
+        with pytest.raises(ToleranceError, match="residual nan"):
             gauge_fix_regular(path)
 
     def test_gauge_overflow_is_a_numerical_failure(self):

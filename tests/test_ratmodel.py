@@ -616,6 +616,51 @@ class TestChartBracket:
                 one = np.sum(rho * (df[l, N:] * dg[m, :N] - df[l, :N] * dg[m, N:]))
                 assert stacked[l, m] == one
 
+    @pytest.mark.parametrize("N", [1, 3, 6])
+    def test_stacked_pairing_is_each_samples_bits(self, N):
+        rng = np.random.default_rng(10 + N)
+        c = lambda *shape: rng.normal(size=shape) + 1j * rng.normal(size=shape)  # noqa: E731
+        rho, df, dg = c(4, N), c(4, N, 2 * N), c(4, N, 2 * N)
+        stacked = _chart_pairing(rho[:, None, None, :], df[:, :, None], dg[:, None, :])
+        assert stacked.shape == (4, N, N)
+        for k in range(4):
+            one = _chart_pairing(rho[k], df[k][:, None], dg[k][None, :])
+            assert np.array_equal(stacked[k].view(np.uint64), one.view(np.uint64))
+
+    def test_array_reciprocals_have_the_scalar_bits(self):
+        # the cross-check tensor takes 1.0 / rho and -1.0 / rho as arrays, where it once
+        # took them one scalar rho[l] at a time
+        rng = np.random.default_rng(41)
+        size = 20000
+        rho = (rng.normal(size=size) + 1j * rng.normal(size=size)) * 10.0 ** rng.uniform(-5, 5, size)
+        rho[:4] = [1.0, -0.0 + 2j, 3.0 - 0.0j, 1e-300 + 1e300j]
+        for numerator in (1.0, -1.0):
+            want = np.array([numerator / r for r in rho])
+            assert np.array_equal((numerator / rho).view(np.uint64), want.view(np.uint64))
+
+    def test_stacked_tensor_is_each_points_tensor(self):
+        # the omega of one point entry by entry, as the tensor was once built
+        def one_point(x, N):
+            rho = x[N:]
+            omega = np.zeros((2 * N, 2 * N), dtype=complex)
+            for l in range(N):
+                omega[N + l, l] = 1.0 / rho[l]
+                omega[l, N + l] = -1.0 / rho[l]
+            return -np.linalg.inv(omega)
+
+        rng = np.random.default_rng(19)
+        for n in (1, 2, 3, 5):
+            charts = [self.random_chart(rng, n) for _ in range(3)]
+            N = charts[0].size
+            x = np.array([chart.flat() for chart in charts])
+            stacked = chart_as_poisson_chart(charts[0]).tensor_at(x)
+            assert stacked.shape == (3, 2 * N, 2 * N)
+            for k in range(3):
+                want = one_point(x[k], N)
+                assert np.array_equal(stacked[k].view(np.uint64), want.view(np.uint64))
+                single = chart_as_poisson_chart(charts[k]).tensor_at(x[k])
+                assert np.array_equal(single.view(np.uint64), want.view(np.uint64))
+
     def test_coincident_poles_rejected(self):
         with pytest.raises(ValidationError):
             open_stratum_chart([[0.5, 0.5 + 1e-14]], [[1.0, 1.0]])

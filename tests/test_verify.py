@@ -6,7 +6,14 @@ from hypothesis.extra.numpy import arrays
 
 from gzflows.errors import ValidationError
 from gzflows.gzcore import _padded_minor_power, gz_flow, gz_indices, gz_map, gz_vector_field
-from gzflows.verify import Chart, commute_defect, conservation_defect, fd_gradient, report
+from gzflows.verify import (
+    Chart,
+    _antisymmetric_count,
+    commute_defect,
+    conservation_defect,
+    fd_gradient,
+    report,
+)
 from oracles import (
     lie_poisson_bracket,
     lie_poisson_chart,
@@ -320,3 +327,90 @@ class TestStackedProbes:
                     fd_gradient(family, x)
                 return
         assert same_bits(fd_gradient(family, x), want)
+
+
+class TestStackedFdGradient:
+    """fd_gradient on a stack (S, d) gives each row the bits of probing that row alone."""
+
+    @staticmethod
+    def rows(data, S, d):
+        return np.array([
+            [complex(*v) for v in data.draw(st.lists(st.tuples(SCALED, SCALED), min_size=d, max_size=d))]
+            for _ in range(S)
+        ])
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(data=st.data(), S=st.integers(1, 4), N=st.integers(1, 6))
+    def test_chart_families(self, data, S, N):
+        x = self.rows(data, S, 2 * N)
+        q = lambda y: y[..., :N]  # noqa: E731
+        s = lambda y: 1.0 / y[..., N:]  # noqa: E731
+        families = [q] + ([s] if np.all(x[:, N:] != 0) else [])
+        for f in families:
+            stacked = fd_gradient(f, x)
+            assert stacked.shape == (S, N, 2 * N) and stacked.flags.c_contiguous
+            for row, want in zip(stacked, x):
+                assert same_bits(row, probe_loop_gradient(f, want))
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(data=st.data(), S=st.integers(1, 4))
+    def test_vector_family(self, data, S):
+        x = self.rows(data, S, 4)
+        family = TestVectorValuedFdGradient.family
+        with np.errstate(all="ignore"):
+            wants = []
+            for row in x:
+                try:
+                    wants.append(probe_loop_gradient(family, row))
+                except ValidationError:
+                    with pytest.raises(ValidationError):
+                        fd_gradient(family, x)
+                    return
+            stacked = fd_gradient(family, x)
+        assert stacked.shape == (S, 5, 4)
+        for row, want in zip(stacked, wants):
+            assert same_bits(row, want)
+
+    def test_scalar_family_stack(self):
+        x = np.arange(6, dtype=complex).reshape(2, 3) + 1j
+        f = lambda y: np.sum(y * y, axis=-1)  # noqa: E731
+        stacked = fd_gradient(f, x)
+        assert stacked.shape == (2, 3)
+        for row, point in zip(stacked, x):
+            assert same_bits(row, fd_gradient(f, point))
+
+    def test_one_non_finite_row_fails_the_stack(self):
+        x = np.array([[1.0, 2.0], [0.0, 0.0]], dtype=complex)
+        with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(ValidationError, match="non-finite"):
+            fd_gradient(lambda y: 1.0 / y, x)
+
+
+class TestStackedMinorPower:
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(data=st.data(), S=st.integers(1, 4), n=st.integers(1, 6))
+    def test_each_matrix_has_its_own_bits(self, data, S, n):
+        entries = st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False)
+        B = data.draw(arrays(np.complex128, (S, n, n), elements=entries))
+        for m, i in gz_indices(n):
+            stacked = _padded_minor_power(B, m, i)
+            assert stacked.shape == (S, n, n)
+            for k in range(S):
+                assert same_bits(stacked[k], _padded_minor_power(B[k], m, i))
+
+
+class TestStackedTensor:
+    def test_skew_has_the_bits_of_linalg_norm(self):
+        rng = np.random.default_rng(3)
+        pi = rng.normal(size=(4, 6, 6)) + 1j * rng.normal(size=(4, 6, 6))
+        pi[:2] -= pi[:2].swapaxes(1, 2)  # the first two are antisymmetric
+        count, skew = _antisymmetric_count(pi)
+        assert count == 2 and skew == np.linalg.norm(pi[2] + pi[2].T)
+        assert _antisymmetric_count(pi[:2]) == (2, 0.0)
+
+    def test_first_failing_point_raises(self):
+        # the tensor of point k is k times the identity: points 1 and 2 fail, point 1 first
+        chart = Chart(names=("a", "b"), poisson_tensor=lambda x: x[..., :1, None] * np.eye(2))
+        x = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], dtype=complex)
+        with pytest.raises(ValidationError, match=r"defect 2\.828e\+00"):
+            chart.tensor_at(x)
+        assert np.array_equal(chart.tensor_at(x[:1]), np.zeros((1, 2, 2)))
