@@ -7,10 +7,10 @@ Identical requests produce byte-identical output.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -412,10 +412,10 @@ USAGE = (
 
 
 def _at_least(low: int):
-    """The argparse type of an integer option of at least ``low``; below it is a usage error."""
+    """The converter of an integer option of at least ``low``; below it is a usage error."""
     def integer(text: str) -> int:
         if (value := int(text)) < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+            raise ValueError(f"must be at least {low}, got {value}")
         return value
     return integer
 
@@ -423,20 +423,48 @@ def _at_least(low: int):
 def _tolerance(text: str) -> float:
     tol = float(text)
     if not (tol > 0 and np.isfinite(tol)):
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+        raise ValueError(f"must be positive and finite, got {text}")
     return tol
 
 
-@functools.cache
-def _build_parser(name: str) -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog=f"gzflows {name}", add_help=True)
-    parser.add_argument("--input", default=None, help="input file path or inline JSON")
-    parser.add_argument("--output", default=None, help="output file path (default stdout)")
-    parser.add_argument("--seed", type=_at_least(0), default=0)
-    parser.add_argument("--samples", type=_at_least(1), default=50)
-    parser.add_argument("--tol", type=_tolerance, default=_TOLERANCES.get(name))
-    parser.add_argument("--mode", default=None)
-    return parser
+# Every option of every subcommand, as --name: its converter and its default (--tol's
+# default is the subcommand's entry of _TOLERANCES).
+_OPTIONS = {
+    "input": (str, None),
+    "output": (str, None),
+    "seed": (_at_least(0), 0),
+    "samples": (_at_least(1), 50),
+    "tol": (_tolerance, None),
+    "mode": (str, None),
+}
+
+
+def _parse_options(name: str, argv) -> SimpleNamespace | None:
+    """The options of a ``name`` request, or None for -h/--help.
+
+    Each option is ``--name value`` or ``--name=value`` with an exact name (a value that
+    starts with ``--`` needs the second form); the last occurrence wins.  An unknown option, a missing value, a positional argument or a value
+    its converter refuses raises ValueError (a usage error).
+    """
+    values = {key: default for key, (_, default) in _OPTIONS.items()}
+    values["tol"] = _TOLERANCES.get(name)
+    tokens = iter(argv)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return None
+        option, eq, text = token.partition("=")
+        key = option[2:]
+        if not option.startswith("--") or key not in _OPTIONS:
+            raise ValueError(f"unrecognized argument: {token}")
+        if not eq:
+            text = next(tokens, None)
+            if text is None or text.startswith("--"):
+                raise ValueError(f"{option} expects a value")
+        try:
+            values[key] = _OPTIONS[key][0](text)
+        except ValueError as exc:
+            raise ValueError(f"{option}: {exc}") from None
+    return SimpleNamespace(**values)
 
 
 def _load_payload(arg: str | None):
@@ -483,11 +511,14 @@ def run(argv) -> int:
     if handler is None:
         sys.stderr.write(f"unknown subcommand: {name}\n{USAGE}\n")
         return EXIT_USAGE
-    parser = _build_parser(name)
     try:
-        args = parser.parse_args(argv[1:])
-    except SystemExit as exc:
-        return EXIT_OK if exc.code == 0 else EXIT_USAGE
+        args = _parse_options(name, argv[1:])
+    except ValueError as exc:
+        sys.stderr.write(f"usage error: {exc}\n{USAGE}\n")
+        return EXIT_USAGE
+    if args is None:
+        sys.stdout.write(USAGE + "\n")
+        return EXIT_OK
     try:
         payload = _load_payload(args.input)
         doc, code = handler(payload, args)

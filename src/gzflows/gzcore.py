@@ -23,6 +23,7 @@ import numpy as np
 from .errors import ToleranceError, ValidationError
 from .matpoly import (
     CLUSTER_TOL,
+    _MONIC_TOL,
     _clusters,
     _companion,
     _expm,
@@ -32,9 +33,7 @@ from .matpoly import (
     _unit,
     as_matrix,
     charpoly,
-    is_monic,
     newton_convert,
-    poly_degree,
     poly_trim,
 )
 
@@ -265,15 +264,18 @@ def coords_to_polys(c: GZCoordinates) -> list[np.ndarray]:
 
 
 def _checked_monic(polys, expected_degrees=None) -> list[np.ndarray]:
+    """Each polynomial trimmed; ValidationError for the first one whose degree is not
+    expected_degrees[j], or of degree at least 1 that is not monic (see is_monic)."""
     out = []
     for j, p in enumerate(polys):
         p = poly_trim(p)
-        if expected_degrees is not None and poly_degree(p) != expected_degrees[j]:
+        # trimmed: the last coefficient is nonzero unless p is the zero polynomial [0]
+        degree = p.size - 1 if p[-1] else -1
+        if expected_degrees is not None and degree != expected_degrees[j]:
             raise ValidationError(
-                f"polynomial {j + 1} has degree {poly_degree(p)}, "
-                f"expected {expected_degrees[j]}"
+                f"polynomial {j + 1} has degree {degree}, expected {expected_degrees[j]}"
             )
-        if poly_degree(p) >= 1 and not is_monic(p):
+        if degree >= 1 and not abs(p[-1] - 1.0) <= _MONIC_TOL:
             raise ValidationError(f"polynomial {j + 1} is not monic")
         out.append(p)
     return out
@@ -289,8 +291,8 @@ def _clustered_roots(polys, tol):
     if not all_roots:
         return [], np.zeros((0, len(polys)), dtype=int), eff_tol
     reps, member = _clusters(all_roots, eff_tol)
-    counts = np.zeros((len(reps), len(polys)), dtype=int)
-    np.add.at(counts, (member, owners), 1)
+    cells = len(reps) * len(polys)
+    counts = np.bincount(member * len(polys) + owners, minlength=cells).reshape(len(reps), len(polys))
     return reps, counts, eff_tol
 
 

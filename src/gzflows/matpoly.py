@@ -68,8 +68,14 @@ def _frobenius(A: np.ndarray) -> np.ndarray:
     rounds differently.)
     """
     flat = A.reshape(A.shape[:-2] + (A.shape[-2] * A.shape[-1],))
-    parts = (flat.real, flat.imag) if np.iscomplexobj(flat) else (flat,)
-    return np.sqrt(sum(np.matmul(p[..., None, :], p[..., :, None])[..., 0, 0] for p in parts))
+    if np.iscomplexobj(flat):
+        return np.sqrt(_self_dot(flat.real) + _self_dot(flat.imag))
+    return np.sqrt(_self_dot(flat))
+
+
+def _self_dot(p: np.ndarray) -> np.ndarray:
+    """p . p of each vector of a stack (..., d), shape (...), one (1, d) @ (d, 1) product each."""
+    return np.matmul(p[..., None, :], p[..., :, None])[..., 0, 0]
 
 
 def _powers(A: np.ndarray, count: int) -> np.ndarray:
@@ -95,8 +101,9 @@ def _max_scaled(A: np.ndarray) -> np.ndarray:
 
 def _unit(P: np.ndarray) -> np.ndarray:
     """Each matrix of a stack (..., n, n) over its Frobenius norm, in place; zero stays zero:
-    span decisions on such unit powers of a :func:`_max_scaled` matrix are scale-free."""
-    P *= (1.0 / np.maximum(_frobenius(P), np.finfo(float).tiny))[..., None, None]
+    span decisions on such unit powers of a :func:`_max_scaled` matrix are scale-free.
+    A rank cut needs no bit-exact norm, so this is ``np.linalg.norm``'s stacked one."""
+    P *= (1.0 / np.maximum(np.linalg.norm(P, axis=(-2, -1)), np.finfo(float).tiny))[..., None, None]
     return P
 
 

@@ -1241,7 +1241,7 @@ class TestToleranceContract:
 
     def test_parser_defaults_are_the_table(self):
         for name in HANDLERS:
-            assert cli._build_parser(name).get_default("tol") == cli._TOLERANCES.get(name), name
+            assert cli._parse_options(name, []).tol == cli._TOLERANCES.get(name), name
         ignoring = {name for name in HANDLERS if name not in cli._TOLERANCES}
         assert ignoring == {"gz-map", "sregular", "enumerate-orbits", "ak-act", "polar"}
         assert cli._TOLERANCES["md-validate"] == ratmodel.VALIDATE_TOL
@@ -1463,6 +1463,62 @@ class TestCliContract:
         src.write_text('{"matrix": [[[3,0]]]}')
         doc = call_json(capsys, "gz-map", "--input", str(src))
         assert doc["values"] == [[3.0, 0.0]]
+
+
+MATRIX_2 = '{"matrix": [[[1,0],[0,0]],[[0,0],[2,0]]]}'
+# z - 1 and (z - 1)(z - 1 - 1e-7): two roots at the default clustering radius, one at 1e-6
+NEAR_ROOTS = '{"polys": [[[-1, 0], [1, 0]], [[1.0000001, 0], [-2.0000001, 0], [1, 0]]]}'
+
+
+class TestArgvContract:
+    """Exact option names, --name value or --name=value, the last occurrence wins."""
+
+    @pytest.mark.parametrize("argv, code, same_as", [
+        pytest.param(["orbit-count", "--input", NEAR_ROOTS, "--tol=1e-6"], 0,
+                     ["orbit-count", "--input", NEAR_ROOTS, "--tol", "1e-6"], id="name=value"),
+        pytest.param(["gz-map", "--input", MATRIX_2, "--mode"], 64, None, id="no-value-at-end"),
+        pytest.param(["gz-map", "--input", MATRIX_2, "--frobnicate", "1"], 64, None,
+                     id="unknown-option"),
+        pytest.param(["gz-map", "--inp", MATRIX_2], 64, None, id="abbreviated-option"),
+        pytest.param(["gz-map", "--input", MATRIX_2, "extra"], 64, None, id="stray-positional"),
+        pytest.param(["gz-map", "--input", MATRIX_2, "--mode", "charpoly", "--mode", "tr-power"], 0,
+                     ["gz-map", "--input", MATRIX_2, "--mode", "tr-power"], id="last-wins"),
+        pytest.param(["gz-map", "-h"], 0, None, id="help"),
+    ])
+    def test_argv(self, capsys, argv, code, same_as):
+        got = call(capsys, *argv)
+        if same_as is not None:
+            assert got == call(capsys, *same_as) and got[0] == code
+        elif code == 64:
+            assert got[:2] == (64, "") and got[2].startswith("usage error: ")
+        else:
+            assert got == (0, cli.USAGE + "\n", "")
+
+    def test_name_value_tol_reaches_the_handler(self, capsys):
+        default = call_json(capsys, "orbit-count", "--input", NEAR_ROOTS)
+        wide = call_json(capsys, "orbit-count", "--input", NEAR_ROOTS, "--tol=1e-6")
+        assert (default["s"], wide["s"]) == (3, 2)
+
+
+class TestPolynomialIntake:
+    """The refusals of gzcore._checked_monic, byte for byte through the CLI."""
+
+    @pytest.mark.parametrize("polys, message", [
+        pytest.param([[[0, 0], [0, 0], [1, 0]]], "polynomial 1 has degree 2, expected 1",
+                     id="wrong-degree"),
+        pytest.param([[[-1, 0], [1, 0]], [[1, 0], [0, 0], [2, 0]]], "polynomial 2 is not monic",
+                     id="not-monic"),
+        pytest.param([[[-1, 0], [1, 0]], [[0, 0], [0, 0]]], "polynomial 2 has degree -1, expected 2",
+                     id="zero"),
+    ])
+    def test_orbit_count_refuses_2(self, capsys, polys, message):
+        code, out, err = call(capsys, "orbit-count", "--input", json.dumps({"polys": polys}))
+        assert (code, out, err) == (2, "", f"validation error: {message}\n  - {message}\n")
+
+    def test_strata_takes_a_constant(self, capsys):
+        code, out, err = call(capsys, "strata", "--input", '{"polys": [[[3, 0]], [[-1, 0], [1, 0]]]}')
+        want = {"signature": [{"root": [1.0, 0.0], "multiplicities": [0, 1]}], "cluster_tol": 2e-08}
+        assert (code, out, err) == (0, json.dumps(want, indent=2) + "\n", "")
 
 
 class TestSerializationRoundTrip:

@@ -91,6 +91,11 @@ class TestFrobenius:
         assert np.array_equal(_frobenius(stack), loop)
         assert np.array_equal(_frobenius(stack[0, 0]), np.linalg.norm(stack[0, 0]))
 
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_empty_stack(self, dtype):
+        norms = _frobenius(np.zeros((0, 3, 3), dtype=dtype))
+        assert norms.shape == (0,) and norms.dtype == float
+
 
 class TestLeadingMinor:
     def test_identity(self):
