@@ -16,7 +16,7 @@ import numpy as np
 
 from . import gzcore, lax, ratmodel, serialize, verify
 from .errors import InputError, ToleranceError, ValidationError
-from .matpoly import CLUSTER_TOL, _coincident, _frobenius, as_matrix
+from .matpoly import CLUSTER_TOL, _blocks, _coincident, _frobenius, as_matrix
 
 __all__ = ["main", "run"]
 
@@ -128,7 +128,8 @@ def cmd_gz_map(payload, args):
 def cmd_gz_flow(payload, args):
     B = _require_matrix(payload)
     moved = gzcore.gz_flow(B, _flow_triples(payload))
-    defect = verify.conservation_defect(lambda _: moved, lambda M: gzcore.gz_map(M).values, B)
+    # the invariants before and after, as one stack
+    defect = verify._change(*gzcore.gz_map(np.stack([B, moved])).values)
     # the flows conserve every invariant exactly: a larger defect is a wrong answer
     _gate(defect, args.tol, "flow does not conserve the invariants (defect {defect:.3e} > {tol:.1e})")
     return {
@@ -175,14 +176,11 @@ def cmd_strata(payload, args):
 def cmd_enumerate_orbits(payload, args):
     k = serialize._need_degrees(payload.get("k"))
     reps = ratmodel.enumerate_sr(k)
-    entries = []
-    for F in reps:
-        sigma, regular = ratmodel._classify(F)
-        entries.append({
-            "sigma": list(sigma.values),
-            "strongly_regular": bool(regular),
-            "data": serialize.encode_matricial(F),
-        })
+    entries = [{
+        "sigma": list(sigma.values),
+        "strongly_regular": bool(regular),
+        "data": serialize.encode_matricial(F),
+    } for F, (sigma, regular) in zip(reps, ratmodel.md_classify(reps))]
     return {"k": list(k), "count": len(reps), "representatives": entries}, EXIT_OK
 
 
@@ -225,17 +223,6 @@ def _tensor_pairings(df: np.ndarray, pi: np.ndarray, dg: np.ndarray) -> np.ndarr
     """
     left = np.matmul(df[..., :, None, :], pi[..., None, :, :])
     return np.matmul(left[..., :, None, :, :], dg[..., None, :, :, None])[..., 0, 0]
-
-
-# Complex entries that one stacked temporary of kw-check or bracket-table may hold.
-_BLOCK_ENTRIES = 2 ** 19
-
-
-def _blocks(samples: int, entries: int) -> list[int]:
-    """Sizes of the blocks the samples are evaluated in, in draw order: as many samples as
-    keep a stacked temporary of ``entries`` per sample under _BLOCK_ENTRIES, at least one."""
-    size = max(1, _BLOCK_ENTRIES // max(1, entries))
-    return [min(size, samples - start) for start in range(0, samples, size)]
 
 
 def cmd_kw_check(payload, args):

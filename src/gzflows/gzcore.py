@@ -29,6 +29,7 @@ from .matpoly import (
     _expm,
     _max_scaled,
     _powers,
+    _check_square,
     _rank,
     _unit,
     as_matrix,
@@ -134,18 +135,23 @@ def gz_map(B, basis: str = "tr-power") -> GZCoordinates:
 
     tr-power: value(m, i) = tr(minor(B, m)**i).
     charpoly: value(m, i) = coefficient of z**(i-1) in det(z - minor(B, m)).
+    A stack of matrices (..., n, n) gives values (..., n(n+1)/2), each matrix's with
+    the bits it gets alone.
     """
-    B = as_matrix(B)
-    n = B.shape[0]
+    B = _check_square(np.asarray(B, dtype=complex))
+    n = B.shape[-1]
     if basis not in GZ_BASES:
         raise ValueError(f"unknown basis {basis!r}")
-    values = np.empty(n * (n + 1) // 2, dtype=complex)
+    values = np.empty(B.shape[:-2] + (n * (n + 1) // 2,), dtype=complex)
+    # the traces of a chain of powers come power first, as does this view of values
+    by_power = values.transpose((B.ndim - 2, *range(B.ndim - 2)))
     for m in range(1, n + 1):
         pos = m * (m - 1) // 2
+        minor = B[..., :m, :m]
         if basis == "tr-power":
-            values[pos : pos + m] = np.trace(_powers(B[:m, :m], m + 1)[1:], axis1=1, axis2=2)
+            by_power[pos : pos + m] = np.trace(_powers(minor, m + 1)[1:], axis1=-2, axis2=-1)
         else:
-            values[pos : pos + m] = charpoly(B[:m, :m])[:m]
+            values[..., pos : pos + m] = charpoly(minor)[..., :m]
     return GZCoordinates(n=n, basis=basis, values=values)
 
 

@@ -64,18 +64,27 @@ def _frobenius(A: np.ndarray) -> np.ndarray:
 
     For a C-ordered stack each norm has the bits of ``np.linalg.norm`` of
     that matrix alone, sqrt(re . re + im . im): the same dots, taken for
-    every sample as one stacked product.  (``np.linalg.norm(axis=...)``
-    rounds differently.)
+    every sample as one stacked (1, d) @ (d, 1) product.
+    (``np.linalg.norm(axis=...)`` rounds differently.)
     """
-    flat = A.reshape(A.shape[:-2] + (A.shape[-2] * A.shape[-1],))
-    if np.iscomplexobj(flat):
-        return np.sqrt(_self_dot(flat.real) + _self_dot(flat.imag))
-    return np.sqrt(_self_dot(flat))
+    rows = A.reshape(A.shape[:-2] + (1, A.shape[-2] * A.shape[-1]))
+    if rows.dtype.kind == "c":
+        re, im = rows.real, rows.imag
+        dots = np.matmul(re, re.swapaxes(-1, -2)) + np.matmul(im, im.swapaxes(-1, -2))
+    else:
+        dots = np.matmul(rows, rows.swapaxes(-1, -2))
+    return np.sqrt(dots[..., 0, 0])
 
 
-def _self_dot(p: np.ndarray) -> np.ndarray:
-    """p . p of each vector of a stack (..., d), shape (...), one (1, d) @ (d, 1) product each."""
-    return np.matmul(p[..., None, :], p[..., :, None])[..., 0, 0]
+# Complex entries that one stacked temporary may hold: a stack of samples is taken in blocks.
+_BLOCK_ENTRIES = 2 ** 19
+
+
+def _blocks(samples: int, entries: int) -> list[int]:
+    """Sizes of the blocks the samples are evaluated in, in order: as many samples as
+    keep a stacked temporary of ``entries`` per sample under _BLOCK_ENTRIES, at least one."""
+    size = max(1, _BLOCK_ENTRIES // max(1, entries))
+    return [min(size, samples - start) for start in range(0, samples, size)]
 
 
 def _powers(A: np.ndarray, count: int) -> np.ndarray:
@@ -361,18 +370,25 @@ def krylov_matrix(B, b) -> np.ndarray:
     return K
 
 
-def numerical_rank(M) -> int:
-    """Rank of M cut against its own sigma_max, the rule of invertibility tests."""
+def numerical_rank(M):
+    """Rank of M cut against its own sigma_max, the rule of invertibility tests; a stack
+    (..., p, q) gives the rank of each matrix."""
     return _rank(np.asarray(M, dtype=complex))
 
 
-def _rank(M: np.ndarray, bound: float | None = None) -> int:
-    """Singular values above max(M.shape) * RANK_RTOL * bound (sigma_max, or a span's bound)."""
+def _rank(M: np.ndarray, bound: float | None = None):
+    """Singular values above max(p, q) * RANK_RTOL * bound (sigma_max, or a span's bound).
+
+    A (p, q) matrix gives an int; a stack (..., p, q) the int array (...) of the rank of
+    each matrix, the one it gets alone (each has the singular values it gets alone).
+    """
     if M.size == 0:
-        return 0
-    sigma = np.linalg.svd(M, compute_uv=False)
-    cut = max(M.shape) * RANK_RTOL * (sigma[0] if bound is None else bound)
-    return int(np.count_nonzero(sigma > cut))
+        counts = np.zeros(M.shape[:-2], dtype=int)
+    else:
+        sigma = np.linalg.svd(M, compute_uv=False)
+        cut = (sigma[..., :1] if bound is None else bound) * (max(M.shape[-2:]) * RANK_RTOL)
+        counts = np.add.reduce(sigma > cut, axis=-1)
+    return int(counts) if M.ndim == 2 else counts
 
 
 def krylov_rank(B, b) -> int:

@@ -18,6 +18,7 @@ inverse residues satisfy {r_l, s_k} = delta_lk s_k with a plus sign.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import warnings
 from dataclasses import dataclass, field
@@ -29,7 +30,9 @@ from .gzcore import _checked_monic
 from .matpoly import (
     _coincident,
     _expm,
+    _blocks,
     _faddeev_leverrier,
+    _frobenius,
     _powers,
     as_matrix,
     charpoly,
@@ -58,6 +61,7 @@ __all__ = [
     "sigma_of",
     "enumerate_sr",
     "md_strongly_regular",
+    "md_classify",
     "isotropy_nullity",
     "open_stratum_chart",
     "chart_bracket",
@@ -92,10 +96,7 @@ class MatricialData:
         return min(self.k[j], self.k[j + 1])
 
     def scale(self) -> float:
-        with np.errstate(over="ignore"):  # an overflow is reported below
-            parts = [np.linalg.norm(m) for m in (*self.b_minus, *self.b_plus, *self.g)]
-            parts += [np.linalg.norm(v) for v in (*self.u.values(), *self.w.values())]
-        scale = 1.0 + max(parts, default=0.0)
+        scale = _scales(_stack([self])).item()
         if not np.isfinite(scale):
             raise ValueError("model data too large: its scale overflows")
         return scale
@@ -197,20 +198,6 @@ def _free_mask(k: int, m: int) -> tuple[np.ndarray, list[tuple[int, int]]]:
     return mask, ones
 
 
-def _pattern_violations(M: np.ndarray, m: int, tol: float, label: str) -> list[str]:
-    k = M.shape[0]
-    out = []
-    mask, ones = _free_mask(k, m)
-    for i, j in ones:
-        mask[i, j] = True
-        if abs(M[i, j] - 1.0) > tol:
-            out.append(f"shape: {label} subdiagonal entry ({i + 1},{j + 1}) != 1")
-    off = np.abs(M[~mask])
-    if off.size and off.max() > tol:
-        out.append(f"shape: {label} has nonzero entries outside the displayed form")
-    return out
-
-
 def _minor_shapes(k: tuple[int, ...], i: int) -> tuple[int, int]:
     """(m for B_i^-, m for B_i^+) with the k_0 = k_(n+1) = 0 convention."""
     left = k[i - 1] if i > 0 else 0
@@ -238,8 +225,15 @@ def md_validate(F: MatricialData, tol: float = VALIDATE_TOL) -> MatricialData:
     unequal sizes, (c) rank-one matching u w^T at tied sizes, (d) the
     conjugacy g_i B_i^+ g_i^-1 = B_i^- up to tol * scale.
     """
-    k = F.k
+    _validated_scales([F], tol)
+    return F
+
+
+def _check_structure(F: MatricialData, k: tuple[int, ...]) -> None:
+    """ValueError for the first structural fault of F as a point over k (see md_validate)."""
     n = len(k)
+    if F.k != k:
+        raise ValueError(f"a stack holds points of one k: {F.k} is not {k}")
     for name, mats in (("B_minus", F.b_minus), ("B_plus", F.b_plus), ("g", F.g)):
         if len(mats) != n:
             raise ValueError(f"{name} must have {n} blocks")
@@ -252,44 +246,196 @@ def md_validate(F: MatricialData, tol: float = VALIDATE_TOL) -> MatricialData:
         where = ", ".join(str(j + 1) for j in sorted(tied)) or "none"
         raise ValueError(f"(u, w) pairs must sit exactly at the junctions of equal sizes ({where})")
     for j in sorted(tied):
-        if any(v.size != k[j] or not np.all(np.isfinite(v)) for v in (F.u[j], F.w[j])):
+        if any(np.shape(v) != (k[j],) or not np.all(np.isfinite(v)) for v in (F.u[j], F.w[j])):
             raise ValueError(f"(u, w) at junction {j + 1} must be finite with length {k[j]}")
 
-    eff = tol * F.scale()
-    violations: list[str] = []
-    for i in range(n):
-        m_minus, m_plus = _minor_shapes(k, i)
-        violations += _pattern_violations(F.b_minus[i], m_minus, eff, f"B_minus[{i + 1}]")
-        violations += _pattern_violations(F.b_plus[i], m_plus, eff, f"B_plus[{i + 1}]")
+
+def _shaped(F: MatricialData, k: tuple[int, ...]) -> bool:
+    """Whether F passes _check_structure as a point over k, finiteness aside: a point that
+    does, with a finite scale, passes it (a non-finite entry makes the scale non-finite)."""
+    tied, shapes = _shapes(k)
+    return F.k == k and F.u.keys() == F.w.keys() == set(tied) and shapes == tuple([
+        a.shape for a in (*F.b_minus, *F.b_plus, *F.g, *map(F.u.get, tied), *map(F.w.get, tied))
+    ])
+
+
+@functools.cache
+def _shapes(k: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The tied junctions of k in order, and the shapes of a point's B_minus, B_plus, g, u, w."""
+    tied = tuple(j for j in range(len(k) - 1) if k[j] == k[j + 1])
+    return tied, tuple([(d, d) for d in k] * 3 + [(k[j],) for j in tied] * 2)
+
+
+@functools.cache
+def _sizes(k: tuple[int, ...]) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Each size of k with the levels of that size."""
+    return tuple((d, tuple(i for i, x in enumerate(k) if x == d)) for d in sorted(set(k)))
+
+
+@dataclass
+class _Stack:
+    """Points over one k as stacks, S points deep.
+
+    ``blocks[d]`` holds B_minus, B_plus and g of the levels of size d, in level order,
+    as one (3, L, S, d, d) array; ``b_minus[i]``, ``b_plus[i]`` and ``g[i]`` are its
+    (S, k_i, k_i) views at level i.  Likewise ``uw[j]`` holds u and w of the tied
+    junction j as one (2, S, m) array, and ``u[j]``, ``w[j]`` are its (S, m) views.
+    """
+
+    k: tuple[int, ...]
+    count: int
+    blocks: dict[int, np.ndarray]
+    uw: dict[int, np.ndarray]
+    b_minus: list[np.ndarray] = field(default_factory=list)
+    b_plus: list[np.ndarray] = field(default_factory=list)
+    g: list[np.ndarray] = field(default_factory=list)
+    u: dict[int, np.ndarray] = field(default_factory=dict)
+    w: dict[int, np.ndarray] = field(default_factory=dict)
+
+
+def _stack(points: list[MatricialData]) -> _Stack:
+    """Points over one k (checked by _shaped) as one _Stack."""
+    k = points[0].k
+    blocks = {d: np.array([getattr(P, name)[i] for name in ("b_minus", "b_plus", "g") for i in levels
+                           for P in points]).reshape(3, len(levels), len(points), d, d)
+              for d, levels in _sizes(k)}
+    D = _Stack(k=k, count=len(points), blocks=blocks,
+               uw={j: np.array([[P.u[j] for P in points], [P.w[j] for P in points]]) for j in points[0].u})
+    D.b_minus, D.b_plus, D.g = [None] * len(k), [None] * len(k), [None] * len(k)
+    for d, levels in _sizes(k):
+        for l, i in enumerate(levels):
+            D.b_minus[i], D.b_plus[i], D.g[i] = blocks[d][:, l]
+    for j, pair in D.uw.items():
+        D.u[j], D.w[j] = pair
+    return D
+
+
+def _scales(D: _Stack) -> np.ndarray:
+    """MatricialData.scale of each point of the stack D, to the bit; an overflow is not
+    finite here.  Each size of block takes one stacked norm."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        parts = [_frobenius(b[..., None]).reshape(-1, D.count) for b in D.uw.values()]
+        parts += [_frobenius(b).reshape(-1, D.count) for b in D.blocks.values()]
+    return 1.0 + np.maximum.reduce(np.concatenate(parts))
+
+
+def _validated_scales(points: list[MatricialData], tol: float) -> np.ndarray:
+    """The scale of each point of a list over one k, validated as one stack.
+
+    The first point that md_validate refuses raises what md_validate raises for it alone.
+    """
+    k = points[0].k
+    stop = next((s for s, F in enumerate(points) if not _shaped(F, k)), len(points))
+    D = _stack(points[:stop]) if stop else None
+    scales = _scales(D) if stop else np.zeros(0)
+    finite = np.isfinite(scales)
+    if not finite.all():
+        # a non-finite entry or an overflow: the points before it form the stack
+        stop = int(np.argmin(finite))
+        D, scales = _stack(points[:stop]) if stop else None, scales[:stop]
+    if stop:
+        faults = _violations(D, tol * scales)
+        refused = np.concatenate(faults[:-1]).any(axis=0)
+        if refused.any():
+            raise ValidationError("matricial data rejected",
+                                  violations=_report(k, int(np.argmax(refused)), *faults))
+    if stop < len(points):
+        _check_structure(points[stop], k)
+        raise ValueError("model data too large: its scale overflows")
+    return scales
+
+
+def _violations(D: _Stack, eff: np.ndarray) -> tuple[np.ndarray, ...]:
+    """md_validate's bullets over the stack D at the tolerances eff (S,).
+
+    (pattern, matching, singular, far, resid), a row per fault and a column per point:
+    pattern a row per fault of _shape_table, matching one per junction, and singular (g
+    numerically singular), far (g B_plus g^-1 - B_minus above eff) and resid (its norm)
+    one per level, the levels of each size of _sizes in turn.
+    """
+    k = D.k
+    n = len(k)
+    # bullet (a) as two gathers from every B_minus and B_plus, flattened and joined
+    ones, zeros, starts, order, _ = _shape_table(k)
+    flat = np.concatenate([M.reshape(D.count, -1) for i in range(n) for M in (D.b_minus[i], D.b_plus[i])],
+                          axis=1)
+    gap = flat[:, ones] - 1.0
+    # hypot rounds as Python's abs() of each entry does
+    worst = [np.hypot(gap.real, gap.imag)]
+    if zeros.size:
+        worst.append(np.maximum.reduceat(np.abs(flat[:, zeros]), starts, axis=1))
+    pattern = (np.concatenate(worst, axis=1)[:, order] > eff[:, None]).T
+    gaps = np.zeros((n - 1, D.count))
     for j in range(n - 1):
-        m = min(k[j], k[j + 1])
         if k[j] == k[j + 1]:
-            gap = np.linalg.norm(F.b_plus[j] - F.b_minus[j + 1] - np.outer(F.u[j], F.w[j]))
-            fault = f"B_plus[{j + 1}] - B_minus[{j + 2}] is not u w^T"
+            gaps[j] = _frobenius(D.b_plus[j] - D.b_minus[j + 1] - D.u[j][:, :, None] * D.w[j][:, None, :])
         else:
-            big, small = _by_size(k, j, F.b_plus[j], F.b_minus[j + 1])
-            gap = np.linalg.norm(big[:m, :m] - small)
-            big_label, small_label = _by_size(k, j, f"B_plus[{j + 1}]", f"B_minus[{j + 2}]")
-            fault = f"X-block of {big_label} differs from {small_label}"
-        if gap > eff:
-            violations.append(f"matching: {fault}")
-    for i in range(n):
-        if k[i] == 0:
-            continue
-        if numerical_rank(F.g[i]) < k[i]:
-            violations.append(f"conjugacy: g[{i + 1}] is numerically singular")
-            continue
-        resid = np.linalg.norm(
-            F.g[i] @ F.b_plus[i] @ np.linalg.inv(F.g[i]) - F.b_minus[i]
-        )
-        if resid > eff:
-            violations.append(
-                f"conjugacy: g[{i + 1}] B_plus[{i + 1}] g[{i + 1}]^-1 != B_minus[{i + 1}] "
-                f"(residual {resid:.3e})"
-            )
-    if violations:
-        raise ValidationError("matricial data rejected", violations=violations)
-    return F
+            m = min(k[j], k[j + 1])
+            big, small = _by_size(k, j, D.b_plus[j], D.b_minus[j + 1])
+            gaps[j] = _frobenius(big[:, :m, :m] - small)
+    # conjugacy: the levels of one size share one rank, one inverse and one norm
+    singular, resid = [], []
+    for d, levels in _sizes(k):
+        b_minus, b_plus, g = D.blocks[d]
+        rank_short = numerical_rank(g) < d
+        if rank_short.any():
+            # a singular g is left out of the inverses: the identity stands in, its residual unread
+            g = np.where(rank_short[..., None, None], np.eye(d), g)
+        singular.append(rank_short)
+        resid.append(_frobenius(g @ b_plus @ np.linalg.inv(g) - b_minus))
+    singular, resid = np.concatenate(singular), np.concatenate(resid)
+    return pattern, gaps > eff, singular, (resid > eff) & ~singular, resid
+
+
+def _report(k: tuple[int, ...], s: int, pattern, matching, singular, far, resid) -> list[str]:
+    """The violations of point s among the faults of _violations, in md_validate's order."""
+    out = [_shape_table(k)[-1][c] for c in np.flatnonzero(pattern[:, s])]
+    for j in np.flatnonzero(matching[:, s]):
+        if k[j] == k[j + 1]:
+            out.append(f"matching: B_plus[{j + 1}] - B_minus[{j + 2}] is not u w^T")
+        else:
+            big, small = _by_size(k, j, f"B_plus[{j + 1}]", f"B_minus[{j + 2}]")
+            out.append(f"matching: X-block of {big} differs from {small}")
+    levels = [i for _, of_size in _sizes(k) for i in of_size]
+    for i, row in sorted((i, row) for row, i in enumerate(levels)):
+        if singular[row, s]:
+            out.append(f"conjugacy: g[{i + 1}] is numerically singular")
+        elif far[row, s]:
+            out.append(f"conjugacy: g[{i + 1}] B_plus[{i + 1}] g[{i + 1}]^-1 != B_minus[{i + 1}] "
+                       f"(residual {resid[row, s]:.3e})")
+    return out
+
+
+@functools.cache
+def _shape_table(k: tuple[int, ...]) -> tuple:
+    """Bullet (a) over k, read off B_minus[1], B_plus[1], B_minus[2], ... flattened and joined.
+
+    (ones, zeros, starts, order, texts): where the fixed ones sit; where the entries that
+    must vanish sit, each matrix's run of them starting at its entry of starts; and the
+    faults as md_validate reports them, texts[c] being column order[c] of the ones' gaps
+    followed by the runs' largest entries.  The arrays are read-only: every call shares them.
+    """
+    ones, zeros, starts, order, texts = [], [], [], [], []
+    base = 0
+    for i, d in enumerate(k):
+        for m, label in zip(_minor_shapes(k, i), (f"B_minus[{i + 1}]", f"B_plus[{i + 1}]")):
+            free, spots = _free_mask(d, m)
+            for r, c in spots:
+                free[r, c] = True
+                order.append(len(ones))
+                ones.append(base + r * d + c)
+                texts.append(f"shape: {label} subdiagonal entry ({r + 1},{c + 1}) != 1")
+            if not free.all():
+                order.append(-1 - len(starts))  # the runs follow the ones: numbered below
+                starts.append(len(zeros))
+                zeros += (base + np.flatnonzero(~free)).tolist()
+                texts.append(f"shape: {label} has nonzero entries outside the displayed form")
+            base += d * d
+    order = [c if c >= 0 else len(ones) - 1 - c for c in order]
+    table = tuple(np.array(x, dtype=int) for x in (ones, zeros, starts, order))
+    for frame in table:
+        frame.flags.writeable = False
+    return table + (tuple(texts),)
 
 
 def _embed(h: np.ndarray, size: int) -> np.ndarray:
@@ -452,38 +598,6 @@ def md_symplectic(F: MatricialData, t1: MdTangent, t2: MdTangent, check: bool = 
     return complex(val)
 
 
-def _require_nilpotent_fiber(F: MatricialData, tol: float) -> None:
-    for i, q in enumerate(polar(F)):
-        if F.k[i] and np.max(np.abs(q[: F.k[i]])) > tol:
-            raise ValidationError(
-                f"block {i + 1} is not nilpotent; the sign classification "
-                "is defined on the zero fiber only"
-            )
-
-
-def _canonical_junction(F: MatricialData, j: int, tol: float):
-    """Return (negative-entry, positive-entry) read off junction j.
-
-    Requires the canonical gauge: the designated matrix at the junction is
-    the plain shift.  For unequal sizes the pair is (a_m, b_1) of the larger
-    matrix; for tied sizes it is (w_last, u_first).
-    """
-    k = F.k
-    m = min(k[j], k[j + 1])
-    if k[j] == k[j + 1]:
-        big, anchor, label = None, F.b_plus[j], f"B_plus[{j + 1}]"
-    else:
-        big, anchor = _by_size(k, j, F.b_plus[j], F.b_minus[j + 1])
-        label = _by_size(k, j, f"B_plus[{j + 1}]", f"B_minus[{j + 2}]")[1]
-    if np.linalg.norm(anchor - shift_matrix(m)) > tol:
-        raise ValidationError(
-            f"not in canonical position: {label} is not the plain shift"
-        )
-    if big is None:
-        return F.w[j][m - 1], F.u[j][0]
-    return big[m, m - 1], big[0, -1]
-
-
 def sigma_of(F: MatricialData) -> SigmaMap:
     """Junction sign map of canonical zero-fiber data.
 
@@ -493,34 +607,80 @@ def sigma_of(F: MatricialData) -> SigmaMap:
     within a decade of the threshold raise a warning instead of silently
     classifying.  F must be validated (md_validate); it is not re-checked.
     """
-    if any(x < 1 for x in F.k):
+    return _classified([F], isotropy=False, stacklevel=3)[0][0]
+
+
+def _classified(points: list[MatricialData], isotropy: bool, stacklevel: int) -> list[tuple[SigmaMap, bool]]:
+    """(sigma_of(F), whether sigma avoids zero) for each point of a list over one k, as one stack.
+
+    With ``isotropy`` each point's linearized isotropy nullity is cross-checked against
+    its sign map.  Point by point, the warnings fire and the first refused point raises as
+    that point alone would; the warnings name the frame ``stacklevel`` levels up from here.
+    """
+    k = points[0].k
+    n = len(k)
+    if any(x < 1 for x in k):
         raise ValidationError("sign classification needs all degrees >= 1")
-    scale = F.scale()
-    canon_tol = VALIDATE_TOL * scale
-    nz_tol = NONZERO_RTOL * scale
-    _require_nilpotent_fiber(F, canon_tol)
-    signs = []
-    for j in range(F.n - 1):
-        neg, pos = _canonical_junction(F, j, canon_tol)
-        if abs(neg) > nz_tol and abs(pos) > nz_tol:
-            raise ValidationError(
-                f"junction {j + 1} has both pairing entries nonzero; "
-                "data is not valid zero-fiber input"
-            )
-        for val in (neg, pos):
-            if nz_tol / 10.0 < abs(val) <= nz_tol * 10.0:
-                warnings.warn(
-                    f"junction {j + 1}: entry magnitude {abs(val):.3e} is near "
-                    f"the nonzero threshold {nz_tol:.3e}",
-                    stacklevel=2,
-                )
-        if abs(neg) > nz_tol:
-            signs.append(-1)
-        elif abs(pos) > nz_tol:
-            signs.append(1)
-        else:
-            signs.append(0)
-    return SigmaMap(values=tuple(signs))
+    D = _stack(points)
+    scales = _scales(D)
+    canon_tol = VALIDATE_TOL * scales
+    nz_tol = NONZERO_RTOL * scales
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused first
+        # the levels of one size as one stack of characteristic polynomials
+        nonzero_fiber = np.zeros((n, D.count), dtype=bool)
+        for d, levels in _sizes(k):
+            q = charpoly(D.blocks[d][0])[..., :d]
+            nonzero_fiber[list(levels)] = np.max(np.abs(q), axis=-1) > canon_tol
+        # the canonical gauge: the designated matrix at each junction is the plain shift;
+        # the pair read off it is (a_m, b_1) of the larger matrix, or (w_last, u_first)
+        unshifted = np.zeros((n - 1, D.count), dtype=bool)
+        pairs = np.zeros((n - 1, 2, D.count), dtype=complex)
+        labels = []
+        for j in range(n - 1):
+            m = min(k[j], k[j + 1])
+            if k[j] == k[j + 1]:
+                anchor, label = D.b_plus[j], f"B_plus[{j + 1}]"
+                pairs[j] = D.w[j][:, m - 1], D.u[j][:, 0]
+            else:
+                big, anchor = _by_size(k, j, D.b_plus[j], D.b_minus[j + 1])
+                label = _by_size(k, j, f"B_plus[{j + 1}]", f"B_minus[{j + 2}]")[1]
+                pairs[j] = big[:, m, m - 1], big[:, 0, -1]
+            unshifted[j] = _frobenius(anchor - shift_matrix(m)) > canon_tol
+            labels.append(label)
+        # hypot rounds as Python's abs() of each entry does
+        mags = np.hypot(pairs.real, pairs.imag)
+        both = (mags > nz_tol).all(axis=1)
+    refused = ~np.isfinite(scales) | nonzero_fiber.any(axis=0) | unshifted.any(axis=0) | both.any(axis=0)
+    stop = int(np.argmax(refused)) if refused.any() else D.count
+    nullities = _nullities(points[:stop]).tolist() if isotropy and stop else None
+    out = []
+    for s in range(min(stop + 1, D.count)):
+        if refused[s]:
+            if not np.isfinite(scales[s]):
+                raise ValueError("model data too large: its scale overflows")
+            blocks = np.flatnonzero(nonzero_fiber[:, s])
+            if blocks.size:
+                raise ValidationError(f"block {blocks[0] + 1} is not nilpotent; the sign "
+                                      "classification is defined on the zero fiber only")
+        tol = nz_tol[s]
+        signs = []
+        for j, (neg, pos) in enumerate(mags[:, :, s].tolist()):
+            if unshifted[j, s]:
+                raise ValidationError(f"not in canonical position: {labels[j]} is not the plain shift")
+            if both[j, s]:
+                raise ValidationError(f"junction {j + 1} has both pairing entries nonzero; "
+                                      "data is not valid zero-fiber input")
+            for val in (neg, pos):
+                if tol / 10.0 < val <= tol * 10.0:
+                    warnings.warn(f"junction {j + 1}: entry magnitude {val:.3e} is near "
+                                  f"the nonzero threshold {tol:.3e}", stacklevel=stacklevel)
+            signs.append(-1 if neg > tol else 1 if pos > tol else 0)
+        primary = all(signs)
+        if nullities is not None and (nullities[s] == 0) != primary:
+            warnings.warn(f"sign classification ({primary}) disagrees with linearized "
+                          f"isotropy nullity {nullities[s]}", stacklevel=stacklevel)
+        out.append((SigmaMap(values=tuple(signs)), primary))
+    return out
 
 
 def enumerate_sr(k) -> list[MatricialData]:
@@ -532,6 +692,8 @@ def enumerate_sr(k) -> list[MatricialData]:
     have polar part (z^k_1, ..., z^k_n), and reproduce their sign word.
     """
     k = tuple(int(x) for x in k)
+    if not k:
+        raise ValueError("k must hold at least one degree")
     if any(x < 1 for x in k):
         raise ValidationError(
             "all degrees must be >= 1; factor the problem at zero entries "
@@ -563,81 +725,103 @@ def enumerate_sr(k) -> list[MatricialData]:
                 else:
                     u[j][0] = 1.0
         # g_i = P_minus^-1 P_plus, where P = eye[roll(arange, -s)] takes the shift
-        # relinked at start s to the shift: the identity rolled by the starts' difference
-        g = [np.roll(np.eye(size, dtype=complex), plus - minus, axis=1)
+        # relinked at start s to the shift: the identity with its columns rolled by the
+        # starts' difference
+        g = [np.eye(size, dtype=complex)[:, (np.arange(size) - (plus - minus)) % size]
              for size, minus, plus in zip(k, start_minus, start_plus)]
-        reps.append(md_validate(MatricialData(
-            k=k, b_minus=b_minus, b_plus=b_plus, g=g, u=u, w=w,
-        )))
+        reps.append(MatricialData(k=k, b_minus=b_minus, b_plus=b_plus, g=g, u=u, w=w))
+    _validated_scales(reps, VALIDATE_TOL)
     return reps
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron of two matrices: the same products, to the bit, without its generic set-up."""
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
-        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]
+    """np.kron of two matrices, or of each pair of two broadcast stacks (..., p, q) and
+    (..., r, t): the same products, to the bit, without its generic set-up."""
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
+
+
+def _isotropy_shape(k: tuple[int, ...]) -> tuple[int, int]:
+    """(equations, unknowns) of the isotropy system over k (see _isotropy_matrix)."""
+    sizes = [min(a, b) for a, b in zip(k, k[1:])]
+    equations = sum(d * d for d in k) + sum(
+        k[j] ** 2 + k[j + 1] ** 2 + (2 * m if k[j] == k[j + 1] else 0)
+        for j, m in enumerate(sizes) if m
     )
+    return equations, sum(k) + sum(m * m for m in sizes)
 
 
-def _isotropy_matrix(F: MatricialData) -> tuple[np.ndarray, int]:
-    """Linear system whose kernel is the infinitesimal isotropy at F.
+def _isotropy_matrix(D: _Stack) -> np.ndarray:
+    """Linear systems whose kernels are the infinitesimal isotropy at the points of the
+    stack D, shape (S, equations, unknowns).
 
     Unknowns: the flow coefficients (k_i per block) and one centralizer
     candidate per junction (min(k_j, k_(j+1))^2 each).  Equations: the
     intertwining p_i'(B_i^-) = xi_(i-1) - g_i xi_i g_i^-1 per block, the
     two embedded-commutant conditions per junction, and the u/w fixing at
-    tied sizes.
+    tied sizes.  Each point's system has the bits it gets alone.
     """
-    k = F.k
-    n = F.n
-    sizes = [F.junction_size(j) for j in range(n - 1)]
+    k = D.k
+    n = len(k)
+    sizes = [min(a, b) for a, b in zip(k, k[1:])]
     lam_offsets = np.cumsum((0,) + k)
     xi_offsets = lam_offsets[-1] + np.cumsum([0] + [m * m for m in sizes])
-    unknowns = int(xi_offsets[-1])
+    count = D.count
+    system = np.zeros((count,) + _isotropy_shape(k), dtype=complex)
+    row = 0
 
-    def xi_cols(j):
-        return slice(xi_offsets[j], xi_offsets[j + 1])
+    def rows(height, j):
+        """The next height equations of every system, at the columns of junction j."""
+        nonlocal row
+        row += height
+        return system[:, row - height : row, xi_offsets[j] : xi_offsets[j + 1]]
 
     # Row-major vec identity: (A X C).reshape(-1) = kron(A, C.T) @ X.reshape(-1).
     # The m-by-m centralizer xi embeds in a size-k block as P xi P^T, P = eye(k, m).
-    rows: list[np.ndarray] = []
     for i in range(n):
         if k[i] == 0:
             continue
-        block = np.zeros((k[i] * k[i], unknowns), dtype=complex)
-        derivs = np.arange(1, k[i] + 1)[:, None, None] * _powers(F.b_minus[i], k[i])
-        block[:, lam_offsets[i] : lam_offsets[i + 1]] = derivs.reshape(k[i], -1).T
+        block = system[:, row : row + k[i] * k[i]]
+        derivs = np.arange(1, k[i] + 1)[:, None, None, None] * _powers(D.b_minus[i], k[i])
+        block[:, :, lam_offsets[i] : lam_offsets[i + 1]] = derivs.reshape(k[i], count, -1).transpose(1, 2, 0)
         if i > 0 and sizes[i - 1] > 0:
             P = np.eye(k[i], sizes[i - 1], dtype=complex)
-            block[:, xi_cols(i - 1)] -= _kron(P, P)
+            block[:, :, xi_offsets[i - 1] : xi_offsets[i]] -= _kron(P, P)
         if i < n - 1 and sizes[i] > 0:
             m = sizes[i]
-            g_inv = np.linalg.inv(F.g[i])
-            block[:, xi_cols(i)] += _kron(F.g[i][:, :m], g_inv[:m, :].T)
-        rows.append(block)
+            g_inv = np.linalg.inv(D.g[i])
+            block[:, :, xi_offsets[i] : xi_offsets[i + 1]] += _kron(
+                D.g[i][:, :, :m], g_inv[:, :m, :].swapaxes(-1, -2))
+        row += k[i] * k[i]
 
     for j in range(n - 1):
         m = sizes[j]
         if m == 0:
             continue
-        for B in (F.b_plus[j], F.b_minus[j + 1]):
-            P = np.eye(B.shape[0], m, dtype=complex)
-            comm = np.zeros((B.size, unknowns), dtype=complex)
-            comm[:, xi_cols(j)] = _kron(P, (P.T @ B).T) - _kron(B @ P, P)
-            rows.append(comm)
+        for B in (D.b_plus[j], D.b_minus[j + 1]):
+            P = np.eye(B.shape[-1], m, dtype=complex)
+            rows(B.shape[-1] ** 2, j)[...] = _kron(P, (P.T @ B).swapaxes(-1, -2)) - _kron(B @ P, P)
         if k[j] == k[j + 1]:
-            fix = np.zeros((2 * m, unknowns), dtype=complex)
-            fix[:m, xi_cols(j)] = _kron(np.eye(m), F.u[j][None, :])
-            fix[m:, xi_cols(j)] = _kron(F.w[j][None, :], np.eye(m))
-            rows.append(fix)
+            rows(m, j)[...] = _kron(np.eye(m), D.u[j][:, None, :])
+            rows(m, j)[...] = _kron(D.w[j][:, None, :], np.eye(m))
+    return system
 
-    return np.vstack(rows), unknowns
+
+def _nullities(points: list[MatricialData]) -> np.ndarray:
+    """isotropy_nullity of each point of a list over one k, in blocks that keep each
+    stacked system under the matpoly block bound."""
+    equations, unknowns = _isotropy_shape(points[0].k)
+    out, start = [], 0
+    for size in _blocks(len(points), equations * unknowns):
+        # each block's systems are freed before the next block's are built
+        out.append(unknowns - numerical_rank(_isotropy_matrix(_stack(points[start : start + size]))))
+        start += size
+    return np.concatenate(out)
 
 
 def isotropy_nullity(F: MatricialData) -> int:
     """Dimension of the linearized isotropy (0 means discrete, continuous otherwise)."""
-    system, unknowns = _isotropy_matrix(F)
-    return unknowns - numerical_rank(system)
+    return int(_nullities([F])[0])
 
 
 def md_strongly_regular(F: MatricialData) -> bool:
@@ -651,17 +835,18 @@ def md_strongly_regular(F: MatricialData) -> bool:
 
 
 def _classify(F: MatricialData) -> tuple[SigmaMap, bool]:
-    """(sigma_of(F), md_strongly_regular(F)) from one sign map."""
-    sigma = sigma_of(F)
-    primary = all(v != 0 for v in sigma.values)
-    nullity = isotropy_nullity(F)
-    if (nullity == 0) != primary:
-        warnings.warn(
-            f"sign classification ({primary}) disagrees with linearized "
-            f"isotropy nullity {nullity}",
-            stacklevel=3,
-        )
-    return sigma, primary
+    """(sigma_of(F), md_strongly_regular(F)) from one sign map; warnings name the caller's caller."""
+    return _classified([F], isotropy=True, stacklevel=4)[0]
+
+
+def md_classify(points) -> list[tuple[SigmaMap, bool]]:
+    """(sigma_of(F), md_strongly_regular(F)) for each validated point F of a list over one k.
+
+    The points are classified as one stack, in one pass per level; the warnings and a
+    refusal come as the points classified one at a time would give them.
+    """
+    points = list(points)
+    return _classified(points, isotropy=True, stacklevel=3) if points else []
 
 
 @dataclass(frozen=True)

@@ -127,14 +127,19 @@ def conservation_defect(flow, invariants, x) -> float:
         invariants = [invariants]
     worst = 0.0
     for inv in invariants:
-        before = np.atleast_1d(np.asarray(inv(x), dtype=complex))
-        after = np.atleast_1d(np.asarray(inv(y), dtype=complex))
-        # invariants that overflowed give a NaN defect, which the output refuses
-        with np.errstate(over="ignore", invalid="ignore"):
-            defect = np.abs(after - before) / (1.0 + np.abs(before))
         # np.maximum keeps a NaN that max() would drop
-        worst = float(np.maximum(worst, np.max(defect, initial=0.0)))
+        worst = float(np.maximum(worst, _change(inv(x), inv(y))))
     return worst
+
+
+def _change(before, after) -> float:
+    """Max relative change |after - before| / (1 + |before|) of invariant values; NaN if one is NaN."""
+    before = np.atleast_1d(np.asarray(before, dtype=complex))
+    after = np.atleast_1d(np.asarray(after, dtype=complex))
+    # invariants that overflowed give a NaN defect, which the output refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = np.abs(after - before) / (1.0 + np.abs(before))
+    return float(np.max(defect, initial=0.0))
 
 
 def report(test: str, samples: int, max_defect: float, tolerance: float) -> dict:

@@ -2,7 +2,8 @@
 
 The program computes bracket gradients in closed form; these helpers take
 every gradient by finite differences, so a test can check one against the
-other.  The model-point measures at the end serve only the tests.
+other.  The model-point measures at the end serve only the tests; the isotropy
+system built one point at a time is the reference for the stacked one.
 """
 
 from __future__ import annotations
@@ -10,15 +11,16 @@ from __future__ import annotations
 import numpy as np
 
 from gzflows.errors import ValidationError
-from gzflows.matpoly import _coincident, as_matrix
+from gzflows.matpoly import _coincident, _powers, as_matrix
 from gzflows.ratmodel import (
     VALIDATE_TOL,
     MatricialData,
     OpenStratumChart,
     _by_size,
     _charpoly_adjugate,
-    _require_nilpotent_fiber,
+    _kron,
     open_stratum_chart,
+    polar,
 )
 from gzflows.verify import DEFAULT_STEP, Chart, fd_gradient
 
@@ -137,7 +139,10 @@ def pairing_residual(F: MatricialData) -> float:
     polynomial vanishes.  F must be validated (md_validate); it is not
     re-checked.
     """
-    _require_nilpotent_fiber(F, VALIDATE_TOL * F.scale())
+    tol = VALIDATE_TOL * F.scale()
+    for i, q in enumerate(polar(F)):
+        if np.max(np.abs(q[: F.k[i]])) > tol:
+            raise ValidationError(f"block {i + 1} is not nilpotent")
     worst = 0.0
     for j in range(F.n - 1):
         m = min(F.k[j], F.k[j + 1])
@@ -151,3 +156,53 @@ def pairing_residual(F: MatricialData) -> float:
         for H in _charpoly_adjugate(X)[1]:
             worst = max(worst, abs(row @ H @ col))
     return worst
+
+
+def isotropy_system(F: MatricialData) -> tuple[np.ndarray, int]:
+    """The isotropy system of one point, block by block, and its number of unknowns.
+
+    The reference for ``ratmodel._isotropy_matrix``, which builds the systems
+    of a whole stack of points at once: each stacked system must have these bits.
+    """
+    k = F.k
+    n = F.n
+    sizes = [F.junction_size(j) for j in range(n - 1)]
+    lam_offsets = np.cumsum((0,) + k)
+    xi_offsets = lam_offsets[-1] + np.cumsum([0] + [m * m for m in sizes])
+    unknowns = int(xi_offsets[-1])
+
+    def xi_cols(j):
+        return slice(xi_offsets[j], xi_offsets[j + 1])
+
+    rows: list[np.ndarray] = []
+    for i in range(n):
+        if k[i] == 0:
+            continue
+        block = np.zeros((k[i] * k[i], unknowns), dtype=complex)
+        derivs = np.arange(1, k[i] + 1)[:, None, None] * _powers(F.b_minus[i], k[i])
+        block[:, lam_offsets[i] : lam_offsets[i + 1]] = derivs.reshape(k[i], -1).T
+        if i > 0 and sizes[i - 1] > 0:
+            P = np.eye(k[i], sizes[i - 1], dtype=complex)
+            block[:, xi_cols(i - 1)] -= _kron(P, P)
+        if i < n - 1 and sizes[i] > 0:
+            m = sizes[i]
+            g_inv = np.linalg.inv(F.g[i])
+            block[:, xi_cols(i)] += _kron(F.g[i][:, :m], g_inv[:m, :].T)
+        rows.append(block)
+
+    for j in range(n - 1):
+        m = sizes[j]
+        if m == 0:
+            continue
+        for B in (F.b_plus[j], F.b_minus[j + 1]):
+            P = np.eye(B.shape[0], m, dtype=complex)
+            comm = np.zeros((B.size, unknowns), dtype=complex)
+            comm[:, xi_cols(j)] = _kron(P, (P.T @ B).T) - _kron(B @ P, P)
+            rows.append(comm)
+        if k[j] == k[j + 1]:
+            fix = np.zeros((2 * m, unknowns), dtype=complex)
+            fix[:m, xi_cols(j)] = _kron(np.eye(m), F.u[j][None, :])
+            fix[m:, xi_cols(j)] = _kron(F.w[j][None, :], np.eye(m))
+            rows.append(fix)
+
+    return np.vstack(rows), unknowns

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from gzflows import cli, gzcore, lax, ratmodel, serialize, verify
+from gzflows import cli, gzcore, lax, matpoly, ratmodel, serialize, verify
 from gzflows.cli import HANDLERS, _tensor_pairings, run
 from gzflows.errors import InputError, ToleranceError, ValidationError
 from gzflows.matpoly import poly_from_roots
@@ -210,21 +210,27 @@ class TestModelPointBoundary:
         monkeypatch.setattr(ratmodel, "md_validate", counted)
         return calls
 
+    @staticmethod
+    def count_points(monkeypatch, name: str) -> list:
+        """The k of every point that passes through ratmodel's stacked ``name``."""
+        points, stacked = [], getattr(ratmodel, name)
+
+        def counted(batch, *args, **kwargs):
+            points.extend(F.k for F in batch)
+            return stacked(batch, *args, **kwargs)
+
+        monkeypatch.setattr(ratmodel, name, counted)
+        return points
+
     def test_enumerate_orbits_validates_each_representative_once(self, capsys, monkeypatch):
-        calls = self.count_validations(monkeypatch)
+        points = self.count_points(monkeypatch, "_validated_scales")
         doc = call_json(capsys, "enumerate-orbits", "--input", '{"k": [1, 2, 3, 3, 2]}')
-        assert doc["count"] == 16 and len(calls) == 16
+        assert doc["count"] == 16 and len(points) == 16
 
     def test_enumerate_orbits_takes_each_sign_map_once(self, capsys, monkeypatch):
-        calls, sigma_of = [], ratmodel.sigma_of
-
-        def counted(F):
-            calls.append(F.k)
-            return sigma_of(F)
-
-        monkeypatch.setattr(ratmodel, "sigma_of", counted)
+        points = self.count_points(monkeypatch, "_classified")
         doc = call_json(capsys, "enumerate-orbits", "--input", '{"k": [1, 2, 3, 3, 2]}')
-        assert doc["count"] == 16 and len(calls) == 16
+        assert doc["count"] == 16 and len(points) == 16
 
     @pytest.mark.parametrize("name", ["md-validate", "polar", "ak-act"])
     def test_a_request_validates_its_point_once(self, capsys, monkeypatch, name):
@@ -687,7 +693,7 @@ def test_pinned_verification_digest(capsys):
 
 def test_one_sample_blocks_give_the_same_bytes(capsys, monkeypatch):
     # blocks draw in order, so the block size moves no byte
-    monkeypatch.setattr(cli, "_BLOCK_ENTRIES", 1)
+    monkeypatch.setattr(matpoly, "_BLOCK_ENTRIES", 1)
     assert cli._blocks(7, 3) == [1] * 7
     assert verification_digest(capsys) == PINNED_VERIFICATION_SHA256
 
@@ -1353,6 +1359,10 @@ class TestCliContract:
     def test_input_the_library_refuses_65(self, capsys, name, payload):
         code, _, err = call(capsys, name, "--input", json.dumps(payload, default=np.ndarray.tolist))
         assert code == 65 and "input error" in err
+
+    def test_enumerate_orbits_without_degrees_names_the_problem_65(self, capsys):
+        code, out, err = call(capsys, "enumerate-orbits", "--input", '{"k": []}')
+        assert (code, out, err) == (65, "", "input error: k must hold at least one degree\n")
 
     def test_md_validate_block_of_wrong_shape_65(self, capsys):
         doc = serialize.encode_matricial(enumerate_sr((1, 2))[0])

@@ -65,6 +65,20 @@ class TestGzMap:
             assert np.max(np.abs(p - q)) < 1e-10
 
 
+    @pytest.mark.parametrize("basis", ["tr-power", "charpoly"])
+    @pytest.mark.parametrize("n", [1, 3, 6, 12])
+    def test_a_stack_has_the_bits_of_each_matrix(self, basis, n):
+        # gz-flow evaluates the invariants of B and of its flowed matrix as one stack
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            B = random_matrix(rng, n, unit_norm=False) * 10.0 ** rng.integers(-3, 4)
+            moved = gz_flow(B, [(max(n - 1, 1), 1, complex(*rng.uniform(-1, 1, 2)))])
+            stacked = gz_map(np.stack([B, moved]), basis=basis).values
+            assert stacked.shape == (2, n * (n + 1) // 2)
+            for M, values in zip((B, moved), stacked):
+                assert values.tobytes() == gz_map(M, basis=basis).values.tobytes()
+
+
 class TestVectorField:
     def test_center_acts_trivially(self):
         rng = np.random.default_rng(2)

@@ -1,12 +1,14 @@
 import hashlib
+import itertools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from gzflows import ratmodel
 from gzflows.errors import ValidationError
-from gzflows.matpoly import companion_of, poly_from_roots
+from gzflows.matpoly import _blocks, companion_of, numerical_rank, poly_from_roots
 from gzflows.matpoly import roots as matpoly_roots
 from gzflows.ratmodel import (
     _OPEN_STRATUM_TOL,
@@ -21,6 +23,7 @@ from gzflows.ratmodel import (
     fixture_from_polar,
     gk_act,
     isotropy_nullity,
+    md_classify,
     md_strongly_regular,
     md_symplectic,
     md_tangent_violations,
@@ -31,7 +34,7 @@ from gzflows.ratmodel import (
     sigma_of,
 )
 from gzflows.verify import fd_gradient
-from oracles import chart_symplectic_form, pairing_residual, poisson_bracket
+from oracles import chart_symplectic_form, isotropy_system, pairing_residual, poisson_bracket
 
 
 def scalar_pair_fixture(z1, z2, u, w, gamma1=1.0, gamma2=1.0):
@@ -803,3 +806,164 @@ class TestKron:
         self.assert_same(B @ P, P)
         self.assert_same(np.eye(m), v[None, :])
         self.assert_same(v[None, :], np.eye(m))
+
+
+def multidegrees():
+    """Every k with 2 <= n <= 4 levels of degree 1 to 3: 117 multidegrees."""
+    return [k for n in range(2, 5) for k in itertools.product((1, 2, 3), repeat=n)]
+
+
+def moved_representatives(k, seed):
+    """enumerate_sr(k), each point moved by ak_act: canonical points whose g have inexact entries."""
+    rng = np.random.default_rng(seed)
+    return [
+        ak_act(F, [0.3 * (rng.uniform(-1, 1, d) + 1j * rng.uniform(-1, 1, d)) for d in k])
+        for F in enumerate_sr(k)
+    ]
+
+
+def planted_stack():
+    """Five inexact points over k = (2, 3, 3): one fixture moved five ways by ak_act."""
+    rng = np.random.default_rng(2024)
+    k = (2, 3, 3)
+    polys = [poly_from_roots(rng.uniform(-2, 2, d) + 1j * rng.uniform(-2, 2, d)) for d in k]
+    F = fixture_from_polar(polys, rng=rng)
+    return [ak_act(F, [0.2 * (rng.uniform(-1, 1, d) + 1j * rng.uniform(-1, 1, d)) for d in k])
+            for _ in range(5)]
+
+
+def plant(F):
+    """F with a broken fixed one, a stray entry and a moved X-block (four violations)."""
+    F.b_plus[0][1, 0] += 0.25
+    F.b_minus[0][1, 0] += 0.125
+    F.b_minus[0][0, 0] -= 0.0625
+    return F
+
+
+# md_validate's report on the planted point, taken from the point alone before the
+# model checks took stacks
+PLANTED_VIOLATIONS = [
+    "shape: B_minus[1] subdiagonal entry (2,1) != 1",
+    "shape: B_minus[1] has nonzero entries outside the displayed form",
+    "matching: X-block of B_minus[2] differs from B_plus[1]",
+    "conjugacy: g[1] B_plus[1] g[1]^-1 != B_minus[1] (residual 4.545e-01)",
+]
+# the scales of planted_stack(), taken from each point alone the same way
+PLANTED_SCALES = ["0x1.52ab785391263p+5", "0x1.01223f9f9f9ccp+4", "0x1.5de838837f3ffp+4",
+                  "0x1.6318ebebdc6c3p+9", "0x1.6e0347e1d51b5p+6"]
+
+
+class TestStackedModelChecks:
+    """Validation and classification of a stack of points with one k, against each point alone."""
+
+    @pytest.mark.parametrize("k", multidegrees(), ids=str)
+    def test_isotropy_systems_have_the_bits_of_one_point(self, k):
+        points = moved_representatives(k, sum(k) + 10 * len(k))
+        systems = ratmodel._isotropy_matrix(ratmodel._stack(points))
+        nullities = ratmodel._nullities(points)
+        for F, system, nullity, (sigma, regular) in zip(points, systems, nullities, md_classify(points)):
+            alone, unknowns = isotropy_system(F)
+            assert np.array_equal(system, alone)
+            assert nullity == isotropy_nullity(F) == unknowns - numerical_rank(alone)
+            assert sigma == sigma_of(F) and regular == md_strongly_regular(F)
+            assert regular == (nullity == 0)
+
+    def test_scales_have_the_bits_of_one_point(self):
+        points = planted_stack()
+        scales = ratmodel._validated_scales(points, ratmodel.VALIDATE_TOL)
+        assert [s.hex() for s in scales.tolist()] == PLANTED_SCALES
+        assert [F.scale().hex() for F in points] == PLANTED_SCALES
+
+    def test_a_stack_raises_the_first_refused_points_own_report(self):
+        points = planted_stack()
+        plant(points[2])
+        # a later point with a structural fault does not come first
+        points[3].g[1] = np.zeros((2, 2), dtype=complex)
+        for batch in (points, points[2:3]):
+            with pytest.raises(ValidationError) as caught:
+                ratmodel._validated_scales(batch, ratmodel.VALIDATE_TOL)
+            assert caught.value.violations == PLANTED_VIOLATIONS
+        with pytest.raises(ValidationError) as caught:
+            md_validate(points[2])
+        assert caught.value.violations == PLANTED_VIOLATIONS
+
+    def test_a_structural_fault_raises_its_own_value_error(self):
+        points = planted_stack()
+        points[1].b_plus[2] = np.full((3, 3), np.nan, dtype=complex)
+        plant(points[2])
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            ratmodel._validated_scales(points, ratmodel.VALIDATE_TOL)
+        points[1].b_plus[2] = np.full((3, 3), 1e300, dtype=complex)
+        with pytest.raises(ValueError, match="scale overflows"):
+            ratmodel._validated_scales(points, ratmodel.VALIDATE_TOL)
+
+    def test_an_exactly_singular_g_in_a_stack_reports_as_alone(self):
+        points = enumerate_sr((2, 3, 3))
+        points[1].g[1] = np.zeros((3, 3), dtype=complex)
+        for batch in (points, points[1:2]):
+            with pytest.raises(ValidationError) as caught:
+                ratmodel._validated_scales(batch, ratmodel.VALIDATE_TOL)
+            assert caught.value.violations == ["conjugacy: g[2] is numerically singular"]
+
+    def test_conjugacy_faults_come_in_level_order(self):
+        # the levels of size 3 share one pass and size 2 comes first; the report keeps
+        # the order of the levels, as the per-level check gave it for the point alone
+        points = enumerate_sr((3, 2, 3))
+        F = points[1]
+        F.g[0] = F.g[0] + 0.25 * np.eye(3)[::-1]
+        F.g[1] = F.g[1] + 0.5 * np.array([[0, 1], [0, 0]])
+        F.g[2] = np.zeros((3, 3), dtype=complex)
+        for batch in (points, [F]):
+            with pytest.raises(ValidationError) as caught:
+                ratmodel._validated_scales(batch, ratmodel.VALIDATE_TOL)
+            assert caught.value.violations == [
+                "conjugacy: g[1] B_plus[1] g[1]^-1 != B_minus[1] (residual 5.497e-01)",
+                "conjugacy: g[2] B_plus[2] g[2]^-1 != B_minus[2] (residual 7.500e-01)",
+                "conjugacy: g[3] is numerically singular",
+            ]
+
+    def test_warnings_and_the_refusal_come_point_by_point(self, monkeypatch):
+        points = [
+            scalar_pair_fixture(0.0, 0.0, 1.0, 0.0),
+            scalar_pair_fixture(0.0, 0.0, 3e-10, 0.0),
+            scalar_pair_fixture(0.0, 0.0, 0.0, 3e-10),
+            scalar_pair_fixture(0.5, 0.5, 1.0, 0.0),
+            scalar_pair_fixture(0.0, 0.0, 1.0, 1.0),
+        ]
+        # the isotropy of point 2 pretends to be continuous: its classification disagrees
+        monkeypatch.setattr(ratmodel, "_nullities", lambda batch: np.array([0, 5, 0][: len(batch)]))
+        with pytest.warns(UserWarning) as record, pytest.raises(ValidationError, match="block 1 is not nilpotent"):
+            md_classify(points)
+        assert [str(w.message) for w in record] == [
+            "junction 1: entry magnitude 3.000e-10 is near the nonzero threshold 2.000e-10",
+            "sign classification (True) disagrees with linearized isotropy nullity 5",
+            "junction 1: entry magnitude 3.000e-10 is near the nonzero threshold 2.000e-10",
+        ]
+
+    @pytest.mark.parametrize("name", ["sigma_of", "md_strongly_regular", "md_classify"])
+    def test_warnings_name_the_caller_of_the_public_function(self, monkeypatch, name):
+        F = scalar_pair_fixture(0.0, 0.0, 3e-10, 0.0)
+        # a near-threshold entry, and an isotropy that disagrees with the sign map
+        monkeypatch.setattr(ratmodel, "_nullities", lambda batch: np.array([5] * len(batch)))
+        classify = {"sigma_of": sigma_of, "md_strongly_regular": md_strongly_regular,
+                    "md_classify": lambda F: md_classify([F])}[name]
+        with pytest.warns(UserWarning) as record:
+            classify(F)
+        assert len(record) == (1 if name == "sigma_of" else 2)
+        assert {w.filename for w in record} == {__file__}
+
+    def test_blocks_bound_the_memory_of_a_stacked_classification(self):
+        points = enumerate_sr((3,) * 8)
+        equations, unknowns = ratmodel._isotropy_shape((3,) * 8)
+        first = _blocks(len(points), equations * unknowns)[0]
+        assert len(points) == 128 and first < len(points)
+
+        def peak(batch):
+            tracemalloc.start()
+            try:
+                md_classify(batch)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(points) <= 1.5 * peak(points[:first])
