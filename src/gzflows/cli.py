@@ -16,7 +16,7 @@ import numpy as np
 
 from . import gzcore, lax, ratmodel, serialize, verify
 from .errors import InputError, ToleranceError, ValidationError
-from .matpoly import CLUSTER_TOL, _blocks, _coincident, _frobenius, as_matrix
+from .matpoly import CLUSTER_TOL, _abs, _blocks, _coincident, _frobenius, as_matrix
 
 __all__ = ["main", "run"]
 
@@ -73,11 +73,6 @@ def _random_chart(rng: np.random.Generator, n: int) -> ratmodel.OpenStratumChart
     residues = u[real] + 1j * u[imag]
     residues[np.abs(residues) < 0.1] += 0.5
     return ratmodel.open_stratum_chart([poles], [residues])
-
-
-def _abs(v) -> np.ndarray:
-    """|v| with the bits of Python's abs() per entry (np.abs may differ in the last ulp)."""
-    return np.hypot(v.real, v.imag)
 
 
 def _flow_triples(payload) -> list[tuple[int, int, complex]]:
@@ -180,7 +175,7 @@ def cmd_enumerate_orbits(payload, args):
         "sigma": list(sigma.values),
         "strongly_regular": bool(regular),
         "data": serialize.encode_matricial(F),
-    } for F, (sigma, regular) in zip(reps, ratmodel.md_classify(reps))]
+    } for F, (sigma, regular) in zip(reps, ratmodel._classified(reps, isotropy=True, stacklevel=2))]
     return {"k": list(k), "count": len(reps), "representatives": entries}, EXIT_OK
 
 

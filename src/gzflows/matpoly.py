@@ -400,11 +400,15 @@ def krylov_rank(B, b) -> int:
     return _rank(columns, 1.0)
 
 
+def _abs(z: np.ndarray) -> np.ndarray:
+    """|z| entry by entry with the bits of Python's abs(); np.abs of a complex array may
+    differ in the last bit."""
+    return np.hypot(z.real, z.imag)
+
+
 def _distances(z: np.ndarray) -> np.ndarray:
     """|z[a] - z[b]| at [a, b] for the points z, each with the bits of Python's abs()."""
-    gaps = z[:, None] - z[None, :]
-    # hypot rounds as Python's abs does; np.abs of a complex array may not
-    return np.hypot(gaps.real, gaps.imag)
+    return _abs(z[:, None] - z[None, :])
 
 
 def _coincident(z: np.ndarray, tol: float) -> bool:

@@ -28,6 +28,7 @@ import numpy as np
 from .errors import ToleranceError, ValidationError
 from .gzcore import _checked_monic
 from .matpoly import (
+    _abs,
     _coincident,
     _expm,
     _blocks,
@@ -61,7 +62,6 @@ __all__ = [
     "sigma_of",
     "enumerate_sr",
     "md_strongly_regular",
-    "md_classify",
     "isotropy_nullity",
     "open_stratum_chart",
     "chart_bracket",
@@ -322,26 +322,26 @@ def _scales(D: _Stack) -> np.ndarray:
 def _validated_scales(points: list[MatricialData], tol: float) -> np.ndarray:
     """The scale of each point of a list over one k, validated as one stack.
 
-    The first point that md_validate refuses raises what md_validate raises for it alone.
+    Every point is structure-checked first; then the first point with a non-finite
+    entry or scale raises its ValueError, else the first refused point raises the
+    ValidationError md_validate raises for it alone.
     """
     k = points[0].k
-    stop = next((s for s, F in enumerate(points) if not _shaped(F, k)), len(points))
-    D = _stack(points[:stop]) if stop else None
-    scales = _scales(D) if stop else np.zeros(0)
+    for F in points:
+        if not _shaped(F, k):
+            _check_structure(F, k)
+    D = _stack(points)
+    scales = _scales(D)
     finite = np.isfinite(scales)
     if not finite.all():
-        # a non-finite entry or an overflow: the points before it form the stack
-        stop = int(np.argmin(finite))
-        D, scales = _stack(points[:stop]) if stop else None, scales[:stop]
-    if stop:
-        faults = _violations(D, tol * scales)
-        refused = np.concatenate(faults[:-1]).any(axis=0)
-        if refused.any():
-            raise ValidationError("matricial data rejected",
-                                  violations=_report(k, int(np.argmax(refused)), *faults))
-    if stop < len(points):
-        _check_structure(points[stop], k)
+        # a non-finite entry, or else an overflow
+        _check_structure(points[int(np.argmin(finite))], k)
         raise ValueError("model data too large: its scale overflows")
+    faults = _violations(D, tol * scales)
+    refused = np.concatenate(faults[:-1]).any(axis=0)
+    if refused.any():
+        raise ValidationError("matricial data rejected",
+                              violations=_report(k, int(np.argmax(refused)), *faults))
     return scales
 
 
@@ -359,9 +359,7 @@ def _violations(D: _Stack, eff: np.ndarray) -> tuple[np.ndarray, ...]:
     ones, zeros, starts, order, _ = _shape_table(k)
     flat = np.concatenate([M.reshape(D.count, -1) for i in range(n) for M in (D.b_minus[i], D.b_plus[i])],
                           axis=1)
-    gap = flat[:, ones] - 1.0
-    # hypot rounds as Python's abs() of each entry does
-    worst = [np.hypot(gap.real, gap.imag)]
+    worst = [_abs(flat[:, ones] - 1.0)]
     if zeros.size:
         worst.append(np.maximum.reduceat(np.abs(flat[:, zeros]), starts, axis=1))
     pattern = (np.concatenate(worst, axis=1)[:, order] > eff[:, None]).T
@@ -613,9 +611,10 @@ def sigma_of(F: MatricialData) -> SigmaMap:
 def _classified(points: list[MatricialData], isotropy: bool, stacklevel: int) -> list[tuple[SigmaMap, bool]]:
     """(sigma_of(F), whether sigma avoids zero) for each point of a list over one k, as one stack.
 
-    With ``isotropy`` each point's linearized isotropy nullity is cross-checked against
-    its sign map.  Point by point, the warnings fire and the first refused point raises as
-    that point alone would; the warnings name the frame ``stacklevel`` levels up from here.
+    With ``isotropy`` and no point refused, each point's linearized isotropy nullity is
+    cross-checked against its sign map.  Point by point, the warnings fire and the first
+    refused point raises as that point alone would; the warnings name the frame
+    ``stacklevel`` levels up from here.
     """
     k = points[0].k
     n = len(k)
@@ -647,14 +646,12 @@ def _classified(points: list[MatricialData], isotropy: bool, stacklevel: int) ->
                 pairs[j] = big[:, m, m - 1], big[:, 0, -1]
             unshifted[j] = _frobenius(anchor - shift_matrix(m)) > canon_tol
             labels.append(label)
-        # hypot rounds as Python's abs() of each entry does
-        mags = np.hypot(pairs.real, pairs.imag)
+        mags = _abs(pairs)
         both = (mags > nz_tol).all(axis=1)
     refused = ~np.isfinite(scales) | nonzero_fiber.any(axis=0) | unshifted.any(axis=0) | both.any(axis=0)
-    stop = int(np.argmax(refused)) if refused.any() else D.count
-    nullities = _nullities(points[:stop]).tolist() if isotropy and stop else None
+    nullities = _nullities(points).tolist() if isotropy and not refused.any() else None
     out = []
-    for s in range(min(stop + 1, D.count)):
+    for s in range(D.count):
         if refused[s]:
             if not np.isfinite(scales[s]):
                 raise ValueError("model data too large: its scale overflows")
@@ -831,22 +828,7 @@ def md_strongly_regular(F: MatricialData) -> bool:
     the linearized isotropy system is computed independently and any
     disagreement raises a warning.
     """
-    return _classify(F)[1]
-
-
-def _classify(F: MatricialData) -> tuple[SigmaMap, bool]:
-    """(sigma_of(F), md_strongly_regular(F)) from one sign map; warnings name the caller's caller."""
-    return _classified([F], isotropy=True, stacklevel=4)[0]
-
-
-def md_classify(points) -> list[tuple[SigmaMap, bool]]:
-    """(sigma_of(F), md_strongly_regular(F)) for each validated point F of a list over one k.
-
-    The points are classified as one stack, in one pass per level; the warnings and a
-    refusal come as the points classified one at a time would give them.
-    """
-    points = list(points)
-    return _classified(points, isotropy=True, stacklevel=3) if points else []
+    return _classified([F], isotropy=True, stacklevel=3)[0][1]
 
 
 @dataclass(frozen=True)

@@ -115,9 +115,14 @@ def decode_matricial(obj) -> MatricialData:
     g = [decode_array(M, 2) for M in _need_list(obj["g"], len(k), "g")]
     u: dict[int, np.ndarray] = {}
     w: dict[int, np.ndarray] = {}
-    for entry in obj.get("uw", []):
+    uw = obj.get("uw", [])
+    if not isinstance(uw, list):
+        raise InputError("uw must be a list of {i, u, w} objects")
+    for entry in uw:
         _need_keys(entry, ("i", "u", "w"))
         j = _need_int(entry["i"], "junction index", 1, len(k) - 1) - 1
+        if j in u:
+            raise InputError(f"uw holds junction {j + 1} twice")
         u[j] = decode_array(entry["u"], 1)
         w[j] = decode_array(entry["w"], 1)
     return MatricialData(k=k, b_minus=b_minus, b_plus=b_plus, g=g, u=u, w=w)

@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ValidationError
-from .matpoly import _frobenius
+from .matpoly import _abs, _frobenius
 
 __all__ = [
     "DEFAULT_STEP",
@@ -94,8 +94,7 @@ def fd_gradient(f, x, step: float | None = None) -> np.ndarray:
     rows = x if x.ndim == 2 else x.reshape(1, -1)
     S, d = rows.shape
     base = DEFAULT_STEP if step is None else step
-    # hypot rounds as Python's abs() of each entry does
-    h = base * (1.0 + np.hypot(rows.real, rows.imag))
+    h = base * (1.0 + _abs(rows))
     # row j of e[s] is h[s, j] e_j; the probes are x + e, x - e, x + ie, x - ie
     e = np.zeros((S, d, d), dtype=complex)
     e.reshape(S, d * d)[:, :: d + 1] = h

@@ -3,7 +3,8 @@
 The program computes bracket gradients in closed form; these helpers take
 every gradient by finite differences, so a test can check one against the
 other.  The model-point measures at the end serve only the tests; the isotropy
-system built one point at a time is the reference for the stacked one.
+system and the validity check, each taken one point at a time, are the
+references for the stacked ones.
 """
 
 from __future__ import annotations
@@ -11,14 +12,16 @@ from __future__ import annotations
 import numpy as np
 
 from gzflows.errors import ValidationError
-from gzflows.matpoly import _coincident, _powers, as_matrix
+from gzflows.matpoly import _coincident, _powers, as_matrix, numerical_rank
 from gzflows.ratmodel import (
     VALIDATE_TOL,
     MatricialData,
     OpenStratumChart,
     _by_size,
     _charpoly_adjugate,
+    _free_mask,
     _kron,
+    _minor_shapes,
     open_stratum_chart,
     polar,
 )
@@ -206,3 +209,81 @@ def isotropy_system(F: MatricialData) -> tuple[np.ndarray, int]:
             rows.append(fix)
 
     return np.vstack(rows), unknowns
+
+
+def _pattern_violations(M: np.ndarray, m: int, tol: float, label: str) -> list[str]:
+    """Bullet (a) on one matrix M, shaped by m, entry by entry."""
+    k = M.shape[0]
+    out = []
+    mask, ones = _free_mask(k, m)
+    for i, j in ones:
+        mask[i, j] = True
+        if abs(M[i, j] - 1.0) > tol:
+            out.append(f"shape: {label} subdiagonal entry ({i + 1},{j + 1}) != 1")
+    off = np.abs(M[~mask])
+    if off.size and off.max() > tol:
+        out.append(f"shape: {label} has nonzero entries outside the displayed form")
+    return out
+
+
+def per_point_validate(F: MatricialData, tol: float = VALIDATE_TOL) -> MatricialData:
+    """``ratmodel.md_validate`` one point at a time, each bullet matrix by matrix.
+
+    The reference for the stacked check: the same structural ValueErrors, and
+    the same violations in the same order, with the scale taken by
+    ``np.linalg.norm`` of each matrix and vector.
+    """
+    k = F.k
+    n = len(k)
+    for name, mats in (("B_minus", F.b_minus), ("B_plus", F.b_plus), ("g", F.g)):
+        if len(mats) != n:
+            raise ValueError(f"{name} must have {n} blocks")
+        for i, M in enumerate(mats):
+            M = as_matrix(M)
+            if M.shape != (k[i], k[i]):
+                raise ValueError(f"{name}[{i}] has shape {M.shape}, expected ({k[i]}, {k[i]})")
+    tied = {j for j in range(n - 1) if k[j] == k[j + 1]}
+    if set(F.u) != tied or set(F.w) != tied:
+        where = ", ".join(str(j + 1) for j in sorted(tied)) or "none"
+        raise ValueError(f"(u, w) pairs must sit exactly at the junctions of equal sizes ({where})")
+    for j in sorted(tied):
+        if any(v.size != k[j] or not np.all(np.isfinite(v)) for v in (F.u[j], F.w[j])):
+            raise ValueError(f"(u, w) at junction {j + 1} must be finite with length {k[j]}")
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        parts = [np.linalg.norm(M) for M in (*F.b_minus, *F.b_plus, *F.g)]
+        parts += [np.linalg.norm(v) for v in (*F.u.values(), *F.w.values())]
+    scale = 1.0 + max(parts, default=0.0)
+    if not np.isfinite(scale):
+        raise ValueError("model data too large: its scale overflows")
+
+    eff = tol * scale
+    violations: list[str] = []
+    for i in range(n):
+        m_minus, m_plus = _minor_shapes(k, i)
+        violations += _pattern_violations(F.b_minus[i], m_minus, eff, f"B_minus[{i + 1}]")
+        violations += _pattern_violations(F.b_plus[i], m_plus, eff, f"B_plus[{i + 1}]")
+    for j in range(n - 1):
+        m = min(k[j], k[j + 1])
+        if k[j] == k[j + 1]:
+            gap = np.linalg.norm(F.b_plus[j] - F.b_minus[j + 1] - np.outer(F.u[j], F.w[j]))
+            fault = f"B_plus[{j + 1}] - B_minus[{j + 2}] is not u w^T"
+        else:
+            big, small = _by_size(k, j, F.b_plus[j], F.b_minus[j + 1])
+            gap = np.linalg.norm(big[:m, :m] - small)
+            big_label, small_label = _by_size(k, j, f"B_plus[{j + 1}]", f"B_minus[{j + 2}]")
+            fault = f"X-block of {big_label} differs from {small_label}"
+        if gap > eff:
+            violations.append(f"matching: {fault}")
+    for i in range(n):
+        if k[i] == 0:
+            continue
+        if numerical_rank(F.g[i]) < k[i]:
+            violations.append(f"conjugacy: g[{i + 1}] is numerically singular")
+            continue
+        resid = np.linalg.norm(F.g[i] @ F.b_plus[i] @ np.linalg.inv(F.g[i]) - F.b_minus[i])
+        if resid > eff:
+            violations.append(f"conjugacy: g[{i + 1}] B_plus[{i + 1}] g[{i + 1}]^-1 != B_minus[{i + 1}] "
+                              f"(residual {resid:.3e})")
+    if violations:
+        raise ValidationError("matricial data rejected", violations=violations)
+    return F

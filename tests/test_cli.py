@@ -173,6 +173,18 @@ class TestModelPointBoundary:
         code, out, err = call(capsys, name, "--input", model_request(k, path, value))
         assert code == 65 and out == "" and "input error" in err
 
+    @pytest.mark.parametrize("name", ["md-validate", "polar", "ak-act"])
+    @pytest.mark.parametrize("uw, text", [
+        # a second pair for junction 1 that would validate in place of the first
+        pytest.param([{"i": 1, "u": [[0, 0], [0, 0]], "w": [[0, 0], [1, 0]]},
+                      {"i": 1, "u": [[1, 0], [0, 0]], "w": [[0, 0], [0, 0]]}],
+                     "uw holds junction 1 twice", id="junction-twice"),
+        pytest.param(5, "uw must be a list of {i, u, w} objects", id="uw-not-a-list"),
+    ])
+    def test_a_malformed_uw_list_is_65(self, capsys, name, uw, text):
+        code, out, err = call(capsys, name, "--input", model_request((2, 2), ("uw",), uw))
+        assert (code, out, err) == (65, "", f"input error: {text}\n")
+
     def test_ak_act_on_a_point_that_fails_a_bullet_2(self, capsys):
         payload = model_request((1, 2), ("B_minus", 0), [[[0.25, 0]]])
         code, out, err = call(capsys, "ak-act", "--input", payload)

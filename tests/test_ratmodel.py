@@ -23,7 +23,6 @@ from gzflows.ratmodel import (
     fixture_from_polar,
     gk_act,
     isotropy_nullity,
-    md_classify,
     md_strongly_regular,
     md_symplectic,
     md_tangent_violations,
@@ -34,7 +33,8 @@ from gzflows.ratmodel import (
     sigma_of,
 )
 from gzflows.verify import fd_gradient
-from oracles import chart_symplectic_form, isotropy_system, pairing_residual, poisson_bracket
+from oracles import (chart_symplectic_form, isotropy_system, pairing_residual, per_point_validate,
+                     poisson_bracket)
 
 
 def scalar_pair_fixture(z1, z2, u, w, gamma1=1.0, gamma2=1.0):
@@ -861,7 +861,8 @@ class TestStackedModelChecks:
         points = moved_representatives(k, sum(k) + 10 * len(k))
         systems = ratmodel._isotropy_matrix(ratmodel._stack(points))
         nullities = ratmodel._nullities(points)
-        for F, system, nullity, (sigma, regular) in zip(points, systems, nullities, md_classify(points)):
+        classes = ratmodel._classified(points, isotropy=True, stacklevel=2)
+        for F, system, nullity, (sigma, regular) in zip(points, systems, nullities, classes):
             alone, unknowns = isotropy_system(F)
             assert np.array_equal(system, alone)
             assert nullity == isotropy_nullity(F) == unknowns - numerical_rank(alone)
@@ -877,12 +878,13 @@ class TestStackedModelChecks:
     def test_a_stack_raises_the_first_refused_points_own_report(self):
         points = planted_stack()
         plant(points[2])
-        # a later point with a structural fault does not come first
+        # a stack is checked as one unit: a later point's structural fault comes first
         points[3].g[1] = np.zeros((2, 2), dtype=complex)
-        for batch in (points, points[2:3]):
-            with pytest.raises(ValidationError) as caught:
-                ratmodel._validated_scales(batch, ratmodel.VALIDATE_TOL)
-            assert caught.value.violations == PLANTED_VIOLATIONS
+        with pytest.raises(ValueError, match=re.escape("g[1] has shape (2, 2), expected (3, 3)")):
+            ratmodel._validated_scales(points, ratmodel.VALIDATE_TOL)
+        with pytest.raises(ValidationError) as caught:
+            ratmodel._validated_scales(points[2:3], ratmodel.VALIDATE_TOL)
+        assert caught.value.violations == PLANTED_VIOLATIONS
         with pytest.raises(ValidationError) as caught:
             md_validate(points[2])
         assert caught.value.violations == PLANTED_VIOLATIONS
@@ -930,13 +932,13 @@ class TestStackedModelChecks:
             scalar_pair_fixture(0.5, 0.5, 1.0, 0.0),
             scalar_pair_fixture(0.0, 0.0, 1.0, 1.0),
         ]
-        # the isotropy of point 2 pretends to be continuous: its classification disagrees
-        monkeypatch.setattr(ratmodel, "_nullities", lambda batch: np.array([0, 5, 0][: len(batch)]))
+        # the isotropy of point 2 would be continuous, but a stack with a refused point
+        # takes no nullities: no disagreement is reported
+        monkeypatch.setattr(ratmodel, "_nullities", lambda batch: np.array([0, 5, 0, 0, 0][: len(batch)]))
         with pytest.warns(UserWarning) as record, pytest.raises(ValidationError, match="block 1 is not nilpotent"):
-            md_classify(points)
+            ratmodel._classified(points, isotropy=True, stacklevel=2)
         assert [str(w.message) for w in record] == [
             "junction 1: entry magnitude 3.000e-10 is near the nonzero threshold 2.000e-10",
-            "sign classification (True) disagrees with linearized isotropy nullity 5",
             "junction 1: entry magnitude 3.000e-10 is near the nonzero threshold 2.000e-10",
         ]
 
@@ -946,7 +948,7 @@ class TestStackedModelChecks:
         # a near-threshold entry, and an isotropy that disagrees with the sign map
         monkeypatch.setattr(ratmodel, "_nullities", lambda batch: np.array([5] * len(batch)))
         classify = {"sigma_of": sigma_of, "md_strongly_regular": md_strongly_regular,
-                    "md_classify": lambda F: md_classify([F])}[name]
+                    "md_classify": lambda F: ratmodel._classified([F], isotropy=True, stacklevel=2)}[name]
         with pytest.warns(UserWarning) as record:
             classify(F)
         assert len(record) == (1 if name == "sigma_of" else 2)
@@ -961,9 +963,85 @@ class TestStackedModelChecks:
         def peak(batch):
             tracemalloc.start()
             try:
-                md_classify(batch)
+                ratmodel._classified(batch, isotropy=True, stacklevel=2)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
         assert peak(points) <= 1.5 * peak(points[:first])
+
+
+# multidegrees for the oracle check: ties, unequal sizes either way, repeated sizes
+ORACLE_DEGREES = [(1, 1), (2, 2), (1, 2), (2, 3), (4, 3), (3, 2, 3), (2, 3, 3), (1, 3, 2),
+                  (3, 3, 3), (1, 2, 3, 3, 2)]
+
+
+def outcome(check):
+    """What check() gives: ("valid",), or the type, text and violations of what it raises."""
+    try:
+        check()
+    except ValidationError as exc:
+        return ("ValidationError", str(exc), exc.violations)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+    return ("valid",)
+
+
+def nudged(F, rng):
+    """F with one to three entries of its matrices and vectors moved by 1e-12 to 1, so that
+    some bullets fail, or with one g made singular."""
+    F = F.copy()
+    arrays = [*F.b_minus, *F.b_plus, *F.g, *F.u.values(), *F.w.values()]
+    if rng.random() < 0.15:
+        i = rng.integers(F.n)
+        F.g[i] = np.outer(F.g[i][:, 0], rng.uniform(-1, 1, F.k[i])) * rng.integers(2)
+        return F
+    for _ in range(rng.integers(1, 4)):
+        A = arrays[rng.integers(len(arrays))].reshape(-1)
+        A[rng.integers(A.size)] += 10.0 ** rng.uniform(-12, 0) * np.exp(2j * np.pi * rng.random())
+    return F
+
+
+def broken(F, rng):
+    """F with one structural fault: a non-finite or huge entry, a wrong shape or a lost pair."""
+    F = F.copy()
+    i = rng.integers(F.n)
+    kind = rng.integers(5 if F.u else 4)
+    if kind == 0:
+        F.b_plus[i][rng.integers(F.k[i]), rng.integers(F.k[i])] = (np.nan, np.inf)[rng.integers(2)]
+    elif kind == 1:
+        F.g[i][0, 0] = 1e200
+    elif kind == 2:
+        F.b_minus[i] = np.zeros((F.k[i] + 1, F.k[i] + 1), dtype=complex)
+    elif kind == 3:
+        F.g = F.g[:-1]
+    else:
+        j = sorted(F.u)[rng.integers(len(F.u))]
+        (F.u, F.w)[rng.integers(2)][j] = np.array([np.nan] * F.k[j]) if rng.integers(2) else np.zeros(F.k[j] + 1)
+    return F
+
+
+class TestValidationOracle:
+    """md_validate against the per-point, per-matrix check of tests/oracles.py."""
+
+    def test_reports_texts_and_refusals_match_the_per_point_check(self):
+        rng = np.random.default_rng(2006)
+        seen = set()
+        for k in ORACLE_DEGREES:
+            points = moved_representatives(k, 7 * len(k) + sum(k))
+            polys = [poly_from_roots(rng.uniform(-2, 2, d) + 1j * rng.uniform(-2, 2, d)) for d in k]
+            points.append(fixture_from_polar(polys, rng=rng))
+            tol = (ratmodel.VALIDATE_TOL, 1e-4)[rng.integers(2)]
+            batch = [nudged(F, rng) for F in points for _ in range(3)]
+            expected = [outcome(lambda: per_point_validate(F, tol)) for F in batch]
+            for F, want in zip(batch, expected):
+                assert outcome(lambda: md_validate(F, tol)) == want
+            # a stack of well-formed points raises the first refused point's own report
+            first = next((want for want in expected if want != ("valid",)), ("valid",))
+            assert outcome(lambda: ratmodel._validated_scales(batch, tol)) == first
+            for F in points:
+                faulty = broken(F, rng)
+                assert outcome(lambda: md_validate(faulty)) == outcome(lambda: per_point_validate(faulty))
+            seen.update(want[0] for want in expected)
+        # valid and refused points are both compared
+        assert seen == {"valid", "ValidationError"}
