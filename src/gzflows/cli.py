@@ -308,10 +308,9 @@ def cmd_lax_run(payload, args):
     serialize._need_keys(payload, ("alpha", "beta", "t_start", "t_end", "steps"))
     alpha_fn = _alpha_from_spec(payload["alpha"])
     beta = serialize.decode_array(payload["beta"], 2)
-    path = lax.lax_integrate(
-        alpha_fn, beta, float(payload["t_start"]), float(payload["t_end"]),
-        int(payload["steps"]),
-    )
+    t_start, t_end = (serialize._need_real(payload[key], f"'{key}'") for key in ("t_start", "t_end"))
+    steps = serialize._need_int(payload["steps"], "'steps'", 1)
+    path = lax.lax_integrate(alpha_fn, beta, t_start, t_end, steps)
     # lax-gauge's gate: no path is written that lax-gauge would refuse
     residual = _gate(lax.lax_residual(path), args.tol,
                      "Lax path is inaccurate (residual {defect:.3e} > {tol:.1e}); take more steps")

@@ -10,6 +10,7 @@ solutions analytic at both ends of the interval.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,21 +130,56 @@ def _require_stable_step(h: float, alpha: np.ndarray, gaps: bool) -> None:
         )
 
 
-def _rk4(y, rhs, starts, mids, ends, h: float) -> np.ndarray:
-    """Classical RK4 for y' = rhs(y, a(t)), a given at each step's start, midpoint and end.
+def _rk4(y, starts, mids, ends, h: float, commutator: bool) -> np.ndarray:
+    """Classical RK4 for y' = y a - a y (commutator) or y' = y a, a(t) given at each
+    step's start, midpoint and end.
 
-    A stack y of S matrices steps all S at once; the samples come back
-    on the axis before the matrix axes, shape ([S,] N, n, n).
+    A stack y of S matrices steps all S at once; the samples come back on the
+    axis before the matrix axes, C-contiguous ([S,] N, n, n).  The path and the
+    stage buffers are allocated once and every ufunc writes into one of them,
+    in the order of y + h/6 * (((k1 + 2 k2) + 2 k3) + k4) with each scalar
+    first, so each sample has the bits of the expression form.  For the commutator
+    the stage value z and a sit side by side in W, and one stacked matmul of W
+    with W[::-1] gives z a and a z, each through its own product.
     """
-    ys = [y]
-    for a0, am, a1 in zip(starts, mids, ends):
-        k1 = rhs(y, a0)
-        k2 = rhs(y + h / 2 * k1, am)
-        k3 = rhs(y + h / 2 * k2, am)
-        k4 = rhs(y + h * k3, a1)
-        y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        ys.append(y)
-    return np.stack(ys, axis=-3)
+    path = np.empty(y.shape[:-2] + (len(mids) + 1,) + y.shape[-2:], dtype=complex)
+    ys = np.moveaxis(path, -3, 0)  # ys[j] is every path's sample j
+    ys[0] = y
+    k1, k2, k3, k4 = k = np.empty((4,) + y.shape, dtype=complex)
+    k23 = k[1:3]
+    W = np.empty((2,) + y.shape, dtype=complex)
+    z, w = W
+    # the loop is bound by call overhead: the ufuncs are local names, and each
+    # takes its output positionally, which parses faster than out=
+    add, multiply, subtract, matmul = np.add, np.multiply, np.subtract, np.matmul
+    if commutator:
+        P = np.empty_like(W)
+        za, az = P
+        flipped = W[::-1]
+
+        def rhs(a, out):
+            w[...] = a
+            matmul(W, flipped, P)
+            subtract(za, az, out)
+    else:
+        def rhs(a, out):
+            matmul(z, a, out)
+    # 0-d arrays: the ufuncs take them as they would the Python numbers, without
+    # converting a Python scalar on every call
+    half, whole, sixth, two = (np.array(c, dtype=complex) for c in (h / 2, h, h / 6, 2))
+    for y, y_next, a0, am, a1 in zip(ys, ys[1:], starts, mids, ends):
+        z[...] = y
+        rhs(a0, k1)
+        add(y, multiply(half, k1, z), z)
+        rhs(am, k2)
+        add(y, multiply(half, k2, z), z)
+        rhs(am, k3)
+        add(y, multiply(whole, k3, z), z)
+        rhs(a1, k4)
+        multiply(two, k23, k23)
+        add(add(add(k1, k2, k1), k3, k1), k4, k1)
+        add(y, multiply(sixth, k1, k1), y_next)
+    return path
 
 
 def lax_integrate(alpha_fn, beta_start, t_start: float, t_end: float, steps: int) -> LaxPath:
@@ -153,22 +189,28 @@ def lax_integrate(alpha_fn, beta_start, t_start: float, t_end: float, steps: int
     ``alpha_fn(t)`` returns one (n, n) alpha, shared by every start, or a
     stack shaped like ``beta_start``.  A stack runs all S paths in the one
     RK4 loop, each with the bits it gets alone, and gives a stacked path.
-    An overflow and a step outside RK4's stable range for ad alpha are refused.
+    The times must be finite with a finite span, and ``steps`` an integer
+    of at least 1.  An overflow and a step outside RK4's stable range for
+    ad alpha are refused.
     """
     if not t_start < t_end:
         raise ValueError("need t_start < t_end")
-    if steps < 1:
-        raise ValueError("need at least one step")
+    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 1:
+        raise ValueError(f"steps must be an integer of at least 1, got {steps!r}")
     beta = _check_square(np.asarray(beta_start, dtype=complex))
     if beta.ndim not in (2, 3):
         raise ValueError(f"expected a square matrix or a stack of them, got shape {beta.shape}")
     n = beta.shape[-1]
-    h = (t_end - t_start) / steps
-    grid = t_start + h * np.arange(steps + 1)
-    grid[-1] = t_end
     # alpha depends on t only: one evaluation per distinct time, checked as one
-    # stack (t + h need not equal grid[j + 1] bit for bit)
-    times = np.concatenate([grid, grid[:-1] + h / 2, grid[:-1] + h])
+    # stack (t + h need not equal grid[j + 1] bit for bit); a span or a time
+    # past the largest float overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = (t_end - t_start) / steps
+        grid = t_start + h * np.arange(steps + 1)
+        grid[-1] = t_end
+        times = np.concatenate([grid, grid[:-1] + h / 2, grid[:-1] + h])
+    if not np.isfinite(times).all():
+        raise ValueError("t_start, t_end and every step time between them must be finite")
     stack = np.array([alpha_fn(t) for t in times], dtype=complex)
     if stack.shape[1:] not in ((n, n), beta.shape):
         raise ValueError(f"expected square alpha matrices like beta, got shape {stack.shape[1:]}")
@@ -176,7 +218,7 @@ def lax_integrate(alpha_fn, beta_start, t_start: float, t_end: float, steps: int
     alphas, mids, ends = np.split(stack, [steps + 1, 2 * steps + 1])
     # an overflow leaves non-finite samples, which are refused below
     with np.errstate(over="ignore", invalid="ignore"):
-        betas = _rk4(beta, _commutator, alphas, mids, ends, h)
+        betas = _rk4(beta, alphas, mids, ends, h, commutator=True)
     finite = np.isfinite(betas).reshape(-1, grid.size, n * n).all(axis=(0, 2))
     if not finite.all():
         t = grid[np.argmin(finite)]
@@ -260,8 +302,8 @@ def gauge_fix_regular(path: LaxPath, residual_tol: float = 1e-3) -> GaugeFixResu
     # an overflow leaves non-finite samples, which are reported below
     with np.errstate(over="ignore", invalid="ignore"):
         g_path = _rk4(
-            np.eye(path.n, dtype=complex), np.matmul,
-            path.alpha, _alpha_midpoints(path.alpha), path.alpha[1:], h,
+            np.eye(path.n, dtype=complex),
+            path.alpha, _alpha_midpoints(path.alpha), path.alpha[1:], h, commutator=False,
         )
     finite = np.isfinite(g_path).all(axis=(1, 2))
     stop = finite.size if finite.all() else int(np.argmin(finite))

@@ -11,6 +11,8 @@ Conventions used by every module in this package:
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 __all__ = [
@@ -133,13 +135,22 @@ def _faddeev_leverrier(A: np.ndarray):
     Adequate for the desk scales (n <= 12) this package targets.
     """
     n = A.shape[-1]
-    ident = np.eye(n)
-    M = np.broadcast_to(np.eye(n, dtype=complex), A.shape)
+    ident, M = _identities(n)
+    M = np.broadcast_to(M, A.shape)
     for k in range(1, n + 1):
         AM = A @ M
-        c = -np.trace(AM, axis1=-2, axis2=-1) / k
+        c = -AM.trace(axis1=-2, axis2=-1) / k
         yield c, M
-        M = AM + c[..., None, None] * ident
+        if k < n:  # no caller reads an M past the last coefficient
+            M = AM + c[..., None, None] * ident
+
+
+@functools.cache
+def _identities(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The real and the complex n x n identity (read-only: every call shares them)."""
+    real, cplx = np.eye(n), np.eye(n, dtype=complex)
+    real.flags.writeable = cplx.flags.writeable = False
+    return real, cplx
 
 
 def charpoly(A) -> np.ndarray:

@@ -16,6 +16,7 @@ visiting its elements one by one.
 from __future__ import annotations
 
 import math
+import sys
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -107,12 +108,16 @@ def encode_matricial(F: MatricialData) -> dict:
     }
 
 
+_BLOCKS = ("B_minus", "B_plus", "g")
+
+
 def decode_matricial(obj) -> MatricialData:
     _need_keys(obj, ("k", "B_minus", "B_plus", "g"))
     k = _need_degrees(obj["k"])
-    b_minus = [decode_array(M, 2) for M in _need_list(obj["B_minus"], len(k), "B_minus")]
-    b_plus = [decode_array(M, 2) for M in _need_list(obj["B_plus"], len(k), "B_plus")]
-    g = [decode_array(M, 2) for M in _need_list(obj["g"], len(k), "g")]
+    blocks = _decoded_blocks(obj, k)
+    if blocks is None:  # entry by entry, so the first bad entry raises its own text
+        blocks = [[decode_array(M, 2) for M in _need_list(obj[name], len(k), name)] for name in _BLOCKS]
+    b_minus, b_plus, g = blocks
     u: dict[int, np.ndarray] = {}
     w: dict[int, np.ndarray] = {}
     uw = obj.get("uw", [])
@@ -126,6 +131,34 @@ def decode_matricial(obj) -> MatricialData:
         u[j] = decode_array(entry["u"], 1)
         w[j] = decode_array(entry["w"], 1)
     return MatricialData(k=k, b_minus=b_minus, b_plus=b_plus, g=g, u=u, w=w)
+
+
+def _decoded_blocks(obj, k: tuple[int, ...]) -> list | None:
+    """The B_minus, B_plus and g lists of a model point, one ``np.array`` per block size.
+
+    None when a list does not hold len(k) entries or an entry is not a
+    (k_i, k_i) nested list of [re, im] pairs of JSON numbers that numpy
+    takes as int64, uint64, float or bool: the caller then decodes entry by
+    entry, so the first bad entry raises its own text.
+    """
+    lists = [obj[name] for name in _BLOCKS]
+    if not all(isinstance(x, list) and len(x) == len(k) for x in lists):
+        return None
+    entries = [M for x in lists for M in x]
+    sizes = k * len(_BLOCKS)
+    out = [None] * len(entries)
+    for size in set(k):
+        at = [i for i, s in enumerate(sizes) if s == size]
+        try:
+            A = np.array([entries[i] for i in at])
+        except (ValueError, OverflowError, TypeError):
+            return None
+        if A.dtype.kind not in "biuf" or A.shape != (len(at), size, size, 2):
+            return None
+        for i, M in zip(at, np.ascontiguousarray(A, dtype=float).view(complex)[..., 0]):
+            out[i] = M
+    n = len(k)
+    return [out[:n], out[n : 2 * n], out[2 * n :]]
 
 
 def encode_lax_path(path: LaxPath) -> dict:
@@ -166,6 +199,13 @@ def _need_int(obj, label: str, low: int, high: float = math.inf) -> int:
     if type(obj) is not int or not low <= obj <= high:
         raise InputError(f"{label} must be an integer in {low}..{high}, got {obj!r}")
     return obj
+
+
+def _need_real(obj, label: str) -> float:
+    """obj as a float if it is a finite JSON number; a bool is not one here."""
+    if type(obj) not in (int, float) or not abs(obj) <= sys.float_info.max:
+        raise InputError(f"{label} must be a finite number, got {obj!r}")
+    return float(obj)
 
 
 def _need_degrees(obj) -> tuple[int, ...]:

@@ -4,7 +4,9 @@ The program computes bracket gradients in closed form; these helpers take
 every gradient by finite differences, so a test can check one against the
 other.  The model-point measures at the end serve only the tests; the isotropy
 system and the validity check, each taken one point at a time, are the
-references for the stacked ones.
+references for the stacked ones, and the RK4 loop and the Faddeev-LeVerrier
+recursion, each as one expression per operation, are the references for the
+buffered ones.
 """
 
 from __future__ import annotations
@@ -287,3 +289,38 @@ def per_point_validate(F: MatricialData, tol: float = VALIDATE_TOL) -> Matricial
     if violations:
         raise ValidationError("matricial data rejected", violations=violations)
     return F
+
+
+def classical_rk4(y, rhs, starts, mids, ends, h: float) -> np.ndarray:
+    """Classical RK4 for y' = rhs(y, a(t)), one expression per stage, a fresh array per step.
+
+    The reference for ``lax._rk4``'s buffered kernel: a given at each step's
+    start, midpoint and end; a stack y of S matrices steps all S at once, and
+    the samples come back on the axis before the matrix axes, ([S,] N, n, n).
+    """
+    ys = [y]
+    for a0, am, a1 in zip(starts, mids, ends):
+        k1 = rhs(y, a0)
+        k2 = rhs(y + h / 2 * k1, am)
+        k3 = rhs(y + h / 2 * k2, am)
+        k4 = rhs(y + h * k3, a1)
+        y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        ys.append(y)
+    return np.stack(ys, axis=-3)
+
+
+def faddeev_leverrier(A: np.ndarray):
+    """The Faddeev-LeVerrier recursion with a fresh identity and ``np.trace`` per call.
+
+    The reference for ``matpoly._faddeev_leverrier``: yields (c, M) for
+    k = 1, ..., n, the terms of z**(n-k) in det(zI - A) and in adj(zI - A),
+    and forms M once more after the last coefficient.
+    """
+    n = A.shape[-1]
+    ident = np.eye(n)
+    M = np.broadcast_to(np.eye(n, dtype=complex), A.shape)
+    for k in range(1, n + 1):
+        AM = A @ M
+        c = -np.trace(AM, axis1=-2, axis2=-1) / k
+        yield c, M
+        M = AM + c[..., None, None] * ident

@@ -370,6 +370,36 @@ class TestLaxCommands:
                      "take more steps\n")
         assert not target.exists()
 
+    @pytest.mark.parametrize("change, text", [
+        # each of these integrated (2.5 -> 2 steps, true -> 1) or decoded ("3", "0") before
+        pytest.param({"steps": 2.5}, "'steps' must be an integer in 1..inf, got 2.5", id="steps-2.5"),
+        pytest.param({"steps": True}, "'steps' must be an integer in 1..inf, got True", id="steps-true"),
+        pytest.param({"steps": "3"}, "'steps' must be an integer in 1..inf, got '3'", id="steps-text"),
+        pytest.param({"steps": 0}, "'steps' must be an integer in 1..inf, got 0", id="steps-0"),
+        pytest.param({"t_start": "0"}, "'t_start' must be a finite number, got '0'", id="t_start-text"),
+        pytest.param({"t_start": None}, "'t_start' must be a finite number, got None", id="t_start-null"),
+        pytest.param({"t_end": False}, "'t_end' must be a finite number, got False", id="t_end-false"),
+        pytest.param({"t_end": 10**400}, f"'t_end' must be a finite number, got {10**400}",
+                     id="t_end-integer-1e400"),
+    ])
+    def test_times_and_steps_are_json_numbers_65(self, capsys, change, text):
+        payload = json.dumps({**self.payload(), **change}, default=np.ndarray.tolist)
+        assert call(capsys, "lax-run", "--input", payload) == (65, "", f"input error: {text}\n")
+
+    @pytest.mark.parametrize("times, text", [
+        pytest.param('"t_start": 0, "t_end": 1e400', "'t_end' must be a finite number, got inf",
+                     id="t_end-1e400"),
+        pytest.param('"t_start": NaN, "t_end": 1', "'t_start' must be a finite number, got nan",
+                     id="t_start-NaN"),
+        pytest.param('"t_start": -1e308, "t_end": 1e308',
+                     "t_start, t_end and every step time between them must be finite", id="span-2e308"),
+    ])
+    def test_times_past_the_largest_float_65_without_warnings(self, times, text):
+        # these exited 3 with numpy's RuntimeWarning from the grid on stderr
+        payload = json.dumps({**self.payload(), "t_start": 0, "t_end": 0}, default=np.ndarray.tolist)
+        payload = payload.replace('"t_start": 0, "t_end": 0', times)
+        assert run_fresh("lax-run", "--input", payload) == (65, "", f"input error: {text}\n")
+
     @pytest.mark.parametrize("tol, code", [("1e-3", 0), ("1e-12", 3)])
     def test_lax_run_residual_gate_follows_tol(self, capsys, tol, code):
         # the residual of the default request is about 5e-10
@@ -1568,6 +1598,83 @@ class TestSerializationRoundTrip:
         )
         assert np.array_equal(back.alpha, path.alpha)
         assert np.array_equal(back.beta, path.beta)
+
+
+def per_entry_blocks(doc) -> list:
+    """B_minus, B_plus and g of a model-point document, each entry through its own decode_array."""
+    return [[serialize.decode_array(M, 2) for M in doc[name]] for name in ("B_minus", "B_plus", "g")]
+
+
+def decode_text(obj, ndim) -> str:
+    with pytest.raises(InputError) as info:
+        serialize.decode_array(obj, ndim)
+    return str(info.value)
+
+
+def model_doc(k=(1, 2, 3, 3, 2), point=5) -> dict:
+    return json.loads(json.dumps(serialize.encode_matricial(enumerate_sr(k)[point]), default=np.ndarray.tolist))
+
+
+RAGGED = [[[0, 0], [0, 0], [0, 0]], [[0, 0], [0, 0]], [[0, 0], [0, 0], [0, 0]]]
+
+
+class TestMatricialDecode:
+    """decode_matricial takes one np.array per block size, with the bits and the texts
+    of decoding entry by entry."""
+
+    @pytest.mark.parametrize("edit", ["none", "integers", "bools", "negative-zero", "empty-level"])
+    def test_blocks_have_the_bits_of_per_entry_decoding(self, edit):
+        doc = model_doc()
+        if edit == "integers":  # one whole block of ints: an int64 batch beside float ones
+            doc["g"][2] = [[[int(re), int(im)] for re, im in row] for row in doc["g"][2]]
+        elif edit == "bools":
+            doc["B_plus"][2] = [[[bool(re), False] for re, _ in row] for row in doc["B_plus"][2]]
+        elif edit == "negative-zero":
+            doc["B_minus"][1] = [[[-0.0, -0.0] for _ in row] for row in doc["B_minus"][1]]
+        elif edit == "empty-level":  # a degree 0 takes the entry-by-entry decoding
+            doc = {"k": [0, 1], "B_minus": [[], [[[1, 0]]]], "B_plus": [[], [[[2, 0]]]], "g": [[], [[[1, 0]]]]}
+        F = serialize.decode_matricial(doc)
+        for got, want in zip((F.b_minus, F.b_plus, F.g), per_entry_blocks(doc)):
+            for a, b in zip(got, want, strict=True):
+                assert (a.dtype, a.shape, a.flags.c_contiguous) == (b.dtype, b.shape, True)
+                assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("name", ["B_minus", "B_plus", "g"])
+    @pytest.mark.parametrize("entry, text", [
+        pytest.param(RAGGED, None, id="ragged"),
+        pytest.param([[[0, 0]] * 3, [[0, "x"]] * 3, [[0, 0]] * 3],
+                     "expected nested [re, im] pairs of JSON numbers", id="text-entry"),
+        pytest.param([[[0, 0]] * 3, [[0, None]] * 3, [[0, 0]] * 3],
+                     "expected nested [re, im] pairs of JSON numbers", id="null-entry"),
+        pytest.param([[[0, 0, 0]] * 3] * 3,
+                     "expected a rank-2 array of [re, im] pairs, got nested shape (3, 3, 3)", id="triples"),
+        pytest.param([[0] * 3] * 3,
+                     "expected a rank-2 array of [re, im] pairs, got nested shape (3, 3)", id="no-pairs"),
+        pytest.param([[[0, 0]] * 3, [[0, 10**400]] * 3, [[0, 0]] * 3],
+                     "expected nested [re, im] pairs: int too large to convert to float", id="int-1e400"),
+    ])
+    def test_a_bad_entry_raises_its_own_text(self, name, entry, text):
+        text = text or decode_text(entry, 2)
+        assert text == decode_text(entry, 2)
+        doc = model_doc()
+        doc[name][2] = entry
+        with pytest.raises(InputError) as info:
+            serialize.decode_matricial(doc)
+        assert str(info.value) == text
+
+    def test_the_first_bad_entry_in_wire_order_raises(self):
+        doc = model_doc()
+        doc["g"][1] = [[[0, 0, 0]] * 2] * 2  # a size-2 block, decoded in a batch before size 3
+        doc["B_plus"][3] = RAGGED
+        with pytest.raises(InputError) as info:
+            serialize.decode_matricial(doc)
+        assert str(info.value) == decode_text(RAGGED, 2)
+
+    def test_a_short_list_names_its_key(self):
+        doc = model_doc()
+        doc["B_plus"] = doc["B_plus"][:-1]
+        with pytest.raises(InputError, match="^B_plus must be a list of length 5$"):
+            serialize.decode_matricial(doc)
 
 
 EDGE_VALUES = np.array([-0.0, 5e-324, 1e308, -1e308, 0.1, 1.0 / 3.0])

@@ -1,6 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gzflows import lax
 from gzflows.errors import ToleranceError
 from gzflows.lax import (
     LaxPath,
@@ -15,6 +20,7 @@ from gzflows.lax import (
     lax_symplectic,
 )
 from gzflows.matpoly import charpoly, matexp
+from oracles import classical_rk4
 
 
 def random_matrix(rng, n, norm=1.0):
@@ -491,3 +497,106 @@ class TestSampleAxisInput:
         betas = np.array([np.eye(2), [[1.0, 2.0], [3.0, 4.0]]])
         with pytest.raises(ToleranceError, match="not finite at t = 0.62"):
             lax_integrate(lambda t: alphas, betas, 0.0, 1.0, 200)
+
+
+def kernel_case(seed, n, stack, shared, steps):
+    """(y, starts, mids, ends, h): random start and alpha samples, alpha (n, n) when shared."""
+    rng = np.random.default_rng(seed)
+    shape = (n, n) if stack is None else (stack, n, n)
+    cplx = lambda *s: rng.normal(size=s) + 1j * rng.normal(size=s)
+    a_shape = (n, n) if shared else shape
+    return (cplx(*shape), cplx(steps + 1, *a_shape), cplx(steps, *a_shape), cplx(steps, *a_shape),
+            rng.uniform(0.01, 0.5) / steps)
+
+
+class TestBufferedKernel:
+    """lax._rk4 writes every stage in place and gives the bits of the classical loop."""
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([1, 2, 3, 4, 5, 6, 12]),
+           stack=st.sampled_from([None, 1, 3]), shared=st.booleans(), steps=st.integers(1, 12))
+    def test_bits_of_the_classical_loop(self, seed, n, stack, shared, steps):
+        y, starts, mids, ends, h = kernel_case(seed, n, stack, shared or stack is None, steps)
+        for commutator, rhs in ((True, _commutator), (False, np.matmul)):
+            got = lax._rk4(y, starts, mids, ends, h, commutator=commutator)
+            want = classical_rk4(y, rhs, starts, mids, ends, h)
+            assert got.shape == want.shape and got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 12])
+    def test_stack_with_a_shared_time_varying_alpha(self, n):
+        rng = np.random.default_rng(300 + n)
+        A0, A1 = random_matrix(rng, n), random_matrix(rng, n)
+        alpha = lambda t: A0 + t * t * A1
+        betas = random_stack(rng, 3, n)
+        path = lax_integrate(alpha, betas, -0.5, 1.0, 40)
+        h = 1.5 / 40
+        samples = [np.array([alpha(t) for t in times]) for times in
+                   (path.grid, path.grid[:-1] + h / 2, path.grid[:-1] + h)]
+        want = classical_rk4(betas, _commutator, *samples, h)
+        assert path.beta.flags.c_contiguous and path.beta.tobytes() == want.tobytes()
+        fix = gauge_fix_regular(lax_integrate(alpha, betas[0], -0.5, 1.0, 40))
+        # the gauge steps by the grid's own spacing
+        want = classical_rk4(np.eye(n, dtype=complex), np.matmul, samples[0],
+                             _alpha_midpoints(samples[0]), samples[0][1:], path.grid[1] - path.grid[0])
+        assert fix.g_path.flags.c_contiguous and fix.g_path.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("commutator", [True, False])
+    def test_one_matmul_per_stage(self, monkeypatch, commutator):
+        calls = []
+        matmul = np.matmul
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return matmul(*args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", counted)
+        y, starts, mids, ends, h = kernel_case(0, 4, 3, False, 7)
+        lax._rk4(y, starts, mids, ends, h, commutator=commutator)
+        # the Lax right-hand side takes z a and a z from one stacked product
+        assert calls == [(2, 3, 4, 4) if commutator else (3, 4, 4)] * (4 * 7)
+
+    def test_overflow_is_refused_with_the_same_text_and_no_warning(self):
+        alphas = np.array([np.zeros((2, 2)), np.diag([800.0, -800.0])])
+        betas = np.array([np.eye(2), [[1.0, 2.0], [3.0, 4.0]]])
+        grid = np.linspace(0.0, 1.0, 201)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = classical_rk4(betas.astype(complex), _commutator, [alphas] * 201,
+                                 [alphas] * 200, [alphas] * 200, 1.0 / 200)
+        first = grid[np.argmin(np.isfinite(want).all(axis=(0, 2, 3)))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ToleranceError) as info:
+                lax_integrate(lambda t: alphas, betas, 0.0, 1.0, 200)
+        assert str(info.value) == f"integration overflowed (not finite at t = {first:.6g})"
+        # g = exp(800 t) I overflows: the gauge refuses at its own first non-finite sample
+        path = lax_integrate(lambda t: 800.0 * np.eye(2), np.diag([1.0, 2.0]), 0.0, 1.0, 200)
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = classical_rk4(np.eye(2, dtype=complex), np.matmul, path.alpha,
+                              _alpha_midpoints(path.alpha), path.alpha[1:], 1.0 / 200)
+        first = path.grid[np.argmin(np.isfinite(g).all(axis=(1, 2)))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ToleranceError) as info:
+                gauge_fix_regular(path)
+        assert str(info.value) == f"gauge factor overflowed (not finite at t = {first:.6g})"
+
+
+class TestIntervalIntake:
+    @pytest.mark.parametrize("t_start, t_end", [
+        (-1e308, 1e308), (0.0, np.inf), (-np.inf, 0.0), (0.0, 1.7976931348623157e308),
+    ])
+    def test_a_span_or_time_past_the_largest_float_is_refused_quietly(self, t_start, t_end):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="every step time between them must be finite"):
+                lax_integrate(lambda t: np.eye(2), np.eye(2), t_start, t_end, 3)
+
+    @pytest.mark.parametrize("steps", [0, -1, 2.5, 3.0, True, "3"])
+    def test_steps_must_be_a_positive_integer(self, steps):
+        with pytest.raises(ValueError, match="steps must be an integer of at least 1"):
+            lax_integrate(lambda t: np.eye(2), np.eye(2), 0.0, 1.0, steps)
+
+    def test_a_numpy_integer_is_an_integer(self):
+        path = lax_integrate(lambda t: np.eye(2), np.eye(2), 0.0, 1.0, np.int64(3))
+        assert path.grid.size == 4

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from gzflows.matpoly import (
     _clusters,
     _coincident,
+    _faddeev_leverrier,
     _frobenius,
     _max_scaled,
     _powers,
@@ -23,6 +24,8 @@ from gzflows.matpoly import (
     poly_from_roots,
     roots,
 )
+from gzflows.ratmodel import _charpoly_adjugate
+from oracles import faddeev_leverrier
 
 
 def random_matrix(rng, n, scale=1.0):
@@ -158,6 +161,40 @@ class TestCharpoly:
         A[1, 2, 0] = np.nan
         with pytest.raises(ValueError, match="finite"):
             charpoly(A)
+
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), lead=st.sampled_from([(), (1,), (4,)]),
+           pattern=st.sampled_from(["dense", "zero-row", "negative-zero", "real", "zero"]))
+    def test_recursion_has_the_bits_of_the_reference(self, seed, n, lead, pattern):
+        rng = np.random.default_rng(seed)
+        A = rng.normal(size=lead + (n, n)) + 1j * rng.normal(size=lead + (n, n))
+        if pattern == "zero-row":
+            A[..., rng.integers(n), :] = 0
+        elif pattern == "negative-zero":
+            A.real[A.real < 0] = -0.0
+        elif pattern == "real":
+            A = A.real + 0j
+        elif pattern == "zero":
+            A = np.zeros_like(A)
+        got, want = list(_faddeev_leverrier(A)), list(faddeev_leverrier(A))
+        assert len(got) == len(want) == n
+        for (c, M), (c_ref, M_ref) in zip(got, want):
+            assert c.tobytes() == c_ref.tobytes()
+            assert M.shape == M_ref.shape and np.asarray(M).tobytes() == np.asarray(M_ref).tobytes()
+        # ascending: c_n, ..., c_1, then the leading 1
+        low = np.moveaxis(np.array([c for c, _ in want[::-1]]), 0, -1)
+        coeffs = np.concatenate([low, np.ones(lead + (1,), dtype=complex)], axis=-1)
+        assert charpoly(A).tobytes() == coeffs.tobytes()
+        if not lead:
+            base, H = _charpoly_adjugate(A)
+            assert base.tobytes() == coeffs.tobytes()
+            assert [np.asarray(M).tobytes() for M in H] == [np.asarray(M).tobytes() for _, M in want[::-1]]
+
+    def test_the_shared_identities_are_read_only(self):
+        M = next(_faddeev_leverrier(np.zeros((3, 3), dtype=complex)))[1]
+        with pytest.raises(ValueError, match="read-only"):
+            M[...] = 2.0
+        assert np.array_equal(charpoly(np.zeros((3, 3))), [0, 0, 0, 1])
 
     def test_as_matrix_stays_two_dimensional(self):
         with pytest.raises(ValueError, match="square"):

@@ -1,6 +1,6 @@
 """Median latency of each request kind, or of each request, of one benchmark workload.
 
-    python3 tools/latency_by_kind.py WORKLOAD [--seed N] [--rounds R] [--by-request]
+    python3 tools/latency_by_kind.py WORKLOAD [--seed N] [--rounds R] [--by-request] [--gc]
 
 Run from the root of a gzflows checkout.  It builds the workload's round
 for the seed in a temporary directory with ``bench/run.py``'s ``set_up``,
@@ -30,9 +30,12 @@ latencies marks the requests of both.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import gc
 import statistics
 import sys
 import tempfile
+import time
 from collections import Counter, defaultdict
 from pathlib import Path
 
@@ -43,14 +46,51 @@ import run as bench  # noqa: E402  (sets one BLAS thread before numpy loads)
 import workloads  # noqa: E402
 
 
-def round_latencies(name: str, seed: int, rounds: int) -> tuple[list, list]:
-    """(kind of each request of the round, every scaled latency in run order, in seconds)."""
+class GcTimer:
+    """Seconds spent in cyclic garbage collections, through ``gc.callbacks``."""
+
+    def __init__(self):
+        self.total = 0.0
+        self._start = 0.0
+
+    def __call__(self, phase: str, info: dict) -> None:
+        if phase == "start":
+            self._start = time.perf_counter()
+        else:
+            self.total += time.perf_counter() - self._start
+
+    def timed(self, call, spent: list):
+        """call, appending to spent the collection time of each of its runs."""
+        def run():
+            before = self.total
+            try:
+                return call()
+            finally:
+                spent.append(self.total - before)
+        return run
+
+
+def round_latencies(name: str, seed: int, rounds: int, gc_spent: list | None = None) -> tuple[list, list]:
+    """(kind of each request of the round, every scaled latency in run order, in seconds).
+
+    With a list gc_spent, the collection time of every request, in run order, is
+    appended to it.
+    """
     with tempfile.TemporaryDirectory() as workdir:
         steps, _, _ = bench.set_up(name, seed, workdir)
         kinds = [s.kind for s in steps if s.kind != "glue"]
+        if gc_spent is not None:
+            timer = GcTimer()
+            steps = [s if s.kind == "glue" else dataclasses.replace(s, call=timer.timed(s.call, gc_spent))
+                     for s in steps]
+            gc.callbacks.append(timer)
         latencies = []
-        for _ in range(rounds):
-            latencies += bench.run_round(steps)[0]
+        try:
+            for _ in range(rounds):
+                latencies += bench.run_round(steps)[0]
+        finally:
+            if gc_spent is not None:
+                gc.callbacks.remove(timer)
     return kinds, latencies
 
 
@@ -81,25 +121,34 @@ def main(argv=None) -> int:
     p.add_argument("--rounds", type=int, default=20)
     p.add_argument("--by-request", action="store_true",
                    help="one line per request of the round, marking the p50 and tail holders")
+    p.add_argument("--gc", action="store_true",
+                   help="add the mean cyclic-GC time per request, in unscaled ms")
     args = p.parse_args(argv)
-    kinds, latencies = round_latencies(args.workload, args.seed, args.rounds)
+    gc_spent = [] if args.gc else None
+    kinds, latencies = round_latencies(args.workload, args.seed, args.rounds, gc_spent)
     per_round = len(kinds)
+
+    def gc_ms(at) -> str:
+        """The gc_ms column over the requests at those positions, if asked for."""
+        return f"  {1e3 * statistics.fmean(gc_spent[i] for i in at):9.3f}" if args.gc else ""
+
     if args.by_request:
         holders = metric_holders(latencies, per_round)
         width = max(map(len, kinds))
         for j, kind in enumerate(kinds):
             median = 1e3 * statistics.median(latencies[j::per_round])
             marks = " ".join(m for m, at in holders.items() if j in at)
-            print(f"{j:4d}  {kind:<{width}}  {median:9.3f}  {marks}".rstrip(), flush=True)
+            at = range(j, len(latencies), per_round)
+            print(f"{j:4d}  {kind:<{width}}  {median:9.3f}{gc_ms(at)}  {marks}".rstrip(), flush=True)
         return 0
     by_kind = defaultdict(list)
-    for i, t in enumerate(latencies):
-        by_kind[kinds[i % per_round]].append(t)
+    for i in range(len(latencies)):
+        by_kind[kinds[i % per_round]].append(i)
     counts = Counter(kinds)
-    medians = {kind: 1e3 * statistics.median(ts) for kind, ts in by_kind.items()}
+    medians = {kind: 1e3 * statistics.median(latencies[i] for i in at) for kind, at in by_kind.items()}
     width = max(map(len, medians))
     for kind in sorted(medians, key=medians.get, reverse=True):
-        print(f"{kind:<{width}}  {counts[kind]:4d}  {medians[kind]:9.3f}", flush=True)
+        print(f"{kind:<{width}}  {counts[kind]:4d}  {medians[kind]:9.3f}{gc_ms(by_kind[kind])}", flush=True)
     return 0
 
 
