@@ -15,7 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import gzcore, lax, ratmodel, serialize, verify
-from .errors import InputError, ToleranceError, ValidationError
+from .errors import InputError, ToleranceError, ValidationError, _gate
 from .matpoly import CLUSTER_TOL, _abs, _blocks, _coincident, _frobenius, as_matrix
 
 __all__ = ["main", "run"]
@@ -99,14 +99,6 @@ def _require_polys(payload) -> list[np.ndarray]:
     return [serialize.decode_array(p, 1) for p in polys]
 
 
-def _gate(defect, tol: float, message: str):
-    """defect if it is at most tol; a larger or NaN defect raises ToleranceError (exit 3)
-    with message formatted by ``defect`` and ``tol``."""
-    if not defect <= tol:
-        raise ToleranceError(message.format(defect=defect, tol=tol), defect=defect, tolerance=tol)
-    return defect
-
-
 def _verdict(reports: list[dict]):
     """The verification document of reports, and exit 3 unless every report passes."""
     ok = all(r["pass"] for r in reports)
@@ -120,11 +112,15 @@ def cmd_gz_map(payload, args):
     return serialize.encode_coords(coords), EXIT_OK
 
 
+def _conservation_defect(B: np.ndarray, moved: np.ndarray) -> float:
+    """The largest relative change of the invariants from B to moved, as one stacked gz_map."""
+    return verify._change(*gzcore.gz_map(np.stack([B, moved])).values)
+
+
 def cmd_gz_flow(payload, args):
     B = _require_matrix(payload)
     moved = gzcore.gz_flow(B, _flow_triples(payload))
-    # the invariants before and after, as one stack
-    defect = verify._change(*gzcore.gz_map(np.stack([B, moved])).values)
+    defect = _conservation_defect(B, moved)
     # the flows conserve every invariant exactly: a larger defect is a wrong answer
     _gate(defect, args.tol, "flow does not conserve the invariants (defect {defect:.3e} > {tol:.1e})")
     return {
@@ -337,7 +333,7 @@ def cmd_verify_suite(payload, args):
     rng = np.random.default_rng(args.seed)
     reports = cmd_bracket_table({"n": n}, args)[0]["reports"]
 
-    indices = [(m, i) for m in range(1, n) for i in range(1, m + 1)]
+    indices = gzcore.gz_indices(n - 1)
     worst_comm = 0.0
     worst_cons = 0.0
     for _ in range(args.samples):
@@ -349,8 +345,7 @@ def cmd_verify_suite(payload, args):
         flow1 = lambda M: gzcore.gz_flow(M, [(m1, i1, z1)])
         flow2 = lambda M: gzcore.gz_flow(M, [(m2, i2, z2)])
         worst_comm = np.maximum(worst_comm, verify.commute_defect(flow1, flow2, B))
-        cons = verify.conservation_defect(flow1, lambda M: gzcore.gz_map(M).values, B)
-        worst_cons = np.maximum(worst_cons, cons)
+        worst_cons = np.maximum(worst_cons, _conservation_defect(B, flow1(B)))
     reports += [
         verify.report("flow-commutation", args.samples, worst_comm, _TOLERANCES["flow-commutation"]),
         # gz-flow's gate: a flow that passes here is one gz-flow answers

@@ -18,5 +18,13 @@ class ToleranceError(Exception):
         self.tolerance = tolerance
 
 
+def _gate(defect, tol: float, message: str):
+    """defect if it is at most tol; a larger or NaN defect raises ToleranceError (exit 3)
+    with message formatted by ``defect`` and ``tol``."""
+    if not defect <= tol:
+        raise ToleranceError(message.format(defect=defect, tol=tol), defect=defect, tolerance=tol)
+    return defect
+
+
 class InputError(Exception):
     """Malformed request data (bad JSON, missing fields, wrong shapes)."""

@@ -145,13 +145,15 @@ def gz_map(B, basis: str = "tr-power") -> GZCoordinates:
     values = np.empty(B.shape[:-2] + (n * (n + 1) // 2,), dtype=complex)
     # the traces of a chain of powers come power first, as does this view of values
     by_power = values.transpose((B.ndim - 2, *range(B.ndim - 2)))
-    for m in range(1, n + 1):
-        pos = m * (m - 1) // 2
-        minor = B[..., :m, :m]
-        if basis == "tr-power":
-            by_power[pos : pos + m] = np.trace(_powers(minor, m + 1)[1:], axis1=-2, axis2=-1)
-        else:
-            values[..., pos : pos + m] = charpoly(minor)[..., :m]
+    # an overflow leaves values that are not finite, which the CLI's output refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(1, n + 1):
+            pos = m * (m - 1) // 2
+            minor = B[..., :m, :m]
+            if basis == "tr-power":
+                by_power[pos : pos + m] = np.trace(_powers(minor, m + 1)[1:], axis1=-2, axis2=-1)
+            else:
+                values[..., pos : pos + m] = charpoly(minor)[..., :m]
     return GZCoordinates(n=n, basis=basis, values=values)
 
 
@@ -165,9 +167,7 @@ def _padded_minor_power(B: np.ndarray, m: int, i: int) -> np.ndarray:
 def gz_vector_field(B, m: int, i: int) -> np.ndarray:
     """Infinitesimal generator [P, B] with P the zero-padded minor power."""
     B = as_matrix(B)
-    n = B.shape[0]
-    if not (1 <= i <= m <= n):
-        raise ValueError(f"index ({m}, {i}) invalid for n = {n}")
+    _gz_position(B.shape[0], m, i)  # checks the index
     P = _padded_minor_power(B, m, i)
     return P @ B - B @ P
 
@@ -256,16 +256,22 @@ def strongly_regular(B) -> tuple[bool, int]:
 
 
 def coords_to_polys(c: GZCoordinates) -> list[np.ndarray]:
-    """Minor characteristic polynomials chi_1..chi_n from a coordinate vector."""
+    """Minor characteristic polynomials chi_1..chi_n from a coordinate vector; tr-power
+    values whose coefficients overflow raise ToleranceError."""
     polys = []
     pos = 0
     for m in range(1, c.n + 1):
         block = c.values[pos : pos + m]
         pos += m
         if c.basis == "tr-power":
-            polys.append(newton_convert(block, "power-to-coeffs"))
+            # an overflow leaves coefficients that are not finite, which are refused
+            with np.errstate(over="ignore", invalid="ignore"):
+                p = newton_convert(block, "power-to-coeffs")
+            if not np.isfinite(p).all():
+                raise ToleranceError(f"the power sums of level {m} overflow in the conversion to coefficients")
         else:
-            polys.append(np.append(block, 1.0 + 0j))
+            p = np.append(block, 1.0 + 0j)
+        polys.append(p)
     return polys
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ToleranceError
+from .errors import ToleranceError, _gate
 from .matpoly import _check_square, _frobenius, charpoly
 
 __all__ = [
@@ -120,14 +120,9 @@ def _require_stable_step(h: float, alpha: np.ndarray, gaps: bool) -> None:
         return
     lam = np.linalg.eigvals(alpha[loose])
     rates = lam[:, :, None] - lam[:, None, :] if gaps else lam
-    step = h * float(np.max(np.abs(rates)))
-    if step > _RK4_LIMIT:
-        ode, what = ("Lax", "largest eigenvalue gap") if gaps else ("gauge factor", "spectral radius")
-        raise ToleranceError(
-            f"{ode} step is unstable (h * {what} of alpha {step:.3e} > {_RK4_LIMIT})",
-            defect=step,
-            tolerance=_RK4_LIMIT,
-        )
+    ode, what = ("Lax", "largest eigenvalue gap") if gaps else ("gauge factor", "spectral radius")
+    _gate(h * float(np.max(np.abs(rates))), _RK4_LIMIT,
+          f"{ode} step is unstable (h * {what} of alpha {{defect:.3e}} > {{tol}})")
 
 
 def _rk4(y, starts, mids, ends, h: float, commutator: bool) -> np.ndarray:
@@ -198,8 +193,8 @@ def lax_integrate(alpha_fn, beta_start, t_start: float, t_end: float, steps: int
     if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 1:
         raise ValueError(f"steps must be an integer of at least 1, got {steps!r}")
     beta = _check_square(np.asarray(beta_start, dtype=complex))
-    if beta.ndim not in (2, 3):
-        raise ValueError(f"expected a square matrix or a stack of them, got shape {beta.shape}")
+    if beta.ndim not in (2, 3) or not beta.shape[-1]:
+        raise ValueError(f"beta must be a nonempty square matrix or a stack of them, got shape {beta.shape}")
     n = beta.shape[-1]
     # alpha depends on t only: one evaluation per distinct time, checked as one
     # stack (t + h need not equal grid[j + 1] bit for bit); a span or a time
@@ -291,13 +286,7 @@ def gauge_fix_regular(path: LaxPath, residual_tol: float = 1e-3) -> GaugeFixResu
     failures, a Lax residual above residual_tol or NaN, condition blowup or
     overflow of g, and a grid step outside RK4's stable range for alpha.
     """
-    _one_path(path).validate()
-    resid = lax_residual(path)
-    if not resid <= residual_tol:
-        raise ToleranceError(
-            f"path is not a Lax solution (residual {resid:.3e} > {residual_tol:.1e})",
-            defect=resid, tolerance=residual_tol,
-        )
+    _gate(lax_residual(path), residual_tol, "path is not a Lax solution (residual {defect:.3e} > {tol:.1e})")
     h = float(path.grid[1] - path.grid[0])
     # an overflow leaves non-finite samples, which are reported below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -308,14 +297,9 @@ def gauge_fix_regular(path: LaxPath, residual_tol: float = 1e-3) -> GaugeFixResu
     finite = np.isfinite(g_path).all(axis=(1, 2))
     stop = finite.size if finite.all() else int(np.argmin(finite))
     conds = np.linalg.cond(g_path[:stop])
-    over = np.flatnonzero(conds > _CONDITION_LIMIT)
-    if over.size:
-        cond = float(conds[over[0]])
-        raise ToleranceError(
-            f"gauge factor lost invertibility (condition {cond:.3e})",
-            defect=cond,
-            tolerance=_CONDITION_LIMIT,
-        )
+    # the first condition past the limit, or conds[0] (of g = I) when none is
+    _gate(float(conds[np.argmax(conds > _CONDITION_LIMIT)]), _CONDITION_LIMIT,
+          "gauge factor lost invertibility (condition {defect:.3e})")
     if stop < finite.size:
         raise ToleranceError(f"gauge factor overflowed (not finite at t = {path.grid[stop]:.6g})")
     _require_stable_step(h, path.alpha, gaps=False)

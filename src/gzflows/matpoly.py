@@ -418,8 +418,10 @@ def _abs(z: np.ndarray) -> np.ndarray:
 
 
 def _distances(z: np.ndarray) -> np.ndarray:
-    """|z[a] - z[b]| at [a, b] for the points z, each with the bits of Python's abs()."""
-    return _abs(z[:, None] - z[None, :])
+    """|z[a] - z[b]| at [a, b] for the points z, each with the bits of Python's abs(); a
+    difference past the largest float is an infinite distance."""
+    with np.errstate(over="ignore"):
+        return _abs(z[:, None] - z[None, :])
 
 
 def _coincident(z: np.ndarray, tol: float) -> bool:

@@ -140,10 +140,7 @@ class SigmaMap:
 
 def shift_matrix(k: int) -> np.ndarray:
     """Nilpotent matrix with a unit subdiagonal (companion of z**k)."""
-    S = np.zeros((k, k), dtype=complex)
-    for j in range(k - 1):
-        S[j + 1, j] = 1.0
-    return S
+    return np.eye(k, k=-1, dtype=complex)
 
 
 def relinked_shift(k: int, m: int) -> np.ndarray:
@@ -177,8 +174,7 @@ def generalized_companion(X, a, b, c) -> np.ndarray:
     B[:m, :m] = X
     B[:m, k - 1] = b
     B[m, :m] = a
-    for j in range(km - 1):
-        B[m + j + 1, m + j] = 1.0
+    B[m:, m:] = np.eye(km, k=-1)
     B[m:, k - 1] = c
     return B
 

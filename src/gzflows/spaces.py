@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .gzcore import _as_group_element, _flow_step, flow_factor
+from .gzcore import _as_group_element, _flow_step, _gz_position, flow_factor
 from .matpoly import _powers, as_matrix, krylov_matrix, krylov_rank, numerical_rank
 
 __all__ = [
@@ -129,9 +129,7 @@ def tgl_flow(x: CotangentPoint, side: str, m: int, i: int, z: complex) -> Cotang
     right: (g, B) -> (g exp(-z pad(minor(C, m)**(i-1))), B) with
            C = -g^-1 B g; B is never touched.
     """
-    n = x.n
-    if not (1 <= i <= m <= n):
-        raise ValueError(f"index ({m}, {i}) invalid for n = {n}")
+    _gz_position(x.n, m, i)  # checks the index
     if side == "left":
         h, B = _flow_step(x.B, m, i, z)
         return CotangentPoint(g=h @ x.g, B=B)

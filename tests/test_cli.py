@@ -1652,6 +1652,8 @@ class TestMatricialDecode:
                      "expected a rank-2 array of [re, im] pairs, got nested shape (3, 3)", id="no-pairs"),
         pytest.param([[[0, 0]] * 3, [[0, 10**400]] * 3, [[0, 0]] * 3],
                      "expected nested [re, im] pairs: int too large to convert to float", id="int-1e400"),
+        pytest.param([[[0, 0]] * 3, [[0, float("nan")]] * 3, [[0, 0]] * 3],
+                     "matrix entries must be finite", id="nan-entry"),
     ])
     def test_a_bad_entry_raises_its_own_text(self, name, entry, text):
         text = text or decode_text(entry, 2)
@@ -1741,6 +1743,18 @@ class TestArrayCodec:
         with pytest.raises(InputError):
             serialize.decode_array(obj, ndim)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("obj, ndim, text", [
+        ([0, "x"], 0, "a scalar must be finite"),
+        ([[1, 0], ["x", 0]], 1, "vector entries must be finite"),
+        ([[[1, 0], [0, "x"]]], 2, "matrix entries must be finite"),
+        ([[[["x", 0]]]], 3, "matrix entries must be finite"),
+    ])
+    def test_non_finite_entries_are_refused(self, value, obj, ndim, text):
+        # Python's json reads NaN, Infinity and 1e400 as floats that are not finite
+        doc = json.loads(json.dumps(obj).replace('"x"', json.dumps(value)))
+        assert decode_text(doc, ndim) == text
+
 
 FLOATS = st.sampled_from(EDGE_VALUES.tolist()) | st.floats(allow_nan=False, allow_infinity=False)
 STRINGS = st.sampled_from(['', 'say "hi"', "back\\slash", "\x00\x1f\n\t\x7f", "é ∑ ☃ 𝄞"]) | st.text()
@@ -1811,3 +1825,74 @@ class TestDumps:
             json.dumps(doc)
         with pytest.raises(TypeError):
             serialize._dumps(doc)
+
+
+MATRIX_2 = "[[[1, 0], [2, 0]], [[3, 0], [4, 0]]]"
+EMPTY_MODEL = '{"k": [], "B_minus": [], "B_plus": [], "g": []}'
+OVERFLOWING_POWER_SUMS = '{"coords": {"n": 2, "basis": "tr-power", "values": [[1e308, 0], [1e308, 0], [1e308, 0]]}}'
+MAX_MATRIX = '{"matrix": [[[1e308, 0], [1e308, 0]], [[1e308, 0], [1e308, 0]]]}'
+# texts numpy puts in its own exceptions and warnings
+NUMPY_PHRASES = ("Array must not contain", "need at least one array", "cannot reshape", "encountered in",
+                 "RuntimeWarning")
+
+# (subcommand, request, exit code, its one stderr line): each request once gave another
+# code, numpy's text or a RuntimeWarning on stderr
+REFUSALS = [
+    pytest.param("gz-flow", '{"matrix": %s, "flows": [{"m": 1, "i": 1, "z": [%s, 0]}]}' % (MATRIX_2, z),
+                 65, "input error: a scalar must be finite", id=f"gz-flow-z-{z}")
+    for z in ("NaN", "Infinity", "1e400")
+] + [
+    pytest.param("orbit-count", '{"polys": [[[NaN, 0], [1, 0]]]}', 65,
+                 "input error: vector entries must be finite", id="orbit-count-nan"),
+    pytest.param("strata", '{"coords": {"n": 1, "basis": "tr-power", "values": [[NaN, 0]]}}', 65,
+                 "input error: vector entries must be finite", id="strata-nan-coords"),
+    pytest.param("strata", '{"polys": [[[Infinity, 0], [1, 0]]]}', 65,
+                 "input error: vector entries must be finite", id="strata-infinite-coefficient"),
+    pytest.param("ak-act", model_request((1, 2), params=[[[np.nan, 0]], [[0, 0], [0, 0]]]), 65,
+                 "input error: vector entries must be finite", id="ak-act-nan-params"),
+    pytest.param("md-validate", model_request((1, 2), ("B_plus", 1), [[[0, 0], [np.inf, 0]], [[1, 0], [0, 0]]]),
+                 65, "input error: matrix entries must be finite", id="md-validate-infinite-block"),
+] + [
+    pytest.param(name, payload, 65, "input error: k must hold at least one degree", id=f"{name}-empty-k")
+    for name, payload in (("md-validate", EMPTY_MODEL), ("polar", EMPTY_MODEL),
+                          ("ak-act", '{"data": %s, "params": []}' % EMPTY_MODEL))
+] + [
+    pytest.param("gz-map", MAX_MATRIX, 3, NOT_JSON[:-1], id="gz-map-1e308"),
+    pytest.param("strata", OVERFLOWING_POWER_SUMS, 3,
+                 "numerical failure: the power sums of level 2 overflow in the conversion to coefficients",
+                 id="strata-power-sums-1e308"),
+    pytest.param("lax-run", '{"alpha": {"type": "constant", "matrix": []}, "beta": [], '
+                 '"t_start": 0, "t_end": 1, "steps": 4}', 65,
+                 "input error: beta must be a nonempty square matrix or a stack of them, got shape (0, 0)",
+                 id="lax-run-empty-beta"),
+]
+
+
+class TestRefusalCorpus:
+    """Each refusal is one line on stderr in the package's own words, with no warning."""
+
+    @pytest.mark.parametrize("name, payload, code, line", REFUSALS)
+    def test_one_line_and_no_warning(self, capsys, name, payload, code, line):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = call(capsys, name, "--input", payload)
+        assert got == (code, "", line + "\n")
+        assert not any(phrase in line for phrase in NUMPY_PHRASES)
+        assert [str(w.message) for w in caught] == []
+
+    @pytest.mark.parametrize("name, payload, line", [
+        pytest.param("gz-map", MAX_MATRIX, NOT_JSON, id="gz-map-1e308"),
+        pytest.param("strata", OVERFLOWING_POWER_SUMS,
+                     "numerical failure: the power sums of level 2 overflow in the conversion to coefficients\n",
+                     id="strata-power-sums-1e308"),
+    ])
+    def test_overflow_leaves_only_the_cli_line_on_stderr(self, name, payload, line):
+        assert run_fresh(name, "--input", payload) == (3, "", line)
+
+    def test_roots_too_far_apart_to_subtract_answer_quietly(self, capsys):
+        payload = '{"polys": [[[1e308, 0], [1, 0]], [[1e308, 0], [-1e308, 0], [1, 0]]]}'
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = call(capsys, "orbit-count", "--input", payload)
+        assert (code, err, [str(w.message) for w in caught]) == (0, "", [])
+        assert json.loads(out)["s"] == 3

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gzflows.errors import ValidationError
+from gzflows.errors import ToleranceError, ValidationError
 from gzflows.gzcore import (
     FiberOrbitData,
+    GZCoordinates,
     GZGroupElement,
     StratumSignature,
     _checked_monic,
@@ -79,6 +80,17 @@ class TestGzMap:
                 assert values.tobytes() == gz_map(M, basis=basis).values.tobytes()
 
 
+    def test_overflow_gives_values_that_are_not_finite_without_a_warning(self):
+        # the trace of B overflows; pytest turns a RuntimeWarning into an error
+        values = gz_map(np.full((2, 2), 1e308)).values
+        assert not np.isfinite(values).all()
+
+    def test_power_sums_whose_coefficients_overflow_are_a_numerical_failure(self):
+        coords = GZCoordinates(n=2, basis="tr-power", values=np.full(3, 1e308, dtype=complex))
+        with pytest.raises(ToleranceError, match="^the power sums of level 2 overflow"):
+            coords_to_polys(coords)
+
+
 class TestVectorField:
     def test_center_acts_trivially(self):
         rng = np.random.default_rng(2)
@@ -93,6 +105,11 @@ class TestVectorField:
     def test_zero_matrix(self):
         for m, i in gz_indices(3):
             assert np.allclose(gz_vector_field(np.zeros((3, 3)), m, i), 0)
+
+    @pytest.mark.parametrize("m, i", [(0, 0), (2, 3), (4, 1)])
+    def test_index_outside_the_triangle_is_refused(self, m, i):
+        with pytest.raises(ValueError, match=rf"^index \({m}, {i}\) invalid for n = 3$"):
+            gz_vector_field(np.eye(3), m, i)
 
 
 class TestFlow:

@@ -98,6 +98,10 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             lax_integrate(lambda t: np.zeros((2, 2)), np.zeros((2, 2)), 1.0, 0.0, 10)
 
+    def test_empty_beta_is_refused_by_name(self):
+        with pytest.raises(ValueError, match="^beta must be a nonempty square matrix"):
+            lax_integrate(lambda t: np.zeros((0, 0)), np.zeros((0, 0)), 0.0, 1.0, 4)
+
     def test_alpha_checked_at_every_midpoint(self):
         steps, h = 10, 0.1
         midpoint = (h * np.arange(steps + 1))[3] + h / 2
@@ -202,6 +206,9 @@ class TestGaugeFix:
         junk = LaxPath(grid=grid, alpha=alpha, beta=beta)
         with pytest.raises(ToleranceError):
             gauge_fix_regular(junk)
+        with pytest.raises(ToleranceError, match="^path is not a Lax solution") as info:
+            gauge_fix_regular(junk, residual_tol=0.5)
+        assert (info.value.defect, info.value.tolerance) == (lax_residual(junk), 0.5)
 
 
 class TestSymplectic:
@@ -404,6 +411,7 @@ class TestNonFinitePaths:
         with pytest.raises(ToleranceError) as info:
             gauge_fix_regular(path)
         assert info.value.defect == first
+        assert info.value.tolerance == 1e12
         assert f"condition {first:.3e}" in str(info.value)
 
 

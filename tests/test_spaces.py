@@ -159,6 +159,13 @@ class TestCotangentSymplectic:
 
 
 class TestCotangentFlows:
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("m, i", [(0, 0), (2, 3), (4, 1)])
+    def test_index_outside_the_triangle_is_refused(self, side, m, i):
+        x = random_cotangent(np.random.default_rng(9), 3)
+        with pytest.raises(ValueError, match=rf"^index \({m}, {i}\) invalid for n = 3$"):
+            tgl_flow(x, side, m, i, 0.5)
+
     def test_left_top_index_fixes_B(self):
         rng = np.random.default_rng(9)
         x = random_cotangent(rng, 3)
