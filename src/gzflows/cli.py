@@ -296,7 +296,15 @@ def _alpha_from_spec(spec):
         if not isinstance(coeffs, list) or not coeffs:
             raise InputError("polynomial alpha needs matrix coefficients")
         mats = serialize.decode_array(coeffs, 3)
-        return lambda t: sum(mats[j] * t ** j for j in range(len(mats)))
+
+        def polynomial(t):
+            # finite coefficients at a finite time: a value that is not finite overflowed
+            with np.errstate(over="ignore", invalid="ignore"):
+                value = sum(mats[j] * t ** j for j in range(len(mats)))
+            if not np.isfinite(value).all():
+                raise ToleranceError(f"alpha overflowed (not finite at t = {t:.6g})")
+            return value
+        return polynomial
     raise InputError(f"unknown alpha type {spec['type']!r}")
 
 

@@ -5,9 +5,10 @@ coefficients) of all upper-left minors.  Index pairs (m, i) with
 1 <= i <= m <= n are always ordered lexicographically; a full parameter
 vector has length n(n+1)/2.
 
-The flow for index (m, i) with parameter z conjugates by
-blockdiag(exp(z * minor(B, m)**(i-1)), I).  The minor itself commutes with
-the exponent, so each single-index flow is an exact one-parameter group.
+The flow for index (m, i) with parameter z conjugates by blockdiag(g, I),
+g = exp(z * minor(B, m)**(i-1)).  g commutes with the minor, so the flow keeps
+minor(B, m), and every invariant of the levels k <= m, to the bit.  Each
+single-index flow is an exact one-parameter group.
 Under the Lie-Poisson bracket of :mod:`gzflows.verify`, this is the
 Hamiltonian flow of tr(minor**i) / i; the Hamiltonian tr(minor**i) itself
 generates the same motion at i times the speed.
@@ -173,25 +174,27 @@ def gz_vector_field(B, m: int, i: int) -> np.ndarray:
 
 
 def flow_factor(B: np.ndarray, m: int, i: int, z: complex) -> np.ndarray:
-    """blockdiag(exp(z * minor(B, m)**(i-1)), I), the conjugating factor.
-
-    The one factor of every flow: on gl(n,C), on V_n and both sides of T*GL(n,C).
-    B and (m, i) are checked where they enter; an overflowing factor is a numerical failure.
-    """
-    n = B.shape[0]
+    """exp(z * minor(B, m)**(i-1)), the (m, m) factor of every flow (on gl(n,C), V_n and
+    both sides of T*GL(n,C)); B and (m, i) are checked where they enter, and an
+    overflowing factor is a numerical failure."""
     with np.errstate(over="ignore", invalid="ignore"):
-        block = _expm(z * np.linalg.matrix_power(B[:m, :m], i - 1))
-    if not np.isfinite(block).all():
+        g = _expm(z * np.linalg.matrix_power(B[:m, :m], i - 1))
+    if not np.isfinite(g).all():
         raise ToleranceError(f"flow factor for (m, i) = ({m}, {i}) overflowed")
-    h = np.eye(n, dtype=complex)
-    h[:m, :m] = block
-    return h
+    return g
 
 
 def _flow_step(B: np.ndarray, m: int, i: int, z: complex) -> tuple[np.ndarray, np.ndarray]:
-    """(h, h B h^-1) for one index; for m = n, h is a polynomial in B and B is returned."""
-    h = flow_factor(B, m, i, z)
-    return h, (B if m == B.shape[0] else h @ B @ np.linalg.inv(h))
+    """(g, B moved by g): a complex copy of B with B[:m, m:] <- g B[:m, m:] and
+    B[m:, :m] <- B[m:, :m] g^-1 (one solve with g^T); for m = n both are empty."""
+    g = flow_factor(B, m, i, z)
+    moved = B.astype(complex)
+    moved[:m, m:] = g @ B[:m, m:]
+    try:
+        moved[m:, :m] = np.linalg.solve(g.T, B[m:, :m].T).T
+    except np.linalg.LinAlgError:
+        raise ToleranceError(f"flow factor for (m, i) = ({m}, {i}) is singular") from None
+    return g, moved
 
 
 def _as_group_element(n: int, lam) -> GZGroupElement:
@@ -206,8 +209,8 @@ def gz_flow(B, lam) -> np.ndarray:
     """Apply the composite flow to B, indices in lexicographic order.
 
     ``lam`` is a :class:`GZGroupElement` or an iterable of (m, i, z)
-    triples.  Entries with m = n act trivially on gl(n,C) and are skipped,
-    which keeps the B-projection of cotangent flows bit-exact.
+    triples.  Each step keeps minor(B, m) to the bit.  Entries with m = n
+    act trivially on gl(n,C); skipping them saves only their exponential.
     """
     B = as_matrix(B)
     n = B.shape[0]

@@ -206,7 +206,11 @@ def lax_integrate(alpha_fn, beta_start, t_start: float, t_end: float, steps: int
         times = np.concatenate([grid, grid[:-1] + h / 2, grid[:-1] + h])
     if not np.isfinite(times).all():
         raise ValueError("t_start, t_end and every step time between them must be finite")
-    stack = np.array([alpha_fn(t) for t in times], dtype=complex)
+    # evaluated in time order, so an alpha_fn that refuses a time refuses the first one
+    values = [None] * times.size
+    for k in sorted(range(times.size), key=times.tolist().__getitem__):
+        values[k] = alpha_fn(times[k])
+    stack = np.array(values, dtype=complex)
     if stack.shape[1:] not in ((n, n), beta.shape):
         raise ValueError(f"expected square alpha matrices like beta, got shape {stack.shape[1:]}")
     _check_square(stack)

@@ -1,9 +1,9 @@
 """Hamiltonian GL(n,C)-spaces: cyclic pairs (B, b) and T*GL(n,C).
 
 T*GL(n,C) is kept in the right trivialization (g, B) throughout; there is
-no abstract cotangent structure.  Left flows move (g, B) to (hg, hBh^-1)
-and right flows move g only, with the conjugating factors built from the
-leading minors of the respective moment maps B and -g^-1 B g.
+no abstract cotangent structure.  A left flow moves (g, B) to (hg, hBh^-1), the
+first m rows of g; a right flow moves only the first m columns of g, to gh.  Here
+h = blockdiag(exp(z minor(M, m)**(i-1)), I) with M = B on the left, -g^-1 B g and -z on the right.
 
 The B-projection of a left flow calls the same single-index step as
 :func:`gzflows.gzcore.gz_flow`, so descent to gl(n,C) is bit-exact.
@@ -91,11 +91,10 @@ def vn_gz_flow(p: VnPoint, lam) -> VnPoint:
     fixing B exactly (h is a polynomial in B).
     """
     lam = _as_group_element(p.n, lam)
-    B = p.B.copy()
-    b = p.b.copy()
+    B, b = p.B.astype(complex), p.b.astype(complex)
     for m, i, z in lam.items():
-        h, B = _flow_step(B, m, i, z)
-        b = h @ b
+        g, B = _flow_step(B, m, i, z)
+        b[:m] = g @ b[:m]
     return VnPoint(B=B, b=b)
 
 
@@ -125,18 +124,19 @@ def tgl_flow(x: CotangentPoint, side: str, m: int, i: int, z: complex) -> Cotang
     """Single-index flow on T*GL(n,C).
 
     left:  (g, B) -> (hg, hBh^-1) with h built from the minors of B; for
-           m = n the factor commutes with B, so B is returned unchanged.
-    right: (g, B) -> (g exp(-z pad(minor(C, m)**(i-1))), B) with
-           C = -g^-1 B g; B is never touched.
+           m = n the factor commutes with B, so B keeps its bits.
+    right: (g, B) -> (gh, B) with h = blockdiag(exp(-z minor(C, m)**(i-1)), I)
+           and C = -g^-1 B g; B is never touched.
     """
     _gz_position(x.n, m, i)  # checks the index
+    moved = x.g.astype(complex)
     if side == "left":
         h, B = _flow_step(x.B, m, i, z)
-        return CotangentPoint(g=h @ x.g, B=B)
+        moved[:m] = h @ x.g[:m]
+        return CotangentPoint(g=moved, B=B)
     if side == "right":
-        C = x.right_moment()
-        h = flow_factor(C, m, i, -z)
-        return CotangentPoint(g=x.g @ h, B=x.B)
+        moved[:, :m] = x.g[:, :m] @ flow_factor(x.right_moment(), m, i, -z)
+        return CotangentPoint(g=moved, B=x.B)
     raise ValueError(f"unknown side {side!r}")
 
 

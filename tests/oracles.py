@@ -6,7 +6,8 @@ other.  The model-point measures at the end serve only the tests; the isotropy
 system and the validity check, each taken one point at a time, are the
 references for the stacked ones, and the RK4 loop and the Faddeev-LeVerrier
 recursion, each as one expression per operation, are the references for the
-buffered ones.
+buffered ones, and the full conjugation by an n-by-n flow factor is the reference
+for the flows that move only the off-diagonal blocks.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from gzflows.errors import ValidationError
-from gzflows.matpoly import _coincident, _powers, as_matrix, numerical_rank
+from gzflows.matpoly import _coincident, _expm, _powers, as_matrix, numerical_rank
 from gzflows.ratmodel import (
     VALIDATE_TOL,
     MatricialData,
@@ -324,3 +325,15 @@ def faddeev_leverrier(A: np.ndarray):
         c = -np.trace(AM, axis1=-2, axis2=-1) / k
         yield c, M
         M = AM + c[..., None, None] * ident
+
+
+def full_conjugation_flow(B: np.ndarray, m: int, i: int, z: complex) -> tuple[np.ndarray, np.ndarray]:
+    """(h, h B h^-1) with h = blockdiag(exp(z * minor(B, m)**(i-1)), I) built in full.
+
+    The reference for ``gzcore._flow_step``, which moves only the two
+    off-diagonal blocks of B by the (m, m) factor: here h is embedded in an
+    n-by-n identity and B is conjugated with a full inverse.
+    """
+    h = np.eye(B.shape[0], dtype=complex)
+    h[:m, :m] = _expm(z * np.linalg.matrix_power(B[:m, :m], i - 1))
+    return h, h @ B @ np.linalg.inv(h)

@@ -636,26 +636,29 @@ def test_stacked_cross_check_is_each_pairs_bits(N):
 
 
 # sha256 of stdout and the exit code of each (subcommand, n, samples, seed,
-# tol), recorded when every sample, pair and path was checked on its own
+# tol), recorded when every sample, pair and path was checked on its own; the
+# verify-suite entries re-recorded when the flows came to move only the
+# off-diagonal blocks (tests/test_block_flows.py checks them against the full
+# conjugation)
 VERIFICATION_BYTES = {
-    ("verify-suite", 2, 1, 0, None): ("4849471b2b8385dfb4bfda1acd9f2024151cd2d2f84608a21a37c93e094cedf4", 0),
-    ("verify-suite", 2, 1, 1000, None): ("a2071ad3114a3443cc06d4a30f429763c2cfe7e640c8107e73456d72138127f2", 0),
-    ("verify-suite", 2, 3, 0, None): ("d4fbad6069bb0d9c645eae30aa46ef2f3e96c0f7cacef1dbc4a6c9c7398ceb6d", 0),
-    ("verify-suite", 2, 3, 1000, None): ("c85c18916e9b1903034c1f642951d4f08d94cd02f06b5fbfdb5d4b5190309118", 0),
-    ("verify-suite", 2, 12, 0, None): ("5bac15c6ceb75e9da5e6a07c87d95b26fe031fad4d7d6a8e7134e49a8cac99e9", 0),
-    ("verify-suite", 2, 12, 1000, None): ("0ff4d8645823e09c9095dae57bbe17cf9b85d0efdc6cb7ec623d662bb4edde30", 0),
-    ("verify-suite", 3, 1, 0, None): ("fd1cbcb2e0c1919b0fbf14e643c1a278e6283f8d95ef453ca42b8879eee914b6", 0),
-    ("verify-suite", 3, 1, 1000, None): ("55ee79e032b0e7ff67c17809ecbe4d62a926d1fcde1e1fcd8b4c9f45d22ef5c4", 0),
-    ("verify-suite", 3, 3, 0, None): ("590172cb01795571108fa9862a33cf7ee27585df40ec0bd70ef9aa1094dbde17", 0),
-    ("verify-suite", 3, 3, 1000, None): ("44ae6eb94eb6156128578f71eab84d899e0592c8fb34f16fb6e6bba7d47a4944", 0),
-    ("verify-suite", 3, 12, 0, None): ("a8dafe8cefc309392d5cb59a1023efff789a96964dc9cb6fe96d9c94b4896117", 0),
-    ("verify-suite", 3, 12, 1000, None): ("425de5180733bf36f16a20c34aed1d987a6a2f3d8f124fe0516aab4701adc23d", 0),
-    ("verify-suite", 4, 1, 0, None): ("f72678f429d657429a66eff2aa0cb433da5e91d483e6bac0fa15acce2fb2c305", 0),
-    ("verify-suite", 4, 1, 1000, None): ("bd13cb2a0e67dc391267b9019a59b92c2e662b17c71c6ea43694c734d02c7991", 0),
-    ("verify-suite", 4, 3, 0, None): ("daa4317aa6b49809857d11d476415dcfd0e980125c670ed8d1ffbd94def0844e", 0),
-    ("verify-suite", 4, 3, 1000, None): ("2dd4b03e7bba874580b48266307031c7ded962e6747b74cdca981e3a85f4ea15", 0),
-    ("verify-suite", 4, 12, 0, None): ("9ddfe4435b68fef87b7c71880806649154e3dcbd8ef33b46792b35f1889511e0", 0),
-    ("verify-suite", 4, 12, 1000, None): ("349a37c4cc6036855be2d53bd7c3cf169061dfa1c2c9a0453a71a8c3edceeb0a", 0),
+    ("verify-suite", 2, 1, 0, None): ("407e63a558762e7603c4efdbf4c2fb78fb7ea2d430687e4ed1d512bb36a0d8a4", 0),
+    ("verify-suite", 2, 1, 1000, None): ("a971f950611ab590d37fe12f2d63e838dc0748f481600306eb4c8bc8b510fc1b", 0),
+    ("verify-suite", 2, 3, 0, None): ("ef4b1f7a03151c9385a3bc8eec388369b2055d440425e8acf4818348eb79ba37", 0),
+    ("verify-suite", 2, 3, 1000, None): ("629cca7b1f82517dedac43917876e5d8a78ba1dcbb7d073a202fa783b289f896", 0),
+    ("verify-suite", 2, 12, 0, None): ("36522313625d337b53f999ee9f7d6daae1881dd8da039e3ffcf991e676d73f5e", 0),
+    ("verify-suite", 2, 12, 1000, None): ("bbaa1a884f9c18c1fbf0fee0b7d3f685ed0457047dfbe65c840f2c4f1df6b328", 0),
+    ("verify-suite", 3, 1, 0, None): ("3c4ba2efd137c8c55e8f63f144c388eb5ce8c82b1d43ca432fb227215ea84be0", 0),
+    ("verify-suite", 3, 1, 1000, None): ("e6805520080783afe0308b59ac4334383180ccdc79fa703f4e0dd9ef79e529ef", 0),
+    ("verify-suite", 3, 3, 0, None): ("f1e89c00de630a6b5c0b51bec8cec9c219f5e186076208cbb2e5db70997bfc27", 0),
+    ("verify-suite", 3, 3, 1000, None): ("b48391e79cd22debf6a63c478136ab8401516e6c8c55996f776ad8e7ec85e82b", 0),
+    ("verify-suite", 3, 12, 0, None): ("1ad08d6bbf6ecf524857d32b12b8a7b711dadf349a00ae301a9e7dbe89d22471", 0),
+    ("verify-suite", 3, 12, 1000, None): ("c09c42bcb60b28efbf2a557b17873da9513b8b60afff146da75d8d15df65d7c9", 0),
+    ("verify-suite", 4, 1, 0, None): ("191c1d5bdc4ae16f00cd4ea69da849b35cc234cda8941ed916e48d6482fdd4de", 0),
+    ("verify-suite", 4, 1, 1000, None): ("60e22ebf803d7e5fc554765c5d7da8a8887f257ee211b6729754a2fbced35421", 0),
+    ("verify-suite", 4, 3, 0, None): ("04c657868fd1b1a2132748159271435996a7492a580283fc4fc7a96fadee1b76", 0),
+    ("verify-suite", 4, 3, 1000, None): ("9acf61723935328e6a9281a619dc97ec3ee87c385beeefb27d109c956421bd12", 0),
+    ("verify-suite", 4, 12, 0, None): ("bcd686bf620493e73b2879864b3e8e9d3a753f009d9ebfdc73d65142543b2000", 0),
+    ("verify-suite", 4, 12, 1000, None): ("5ce6a661a4d7271315f80f29a912293e087839ca7b2f42d195b6451f3fb06567", 0),
     ("kw-check", 1, 1, 0, None): ("594c97bbeb1de00367fd689a43b3c4447ea55487cbf1a72295592f5ed01b66ae", 0),
     ("kw-check", 1, 1, 4007, None): ("6fa0271aaf30751df4f712229fd8d9e709d8cdda7d1fae92804c6be660be91d0", 0),
     ("kw-check", 1, 4, 0, None): ("18021d07a6f834073d1accdc4df53f2672a77a41466ca330ef8724599c00581b", 0),
@@ -672,9 +675,9 @@ VERIFICATION_BYTES = {
     ("kw-check", 2, 4, 3, None): ("fc6c43b65012f3b88cd536c1b6ac6ba659657bf4c8143512790f1b5dd360de97", 0),
     ("kw-check", 3, 1, 4, None): ("ac8c03621c9a767bb4bc71a80d90cd0b6ae5bf94fb07b15d8cb2930c8e97cd09", 0),
     ("kw-check", 3, 2, 5, None): ("23e7496c4b5c89171b631390e6f240ba183e6efbbbaf1a74a53b9593bdc5314e", 0),
-    ("verify-suite", 3, 3, 5, None): ("f6c7a6079451fa1acf17b4fe57c08cb82cc330d88c1617236d7d9aafedecc268", 0),
-    ("verify-suite", 4, 2, 5, None): ("b16f4c63325e363a36a465e8f354ec5395ecbdc0b91e7d500f171eb85096683e", 0),
-    ("verify-suite", 5, 2, 5, None): ("7c8fb8de10edd6a918725b9d65625b7fe8c011840bff38119ce0ee2f9afb228c", 0),
+    ("verify-suite", 3, 3, 5, None): ("2c890113ced70b2de87032c41b36b67a811e8eed85ad0aaf15e836077dba51f6", 0),
+    ("verify-suite", 4, 2, 5, None): ("f679e32420733b31e1917507f2ba29d01f5c850561c46d167d2850538d28f757", 0),
+    ("verify-suite", 5, 2, 5, None): ("480706812f752bcc7c7330bcdad5545aac33265f7b1906d0f9e08f131206ac25", 0),
     ("bracket-table", 1, 1, 0, None): ("4d032da02ff2a8ea2a8707fcaedd32497e52b05202baac8bf6fc4956894d83d2", 0),
     ("bracket-table", 1, 1, 4007, None): ("4d032da02ff2a8ea2a8707fcaedd32497e52b05202baac8bf6fc4956894d83d2", 0),
     ("bracket-table", 1, 7, 0, None): ("f5f6ce49274b29439797c2eb3331baaf781e243f08d999c21d999729c7961584", 0),
@@ -693,7 +696,7 @@ VERIFICATION_BYTES = {
     ("bracket-table", 8, 7, 4007, None): ("1bd9b47992bff9e2ebd2dbc7ea88e3e4a028f55779dd8980e858f7ce387420d0", 0),
     ("bracket-table", 4, 2, 0, "1e-300"): ("2798dd92c098c104aa5204341c4557a0c917c7834f98d863bdfa2fe3e48763d5", 3),
     ("kw-check", 2, 2, 0, "1e-300"): ("4fb95b6cff7d7d766018b8fcc669f4fa4ebbb433258fbf70e578ce2a9013f42a", 3),
-    ("verify-suite", 3, 2, 0, "1e-300"): ("6e10c75f5930b1e0896f3f4035865d9fd3f8f2376a2de325fb42889824f67720", 3),
+    ("verify-suite", 3, 2, 0, "1e-300"): ("bb4bfb46bafa54c0a74247a0c72bad96e19e5d9612cd99b756592daf0e5067fa", 3),
 }
 
 
@@ -715,8 +718,9 @@ PINNED_VERIFICATION = [
     ["verify-suite", "--input", json.dumps({"n": n}), "--samples", str(samples), "--seed", str(seed)]
     for n in range(2, 5) for samples in (1, 3) for seed in range(2)
 ]
-# recorded when every sample was drawn and evaluated on its own
-PINNED_VERIFICATION_SHA256 = "6f3e68135064d41f58234bb72f3b9848adf3bbcc78e7125fadf7787a7ebd30af"
+# recorded when every sample was drawn and evaluated on its own, and re-recorded with
+# the block-form flows
+PINNED_VERIFICATION_SHA256 = "8b5dd3517ac7c42e392a35115d165addad4f7ca159e8b1faa7455b76813bb7ee"
 
 
 def verification_digest(capsys) -> str:
@@ -1251,12 +1255,13 @@ def normal_flow(seed) -> str:
     return gz_flow_request(np.random.default_rng(seed).standard_normal((3, 3)), 2, 2, 8)
 
 
-# sha256 of the answers of normal_flow(seed) before gz-flow had a gate
+# sha256 of the answers of normal_flow(seed), recorded with the block-form flows
+# (tests/test_block_flows.py checks them against the full conjugation)
 NORMAL_FLOW_BYTES = {
-    0: "ea198873c6396f9b3bb9bb41211bdb7bc0e0650d0ab25b74fdef5049e95d448c",
-    1: "293e97a1a8082828ad04ad84dec76a5791ca8f8033d49d48e0e3f4bedd9a05b5",
-    4: "72e948ba004e8bb7ae5e0354347f2f4155fbf927768515c9ec3fe0da931c2270",
-    5: "bd0a6499ad5051b00be560385c6496104948b79931f8ffdd026990a021e050b7",
+    0: "9032426a55777626c9a16001b599a3cfc275c889047bc6e7ed2662b83e2d8bcb",
+    1: "297b184c118529e36275d0421d86b42aeb8bd8e5c028b202651c7dd8acc03ce1",
+    4: "08dcbadf51a234ff06d43c56d9476574d26b40cb27548565945b6f91dbe3baca",
+    5: "244331685aa38f686ee1a454367a04834aa2f839f41479ecac9461e12e58b72c",
 }
 FLOW_REFUSED = "numerical failure: flow does not conserve the invariants (defect "
 
@@ -1282,10 +1287,10 @@ class TestToleranceContract:
         assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, NORMAL_FLOW_BYTES[seed])
 
     def test_tol_sets_the_gate(self, capsys):
-        # seed 5 drifts by 8.8e-10: inside the default 1e-9, outside 1e-10
-        code, _, err = call(capsys, "gz-flow", "--input", normal_flow(5), "--tol", "1e-10")
-        assert code == 3 and err == FLOW_REFUSED + "8.839e-10 > 1.0e-10)\n"
-        assert call(capsys, "gz-flow", "--input", normal_flow(5))[0] == 0
+        # seed 12 drifts by 7.4e-10: inside the default 1e-9, outside 1e-10
+        code, _, err = call(capsys, "gz-flow", "--input", normal_flow(12), "--tol", "1e-10")
+        assert code == 3 and err == FLOW_REFUSED + "7.356e-10 > 1.0e-10)\n"
+        assert call(capsys, "gz-flow", "--input", normal_flow(12))[0] == 0
 
     def test_parser_defaults_are_the_table(self):
         for name in HANDLERS:
@@ -1831,6 +1836,13 @@ MATRIX_2 = "[[[1, 0], [2, 0]], [[3, 0], [4, 0]]]"
 EMPTY_MODEL = '{"k": [], "B_minus": [], "B_plus": [], "g": []}'
 OVERFLOWING_POWER_SUMS = '{"coords": {"n": 2, "basis": "tr-power", "values": [[1e308, 0], [1e308, 0], [1e308, 0]]}}'
 MAX_MATRIX = '{"matrix": [[[1e308, 0], [1e308, 0]], [[1e308, 0], [1e308, 0]]]}'
+# exp(-1000 I_2) underflows to the zero matrix: the flow factor of (2, 2, 1) is singular
+SINGULAR_FLOW = ('{"matrix": [[[-1000, 0], [0, 0], [1, 0]], [[0, 0], [-1000, 0], [0, 0]], '
+                 '[[1, 0], [0, 0], [1, 0]]], "flows": [{"m": 2, "i": 2, "z": [1, 0]}]}')
+# alpha(t) = M + t H overflows from the first midpoint, t = h / 2 = 1.25e299
+OVERFLOWING_ALPHA = ('{"alpha": {"type": "polynomial", "coefficients": [%s, [[[1e308, 0], [1e308, 0]], '
+                     '[[1e308, 0], [1e308, 0]]]]}, "beta": %s, "t_start": 0, "t_end": 1e300, "steps": 4}'
+                     % (MATRIX_2, MATRIX_2))
 # texts numpy puts in its own exceptions and warnings
 NUMPY_PHRASES = ("Array must not contain", "need at least one array", "cannot reshape", "encountered in",
                  "RuntimeWarning")
@@ -1865,6 +1877,10 @@ REFUSALS = [
                  '"t_start": 0, "t_end": 1, "steps": 4}', 65,
                  "input error: beta must be a nonempty square matrix or a stack of them, got shape (0, 0)",
                  id="lax-run-empty-beta"),
+    pytest.param("gz-flow", SINGULAR_FLOW, 3, "numerical failure: flow factor for (m, i) = (2, 2) is singular",
+                 id="gz-flow-singular-factor"),
+    pytest.param("lax-run", OVERFLOWING_ALPHA, 3, "numerical failure: alpha overflowed (not finite at t = 1.25e+299)",
+                 id="lax-run-alpha-1e308"),
 ]
 
 
@@ -1885,6 +1901,10 @@ class TestRefusalCorpus:
         pytest.param("strata", OVERFLOWING_POWER_SUMS,
                      "numerical failure: the power sums of level 2 overflow in the conversion to coefficients\n",
                      id="strata-power-sums-1e308"),
+        pytest.param("gz-flow", SINGULAR_FLOW,
+                     "numerical failure: flow factor for (m, i) = (2, 2) is singular\n", id="gz-flow-singular-factor"),
+        pytest.param("lax-run", OVERFLOWING_ALPHA,
+                     "numerical failure: alpha overflowed (not finite at t = 1.25e+299)\n", id="lax-run-alpha-1e308"),
     ])
     def test_overflow_leaves_only_the_cli_line_on_stderr(self, name, payload, line):
         assert run_fresh(name, "--input", payload) == (3, "", line)

@@ -109,6 +109,13 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="matrix entries must be finite"):
             lax_integrate(alpha, np.eye(2), 0.0, 1.0, steps)
 
+    def test_alpha_is_evaluated_in_time_order(self):
+        # an alpha_fn that refuses a time refuses the first one
+        seen = []
+        path = lax_integrate(lambda t: seen.append(t) or np.diag([t, 0.0]), np.eye(2), 0.0, 1.0, 10)
+        assert len(seen) == 31 and seen == sorted(seen)
+        assert np.array_equal(path.alpha[:, 0, 0], path.grid)
+
     @pytest.mark.parametrize("value", [0.5, np.zeros((2, 3)), np.zeros((1, 2, 2))])
     def test_alpha_must_be_square_matrices(self, value):
         with pytest.raises(ValueError, match="square"):

@@ -1,8 +1,10 @@
-"""Each refusal rule of the package is written once.
+"""Each refusal rule of the package is written once, and each flow acts through its block.
 
 The source is read, not run: a ToleranceError that carries a tolerance is raised
 only by the gate ``errors._gate``, and the flow-index text ``invalid for n =`` is
 stated only by ``gzcore._gz_position``.  A second copy of either rule fails here.
+The flows of ``gzcore`` and ``spaces`` take no full inverse and build no identity
+around a flow factor: they move the off-diagonal blocks by the (m, m) factor.
 """
 
 import ast
@@ -13,6 +15,9 @@ import gzflows
 GATE = ("errors.py", "_gate")
 INDEX_CHECK = ("gzcore.py", "_gz_position")
 INDEX_TEXT = "invalid for n ="
+FLOW_MODULES = ("gzcore.py", "spaces.py")
+# a function that calls one of these builds or takes a flow factor
+FLOW_FACTOR_CALLS = {"_expm", "flow_factor", "_flow_step"}
 
 
 def rule_sites(module: str, source: str) -> tuple[set, set]:
@@ -34,6 +39,20 @@ def rule_sites(module: str, source: str) -> tuple[set, set]:
 
     visit(ast.parse(source), None)
     return gates, index_texts
+
+
+def full_factor_sites(module: str, source: str) -> set:
+    """The (module, function) of every call of a full inverse (``inv``), and of every
+    function that builds an identity (``eye``, ``identity``) and calls FLOW_FACTOR_CALLS."""
+    sites = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        called = {ast.unparse(call.func).rpartition(".")[2]
+                  for call in ast.walk(node) if isinstance(call, ast.Call)}
+        if "inv" in called or (called & {"eye", "identity"} and called & FLOW_FACTOR_CALLS):
+            sites.add((module, node.name))
+    return sites
 
 
 def test_the_guard_sees_a_second_copy_of_each_rule():
@@ -58,3 +77,23 @@ def test_each_rule_has_one_routine():
         index_texts |= found[1]
     assert gates == {GATE}
     assert index_texts == {INDEX_CHECK}
+
+
+def test_the_guard_sees_a_full_flow_factor():
+    source = (
+        "def flow_factor(B, m, i, z):\n"
+        "    h = np.eye(B.shape[0], dtype=complex)\n"
+        "    h[:m, :m] = _expm(z * B[:m, :m])\n"
+        "    return h\n"
+        "def _flow_step(B, m, i, z):\n"
+        "    h = flow_factor(B, m, i, z)\n"
+        "    return h, h @ B @ np.linalg.inv(h)\n"
+        "def frames(n):\n"
+        "    return np.eye(n)\n"
+    )
+    assert full_factor_sites("m.py", source) == {("m.py", "flow_factor"), ("m.py", "_flow_step")}
+
+
+def test_flows_act_through_their_block():
+    package = Path(gzflows.__file__).resolve().parent
+    assert set().union(*(full_factor_sites(name, (package / name).read_text()) for name in FLOW_MODULES)) == set()
