@@ -112,15 +112,19 @@ def cmd_gz_map(payload, args):
     return serialize.encode_coords(coords), EXIT_OK
 
 
-def _conservation_defect(B: np.ndarray, moved: np.ndarray) -> float:
-    """The largest relative change of the invariants from B to moved, as one stacked gz_map."""
-    return verify._change(*gzcore.gz_map(np.stack([B, moved])).values)
+def _conservation_defect(B: np.ndarray, moved: np.ndarray, m: int) -> float:
+    """The largest relative change of the invariants from B to moved over the levels above m,
+    both matrices as one stack: moved is a flow of B whose smallest moved level is m, and
+    such a flow keeps every level k <= m to the bit."""
+    return verify._change(*gzcore._level_values(np.stack([B, moved]), "tr-power", m + 1))
 
 
 def cmd_gz_flow(payload, args):
     B = _require_matrix(payload)
-    moved = gzcore.gz_flow(B, _flow_triples(payload))
-    defect = _conservation_defect(B, moved)
+    lam = gzcore._as_group_element(B.shape[0], _flow_triples(payload))
+    moved = gzcore.gz_flow(B, lam)
+    # items() is lexicographic: the first has the smallest m; a flow at m = n moves no level
+    defect = _conservation_defect(B, moved, next((m for m, _, _ in lam.items()), B.shape[0]))
     # the flows conserve every invariant exactly: a larger defect is a wrong answer
     _gate(defect, args.tol, "flow does not conserve the invariants (defect {defect:.3e} > {tol:.1e})")
     return {
@@ -353,7 +357,7 @@ def cmd_verify_suite(payload, args):
         flow1 = lambda M: gzcore.gz_flow(M, [(m1, i1, z1)])
         flow2 = lambda M: gzcore.gz_flow(M, [(m2, i2, z2)])
         worst_comm = np.maximum(worst_comm, verify.commute_defect(flow1, flow2, B))
-        worst_cons = np.maximum(worst_cons, _conservation_defect(B, flow1(B)))
+        worst_cons = np.maximum(worst_cons, _conservation_defect(B, flow1(B), m1))
     reports += [
         verify.report("flow-commutation", args.samples, worst_comm, _TOLERANCES["flow-commutation"]),
         # gz-flow's gate: a flow that passes here is one gz-flow answers

@@ -25,16 +25,18 @@ from .errors import ToleranceError, ValidationError
 from .matpoly import (
     CLUSTER_TOL,
     _MONIC_TOL,
+    _abs,
+    _charpoly,
     _clusters,
     _companion,
     _expm,
+    _identities,
     _max_scaled,
     _powers,
     _check_square,
     _rank,
     _unit,
     as_matrix,
-    charpoly,
     newton_convert,
     poly_trim,
 )
@@ -63,6 +65,12 @@ GZ_BASES = ("tr-power", "charpoly")
 def gz_indices(n: int) -> list[tuple[int, int]]:
     """All (m, i) with 1 <= i <= m <= n, lexicographic."""
     return [(m, i) for m in range(1, n + 1) for i in range(1, m + 1)]
+
+
+@functools.cache
+def _index_table(n: int) -> tuple[tuple[int, int], ...]:
+    """gz_indices(n) as a tuple (every call shares it)."""
+    return tuple(gz_indices(n))
 
 
 def _gz_position(n: int, m: int, i: int) -> int:
@@ -106,9 +114,10 @@ class GZGroupElement:
 
     def items(self):
         """(m, i, z) for each nonzero z, lexicographic in (m, i); a zero z acts as the identity."""
-        for (m, i), z in zip(gz_indices(self.n), self.values):
-            if z != 0:
-                yield m, i, complex(z)
+        indices = _index_table(self.n)
+        at = np.flatnonzero(self.values)
+        for p, z in zip(at.tolist(), self.values[at].tolist()):
+            yield *indices[p], complex(z)
 
 
 @dataclass(frozen=True)
@@ -140,22 +149,29 @@ def gz_map(B, basis: str = "tr-power") -> GZCoordinates:
     the bits it gets alone.
     """
     B = _check_square(np.asarray(B, dtype=complex))
-    n = B.shape[-1]
     if basis not in GZ_BASES:
         raise ValueError(f"unknown basis {basis!r}")
-    values = np.empty(B.shape[:-2] + (n * (n + 1) // 2,), dtype=complex)
+    return GZCoordinates(n=B.shape[-1], basis=basis, values=_level_values(B, basis, 1))
+
+
+def _level_values(B: np.ndarray, basis: str, low: int) -> np.ndarray:
+    """The values of the levels low..n of gz_map(B, basis), from position low(low-1)/2 on,
+    each with the bits gz_map gives it; B is checked by the caller."""
+    n = B.shape[-1]
+    start = low * (low - 1) // 2
+    values = np.empty(B.shape[:-2] + (n * (n + 1) // 2 - start,), dtype=complex)
     # the traces of a chain of powers come power first, as does this view of values
     by_power = values.transpose((B.ndim - 2, *range(B.ndim - 2)))
     # an overflow leaves values that are not finite, which the CLI's output refuses
     with np.errstate(over="ignore", invalid="ignore"):
-        for m in range(1, n + 1):
-            pos = m * (m - 1) // 2
+        for m in range(low, n + 1):
+            pos = m * (m - 1) // 2 - start
             minor = B[..., :m, :m]
             if basis == "tr-power":
                 by_power[pos : pos + m] = np.trace(_powers(minor, m + 1)[1:], axis1=-2, axis2=-1)
             else:
-                values[..., pos : pos + m] = charpoly(minor)[..., :m]
-    return GZCoordinates(n=n, basis=basis, values=values)
+                values[..., pos : pos + m] = _charpoly(minor)[..., :m]
+    return values
 
 
 def _padded_minor_power(B: np.ndarray, m: int, i: int) -> np.ndarray:
@@ -178,8 +194,11 @@ def flow_factor(B: np.ndarray, m: int, i: int, z: complex) -> np.ndarray:
     both sides of T*GL(n,C)); B and (m, i) are checked where they enter, and an
     overflowing factor is a numerical failure."""
     with np.errstate(over="ignore", invalid="ignore"):
-        g = _expm(z * np.linalg.matrix_power(B[:m, :m], i - 1))
-    if not np.isfinite(g).all():
+        # at i = 1 the power is the identity of B's kind, as matrix_power(B_m, 0) builds it
+        power = _identities(m)[B.dtype.kind == "c"] if i == 1 else np.linalg.matrix_power(B[:m, :m], i - 1)
+        g = _expm(z * power)
+    # count_nonzero takes half the time of .all() on a small array
+    if np.count_nonzero(np.isfinite(g)) < g.size:
         raise ToleranceError(f"flow factor for (m, i) = ({m}, {i}) overflowed")
     return g
 
@@ -193,8 +212,13 @@ def _flow_step(B: np.ndarray, m: int, i: int, z: complex) -> tuple[np.ndarray, n
     try:
         moved[m:, :m] = np.linalg.solve(g.T, B[m:, :m].T).T
     except np.linalg.LinAlgError:
-        raise ToleranceError(f"flow factor for (m, i) = ({m}, {i}) is singular") from None
+        raise _singular_factor(m, i) from None
     return g, moved
+
+
+def _singular_factor(m: int, i: int) -> ToleranceError:
+    """The refusal of a flow factor whose LU factorization has an exactly zero pivot."""
+    return ToleranceError(f"flow factor for (m, i) = ({m}, {i}) is singular")
 
 
 def _as_group_element(n: int, lam) -> GZGroupElement:
@@ -300,10 +324,10 @@ def _clustered_roots(polys, tol):
     """Cluster the roots of trimmed polys; returns (reps, per-poly counts, scaled tol)."""
     found = [np.linalg.eigvals(_companion(p / p[-1])) for p in polys if p.size > 1]
     owners = [j for j, p in enumerate(polys) for _ in range(p.size - 1)]
-    all_roots = np.concatenate(found).tolist() if found else []
-    scale = 1.0 + max(map(abs, all_roots), default=0.0)
+    all_roots = np.concatenate(found) if found else np.zeros(0, dtype=complex)
+    scale = 1.0 + float(_abs(all_roots).max(initial=0.0))
     eff_tol = (CLUSTER_TOL if tol is None else tol) * scale
-    if not all_roots:
+    if not all_roots.size:
         return [], np.zeros((0, len(polys)), dtype=int), eff_tol
     reps, member = _clusters(all_roots, eff_tol)
     cells = len(reps) * len(polys)

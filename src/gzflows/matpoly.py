@@ -12,6 +12,8 @@ Conventions used by every module in this package:
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 
 import numpy as np
 
@@ -159,12 +161,17 @@ def charpoly(A) -> np.ndarray:
     A stack (..., n, n) gives the stack (..., n + 1) of its polynomials.
     """
     A = _check_square(np.asarray(A, dtype=complex))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _charpoly(A)
+
+
+def _charpoly(A: np.ndarray) -> np.ndarray:
+    """:func:`charpoly` of a checked complex A, under the caller's error state."""
     n = A.shape[-1]
     coeffs = np.zeros(A.shape[:-2] + (n + 1,), dtype=complex)
     coeffs[..., n] = 1.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k, (c, _) in enumerate(_faddeev_leverrier(A), start=1):
-            coeffs[..., n - k] = c
+    for k, (c, _) in enumerate(_faddeev_leverrier(A), start=1):
+        coeffs[..., n - k] = c
     return coeffs
 
 
@@ -195,9 +202,8 @@ _PADE_BOUNDS = [
 
 
 def _pade(A: np.ndarray, order: int) -> np.ndarray:
-    n = A.shape[0]
     c = _PADE_COEFFS[order]
-    ident = np.eye(n, dtype=complex)
+    ident = _identities(A.shape[0])[1]
     if order == 13:
         A2 = A @ A
         A4 = A2 @ A2
@@ -229,8 +235,8 @@ def _expm(A: np.ndarray) -> np.ndarray:
     """:func:`matexp` of a checked A; a 1-norm that is not finite gives a NaN matrix."""
     if A.shape[0] == 0:
         return A.copy()
-    norm = np.linalg.norm(A, 1)
-    if not np.isfinite(norm):
+    norm = np.abs(A).sum(axis=0).max()  # what np.linalg.norm(A, 1) evaluates
+    if not math.isfinite(norm):
         return np.full(A.shape, np.nan, dtype=complex)
     if norm <= _PADE_BOUNDS[-1][1]:
         for order, bound in _PADE_BOUNDS:
@@ -439,26 +445,32 @@ def cluster_points(points, tol: float) -> list[tuple[complex, int]]:
     cluster means.  Input is sorted by (re, im) first so the result is
     deterministic regardless of input order.
     """
-    return _clusters(points, tol)[0]
+    return _clusters(np.array([complex(p) for p in points], dtype=complex), tol)[0]
 
 
 def _clusters(points, tol: float) -> tuple[list[tuple[complex, int]], np.ndarray]:
-    """The pairs of :func:`cluster_points`, and the index of each point's pair."""
+    """The pairs of :func:`cluster_points` of a complex array (or list), and the index of
+    each point's pair."""
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    z = np.array([complex(p) for p in points], dtype=complex)
+    z = np.asarray(points, dtype=complex)
     perm = np.lexsort((z.imag, z.real))
     pts = z[perm]
     near = _distances(pts) <= tol
-    # each point takes the least index in its connected component
-    labels = np.arange(z.size)
+    # each point takes the least index in its connected component, which heads it
+    position = labels = np.arange(z.size)
     while True:
         low = np.where(near, labels, z.size).min(axis=1, initial=z.size)
         if np.array_equal(low, labels):
             break
         labels = low
-    heads, member = np.unique(labels, return_inverse=True)
-    reps = [(sum(g) / len(g), len(g)) for g in (pts[labels == r].tolist() for r in heads)]
+    # the clusters in the order of their heads
+    member = (np.cumsum(labels == position) - 1)[labels]
+    sizes = np.bincount(member).tolist()
+    # the points of each cluster in one stable grouping, each cluster in its sorted order
+    grouped = pts[np.argsort(member, kind="stable")].tolist()
+    reps = [(sum(grouped[end - size : end]) / size, size)
+            for end, size in zip(itertools.accumulate(sizes), sizes)]
     order = sorted(range(len(reps)), key=lambda c: (reps[c][0].real, reps[c][0].imag))
     index = np.empty(z.size, dtype=int)
     index[perm] = np.argsort(order)[member]

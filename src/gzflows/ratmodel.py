@@ -631,6 +631,7 @@ def _classified(points: list[MatricialData], isotropy: bool, stacklevel: int) ->
         unshifted = np.zeros((n - 1, D.count), dtype=bool)
         pairs = np.zeros((n - 1, 2, D.count), dtype=complex)
         labels = []
+        shifts = {d: shift_matrix(d) for d in set(k)}
         for j in range(n - 1):
             m = min(k[j], k[j + 1])
             if k[j] == k[j + 1]:
@@ -640,7 +641,7 @@ def _classified(points: list[MatricialData], isotropy: bool, stacklevel: int) ->
                 big, anchor = _by_size(k, j, D.b_plus[j], D.b_minus[j + 1])
                 label = _by_size(k, j, f"B_plus[{j + 1}]", f"B_minus[{j + 2}]")[1]
                 pairs[j] = big[:, m, m - 1], big[:, 0, -1]
-            unshifted[j] = _frobenius(anchor - shift_matrix(m)) > canon_tol
+            unshifted[j] = _frobenius(anchor - shifts[m]) > canon_tol
             labels.append(label)
         mags = _abs(pairs)
         both = (mags > nz_tol).all(axis=1)
@@ -693,6 +694,8 @@ def enumerate_sr(k) -> list[MatricialData]:
             "(the count is then sr_orbit_count_zero_fiber)"
         )
     n = len(k)
+    # one shift per size, and a copy of it for each block: no two blocks share an array
+    shifts = {d: shift_matrix(d) for d in set(k)}
     reps = []
     for signs in itertools.product((-1, 1), repeat=n - 1):
         b_minus: list[np.ndarray | None] = [None] * n
@@ -702,13 +705,13 @@ def enumerate_sr(k) -> list[MatricialData]:
         start_plus = [0] * n
         u: dict[int, np.ndarray] = {}
         w: dict[int, np.ndarray] = {}
-        b_minus[0] = shift_matrix(k[0])
-        b_plus[n - 1] = shift_matrix(k[n - 1])
+        b_minus[0] = shifts[k[0]].copy()
+        b_plus[n - 1] = shifts[k[n - 1]].copy()
         for j in range(n - 1):
             size, m = _by_size(k, j, k[j], k[j + 1])
             start = m if signs[j] == 1 and m < size else 0
-            big = relinked_shift(size, start) if start else shift_matrix(size)
-            b_plus[j], b_minus[j + 1] = _by_size(k, j, big, shift_matrix(m))
+            big = relinked_shift(size, start) if start else shifts[size].copy()
+            b_plus[j], b_minus[j + 1] = _by_size(k, j, big, shifts[m].copy())
             start_plus[j], start_minus[j + 1] = _by_size(k, j, start, 0)
             if m == size:
                 u[j] = np.zeros(m, dtype=complex)

@@ -137,9 +137,19 @@ def decode_matricial(obj) -> MatricialData:
         j = _need_int(entry["i"], "junction index", 1, len(k) - 1) - 1
         if j in u:
             raise InputError(f"uw holds junction {j + 1} twice")
-        u[j] = decode_array(entry["u"], 1)
-        w[j] = decode_array(entry["w"], 1)
+        u[j], w[j] = _decoded_pair(entry["u"], entry["w"])
     return MatricialData(k=k, b_minus=b_minus, b_plus=b_plus, g=g, u=u, w=w)
+
+
+def _decoded_pair(u, w) -> tuple[np.ndarray, np.ndarray]:
+    """decode_array(u, 1) and decode_array(w, 1), in one call when the two decode together
+    (a junction's u and w have one length); else one call each, so the first bad vector
+    raises its own text."""
+    try:
+        pair = decode_array([u, w], 2)
+    except InputError:
+        return decode_array(u, 1), decode_array(w, 1)
+    return pair[0], pair[1]
 
 
 def _decoded_blocks(obj, k: tuple[int, ...]) -> list | None:
@@ -259,8 +269,14 @@ def _render(obj, nl: str) -> str:
         if not obj:
             return "[]"
         inner = nl + "  "
-        ints = all(type(x) is int for x in obj)  # bool is not int here
-        items = map(int.__repr__, obj) if ints else [_render(x, inner) for x in obj]
+        if all(type(x) is int for x in obj):  # bool is not int here
+            items = map(int.__repr__, obj)
+        elif all(type(x) is float for x in obj):
+            items = list(map(float.__repr__, obj))
+            if not _NON_FINITE_TEXTS.isdisjoint(items):
+                raise ToleranceError(_NON_FINITE)
+        else:
+            items = [_render(x, inner) for x in obj]
         return "[" + inner + ("," + inner).join(items) + nl + "]"
     if isinstance(obj, np.ndarray) and obj.dtype.kind == "f":
         return _render_array(obj, nl)

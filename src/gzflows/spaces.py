@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .gzcore import _as_group_element, _flow_step, _gz_position, flow_factor
+from .gzcore import _as_group_element, _flow_step, _gz_position, _singular_factor, flow_factor
 from .matpoly import _powers, as_matrix, krylov_matrix, krylov_rank, numerical_rank
 
 __all__ = [
@@ -127,6 +127,7 @@ def tgl_flow(x: CotangentPoint, side: str, m: int, i: int, z: complex) -> Cotang
            m = n the factor commutes with B, so B keeps its bits.
     right: (g, B) -> (gh, B) with h = blockdiag(exp(-z minor(C, m)**(i-1)), I)
            and C = -g^-1 B g; B is never touched.
+    A factor that overflows or is exactly singular raises ToleranceError on either side.
     """
     _gz_position(x.n, m, i)  # checks the index
     moved = x.g.astype(complex)
@@ -135,7 +136,11 @@ def tgl_flow(x: CotangentPoint, side: str, m: int, i: int, z: complex) -> Cotang
         moved[:m] = h @ x.g[:m]
         return CotangentPoint(g=moved, B=B)
     if side == "right":
-        moved[:, :m] = x.g[:, :m] @ flow_factor(x.right_moment(), m, i, -z)
+        h = flow_factor(x.right_moment(), m, i, -z)
+        # the left flow's criterion, an LU pivot that is exactly zero (its solve refuses it)
+        if np.linalg.slogdet(h)[0] == 0:
+            raise _singular_factor(m, i)
+        moved[:, :m] = x.g[:, :m] @ h
         return CotangentPoint(g=moved, B=x.B)
     raise ValueError(f"unknown side {side!r}")
 

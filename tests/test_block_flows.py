@@ -97,6 +97,15 @@ class TestLeadingBlockIsExact:
             with pytest.raises(ToleranceError, match=r"^flow factor for \(m, i\) = \(2, 2\) is singular$"):
                 _flow_step(B, 2, 2, 1)
 
+    def test_singular_right_factor_is_a_numerical_failure(self):
+        # C = -g^-1 B g = -B at g = I, and exp(-z minor(C, 2)) = exp(-1000 I_2) underflows
+        # to the zero matrix: g h would have rank 1, outside GL(3, C)
+        B = np.array([[-1000, 0, 1], [0, -1000, 0], [1, 0, 1]], dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ToleranceError, match=r"^flow factor for \(m, i\) = \(2, 2\) is singular$"):
+                tgl_flow(CotangentPoint(g=np.eye(3), B=B), "right", 2, 2, 1)
+
 
 def well_conditioned(rng, B, m, i):
     """z with |z| ||minor(B, m)**(i-1)||_2 <= 0.5, as the benchmark draws its flows."""

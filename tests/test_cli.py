@@ -1624,8 +1624,8 @@ RAGGED = [[[0, 0], [0, 0], [0, 0]], [[0, 0], [0, 0]], [[0, 0], [0, 0], [0, 0]]]
 
 
 class TestMatricialDecode:
-    """decode_matricial takes one np.array per block size, with the bits and the texts
-    of decoding entry by entry."""
+    """decode_matricial takes one np.array per block size and one per junction's u and w,
+    with the bits and the texts of decoding entry by entry."""
 
     @pytest.mark.parametrize("edit", ["none", "integers", "bools", "negative-zero", "empty-level"])
     def test_blocks_have_the_bits_of_per_entry_decoding(self, edit):
@@ -1681,6 +1681,53 @@ class TestMatricialDecode:
         doc = model_doc()
         doc["B_plus"] = doc["B_plus"][:-1]
         with pytest.raises(InputError, match="^B_plus must be a list of length 5$"):
+            serialize.decode_matricial(doc)
+
+    @pytest.mark.parametrize("edit", ["none", "integers", "bools", "negative-zero", "empty-vector", "two-lengths"])
+    def test_uw_vectors_have_the_bits_of_per_entry_decoding(self, edit):
+        doc = model_doc((1, 1, 2, 2, 2), 5)  # three tied junctions, vectors of lengths 1 and 2
+        if edit == "integers":
+            doc["uw"][1]["u"] = [[int(re), int(im)] for re, im in doc["uw"][1]["u"]]
+        elif edit == "bools":
+            doc["uw"][2]["w"] = [[bool(re), False] for re, _ in doc["uw"][2]["w"]]
+        elif edit == "negative-zero":
+            doc["uw"][0]["w"] = [[-0.0, -0.0]]
+        elif edit == "empty-vector":  # a length 0 takes the vector-by-vector decoding
+            doc["uw"][0]["u"] = []
+        elif edit == "two-lengths":  # so does a w longer than its u
+            doc["uw"][1]["w"] = doc["uw"][1]["w"] + [[0.5, -0.0]]
+        F = serialize.decode_matricial(doc)
+        assert list(F.u) == list(F.w) == [entry["i"] - 1 for entry in doc["uw"]]
+        for entry in doc["uw"]:
+            for got, key in ((F.u, "u"), (F.w, "w")):
+                a, b = got[entry["i"] - 1], serialize.decode_array(entry[key], 1)
+                assert (a.dtype, a.shape, a.flags.c_contiguous) == (b.dtype, b.shape, True)
+                assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("key", ["u", "w"])
+    @pytest.mark.parametrize("vector", [
+        pytest.param([[0, 0], [0]], id="ragged"),
+        pytest.param([[0, 0], [0, "x"]], id="text-entry"),
+        pytest.param([[0, 0], [0, float("nan")]], id="nan-entry"),
+        pytest.param([[0, 0, 0], [0, 0, 0]], id="triples"),
+        pytest.param([[[0, 0]], [[0, 0]]], id="matrix"),
+        pytest.param(5, id="number"),
+    ])
+    def test_a_bad_uw_vector_raises_its_own_text(self, key, vector):
+        doc = model_doc((1, 1, 2, 2, 2), 5)
+        doc["uw"][2][key] = vector
+        with pytest.raises(InputError) as info:
+            serialize.decode_matricial(doc)
+        assert str(info.value) == decode_text(vector, 1)
+
+    def test_the_first_bad_uw_entry_in_wire_order_raises(self):
+        doc = model_doc((1, 1, 2, 2, 2), 5)
+        doc["uw"][1]["w"] = [[0, float("inf")], [0, 0]]
+        doc["uw"][2] = {**doc["uw"][0]}  # junction 1 again, after the bad vector
+        with pytest.raises(InputError, match="^vector entries must be finite$"):
+            serialize.decode_matricial(doc)
+        del doc["uw"][1]["w"]
+        with pytest.raises(InputError, match="^missing keys: w$"):
             serialize.decode_matricial(doc)
 
 
@@ -1775,8 +1822,10 @@ CONSTANT_STACKS = st.builds(
     st.integers(min_value=1, max_value=5),
     arrays(np.float64, array_shapes(min_dims=1, max_dims=3, max_side=3), elements=FLOATS),
 )
+# lists of floats only, which render in one pass
+FLOAT_LISTS = st.lists(FLOATS | st.sampled_from([-0.0, 1e16, 5e-324]), min_size=1, max_size=6)
 DOCS = st.recursive(
-    STRINGS | FLOATS | st.booleans() | st.none() | st.integers()
+    STRINGS | FLOATS | FLOAT_LISTS | st.booleans() | st.none() | st.integers()
     | st.integers(min_value=-(2**100), max_value=2**100)
     | arrays(np.float64, SHAPES, elements=FLOATS)
     | FEW_VALUES | SIGNED_ZEROS | CONSTANT_STACKS,
@@ -1815,8 +1864,18 @@ class TestDumps:
         assert serialize._dumps(doc) == json.dumps(doc, indent=2)
 
     @pytest.mark.parametrize("doc", [
+        [-0.0, 0.0, 1e16, 5e-324, -5e-324, 1e308, 0.1],
+        [[1.0, -0.0], [1e16, 5e-324]],
+        {"roots": [[0.5, -0.0]], "mixed": [1.0, 2, True, None]},
+    ])
+    def test_float_lists_match_json_dumps(self, doc):
+        assert serialize._dumps(doc) == json.dumps(doc, indent=2)
+
+    @pytest.mark.parametrize("doc", [
         float("nan"),
         {"a": [1.0, float("inf")]},
+        [float("-inf"), 0.0],
+        [[0.5, float("nan")]],
         np.array([[0.0, -np.inf]]),
         {"x": serialize.encode_array([1.0, complex(0.0, np.nan)])},
     ])

@@ -30,6 +30,7 @@ from gzflows.ratmodel import (
     open_stratum_chart,
     polar,
     relinked_shift,
+    shift_matrix,
     sigma_of,
 )
 from gzflows.verify import fd_gradient
@@ -365,6 +366,14 @@ class TestEnumerate:
     def test_zero_degree_rejected(self):
         with pytest.raises(ValidationError):
             enumerate_sr((1, 0, 1))
+
+    @pytest.mark.parametrize("k", [(1, 1), (2, 2, 2), (1, 2, 3, 3, 2), (3, 1, 3)])
+    def test_no_two_blocks_share_an_array(self, k):
+        # each size's shift is built once: every block must still be its own writable array
+        blocks = [M for F in enumerate_sr(k) for M in (*F.b_minus, *F.b_plus, *F.g, *F.u.values(), *F.w.values())]
+        assert all(M.flags.writeable and M.dtype == complex for M in blocks)
+        assert not any(np.shares_memory(a, b) for j, a in enumerate(blocks) for b in blocks[:j])
+        assert shift_matrix(3) is not shift_matrix(3) and shift_matrix(3).flags.writeable
 
 
 class TestStrongRegularity:

@@ -2,17 +2,21 @@
 
     python3 tools/latency_by_kind.py WORKLOAD [--seed N] [--rounds R] [--by-request] [--gc]
 
-Run from the root of a gzflows checkout.  It builds the workload's round
-for the seed in a temporary directory with ``bench/run.py``'s ``set_up``,
-runs ``run_round`` R times (default 20), and prints one line per request
-kind, slowest first:
+It times the checkout it sits in, that checkout's ``bench/`` and ``src/``
+whatever the working directory, so run each checkout's own copy.  It
+builds the workload's round for the seed in a temporary directory with
+``bench/run.py``'s ``set_up``, runs ``run_round`` R times (default 20),
+and prints one line per group of requests, the largest round_ms first:
 
-    kind  per_round  median_ms
+    kind  n  per_round  median_ms  round_ms
 
-where per_round is how many requests of that kind one round holds and
-median_ms is the median of their latencies, scaled to the reference pass
-as ``bench/run.py`` scales them.  It shows which requests set
-``req_tail_ms``, the 11th-largest latency in each block of whole rounds
+A group is a request kind at one size n, the size the step's spec records:
+the order of its ``B``, or the number of its root lists (``-`` when the
+spec records neither).  per_round is how many requests of the group one
+round holds, median_ms the median of their latencies and round_ms the
+median over rounds of the group's total latency in a round, each scaled
+to the reference pass as ``bench/run.py`` scales them.  It shows which
+requests set ``req_tail_ms``, the 11th-largest latency in each block of whole rounds
 holding at least 1000 requests: in doc-roundtrip, whose round holds 54,
 that is the slowest kind with one request a round.
 
@@ -70,15 +74,24 @@ class GcTimer:
         return run
 
 
+def size_of(spec: dict) -> int | None:
+    """The size n a request's spec records: the order of its B, or its number of root lists."""
+    if "B" in spec:
+        return spec["B"].shape[0]
+    if "roots" in spec:
+        return len(spec["roots"])
+    return None
+
+
 def round_latencies(name: str, seed: int, rounds: int, gc_spent: list | None = None) -> tuple[list, list]:
-    """(kind of each request of the round, every scaled latency in run order, in seconds).
+    """((kind, size_of) of each request of the round, every scaled latency in run order, in seconds).
 
     With a list gc_spent, the collection time of every request, in run order, is
     appended to it.
     """
     with tempfile.TemporaryDirectory() as workdir:
         steps, _, _ = bench.set_up(name, seed, workdir)
-        kinds = [s.kind for s in steps if s.kind != "glue"]
+        groups = [(s.kind, size_of(s.spec)) for s in steps if s.kind != "glue"]
         if gc_spent is not None:
             timer = GcTimer()
             steps = [s if s.kind == "glue" else dataclasses.replace(s, call=timer.timed(s.call, gc_spent))
@@ -91,7 +104,7 @@ def round_latencies(name: str, seed: int, rounds: int, gc_spent: list | None = N
         finally:
             if gc_spent is not None:
                 gc.callbacks.remove(timer)
-    return kinds, latencies
+    return groups, latencies
 
 
 def _middle(indices: list, latencies: list) -> set:
@@ -125,8 +138,8 @@ def main(argv=None) -> int:
                    help="add the mean cyclic-GC time per request, in unscaled ms")
     args = p.parse_args(argv)
     gc_spent = [] if args.gc else None
-    kinds, latencies = round_latencies(args.workload, args.seed, args.rounds, gc_spent)
-    per_round = len(kinds)
+    groups, latencies = round_latencies(args.workload, args.seed, args.rounds, gc_spent)
+    per_round = len(groups)
 
     def gc_ms(at) -> str:
         """The gc_ms column over the requests at those positions, if asked for."""
@@ -134,21 +147,26 @@ def main(argv=None) -> int:
 
     if args.by_request:
         holders = metric_holders(latencies, per_round)
-        width = max(map(len, kinds))
-        for j, kind in enumerate(kinds):
+        width = max(len(kind) for kind, _ in groups)
+        for j, (kind, _) in enumerate(groups):
             median = 1e3 * statistics.median(latencies[j::per_round])
             marks = " ".join(m for m, at in holders.items() if j in at)
             at = range(j, len(latencies), per_round)
             print(f"{j:4d}  {kind:<{width}}  {median:9.3f}{gc_ms(at)}  {marks}".rstrip(), flush=True)
         return 0
-    by_kind = defaultdict(list)
-    for i in range(len(latencies)):
-        by_kind[kinds[i % per_round]].append(i)
-    counts = Counter(kinds)
-    medians = {kind: 1e3 * statistics.median(latencies[i] for i in at) for kind, at in by_kind.items()}
-    width = max(map(len, medians))
-    for kind in sorted(medians, key=medians.get, reverse=True):
-        print(f"{kind:<{width}}  {counts[kind]:4d}  {medians[kind]:9.3f}{gc_ms(by_kind[kind])}", flush=True)
+    by_group = defaultdict(list)
+    per_round_sums = defaultdict(lambda: [0.0] * args.rounds)
+    for i, latency in enumerate(latencies):
+        by_group[groups[i % per_round]].append(i)
+        per_round_sums[groups[i % per_round]][i // per_round] += latency
+    counts = Counter(groups)
+    medians = {group: 1e3 * statistics.median(latencies[i] for i in at) for group, at in by_group.items()}
+    totals = {group: 1e3 * statistics.median(sums) for group, sums in per_round_sums.items()}
+    width = max(len(kind) for kind, _ in medians)
+    for group in sorted(totals, key=totals.get, reverse=True):
+        kind, n = group
+        print(f"{kind:<{width}}  {'-' if n is None else n:>2}  {counts[group]:4d}  {medians[group]:9.3f}"
+              f"  {totals[group]:9.3f}{gc_ms(by_group[group])}", flush=True)
     return 0
 
 
