@@ -8,6 +8,7 @@ Identical requests produce byte-identical output.
 from __future__ import annotations
 
 import functools
+import gc
 import json
 import sys
 from types import SimpleNamespace
@@ -507,6 +508,10 @@ def run(argv) -> int:
     if args is None:
         sys.stdout.write(USAGE + "\n")
         return EXIT_OK
+    # a request's payload and answer die when it returns: no collection pass need scan
+    # them, so the collector pauses for the request and resumes as the caller had it
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         payload = _load_payload(args.input)
         doc, code = handler(payload, args)
@@ -523,6 +528,9 @@ def run(argv) -> int:
     except ToleranceError as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return EXIT_NUMERICAL
+    finally:
+        if collecting:
+            gc.enable()
     return code
 
 

@@ -9,8 +9,9 @@ to its own exit code.
 
 Encoders return float arrays (shape + (2,)) where the wire holds nested
 lists.  The CLI writes documents with :func:`_dumps`, the bytes of
-``json.dumps(doc, indent=2)``, which renders each array whole instead of
-visiting its elements one by one.
+``json.dumps(doc, indent=2)``, which renders each float array whole: one
+``%r`` template of its shape filled with all its floats, or, when its
+slices along the first axis repeat, one rendered slice repeated.
 """
 
 from __future__ import annotations
@@ -192,7 +193,7 @@ def encode_lax_path(path: LaxPath) -> dict:
 def decode_lax_path(obj) -> LaxPath:
     _need_keys(obj, ("grid", "alpha", "beta"))
     grid = obj["grid"]
-    if not isinstance(grid, list) or not all(isinstance(t, (int, float)) for t in grid):
+    if not isinstance(grid, list) or not all(type(t) in (int, float) for t in grid):  # no bools
         raise InputError("grid must be a list of real times")
     alpha = decode_array(obj["alpha"], 3)
     beta = decode_array(obj["beta"], 3)
@@ -300,30 +301,29 @@ def _scalar(obj) -> str:
 
 
 def _render_array(A: np.ndarray, nl: str) -> str:
-    """Nested-list text of a float array: the leaves at once, then one join per axis.
+    """Nested-list text of a float array: one ``%r`` template filled with all its floats.
 
-    When every slice along the first axis has the bytes of the first, as
-    in a path sampled from a constant, only the first slice is rendered and
-    its texts are repeated.  Bytes, not values, are compared, so -0.0 and
-    0.0 keep their own texts.  The brackets of the inner axes go into the
-    separators of the outer ones.
+    ``"%r" % x`` is ``float.__repr__(x)``, the text ``json.dumps`` writes.
+    When every slice along the first axis has the bytes of the first, as in
+    a path sampled from a constant, only the first slice is rendered and its
+    text is repeated.  Bytes, not values, are compared, so -0.0 and 0.0 keep
+    their own texts.
     """
     flat = A.ravel()
+    if np.count_nonzero(np.isfinite(flat)) < flat.size:
+        raise ToleranceError(_NON_FINITE)
     rows = A.shape[0] if A.ndim else 1
     step = flat.size // rows if rows else 0  # floats per slice along the first axis
-    repeated = flat[step:].tobytes() == flat[: flat.size - step].tobytes()
-    texts = list(map(float.__repr__, (flat[:step] if repeated else flat).tolist()))
-    if not _NON_FINITE_TEXTS.isdisjoint(texts):
-        raise ToleranceError(_NON_FINITE)
-    if repeated:
-        texts *= rows
-    opening = closing = ""  # brackets not yet written around each of texts
-    for axis in range(A.ndim - 1, -1, -1):
-        size = A.shape[axis]
-        if size == 0:
-            texts, opening, closing = ["[]"] * math.prod(A.shape[:axis]), "", ""
-            continue
-        inner = nl + "  " * (axis + 1)
-        texts = list(map((closing + "," + inner + opening).join, zip(*[iter(texts)] * size)))
-        opening, closing = "[" + inner + opening, closing + inner[:-2] + "]"
-    return opening + texts[0] + closing
+    if rows and flat[step:].tobytes() == flat[: flat.size - step].tobytes():
+        first = _template(A.shape[1:], nl + "  ") % tuple(flat[:step].tolist())
+        return _template(A.shape[:1], nl, first)
+    return _template(A.shape, nl) % tuple(flat.tolist())
+
+
+def _template(shape: tuple, nl: str, leaf: str = "%r") -> str:
+    """The nested-list text of an array of that shape whose every entry is leaf."""
+    for depth in range(len(shape), 0, -1):
+        inner = nl + "  " * depth
+        size = shape[depth - 1]
+        leaf = "[" + inner + ("," + inner).join([leaf] * size) + inner[:-2] + "]" if size else "[]"
+    return leaf

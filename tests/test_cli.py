@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -436,6 +437,14 @@ class TestLaxCommands:
         code, out, err = call(capsys, "lax-gauge", "--input", json.dumps({"path": run_doc["path"]}))
         assert code == 65 and out == ""
         assert err == "input error: grid times must be finite\n"
+
+    @pytest.mark.parametrize("value", [False, True])
+    def test_bool_grid_time_65(self, capsys, value):
+        # a bool is no real time, as in lax-run's t_start and t_end; false once passed as 0.0
+        run_doc = call_json(capsys, "lax-run", "--input", json.dumps(self.payload(), default=np.ndarray.tolist))
+        run_doc["path"]["grid"][0 if value is False else -1] = value
+        code, out, err = call(capsys, "lax-gauge", "--input", json.dumps({"path": run_doc["path"]}))
+        assert (code, out, err) == (65, "", "input error: grid must be a list of real times\n")
 
 
 KW_CHECK_N3_SAMPLES2_SEED7 = """{
@@ -1855,6 +1864,16 @@ class TestDumps:
         assert serialize._dumps(doc) == json.dumps(doc, indent=2, default=np.ndarray.tolist)
 
     @pytest.mark.parametrize("doc", [
+        np.array(1.5),
+        {"a": np.array(-0.0), "b": [np.array(1e16)]},
+        np.array([[[0.5, -2.0], [1e-7, 3.0]]]),  # one slice
+        np.zeros((2, 0, 2)),
+        {"a": np.zeros((0, 2)), "b": np.zeros((3, 0))},
+    ])
+    def test_scalars_single_slices_and_empty_axes_match_json_dumps(self, doc):
+        assert serialize._dumps(doc) == json.dumps(doc, indent=2, default=np.ndarray.tolist)
+
+    @pytest.mark.parametrize("doc", [
         [0, 1, -7, 2**63, -(2**63) - 1, 10**40],
         [True, False, True],
         [1, True, 0, False],
@@ -1878,6 +1897,8 @@ class TestDumps:
         [[0.5, float("nan")]],
         np.array([[0.0, -np.inf]]),
         {"x": serialize.encode_array([1.0, complex(0.0, np.nan)])},
+        np.broadcast_to(np.array([np.nan, 0.0]), (3, 2)),  # a repeated slice: rendered once
+        np.array(np.inf),
     ])
     def test_non_finite_raises(self, doc):
         with pytest.raises(ToleranceError):
@@ -1941,6 +1962,38 @@ REFUSALS = [
     pytest.param("lax-run", OVERFLOWING_ALPHA, 3, "numerical failure: alpha overflowed (not finite at t = 1.25e+299)",
                  id="lax-run-alpha-1e308"),
 ]
+
+
+class TestCollectorPause:
+    """cli.run pauses the cyclic collector for a request and leaves it as it found it."""
+
+    @pytest.fixture(autouse=True)
+    def keep_collector(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    @pytest.mark.parametrize("code, argv", [
+        pytest.param(0, ["gz-map", "--input", '{"matrix": %s}' % MATRIX_2], id="exit-0"),
+        pytest.param(2, ["md-validate", "--input", model_request((1, 2), ("B_minus", 0), [[[0.25, 0]]])],
+                     id="exit-2"),
+        pytest.param(3, ["gz-flow", "--input", SINGULAR_FLOW], id="exit-3"),
+        pytest.param(64, ["gz-map", "--bogus"], id="exit-64"),
+        pytest.param(65, ["gz-map", "--input", "{"], id="exit-65"),
+        pytest.param(0, ["gz-map", "-h"], id="help"),
+    ])
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_state_restored(self, capsys, code, argv, enabled):
+        (gc.enable if enabled else gc.disable)()
+        assert call(capsys, *argv)[0] == code
+        assert gc.isenabled() is enabled
+
+    def test_paused_during_the_request(self, capsys, monkeypatch):
+        seen = []
+        monkeypatch.setitem(HANDLERS, "gz-map", lambda payload, args: (seen.append(gc.isenabled()) or {}, 0))
+        gc.enable()
+        assert call(capsys, "gz-map") == (0, "{}\n", "")
+        assert seen == [False] and gc.isenabled()
 
 
 class TestRefusalCorpus:

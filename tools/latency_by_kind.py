@@ -29,6 +29,13 @@ where marks names the metrics whose value, computed from these rounds as
 ``bench/run.py`` computes it, is a latency of that request: ``p50`` for
 ``req_p50_ms`` and ``tail`` for ``req_tail_ms``.  A median of two middle
 latencies marks the requests of both.
+
+With ``--gc`` each line gains a gc_ms column, the mean time of the cyclic
+garbage collections that ran inside each request of the line (unscaled ms),
+and a first line gives the collections of each generation per round, from
+``gc.get_stats()`` before and after the rounds, and their time per round,
+so collections that run between the requests show too.  ``cli.run`` pauses
+the collector for each request, so the gc_ms column of a CLI request reads 0.
 """
 
 from __future__ import annotations
@@ -51,11 +58,15 @@ import workloads  # noqa: E402
 
 
 class GcTimer:
-    """Seconds spent in cyclic garbage collections, through ``gc.callbacks``."""
+    """Seconds spent in cyclic garbage collections, through ``gc.callbacks``: in all, and
+    in each timed call (``spent``); and the collections of each generation over the
+    rounds of :func:`round_latencies`."""
 
     def __init__(self):
         self.total = 0.0
         self._start = 0.0
+        self.spent = []
+        self.collections = []
 
     def __call__(self, phase: str, info: dict) -> None:
         if phase == "start":
@@ -63,14 +74,14 @@ class GcTimer:
         else:
             self.total += time.perf_counter() - self._start
 
-    def timed(self, call, spent: list):
+    def timed(self, call):
         """call, appending to spent the collection time of each of its runs."""
         def run():
             before = self.total
             try:
                 return call()
             finally:
-                spent.append(self.total - before)
+                self.spent.append(self.total - before)
         return run
 
 
@@ -83,27 +94,28 @@ def size_of(spec: dict) -> int | None:
     return None
 
 
-def round_latencies(name: str, seed: int, rounds: int, gc_spent: list | None = None) -> tuple[list, list]:
+def round_latencies(name: str, seed: int, rounds: int, timer: GcTimer | None = None) -> tuple[list, list]:
     """((kind, size_of) of each request of the round, every scaled latency in run order, in seconds).
 
-    With a list gc_spent, the collection time of every request, in run order, is
-    appended to it.
+    A timer records the collection time of every request, in run order, and the
+    collections over the rounds.
     """
     with tempfile.TemporaryDirectory() as workdir:
         steps, _, _ = bench.set_up(name, seed, workdir)
         groups = [(s.kind, size_of(s.spec)) for s in steps if s.kind != "glue"]
-        if gc_spent is not None:
-            timer = GcTimer()
-            steps = [s if s.kind == "glue" else dataclasses.replace(s, call=timer.timed(s.call, gc_spent))
+        if timer is not None:
+            steps = [s if s.kind == "glue" else dataclasses.replace(s, call=timer.timed(s.call))
                      for s in steps]
             gc.callbacks.append(timer)
         latencies = []
+        before = gc.get_stats()
         try:
             for _ in range(rounds):
                 latencies += bench.run_round(steps)[0]
         finally:
-            if gc_spent is not None:
+            if timer is not None:
                 gc.callbacks.remove(timer)
+                timer.collections = [b["collections"] - a["collections"] for a, b in zip(before, gc.get_stats())]
     return groups, latencies
 
 
@@ -135,15 +147,20 @@ def main(argv=None) -> int:
     p.add_argument("--by-request", action="store_true",
                    help="one line per request of the round, marking the p50 and tail holders")
     p.add_argument("--gc", action="store_true",
-                   help="add the mean cyclic-GC time per request, in unscaled ms")
+                   help="add the mean cyclic-GC time per request in unscaled ms (0 for a CLI request: "
+                        "cli.run pauses the collector), and first the collections per round")
     args = p.parse_args(argv)
-    gc_spent = [] if args.gc else None
-    groups, latencies = round_latencies(args.workload, args.seed, args.rounds, gc_spent)
+    timer = GcTimer() if args.gc else None
+    groups, latencies = round_latencies(args.workload, args.seed, args.rounds, timer)
     per_round = len(groups)
+    if args.gc:
+        counts = ", ".join(f"{c / args.rounds:.1f} gen{g}" for g, c in enumerate(timer.collections))
+        print(f"gc per round: {counts} collections, {1e3 * timer.total / args.rounds:.1f} ms unscaled",
+              flush=True)
 
     def gc_ms(at) -> str:
         """The gc_ms column over the requests at those positions, if asked for."""
-        return f"  {1e3 * statistics.fmean(gc_spent[i] for i in at):9.3f}" if args.gc else ""
+        return f"  {1e3 * statistics.fmean(timer.spent[i] for i in at):9.3f}" if args.gc else ""
 
     if args.by_request:
         holders = metric_holders(latencies, per_round)
