@@ -264,6 +264,12 @@ def strongly_regular(B) -> tuple[bool, int]:
     One stacked commutator gives every generator [pad(B_m**(i-1)), B] on its line: the unit
     powers of the minors against B-hat, B over its largest entry.  Each has norm at most
     2 ||B-hat||_F, the bound the rank is cut against, so the scale of B does not move it.
+
+    A full span is proved without singular values: a Cholesky factorization of the
+    generators' Gram matrix less tau I, tau = cut**2 plus twice its rounding budget
+    (``matpoly._spans_rows``), shows sigma_min above the cut with room for the SVD's
+    rounding, so it answers as the SVD would.  A B with a zero generator, such as
+    b (+) B', and any other B it does not prove go to the SVD.
     """
     B = as_matrix(B)
     n = B.shape[0]

@@ -394,18 +394,59 @@ def numerical_rank(M):
 
 
 def _rank(M: np.ndarray, bound: float | None = None):
-    """Singular values above max(p, q) * RANK_RTOL * bound (sigma_max, or a span's bound).
+    """Singular values above the cut max(p, q) * RANK_RTOL * bound (sigma_max, or a span's
+    bound on the norm of each row).
 
     A (p, q) matrix gives an int; a stack (..., p, q) the int array (...) of the rank of
     each matrix, the one it gets alone (each has the singular values it gets alone).
+
+    Given a bound, a stack whose every matrix :func:`_spans_rows` proves of full row rank p
+    gets p with no singular value taken: M M^H - tau I has a Cholesky factor, with
+    tau = cut**2 + 2 (p q + p**2 + p) eps bound**2, the cut plus twice the rounding
+    budget.  Any other input is counted from its SVD.  The proof leaves room for the
+    SVD's own rounding, so both routes give the same count.
     """
+    rtol = max(M.shape[-2:]) * RANK_RTOL
     if M.size == 0:
         counts = np.zeros(M.shape[:-2], dtype=int)
+    elif bound is not None and _spans_rows(M, bound * rtol, bound):
+        counts = np.full(M.shape[:-2], M.shape[-2])
     else:
         sigma = np.linalg.svd(M, compute_uv=False)
-        cut = (sigma[..., :1] if bound is None else bound) * (max(M.shape[-2:]) * RANK_RTOL)
+        cut = (sigma[..., :1] if bound is None else bound) * rtol
         counts = np.add.reduce(sigma > cut, axis=-1)
     return int(counts) if M.ndim == 2 else counts
+
+
+def _spans_rows(M: np.ndarray, cut: float, bound: float) -> bool:
+    """Whether one Cholesky factorization proves sigma_p > cut for every (p, q) matrix of M,
+    whose rows have norm at most bound.
+
+    With eps the spacing of floats at 1 (twice the unit roundoff, which covers the sqrt(2)
+    of a complex product), the computed Gram matrix M M^H is off by at most about
+    q eps ||M||_F**2 in norm, and a Cholesky factorization that completes is exact for a
+    matrix at most about (p + 1) eps ||M||_F**2 from the one it was given (Higham,
+    Accuracy and Stability of Numerical Algorithms, 3.1 and 10.1; both to first order).  As ||M||_F**2 <= p bound**2, both fit in
+    delta = (p q + p**2 + p) eps bound**2.  So a factorization of M M^H - tau I with
+    tau = cut**2 + 2 delta proves sigma_p**2 > cut**2 + delta: the SVD's rounding, of order
+    q eps ||M||_2, cannot bring sigma_p down to the cut.  A margin report can give
+    sqrt(tau) / cut for such a span.
+
+    A row whose squared norm is not above tau (its Gram diagonal entry) bounds sigma_p**2
+    by tau, so the matrix is left to the SVD before any product is formed.
+    """
+    p, q = M.shape[-2:]
+    tau = cut * cut + 2 * (p * q + p * p + p) * np.finfo(float).eps * bound * bound
+    entries = np.ascontiguousarray(M).view(float)
+    if not (np.einsum("...j,...j->...", entries, entries) > tau).all():
+        return False
+    gram = M @ M.conj().swapaxes(-1, -2)
+    np.einsum("...ii->...i", gram)[...] -= tau
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def krylov_rank(B, b) -> int:

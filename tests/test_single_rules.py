@@ -4,7 +4,9 @@ The source is read, not run: a ToleranceError that carries a tolerance is raised
 only by the gate ``errors._gate``, and the flow-index text ``invalid for n =`` is
 stated only by ``gzcore._gz_position``.  A second copy of either rule fails here.
 The flows of ``gzcore`` and ``spaces`` take no full inverse and build no identity
-around a flow factor: they move the off-diagonal blocks by the (m, m) factor.
+around a flow factor: they move the off-diagonal blocks by the (m, m) factor.  The
+rank cut ``max(p, q) * RANK_RTOL`` is written once, in ``matpoly._rank``, so the SVD's
+cut and the threshold of the full-span proof come from one product.
 """
 
 import ast
@@ -18,6 +20,7 @@ INDEX_TEXT = "invalid for n ="
 FLOW_MODULES = ("gzcore.py", "spaces.py")
 # a function that calls one of these builds or takes a flow factor
 FLOW_FACTOR_CALLS = {"_expm", "flow_factor", "_flow_step"}
+RANK_CUT = ("matpoly.py", "_rank")
 
 
 def rule_sites(module: str, source: str) -> tuple[set, set]:
@@ -52,6 +55,24 @@ def full_factor_sites(module: str, source: str) -> set:
                   for call in ast.walk(node) if isinstance(call, ast.Call)}
         if "inv" in called or (called & {"eye", "identity"} and called & FLOW_FACTOR_CALLS):
             sites.add((module, node.name))
+    return sites
+
+
+def rank_cut_sites(module: str, source: str) -> list:
+    """The (module, function) of every product with ``RANK_RTOL``, once per product."""
+    sites = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+                and any(isinstance(side, (ast.Name, ast.Attribute)) and ast.unparse(side).rpartition(".")[2] == "RANK_RTOL"
+                        for side in (node.left, node.right))):
+            sites.append((module, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
     return sites
 
 
@@ -97,3 +118,20 @@ def test_the_guard_sees_a_full_flow_factor():
 def test_flows_act_through_their_block():
     package = Path(gzflows.__file__).resolve().parent
     assert set().union(*(full_factor_sites(name, (package / name).read_text()) for name in FLOW_MODULES)) == set()
+
+
+def test_the_guard_sees_a_second_rank_cut():
+    source = (
+        "def _rank(M, bound):\n"
+        "    cut = bound * (max(M.shape[-2:]) * RANK_RTOL)\n"
+        "def _spans_rows(M, bound):\n"
+        "    tau = (max(M.shape) * matpoly.RANK_RTOL * bound) ** 2\n"
+        "    return RANK_RTOL\n"
+    )
+    assert rank_cut_sites("m.py", source) == [("m.py", "_rank"), ("m.py", "_spans_rows")]
+
+
+def test_the_rank_cut_is_written_once():
+    package = Path(gzflows.__file__).resolve().parent
+    assert [site for path in sorted(package.glob("*.py"))
+            for site in rank_cut_sites(path.name, path.read_text())] == [RANK_CUT]

@@ -4,6 +4,9 @@ strongly_regular and krylov_rank rank unit-norm power chains against the bound t
 generators can reach.  Raw power chains cut against sigma_max answer the generic, the
 diagonal and the small- and large-scale inputs below wrongly; the b (+) B' pin, the
 scale-1 cyclic pairs and the eigenvector come out right either way.
+
+A full span is proved by a Cholesky factorization before any SVD is taken
+(``matpoly._spans_rows``); every answer is held to the one the SVD alone gives.
 """
 
 import json
@@ -11,7 +14,7 @@ import json
 import numpy as np
 import pytest
 
-from gzflows import serialize
+from gzflows import matpoly, serialize
 from gzflows.cli import _random_matrix, run
 from gzflows.gzcore import strongly_regular
 from gzflows.matpoly import RANK_RTOL, krylov_rank
@@ -133,3 +136,96 @@ class TestFiftyDigitOracle:
         assert sigma[want - 1] > cut
         assert want == N or sigma[want] < cut
         assert krylov_rank(*pair) == want
+
+
+@pytest.fixture
+def proofs(monkeypatch):
+    """The outcome of every full-span proof the library tries, in order."""
+    outcomes = []
+    prove = matpoly._spans_rows
+
+    def recorded(*args):
+        outcomes.append(prove(*args))
+        return outcomes[-1]
+
+    monkeypatch.setattr(matpoly, "_spans_rows", recorded)
+    return outcomes
+
+
+def svd_answer(monkeypatch, decide, *args):
+    """decide(*args) with every rank counted from the SVD alone."""
+    with monkeypatch.context() as patch:
+        patch.setattr(matpoly, "_spans_rows", lambda *_: False)
+        return decide(*args)
+
+
+def near_split(coupling, seed):
+    """b (+) B' joined again by couplings of that size."""
+    rng = np.random.default_rng([seed, 11])
+    B = circular(rng, N)
+    B[0, 1:] *= coupling
+    B[1:, 0] *= coupling
+    return B
+
+
+class TestCertificateAgreesWithSvd:
+    """A proved full span is the span the SVD counts, and a span it does not prove goes to
+    the SVD: no family below answers differently with the certificate off."""
+
+    def agree(self, monkeypatch, proofs, decide, *args):
+        answer = decide(*args)
+        assert answer == svd_answer(monkeypatch, decide, *args), args
+        return proofs.pop() if proofs else None
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_circular_matrices_are_proved_at_every_size(self, monkeypatch, proofs, scale):
+        rng = np.random.default_rng(17)
+        for n in range(2, N + 1):
+            for _ in range(3):
+                B = scale * circular(rng, n)
+                assert self.agree(monkeypatch, proofs, strongly_regular, B) is True, (n, scale)
+                b = rng.normal(size=n) + 1j * rng.normal(size=n)
+                assert self.agree(monkeypatch, proofs, krylov_rank, B, b) is True, (n, scale)
+
+    def test_split_matrix_goes_to_the_svd(self, monkeypatch, proofs):
+        assert self.agree(monkeypatch, proofs, strongly_regular, split()) is False
+
+    @pytest.mark.parametrize("exponent", range(-12, -3))
+    def test_near_split_couplings(self, monkeypatch, proofs, exponent):
+        for seed in range(3):
+            self.agree(monkeypatch, proofs, strongly_regular, near_split(10.0 ** exponent, seed))
+
+    def test_weak_coupling_is_left_to_the_svd(self, monkeypatch, proofs):
+        # a generator of norm 1e-12 sits far below sqrt(tau): the row check refuses it
+        assert self.agree(monkeypatch, proofs, strongly_regular, near_split(1e-12, 0)) is False
+
+    @pytest.mark.parametrize("shape", [np.triu, lambda B: np.diag(np.diag(B))], ids=["upper", "diagonal"])
+    def test_triangular_and_diagonal(self, monkeypatch, proofs, shape):
+        rng = np.random.default_rng(23)
+        for n in range(2, N + 1):
+            B = shape(circular(rng, n))
+            self.agree(monkeypatch, proofs, strongly_regular, B)
+            self.agree(monkeypatch, proofs, krylov_rank, B, rng.normal(size=n) + 0j)
+
+    def test_zero_and_one_by_one(self, monkeypatch, proofs):
+        for n in (1, 2, 5):
+            assert self.agree(monkeypatch, proofs, strongly_regular, np.zeros((n, n))) in (None, False)
+            self.agree(monkeypatch, proofs, krylov_rank, np.zeros((n, n)), np.ones(n))
+        assert self.agree(monkeypatch, proofs, strongly_regular, np.array([[2.0 + 1j]])) is None
+        assert self.agree(monkeypatch, proofs, krylov_rank, np.array([[2.0 + 1j]]), [1.0]) is True
+
+    @pytest.mark.parametrize("B, want", [
+        *[pytest.param(generic(f, s), 66, id=f"{f}-{s}") for f in FAMILIES for s in (0, 2)],
+        pytest.param(diagonal(), 0, id="diagonal"),
+        pytest.param(split(), 55, id="split"),
+    ])
+    def test_the_oracle_cases_of_strongly_regular(self, monkeypatch, proofs, B, want):
+        """The 50-digit oracle above pins want; only a full span is proved."""
+        assert self.agree(monkeypatch, proofs, strongly_regular, B) is (want == len(B) * (len(B) - 1) // 2)
+
+    @pytest.mark.parametrize("pair, want", [
+        *[pytest.param(cyclic_pair(s, scale), N, id=f"cyclic-{scale}-{s}") for scale in SCALES for s in (0, 1)],
+        pytest.param(eigenvector_pair(1.0), 1, id="eigenvector"),
+    ])
+    def test_the_oracle_cases_of_krylov_rank(self, monkeypatch, proofs, pair, want):
+        assert self.agree(monkeypatch, proofs, krylov_rank, *pair) is (want == N)

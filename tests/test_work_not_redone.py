@@ -7,7 +7,9 @@ Each shortcut is held to the expression it replaced:
 * GZGroupElement.items() over the nonzero entries, against a loop over every (m, i);
 * gz_map's charpoly basis through the unchecked kernel, against public charpoly;
 * _expm's 1-norm and identity, against np.linalg.norm(A, 1) and np.eye;
-* _clusters' means from one stable grouping, against one mask per cluster.
+* _clusters' means from one stable grouping, against one mask per cluster;
+* strongly_regular's full span from one Cholesky factorization, with no SVD, and a
+  split B's zero generator sent to the SVD before any factorization.
 """
 
 import io
@@ -18,7 +20,7 @@ import numpy as np
 import pytest
 
 from gzflows import cli, gzcore, matpoly, verify
-from gzflows.gzcore import GZGroupElement, gz_flow, gz_indices, gz_map
+from gzflows.gzcore import GZGroupElement, gz_flow, gz_indices, gz_map, strongly_regular
 from gzflows.matpoly import _PADE_BOUNDS, _PADE_COEFFS, _clusters, _expm, charpoly
 
 
@@ -293,3 +295,33 @@ class TestFlowFactor:
             for i in range(1, m + 1):
                 got, want = gzcore.flow_factor(B, m, i, z), power_form_factor(B, m, i, z)
                 assert got.dtype == want.dtype and np.array_equal(got.view(np.uint8), want.view(np.uint8))
+
+
+def counted(monkeypatch, *names) -> dict:
+    """Calls of each named np.linalg routine, counted from now on."""
+    counts = dict.fromkeys(names, 0)
+
+    def counting(name, call):
+        def count(*args, **kwargs):
+            counts[name] += 1
+            return call(*args, **kwargs)
+        return count
+
+    for name in names:
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    return counts
+
+
+class TestSpanCertificate:
+    def test_a_generic_span_takes_no_svd(self, monkeypatch):
+        B = circular(np.random.default_rng(12), 12)
+        counts = counted(monkeypatch, "svd", "cholesky")
+        assert strongly_regular(B) == (True, 66)
+        assert counts == {"svd": 0, "cholesky": 1}
+
+    def test_a_split_span_takes_one_svd_and_no_factorization(self, monkeypatch):
+        B = circular(np.random.default_rng(12), 12)
+        B[0, 1:] = B[1:, 0] = 0.0  # b (+) B': the generator of B_1 is zero
+        counts = counted(monkeypatch, "svd", "cholesky")
+        assert strongly_regular(B) == (False, 55)
+        assert counts == {"svd": 1, "cholesky": 0}

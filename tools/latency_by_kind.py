@@ -8,27 +8,28 @@ builds the workload's round for the seed in a temporary directory with
 ``bench/run.py``'s ``set_up``, runs ``run_round`` R times (default 20),
 and prints one line per group of requests, the largest round_ms first:
 
-    kind  n  per_round  median_ms  round_ms
+    kind  n  per_round  median_ms  round_ms  marks
 
 A group is a request kind at one size n, the size the step's spec records:
 the order of its ``B``, or the number of its root lists (``-`` when the
-spec records neither).  per_round is how many requests of the group one
-round holds, median_ms the median of their latencies and round_ms the
-median over rounds of the group's total latency in a round, each scaled
-to the reference pass as ``bench/run.py`` scales them.  It shows which
-requests set ``req_tail_ms``, the 11th-largest latency in each block of whole rounds
-holding at least 1000 requests: in doc-roundtrip, whose round holds 54,
-that is the slowest kind with one request a round.
+spec records neither).  A kind whose spec has a ``generic`` flag is split
+on it, as ``kind/generic`` and ``kind/non-generic``: query-mix's
+non-generic ``sregular`` requests send a split B = b (+) B'.  per_round is
+how many requests of the group one round holds, median_ms the median of
+their latencies and round_ms the median over rounds of the group's total
+latency in a round, each scaled to the reference pass as ``bench/run.py``
+scales them.  marks names the metrics whose value, computed from these
+rounds as ``bench/run.py`` computes it, is a latency of a request of the
+group: ``p50`` for ``req_p50_ms`` and ``tail`` for ``req_tail_ms``, the
+11th-largest latency in each block of whole rounds holding at least 1000
+requests.  In doc-roundtrip, whose round holds 54, that is the slowest
+kind with one request a round.  A median of two middle latencies marks
+the requests of both.
 
 With ``--by-request`` it prints one line per request of the round, in
-round order:
+round order, its kind named as its group's is, and the same marks:
 
     index  kind  median_ms  marks
-
-where marks names the metrics whose value, computed from these rounds as
-``bench/run.py`` computes it, is a latency of that request: ``p50`` for
-``req_p50_ms`` and ``tail`` for ``req_tail_ms``.  A median of two middle
-latencies marks the requests of both.
 
 With ``--gc`` each line gains a gc_ms column, the mean time of the cyclic
 garbage collections that ran inside each request of the line (unscaled ms),
@@ -85,6 +86,13 @@ class GcTimer:
         return run
 
 
+def kind_of(step) -> str:
+    """The step's kind, split on its spec's generic flag where the spec has one."""
+    if "generic" not in step.spec:
+        return step.kind
+    return f"{step.kind}/{'generic' if step.spec['generic'] else 'non-generic'}"
+
+
 def size_of(spec: dict) -> int | None:
     """The size n a request's spec records: the order of its B, or its number of root lists."""
     if "B" in spec:
@@ -95,14 +103,14 @@ def size_of(spec: dict) -> int | None:
 
 
 def round_latencies(name: str, seed: int, rounds: int, timer: GcTimer | None = None) -> tuple[list, list]:
-    """((kind, size_of) of each request of the round, every scaled latency in run order, in seconds).
+    """((kind_of, size_of) of each request of the round, every scaled latency in run order, in seconds).
 
     A timer records the collection time of every request, in run order, and the
     collections over the rounds.
     """
     with tempfile.TemporaryDirectory() as workdir:
         steps, _, _ = bench.set_up(name, seed, workdir)
-        groups = [(s.kind, size_of(s.spec)) for s in steps if s.kind != "glue"]
+        groups = [(kind_of(s), size_of(s.spec)) for s in steps if s.kind != "glue"]
         if timer is not None:
             steps = [s if s.kind == "glue" else dataclasses.replace(s, call=timer.timed(s.call))
                      for s in steps]
@@ -162,14 +170,18 @@ def main(argv=None) -> int:
         """The gc_ms column over the requests at those positions, if asked for."""
         return f"  {1e3 * statistics.fmean(timer.spent[i] for i in at):9.3f}" if args.gc else ""
 
+    holders = metric_holders(latencies, per_round)
+
+    def marks(at: set) -> str:
+        """The metrics held by a request at one of those positions in the round."""
+        return " ".join(m for m, held in holders.items() if held & at)
+
     if args.by_request:
-        holders = metric_holders(latencies, per_round)
         width = max(len(kind) for kind, _ in groups)
         for j, (kind, _) in enumerate(groups):
             median = 1e3 * statistics.median(latencies[j::per_round])
-            marks = " ".join(m for m, at in holders.items() if j in at)
             at = range(j, len(latencies), per_round)
-            print(f"{j:4d}  {kind:<{width}}  {median:9.3f}{gc_ms(at)}  {marks}".rstrip(), flush=True)
+            print(f"{j:4d}  {kind:<{width}}  {median:9.3f}{gc_ms(at)}  {marks({j})}".rstrip(), flush=True)
         return 0
     by_group = defaultdict(list)
     per_round_sums = defaultdict(lambda: [0.0] * args.rounds)
@@ -183,7 +195,7 @@ def main(argv=None) -> int:
     for group in sorted(totals, key=totals.get, reverse=True):
         kind, n = group
         print(f"{kind:<{width}}  {'-' if n is None else n:>2}  {counts[group]:4d}  {medians[group]:9.3f}"
-              f"  {totals[group]:9.3f}{gc_ms(by_group[group])}", flush=True)
+              f"  {totals[group]:9.3f}{gc_ms(by_group[group])}  {marks({i % per_round for i in by_group[group]})}".rstrip(), flush=True)
     return 0
 
 
