@@ -34,7 +34,6 @@ from .gzcore import (
 from .lax import LaxPath, gauge_apply, gauge_fix_regular, lax_integrate, lax_symplectic
 from .matpoly import (
     charpoly,
-    cluster_points,
     companion_of,
     krylov_rank,
     leading_minor,

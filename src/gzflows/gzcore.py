@@ -310,7 +310,8 @@ def coords_to_polys(c: GZCoordinates) -> list[np.ndarray]:
 
 def _checked_monic(polys, expected_degrees=None) -> list[np.ndarray]:
     """Each polynomial trimmed; ValidationError for the first one whose degree is not
-    expected_degrees[j], or of degree at least 1 that is not monic (see is_monic)."""
+    expected_degrees[j], that is the zero polynomial (it vanishes at every point, so no
+    finite root list describes it), or of degree at least 1 that is not monic (see is_monic)."""
     out = []
     for j, p in enumerate(polys):
         p = poly_trim(p)
@@ -320,6 +321,8 @@ def _checked_monic(polys, expected_degrees=None) -> list[np.ndarray]:
             raise ValidationError(
                 f"polynomial {j + 1} has degree {degree}, expected {expected_degrees[j]}"
             )
+        if degree < 0:
+            raise ValidationError(f"polynomial {j + 1} is the zero polynomial")
         if degree >= 1 and not abs(p[-1] - 1.0) <= _MONIC_TOL:
             raise ValidationError(f"polynomial {j + 1} is not monic")
         out.append(p)

@@ -12,7 +12,6 @@ Conventions used by every module in this package:
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 
 import numpy as np
@@ -33,7 +32,6 @@ __all__ = [
     "krylov_matrix",
     "krylov_rank",
     "numerical_rank",
-    "cluster_points",
     "RANK_RTOL",
     "CLUSTER_TOL",
 ]
@@ -252,6 +250,8 @@ def _expm(A: np.ndarray) -> np.ndarray:
 def poly_trim(p) -> np.ndarray:
     """Drop trailing zero coefficients (the zero polynomial trims to [0])."""
     p = np.atleast_1d(np.asarray(p, dtype=complex))
+    if p.size and p[-1]:  # nothing to drop
+        return p.copy()
     nz = np.nonzero(p)[0]
     if nz.size == 0:
         return np.zeros(1, dtype=complex)
@@ -315,9 +315,17 @@ def companion_of(p) -> np.ndarray:
 
 def _companion(p: np.ndarray) -> np.ndarray:
     """Companion matrix of a trimmed p of degree >= 1, taken as monic: p[-1] is not read."""
-    C = np.eye(p.size - 1, k=-1, dtype=complex)
+    C = _shift(p.size - 1).copy()
     C[:, -1] = -p[:-1]
     return C
+
+
+@functools.cache
+def _shift(n: int) -> np.ndarray:
+    """The complex n x n matrix with a unit subdiagonal (read-only: every call shares it)."""
+    S = np.eye(n, k=-1, dtype=complex)
+    S.flags.writeable = False
+    return S
 
 
 def roots(p) -> np.ndarray:
@@ -464,54 +472,67 @@ def _abs(z: np.ndarray) -> np.ndarray:
     return np.hypot(z.real, z.imag)
 
 
-def _distances(z: np.ndarray) -> np.ndarray:
-    """|z[a] - z[b]| at [a, b] for the points z, each with the bits of Python's abs(); a
-    difference past the largest float is an infinite distance."""
-    with np.errstate(over="ignore"):
-        return _abs(z[:, None] - z[None, :])
+def _gap(p: complex, q: complex) -> float:
+    """|p - q| with the bits of :func:`_abs`; a difference past the largest float is an
+    infinite distance (where Python's abs() raises OverflowError)."""
+    try:
+        return abs(p - q)
+    except OverflowError:
+        return math.inf
+
+
+def _near_pairs(pts: list, tol: float):
+    """Each pair a < b of the points pts, sorted by real part, with |pts[a] - pts[b]| <= tol.
+
+    The scan from a stops at the first point whose real part is more than tol to the
+    right: a rounded real gap only grows along the sorted points, and no distance is
+    below its real gap.
+    """
+    for a, p in enumerate(pts):
+        for b in range(a + 1, len(pts)):
+            q = pts[b]
+            if q.real - p.real > tol:
+                break
+            if _gap(p, q) <= tol:
+                yield a, b
 
 
 def _coincident(z: np.ndarray, tol: float) -> bool:
     """Whether two of the points z lie within tol of each other."""
-    near = _distances(z) <= tol
-    # the diagonal compares each point with itself
-    near.flat[:: z.size + 1] = False
-    return bool(near.any())
-
-
-def cluster_points(points, tol: float) -> list[tuple[complex, int]]:
-    """Single-linkage clustering of a complex multiset.
-
-    Returns (representative, multiplicity) pairs, representatives being
-    cluster means.  Input is sorted by (re, im) first so the result is
-    deterministic regardless of input order.
-    """
-    return _clusters(np.array([complex(p) for p in points], dtype=complex), tol)[0]
+    return next(_near_pairs(np.sort(z).tolist(), tol), None) is not None
 
 
 def _clusters(points, tol: float) -> tuple[list[tuple[complex, int]], np.ndarray]:
-    """The pairs of :func:`cluster_points` of a complex array (or list), and the index of
-    each point's pair."""
+    """Single-linkage clusters of a complex multiset (an array or a list): the
+    (representative, multiplicity) pairs, representatives being cluster means, in (re, im)
+    order, and the index of each point's pair.  The points are sorted by (re, im) first,
+    so the result does not depend on their order.
+    """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     z = np.asarray(points, dtype=complex)
     perm = np.lexsort((z.imag, z.real))
-    pts = z[perm]
-    near = _distances(pts) <= tol
-    # each point takes the least index in its connected component, which heads it
-    position = labels = np.arange(z.size)
-    while True:
-        low = np.where(near, labels, z.size).min(axis=1, initial=z.size)
-        if np.array_equal(low, labels):
-            break
-        labels = low
-    # the clusters in the order of their heads
-    member = (np.cumsum(labels == position) - 1)[labels]
-    sizes = np.bincount(member).tolist()
-    # the points of each cluster in one stable grouping, each cluster in its sorted order
-    grouped = pts[np.argsort(member, kind="stable")].tolist()
-    reps = [(sum(grouped[end - size : end]) / size, size)
-            for end, size in zip(itertools.accumulate(sizes), sizes)]
+    pts = z[perm].tolist()
+    # union-find: each point takes the least index in its connected component, which heads it
+    head = list(range(len(pts)))
+    for a, b in _near_pairs(pts, tol):
+        while head[a] != a:
+            a = head[a]
+        while head[b] != b:
+            b = head[b]
+        head[max(a, b)] = min(a, b)
+    # the clusters in the order of their heads, each with its points in sorted order
+    place: dict[int, int] = {}
+    member, groups = [], []
+    for i, p in enumerate(pts):
+        while head[i] != i:
+            i = head[i]
+        if i not in place:
+            place[i] = len(groups)
+            groups.append([])
+        member.append(place[i])
+        groups[place[i]].append(p)
+    reps = [(sum(g) / len(g), len(g)) for g in groups]
     order = sorted(range(len(reps)), key=lambda c: (reps[c][0].real, reps[c][0].imag))
     index = np.empty(z.size, dtype=int)
     index[perm] = np.argsort(order)[member]

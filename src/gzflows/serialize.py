@@ -11,13 +11,19 @@ Encoders return float arrays (shape + (2,)) where the wire holds nested
 lists.  The CLI writes documents with :func:`_dumps`, the bytes of
 ``json.dumps(doc, indent=2)``, which renders each float array whole: one
 ``%r`` template of its shape filled with all its floats, or, when its
-slices along the first axis repeat, one rendered slice repeated.
+slices along the first axis repeat, one rendered slice repeated.  A list of
+flat records (dicts with one key order, each value a list of JSON ints and
+floats of one length per key, as the roots and multiplicities of a stratum
+signature) is rendered the same way: one record's template, its keys' texts
+and a ``%r`` per number, repeated for every record and filled with all their
+numbers at once.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -262,9 +268,7 @@ def _render(obj, nl: str) -> str:
             return "{}"
         inner = nl + "  "
         return "{" + inner + ("," + inner).join([
-            encode_basestring_ascii(key if isinstance(key, str) else _scalar(key))
-            + ": " + _render(value, inner)
-            for key, value in obj.items()
+            _key(key) + ": " + _render(value, inner) for key, value in obj.items()
         ]) + nl + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
@@ -276,12 +280,49 @@ def _render(obj, nl: str) -> str:
             items = list(map(float.__repr__, obj))
             if not _NON_FINITE_TEXTS.isdisjoint(items):
                 raise ToleranceError(_NON_FINITE)
+        elif (text := _render_records(obj, nl)) is not None:
+            return text
         else:
             items = [_render(x, inner) for x in obj]
         return "[" + inner + ("," + inner).join(items) + nl + "]"
     if isinstance(obj, np.ndarray) and obj.dtype.kind == "f":
         return _render_array(obj, nl)
     return _scalar(obj)
+
+
+def _key(key) -> str:
+    """The text of a dict key, which json.dumps writes as a string."""
+    return encode_basestring_ascii(key if isinstance(key, str) else _scalar(key))
+
+
+def _render_records(obj: list, nl: str) -> str | None:
+    """The text of a list of flat records (see the module docstring) from one ``%r``
+    template, or None for any other nonempty list, found at its first record that is not
+    flat.  A number's text holds an ``n`` only as ``nan``, ``inf`` or ``-inf``, so a text
+    with more of them than its template holds a float that is not finite."""
+    first = obj[0]
+    if type(first) is not dict or not all(type(v) is list for v in first.values()):
+        return None
+    keys = tuple(first)
+    if set(map(type, obj)) != {dict} or set(map(tuple, obj)) != {keys}:
+        return None
+    values = list(chain.from_iterable(map(dict.values, obj)))  # record by record
+    lengths = list(map(len, first.values()))
+    if set(map(type, values)) != {list} or list(map(len, values)) != lengths * len(obj):
+        return None
+    numbers = list(chain.from_iterable(values))
+    if not set(map(type, numbers)) <= {int, float}:  # bool is not int here
+        return None
+    inner = nl + "    "
+    record = "{" + inner + ("," + inner).join([
+        _key(key).replace("%", "%%") + ": " + _template((size,), inner)
+        for key, size in zip(keys, lengths)
+    ]) + nl + "  }"
+    template = _template((len(obj),), nl, record)
+    text = template % tuple(numbers)
+    if text.count("n") != template.count("n"):
+        raise ToleranceError(_NON_FINITE)
+    return text
 
 
 def _scalar(obj) -> str:

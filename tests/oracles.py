@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from gzflows.errors import ValidationError
-from gzflows.matpoly import _coincident, _expm, _powers, as_matrix, numerical_rank
+from gzflows.matpoly import _abs, _coincident, _expm, _powers, as_matrix, numerical_rank
 from gzflows.ratmodel import (
     VALIDATE_TOL,
     MatricialData,
@@ -337,3 +337,32 @@ def full_conjugation_flow(B: np.ndarray, m: int, i: int, z: complex) -> tuple[np
     h = np.eye(B.shape[0], dtype=complex)
     h[:m, :m] = _expm(z * np.linalg.matrix_power(B[:m, :m], i - 1))
     return h, h @ B @ np.linalg.inv(h)
+
+
+def pair_distances(z: np.ndarray) -> np.ndarray:
+    """|z[a] - z[b]| at [a, b] for the points z, each with the bits of Python's abs(); a
+    difference past the largest float is an infinite distance."""
+    with np.errstate(over="ignore"):
+        return _abs(z[:, None] - z[None, :])
+
+
+def mask_clusters(points, tol):
+    """Single-linkage clusters of a complex multiset from the matrix of every pair's
+    distance, with one boolean mask per cluster: the (mean, size) pairs in (re, im) order
+    and each point's index, as ``matpoly._clusters`` gives them."""
+    z = np.array([complex(p) for p in points], dtype=complex)
+    perm = np.lexsort((z.imag, z.real))
+    pts = z[perm]
+    near = pair_distances(pts) <= tol
+    labels = np.arange(z.size)
+    while True:
+        low = np.where(near, labels, z.size).min(axis=1, initial=z.size)
+        if np.array_equal(low, labels):
+            break
+        labels = low
+    heads, member = np.unique(labels, return_inverse=True)
+    reps = [(sum(g) / len(g), len(g)) for g in (pts[labels == r].tolist() for r in heads)]
+    order = sorted(range(len(reps)), key=lambda c: (reps[c][0].real, reps[c][0].imag))
+    index = np.empty(z.size, dtype=int)
+    index[perm] = np.argsort(order)[member]
+    return [reps[c] for c in order], index

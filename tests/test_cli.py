@@ -1581,6 +1581,19 @@ class TestPolynomialIntake:
         code, out, err = call(capsys, "orbit-count", "--input", json.dumps({"polys": polys}))
         assert (code, out, err) == (2, "", f"validation error: {message}\n  - {message}\n")
 
+    @pytest.mark.parametrize("argv", [["strata"], ["orbit-count", "--mode", "rational-maps"]],
+                             ids=["strata", "orbit-count"])
+    @pytest.mark.parametrize("polys, j", [
+        pytest.param([[[1, 0], [1, 0]], [[0, 0]]], 2, id="after-a-root"),
+        pytest.param([[[0, 0]]], 1, id="alone"),
+        pytest.param([[[2, 0]], [[0, 0], [0, 0], [-0.0, 0]]], 2, id="after-a-constant"),
+    ])
+    def test_the_zero_polynomial_is_refused_2(self, capsys, argv, polys, j):
+        # it vanishes at every point: no root list describes it
+        message = f"polynomial {j} is the zero polynomial"
+        code, out, err = call(capsys, *argv, "--input", json.dumps({"polys": polys}))
+        assert (code, out, err) == (2, "", f"validation error: {message}\n  - {message}\n")
+
     def test_strata_takes_a_constant(self, capsys):
         code, out, err = call(capsys, "strata", "--input", '{"polys": [[[3, 0]], [[-1, 0], [1, 0]]]}')
         want = {"signature": [{"root": [1.0, 0.0], "multiplicities": [0, 1]}], "cluster_tol": 2e-08}
@@ -1841,6 +1854,79 @@ DOCS = st.recursive(
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(STRINGS, inner, max_size=4),
     max_leaves=12,
 )
+
+NUMBERS = FLOATS | st.sampled_from([-0.0, 5e-324, 1e16]) | st.integers(-(2**70), 2**70)
+RECORD_KEYS = STRINGS | st.sampled_from(["root", "multiplicities", "%", "%r", "100%s", "nan", "inf"])
+
+
+@st.composite
+def record_lists(draw):
+    """Lists of records as a stratum signature holds them: one key order, one length per key."""
+    keys = draw(st.lists(RECORD_KEYS, min_size=1, max_size=3, unique=True))
+    lengths = [draw(st.integers(0, 4)) for _ in keys]
+    return [{key: draw(st.lists(NUMBERS, min_size=size, max_size=size)) for key, size in zip(keys, lengths)}
+            for _ in range(draw(st.integers(1, 5)))]
+
+
+def signature_doc(records):
+    return {"signature": records, "cluster_tol": 2e-08}
+
+
+class TestRecordLists:
+    """A list of flat records renders from one template with the bytes of json.dumps."""
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(records=record_lists())
+    def test_matches_json_dumps(self, records):
+        assert serialize._render_records(records, "\n  ") is not None
+        doc = signature_doc(records)
+        assert serialize._dumps(doc) == json.dumps(doc, indent=2)
+
+    @pytest.mark.parametrize("records", [
+        [{"root": [-0.0, 5e-324], "multiplicities": [2**63, 1]},
+         {"root": [1e16, -5e-324], "multiplicities": [0, 2**64 + 1]}],
+        [{"root": [1.5, -0.0], "multiplicities": [1, 0, 2]}],
+        [{"%": [1], "%r": [2.5], "100%s": [3]}, {"%": [-1], "%r": [0.1], "100%s": [10**30]}],
+        [{"naïve ☃": [1.0], "\x00\n": [2]}, {"naïve ☃": [-0.0], "\x00\n": [3]}],
+        [{"nan": [1.0, 2], "inf": [0.5]}, {"nan": [3, -1e300], "inf": [-0.0]}],
+        [{"a": [], "b": [1]}, {"a": [], "b": [2.0]}],
+        [{"a": [1, 2.5]}, {"a": [2.5, 1]}],
+    ], ids=["edge-numbers", "single-record", "percent-keys", "non-ascii-keys", "n-in-keys",
+            "empty-values", "ints-and-floats"])
+    def test_template_matches_json_dumps(self, records):
+        assert serialize._render_records(records, "\n  ") is not None
+        doc = signature_doc(records)
+        assert serialize._dumps(doc) == json.dumps(doc, indent=2)
+
+    @pytest.mark.parametrize("records", [
+        [{"root": [1.0, 0.0], "multiplicities": [True, 0]}, {"root": [2.0, 0.0], "multiplicities": [1, 0]}],
+        [{"root": [1.0, 0.0]}, {"root": [2.0, False]}],
+        [{"a": [1, 2]}, {"a": [3]}],
+        [{"a": [1], "b": [2]}, {"b": [3], "a": [4]}],
+        [{"a": [1], "b": [2]}, {"a": [3]}],
+        [{"a": [1]}, [1]],
+        [{"a": [1]}, {"a": {"x": 1}}],
+        [{"a": [1]}, {"a": (2,)}],
+        [{"a": [[1]]}, {"a": [[2]]}],
+        [{"a": [1], "b": None}],
+        [{}, {}],
+        [{"a": ["x"]}],
+    ], ids=["bool", "bool-late", "ragged", "key-order", "missing-key", "not-a-dict",
+            "dict-value", "tuple-value", "nested", "not-a-list", "empty-records", "string-leaf"])
+    def test_other_lists_take_the_walk(self, records):
+        assert serialize._render_records(records, "\n  ") is None
+        doc = signature_doc(records)
+        assert serialize._dumps(doc) == json.dumps(doc, indent=2)
+
+    @pytest.mark.parametrize("records", [
+        [{"root": [float("nan"), 0.0], "multiplicities": [1]}],
+        [{"root": [0.0, 1.0]}, {"root": [float("inf"), 0.0]}],
+        [{"nan": [1.0]}, {"nan": [float("-inf")]}],
+        [{"inf": [1, 2]}, {"inf": [3, float("nan")]}],
+    ])
+    def test_non_finite_raises(self, records):
+        with pytest.raises(ToleranceError):
+            serialize._dumps(signature_doc(records))
 
 
 class TestDumps:

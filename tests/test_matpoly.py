@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from gzflows.matpoly import (
     _unit,
     as_matrix,
     charpoly,
-    cluster_points,
     companion_of,
     krylov_rank,
     leading_minor,
@@ -25,7 +25,7 @@ from gzflows.matpoly import (
     roots,
 )
 from gzflows.ratmodel import _charpoly_adjugate
-from oracles import faddeev_leverrier
+from oracles import faddeev_leverrier, mask_clusters, pair_distances
 
 
 def random_matrix(rng, n, scale=1.0):
@@ -363,6 +363,11 @@ class TestKrylovRank:
         assert krylov_rank(scale * np.eye(4), scale * b) == 1
 
 
+def cluster_points(points, tol):
+    """The (mean, size) pairs of _clusters."""
+    return _clusters(points, tol)[0]
+
+
 class TestClusterPoints:
     def test_two_coincident(self):
         assert cluster_points([0, 0], 1e-8) == [(0, 2)]
@@ -406,7 +411,7 @@ class TestClusterPoints:
                 z = z + step * tol * np.exp(1j * angle)
             pts.append(z)
         reps, index = _clusters(pts, tol)
-        assert reps == union_find_clusters(pts, tol) == cluster_points(pts, tol)
+        assert reps == union_find_clusters(pts, tol)
         assert [size for _, size in reps] == np.bincount(index, minlength=len(reps)).tolist()
         for i, p in enumerate(pts):
             others = [q for j, q in enumerate(pts) if index[j] == index[i] and j != i]
@@ -414,7 +419,7 @@ class TestClusterPoints:
 
 
 def union_find_clusters(points, tol):
-    """Single-linkage clusters by union-find, the form cluster_points replaced."""
+    """Single-linkage clusters by union-find over every pair, with Python's abs()."""
     pts = sorted((complex(p) for p in points), key=lambda z: (z.real, z.imag))
     if not pts:
         return []
@@ -438,6 +443,86 @@ def union_find_clusters(points, tol):
     reps = [(sum(g) / len(g), len(g)) for g in groups.values()]
     reps.sort(key=lambda t: (t[0].real, t[0].imag))
     return reps
+
+
+def bits(z):
+    return np.array(z, dtype=complex).view(np.uint64).tolist()
+
+
+class TestSortedSweep:
+    """_clusters and _coincident find their pairs by a sweep over the points sorted by real
+    part; they answer as the matrix of every pair's distance does, bit for bit."""
+
+    @staticmethod
+    def check(points, tol):
+        z = np.array(points, dtype=complex)
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            (reps, index), coincident = _clusters(z, tol), _coincident(z, tol)
+        want, want_index = mask_clusters(z.tolist(), tol)
+        assert np.array_equal(index, want_index)
+        assert [size for _, size in reps] == [size for _, size in want]
+        assert bits([r for r, _ in reps]) == bits([r for r, _ in want])
+        near = pair_distances(z) <= tol
+        assert coincident == bool(near[~np.eye(z.size, dtype=bool)].any())
+        return reps
+
+    def test_equal_real_parts(self):
+        tol = 0.25
+        reps = self.check([1j, 0.5j, 0.25j, 1.0 + 0j, 2j, 1.25j, 0j, -3j], tol)
+        assert [size for _, size in reps] == [1, 3, 2, 1, 1]
+        assert reps == union_find_clusters([1j, 0.5j, 0.25j, 1.0 + 0j, 2j, 1.25j, 0j, -3j], tol)
+
+    @pytest.mark.parametrize("start", [0.0, 1.0, -3.0, 1e6])
+    def test_real_gap_at_tol_and_one_ulp_past(self, start):
+        tol = 2.0 ** -10  # start + tol is exact, so the real gap is tol
+        points = [start, start + tol, start + 5.0]
+        assert [size for _, size in self.check(points, tol)] == [2, 1]
+        assert [size for _, size in self.check(points, np.nextafter(tol, 0.0))] == [1, 1, 1]
+        assert _coincident(np.array(points, dtype=complex), tol)
+        assert not _coincident(np.array(points, dtype=complex), np.nextafter(tol, 0.0))
+
+    def test_far_points_inside_the_window(self):
+        # two near points with far ones between them in the sorted order
+        tol = 1e-3
+        points = [0.0, 0.25e-3 + 5j, 0.5e-3 - 7j, 0.6e-3 + 2j, 0.75e-3 + 0.1e-3j]
+        reps = self.check(points, tol)
+        assert sorted(size for _, size in reps) == [1, 1, 1, 2]
+        assert self.check(points[:1] + points[-1:], tol) == [(sum(points[::4]) / 2, 2)]
+
+    @pytest.mark.parametrize("order", [[0, 1, 2, 3], [3, 2, 1, 0], [2, 0, 3, 1]])
+    def test_chains_that_link_out_of_sorted_order(self, order):
+        # sorted a, b, c, d: each of a, b and c is near d only, so all join through the last
+        tol = 1.0
+        a, b, c, d = 0j, 0.5 + 0.9j, 0.6 - 0.9j, 0.8 + 0j
+        assert min(abs(a - b), abs(a - c), abs(b - c)) > tol >= max(abs(a - d), abs(b - d), abs(c - d))
+        points = [[a, b, c, d][i] for i in order]
+        reps = self.check(points, tol)
+        assert reps == union_find_clusters(points, tol) and [size for _, size in reps] == [4]
+
+    @pytest.mark.parametrize("tol", [1e-8, 1.0, 1e308, 1.7e308])
+    def test_parts_near_the_largest_float(self, tol):
+        # differences past the largest float are infinite distances, with no exception
+        # or warning: abs() of complex(1.5e308, 1.5e308) would raise OverflowError
+        points = [0j, 1.5e308 + 1.5e308j, -1.5e308 + 0j, 1.5e308 - 1.5e308j, 1e308 + 1e308j,
+                  1.5e308 + 1.5e308j, -1.7e308 - 1.7e308j]
+        self.check(points, tol)
+
+    def test_tol_wider_than_the_spread(self):
+        rng = np.random.default_rng(5)
+        points = (rng.uniform(-1, 1, 30) + 1j * rng.uniform(-1, 1, 30)).tolist()
+        reps = self.check(points, 3.0)
+        assert [size for _, size in reps] == [30]
+        assert reps == union_find_clusters(points, 3.0)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        tol=st.sampled_from([0.005, 0.01, 0.25]),
+        points=st.lists(st.tuples(st.integers(-8, 8), st.integers(-8, 8)), max_size=20),
+    )
+    def test_lattice_matches_every_pair(self, tol, points):
+        # a 0.005 lattice puts many real gaps and distances within an ulp of tol
+        self.check([complex(a, b) * 0.005 for a, b in points], tol)
 
 
 class TestEigenvalueMultiset:

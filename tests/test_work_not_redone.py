@@ -7,13 +7,17 @@ Each shortcut is held to the expression it replaced:
 * GZGroupElement.items() over the nonzero entries, against a loop over every (m, i);
 * gz_map's charpoly basis through the unchecked kernel, against public charpoly;
 * _expm's 1-norm and identity, against np.linalg.norm(A, 1) and np.eye;
-* _clusters' means from one stable grouping, against one mask per cluster;
+* _companion's shared shift matrix, against np.eye(k=-1), and poly_trim of a polynomial
+  with a nonzero last coefficient, against its trim by np.nonzero;
+* _clusters' pairs from a sweep over the sorted points, with no matrix of every pair's
+  distance, and its means from one grouping, against one mask per cluster;
 * strongly_regular's full span from one Cholesky factorization, with no SVD, and a
   split B's zero generator sent to the SVD before any factorization.
 """
 
 import io
 import json
+import tracemalloc
 from contextlib import redirect_stdout
 
 import numpy as np
@@ -22,6 +26,7 @@ import pytest
 from gzflows import cli, gzcore, matpoly, verify
 from gzflows.gzcore import GZGroupElement, gz_flow, gz_indices, gz_map, strongly_regular
 from gzflows.matpoly import _PADE_BOUNDS, _PADE_COEFFS, _clusters, _expm, charpoly
+from oracles import mask_clusters
 
 
 def bits(A):
@@ -236,24 +241,25 @@ class TestExpm:
         assert same_bits(matpoly._identities(3)[1], np.eye(3, dtype=complex))
 
 
-def mask_clusters(points, tol):
-    """Cluster means as they were: one boolean mask per cluster."""
-    z = np.array([complex(p) for p in points], dtype=complex)
-    perm = np.lexsort((z.imag, z.real))
-    pts = z[perm]
-    near = matpoly._distances(pts) <= tol
-    labels = np.arange(z.size)
-    while True:
-        low = np.where(near, labels, z.size).min(axis=1, initial=z.size)
-        if np.array_equal(low, labels):
-            break
-        labels = low
-    heads, member = np.unique(labels, return_inverse=True)
-    reps = [(sum(g) / len(g), len(g)) for g in (pts[labels == r].tolist() for r in heads)]
-    order = sorted(range(len(reps)), key=lambda c: (reps[c][0].real, reps[c][0].imag))
-    index = np.empty(z.size, dtype=int)
-    index[perm] = np.argsort(order)[member]
-    return [reps[c] for c in order], index
+class TestPolynomialIntake:
+    @pytest.mark.parametrize("degree", [1, 2, 5, 12])
+    def test_companions_share_a_shift_that_is_never_written(self, degree):
+        rng = np.random.default_rng(degree)
+        for _ in range(2):
+            p = np.append(rng.standard_normal(degree) + 1j * rng.standard_normal(degree), 1.0)
+            C = np.eye(degree, k=-1, dtype=complex)
+            C[:, -1] = -p[:-1]
+            assert same_bits(matpoly._companion(p), C)
+        assert same_bits(matpoly._shift(degree), np.eye(degree, k=-1, dtype=complex))
+        assert not matpoly._shift(degree).flags.writeable
+
+    @pytest.mark.parametrize("p", [[1.0], [0.0, 1.0], [2.0, -0.0, 1e-300], [1.0, 0.0, 0.0], [0.0], [-0.0, 0.0]])
+    def test_poly_trim_keeps_the_bits_of_the_nonzero_trim(self, p):
+        p = np.array(p, dtype=complex)
+        nz = np.nonzero(p)[0]
+        want = p[: nz[-1] + 1] if nz.size else np.zeros(1, dtype=complex)
+        got = matpoly.poly_trim(p)
+        assert same_bits(got, want) and not np.shares_memory(got, p)
 
 
 class TestClusters:
@@ -268,6 +274,19 @@ class TestClusters:
             assert np.array_equal(index, want_index)
             assert [size for _, size in reps] == [size for _, size in want]
             assert same_bits(np.array([r for r, _ in reps]), np.array([r for r, _ in want]))
+
+    def test_no_pair_matrix_is_formed(self):
+        # 2000 points one apart: a matrix of every pair's distance would take 64 MB
+        z = np.arange(2000.0) + 0.5j * np.random.default_rng(4).uniform(-1, 1, 2000)
+        tracemalloc.start()
+        try:
+            reps, _ = _clusters(z, 0.5)
+            coincident = matpoly._coincident(z, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(reps) == z.size and not coincident
+        assert peak < z.size ** 2
 
     def test_the_roots_of_a_fibre_cluster_as_their_list_does(self):
         polys = [np.array(matpoly.poly_from_roots(rs)) for rs in ([1], [1, 2], [1, 2, 2 + 1e-10])]
@@ -325,3 +344,4 @@ class TestSpanCertificate:
         counts = counted(monkeypatch, "svd", "cholesky")
         assert strongly_regular(B) == (False, 55)
         assert counts == {"svd": 1, "cholesky": 0}
+

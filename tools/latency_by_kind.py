@@ -1,6 +1,6 @@
 """Median latency of each request kind, or of each request, of one benchmark workload.
 
-    python3 tools/latency_by_kind.py WORKLOAD [--seed N] [--rounds R] [--by-request] [--gc]
+    python3 tools/latency_by_kind.py WORKLOAD [--seed N] [--rounds R] [--by-request] [--gc] [--stages]
 
 It times the checkout it sits in, that checkout's ``bench/`` and ``src/``
 whatever the working directory, so run each checkout's own copy.  It
@@ -37,11 +37,23 @@ and a first line gives the collections of each generation per round, from
 ``gc.get_stats()`` before and after the rounds, and their time per round,
 so collections that run between the requests show too.  ``cli.run`` pauses
 the collector for each request, so the gc_ms column of a CLI request reads 0.
+
+With ``--stages`` each line gains three columns, decode_ms, compute_ms and
+emit_ms: the median over the line's requests of the unscaled time spent in
+``cli._load_payload`` (reading and parsing the JSON input), in the
+subcommand's handler (checking and decoding the payload, the computation and
+building the answer) and in ``cli._emit`` (rendering and writing it).  A
+group of library calls, which pass through none of them, reads ``-``.  The
+three are timed by wrappers set in ``gzflows.cli`` for the rounds, whose own
+cost lands in the latencies of these runs.  Being unscaled, they move with
+the machine's speed between runs: compare two checkouts by runs whose
+decode_ms, for code both share, agree.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import gc
 import statistics
@@ -86,6 +98,52 @@ class GcTimer:
         return run
 
 
+class StageTimer:
+    """Seconds each CLI request spends in ``cli._load_payload``, in its handler and in
+    ``cli._emit``, through wrappers set in ``gzflows.cli`` while it is entered."""
+
+    STAGES = ("decode", "compute", "emit")
+
+    def __init__(self):
+        self._current = None
+        self.spent = []  # per request in run order: seconds per stage, or None
+
+    def _wrap(self, stage: int, function):
+        def timed(*args):
+            if self._current is None:
+                self._current = [0.0] * len(self.STAGES)
+            start = time.perf_counter()
+            try:
+                return function(*args)
+            finally:
+                self._current[stage] += time.perf_counter() - start
+        return timed
+
+    def timed(self, call):
+        """call, appending to spent the stage times of each of its runs."""
+        def run():
+            self._current = None
+            try:
+                return call()
+            finally:
+                self.spent.append(self._current)
+        return run
+
+    def __enter__(self):
+        from gzflows import cli
+
+        self._saved = cli._load_payload, cli.HANDLERS, cli._emit
+        cli._load_payload = self._wrap(0, cli._load_payload)
+        cli.HANDLERS = {name: self._wrap(1, handler) for name, handler in cli.HANDLERS.items()}
+        cli._emit = self._wrap(2, cli._emit)
+        return self
+
+    def __exit__(self, *exc):
+        from gzflows import cli
+
+        cli._load_payload, cli.HANDLERS, cli._emit = self._saved
+
+
 def kind_of(step) -> str:
     """The step's kind, split on its spec's generic flag where the spec has one."""
     if "generic" not in step.spec:
@@ -102,18 +160,23 @@ def size_of(spec: dict) -> int | None:
     return None
 
 
-def round_latencies(name: str, seed: int, rounds: int, timer: GcTimer | None = None) -> tuple[list, list]:
+def round_latencies(name: str, seed: int, rounds: int, timer: GcTimer | None = None,
+                    stages: StageTimer | None = None) -> tuple[list, list]:
     """((kind_of, size_of) of each request of the round, every scaled latency in run order, in seconds).
 
     A timer records the collection time of every request, in run order, and the
-    collections over the rounds.
+    collections over the rounds; stages records the stage times of every request.
     """
-    with tempfile.TemporaryDirectory() as workdir:
+    with tempfile.TemporaryDirectory() as workdir, contextlib.ExitStack() as stack:
         steps, _, _ = bench.set_up(name, seed, workdir)
         groups = [(kind_of(s), size_of(s.spec)) for s in steps if s.kind != "glue"]
+        for wrapper in (timer, stages):
+            if wrapper is not None:
+                steps = [s if s.kind == "glue" else dataclasses.replace(s, call=wrapper.timed(s.call))
+                         for s in steps]
+        if stages is not None:
+            stack.enter_context(stages)
         if timer is not None:
-            steps = [s if s.kind == "glue" else dataclasses.replace(s, call=timer.timed(s.call))
-                     for s in steps]
             gc.callbacks.append(timer)
         latencies = []
         before = gc.get_stats()
@@ -157,9 +220,13 @@ def main(argv=None) -> int:
     p.add_argument("--gc", action="store_true",
                    help="add the mean cyclic-GC time per request in unscaled ms (0 for a CLI request: "
                         "cli.run pauses the collector), and first the collections per round")
+    p.add_argument("--stages", action="store_true",
+                   help="add the median unscaled ms of each CLI request in decoding its input, in its "
+                        "handler and in emitting its answer")
     args = p.parse_args(argv)
     timer = GcTimer() if args.gc else None
-    groups, latencies = round_latencies(args.workload, args.seed, args.rounds, timer)
+    stages = StageTimer() if args.stages else None
+    groups, latencies = round_latencies(args.workload, args.seed, args.rounds, timer, stages)
     per_round = len(groups)
     if args.gc:
         counts = ", ".join(f"{c / args.rounds:.1f} gen{g}" for g, c in enumerate(timer.collections))
@@ -169,6 +236,16 @@ def main(argv=None) -> int:
     def gc_ms(at) -> str:
         """The gc_ms column over the requests at those positions, if asked for."""
         return f"  {1e3 * statistics.fmean(timer.spent[i] for i in at):9.3f}" if args.gc else ""
+
+    def stage_ms(at) -> str:
+        """The decode_ms, compute_ms and emit_ms columns over the requests at those positions,
+        if asked for."""
+        if not args.stages:
+            return ""
+        spent = [stages.spent[i] for i in at if stages.spent[i] is not None]
+        if not spent:
+            return "".join(f"  {'-':>9}" for _ in StageTimer.STAGES)
+        return "".join(f"  {1e3 * statistics.median(column):9.3f}" for column in zip(*spent))
 
     holders = metric_holders(latencies, per_round)
 
@@ -181,7 +258,8 @@ def main(argv=None) -> int:
         for j, (kind, _) in enumerate(groups):
             median = 1e3 * statistics.median(latencies[j::per_round])
             at = range(j, len(latencies), per_round)
-            print(f"{j:4d}  {kind:<{width}}  {median:9.3f}{gc_ms(at)}  {marks({j})}".rstrip(), flush=True)
+            print(f"{j:4d}  {kind:<{width}}  {median:9.3f}{gc_ms(at)}{stage_ms(at)}  {marks({j})}".rstrip(),
+                  flush=True)
         return 0
     by_group = defaultdict(list)
     per_round_sums = defaultdict(lambda: [0.0] * args.rounds)
@@ -195,7 +273,8 @@ def main(argv=None) -> int:
     for group in sorted(totals, key=totals.get, reverse=True):
         kind, n = group
         print(f"{kind:<{width}}  {'-' if n is None else n:>2}  {counts[group]:4d}  {medians[group]:9.3f}"
-              f"  {totals[group]:9.3f}{gc_ms(by_group[group])}  {marks({i % per_round for i in by_group[group]})}".rstrip(), flush=True)
+              f"  {totals[group]:9.3f}{gc_ms(by_group[group])}{stage_ms(by_group[group])}"
+              f"  {marks({i % per_round for i in by_group[group]})}".rstrip(), flush=True)
     return 0
 
 
