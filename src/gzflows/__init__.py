@@ -2,7 +2,7 @@
 
 Subpackages:
 
-* :mod:`gzflows.matpoly` -- matrix/polynomial kernel (minors, characteristic
+* :mod:`gzflows.matpoly` -- matrix/polynomial kernel (characteristic
   polynomials, exponentials, companion matrices, Krylov ranks, clustering);
 * :mod:`gzflows.gzcore` -- the invariant map, exact commuting flows, strong
   regularity, stratification and orbit counts;
@@ -36,7 +36,6 @@ from .matpoly import (
     charpoly,
     companion_of,
     krylov_rank,
-    leading_minor,
     matexp,
     newton_convert,
     roots,

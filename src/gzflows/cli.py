@@ -7,7 +7,6 @@ Identical requests produce byte-identical output.
 
 from __future__ import annotations
 
-import functools
 import gc
 import json
 import sys
@@ -44,19 +43,6 @@ def _random_matrix(rng: np.random.Generator, n: int, unit_norm: bool = True) -> 
     return M
 
 
-@functools.cache
-def _chart_draws(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Where the real and the imaginary part of each of the N = n(n+1)/2 values of a chart
-    sit in one draw of 2N uniforms: level i = 1..n drew i real parts, then i imaginary
-    parts (read-only)."""
-    sizes = np.repeat(np.arange(1, n + 1), np.arange(1, n + 1))
-    real = np.arange(sizes.size) + sizes * (sizes - 1) // 2
-    frames = (real, real + sizes)
-    for frame in frames:
-        frame.flags.writeable = False  # every call shares them
-    return frames
-
-
 def _random_chart(rng: np.random.Generator, n: int) -> ratmodel.OpenStratumChart:
     """Degrees (1, ..., n), each family in one draw; poles drawn until pairwise separated.
 
@@ -64,7 +50,10 @@ def _random_chart(rng: np.random.Generator, n: int) -> ratmodel.OpenStratumChart
     refusals of open_stratum_chart (coincident poles, a zero residue) do not depend on
     how the values split into levels.
     """
-    real, imag = _chart_draws(n)
+    # level i = 1..n of the one draw of 2N uniforms holds i real parts, then i imaginary parts
+    sizes = np.repeat(np.arange(1, n + 1), np.arange(1, n + 1))
+    real = np.arange(sizes.size) + sizes * (sizes - 1) // 2
+    imag = real + sizes
     while True:
         u = rng.uniform(-2, 2, 2 * real.size)
         poles = u[real] + 1j * u[imag]
@@ -262,20 +251,11 @@ def cmd_kw_check(payload, args):
     ])
 
 
-@functools.cache
-def _bracket_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every pair a < b of positions in gz_indices(n) (read-only)."""
-    pairs = np.triu_indices(n * (n + 1) // 2, 1)
-    for index in pairs:
-        index.flags.writeable = False  # every call shares them
-    return pairs
-
-
 def cmd_bracket_table(payload, args):
     n = serialize._need_int(payload.get("n", 3), "'n'", 1)
     rng = np.random.default_rng(args.seed)
     indices = gzcore.gz_indices(n)
-    a, b = _bracket_pairs(n)
+    a, b = np.triu_indices(len(indices), 1)
     worst = 0.0
     # the largest stacked temporaries: a product for every pair a < b of each sample
     for count in _blocks(args.samples, a.size * n * n):

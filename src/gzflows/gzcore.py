@@ -17,6 +17,7 @@ generates the same motion at i times the speed.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,12 +68,6 @@ def gz_indices(n: int) -> list[tuple[int, int]]:
     return [(m, i) for m in range(1, n + 1) for i in range(1, m + 1)]
 
 
-@functools.cache
-def _index_table(n: int) -> tuple[tuple[int, int], ...]:
-    """gz_indices(n) as a tuple (every call shares it)."""
-    return tuple(gz_indices(n))
-
-
 def _gz_position(n: int, m: int, i: int) -> int:
     """Position of (m, i) in gz_indices(n), in closed form."""
     if not 1 <= i <= m <= n:
@@ -114,10 +109,10 @@ class GZGroupElement:
 
     def items(self):
         """(m, i, z) for each nonzero z, lexicographic in (m, i); a zero z acts as the identity."""
-        indices = _index_table(self.n)
         at = np.flatnonzero(self.values)
         for p, z in zip(at.tolist(), self.values[at].tolist()):
-            yield *indices[p], complex(z)
+            m = (math.isqrt(8 * p + 1) + 1) // 2  # _gz_position inverted
+            yield m, p - m * (m - 1) // 2 + 1, complex(z)
 
 
 @dataclass(frozen=True)

@@ -57,9 +57,12 @@ class LaxPath:
             raise ValueError("grid must hold at least two times")
         if not np.all(np.isfinite(self.grid)):
             raise ValueError("grid times must be finite")
-        gaps = np.diff(self.grid)
+        with np.errstate(over="ignore"):  # a gap past the largest float is refused below
+            gaps = np.diff(self.grid)
         if np.any(gaps <= 0):
             raise ValueError("grid must be strictly increasing")
+        if not np.isfinite(gaps).all():
+            raise ValueError("grid steps must be finite")
         # the difference stencils assume uniform spacing
         if np.max(np.abs(gaps - gaps[0])) > 1e-9 * gaps[0]:
             raise ValueError("grid must be uniform")

@@ -18,7 +18,6 @@ import numpy as np
 
 __all__ = [
     "as_matrix",
-    "leading_minor",
     "charpoly",
     "matexp",
     "poly_trim",
@@ -116,15 +115,6 @@ def _unit(P: np.ndarray) -> np.ndarray:
     A rank cut needs no bit-exact norm, so this is ``np.linalg.norm``'s stacked one."""
     P *= (1.0 / np.maximum(np.linalg.norm(P, axis=(-2, -1)), np.finfo(float).tiny))[..., None, None]
     return P
-
-
-def leading_minor(A, m: int) -> np.ndarray:
-    """Upper-left m-by-m submatrix (rows and columns 1..m)."""
-    A = as_matrix(A)
-    n = A.shape[0]
-    if not 1 <= m <= n:
-        raise ValueError(f"minor size {m} out of range 1..{n}")
-    return A[:m, :m].copy()
 
 
 def _faddeev_leverrier(A: np.ndarray):

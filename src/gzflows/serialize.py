@@ -124,16 +124,15 @@ def encode_matricial(F: MatricialData) -> dict:
     }
 
 
-_BLOCKS = ("B_minus", "B_plus", "g")
-
-
 def decode_matricial(obj) -> MatricialData:
+    """The inverse of :func:`encode_matricial`: one :func:`decode_array` per block and per
+    vector, in wire order, so the first bad entry raises its own text."""
     _need_keys(obj, ("k", "B_minus", "B_plus", "g"))
     k = _need_degrees(obj["k"])
-    blocks = _decoded_blocks(obj, k)
-    if blocks is None:  # entry by entry, so the first bad entry raises its own text
-        blocks = [[decode_array(M, 2) for M in _need_list(obj[name], len(k), name)] for name in _BLOCKS]
-    b_minus, b_plus, g = blocks
+    b_minus, b_plus, g = (
+        [decode_array(M, 2) for M in _need_list(obj[name], len(k), name)]
+        for name in ("B_minus", "B_plus", "g")
+    )
     u: dict[int, np.ndarray] = {}
     w: dict[int, np.ndarray] = {}
     uw = obj.get("uw", [])
@@ -144,47 +143,8 @@ def decode_matricial(obj) -> MatricialData:
         j = _need_int(entry["i"], "junction index", 1, len(k) - 1) - 1
         if j in u:
             raise InputError(f"uw holds junction {j + 1} twice")
-        u[j], w[j] = _decoded_pair(entry["u"], entry["w"])
+        u[j], w[j] = decode_array(entry["u"], 1), decode_array(entry["w"], 1)
     return MatricialData(k=k, b_minus=b_minus, b_plus=b_plus, g=g, u=u, w=w)
-
-
-def _decoded_pair(u, w) -> tuple[np.ndarray, np.ndarray]:
-    """decode_array(u, 1) and decode_array(w, 1), in one call when the two decode together
-    (a junction's u and w have one length); else one call each, so the first bad vector
-    raises its own text."""
-    try:
-        pair = decode_array([u, w], 2)
-    except InputError:
-        return decode_array(u, 1), decode_array(w, 1)
-    return pair[0], pair[1]
-
-
-def _decoded_blocks(obj, k: tuple[int, ...]) -> list | None:
-    """The B_minus, B_plus and g lists of a model point, one :func:`decode_array` per
-    block size.
-
-    None when a list does not hold len(k) entries or an entry is not a
-    (k_i, k_i) matrix that :func:`decode_array` takes: the caller then
-    decodes entry by entry, so the first bad entry raises its own text.
-    """
-    lists = [obj[name] for name in _BLOCKS]
-    if not all(isinstance(x, list) and len(x) == len(k) for x in lists):
-        return None
-    entries = [M for x in lists for M in x]
-    sizes = k * len(_BLOCKS)
-    out = [None] * len(entries)
-    for size in set(k):
-        at = [i for i, s in enumerate(sizes) if s == size]
-        try:
-            A = decode_array([entries[i] for i in at], 3)
-        except InputError:
-            return None
-        if A.shape[1:] != (size, size):
-            return None
-        for i, M in zip(at, A):
-            out[i] = M
-    n = len(k)
-    return [out[:n], out[n : 2 * n], out[2 * n :]]
 
 
 def encode_lax_path(path: LaxPath) -> dict:
@@ -205,6 +165,8 @@ def decode_lax_path(obj) -> LaxPath:
     beta = decode_array(obj["beta"], 3)
     try:
         return LaxPath(grid=np.asarray(grid, dtype=float), alpha=alpha, beta=beta).validate()
+    except OverflowError as exc:  # an integer past the largest float
+        raise InputError("grid times must be finite") from exc
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 
@@ -247,7 +209,6 @@ def _need_list(obj, length: int, label: str) -> list:
 
 
 _NON_FINITE = "non-finite number in the output (NaN and Infinity are not JSON)"
-_NON_FINITE_TEXTS = frozenset(("nan", "inf", "-inf"))
 
 
 def _dumps(doc) -> str:
@@ -273,18 +234,10 @@ def _render(obj, nl: str) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        inner = nl + "  "
-        if all(type(x) is int for x in obj):  # bool is not int here
-            items = map(int.__repr__, obj)
-        elif all(type(x) is float for x in obj):
-            items = list(map(float.__repr__, obj))
-            if not _NON_FINITE_TEXTS.isdisjoint(items):
-                raise ToleranceError(_NON_FINITE)
-        elif (text := _render_records(obj, nl)) is not None:
+        if (text := _render_records(obj, nl)) is not None:
             return text
-        else:
-            items = [_render(x, inner) for x in obj]
-        return "[" + inner + ("," + inner).join(items) + nl + "]"
+        inner = nl + "  "
+        return "[" + inner + ("," + inner).join([_render(x, inner) for x in obj]) + nl + "]"
     if isinstance(obj, np.ndarray) and obj.dtype.kind == "f":
         return _render_array(obj, nl)
     return _scalar(obj)

@@ -430,13 +430,20 @@ class TestLaxCommands:
         assert code == 65 and out == ""
         assert err == "input error: matrix entries must be finite\n"
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), pytest.param(10**400, id="integer-1e400")])
     def test_non_finite_grid_time_65(self, capsys, value):
         run_doc = call_json(capsys, "lax-run", "--input", json.dumps(self.payload(), default=np.ndarray.tolist))
         run_doc["path"]["grid"][7] = value
         code, out, err = call(capsys, "lax-gauge", "--input", json.dumps({"path": run_doc["path"]}))
         assert code == 65 and out == ""
         assert err == "input error: grid times must be finite\n"
+
+    def test_overflowing_grid_step_65_without_warnings(self):
+        # finite times whose gap is past the largest float: this exited 3 with numpy's warnings
+        sample = [[[0, 0]]]
+        path = {"grid": [-1e308, 1e308], "alpha": [sample, sample], "beta": [sample, sample]}
+        assert run_fresh("lax-gauge", "--input", json.dumps({"path": path})) == (
+            65, "", "input error: grid steps must be finite\n")
 
     @pytest.mark.parametrize("value", [False, True])
     def test_bool_grid_time_65(self, capsys, value):
@@ -1646,19 +1653,19 @@ RAGGED = [[[0, 0], [0, 0], [0, 0]], [[0, 0], [0, 0]], [[0, 0], [0, 0], [0, 0]]]
 
 
 class TestMatricialDecode:
-    """decode_matricial takes one np.array per block size and one per junction's u and w,
-    with the bits and the texts of decoding entry by entry."""
+    """decode_matricial decodes each block and each junction's u and w by decode_array, in
+    wire order: every entry keeps the bits and the texts of decoding it alone."""
 
     @pytest.mark.parametrize("edit", ["none", "integers", "bools", "negative-zero", "empty-level"])
     def test_blocks_have_the_bits_of_per_entry_decoding(self, edit):
         doc = model_doc()
-        if edit == "integers":  # one whole block of ints: an int64 batch beside float ones
+        if edit == "integers":  # one whole block of ints beside float ones
             doc["g"][2] = [[[int(re), int(im)] for re, im in row] for row in doc["g"][2]]
         elif edit == "bools":
             doc["B_plus"][2] = [[[bool(re), False] for re, _ in row] for row in doc["B_plus"][2]]
         elif edit == "negative-zero":
             doc["B_minus"][1] = [[[-0.0, -0.0] for _ in row] for row in doc["B_minus"][1]]
-        elif edit == "empty-level":  # a degree 0 takes the entry-by-entry decoding
+        elif edit == "empty-level":  # a degree 0
             doc = {"k": [0, 1], "B_minus": [[], [[[1, 0]]]], "B_plus": [[], [[[2, 0]]]], "g": [[], [[[1, 0]]]]}
         F = serialize.decode_matricial(doc)
         for got, want in zip((F.b_minus, F.b_plus, F.g), per_entry_blocks(doc)):
@@ -1693,7 +1700,7 @@ class TestMatricialDecode:
 
     def test_the_first_bad_entry_in_wire_order_raises(self):
         doc = model_doc()
-        doc["g"][1] = [[[0, 0, 0]] * 2] * 2  # a size-2 block, decoded in a batch before size 3
+        doc["g"][1] = [[[0, 0, 0]] * 2] * 2  # a bad block later in wire order
         doc["B_plus"][3] = RAGGED
         with pytest.raises(InputError) as info:
             serialize.decode_matricial(doc)
@@ -1714,9 +1721,9 @@ class TestMatricialDecode:
             doc["uw"][2]["w"] = [[bool(re), False] for re, _ in doc["uw"][2]["w"]]
         elif edit == "negative-zero":
             doc["uw"][0]["w"] = [[-0.0, -0.0]]
-        elif edit == "empty-vector":  # a length 0 takes the vector-by-vector decoding
+        elif edit == "empty-vector":
             doc["uw"][0]["u"] = []
-        elif edit == "two-lengths":  # so does a w longer than its u
+        elif edit == "two-lengths":  # a w longer than its u
             doc["uw"][1]["w"] = doc["uw"][1]["w"] + [[0.5, -0.0]]
         F = serialize.decode_matricial(doc)
         assert list(F.u) == list(F.w) == [entry["i"] - 1 for entry in doc["uw"]]

@@ -18,7 +18,6 @@ from gzflows.matpoly import (
     charpoly,
     companion_of,
     krylov_rank,
-    leading_minor,
     matexp,
     newton_convert,
     poly_from_roots,
@@ -98,31 +97,6 @@ class TestFrobenius:
     def test_empty_stack(self, dtype):
         norms = _frobenius(np.zeros((0, 3, 3), dtype=dtype))
         assert norms.shape == (0,) and norms.dtype == float
-
-
-class TestLeadingMinor:
-    def test_identity(self):
-        assert np.array_equal(leading_minor(np.eye(3), 2), np.eye(2))
-
-    def test_scalar(self):
-        A = np.zeros((2, 2))
-        A[0, 0] = 5.0
-        assert leading_minor(A, 1)[0, 0] == 5.0
-
-    def test_matches_slicing(self):
-        rng = np.random.default_rng(0)
-        A = random_matrix(rng, 4)
-        assert np.array_equal(leading_minor(A, 3), A[:3, :3])
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            leading_minor(np.eye(2), 3)
-        with pytest.raises(ValueError):
-            leading_minor(np.eye(2), 0)
-
-    def test_non_square(self):
-        with pytest.raises(ValueError):
-            leading_minor(np.zeros((2, 3)), 1)
 
 
 class TestCharpoly:

@@ -6,7 +6,9 @@ stated only by ``gzcore._gz_position``.  A second copy of either rule fails here
 The flows of ``gzcore`` and ``spaces`` take no full inverse and build no identity
 around a flow factor: they move the off-diagonal blocks by the (m, m) factor.  The
 rank cut ``max(p, q) * RANK_RTOL`` is written once, in ``matpoly._rank``, so the SVD's
-cut and the threshold of the full-span proof come from one product.
+cut and the threshold of the full-span proof come from one product.  The functions
+kept behind a cache are a listed set: a new cache is listed in the change that
+measures what it saves.
 """
 
 import ast
@@ -21,6 +23,15 @@ FLOW_MODULES = ("gzcore.py", "spaces.py")
 # a function that calls one of these builds or takes a flow factor
 FLOW_FACTOR_CALLS = {"_expm", "flow_factor", "_flow_step"}
 RANK_CUT = ("matpoly.py", "_rank")
+CACHED = {
+    ("gzcore.py", "_minor_frames"),
+    ("matpoly.py", "_identities"),
+    ("matpoly.py", "_shift"),
+    ("ratmodel.py", "_shapes"),
+    ("ratmodel.py", "_sizes"),
+    ("ratmodel.py", "_shape_table"),
+}
+CACHE_DECORATORS = {"cache", "lru_cache", "cached_property"}
 
 
 def rule_sites(module: str, source: str) -> tuple[set, set]:
@@ -135,3 +146,34 @@ def test_the_rank_cut_is_written_once():
     package = Path(gzflows.__file__).resolve().parent
     assert [site for path in sorted(package.glob("*.py"))
             for site in rank_cut_sites(path.name, path.read_text())] == [RANK_CUT]
+
+
+def cached_sites(module: str, source: str) -> set:
+    """The (module, function) of every function decorated by a cache of ``functools``."""
+    return {
+        (module, node.name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(ast.unparse(d.func if isinstance(d, ast.Call) else d).rpartition(".")[2] in CACHE_DECORATORS
+                for d in node.decorator_list)
+    }
+
+
+def test_the_guard_sees_each_cache():
+    source = (
+        "@functools.cache\n"
+        "def _table(n):\n"
+        "    return tuple(range(n))\n"
+        "@lru_cache(maxsize=None)\n"
+        "def _frames(n):\n"
+        "    return n\n"
+        "@staticmethod\n"
+        "def plain(n):\n"
+        "    return n\n"
+    )
+    assert cached_sites("m.py", source) == {("m.py", "_table"), ("m.py", "_frames")}
+
+
+def test_the_cached_functions_are_the_listed_ones():
+    package = Path(gzflows.__file__).resolve().parent
+    assert set().union(*(cached_sites(path.name, path.read_text()) for path in package.glob("*.py"))) == CACHED

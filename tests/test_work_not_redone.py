@@ -134,6 +134,14 @@ class TestItems:
             assert all(type(z) is complex and same_bits(np.array(z), np.array(w))
                        for (_, _, z), (_, _, w) in zip(got, want))
 
+    def test_invert_the_position_at_every_level_boundary(self):
+        # items() reads (m, i) back from the position in closed form; here it is held to
+        # from_pairs' _gz_position at the first and last i of every level up to n = 1000,
+        # far past the n = 8 of the loop comparison above
+        n = 1000
+        pairs = [(m, i, complex(m, i)) for m in range(1, n + 1) for i in sorted({1, m})]
+        assert list(GZGroupElement.from_pairs(n, pairs).items()) == pairs
+
     def test_real_values_yield_complex_parameters(self):
         lam = GZGroupElement(2, np.array([0.0, -1.5, 2.0]))
         assert list(lam.items()) == list(zip_items(lam)) == [(2, 1, -1.5 + 0j), (2, 2, 2 + 0j)]

@@ -1,6 +1,7 @@
 """Median latency of each request kind, or of each request, of one benchmark workload.
 
     python3 tools/latency_by_kind.py WORKLOAD [--seed N] [--rounds R] [--by-request] [--gc] [--stages]
+                                     [--calls NAME ...]
 
 It times the checkout it sits in, that checkout's ``bench/`` and ``src/``
 whatever the working directory, so run each checkout's own copy.  It
@@ -48,6 +49,15 @@ three are timed by wrappers set in ``gzflows.cli`` for the rounds, whose own
 cost lands in the latencies of these runs.  Being unscaled, they move with
 the machine's speed between runs: compare two checkouts by runs whose
 decode_ms, for code both share, agree.
+
+With ``--calls NAME ...`` a first line per name gives the calls per round of
+that ``gzflows`` function, private ones included, named from its module:
+``serialize.decode_array``, ``gzcore._minor_frames`` or, for a method,
+``gzcore.GZGroupElement.items``.  A wrapper that counts is set, for the
+rounds, where the function is defined and in every ``gzflows`` module that
+holds it by name (``gzcore`` holds its own ``matpoly._identities``) or in
+a dict (``cli.HANDLERS``).  The wrappers' own cost lands in the latencies
+of these runs.
 """
 
 from __future__ import annotations
@@ -55,7 +65,9 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import gc
+import importlib
 import statistics
 import sys
 import tempfile
@@ -144,6 +156,53 @@ class StageTimer:
         cli._load_payload, cli.HANDLERS, cli._emit = self._saved
 
 
+class CallCounter:
+    """Calls of named ``gzflows`` functions, through counting wrappers set while it is
+    entered: on the class of a method, or wherever a ``gzflows`` module holds the
+    function."""
+
+    def __init__(self, names):
+        self.names = names
+        self.counts = Counter()
+
+    def _wrap(self, name: str, function):
+        @functools.wraps(function)
+        def counted(*args, **kwargs):
+            self.counts[name] += 1
+            return function(*args, **kwargs)
+        return counted
+
+    def __enter__(self):
+        self._saved = []
+        modules = [m for key, m in sys.modules.items() if key.partition(".")[0] == "gzflows"]
+        for name in self.names:
+            module, *path, attr = name.split(".")
+            owner = importlib.import_module(f"gzflows.{module}")
+            for part in path:
+                owner = getattr(owner, part)
+            function = vars(owner)[attr]
+            wrapped = self._wrap(name, function)
+            if path:  # a method: only its class holds it
+                self._saved.append((owner, attr, function))
+                setattr(owner, attr, wrapped)
+                continue
+            # every gzflows module that holds it, and every dict in one (cli.HANDLERS)
+            tables = [vars(m) for m in modules]
+            tables += [t for table in tables for t in table.values() if type(t) is dict]
+            for table in tables:
+                for key in [key for key, value in table.items() if value is function]:
+                    self._saved.append((table, key, function))
+                    table[key] = wrapped
+        return self
+
+    def __exit__(self, *exc):
+        for holder, key, value in reversed(self._saved):
+            if type(holder) is dict:
+                holder[key] = value
+            else:
+                setattr(holder, key, value)
+
+
 def kind_of(step) -> str:
     """The step's kind, split on its spec's generic flag where the spec has one."""
     if "generic" not in step.spec:
@@ -161,11 +220,12 @@ def size_of(spec: dict) -> int | None:
 
 
 def round_latencies(name: str, seed: int, rounds: int, timer: GcTimer | None = None,
-                    stages: StageTimer | None = None) -> tuple[list, list]:
+                    stages: StageTimer | None = None, calls: CallCounter | None = None) -> tuple[list, list]:
     """((kind_of, size_of) of each request of the round, every scaled latency in run order, in seconds).
 
     A timer records the collection time of every request, in run order, and the
-    collections over the rounds; stages records the stage times of every request.
+    collections over the rounds; stages records the stage times of every request;
+    calls counts the calls of its functions over the rounds.
     """
     with tempfile.TemporaryDirectory() as workdir, contextlib.ExitStack() as stack:
         steps, _, _ = bench.set_up(name, seed, workdir)
@@ -174,8 +234,9 @@ def round_latencies(name: str, seed: int, rounds: int, timer: GcTimer | None = N
             if wrapper is not None:
                 steps = [s if s.kind == "glue" else dataclasses.replace(s, call=wrapper.timed(s.call))
                          for s in steps]
-        if stages is not None:
-            stack.enter_context(stages)
+        for wrapper in (calls, stages):  # so stages wraps the counting handlers
+            if wrapper is not None:
+                stack.enter_context(wrapper)
         if timer is not None:
             gc.callbacks.append(timer)
         latencies = []
@@ -223,15 +284,21 @@ def main(argv=None) -> int:
     p.add_argument("--stages", action="store_true",
                    help="add the median unscaled ms of each CLI request in decoding its input, in its "
                         "handler and in emitting its answer")
+    p.add_argument("--calls", nargs="+", default=[], metavar="NAME",
+                   help="first print the calls per round of each named gzflows function, "
+                        "as module.function or module.Class.method")
     args = p.parse_args(argv)
     timer = GcTimer() if args.gc else None
     stages = StageTimer() if args.stages else None
-    groups, latencies = round_latencies(args.workload, args.seed, args.rounds, timer, stages)
+    calls = CallCounter(args.calls) if args.calls else None
+    groups, latencies = round_latencies(args.workload, args.seed, args.rounds, timer, stages, calls)
     per_round = len(groups)
     if args.gc:
         counts = ", ".join(f"{c / args.rounds:.1f} gen{g}" for g, c in enumerate(timer.collections))
         print(f"gc per round: {counts} collections, {1e3 * timer.total / args.rounds:.1f} ms unscaled",
               flush=True)
+    for name in args.calls:
+        print(f"calls per round: {calls.counts[name] / args.rounds:.1f} {name}", flush=True)
 
     def gc_ms(at) -> str:
         """The gc_ms column over the requests at those positions, if asked for."""
