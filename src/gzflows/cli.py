@@ -1,7 +1,8 @@
 """Command-line surface: JSON in, JSON out, deterministic seeding.
 
 Exit codes: 0 success, 2 validation failure, 3 numerical failure (a defect
-above tolerance), 64 unknown subcommand or usage error, 65 malformed input.
+above tolerance), 64 unknown subcommand or usage error, 65 malformed input or a
+request too large to allocate.
 Identical requests produce byte-identical output.
 """
 
@@ -499,6 +500,9 @@ def run(argv) -> int:
     except (InputError, ValueError, TypeError) as exc:
         # library code raises ValueError/TypeError on input it cannot take
         sys.stderr.write(f"input error: {exc}\n")
+        return EXIT_BAD_INPUT
+    except MemoryError as exc:
+        sys.stderr.write(f"input error: request too large: {exc}\n")
         return EXIT_BAD_INPUT
     except ValidationError as exc:
         sys.stderr.write(f"validation error: {exc}\n")

@@ -451,7 +451,10 @@ def krylov_rank(B, b) -> int:
     """Numerical rank of the Krylov space of (B, b), n iff b is cyclic for B: its vectors
     B**j b / (||B**j||_F ||b||) are cut against their bound 1, whatever the scale of B or b."""
     B = as_matrix(B)
-    b = _max_scaled(np.asarray(b, dtype=complex).reshape(-1, 1))[:, 0]
+    b = np.asarray(b, dtype=complex).reshape(-1, 1)
+    if not np.isfinite(b).all():
+        raise ValueError("vector entries must be finite")
+    b = _max_scaled(b)[:, 0]
     columns = _unit(_powers(_max_scaled(B), B.shape[0])) @ (b / (np.linalg.norm(b) or 1.0))
     return _rank(columns, 1.0)
 

@@ -35,6 +35,7 @@ from .matpoly import (
     _faddeev_leverrier,
     _frobenius,
     _powers,
+    _shift,
     as_matrix,
     charpoly,
     companion_of,
@@ -140,7 +141,7 @@ class SigmaMap:
 
 def shift_matrix(k: int) -> np.ndarray:
     """Nilpotent matrix with a unit subdiagonal (companion of z**k)."""
-    return np.eye(k, k=-1, dtype=complex)
+    return _shift(k).copy()
 
 
 def relinked_shift(k: int, m: int) -> np.ndarray:
@@ -174,7 +175,7 @@ def generalized_companion(X, a, b, c) -> np.ndarray:
     B[:m, :m] = X
     B[:m, k - 1] = b
     B[m, :m] = a
-    B[m:, m:] = np.eye(km, k=-1)
+    B[m:, m:] = _shift(km)
     B[m:, k - 1] = c
     return B
 
@@ -215,8 +216,8 @@ def _by_size(k: tuple[int, ...], j: int, a, b):
 def md_validate(F: MatricialData, tol: float = VALIDATE_TOL) -> MatricialData:
     """The one validity check of a model point; every violated bullet is reported.
 
-    Structural faults raise ValueError: shapes, non-finite entries or scale,
-    and (u, w) pairs not exactly at the tied junctions.  Bullets: (a)
+    Structural faults raise ValueError: first shapes and (u, w) pairs not exactly at
+    the tied junctions, then non-finite entries or scale.  Bullets: (a)
     generalized companion shapes, (b) X-block matching across junctions with
     unequal sizes, (c) rank-one matching u w^T at tied sizes, (d) the
     conjugacy g_i B_i^+ g_i^-1 = B_i^- up to tol * scale.
@@ -226,7 +227,7 @@ def md_validate(F: MatricialData, tol: float = VALIDATE_TOL) -> MatricialData:
 
 
 def _check_structure(F: MatricialData, k: tuple[int, ...]) -> None:
-    """ValueError for the first structural fault of F as a point over k (see md_validate)."""
+    """ValueError for the first structural fault of F as a point over k, read off its shapes alone."""
     n = len(k)
     if F.k != k:
         raise ValueError(f"a stack holds points of one k: {F.k} is not {k}")
@@ -234,32 +235,18 @@ def _check_structure(F: MatricialData, k: tuple[int, ...]) -> None:
         if len(mats) != n:
             raise ValueError(f"{name} must have {n} blocks")
         for i, M in enumerate(mats):
-            M = as_matrix(M)
-            if M.shape != (k[i], k[i]):
-                raise ValueError(f"{name}[{i}] has shape {M.shape}, expected ({k[i]}, {k[i]})")
+            shape = np.shape(M)
+            if len(shape) != 2 or shape[0] != shape[1]:
+                raise ValueError(f"expected a square matrix, got shape {shape}")
+            if shape != (k[i], k[i]):
+                raise ValueError(f"{name}[{i}] has shape {shape}, expected ({k[i]}, {k[i]})")
     tied = {j for j in range(n - 1) if k[j] == k[j + 1]}
     if set(F.u) != tied or set(F.w) != tied:
         where = ", ".join(str(j + 1) for j in sorted(tied)) or "none"
         raise ValueError(f"(u, w) pairs must sit exactly at the junctions of equal sizes ({where})")
     for j in sorted(tied):
-        if any(np.shape(v) != (k[j],) or not np.all(np.isfinite(v)) for v in (F.u[j], F.w[j])):
+        if np.shape(F.u[j]) != (k[j],) or np.shape(F.w[j]) != (k[j],):
             raise ValueError(f"(u, w) at junction {j + 1} must be finite with length {k[j]}")
-
-
-def _shaped(F: MatricialData, k: tuple[int, ...]) -> bool:
-    """Whether F passes _check_structure as a point over k, finiteness aside: a point that
-    does, with a finite scale, passes it (a non-finite entry makes the scale non-finite)."""
-    tied, shapes = _shapes(k)
-    return F.k == k and F.u.keys() == F.w.keys() == set(tied) and shapes == tuple([
-        a.shape for a in (*F.b_minus, *F.b_plus, *F.g, *map(F.u.get, tied), *map(F.w.get, tied))
-    ])
-
-
-@functools.cache
-def _shapes(k: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """The tied junctions of k in order, and the shapes of a point's B_minus, B_plus, g, u, w."""
-    tied = tuple(j for j in range(len(k) - 1) if k[j] == k[j + 1])
-    return tied, tuple([(d, d) for d in k] * 3 + [(k[j],) for j in tied] * 2)
 
 
 @functools.cache
@@ -290,7 +277,7 @@ class _Stack:
 
 
 def _stack(points: list[MatricialData]) -> _Stack:
-    """Points over one k (checked by _shaped) as one _Stack."""
+    """Points over one k (checked by _check_structure) as one _Stack."""
     k = points[0].k
     blocks = {d: np.array([getattr(P, name)[i] for name in ("b_minus", "b_plus", "g") for i in levels
                            for P in points]).reshape(3, len(levels), len(points), d, d)
@@ -324,14 +311,18 @@ def _validated_scales(points: list[MatricialData], tol: float) -> np.ndarray:
     """
     k = points[0].k
     for F in points:
-        if not _shaped(F, k):
-            _check_structure(F, k)
+        _check_structure(F, k)
     D = _stack(points)
     scales = _scales(D)
     finite = np.isfinite(scales)
     if not finite.all():
         # a non-finite entry, or else an overflow
-        _check_structure(points[int(np.argmin(finite))], k)
+        F = points[int(np.argmin(finite))]
+        if not all(np.isfinite(M).all() for M in (*F.b_minus, *F.b_plus, *F.g)):
+            raise ValueError("matrix entries must be finite")
+        for j in sorted(F.u):
+            if not (np.isfinite(F.u[j]).all() and np.isfinite(F.w[j]).all()):
+                raise ValueError(f"(u, w) at junction {j + 1} must be finite with length {k[j]}")
         raise ValueError("model data too large: its scale overflows")
     faults = _violations(D, tol * scales)
     refused = np.concatenate(faults[:-1]).any(axis=0)
@@ -345,20 +336,18 @@ def _violations(D: _Stack, eff: np.ndarray) -> tuple[np.ndarray, ...]:
     """md_validate's bullets over the stack D at the tolerances eff (S,).
 
     (pattern, matching, singular, far, resid), a row per fault and a column per point:
-    pattern a row per fault of _shape_table, matching one per junction, and singular (g
+    pattern a row per run of _shape_table, matching one per junction, and singular (g
     numerically singular), far (g B_plus g^-1 - B_minus above eff) and resid (its norm)
     one per level, the levels of each size of _sizes in turn.
     """
     k = D.k
     n = len(k)
-    # bullet (a) as two gathers from every B_minus and B_plus, flattened and joined
-    ones, zeros, starts, order, _ = _shape_table(k)
+    # bullet (a): the largest distance of each run of _shape_table from its target (k = (1,) has none)
+    at, target, starts, _ = _shape_table(k)
     flat = np.concatenate([M.reshape(D.count, -1) for i in range(n) for M in (D.b_minus[i], D.b_plus[i])],
                           axis=1)
-    worst = [_abs(flat[:, ones] - 1.0)]
-    if zeros.size:
-        worst.append(np.maximum.reduceat(np.abs(flat[:, zeros]), starts, axis=1))
-    pattern = (np.concatenate(worst, axis=1)[:, order] > eff[:, None]).T
+    worst = np.maximum.reduceat(_abs(flat[:, at] - target), starts, axis=1) if starts.size else np.zeros((D.count, 0))
+    pattern = (worst > eff[:, None]).T
     gaps = np.zeros((n - 1, D.count))
     for j in range(n - 1):
         if k[j] == k[j + 1]:
@@ -402,31 +391,32 @@ def _report(k: tuple[int, ...], s: int, pattern, matching, singular, far, resid)
 
 @functools.cache
 def _shape_table(k: tuple[int, ...]) -> tuple:
-    """Bullet (a) over k, read off B_minus[1], B_plus[1], B_minus[2], ... flattened and joined.
+    """Bullet (a) over k as runs of B_minus[1], B_plus[1], B_minus[2], ... flattened and joined.
 
-    (ones, zeros, starts, order, texts): where the fixed ones sit; where the entries that
-    must vanish sit, each matrix's run of them starting at its entry of starts; and the
-    faults as md_validate reports them, texts[c] being column order[c] of the ones' gaps
-    followed by the runs' largest entries.  The arrays are read-only: every call shares them.
+    (at, target, starts, texts): run c holds the entries at[starts[c]:starts[c + 1]], which
+    must equal their entries of target, and texts[c] is its fault as md_validate reports it.
+    Each fixed one is a run, target 1, and each matrix's entries that must vanish are one run,
+    target 0, in md_validate's order.  The arrays are read-only: every call shares them.
     """
-    ones, zeros, starts, order, texts = [], [], [], [], []
+    at, target, starts, texts = [], [], [], []
     base = 0
     for i, d in enumerate(k):
         for m, label in zip(_minor_shapes(k, i), (f"B_minus[{i + 1}]", f"B_plus[{i + 1}]")):
             free, spots = _free_mask(d, m)
             for r, c in spots:
                 free[r, c] = True
-                order.append(len(ones))
-                ones.append(base + r * d + c)
+                starts.append(len(at))
+                at.append(base + r * d + c)
+                target.append(1.0)
                 texts.append(f"shape: {label} subdiagonal entry ({r + 1},{c + 1}) != 1")
             if not free.all():
-                order.append(-1 - len(starts))  # the runs follow the ones: numbered below
-                starts.append(len(zeros))
-                zeros += (base + np.flatnonzero(~free)).tolist()
+                starts.append(len(at))
+                zeros = (base + np.flatnonzero(~free)).tolist()
+                at += zeros
+                target += [0.0] * len(zeros)
                 texts.append(f"shape: {label} has nonzero entries outside the displayed form")
             base += d * d
-    order = [c if c >= 0 else len(ones) - 1 - c for c in order]
-    table = tuple(np.array(x, dtype=int) for x in (ones, zeros, starts, order))
+    table = (np.array(at, dtype=int), np.array(target), np.array(starts, dtype=int))
     for frame in table:
         frame.flags.writeable = False
     return table + (tuple(texts),)
@@ -631,7 +621,6 @@ def _classified(points: list[MatricialData], isotropy: bool, stacklevel: int) ->
         unshifted = np.zeros((n - 1, D.count), dtype=bool)
         pairs = np.zeros((n - 1, 2, D.count), dtype=complex)
         labels = []
-        shifts = {d: shift_matrix(d) for d in set(k)}
         for j in range(n - 1):
             m = min(k[j], k[j + 1])
             if k[j] == k[j + 1]:
@@ -641,7 +630,7 @@ def _classified(points: list[MatricialData], isotropy: bool, stacklevel: int) ->
                 big, anchor = _by_size(k, j, D.b_plus[j], D.b_minus[j + 1])
                 label = _by_size(k, j, f"B_plus[{j + 1}]", f"B_minus[{j + 2}]")[1]
                 pairs[j] = big[:, m, m - 1], big[:, 0, -1]
-            unshifted[j] = _frobenius(anchor - shifts[m]) > canon_tol
+            unshifted[j] = _frobenius(anchor - _shift(m)) > canon_tol
             labels.append(label)
         mags = _abs(pairs)
         both = (mags > nz_tol).all(axis=1)
@@ -694,8 +683,6 @@ def enumerate_sr(k) -> list[MatricialData]:
             "(the count is then sr_orbit_count_zero_fiber)"
         )
     n = len(k)
-    # one shift per size, and a copy of it for each block: no two blocks share an array
-    shifts = {d: shift_matrix(d) for d in set(k)}
     reps = []
     for signs in itertools.product((-1, 1), repeat=n - 1):
         b_minus: list[np.ndarray | None] = [None] * n
@@ -705,13 +692,13 @@ def enumerate_sr(k) -> list[MatricialData]:
         start_plus = [0] * n
         u: dict[int, np.ndarray] = {}
         w: dict[int, np.ndarray] = {}
-        b_minus[0] = shifts[k[0]].copy()
-        b_plus[n - 1] = shifts[k[n - 1]].copy()
+        b_minus[0] = shift_matrix(k[0])
+        b_plus[n - 1] = shift_matrix(k[n - 1])
         for j in range(n - 1):
             size, m = _by_size(k, j, k[j], k[j + 1])
             start = m if signs[j] == 1 and m < size else 0
-            big = relinked_shift(size, start) if start else shifts[size].copy()
-            b_plus[j], b_minus[j + 1] = _by_size(k, j, big, shifts[m].copy())
+            big = relinked_shift(size, start) if start else shift_matrix(size)
+            b_plus[j], b_minus[j + 1] = _by_size(k, j, big, shift_matrix(m))
             start_plus[j], start_minus[j + 1] = _by_size(k, j, start, 0)
             if m == size:
                 u[j] = np.zeros(m, dtype=complex)
@@ -859,6 +846,8 @@ def open_stratum_chart(poles, residues) -> OpenStratumChart:
     ):
         raise ValueError("poles and residues must match level by level")
     allp = np.concatenate(poles) if poles else np.zeros(0, dtype=complex)
+    if not np.isfinite(np.concatenate((allp, *residues))).all():
+        raise ValueError("poles and residues must be finite")
     scale = 1.0 + (np.max(np.abs(allp)) if allp.size else 0.0)
     if _coincident(allp, _OPEN_STRATUM_TOL * scale):
         raise ValidationError("coincident poles are outside the open stratum")

@@ -1423,6 +1423,20 @@ class TestCliContract:
         code, _, err = call(capsys, name, "--input", json.dumps(payload, default=np.ndarray.tolist))
         assert code == 65 and "input error" in err
 
+    @pytest.mark.parametrize("name, payload", [
+        # lax-run's grid alone would take 7.11 PiB, enumerate-orbits' shift 1.42 PiB: more than
+        # a 2**47-byte address space, so each allocation fails at once
+        pytest.param("lax-run", json.dumps({"alpha": {"type": "constant", "matrix": [[[0, 0]]]},
+                                            "beta": [[[1, 0]]], "t_start": 0, "t_end": 1, "steps": 10**15}),
+                     id="lax-run-steps-1e15"),
+        pytest.param("enumerate-orbits", '{"k": [10000000]}', id="enumerate-orbits-k-1e7"),
+    ])
+    def test_request_too_large_to_allocate_65(self, name, payload):
+        # each ended in a traceback, exit 1
+        code, out, err = run_fresh(name, "--input", payload)
+        assert (code, out) == (65, "")
+        assert err.startswith("input error: request too large: Unable to allocate ") and err.count("\n") == 1
+
     def test_enumerate_orbits_without_degrees_names_the_problem_65(self, capsys):
         code, out, err = call(capsys, "enumerate-orbits", "--input", '{"k": []}')
         assert (code, out, err) == (65, "", "input error: k must hold at least one degree\n")

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -146,6 +147,28 @@ class TestMdValidate:
         F.w = {}
         with pytest.raises(ValueError):
             md_validate(F)
+
+    def test_nested_lists_validate_as_their_arrays(self):
+        # a point whose blocks and vectors were nested lists raised AttributeError
+        rng = np.random.default_rng(30)
+        F = fixture_from_polar([poly_from_roots(rng.uniform(-2, 2, d) + 1j * rng.uniform(-2, 2, d))
+                                for d in (1, 2, 2, 3)], rng=rng)
+        bad = F.copy()
+        bad.b_plus[1][0, 1] += 0.5
+        bad.b_minus[3][2, 0] += 1e-3
+
+        def as_lists(P):
+            return MatricialData(k=P.k, b_minus=[M.tolist() for M in P.b_minus],
+                                 b_plus=[M.tolist() for M in P.b_plus], g=[M.tolist() for M in P.g],
+                                 u={j: v.tolist() for j, v in P.u.items()}, w={j: v.tolist() for j, v in P.w.items()})
+
+        assert outcome(lambda: md_validate(as_lists(F))) == outcome(lambda: md_validate(F)) == ("valid",)
+        assert outcome(lambda: md_validate(bad))[0] == "ValidationError"
+        assert outcome(lambda: md_validate(as_lists(bad))) == outcome(lambda: md_validate(bad))
+        listed = as_lists(F)
+        listed.b_plus[2][1][0] = float("nan")
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            md_validate(listed)
 
     def test_consumers_take_a_validated_point_without_rechecking(self, monkeypatch):
         F = enumerate_sr((2, 3, 3))[1]
@@ -680,6 +703,20 @@ class TestChartBracket:
     def test_zero_residue_rejected(self):
         with pytest.raises(ValidationError):
             open_stratum_chart([[0.5]], [[0.0]])
+
+    @pytest.mark.parametrize("poles, residues", [
+        pytest.param([[np.nan]], [[1.0]], id="nan-pole"),
+        pytest.param([[0.0, np.inf]], [[1.0, 2.0]], id="infinite-pole"),
+        pytest.param([[0.5], [1.0]], [[1.0], [complex(np.nan, 1.0)]], id="nan-residue"),
+        pytest.param([[0.5]], [[-np.inf]], id="infinite-residue"),
+    ])
+    def test_non_finite_poles_and_residues_rejected(self, poles, residues):
+        # every comparison with NaN is false: these were accepted, and chart_bracket then
+        # failed with "non-finite values in finite-difference gradient"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^poles and residues must be finite$"):
+                open_stratum_chart(poles, residues)
 
     def test_pole_gap_exactly_at_the_threshold_is_coincident(self):
         # poles 0 and t, scale 1 + t: the gap t is exactly _OPEN_STRATUM_TOL * scale

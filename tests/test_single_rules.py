@@ -6,7 +6,8 @@ stated only by ``gzcore._gz_position``.  A second copy of either rule fails here
 The flows of ``gzcore`` and ``spaces`` take no full inverse and build no identity
 around a flow factor: they move the off-diagonal blocks by the (m, m) factor.  The
 rank cut ``max(p, q) * RANK_RTOL`` is written once, in ``matpoly._rank``, so the SVD's
-cut and the threshold of the full-span proof come from one product.  The functions
+cut and the threshold of the full-span proof come from one product.  The unit shift,
+an ``eye`` off its diagonal, is built only by ``matpoly._shift``.  The functions
 kept behind a cache are a listed set: a new cache is listed in the change that
 measures what it saves.
 """
@@ -23,11 +24,11 @@ FLOW_MODULES = ("gzcore.py", "spaces.py")
 # a function that calls one of these builds or takes a flow factor
 FLOW_FACTOR_CALLS = {"_expm", "flow_factor", "_flow_step"}
 RANK_CUT = ("matpoly.py", "_rank")
+SHIFT = ("matpoly.py", "_shift")
 CACHED = {
     ("gzcore.py", "_minor_frames"),
     ("matpoly.py", "_identities"),
     ("matpoly.py", "_shift"),
-    ("ratmodel.py", "_shapes"),
     ("ratmodel.py", "_sizes"),
     ("ratmodel.py", "_shape_table"),
 }
@@ -146,6 +147,41 @@ def test_the_rank_cut_is_written_once():
     package = Path(gzflows.__file__).resolve().parent
     assert [site for path in sorted(package.glob("*.py"))
             for site in rank_cut_sites(path.name, path.read_text())] == [RANK_CUT]
+
+
+def shift_sites(module: str, source: str) -> list:
+    """The (module, function) of every call of ``eye`` off its diagonal (a ``k`` keyword or a
+    third argument), once per call."""
+    sites = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if (isinstance(node, ast.Call) and ast.unparse(node.func).rpartition(".")[2] == "eye"
+                and (len(node.args) > 2 or any(kw.arg == "k" for kw in node.keywords))):
+            sites.append((module, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return sites
+
+
+def test_the_guard_sees_a_second_shift():
+    source = (
+        "def _shift(n):\n"
+        "    return np.eye(n, k=-1, dtype=complex)\n"
+        "def companion(X, km):\n"
+        "    B[m:, m:] = eye(km, km, -1)\n"
+        "    return np.eye(km, dtype=complex)\n"
+    )
+    assert shift_sites("m.py", source) == [("m.py", "_shift"), ("m.py", "companion")]
+
+
+def test_the_shift_is_built_once():
+    package = Path(gzflows.__file__).resolve().parent
+    assert [site for path in sorted(package.glob("*.py"))
+            for site in shift_sites(path.name, path.read_text())] == [SHIFT]
 
 
 def cached_sites(module: str, source: str) -> set:

@@ -47,6 +47,16 @@ class TestVnValidate:
             vn_validate(np.eye(2), np.array([1.0, 1.0]))
         assert "rank" in str(err.value)
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_vector_rejected(self, entry):
+        # this ended in LinAlgError "SVD did not converge", with RuntimeWarnings
+        b = np.array([1.0, entry])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for check in (vn_validate, krylov_rank):
+                with pytest.raises(ValueError, match="^vector entries must be finite$"):
+                    check(shift(2), b)
+
     def test_random_pairs_accepted(self):
         rng = np.random.default_rng(0)
         for _ in range(10):

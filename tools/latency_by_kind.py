@@ -1,6 +1,6 @@
 """Median latency of each request kind, or of each request, of one benchmark workload.
 
-    python3 tools/latency_by_kind.py WORKLOAD [--seed N] [--rounds R] [--by-request] [--gc] [--stages]
+    python3 tools/latency_by_kind.py WORKLOAD [--seed N] [--rounds R] [--by-request] [--stages]
                                      [--calls NAME ...]
 
 It times the checkout it sits in, that checkout's ``bench/`` and ``src/``
@@ -32,13 +32,6 @@ round order, its kind named as its group's is, and the same marks:
 
     index  kind  median_ms  marks
 
-With ``--gc`` each line gains a gc_ms column, the mean time of the cyclic
-garbage collections that ran inside each request of the line (unscaled ms),
-and a first line gives the collections of each generation per round, from
-``gc.get_stats()`` before and after the rounds, and their time per round,
-so collections that run between the requests show too.  ``cli.run`` pauses
-the collector for each request, so the gc_ms column of a CLI request reads 0.
-
 With ``--stages`` each line gains three columns, decode_ms, compute_ms and
 emit_ms: the median over the line's requests of the unscaled time spent in
 ``cli._load_payload`` (reading and parsing the JSON input), in the
@@ -66,7 +59,6 @@ import argparse
 import contextlib
 import dataclasses
 import functools
-import gc
 import importlib
 import statistics
 import sys
@@ -80,34 +72,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
 import run as bench  # noqa: E402  (sets one BLAS thread before numpy loads)
 import workloads  # noqa: E402
-
-
-class GcTimer:
-    """Seconds spent in cyclic garbage collections, through ``gc.callbacks``: in all, and
-    in each timed call (``spent``); and the collections of each generation over the
-    rounds of :func:`round_latencies`."""
-
-    def __init__(self):
-        self.total = 0.0
-        self._start = 0.0
-        self.spent = []
-        self.collections = []
-
-    def __call__(self, phase: str, info: dict) -> None:
-        if phase == "start":
-            self._start = time.perf_counter()
-        else:
-            self.total += time.perf_counter() - self._start
-
-    def timed(self, call):
-        """call, appending to spent the collection time of each of its runs."""
-        def run():
-            before = self.total
-            try:
-                return call()
-            finally:
-                self.spent.append(self.total - before)
-        return run
 
 
 class StageTimer:
@@ -219,35 +183,24 @@ def size_of(spec: dict) -> int | None:
     return None
 
 
-def round_latencies(name: str, seed: int, rounds: int, timer: GcTimer | None = None,
-                    stages: StageTimer | None = None, calls: CallCounter | None = None) -> tuple[list, list]:
+def round_latencies(name: str, seed: int, rounds: int, stages: StageTimer | None = None,
+                    calls: CallCounter | None = None) -> tuple[list, list]:
     """((kind_of, size_of) of each request of the round, every scaled latency in run order, in seconds).
 
-    A timer records the collection time of every request, in run order, and the
-    collections over the rounds; stages records the stage times of every request;
-    calls counts the calls of its functions over the rounds.
+    stages records the stage times of every request; calls counts the calls of its
+    functions over the rounds.
     """
     with tempfile.TemporaryDirectory() as workdir, contextlib.ExitStack() as stack:
         steps, _, _ = bench.set_up(name, seed, workdir)
         groups = [(kind_of(s), size_of(s.spec)) for s in steps if s.kind != "glue"]
-        for wrapper in (timer, stages):
-            if wrapper is not None:
-                steps = [s if s.kind == "glue" else dataclasses.replace(s, call=wrapper.timed(s.call))
-                         for s in steps]
+        if stages is not None:
+            steps = [s if s.kind == "glue" else dataclasses.replace(s, call=stages.timed(s.call)) for s in steps]
         for wrapper in (calls, stages):  # so stages wraps the counting handlers
             if wrapper is not None:
                 stack.enter_context(wrapper)
-        if timer is not None:
-            gc.callbacks.append(timer)
         latencies = []
-        before = gc.get_stats()
-        try:
-            for _ in range(rounds):
-                latencies += bench.run_round(steps)[0]
-        finally:
-            if timer is not None:
-                gc.callbacks.remove(timer)
-                timer.collections = [b["collections"] - a["collections"] for a, b in zip(before, gc.get_stats())]
+        for _ in range(rounds):
+            latencies += bench.run_round(steps)[0]
     return groups, latencies
 
 
@@ -278,9 +231,6 @@ def main(argv=None) -> int:
     p.add_argument("--rounds", type=int, default=20)
     p.add_argument("--by-request", action="store_true",
                    help="one line per request of the round, marking the p50 and tail holders")
-    p.add_argument("--gc", action="store_true",
-                   help="add the mean cyclic-GC time per request in unscaled ms (0 for a CLI request: "
-                        "cli.run pauses the collector), and first the collections per round")
     p.add_argument("--stages", action="store_true",
                    help="add the median unscaled ms of each CLI request in decoding its input, in its "
                         "handler and in emitting its answer")
@@ -288,21 +238,12 @@ def main(argv=None) -> int:
                    help="first print the calls per round of each named gzflows function, "
                         "as module.function or module.Class.method")
     args = p.parse_args(argv)
-    timer = GcTimer() if args.gc else None
     stages = StageTimer() if args.stages else None
     calls = CallCounter(args.calls) if args.calls else None
-    groups, latencies = round_latencies(args.workload, args.seed, args.rounds, timer, stages, calls)
+    groups, latencies = round_latencies(args.workload, args.seed, args.rounds, stages, calls)
     per_round = len(groups)
-    if args.gc:
-        counts = ", ".join(f"{c / args.rounds:.1f} gen{g}" for g, c in enumerate(timer.collections))
-        print(f"gc per round: {counts} collections, {1e3 * timer.total / args.rounds:.1f} ms unscaled",
-              flush=True)
     for name in args.calls:
         print(f"calls per round: {calls.counts[name] / args.rounds:.1f} {name}", flush=True)
-
-    def gc_ms(at) -> str:
-        """The gc_ms column over the requests at those positions, if asked for."""
-        return f"  {1e3 * statistics.fmean(timer.spent[i] for i in at):9.3f}" if args.gc else ""
 
     def stage_ms(at) -> str:
         """The decode_ms, compute_ms and emit_ms columns over the requests at those positions,
@@ -325,7 +266,7 @@ def main(argv=None) -> int:
         for j, (kind, _) in enumerate(groups):
             median = 1e3 * statistics.median(latencies[j::per_round])
             at = range(j, len(latencies), per_round)
-            print(f"{j:4d}  {kind:<{width}}  {median:9.3f}{gc_ms(at)}{stage_ms(at)}  {marks({j})}".rstrip(),
+            print(f"{j:4d}  {kind:<{width}}  {median:9.3f}{stage_ms(at)}  {marks({j})}".rstrip(),
                   flush=True)
         return 0
     by_group = defaultdict(list)
@@ -340,7 +281,7 @@ def main(argv=None) -> int:
     for group in sorted(totals, key=totals.get, reverse=True):
         kind, n = group
         print(f"{kind:<{width}}  {'-' if n is None else n:>2}  {counts[group]:4d}  {medians[group]:9.3f}"
-              f"  {totals[group]:9.3f}{gc_ms(by_group[group])}{stage_ms(by_group[group])}"
+              f"  {totals[group]:9.3f}{stage_ms(by_group[group])}"
               f"  {marks({i % per_round for i in by_group[group]})}".rstrip(), flush=True)
     return 0
 
