@@ -16,7 +16,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import gzcore, lax, ratmodel, serialize, verify
-from .errors import InputError, ToleranceError, ValidationError, _gate
+from .errors import ToleranceError, ValidationError, _gate
 from .matpoly import CLUSTER_TOL, _abs, _blocks, _coincident, _frobenius, as_matrix
 
 __all__ = ["main", "run"]
@@ -69,7 +69,7 @@ def _random_chart(rng: np.random.Generator, n: int) -> ratmodel.OpenStratumChart
 def _flow_triples(payload) -> list[tuple[int, int, complex]]:
     flows = payload.get("flows")
     if not isinstance(flows, list):
-        raise InputError("expected a 'flows' list of {m, i, z} objects")
+        raise ValueError("expected a 'flows' list of {m, i, z} objects")
     out = []
     for entry in flows:
         serialize._need_keys(entry, ("m", "i", "z"))
@@ -86,7 +86,7 @@ def _require_matrix(payload, key: str = "matrix") -> np.ndarray:
 def _require_polys(payload) -> list[np.ndarray]:
     polys = payload.get("polys")
     if not isinstance(polys, list) or not polys:
-        raise InputError("expected a nonempty 'polys' list")
+        raise ValueError("expected a nonempty 'polys' list")
     return [serialize.decode_array(p, 1) for p in polys]
 
 
@@ -187,7 +187,7 @@ def cmd_ak_act(payload, args):
     F = _payload_matricial(payload)
     params = payload.get("params")
     if not isinstance(params, list):
-        raise InputError("expected 'params' as a list of coefficient vectors")
+        raise ValueError("expected 'params' as a list of coefficient vectors")
     coeffs = [serialize.decode_array(p, 1) for p in params]
     moved = ratmodel.ak_act(F, coeffs)
     return {"data": serialize.encode_matricial(moved)}, EXIT_OK
@@ -273,14 +273,14 @@ def cmd_bracket_table(payload, args):
 
 def _alpha_from_spec(spec):
     if not isinstance(spec, dict) or "type" not in spec:
-        raise InputError("alpha spec needs a 'type'")
+        raise ValueError("alpha spec needs a 'type'")
     if spec["type"] == "constant":
         M = serialize.decode_array(spec.get("matrix"), 2)
         return lambda t: M
     if spec["type"] == "polynomial":
         coeffs = spec.get("coefficients")
         if not isinstance(coeffs, list) or not coeffs:
-            raise InputError("polynomial alpha needs matrix coefficients")
+            raise ValueError("polynomial alpha needs matrix coefficients")
         mats = serialize.decode_array(coeffs, 3)
 
         def polynomial(t):
@@ -291,7 +291,7 @@ def _alpha_from_spec(spec):
                 raise ToleranceError(f"alpha overflowed (not finite at t = {t:.6g})")
             return value
         return polynomial
-    raise InputError(f"unknown alpha type {spec['type']!r}")
+    raise ValueError(f"unknown alpha type {spec['type']!r}")
 
 
 def cmd_lax_run(payload, args):
@@ -446,13 +446,13 @@ def _load_payload(arg: str | None):
             with open(arg, "r", encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
-            raise InputError(f"cannot read input file: {exc}") from exc
+            raise ValueError(f"cannot read input file: {exc}") from exc
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"invalid JSON: {exc}") from exc
+    except (json.JSONDecodeError, RecursionError) as exc:  # nesting too deep to decode
+        raise ValueError(f"invalid JSON: {exc}") from exc
     if not isinstance(payload, dict):
-        raise InputError("top-level input must be a JSON object")
+        raise ValueError("top-level input must be a JSON object")
     return payload
 
 
@@ -466,7 +466,7 @@ def _emit(doc, output: str | None) -> None:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        raise InputError(f"cannot write output file: {exc}") from exc
+        raise ValueError(f"cannot write output file: {exc}") from exc
 
 
 def run(argv) -> int:
@@ -497,8 +497,8 @@ def run(argv) -> int:
         payload = _load_payload(args.input)
         doc, code = handler(payload, args)
         _emit(doc, args.output)
-    except (InputError, ValueError, TypeError) as exc:
-        # library code raises ValueError/TypeError on input it cannot take
+    except (ValueError, TypeError) as exc:
+        # every intake raises ValueError or TypeError on input it cannot take
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_BAD_INPUT
     except MemoryError as exc:

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.  The CLI maps each failure to one exit
+code: ValidationError (a domain invariant failed) to 2, ToleranceError (a defect above
+its tolerance) to 3, and the built-in ValueError or TypeError (malformed input, at any
+intake) to 65."""
 
 
 class ValidationError(Exception):
@@ -24,7 +27,3 @@ def _gate(defect, tol: float, message: str):
     if not defect <= tol:
         raise ToleranceError(message.format(defect=defect, tol=tol), defect=defect, tolerance=tol)
     return defect
-
-
-class InputError(Exception):
-    """Malformed request data (bad JSON, missing fields, wrong shapes)."""

@@ -188,13 +188,15 @@ def lax_integrate(alpha_fn, beta_start, t_start: float, t_end: float, steps: int
     stack shaped like ``beta_start``.  A stack runs all S paths in the one
     RK4 loop, each with the bits it gets alone, and gives a stacked path.
     The times must be finite with a finite span, and ``steps`` an integer
-    of at least 1.  An overflow and a step outside RK4's stable range for
-    ad alpha are refused.
+    of at least 1 whose grid numpy can index.  An overflow and a step
+    outside RK4's stable range for ad alpha are refused.
     """
     if not t_start < t_end:
         raise ValueError("need t_start < t_end")
     if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 1:
         raise ValueError(f"steps must be an integer of at least 1, got {steps!r}")
+    if steps >= np.iinfo(np.intp).max:  # its steps + 1 grid times cannot be indexed
+        raise ValueError(f"steps must be below {np.iinfo(np.intp).max}, the grid size numpy can index")
     beta = _check_square(np.asarray(beta_start, dtype=complex))
     if beta.ndim not in (2, 3) or not beta.shape[-1]:
         raise ValueError(f"beta must be a nonempty square matrix or a stack of them, got shape {beta.shape}")

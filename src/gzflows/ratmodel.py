@@ -422,18 +422,13 @@ def _shape_table(k: tuple[int, ...]) -> tuple:
     return table + (tuple(texts),)
 
 
-def _embed(h: np.ndarray, size: int) -> np.ndarray:
-    out = np.eye(size, dtype=complex)
-    out[: h.shape[0], : h.shape[0]] = h
-    return out
-
-
 def gk_act(F: MatricialData, factors) -> MatricialData:
     """Gauge action: one invertible factor per junction, None where empty.
 
-    Junction j conjugates B_plus[j] and B_minus[j+1] by the embedded
-    factor, multiplies g_j on the right by its inverse and g_(j+1) on the
-    left, and rescales (u_j, w_j) at tied sizes.  The output revalidates.
+    Junction j conjugates B_plus[j] and B_minus[j+1] by blockdiag(h, I),
+    multiplies g_j on the right by its inverse and g_(j+1) on the left,
+    moving only leading rows and columns, and rescales (u_j, w_j) at tied
+    sizes.  The output revalidates.
     """
     n = F.n
     factors = list(factors)
@@ -456,14 +451,12 @@ def gk_act(F: MatricialData, factors) -> MatricialData:
         if h is None:
             continue
         h_inv = np.linalg.inv(h)
-        left = _embed(h, F.k[j])
-        left_inv = _embed(h_inv, F.k[j])
-        right = _embed(h, F.k[j + 1])
-        right_inv = _embed(h_inv, F.k[j + 1])
-        out.b_plus[j] = left @ out.b_plus[j] @ left_inv
-        out.b_minus[j + 1] = right @ out.b_minus[j + 1] @ right_inv
-        out.g[j] = out.g[j] @ left_inv
-        out.g[j + 1] = right @ out.g[j + 1]
+        m = h.shape[0]
+        # a validated point may hold list or integer blocks: each moved block becomes complex
+        blocks = [np.asarray(M, dtype=complex) for M in (out.b_plus[j], out.b_minus[j + 1], out.g[j], out.g[j + 1])]
+        out.b_plus[j], out.b_minus[j + 1], out.g[j], out.g[j + 1] = plus, minus, left, right = blocks
+        plus[:m], minus[:m], right[:m] = h @ plus[:m], h @ minus[:m], h @ right[:m]
+        plus[:, :m], minus[:, :m], left[:, :m] = plus[:, :m] @ h_inv, minus[:, :m] @ h_inv, left[:, :m] @ h_inv
         if j in out.u:
             out.u[j] = h @ out.u[j]
             out.w[j] = h_inv.T @ out.w[j]

@@ -4,8 +4,7 @@ Every complex array, of any rank, is a nested list of JSON numbers whose
 innermost lists are [re, im] pairs: a scalar is [re, im], a vector a list
 of pairs, a matrix a row-major list of rows.  Polynomials are ascending
 coefficient vectors.  Decoding checks the rank and the element types and
-raises :class:`InputError` on anything malformed, so the CLI can map it
-to its own exit code.
+raises ValueError on anything malformed, as every library intake does.
 
 Encoders return float arrays (shape + (2,)) where the wire holds nested
 lists.  The CLI writes documents with :func:`_dumps`, the bytes of
@@ -28,7 +27,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .errors import InputError, ToleranceError
+from .errors import ToleranceError
 from .gzcore import GZ_BASES, GZCoordinates, StratumSignature
 from .lax import LaxPath, _one_path
 from .ratmodel import MatricialData
@@ -68,19 +67,19 @@ def decode_array(obj, ndim: int) -> np.ndarray:
         if A.dtype.kind == "O" and all(isinstance(x, (int, float)) for x in A.flat):
             A = A.astype(float)  # integers beyond int64; OverflowError past float
     except (ValueError, OverflowError) as exc:
-        raise InputError(f"expected nested [re, im] pairs: {exc}") from exc
+        raise ValueError(f"expected nested [re, im] pairs: {exc}") from exc
     if A.dtype.kind not in "biuf":
-        raise InputError("expected nested [re, im] pairs of JSON numbers")
+        raise ValueError("expected nested [re, im] pairs of JSON numbers")
     if A.shape == (0,) and ndim > 0:
         return np.zeros((0,) * ndim, dtype=complex)
     if A.ndim != ndim + 1 or A.shape[-1] != 2:
-        raise InputError(
+        raise ValueError(
             f"expected a rank-{ndim} array of [re, im] pairs, got nested shape {A.shape}"
         )
     A = np.ascontiguousarray(A, dtype=float)
     # count_nonzero takes half the time of .all() on the small arrays of a request
     if np.count_nonzero(np.isfinite(A)) < A.size:
-        raise InputError(f"{_ENTRIES[min(ndim, 2)]} must be finite")
+        raise ValueError(f"{_ENTRIES[min(ndim, 2)]} must be finite")
     return A.view(complex)[..., 0]
 
 
@@ -98,7 +97,7 @@ def decode_coords(obj) -> GZCoordinates:
     n = _need_int(obj["n"], "'n'", 0)
     values = decode_array(obj["values"], 1)
     if obj["basis"] not in GZ_BASES or values.size != n * (n + 1) // 2:
-        raise InputError(f"coords need a basis in {GZ_BASES} and n(n+1)/2 = {n * (n + 1) // 2} values")
+        raise ValueError(f"coords need a basis in {GZ_BASES} and n(n+1)/2 = {n * (n + 1) // 2} values")
     return GZCoordinates(n=n, basis=obj["basis"], values=values)
 
 
@@ -137,12 +136,12 @@ def decode_matricial(obj) -> MatricialData:
     w: dict[int, np.ndarray] = {}
     uw = obj.get("uw", [])
     if not isinstance(uw, list):
-        raise InputError("uw must be a list of {i, u, w} objects")
+        raise ValueError("uw must be a list of {i, u, w} objects")
     for entry in uw:
         _need_keys(entry, ("i", "u", "w"))
         j = _need_int(entry["i"], "junction index", 1, len(k) - 1) - 1
         if j in u:
-            raise InputError(f"uw holds junction {j + 1} twice")
+            raise ValueError(f"uw holds junction {j + 1} twice")
         u[j], w[j] = decode_array(entry["u"], 1), decode_array(entry["w"], 1)
     return MatricialData(k=k, b_minus=b_minus, b_plus=b_plus, g=g, u=u, w=w)
 
@@ -160,51 +159,49 @@ def decode_lax_path(obj) -> LaxPath:
     _need_keys(obj, ("grid", "alpha", "beta"))
     grid = obj["grid"]
     if not isinstance(grid, list) or not all(type(t) in (int, float) for t in grid):  # no bools
-        raise InputError("grid must be a list of real times")
+        raise ValueError("grid must be a list of real times")
     alpha = decode_array(obj["alpha"], 3)
     beta = decode_array(obj["beta"], 3)
     try:
         return LaxPath(grid=np.asarray(grid, dtype=float), alpha=alpha, beta=beta).validate()
     except OverflowError as exc:  # an integer past the largest float
-        raise InputError("grid times must be finite") from exc
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+        raise ValueError("grid times must be finite") from exc
 
 
 def _need_keys(obj, keys) -> None:
     if not isinstance(obj, dict):
-        raise InputError(f"expected an object with keys {keys}")
+        raise ValueError(f"expected an object with keys {keys}")
     missing = [key for key in keys if key not in obj]
     if missing:
-        raise InputError(f"missing keys: {', '.join(missing)}")
+        raise ValueError(f"missing keys: {', '.join(missing)}")
 
 
 def _need_int(obj, label: str, low: int, high: float = math.inf) -> int:
     """obj if it is a JSON integer in low..high; a bool is not one here."""
     if type(obj) is not int or not low <= obj <= high:
-        raise InputError(f"{label} must be an integer in {low}..{high}, got {obj!r}")
+        raise ValueError(f"{label} must be an integer in {low}..{high}, got {obj!r}")
     return obj
 
 
 def _need_real(obj, label: str) -> float:
     """obj as a float if it is a finite JSON number; a bool is not one here."""
     if type(obj) not in (int, float) or not abs(obj) <= sys.float_info.max:
-        raise InputError(f"{label} must be a finite number, got {obj!r}")
+        raise ValueError(f"{label} must be a finite number, got {obj!r}")
     return float(obj)
 
 
 def _need_degrees(obj) -> tuple[int, ...]:
     """The degrees k, a nonempty list of integers >= 0, as a tuple."""
     if not isinstance(obj, list):
-        raise InputError("k must be a list of nonnegative integers")
+        raise ValueError("k must be a list of nonnegative integers")
     if not obj:
-        raise InputError("k must hold at least one degree")
+        raise ValueError("k must hold at least one degree")
     return tuple(_need_int(x, "a degree in k", 0) for x in obj)
 
 
 def _need_list(obj, length: int, label: str) -> list:
     if not isinstance(obj, list) or len(obj) != length:
-        raise InputError(f"{label} must be a list of length {length}")
+        raise ValueError(f"{label} must be a list of length {length}")
     return obj
 
 

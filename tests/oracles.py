@@ -7,7 +7,8 @@ system and the validity check, each taken one point at a time, are the
 references for the stacked ones, and the RK4 loop and the Faddeev-LeVerrier
 recursion, each as one expression per operation, are the references for the
 buffered ones, and the full conjugation by an n-by-n flow factor is the reference
-for the flows that move only the off-diagonal blocks.
+for the flows that move only the off-diagonal blocks, as the gauge action by embedded
+factors is for the one that moves only the leading rows and columns.
 """
 
 from __future__ import annotations
@@ -337,6 +338,36 @@ def full_conjugation_flow(B: np.ndarray, m: int, i: int, z: complex) -> tuple[np
     h = np.eye(B.shape[0], dtype=complex)
     h[:m, :m] = _expm(z * np.linalg.matrix_power(B[:m, :m], i - 1))
     return h, h @ B @ np.linalg.inv(h)
+
+
+def embedded_gk_act(F: MatricialData, factors) -> MatricialData:
+    """The gauge action of ``ratmodel.gk_act`` with each factor h embedded in a full identity.
+
+    The reference for ``gk_act``, which moves only the leading m rows and columns of each
+    block: here junction j conjugates B_plus[j] and B_minus[j+1] by blockdiag(h, I) built
+    in full, multiplies g[j] by its full inverse and g[j+1] by it, with no check.
+    """
+    def embed(h, size):
+        out = np.eye(size, dtype=complex)
+        out[: h.shape[0], : h.shape[0]] = h
+        return out
+
+    out = F.copy()
+    for j, h in enumerate(factors):
+        if h is None:
+            continue
+        h = as_matrix(h)
+        h_inv = np.linalg.inv(h)
+        left, left_inv = embed(h, F.k[j]), embed(h_inv, F.k[j])
+        right, right_inv = embed(h, F.k[j + 1]), embed(h_inv, F.k[j + 1])
+        out.b_plus[j] = left @ out.b_plus[j] @ left_inv
+        out.b_minus[j + 1] = right @ out.b_minus[j + 1] @ right_inv
+        out.g[j] = out.g[j] @ left_inv
+        out.g[j + 1] = right @ out.g[j + 1]
+        if j in out.u:
+            out.u[j] = h @ out.u[j]
+            out.w[j] = h_inv.T @ out.w[j]
+    return out
 
 
 def pair_distances(z: np.ndarray) -> np.ndarray:

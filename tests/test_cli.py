@@ -15,7 +15,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from gzflows import cli, gzcore, lax, matpoly, ratmodel, serialize, verify
 from gzflows.cli import HANDLERS, _tensor_pairings, run
-from gzflows.errors import InputError, ToleranceError, ValidationError
+from gzflows.errors import ToleranceError, ValidationError
 from gzflows.matpoly import poly_from_roots
 from gzflows.ratmodel import enumerate_sr, fixture_from_polar
 from oracles import per_level_chart
@@ -1437,6 +1437,22 @@ class TestCliContract:
         assert (code, out) == (65, "")
         assert err.startswith("input error: request too large: Unable to allocate ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("steps", [pytest.param(10**400, id="steps-1e400"),
+                                       pytest.param(2**63, id="steps-2**63")])
+    def test_steps_past_an_indexable_grid_65(self, capsys, steps):
+        # an OverflowError from the step h and an IndexError from an empty grid: exit 1
+        payload = json.dumps({"alpha": {"type": "constant", "matrix": [[[0, 0]]]},
+                              "beta": [[[1, 0]]], "t_start": 0, "t_end": 1, "steps": steps})
+        assert call(capsys, "lax-run", "--input", payload) == (
+            65, "", f"input error: steps must be below {np.iinfo(np.intp).max}, the grid size numpy can index\n")
+
+    def test_json_nested_too_deep_to_decode_65(self, capsys):
+        # json.loads raised RecursionError out of the request: a traceback, exit 1
+        payload = '{"matrix": ' + "[" * 50000 + "]" * 50000 + "}"
+        code, out, err = call(capsys, "gz-map", "--input", payload)
+        assert (code, out) == (65, "")
+        assert err.startswith("input error: invalid JSON: maximum recursion depth exceeded") and err.count("\n") == 1
+
     def test_enumerate_orbits_without_degrees_names_the_problem_65(self, capsys):
         code, out, err = call(capsys, "enumerate-orbits", "--input", '{"k": []}')
         assert (code, out, err) == (65, "", "input error: k must hold at least one degree\n")
@@ -1654,7 +1670,7 @@ def per_entry_blocks(doc) -> list:
 
 
 def decode_text(obj, ndim) -> str:
-    with pytest.raises(InputError) as info:
+    with pytest.raises(ValueError) as info:
         serialize.decode_array(obj, ndim)
     return str(info.value)
 
@@ -1708,7 +1724,7 @@ class TestMatricialDecode:
         assert text == decode_text(entry, 2)
         doc = model_doc()
         doc[name][2] = entry
-        with pytest.raises(InputError) as info:
+        with pytest.raises(ValueError) as info:
             serialize.decode_matricial(doc)
         assert str(info.value) == text
 
@@ -1716,14 +1732,14 @@ class TestMatricialDecode:
         doc = model_doc()
         doc["g"][1] = [[[0, 0, 0]] * 2] * 2  # a bad block later in wire order
         doc["B_plus"][3] = RAGGED
-        with pytest.raises(InputError) as info:
+        with pytest.raises(ValueError) as info:
             serialize.decode_matricial(doc)
         assert str(info.value) == decode_text(RAGGED, 2)
 
     def test_a_short_list_names_its_key(self):
         doc = model_doc()
         doc["B_plus"] = doc["B_plus"][:-1]
-        with pytest.raises(InputError, match="^B_plus must be a list of length 5$"):
+        with pytest.raises(ValueError, match="^B_plus must be a list of length 5$"):
             serialize.decode_matricial(doc)
 
     @pytest.mark.parametrize("edit", ["none", "integers", "bools", "negative-zero", "empty-vector", "two-lengths"])
@@ -1759,7 +1775,7 @@ class TestMatricialDecode:
     def test_a_bad_uw_vector_raises_its_own_text(self, key, vector):
         doc = model_doc((1, 1, 2, 2, 2), 5)
         doc["uw"][2][key] = vector
-        with pytest.raises(InputError) as info:
+        with pytest.raises(ValueError) as info:
             serialize.decode_matricial(doc)
         assert str(info.value) == decode_text(vector, 1)
 
@@ -1767,10 +1783,10 @@ class TestMatricialDecode:
         doc = model_doc((1, 1, 2, 2, 2), 5)
         doc["uw"][1]["w"] = [[0, float("inf")], [0, 0]]
         doc["uw"][2] = {**doc["uw"][0]}  # junction 1 again, after the bad vector
-        with pytest.raises(InputError, match="^vector entries must be finite$"):
+        with pytest.raises(ValueError, match="^vector entries must be finite$"):
             serialize.decode_matricial(doc)
         del doc["uw"][1]["w"]
-        with pytest.raises(InputError, match="^missing keys: w$"):
+        with pytest.raises(ValueError, match="^missing keys: w$"):
             serialize.decode_matricial(doc)
 
 
@@ -1835,7 +1851,7 @@ class TestArrayCodec:
         ([[10**400, 0]], 1),
     ])
     def test_rejects(self, obj, ndim):
-        with pytest.raises(InputError):
+        with pytest.raises(ValueError):
             serialize.decode_array(obj, ndim)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])

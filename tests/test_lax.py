@@ -612,6 +612,18 @@ class TestIntervalIntake:
         with pytest.raises(ValueError, match="steps must be an integer of at least 1"):
             lax_integrate(lambda t: np.eye(2), np.eye(2), 0.0, 1.0, steps)
 
+    @pytest.mark.parametrize("steps", [
+        # 10**400 overflowed in the step h (OverflowError) and 2**63 gave an empty grid
+        # (IndexError); the grid of intp.max + 1 times is the first numpy cannot index
+        pytest.param(10**400, id="1e400"), pytest.param(2**63, id="2**63"),
+        pytest.param(np.iinfo(np.intp).max, id="intp-max"),
+    ])
+    def test_steps_past_an_indexable_grid_are_refused_before_any_allocation(self, steps):
+        alpha = lambda t: pytest.fail("alpha evaluated")  # noqa: E731
+        limit = np.iinfo(np.intp).max
+        with pytest.raises(ValueError, match=f"^steps must be below {limit}, the grid size numpy can index$"):
+            lax_integrate(alpha, np.eye(2), 0.0, 1.0, steps)
+
     def test_a_numpy_integer_is_an_integer(self):
         path = lax_integrate(lambda t: np.eye(2), np.eye(2), 0.0, 1.0, np.int64(3))
         assert path.grid.size == 4

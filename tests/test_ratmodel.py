@@ -35,8 +35,8 @@ from gzflows.ratmodel import (
     sigma_of,
 )
 from gzflows.verify import fd_gradient
-from oracles import (chart_symplectic_form, isotropy_system, pairing_residual, per_point_validate,
-                     poisson_bracket)
+from oracles import (chart_symplectic_form, embedded_gk_act, isotropy_system, pairing_residual,
+                     per_point_validate, poisson_bracket)
 
 
 def scalar_pair_fixture(z1, z2, u, w, gamma1=1.0, gamma2=1.0):
@@ -240,6 +240,31 @@ class TestGkAct:
         moved = gk_act(F, [np.array([[3.0]])])
         assert abs(moved.u[0][0] - 6.0) < 1e-12
         assert abs(moved.w[0][0] - 0.25 / 3.0) < 1e-12
+
+    @pytest.mark.parametrize("point", ["untied", "tied", "list blocks", "integer blocks"])
+    def test_block_moves_match_the_embedded_factors(self, point):
+        rng = np.random.default_rng(8)
+        near_one = lambda m: np.eye(m) + 0.3 * (rng.uniform(-1, 1, (m, m)) + 1j * rng.uniform(-1, 1, (m, m)))  # noqa: E731
+        if point == "tied":
+            F = enumerate_sr((3, 3))[0]
+        elif point == "integer blocks":
+            F = enumerate_sr((2, 3))[-1]
+            F = MatricialData(k=F.k, b_minus=[M.real.astype(int) for M in F.b_minus],
+                              b_plus=[M.real.astype(int) for M in F.b_plus],
+                              g=[M.real.astype(int) for M in F.g])
+        else:
+            F = self.fixture(rng)
+        if point == "list blocks":
+            F = MatricialData(k=F.k, b_minus=[M.tolist() for M in F.b_minus],
+                              b_plus=[M.tolist() for M in F.b_plus], g=[M.tolist() for M in F.g])
+        hs = [near_one(F.junction_size(j)) for j in range(F.n - 1)]
+        moved, want = gk_act(F, hs), embedded_gk_act(F, hs)
+        pairs = [pair for name in ("b_minus", "b_plus", "g")
+                 for pair in zip(getattr(moved, name), getattr(want, name))]
+        pairs += [(moved.u[j], want.u[j]) for j in want.u] + [(moved.w[j], want.w[j]) for j in want.w]
+        for got, ref in pairs:
+            got, ref = np.asarray(got, dtype=complex), np.asarray(ref, dtype=complex)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestAkAct:
@@ -480,6 +505,39 @@ class TestSymplecticForm:
             md_tangent_violations(F, t)
         with pytest.raises(ValueError, match="overflows"):
             md_symplectic(F, t, t)
+
+    def point_23(self):
+        polys = [poly_from_roots([0.5, -1.0]), poly_from_roots([1.5j, -0.5, 1.0 + 1.0j])]
+        return fixture_from_polar(polys, rng=np.random.default_rng(7))
+
+    def gauged(self, F, i):
+        """A tangent that moves block i alone along its gauge direction: dg = -g Y and
+        dB_plus = [Y, B_plus] keep g B_plus g^-1, so only the shape and matching bullets
+        can see it."""
+        t = self.zero_tangent(F)
+        Y = 1.0 + (0.1 + 0.2j) * np.arange(F.k[i] ** 2).reshape(F.k[i], F.k[i])
+        t.d_b_plus[i] = Y @ F.b_plus[i] - F.b_plus[i] @ Y
+        t.d_g[i] = -F.g[i] @ Y
+        return t
+
+    @pytest.mark.parametrize("point", ["k12", "k23"])
+    def test_tangent_moving_structural_entries_has_the_shape_text(self, point):
+        # the last B_plus lies at no junction, and [Y, B_plus] moves its fixed column
+        F = enumerate_sr((1, 2))[0] if point == "k12" else self.point_23()
+        assert md_tangent_violations(F, self.gauged(F, 1)) == [
+            "tangent shape: dB_plus[2] moves structural entries"]
+
+    @pytest.mark.parametrize("point", ["k12", "k23"])
+    def test_tangent_off_an_untied_junction_has_the_matching_text(self, point):
+        # B_plus[1] moves, the X-block of B_minus[2] does not
+        if point == "k12":
+            F = enumerate_sr((1, 2))[0]
+            t = self.zero_tangent(F)
+            t.d_b_plus[0][0, 0] = t.d_b_minus[0][0, 0] = 1.0  # a scalar block conjugates to itself
+        else:
+            F = self.point_23()
+            t = self.gauged(F, 0)
+        assert md_tangent_violations(F, t) == ["tangent matching violated at junction 1"]
 
     def test_constraint_violating_tangent_rejected(self):
         F = scalar_pair_fixture(0.0, 0.0, 1.0, 0.0)

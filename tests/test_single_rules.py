@@ -9,7 +9,10 @@ rank cut ``max(p, q) * RANK_RTOL`` is written once, in ``matpoly._rank``, so the
 cut and the threshold of the full-span proof come from one product.  The unit shift,
 an ``eye`` off its diagonal, is built only by ``matpoly._shift``.  The functions
 kept behind a cache are a listed set: a new cache is listed in the change that
-measures what it saves.
+measures what it saves.  Every ``raise`` names an exception the CLI maps to an exit
+code (``ValueError`` and ``TypeError`` to 65, ``ValidationError`` to 2,
+``ToleranceError`` to 3), calls ``gzcore._singular_factor``, which builds a
+ToleranceError, or re-raises: a new exception type cannot escape as a traceback.
 """
 
 import ast
@@ -33,6 +36,9 @@ CACHED = {
     ("ratmodel.py", "_shape_table"),
 }
 CACHE_DECORATORS = {"cache", "lru_cache", "cached_property"}
+# what a raise may name: an exception cli.run maps to its exit code, or the one function
+# that builds a refusal, gzcore._singular_factor (a ToleranceError)
+RAISABLE = {"ValueError", "TypeError", "ValidationError", "ToleranceError", "_singular_factor"}
 
 
 def rule_sites(module: str, source: str) -> tuple[set, set]:
@@ -213,3 +219,42 @@ def test_the_guard_sees_each_cache():
 def test_the_cached_functions_are_the_listed_ones():
     package = Path(gzflows.__file__).resolve().parent
     assert set().union(*(cached_sites(path.name, path.read_text()) for path in package.glob("*.py"))) == CACHED
+
+
+def unmapped_raises(module: str, source: str) -> list:
+    """(module, line, exception) of every raise that names nothing in RAISABLE and is not a
+    bare re-raise, in line order."""
+    sites = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Raise) or node.exc is None:
+            continue
+        named = ast.unparse(node.exc.func if isinstance(node.exc, ast.Call) else node.exc)
+        if named.rpartition(".")[2] not in RAISABLE:
+            sites.append((module, node.lineno, named))
+    return sorted(sites)
+
+
+def test_the_guard_sees_an_unmapped_raise():
+    source = (
+        "def decode(obj):\n"
+        "    if not obj:\n"
+        "        raise InputError('empty')\n"
+        "    try:\n"
+        "        return table[obj]\n"
+        "    except LookupError:\n"
+        "        raise\n"
+        "    raise KeyError(obj) from None\n"
+        "def refuse(m, i):\n"
+        "    if m:\n"
+        "        raise errors.ValueError('no')\n"
+        "    raise gzcore._singular_factor(m, i)\n"
+        "def gate(d):\n"
+        "    raise ToleranceError('above', defect=d)\n"
+    )
+    assert unmapped_raises("m.py", source) == [("m.py", 3, "InputError"), ("m.py", 8, "KeyError")]
+
+
+def test_every_raise_has_an_exit_code():
+    package = Path(gzflows.__file__).resolve().parent
+    assert [site for path in sorted(package.glob("*.py"))
+            for site in unmapped_raises(path.name, path.read_text())] == []
