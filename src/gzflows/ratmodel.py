@@ -48,7 +48,6 @@ from .verify import fd_gradient, Chart
 
 __all__ = [
     "MatricialData",
-    "MdTangent",
     "SigmaMap",
     "OpenStratumChart",
     "shift_matrix",
@@ -80,7 +79,10 @@ _OPEN_STRATUM_TOL = 1e-10
 
 @dataclass
 class MatricialData:
-    """Model tuple over a multidegree; junction j sits between blocks j, j+1."""
+    """Model tuple over a multidegree; junction j sits between blocks j, j+1.
+
+    A tangent vector at a point F is a MatricialData over F.k in the same layout.
+    """
 
     k: tuple[int, ...]
     b_minus: list[np.ndarray]
@@ -97,10 +99,7 @@ class MatricialData:
         return min(self.k[j], self.k[j + 1])
 
     def scale(self) -> float:
-        scale = _scales(_stack([self])).item()
-        if not np.isfinite(scale):
-            raise ValueError("model data too large: its scale overflows")
-        return scale
+        return _intake([self])[1].item()
 
     def as_vector(self) -> np.ndarray:
         pieces = [m.reshape(-1) for m in (*self.b_minus, *self.b_plus, *self.g)]
@@ -119,17 +118,6 @@ class MatricialData:
             u={j: v.copy() for j, v in self.u.items()},
             w={j: v.copy() for j, v in self.w.items()},
         )
-
-
-@dataclass
-class MdTangent:
-    """Tangent data at a model point, same layout as the point itself."""
-
-    d_b_minus: list[np.ndarray]
-    d_b_plus: list[np.ndarray]
-    d_g: list[np.ndarray]
-    d_u: dict[int, np.ndarray] = field(default_factory=dict)
-    d_w: dict[int, np.ndarray] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -239,7 +227,7 @@ def _check_structure(F: MatricialData, k: tuple[int, ...]) -> None:
             if len(shape) != 2 or shape[0] != shape[1]:
                 raise ValueError(f"expected a square matrix, got shape {shape}")
             if shape != (k[i], k[i]):
-                raise ValueError(f"{name}[{i}] has shape {shape}, expected ({k[i]}, {k[i]})")
+                raise ValueError(f"{name}[{i + 1}] has shape {shape}, expected ({k[i]}, {k[i]})")
     tied = {j for j in range(n - 1) if k[j] == k[j + 1]}
     if set(F.u) != tied or set(F.w) != tied:
         where = ", ".join(str(j + 1) for j in sorted(tied)) or "none"
@@ -302,12 +290,11 @@ def _scales(D: _Stack) -> np.ndarray:
     return 1.0 + np.maximum.reduce(np.concatenate(parts))
 
 
-def _validated_scales(points: list[MatricialData], tol: float) -> np.ndarray:
-    """The scale of each point of a list over one k, validated as one stack.
+def _intake(points: list[MatricialData]) -> tuple[_Stack, np.ndarray]:
+    """The one intake of model points (or tangents) over one k: (their stack, their scales).
 
     Every point is structure-checked first; then the first point with a non-finite
-    entry or scale raises its ValueError, else the first refused point raises the
-    ValidationError md_validate raises for it alone.
+    entry or scale raises its ValueError.
     """
     k = points[0].k
     for F in points:
@@ -324,11 +311,21 @@ def _validated_scales(points: list[MatricialData], tol: float) -> np.ndarray:
             if not (np.isfinite(F.u[j]).all() and np.isfinite(F.w[j]).all()):
                 raise ValueError(f"(u, w) at junction {j + 1} must be finite with length {k[j]}")
         raise ValueError("model data too large: its scale overflows")
+    return D, scales
+
+
+def _validated_scales(points: list[MatricialData], tol: float) -> np.ndarray:
+    """The scale of each point of a list over one k, validated as one stack.
+
+    After the intake, the first refused point raises the ValidationError md_validate
+    raises for it alone.
+    """
+    D, scales = _intake(points)
     faults = _violations(D, tol * scales)
     refused = np.concatenate(faults[:-1]).any(axis=0)
     if refused.any():
         raise ValidationError("matricial data rejected",
-                              violations=_report(k, int(np.argmax(refused)), *faults))
+                              violations=_report(D.k, int(np.argmax(refused)), *faults))
     return scales
 
 
@@ -428,7 +425,7 @@ def gk_act(F: MatricialData, factors) -> MatricialData:
     Junction j conjugates B_plus[j] and B_minus[j+1] by blockdiag(h, I),
     multiplies g_j on the right by its inverse and g_(j+1) on the left,
     moving only leading rows and columns, and rescales (u_j, w_j) at tied
-    sizes.  The output revalidates.
+    sizes.  F must be validated (md_validate); the output revalidates.
     """
     n = F.n
     factors = list(factors)
@@ -469,8 +466,9 @@ def ak_act(F: MatricialData, params) -> MatricialData:
     ``params`` holds one coefficient vector per block, the coefficients of
     z, z^2, ..., z^(k_i) of a polynomial with zero constant term.  The
     exponential factor commutes with B_i^-, so the conjugacy bullet is
-    untouched and the polar part is preserved: a valid F stays valid and is
-    not re-checked.  A g_i that overflows raises ToleranceError.
+    untouched and the polar part is preserved: F must be validated
+    (md_validate), and stays valid without a re-check.  A g_i that overflows
+    raises ToleranceError.
     """
     n = F.n
     params = list(params)
@@ -494,69 +492,56 @@ def ak_act(F: MatricialData, params) -> MatricialData:
 
 
 def polar(F: MatricialData) -> list[np.ndarray]:
-    """Monic polynomials q_i = det(z - B_i^-), ascending coefficients."""
+    """Monic polynomials q_i = det(z - B_i^-), ascending coefficients, of a validated F."""
     return [charpoly(B) for B in F.b_minus]
 
 
-def md_tangent_violations(F: MatricialData, t: MdTangent) -> list[str]:
-    """Linearized validity bullets for a tangent at F."""
+def md_tangent_violations(F: MatricialData, t: MatricialData) -> list[str]:
+    """Linearized validity bullets for a tangent t at F, both taken as one stack by the intake."""
+    D, scales = _intake([F, t])
     k = F.k
     n = F.n
-    with np.errstate(over="ignore"):  # an overflow is reported below
-        scale = F.scale() + max(
-            [np.linalg.norm(m) for m in (*t.d_b_minus, *t.d_b_plus, *t.d_g)]
-            + [np.linalg.norm(v) for v in (*t.d_u.values(), *t.d_w.values())]
-            + [0.0]
-        )
-    if not np.isfinite(scale):
-        raise ValueError("tangent too large: its scale overflows")
-    eff = VALIDATE_TOL * scale
+    # the tangent's own norm on top of F's scale
+    eff = VALIDATE_TOL * (scales[0] + (scales[1] - 1.0))
     out: list[str] = []
     for i in range(n):
-        m_minus, m_plus = _minor_shapes(k, i)
-        for M, m, label in (
-            (t.d_b_minus[i], m_minus, f"dB_minus[{i + 1}]"),
-            (t.d_b_plus[i], m_plus, f"dB_plus[{i + 1}]"),
-        ):
+        for M, m, label in zip((D.b_minus[i][1], D.b_plus[i][1]), _minor_shapes(k, i),
+                               (f"dB_minus[{i + 1}]", f"dB_plus[{i + 1}]")):
             off = np.abs(M[~_free_mask(k[i], m)[0]])
             if off.size and off.max() > eff:
                 out.append(f"tangent shape: {label} moves structural entries")
     for j in range(n - 1):
         m = min(k[j], k[j + 1])
         if k[j] == k[j + 1]:
-            gap = np.linalg.norm(
-                t.d_b_plus[j] - t.d_b_minus[j + 1]
-                - np.outer(t.d_u[j], F.w[j]) - np.outer(F.u[j], t.d_w[j])
-            )
+            (u, du), (w, dw) = D.u[j], D.w[j]
+            gap = np.linalg.norm(D.b_plus[j][1] - D.b_minus[j + 1][1] - np.outer(du, w) - np.outer(u, dw))
         else:
-            big, small = _by_size(k, j, t.d_b_plus[j], t.d_b_minus[j + 1])
+            big, small = _by_size(k, j, D.b_plus[j][1], D.b_minus[j + 1][1])
             gap = np.linalg.norm(big[:m, :m] - small)
         if gap > eff:
             out.append(f"tangent matching violated at junction {j + 1}")
     for i in range(n):
         if k[i] == 0:
             continue
-        g_inv = np.linalg.inv(F.g[i])
-        conj = F.g[i] @ F.b_plus[i] @ g_inv
-        lin = (
-            t.d_g[i] @ F.b_plus[i] @ g_inv
-            + F.g[i] @ t.d_b_plus[i] @ g_inv
-            - conj @ t.d_g[i] @ g_inv
-        )
-        if np.linalg.norm(lin - t.d_b_minus[i]) > eff:
+        (b_plus, db_plus), (g, dg) = D.b_plus[i], D.g[i]
+        g_inv = np.linalg.inv(g)
+        lin = dg @ b_plus @ g_inv + g @ db_plus @ g_inv - g @ b_plus @ g_inv @ dg @ g_inv
+        if np.linalg.norm(lin - D.b_minus[i][1]) > eff:
             out.append(f"tangent conjugacy violated at block {i + 1}")
     return out
 
 
-def md_symplectic(F: MatricialData, t1: MdTangent, t2: MdTangent, check: bool = True) -> complex:
+def md_symplectic(F: MatricialData, t1: MatricialData, t2: MatricialData, check: bool = True) -> complex:
     """Evaluate the model symplectic form on a tangent pair.
 
     omega = sum_i tr(dg_i g_i^-1 ^ dB_i^- - B_i^- (dg_i g_i^-1)^2)
             - sum_(tied j) dw_j^T ^ du_j,
 
-    antisymmetrized over the two slots.  Tangents violating the linearized
-    constraints are rejected when ``check`` is set.
+    antisymmetrized over the two slots.  F and the tangents go through the
+    intake as one stack; tangents violating the linearized constraints are
+    rejected when ``check`` is set.
     """
+    D = _intake([F, t1, t2])[0]
     if check:
         bad = md_tangent_violations(F, t1) + md_tangent_violations(F, t2)
         if bad:
@@ -565,13 +550,14 @@ def md_symplectic(F: MatricialData, t1: MdTangent, t2: MdTangent, check: bool = 
     for i in range(F.n):
         if F.k[i] == 0:
             continue
-        g_inv = np.linalg.inv(F.g[i])
-        rho1 = t1.d_g[i] @ g_inv
-        rho2 = t2.d_g[i] @ g_inv
-        val += np.trace(rho1 @ t2.d_b_minus[i]) - np.trace(rho2 @ t1.d_b_minus[i])
-        val -= np.trace(F.b_minus[i] @ (rho1 @ rho2 - rho2 @ rho1))
-    for j in F.u:
-        val -= t1.d_w[j] @ t2.d_u[j] - t2.d_w[j] @ t1.d_u[j]
+        (b_minus, db1, db2), (g, dg1, dg2) = D.b_minus[i], D.g[i]
+        g_inv = np.linalg.inv(g)
+        rho1, rho2 = dg1 @ g_inv, dg2 @ g_inv
+        val += np.trace(rho1 @ db2) - np.trace(rho2 @ db1)
+        val -= np.trace(b_minus @ (rho1 @ rho2 - rho2 @ rho1))
+    for j in D.u:
+        (_, du1, du2), (_, dw1, dw2) = D.u[j], D.w[j]
+        val -= dw1 @ du2 - dw2 @ du1
     return complex(val)
 
 
@@ -582,7 +568,8 @@ def sigma_of(F: MatricialData) -> SigmaMap:
     column entry (or u) survives, 0 when both vanish.  Both surviving
     contradicts validity on the zero fiber and is rejected.  Decisions
     within a decade of the threshold raise a warning instead of silently
-    classifying.  F must be validated (md_validate); it is not re-checked.
+    classifying.  The intake checks F's structure and finiteness; the
+    validity bullets are not re-checked (F should pass md_validate).
     """
     return _classified([F], isotropy=False, stacklevel=3)[0][0]
 
@@ -590,30 +577,32 @@ def sigma_of(F: MatricialData) -> SigmaMap:
 def _classified(points: list[MatricialData], isotropy: bool, stacklevel: int) -> list[tuple[SigmaMap, bool]]:
     """(sigma_of(F), whether sigma avoids zero) for each point of a list over one k, as one stack.
 
-    With ``isotropy`` and no point refused, each point's linearized isotropy nullity is
-    cross-checked against its sign map.  Point by point, the warnings fire and the first
-    refused point raises as that point alone would; the warnings name the frame
-    ``stacklevel`` levels up from here.
+    Every flag is taken for all points at once.  The points before the first refused
+    point then warn in turn, for their near-threshold entries and, with ``isotropy``
+    and no point refused, for a linearized isotropy nullity that disagrees with the
+    sign map; the warnings name the frame ``stacklevel`` levels up from here.  Last,
+    the first refused point raises its first refusal.
     """
     k = points[0].k
     n = len(k)
     if any(x < 1 for x in k):
         raise ValidationError("sign classification needs all degrees >= 1")
-    D = _stack(points)
-    scales = _scales(D)
+    D, scales = _intake(points)
     canon_tol = VALIDATE_TOL * scales
-    nz_tol = NONZERO_RTOL * scales
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused first
+    tol = NONZERO_RTOL * scales
+    # refusal rows in the order one point meets them, texts[r] the refusal of row r: each
+    # level's nilpotency, then each junction's plain-shift and both-entries tests
+    refusals = np.zeros((3 * n - 2, D.count), dtype=bool)
+    texts = [f"block {i + 1} is not nilpotent; the sign classification is defined on the zero fiber only"
+             for i in range(n)]
+    with np.errstate(over="ignore", invalid="ignore"):  # a large finite point may overflow a power
         # the levels of one size as one stack of characteristic polynomials
-        nonzero_fiber = np.zeros((n, D.count), dtype=bool)
         for d, levels in _sizes(k):
             q = charpoly(D.blocks[d][0])[..., :d]
-            nonzero_fiber[list(levels)] = np.max(np.abs(q), axis=-1) > canon_tol
+            refusals[list(levels)] = np.max(np.abs(q), axis=-1) > canon_tol
         # the canonical gauge: the designated matrix at each junction is the plain shift;
         # the pair read off it is (a_m, b_1) of the larger matrix, or (w_last, u_first)
-        unshifted = np.zeros((n - 1, D.count), dtype=bool)
         pairs = np.zeros((n - 1, 2, D.count), dtype=complex)
-        labels = []
         for j in range(n - 1):
             m = min(k[j], k[j + 1])
             if k[j] == k[j + 1]:
@@ -623,39 +612,30 @@ def _classified(points: list[MatricialData], isotropy: bool, stacklevel: int) ->
                 big, anchor = _by_size(k, j, D.b_plus[j], D.b_minus[j + 1])
                 label = _by_size(k, j, f"B_plus[{j + 1}]", f"B_minus[{j + 2}]")[1]
                 pairs[j] = big[:, m, m - 1], big[:, 0, -1]
-            unshifted[j] = _frobenius(anchor - _shift(m)) > canon_tol
-            labels.append(label)
+            refusals[n + 2 * j] = _frobenius(anchor - _shift(m)) > canon_tol
+            texts += [f"not in canonical position: {label} is not the plain shift",
+                      f"junction {j + 1} has both pairing entries nonzero; data is not valid zero-fiber input"]
         mags = _abs(pairs)
-        both = (mags > nz_tol).all(axis=1)
-    refused = ~np.isfinite(scales) | nonzero_fiber.any(axis=0) | unshifted.any(axis=0) | both.any(axis=0)
-    nullities = _nullities(points).tolist() if isotropy and not refused.any() else None
+    nonzero = mags > tol
+    refusals[n + 1 :: 2] = nonzero.all(axis=1)
+    signs = np.where(nonzero[:, 0], -1, np.where(nonzero[:, 1], 1, 0))
+    near = (tol / 10.0 < mags) & (mags <= tol * 10.0)
+    refused = refusals.any(axis=0)
+    accepted = int(np.argmax(refused)) if refused.any() else D.count
+    nullities = _nullities(points).tolist() if isotropy and accepted == D.count else None
     out = []
-    for s in range(D.count):
-        if refused[s]:
-            if not np.isfinite(scales[s]):
-                raise ValueError("model data too large: its scale overflows")
-            blocks = np.flatnonzero(nonzero_fiber[:, s])
-            if blocks.size:
-                raise ValidationError(f"block {blocks[0] + 1} is not nilpotent; the sign "
-                                      "classification is defined on the zero fiber only")
-        tol = nz_tol[s]
-        signs = []
-        for j, (neg, pos) in enumerate(mags[:, :, s].tolist()):
-            if unshifted[j, s]:
-                raise ValidationError(f"not in canonical position: {labels[j]} is not the plain shift")
-            if both[j, s]:
-                raise ValidationError(f"junction {j + 1} has both pairing entries nonzero; "
-                                      "data is not valid zero-fiber input")
-            for val in (neg, pos):
-                if tol / 10.0 < val <= tol * 10.0:
-                    warnings.warn(f"junction {j + 1}: entry magnitude {val:.3e} is near "
-                                  f"the nonzero threshold {tol:.3e}", stacklevel=stacklevel)
-            signs.append(-1 if neg > tol else 1 if pos > tol else 0)
-        primary = all(signs)
+    for s in range(accepted):
+        for j, side in zip(*np.nonzero(near[:, :, s])):
+            warnings.warn(f"junction {j + 1}: entry magnitude {mags[j, side, s]:.3e} is near "
+                          f"the nonzero threshold {tol[s]:.3e}", stacklevel=stacklevel)
+        word = tuple(signs[:, s].tolist())
+        primary = all(word)
         if nullities is not None and (nullities[s] == 0) != primary:
             warnings.warn(f"sign classification ({primary}) disagrees with linearized "
                           f"isotropy nullity {nullities[s]}", stacklevel=stacklevel)
-        out.append((SigmaMap(values=tuple(signs)), primary))
+        out.append((SigmaMap(values=word), primary))
+    if accepted < D.count:
+        raise ValidationError(texts[int(np.argmax(refusals[:, accepted]))])
     return out
 
 
@@ -796,7 +776,11 @@ def _nullities(points: list[MatricialData]) -> np.ndarray:
 
 
 def isotropy_nullity(F: MatricialData) -> int:
-    """Dimension of the linearized isotropy (0 means discrete, continuous otherwise)."""
+    """Dimension of the linearized isotropy (0 means discrete, continuous otherwise).
+
+    The intake checks F's structure and finiteness first.
+    """
+    _intake([F])
     return int(_nullities([F])[0])
 
 
@@ -805,7 +789,8 @@ def md_strongly_regular(F: MatricialData) -> bool:
 
     The answer is whether the junction sign map avoids zero; the nullity of
     the linearized isotropy system is computed independently and any
-    disagreement raises a warning.
+    disagreement raises a warning.  The intake checks F's structure and
+    finiteness; the validity bullets are not re-checked.
     """
     return _classified([F], isotropy=True, stacklevel=3)[0][1]
 

@@ -3,8 +3,8 @@
 The program computes bracket gradients in closed form; these helpers take
 every gradient by finite differences, so a test can check one against the
 other.  The model-point measures at the end serve only the tests; the isotropy
-system and the validity check, each taken one point at a time, are the
-references for the stacked ones, and the RK4 loop and the Faddeev-LeVerrier
+system, the validity check and the sign classification, each taken one point at
+a time, are the references for the stacked ones, and the RK4 loop and the Faddeev-LeVerrier
 recursion, each as one expression per operation, are the references for the
 buffered ones, and the full conjugation by an n-by-n flow factor is the reference
 for the flows that move only the off-diagonal blocks, as the gauge action by embedded
@@ -13,14 +13,18 @@ factors is for the one that moves only the leading rows and columns.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 
 from gzflows.errors import ValidationError
-from gzflows.matpoly import _abs, _coincident, _expm, _powers, as_matrix, numerical_rank
+from gzflows.matpoly import _abs, _coincident, _expm, _powers, as_matrix, charpoly, numerical_rank
 from gzflows.ratmodel import (
+    NONZERO_RTOL,
     VALIDATE_TOL,
     MatricialData,
     OpenStratumChart,
+    SigmaMap,
     _by_size,
     _charpoly_adjugate,
     _free_mask,
@@ -28,6 +32,7 @@ from gzflows.ratmodel import (
     _minor_shapes,
     open_stratum_chart,
     polar,
+    shift_matrix,
 )
 from gzflows.verify import DEFAULT_STEP, Chart, fd_gradient
 
@@ -245,7 +250,7 @@ def per_point_validate(F: MatricialData, tol: float = VALIDATE_TOL) -> Matricial
         for i, M in enumerate(mats):
             M = as_matrix(M)
             if M.shape != (k[i], k[i]):
-                raise ValueError(f"{name}[{i}] has shape {M.shape}, expected ({k[i]}, {k[i]})")
+                raise ValueError(f"{name}[{i + 1}] has shape {M.shape}, expected ({k[i]}, {k[i]})")
     tied = {j for j in range(n - 1) if k[j] == k[j + 1]}
     if set(F.u) != tied or set(F.w) != tied:
         where = ", ".join(str(j + 1) for j in sorted(tied)) or "none"
@@ -291,6 +296,71 @@ def per_point_validate(F: MatricialData, tol: float = VALIDATE_TOL) -> Matricial
     if violations:
         raise ValidationError("matricial data rejected", violations=violations)
     return F
+
+
+def _classify_point(F: MatricialData) -> tuple[list[int], list[str], Exception | None]:
+    """(signs, warning texts, refusal) of one finite point, each test made where the loop
+    over its levels and junctions reaches it: the loop stops at the first refusal, keeping
+    the signs and warnings of the junctions before it."""
+    k = F.k
+    n = len(k)
+    scale = 1.0 + max([np.linalg.norm(M) for M in (*F.b_minus, *F.b_plus, *F.g)]
+                      + [np.linalg.norm(v) for v in (*F.u.values(), *F.w.values())])
+    canon_tol, tol = VALIDATE_TOL * scale, NONZERO_RTOL * scale
+    for i in range(n):
+        if np.max(np.abs(charpoly(F.b_minus[i])[: k[i]])) > canon_tol:
+            return [], [], ValidationError(f"block {i + 1} is not nilpotent; the sign "
+                                           "classification is defined on the zero fiber only")
+    signs, texts = [], []
+    for j in range(n - 1):
+        m = min(k[j], k[j + 1])
+        if k[j] == k[j + 1]:
+            anchor, label, pair = F.b_plus[j], f"B_plus[{j + 1}]", (F.w[j][m - 1], F.u[j][0])
+        else:
+            big, anchor = _by_size(k, j, F.b_plus[j], F.b_minus[j + 1])
+            label = _by_size(k, j, f"B_plus[{j + 1}]", f"B_minus[{j + 2}]")[1]
+            pair = (big[m, m - 1], big[0, -1])
+        if np.linalg.norm(anchor - shift_matrix(m)) > canon_tol:
+            return signs, texts, ValidationError(f"not in canonical position: {label} is not the plain shift")
+        neg, pos = (abs(complex(v)) for v in pair)
+        if neg > tol and pos > tol:
+            return signs, texts, ValidationError(f"junction {j + 1} has both pairing entries nonzero; "
+                                                 "data is not valid zero-fiber input")
+        texts += [f"junction {j + 1}: entry magnitude {v:.3e} is near the nonzero threshold {tol:.3e}"
+                  for v in (neg, pos) if tol / 10.0 < v <= tol * 10.0]
+        signs.append(-1 if neg > tol else 1 if pos > tol else 0)
+    return signs, texts, None
+
+
+def per_point_classify(points: list[MatricialData], isotropy: bool) -> list[tuple[SigmaMap, bool]]:
+    """``ratmodel._classified`` one point at a time, junction by junction.
+
+    The reference for the classifier that takes every point's flags in one pass, on
+    finite points.  Each point is scaled by ``np.linalg.norm`` of each matrix and vector;
+    in turn, each point warns for its near-threshold entries junction by junction, and the
+    first refused point raises its first refusal, so a point refused at junction j has
+    warned for the junctions before j.  With ``isotropy`` and no point refused, each
+    point's nullity, from ``isotropy_system``, is cross-checked against its sign map.
+    """
+    if any(x < 1 for x in points[0].k):
+        raise ValidationError("sign classification needs all degrees >= 1")
+    classified = [_classify_point(F) for F in points]
+    refused = any(refusal is not None for _, _, refusal in classified)
+    out = []
+    for F, (signs, texts, refusal) in zip(points, classified):
+        for text in texts:
+            warnings.warn(text, stacklevel=2)
+        if refusal is not None:
+            raise refusal
+        primary = all(signs)
+        if isotropy and not refused:
+            system, unknowns = isotropy_system(F)
+            nullity = unknowns - numerical_rank(system)
+            if (nullity == 0) != primary:
+                warnings.warn(f"sign classification ({primary}) disagrees with linearized "
+                              f"isotropy nullity {nullity}", stacklevel=2)
+        out.append((SigmaMap(values=tuple(signs)), primary))
+    return out
 
 
 def classical_rk4(y, rhs, starts, mids, ends, h: float) -> np.ndarray:

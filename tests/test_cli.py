@@ -186,6 +186,12 @@ class TestModelPointBoundary:
         code, out, err = call(capsys, name, "--input", model_request((2, 2), ("uw",), uw))
         assert (code, out, err) == (65, "", f"input error: {text}\n")
 
+    def test_a_structure_text_numbers_blocks_from_1(self, capsys):
+        # the second g block of a (2, 3) point with the first block's 2 x 2 shape
+        payload = model_request((2, 3), ("g", 1), [[[1, 0], [0, 0]], [[0, 0], [1, 0]]])
+        code, out, err = call(capsys, "md-validate", "--input", payload)
+        assert (code, out, err) == (65, "", "input error: g[2] has shape (2, 2), expected (3, 3)\n")
+
     def test_ak_act_on_a_point_that_fails_a_bullet_2(self, capsys):
         payload = model_request((1, 2), ("B_minus", 0), [[[0.25, 0]]])
         code, out, err = call(capsys, "ak-act", "--input", payload)

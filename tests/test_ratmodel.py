@@ -16,7 +16,6 @@ from gzflows.ratmodel import (
     _chart_pairing,
     _kron,
     MatricialData,
-    MdTangent,
     ak_act,
     chart_as_poisson_chart,
     chart_bracket,
@@ -36,7 +35,7 @@ from gzflows.ratmodel import (
 )
 from gzflows.verify import fd_gradient
 from oracles import (chart_symplectic_form, embedded_gk_act, isotropy_system, pairing_residual,
-                     per_point_validate, poisson_bracket)
+                     per_point_classify, per_point_validate, poisson_bracket)
 
 
 def scalar_pair_fixture(z1, z2, u, w, gamma1=1.0, gamma2=1.0):
@@ -436,26 +435,25 @@ class TestStrongRegularity:
             assert np.linalg.matrix_rank(E) == k - 1
 
 
-class TestSymplecticForm:
-    def zero_tangent(self, F):
-        return MdTangent(
-            d_b_minus=[np.zeros_like(M) for M in F.b_minus],
-            d_b_plus=[np.zeros_like(M) for M in F.b_plus],
-            d_g=[np.zeros_like(M) for M in F.g],
-            d_u={j: np.zeros_like(v) for j, v in F.u.items()},
-            d_w={j: np.zeros_like(v) for j, v in F.w.items()},
-        )
+def zero_tangent(F):
+    """The zero tangent at F: a MatricialData over F.k with F's layout, every entry 0."""
+    return MatricialData(k=F.k, b_minus=[np.zeros_like(M) for M in F.b_minus],
+                         b_plus=[np.zeros_like(M) for M in F.b_plus], g=[np.zeros_like(M) for M in F.g],
+                         u={j: np.zeros_like(v) for j, v in F.u.items()},
+                         w={j: np.zeros_like(v) for j, v in F.w.items()})
 
+
+class TestSymplecticForm:
     def test_antisymmetry_on_equal_tangents(self):
         F = scalar_pair_fixture(0.3, 0.3 - 0.1, 0.5, 0.2)
-        t = self.zero_tangent(F)
-        t.d_g[0][0, 0] = 1.0
-        t.d_b_minus[0][0, 0] = 0.7
-        t.d_b_plus[0][0, 0] = 0.7
-        t.d_b_minus[1][0, 0] = 0.7
-        t.d_b_plus[1][0, 0] = 0.7
-        t.d_u[0][0] = 0.0
-        t.d_w[0][0] = 0.0
+        t = zero_tangent(F)
+        t.g[0][0, 0] = 1.0
+        t.b_minus[0][0, 0] = 0.7
+        t.b_plus[0][0, 0] = 0.7
+        t.b_minus[1][0, 0] = 0.7
+        t.b_plus[1][0, 0] = 0.7
+        t.u[0][0] = 0.0
+        t.w[0][0] = 0.0
         assert md_symplectic(F, t, t, check=False) == 0
 
     def test_n1_closed_form(self):
@@ -470,11 +468,7 @@ class TestSymplecticForm:
         d_gamma = (1.1, 0.7 - 0.4j)
         tangents = []
         for db, dg in zip(d_beta, d_gamma):
-            t = MdTangent(
-                d_b_minus=[np.array([[db]])],
-                d_b_plus=[np.array([[db]])],
-                d_g=[np.array([[dg]])],
-            )
+            t = MatricialData(k=(1,), b_minus=[np.array([[db]])], b_plus=[np.array([[db]])], g=[np.array([[dg]])])
             tangents.append(t)
         got = md_symplectic(F, tangents[0], tangents[1])
         want = (d_gamma[0] / gamma) * d_beta[1] - (d_gamma[1] / gamma) * d_beta[0]
@@ -482,25 +476,25 @@ class TestSymplecticForm:
 
     def test_k11_uw_term(self):
         F = scalar_pair_fixture(0.0, 0.0, 1.0, 0.0)
-        t1 = self.zero_tangent(F)
-        t2 = self.zero_tangent(F)
+        t1 = zero_tangent(F)
+        t2 = zero_tangent(F)
         # keep the rank-one matching: dB_plus - dB_minus = du w + u dw
-        t1.d_u[0][0] = 0.6
-        t2.d_w[0][0] = 0.9
+        t1.u[0][0] = 0.6
+        t2.w[0][0] = 0.9
         # the rank-one matching moves both sides of block 2 together
-        t2.d_b_minus[1][0, 0] = -F.u[0][0] * 0.9
-        t2.d_b_plus[1][0, 0] = -F.u[0][0] * 0.9
+        t2.b_minus[1][0, 0] = -F.u[0][0] * 0.9
+        t2.b_plus[1][0, 0] = -F.u[0][0] * 0.9
         got = md_symplectic(F, t1, t2)
-        want = -(t1.d_w[0][0] * t2.d_u[0][0] - t2.d_w[0][0] * t1.d_u[0][0])
+        want = -(t1.w[0][0] * t2.u[0][0] - t2.w[0][0] * t1.u[0][0])
         assert abs(got - want) < 1e-12
 
     def test_tangent_whose_scale_overflows_raises(self):
         # a tangent entry of 1e308 used to make the threshold inf and hide this violation
         F = enumerate_sr((1, 2))[0]
-        t = self.zero_tangent(F)
-        t.d_b_minus[1][1, 0] = 1.0
+        t = zero_tangent(F)
+        t.b_minus[1][1, 0] = 1.0
         assert md_tangent_violations(F, t) == ["tangent conjugacy violated at block 2"]
-        t.d_g[0][0, 0] = 1e308
+        t.g[0][0, 0] = 1e308
         with pytest.raises(ValueError, match="overflows"):
             md_tangent_violations(F, t)
         with pytest.raises(ValueError, match="overflows"):
@@ -514,10 +508,10 @@ class TestSymplecticForm:
         """A tangent that moves block i alone along its gauge direction: dg = -g Y and
         dB_plus = [Y, B_plus] keep g B_plus g^-1, so only the shape and matching bullets
         can see it."""
-        t = self.zero_tangent(F)
+        t = zero_tangent(F)
         Y = 1.0 + (0.1 + 0.2j) * np.arange(F.k[i] ** 2).reshape(F.k[i], F.k[i])
-        t.d_b_plus[i] = Y @ F.b_plus[i] - F.b_plus[i] @ Y
-        t.d_g[i] = -F.g[i] @ Y
+        t.b_plus[i] = Y @ F.b_plus[i] - F.b_plus[i] @ Y
+        t.g[i] = -F.g[i] @ Y
         return t
 
     @pytest.mark.parametrize("point", ["k12", "k23"])
@@ -532,8 +526,8 @@ class TestSymplecticForm:
         # B_plus[1] moves, the X-block of B_minus[2] does not
         if point == "k12":
             F = enumerate_sr((1, 2))[0]
-            t = self.zero_tangent(F)
-            t.d_b_plus[0][0, 0] = t.d_b_minus[0][0, 0] = 1.0  # a scalar block conjugates to itself
+            t = zero_tangent(F)
+            t.b_plus[0][0, 0] = t.b_minus[0][0, 0] = 1.0  # a scalar block conjugates to itself
         else:
             F = self.point_23()
             t = self.gauged(F, 0)
@@ -541,8 +535,8 @@ class TestSymplecticForm:
 
     def test_constraint_violating_tangent_rejected(self):
         F = scalar_pair_fixture(0.0, 0.0, 1.0, 0.0)
-        t = self.zero_tangent(F)
-        t.d_w[0][0] = 1.0  # u dw = 1 but no matching update on the B blocks
+        t = zero_tangent(F)
+        t.w[0][0] = 1.0  # u dw = 1 but no matching update on the B blocks
         with pytest.raises(ValidationError):
             md_symplectic(F, t, t)
 
@@ -583,10 +577,11 @@ class TestChartAgreement:
             xp[a] += delta
             xm[a] -= delta
             Fp, Fm = model(xp), model(xm)
-            tangents.append(MdTangent(
-                d_b_minus=[(Fp.b_minus[0] - Fm.b_minus[0]) / (2 * delta)],
-                d_b_plus=[(Fp.b_plus[0] - Fm.b_plus[0]) / (2 * delta)],
-                d_g=[(Fp.g[0] - Fm.g[0]) / (2 * delta)],
+            tangents.append(MatricialData(
+                k=(k,),
+                b_minus=[(Fp.b_minus[0] - Fm.b_minus[0]) / (2 * delta)],
+                b_plus=[(Fp.b_plus[0] - Fm.b_plus[0]) / (2 * delta)],
+                g=[(Fp.g[0] - Fm.g[0]) / (2 * delta)],
             ))
         for a in range(2 * k):
             for b in range(2 * k):
@@ -984,7 +979,7 @@ class TestStackedModelChecks:
         plant(points[2])
         # a stack is checked as one unit: a later point's structural fault comes first
         points[3].g[1] = np.zeros((2, 2), dtype=complex)
-        with pytest.raises(ValueError, match=re.escape("g[1] has shape (2, 2), expected (3, 3)")):
+        with pytest.raises(ValueError, match=re.escape("g[2] has shape (2, 2), expected (3, 3)")):
             ratmodel._validated_scales(points, ratmodel.VALIDATE_TOL)
         with pytest.raises(ValidationError) as caught:
             ratmodel._validated_scales(points[2:3], ratmodel.VALIDATE_TOL)
@@ -1149,3 +1144,154 @@ class TestValidationOracle:
             seen.update(want[0] for want in expected)
         # valid and refused points are both compared
         assert seen == {"valid", "ValidationError"}
+
+
+# multidegrees for the classifier's oracle: one level, ties, unequal sizes either way, repeats
+CLASSIFY_DEGREES = [(1,), (1, 1), (2, 2), (1, 2), (2, 1), (2, 3), (3, 2, 3), (1, 3, 2), (2, 3, 3),
+                    (1, 2, 3, 3, 2)]
+
+
+def pairing_spots(F, j):
+    """(array, index) of junction j's two pairing entries in F, the trailing-row entry (or w)
+    first, then the leading-column entry (or u)."""
+    m = F.junction_size(j)
+    if F.k[j] == F.k[j + 1]:
+        return (F.w[j], m - 1), (F.u[j], 0)
+    big = ratmodel._by_size(F.k, j, F.b_plus[j], F.b_minus[j + 1])[0]
+    return (big, (m, m - 1)), (big, (0, -1))
+
+
+def refused_at(F, kind, site):
+    """A copy of F planted with one refusal: a level off the zero fiber, a junction whose
+    smaller side (B_plus at a tie) leaves the plain shift, or one with both entries set."""
+    F = F.copy()
+    k = F.k
+    if kind == "level":
+        F.b_minus[site][0, 0] += 0.5
+    elif kind == "shift":
+        anchor = F.b_plus[site] if k[site] == k[site + 1] else \
+            ratmodel._by_size(k, site, F.b_plus[site], F.b_minus[site + 1])[1]
+        anchor[F.junction_size(site) - 1, 0] += 0.5
+    else:
+        for A, at in pairing_spots(F, site):
+            A[at] = 1.0
+    return F
+
+
+def near_threshold(F, j, factors):
+    """A copy of F whose pairing entries at junction j are factors times its nonzero threshold."""
+    F = F.copy()
+    tol = ratmodel.NONZERO_RTOL * F.scale()
+    for (A, at), factor in zip(pairing_spots(F, j), factors):
+        A[at] = factor * tol
+    return F
+
+
+# (trailing, leading) entries over the threshold: sign 0 with two warnings, -1 with one, +1 with
+# none (30 is past the warning decade), and +1 with one; at (2, 2) both are nonzero, a refusal
+NEAR_FACTORS = [(0.5, 0.5), (3.0, 0.0), (0.0, 30.0), (0.05, 5.0)]
+
+
+def classified_outcome(classify, points, isotropy):
+    """(warning texts in order, the refusal's type and text or None, each point's sign word
+    and flag or None) of classify(points, isotropy)."""
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        try:
+            got = [(sigma.values, regular) for sigma, regular in classify(points, isotropy)]
+            refusal = None
+        except (ValidationError, ValueError) as exc:
+            got, refusal = None, (type(exc).__name__, str(exc))
+    return [str(w.message) for w in record], refusal, got
+
+
+def stacked_classify(points, isotropy):
+    return ratmodel._classified(points, isotropy=isotropy, stacklevel=2)
+
+
+class TestClassifierOracle:
+    """The sign classifier against the per-point, per-junction loop of tests/oracles.py."""
+
+    def cases(self, k):
+        """Single points and stacks over k: the first and last representatives as they are,
+        with each refusal planted at each level and junction, with near-threshold entries at
+        each junction, and refused at junction 1 with near-threshold entries after it; then
+        every representative as one stack, the near-threshold points as one stack, and that
+        stack with a refused point in its middle."""
+        reps = enumerate_sr(k)
+        n = len(k)
+        near, refused = [], []
+        for F in (reps[0], reps[-1]):
+            refused += [refused_at(F, "level", i) for i in range(n)]
+            refused += [refused_at(F, kind, j) for j in range(n - 1) for kind in ("shift", "both")]
+            refused += [near_threshold(F, j, (2.0, 2.0)) for j in range(n - 1)]
+            refused += [near_threshold(refused_at(F, "both", 0), j, (0.5, 0.5)) for j in range(1, n - 1)]
+            near += [near_threshold(F, j, factors) for j in range(n - 1) for factors in NEAR_FACTORS]
+        half = len(near) // 2
+        stacks = [reps, near, near[:half] + refused[-1:] + near[half:]] if near else [reps]
+        return [[F] for F in (reps[0], reps[-1], *near, *refused)] + stacks
+
+    def test_signs_flags_warnings_and_refusals_match_the_per_point_loop(self):
+        texts = set()
+        for k in CLASSIFY_DEGREES:
+            for points in self.cases(k):
+                for isotropy in (True, False):
+                    want = classified_outcome(per_point_classify, points, isotropy)
+                    assert classified_outcome(stacked_classify, points, isotropy) == want, (k, isotropy)
+                    texts.update(want[0] + ([want[1][1]] if want[1] else []))
+        # each refusal, the near-threshold warnings and the isotropy cross-check are compared
+        for part in ("is not nilpotent", "is not the plain shift", "both pairing entries", "is near", "disagrees"):
+            assert any(part in text for text in texts), part
+
+    def test_a_refused_point_warns_for_none_of_its_junctions(self):
+        # the one difference from the per-point loop: there, junction 1 warned before junction 2 refused
+        F = near_threshold(refused_at(enumerate_sr((2, 2, 2))[0], "both", 1), 0, (0.5, 0.0))
+        want = ("ValidationError", "junction 2 has both pairing entries nonzero; data is not valid zero-fiber input")
+        loop = classified_outcome(per_point_classify, [F], True)
+        assert loop[1] == want and len(loop[0]) == 1
+        assert classified_outcome(stacked_classify, [F], True) == ([], want, None)
+
+
+class TestModelPointIntake:
+    """Each function that takes a raw point, or a tangent, refuses a malformed one with the
+    intake's ValueError (these escaped as IndexError, KeyError or LinAlgError)."""
+
+    @pytest.mark.parametrize("fault, text", [
+        ("wrong-size", "B_minus[2] has shape (1, 1), expected (2, 2)"),
+        ("few-blocks", "g must have 2 blocks"),
+        ("no-uw", "(u, w) pairs must sit exactly at the junctions of equal sizes (1)"),
+    ])
+    @pytest.mark.parametrize("name", ["md_tangent_violations", "md_symplectic", "md_symplectic-unchecked"])
+    def test_a_malformed_tangent_is_refused(self, name, fault, text):
+        F = enumerate_sr((2, 2))[0]
+        t = zero_tangent(F)
+        if fault == "wrong-size":
+            t.b_minus[1] = np.zeros((1, 1), dtype=complex)
+        elif fault == "few-blocks":
+            t.g = t.g[:1]
+        else:
+            t.u, t.w = {}, {}
+        call = {"md_tangent_violations": lambda: md_tangent_violations(F, t),
+                "md_symplectic": lambda: md_symplectic(F, zero_tangent(F), t),
+                "md_symplectic-unchecked": lambda: md_symplectic(F, t, zero_tangent(F), check=False)}[name]
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+            call()
+
+    @pytest.mark.parametrize("fault, text", [
+        ("short-g", "g must have 3 blocks"),
+        ("no-uw", "(u, w) pairs must sit exactly at the junctions of equal sizes (1)"),
+        ("nan", "matrix entries must be finite"),
+    ])
+    @pytest.mark.parametrize("name", ["sigma_of", "md_strongly_regular", "isotropy_nullity", "scale"])
+    def test_a_malformed_point_is_refused(self, name, fault, text):
+        F = enumerate_sr((2, 2, 3))[0]
+        if fault == "short-g":
+            F.g = F.g[:2]
+        elif fault == "no-uw":
+            F.u, F.w = {}, {}
+        else:
+            F.g[1][0, 0] = np.nan
+        call = {"sigma_of": sigma_of, "md_strongly_regular": md_strongly_regular,
+                "isotropy_nullity": isotropy_nullity, "scale": MatricialData.scale}[name]
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+            call(F)

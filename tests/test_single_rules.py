@@ -13,6 +13,8 @@ measures what it saves.  Every ``raise`` names an exception the CLI maps to an e
 code (``ValueError`` and ``TypeError`` to 65, ``ValidationError`` to 2,
 ``ToleranceError`` to 3), calls ``gzcore._singular_factor``, which builds a
 ToleranceError, or re-raises: a new exception type cannot escape as a traceback.
+Within ``ratmodel``, the refusals of a non-finite model point are raised only by its
+intake, ``ratmodel._intake``.
 """
 
 import ast
@@ -39,6 +41,8 @@ CACHE_DECORATORS = {"cache", "lru_cache", "cached_property"}
 # what a raise may name: an exception cli.run maps to its exit code, or the one function
 # that builds a refusal, gzcore._singular_factor (a ToleranceError)
 RAISABLE = {"ValueError", "TypeError", "ValidationError", "ToleranceError", "_singular_factor"}
+INTAKE = ("ratmodel.py", "_intake")
+INTAKE_TEXTS = ("matrix entries must be finite", "scale overflows")
 
 
 def rule_sites(module: str, source: str) -> tuple[set, set]:
@@ -258,3 +262,44 @@ def test_every_raise_has_an_exit_code():
     package = Path(gzflows.__file__).resolve().parent
     assert [site for path in sorted(package.glob("*.py"))
             for site in unmapped_raises(path.name, path.read_text())] == []
+
+
+def raised_text_sites(module: str, source: str, texts) -> list:
+    """(module, function, text) of every string in a ``raise`` that holds one of texts, once
+    per string, in source order; code outside any function is at function None."""
+    sites = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            sites.extend((module, function, text) for string in ast.walk(node.exc)
+                         if isinstance(string, ast.Constant) and isinstance(string.value, str)
+                         for text in texts if text in string.value)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return sites
+
+
+def test_the_guard_sees_a_second_intake_refusal():
+    source = (
+        "def _intake(points):\n"
+        "    raise ValueError('matrix entries must be finite')\n"
+        "    raise ValueError('model data too large: its scale overflows')\n"
+        "class MatricialData:\n"
+        "    def scale(self):\n"
+        "        raise ValueError(f'model data too large: its scale overflows at {self.k}')\n"
+        "def _classified(points):\n"
+        "    'a point whose scale overflows is refused by the intake'\n"
+        "    warnings.warn('matrix entries must be finite')\n"
+    )
+    assert raised_text_sites("m.py", source, INTAKE_TEXTS) == [
+        ("m.py", "_intake", "matrix entries must be finite"), ("m.py", "_intake", "scale overflows"),
+        ("m.py", "scale", "scale overflows")]
+
+
+def test_the_intake_refusals_are_written_once():
+    source = (Path(gzflows.__file__).resolve().parent / INTAKE[0]).read_text()
+    assert raised_text_sites(INTAKE[0], source, INTAKE_TEXTS) == [INTAKE + (text,) for text in INTAKE_TEXTS]
