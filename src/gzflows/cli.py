@@ -457,14 +457,15 @@ def _load_payload(arg: str | None):
 
 
 def _emit(doc, output: str | None) -> None:
-    # render before opening: a refused document leaves an existing file untouched
-    text = serialize._dumps(doc) + "\n"
+    # render every piece before opening: a refused document leaves an existing file untouched
+    pieces = serialize._pieces(doc)
+    pieces.append("\n")
     if output is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
         return
     try:
         with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     except OSError as exc:
         raise ValueError(f"cannot write output file: {exc}") from exc
 
@@ -502,7 +503,8 @@ def run(argv) -> int:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_BAD_INPUT
     except MemoryError as exc:
-        sys.stderr.write(f"input error: request too large: {exc}\n")
+        # numpy's text names the allocation that failed; a bare MemoryError has no text
+        sys.stderr.write(f"input error: request too large: {str(exc) or 'out of memory'}\n")
         return EXIT_BAD_INPUT
     except ValidationError as exc:
         sys.stderr.write(f"validation error: {exc}\n")

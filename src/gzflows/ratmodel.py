@@ -496,9 +496,19 @@ def polar(F: MatricialData) -> list[np.ndarray]:
     return [charpoly(B) for B in F.b_minus]
 
 
+def _refuse_singular_g(D: _Stack) -> None:
+    """ValidationError, with md_validate's text, for the first numerically singular g of
+    the stack's first point: the model point that the functions inverting g take first."""
+    for i, g in enumerate(D.g):
+        if numerical_rank(g[0]) < D.k[i]:
+            raise ValidationError(f"conjugacy: g[{i + 1}] is numerically singular")
+
+
 def md_tangent_violations(F: MatricialData, t: MatricialData) -> list[str]:
-    """Linearized validity bullets for a tangent t at F, both taken as one stack by the intake."""
+    """Linearized validity bullets for a tangent t at F, both taken as one stack by the
+    intake; a numerically singular g of F is refused."""
     D, scales = _intake([F, t])
+    _refuse_singular_g(D)
     k = F.k
     n = F.n
     # the tangent's own norm on top of F's scale
@@ -538,10 +548,11 @@ def md_symplectic(F: MatricialData, t1: MatricialData, t2: MatricialData, check:
             - sum_(tied j) dw_j^T ^ du_j,
 
     antisymmetrized over the two slots.  F and the tangents go through the
-    intake as one stack; tangents violating the linearized constraints are
-    rejected when ``check`` is set.
+    intake as one stack, and a numerically singular g of F is refused; tangents
+    violating the linearized constraints are rejected when ``check`` is set.
     """
     D = _intake([F, t1, t2])[0]
+    _refuse_singular_g(D)
     if check:
         bad = md_tangent_violations(F, t1) + md_tangent_violations(F, t2)
         if bad:
@@ -778,9 +789,10 @@ def _nullities(points: list[MatricialData]) -> np.ndarray:
 def isotropy_nullity(F: MatricialData) -> int:
     """Dimension of the linearized isotropy (0 means discrete, continuous otherwise).
 
-    The intake checks F's structure and finiteness first.
+    The intake checks F's structure and finiteness first; a numerically singular g
+    is refused.
     """
-    _intake([F])
+    _refuse_singular_g(_intake([F])[0])
     return int(_nullities([F])[0])
 
 
@@ -790,8 +802,10 @@ def md_strongly_regular(F: MatricialData) -> bool:
     The answer is whether the junction sign map avoids zero; the nullity of
     the linearized isotropy system is computed independently and any
     disagreement raises a warning.  The intake checks F's structure and
-    finiteness; the validity bullets are not re-checked.
+    finiteness, and a numerically singular g is refused; the other validity
+    bullets are not re-checked.
     """
+    _refuse_singular_g(_intake([F])[0])
     return _classified([F], isotropy=True, stacklevel=3)[0][1]
 
 

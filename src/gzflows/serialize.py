@@ -7,15 +7,17 @@ coefficient vectors.  Decoding checks the rank and the element types and
 raises ValueError on anything malformed, as every library intake does.
 
 Encoders return float arrays (shape + (2,)) where the wire holds nested
-lists.  The CLI writes documents with :func:`_dumps`, the bytes of
-``json.dumps(doc, indent=2)``, which renders each float array whole: one
-``%r`` template of its shape filled with all its floats, or, when its
-slices along the first axis repeat, one rendered slice repeated.  A list of
-flat records (dicts with one key order, each value a list of JSON ints and
-floats of one length per key, as the roots and multiplicities of a stratum
-signature) is rendered the same way: one record's template, its keys' texts
-and a ``%r`` per number, repeated for every record and filled with all their
-numbers at once.
+lists.  The CLI writes documents as :func:`_pieces`, an ordered list of text
+pieces whose join, :func:`_dumps`, is the bytes of ``json.dumps(doc,
+indent=2)``.  A float array of at most 512 floats is one piece, one ``%r``
+template of its shape filled with all its floats; a larger one is a piece
+per run of whole slices along its first axis of at most 512 floats, so that
+no piece of a megabyte document is large enough to be mapped fresh
+(see ``_PIECE_FLOATS``).  A list of flat records (dicts with one key order,
+each value a list of JSON ints and floats of one length per key, as the
+roots and multiplicities of a stratum signature) is one piece: one record's
+template, its keys' texts and a ``%r`` per number, repeated for every record
+and filled with all their numbers at once.
 """
 
 from __future__ import annotations
@@ -214,30 +216,43 @@ def _dumps(doc) -> str:
     A float that is not finite raises :class:`ToleranceError`: NaN and
     Infinity are not JSON.  A type ``json.dumps`` rejects raises TypeError.
     """
-    return _render(doc, "\n")
+    return "".join(_pieces(doc))
 
 
-def _render(obj, nl: str) -> str:
-    # nl is the newline and indent that closes this value's brackets
+def _pieces(doc) -> list[str]:
+    """The text of :func:`_dumps` as an ordered list of pieces, all rendered before it returns."""
+    out: list[str] = []
+    _render(doc, "\n", out)
+    return out
+
+
+def _render(obj, nl: str, out: list) -> None:
+    # appends obj's text to out; nl is the newline and indent that closes its brackets
     if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
+        out.append(encode_basestring_ascii(obj))
+    elif isinstance(obj, dict):
         inner = nl + "  "
-        return "{" + inner + ("," + inner).join([
-            _key(key) + ": " + _render(value, inner) for key, value in obj.items()
-        ]) + nl + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        if (text := _render_records(obj, nl)) is not None:
-            return text
+        head = "{" + inner
+        for key, value in obj.items():
+            out.append(head + _key(key) + ": ")
+            _render(value, inner, out)
+            head = "," + inner
+        out.append(nl + "}" if obj else "{}")
+    elif isinstance(obj, (list, tuple)):
+        if obj and (text := _render_records(obj, nl)) is not None:
+            out.append(text)
+            return
         inner = nl + "  "
-        return "[" + inner + ("," + inner).join([_render(x, inner) for x in obj]) + nl + "]"
-    if isinstance(obj, np.ndarray) and obj.dtype.kind == "f":
-        return _render_array(obj, nl)
-    return _scalar(obj)
+        head = "[" + inner
+        for x in obj:
+            out.append(head)
+            _render(x, inner, out)
+            head = "," + inner
+        out.append(nl + "]" if obj else "[]")
+    elif isinstance(obj, np.ndarray) and obj.dtype.kind == "f":
+        _render_array(obj, nl, out)
+    else:
+        out.append(_scalar(obj))
 
 
 def _key(key) -> str:
@@ -291,24 +306,46 @@ def _scalar(obj) -> str:
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _render_array(A: np.ndarray, nl: str) -> str:
-    """Nested-list text of a float array: one ``%r`` template filled with all its floats.
+# Floats per piece of a large array.  A piece of 512 floats, its template and its
+# argument tuple take tens of KB each, far below glibc's 128 KiB mmap threshold, so
+# rendering one reuses heap memory instead of mapping (and faulting in) fresh pages.
+_PIECE_FLOATS = 512
+
+
+def _render_array(A: np.ndarray, nl: str, out: list) -> None:
+    """Appends the nested-list text of a float array to out, from ``%r`` templates.
 
     ``"%r" % x`` is ``float.__repr__(x)``, the text ``json.dumps`` writes.
-    When every slice along the first axis has the bytes of the first, as in
-    a path sampled from a constant, only the first slice is rendered and its
-    text is repeated.  Bytes, not values, are compared, so -0.0 and 0.0 keep
-    their own texts.
+    A large array's pieces of whole slices (one slice if a slice holds more
+    than ``_PIECE_FLOATS``) come with the separators between them as pieces
+    of their own, and a piece whose floats have the bytes of the piece
+    before it, as in a path sampled from a constant, shares that piece's
+    string.  Bytes, not values, are compared, so -0.0 and 0.0 keep their own
+    texts.
     """
     flat = A.ravel()
     if np.count_nonzero(np.isfinite(flat)) < flat.size:
         raise ToleranceError(_NON_FINITE)
-    rows = A.shape[0] if A.ndim else 1
-    step = flat.size // rows if rows else 0  # floats per slice along the first axis
-    if rows and flat[step:].tobytes() == flat[: flat.size - step].tobytes():
-        first = _template(A.shape[1:], nl + "  ") % tuple(flat[:step].tolist())
-        return _template(A.shape[:1], nl, first)
-    return _template(A.shape, nl) % tuple(flat.tolist())
+    if flat.size <= _PIECE_FLOATS:
+        out.append(_template(A.shape, nl) % tuple(flat.tolist()))
+        return
+    rows = A.shape[0]
+    step = flat.size // rows  # floats per slice along the first axis
+    per = max(1, _PIECE_FLOATS // step)  # slices per piece
+    inner = nl + "  "
+    sep = "," + inner
+    row = _template(A.shape[1:], inner)
+    out.append("[" + inner)
+    text, last = "", b""
+    for start in range(0, rows, per):
+        chunk = flat[start * step : (start + per) * step]
+        if start:
+            out.append(sep)
+        if (key := chunk.tobytes()) != last:
+            text = sep.join([row] * (chunk.size // step)) % tuple(chunk.tolist())
+            last = key
+        out.append(text)
+    out.append(nl + "]")
 
 
 def _template(shape: tuple, nl: str, leaf: str = "%r") -> str:

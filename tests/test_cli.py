@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -1557,6 +1558,44 @@ class TestCliContract:
         assert code == 3 and out == "" and "numerical failure" in err
         assert target.read_text() == "earlier answer\n"
 
+    def test_refused_large_array_leaves_output_file_untouched(self, capsys, monkeypatch, tmp_path):
+        # alpha's pieces are rendered before beta's last piece is refused
+        doc = {"alpha": lax_like_path(), "beta": non_finite_last(lax_like_path(1))}
+        monkeypatch.setitem(cli.HANDLERS, "gz-map", lambda payload, args: (doc, 0))
+        target = tmp_path / "out.json"
+        target.write_text("earlier answer\n")
+        code, out, err = call(capsys, "gz-map", "--input", "{}", "--output", str(target))
+        assert (code, out, err) == (3, "", NOT_JSON)
+        assert target.read_text() == "earlier answer\n"
+
+    def test_emit_of_a_lax_path_peaks_below_its_text(self, tmp_path):
+        # doc-roundtrip's lax-run document (n = 5, 500 steps): rendered whole, its
+        # templates, argument tuples and texts peaked at 4.57 MB for a 2.39 MB text
+        rng = np.random.default_rng(0)
+        alpha, beta = ((rng.uniform(-1, 1, (5, 5)) + 1j * rng.uniform(-1, 1, (5, 5))) / np.sqrt(10 / 3)
+                       for _ in range(2))
+        path = lax.lax_integrate(lambda t: alpha, beta, 0.0, 1.5, 500)
+        doc = {"path": serialize.encode_lax_path(path), "lax_residual": float(lax.lax_residual(path)),
+               "isospectral_drift": float(lax.isospectral_drift(path))}
+        text = serialize._dumps(doc) + "\n"
+        target = tmp_path / "lax.json"
+        tracemalloc.start()
+        try:
+            cli._emit(doc, str(target))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert target.read_text() == text
+        assert peak < len(text)
+
+    def test_a_memory_error_without_text_gives_a_reason(self, capsys, monkeypatch):
+        # the line ended at "request too large: ", nothing after the colon
+        def handler(payload, args):
+            raise MemoryError()
+
+        monkeypatch.setitem(cli.HANDLERS, "gz-map", handler)
+        assert call(capsys, "gz-map", "--input", "{}") == (65, "", "input error: request too large: out of memory\n")
+
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "out.json"
         code, out, _ = call(
@@ -1972,6 +2011,25 @@ class TestRecordLists:
             serialize._dumps(signature_doc(records))
 
 
+def lax_like_path(seed=0) -> np.ndarray:
+    """The wire form of a (501, 5, 5) complex path, as lax-run writes its alpha and beta."""
+    rng = np.random.default_rng(seed)
+    return serialize.encode_array(rng.standard_normal((501, 5, 5)) + 1j * rng.standard_normal((501, 5, 5)))
+
+
+def signed_zero_path(at: int) -> np.ndarray:
+    """A constant real path on the wire whose slice at ``at`` differs only by one zero's sign."""
+    path = np.array(np.broadcast_to(serialize.encode_array(np.arange(25.0).reshape(5, 5)), (501, 5, 5, 2)))
+    path[at, 2, 3, 1] = -0.0
+    return path
+
+
+def non_finite_last(A: np.ndarray) -> np.ndarray:
+    A = A.copy()
+    A.flat[-1] = np.inf
+    return A
+
+
 class TestDumps:
     """serialize._dumps writes the bytes of json.dumps(doc, indent=2)."""
 
@@ -1987,6 +2045,9 @@ class TestDumps:
         np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]]),
         np.array([[[1.5, -0.0]], [[1.5, -0.0]], [[1.5, 0.0]]]),
         {"a": np.array([-0.0]), "b": np.array([0.0, 0.0])},
+        signed_zero_path(-1),  # the last slice: a short final piece of its own
+        signed_zero_path(255),  # a slice inside a piece between pieces that share one string
+        signed_zero_path(0),
     ])
     def test_signed_zeros_keep_their_texts(self, doc):
         # 0.0 == -0.0: slices compared by value instead of by bytes would lose a sign
@@ -2001,6 +2062,31 @@ class TestDumps:
     ])
     def test_scalars_single_slices_and_empty_axes_match_json_dumps(self, doc):
         assert serialize._dumps(doc) == json.dumps(doc, indent=2, default=np.ndarray.tolist)
+
+    @pytest.mark.parametrize("doc", [
+        lax_like_path(),  # (501, 5, 5) complex: 10 slices a piece, a short final piece of 1
+        np.broadcast_to(lax_like_path()[0], (501, 5, 5, 2)),  # a constant path
+        {"path": {"grid": np.linspace(0.0, 1.5, 501), "alpha": np.broadcast_to(lax_like_path()[7], (501, 5, 5, 2)),
+                  "beta": lax_like_path()}, "lax_residual": 1e-9},
+        np.random.default_rng(1).standard_normal((23, 50)),  # pieces of 10, 10 and a short 3 slices
+        np.random.default_rng(2).standard_normal(513),  # a full piece and a short one of 1 float
+        np.random.default_rng(3).standard_normal(512),  # one piece, rendered whole
+        np.random.default_rng(4).standard_normal((3, 257)),  # one slice a piece
+        np.random.default_rng(5).standard_normal((2, 600)),  # a slice of more than 512 floats
+        np.zeros((600, 0, 2)),
+    ], ids=["complex-path", "constant-path", "lax-document", "short-final-piece", "513-floats",
+            "512-floats", "slice-per-piece", "slice-over-512", "large-but-empty"])
+    def test_large_arrays_render_in_pieces_with_json_dumps_bytes(self, doc):
+        pieces = serialize._pieces(doc)
+        assert "".join(pieces) == json.dumps(doc, indent=2, default=np.ndarray.tolist)
+        # every piece holds at most 512 floats, or one slice of 600 here: tens of KB at most
+        assert max(map(len, pieces)) < 32 * 1024
+
+    def test_pieces_of_a_repeated_slice_share_one_string(self):
+        pieces = serialize._pieces(np.broadcast_to(lax_like_path()[0], (501, 5, 5, 2)))
+        rendered = {id(piece) for piece in pieces if len(piece) > 100}
+        # 50 full pieces of 10 slices, then a short one of 1 slice
+        assert len(pieces) == 2 * 51 + 1 and len(rendered) == 2
 
     @pytest.mark.parametrize("doc", [
         [0, 1, -7, 2**63, -(2**63) - 1, 10**40],
@@ -2028,6 +2114,8 @@ class TestDumps:
         {"x": serialize.encode_array([1.0, complex(0.0, np.nan)])},
         np.broadcast_to(np.array([np.nan, 0.0]), (3, 2)),  # a repeated slice: rendered once
         np.array(np.inf),
+        np.append(np.zeros(600), np.nan),  # in the short final piece
+        {"alpha": lax_like_path(), "beta": non_finite_last(lax_like_path())},
     ])
     def test_non_finite_raises(self, doc):
         with pytest.raises(ToleranceError):

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import os
 import re
 import tracemalloc
 import warnings
@@ -7,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from gzflows import ratmodel
+from gzflows import cli, ratmodel
 from gzflows.errors import ValidationError
 from gzflows.matpoly import _blocks, companion_of, numerical_rank, poly_from_roots
 from gzflows.matpoly import roots as matpoly_roots
@@ -1254,7 +1255,8 @@ class TestClassifierOracle:
 
 class TestModelPointIntake:
     """Each function that takes a raw point, or a tangent, refuses a malformed one with the
-    intake's ValueError (these escaped as IndexError, KeyError or LinAlgError)."""
+    intake's ValueError (these escaped as IndexError, KeyError or LinAlgError), and each
+    that inverts g refuses a singular one as md_validate reports it."""
 
     @pytest.mark.parametrize("fault, text", [
         ("wrong-size", "B_minus[2] has shape (1, 1), expected (2, 2)"),
@@ -1295,3 +1297,26 @@ class TestModelPointIntake:
                 "isotropy_nullity": isotropy_nullity, "scale": MatricialData.scale}[name]
         with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
             call(F)
+
+    @pytest.mark.parametrize("name", ["isotropy_nullity", "md_tangent_violations", "md_symplectic",
+                                      "md_symplectic-unchecked", "md_strongly_regular"])
+    def test_a_singular_g_is_refused_as_md_validate_reports_it(self, name):
+        # each raised numpy's LinAlgError, "Singular matrix", which names no block
+        F = enumerate_sr((2, 2))[0]
+        F.g[0] = np.zeros_like(F.g[0])
+        text = "conjugacy: g[1] is numerically singular"
+        with pytest.raises(ValidationError) as caught:
+            md_validate(F)
+        assert caught.value.violations == [text]
+        call = {"isotropy_nullity": lambda: isotropy_nullity(F),
+                "md_tangent_violations": lambda: md_tangent_violations(F, zero_tangent(F)),
+                "md_symplectic": lambda: md_symplectic(F, zero_tangent(F), zero_tangent(F)),
+                "md_symplectic-unchecked": lambda: md_symplectic(F, zero_tangent(F), zero_tangent(F), check=False),
+                "md_strongly_regular": lambda: md_strongly_regular(F)}[name]
+        with pytest.raises(ValidationError, match=f"^{re.escape(text)}$"):
+            call()
+
+    def test_enumerate_orbits_takes_no_singular_g_check(self, monkeypatch):
+        # its representatives have invertible g by construction: the check would be paid for nothing
+        monkeypatch.setattr(ratmodel, "_refuse_singular_g", lambda D: pytest.fail("checked g"))
+        assert cli.run(["enumerate-orbits", "--input", '{"k": [2, 2, 3]}', "--output", os.devnull]) == 0

@@ -6,8 +6,10 @@
 It times the checkout it sits in, that checkout's ``bench/`` and ``src/``
 whatever the working directory, so run each checkout's own copy.  It
 builds the workload's round for the seed in a temporary directory with
-``bench/run.py``'s ``set_up``, runs ``run_round`` R times (default 20),
-and prints one line per group of requests, the largest round_ms first:
+``bench/run.py``'s ``set_up``, runs one untimed round and replays
+``check_round`` on its results, as ``bench/run.py`` checks its first round,
+then runs ``run_round`` R times (default 20), and prints one line per group
+of requests, the largest round_ms first:
 
     kind  n  per_round  median_ms  round_ms  marks
 
@@ -26,6 +28,19 @@ group: ``p50`` for ``req_p50_ms`` and ``tail`` for ``req_tail_ms``, the
 requests.  In doc-roundtrip, whose round holds 54, that is the slowest
 kind with one request a round.  A median of two middle latencies marks
 the requests of both.
+
+The replay is there because the checks leave the allocator as the
+benchmark's later rounds find it.  They allocate and free arrays above
+glibc's initial 128 KiB mmap threshold, and freeing a mapped block
+raises that threshold, and the heap's trim threshold with it, so after
+them a request's large temporaries (the power stacks of an n = 12
+``sregular``, say) reuse heap memory instead of faulting in fresh pages.
+Without the replay the tool times a process the benchmark never runs: at
+query-mix seed 0 (two runs each on a shared 2-CPU host) the n = 12
+``sregular/generic`` median read 1.20-1.25 ms without it and 0.95 ms
+with it, and ``MALLOC_MMAP_THRESHOLD_`` and ``MALLOC_TRIM_THRESHOLD_``
+raised to 256 MiB moved that median by -20% to -24% without it and by
+under 1% with it.
 
 With ``--by-request`` it prints one line per request of the round, in
 round order, its kind named as its group's is, and the same marks:
@@ -193,6 +208,8 @@ def round_latencies(name: str, seed: int, rounds: int, stages: StageTimer | None
     with tempfile.TemporaryDirectory() as workdir, contextlib.ExitStack() as stack:
         steps, _, _ = bench.set_up(name, seed, workdir)
         groups = [(kind_of(s), size_of(s.spec)) for s in steps if s.kind != "glue"]
+        # the check round of bench/run.py, untimed: see the module docstring
+        bench.check_round([s for s in steps if s.kind != "glue"], bench.run_round(steps)[1])
         if stages is not None:
             steps = [s if s.kind == "glue" else dataclasses.replace(s, call=stages.timed(s.call)) for s in steps]
         for wrapper in (calls, stages):  # so stages wraps the counting handlers
