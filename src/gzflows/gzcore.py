@@ -25,14 +25,15 @@ import numpy as np
 from .errors import ToleranceError, ValidationError
 from .matpoly import (
     CLUSTER_TOL,
-    _MONIC_TOL,
     _abs,
     _charpoly,
     _clusters,
     _companion,
+    _degree,
     _expm,
     _identities,
     _max_scaled,
+    _monic,
     _powers,
     _check_square,
     _rank,
@@ -310,15 +311,14 @@ def _checked_monic(polys, expected_degrees=None) -> list[np.ndarray]:
     out = []
     for j, p in enumerate(polys):
         p = poly_trim(p)
-        # trimmed: the last coefficient is nonzero unless p is the zero polynomial [0]
-        degree = p.size - 1 if p[-1] else -1
+        degree = _degree(p)
         if expected_degrees is not None and degree != expected_degrees[j]:
             raise ValidationError(
                 f"polynomial {j + 1} has degree {degree}, expected {expected_degrees[j]}"
             )
         if degree < 0:
             raise ValidationError(f"polynomial {j + 1} is the zero polynomial")
-        if degree >= 1 and not abs(p[-1] - 1.0) <= _MONIC_TOL:
+        if degree >= 1 and not _monic(p):
             raise ValidationError(f"polynomial {j + 1} is not monic")
         out.append(p)
     return out

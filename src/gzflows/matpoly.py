@@ -248,22 +248,37 @@ def poly_trim(p) -> np.ndarray:
     return p[: nz[-1] + 1].copy()
 
 
+def _degree(p: np.ndarray) -> int:
+    """Degree of a trimmed p, from its length: -1 for the zero polynomial [0]."""
+    return p.size - 1 if p[-1] else -1
+
+
+def _monic(p: np.ndarray) -> bool:
+    """The package's one monic rule: a trimmed p whose leading coefficient is within _MONIC_TOL of 1."""
+    return abs(p[-1] - 1.0) <= _MONIC_TOL
+
+
+def _monic_intake(p, what: str) -> np.ndarray:
+    """p trimmed and over its leading coefficient; ValueError naming what unless monic of degree >= 1."""
+    p = poly_trim(p)
+    if p.size < 2:
+        raise ValueError(f"{what} needs degree >= 1")
+    if not _monic(p):
+        raise ValueError(f"{what} needs a monic polynomial")
+    return p / p[-1]
+
+
 def poly_degree(p) -> int:
     """Index of the last nonzero coefficient; -1 for the zero polynomial."""
-    p = np.atleast_1d(np.asarray(p, dtype=complex))
-    nz = np.nonzero(p)[0]
-    return -1 if nz.size == 0 else int(nz[-1])
+    return _degree(poly_trim(p))
 
 
 def poly_divmod(p, q) -> tuple[np.ndarray, np.ndarray]:
     """Quotient and remainder of p by q (q nonzero)."""
-    p = poly_trim(p)
-    q = poly_trim(q)
-    if poly_degree(q) < 0:
+    rem, q = poly_trim(p), poly_trim(q)
+    dp, dq = _degree(rem), _degree(q)
+    if dq < 0:
         raise ValueError("division by the zero polynomial")
-    dq = poly_degree(q)
-    rem = p.astype(complex).copy()
-    dp = poly_degree(rem)
     if dp < dq:
         return np.zeros(1, dtype=complex), rem
     quot = np.zeros(dp - dq + 1, dtype=complex)
@@ -284,9 +299,7 @@ def poly_from_roots(rts) -> np.ndarray:
 
 def is_monic(p) -> bool:
     """Whether the leading coefficient of p is within _MONIC_TOL of 1."""
-    p = np.atleast_1d(np.asarray(p, dtype=complex))
-    d = poly_degree(p)
-    return d >= 0 and abs(p[d] - 1.0) <= _MONIC_TOL
+    return _monic(poly_trim(p))
 
 
 def companion_of(p) -> np.ndarray:
@@ -294,13 +307,7 @@ def companion_of(p) -> np.ndarray:
 
     Requires a monic polynomial (see is_monic); charpoly(companion_of(p)) == p / p[-1].
     """
-    p = poly_trim(p)
-    n = poly_degree(p)
-    if n < 1:
-        raise ValueError("companion matrix needs degree >= 1")
-    if not is_monic(p):
-        raise ValueError("companion matrix needs a monic polynomial")
-    return _companion(p / p[n])
+    return _companion(_monic_intake(p, "companion matrix"))
 
 
 def _companion(p: np.ndarray) -> np.ndarray:
@@ -321,10 +328,9 @@ def _shift(n: int) -> np.ndarray:
 def roots(p) -> np.ndarray:
     """Root multiset of p as eigenvalues of its companion matrix."""
     p = poly_trim(p)
-    d = poly_degree(p)
-    if d < 1:
+    if p.size < 2:
         raise ValueError("roots need a polynomial of degree >= 1")
-    return np.linalg.eigvals(_companion(p / p[d]))
+    return np.linalg.eigvals(_companion(p / p[-1]))
 
 
 def newton_convert(values, direction: str) -> np.ndarray:
@@ -332,7 +338,7 @@ def newton_convert(values, direction: str) -> np.ndarray:
 
     ``power-to-coeffs``: input (p_1, ..., p_n), output the n+1 ascending
     coefficients of the monic degree-n polynomial with those power sums.
-    ``coeffs-to-power``: the inverse, for monic p (see is_monic) taken as p / p[-1].
+    ``coeffs-to-power``: the inverse, for monic p (see is_monic) trimmed and taken as p / p[-1].
     """
     values = np.atleast_1d(np.asarray(values, dtype=complex))
     if values.size == 0:
@@ -352,13 +358,8 @@ def newton_convert(values, direction: str) -> np.ndarray:
             coeffs[n - k] = (-1) ** k * elem[k]
         return coeffs
     if direction == "coeffs-to-power":
-        coeffs = values
+        coeffs = _monic_intake(values, "coeffs-to-power")
         n = coeffs.size - 1
-        if n < 1:
-            raise ValueError("need degree >= 1 coefficients")
-        if not is_monic(coeffs):
-            raise ValueError("coefficients must be monic")
-        coeffs = coeffs / coeffs[poly_degree(coeffs)]
         elem = np.array([(-1) ** k * coeffs[n - k] for k in range(n + 1)])
         psums = np.zeros(n, dtype=complex)
         for k in range(1, n + 1):

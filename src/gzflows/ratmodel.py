@@ -41,7 +41,6 @@ from .matpoly import (
     companion_of,
     krylov_matrix,
     numerical_rank,
-    poly_degree,
     poly_divmod,
 )
 from .verify import fd_gradient, Chart
@@ -921,68 +920,56 @@ def _charpoly_adjugate(A: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     return np.array([c for c, _ in pairs] + [1.0], dtype=complex), [M for _, M in pairs]
 
 
-def _adjugate_attempt(H: list[np.ndarray], rhs: np.ndarray, rng: np.random.Generator):
-    """(v, x) for a random v and the solution x of M x = rhs with rows M[l] = H[l] v.
+def _adjugate_solve(A: np.ndarray, target: np.ndarray, rhs_of, finish, rng: np.random.Generator):
+    """(v, x, B) for the first of up to 20 random v whose B = finish(v, x, char, H, tol) has
+    the characteristic polynomial target to within tol = 1e-8 (1 + max |target|).
 
-    x is None when M is numerically singular; otherwise cond(M) < 1e10 / size.
+    char = det(zI - A) and adj(zI - A) = sum_l z**l H[l]; x solves M x = rhs_of(char) with
+    rows M[l] = H[l] v, and a numerically singular M (cond >= 1e10 / size) is skipped.
+    finish returns None to reject x.
     """
-    size = len(H)
-    v = rng.normal(size=size) + 1j * rng.normal(size=size)
-    M = np.array([h @ v for h in H])
-    if numerical_rank(M) < size:
-        return v, None
-    return v, np.linalg.solve(M, rhs)
+    char, H = _charpoly_adjugate(A)
+    rhs, size = rhs_of(char), len(H)
+    tol = 1e-8 * (1 + np.max(np.abs(target)))
+    for _ in range(20):
+        v = rng.normal(size=size) + 1j * rng.normal(size=size)
+        M = np.array([h @ v for h in H])
+        if numerical_rank(M) < size:
+            continue
+        x = np.linalg.solve(M, rhs)
+        B = finish(v, x, char, H, tol)
+        if B is not None and np.max(np.abs(charpoly(B) - target)) < tol:
+            return v, x, B
+    raise ValidationError("could not realize the requested polar polynomial")
 
 
 def _solve_gcomp(X: np.ndarray, target: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Generalized companion with X-block X and characteristic polynomial target.
+    """Generalized companion with X-block X and characteristic polynomial target (trimmed).
 
     Uses det(z - B) = det(z - X) r_c(z) - a adj(z - X) b: a random b fixes
     the b-column, the a-row is solved from the remainder of target modulo
     char(X), and the tail column from the exact quotient.
     """
-    m = X.shape[0]
-    k = poly_degree(target)
-    qx, H = _charpoly_adjugate(X)
-    _, rem = poly_divmod(target, qx)
-    rhs = np.zeros(m, dtype=complex)
-    rhs[: rem.size] = -rem
-    scale = 1 + np.max(np.abs(target))
-    for _ in range(20):
-        b, a = _adjugate_attempt(H, rhs, rng)
-        if a is None:
-            continue
+    m, k = X.shape[0], target.size - 1
+
+    def rhs_of(qx):
+        rhs = np.zeros(m, dtype=complex)
+        rem = poly_divmod(target, qx)[1]
+        rhs[: rem.size] = -rem
+        return rhs
+
+    def finish(b, a, qx, H, tol):
         cross = np.zeros(k + 1, dtype=complex)
         for l in range(m):
             cross[l] = a @ H[l] @ b
-        quotient, leftover = poly_divmod(np.asarray(target, dtype=complex) + cross, qx)
-        if poly_degree(leftover) >= 0 and np.max(np.abs(leftover)) > 1e-8 * scale:
-            continue
+        quotient, leftover = poly_divmod(target + cross, qx)
+        if np.max(np.abs(leftover)) > tol:
+            return None
         r_c = np.zeros(k - m + 1, dtype=complex)
         r_c[: quotient.size] = quotient
-        c = -r_c[: k - m]
-        B = generalized_companion(X, a, b, c)
-        if np.max(np.abs(charpoly(B) - target)) < 1e-8 * scale:
-            return B
-    raise ValidationError("could not realize the requested polar polynomial")
+        return generalized_companion(X, a, b, -r_c[: k - m])
 
-
-def _solve_rank_one(b_plus: np.ndarray, target: np.ndarray, rng: np.random.Generator):
-    """(u, w) with char(b_plus - u w^T) = target, via the adjugate identity."""
-    k = b_plus.shape[0]
-    base, H = _charpoly_adjugate(b_plus)
-    gap = np.zeros(k, dtype=complex)
-    diff = np.asarray(target, dtype=complex) - base
-    gap[: k] = diff[:k]
-    for _ in range(20):
-        u, w = _adjugate_attempt(H, gap, rng)
-        if w is None:
-            continue
-        if np.max(np.abs(charpoly(b_plus - np.outer(u, w)) - target)) < 1e-8 * (
-            1 + np.max(np.abs(target))
-        ):
-            return u, w
-    raise ValidationError("could not realize the requested rank-one update")
+    return _adjugate_solve(X, target, rhs_of, finish, rng)[2]
 
 
 def fixture_from_polar(polys, rng=None) -> MatricialData:
@@ -996,7 +983,7 @@ def fixture_from_polar(polys, rng=None) -> MatricialData:
     """
     rng = np.random.default_rng(rng)
     polys = _checked_monic(polys)
-    k = tuple(max(poly_degree(p), 0) for p in polys)
+    k = tuple(p.size - 1 for p in polys)
     n = len(k)
     b_minus: list[np.ndarray | None] = [None] * n
     b_plus: list[np.ndarray | None] = [None] * n
@@ -1004,9 +991,7 @@ def fixture_from_polar(polys, rng=None) -> MatricialData:
     w: dict[int, np.ndarray] = {}
 
     def plain(i):
-        return (
-            companion_of(polys[i]) if k[i] >= 1 else np.zeros((0, 0), dtype=complex)
-        )
+        return companion_of(polys[i]) if k[i] else np.zeros((0, 0), dtype=complex)
 
     b_minus[0] = plain(0)
     b_plus[n - 1] = plain(n - 1)
@@ -1018,16 +1003,13 @@ def fixture_from_polar(polys, rng=None) -> MatricialData:
                 u[j], w[j] = np.zeros(0, dtype=complex), np.zeros(0, dtype=complex)
         elif k[j] == k[j + 1]:
             b_plus[j] = plain(j)
-            u[j], w[j] = _solve_rank_one(b_plus[j], polys[j + 1], rng)
-            b_minus[j + 1] = b_plus[j] - np.outer(u[j], w[j])
+            # the tied identity: det(z - B + u w^T) = det(z - B) + w^T adj(z - B) u
+            u[j], w[j], b_minus[j + 1] = _adjugate_solve(
+                b_plus[j], polys[j + 1], lambda char: (polys[j + 1] - char)[: k[j]],
+                lambda u, w, *_: b_plus[j] - np.outer(u, w), rng)
         else:
             big, small = _by_size(k, j, j, j + 1)
             X = plain(small)
             b_plus[j], b_minus[j + 1] = _by_size(k, j, _solve_gcomp(X, polys[big], rng), X)
-    g = []
-    for i in range(n):
-        if k[i] == 0:
-            g.append(np.zeros((0, 0), dtype=complex))
-        else:
-            g.append(_conjugator(b_plus[i], b_minus[i], rng))
+    g = [_conjugator(b_plus[i], b_minus[i], rng) if k[i] else np.zeros((0, 0), dtype=complex) for i in range(n)]
     return md_validate(MatricialData(k=k, b_minus=b_minus, b_plus=b_plus, g=g, u=u, w=w))

@@ -43,9 +43,6 @@ class VnPoint:
     def n(self) -> int:
         return self.B.shape[0]
 
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.B.reshape(-1), self.b])
-
 
 @dataclass(frozen=True)
 class CotangentPoint:

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import json
 import os
+import runpy
 import subprocess
 import sys
 import tracemalloc
@@ -1542,6 +1543,23 @@ class TestCliContract:
         assert code1 == code2 == 0
         assert out1 == out2
 
+    def test_input_that_is_not_an_object_65(self, capsys, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        assert call(capsys, "gz-map", "--input", str(path)) == (
+            65, "", "input error: top-level input must be a JSON object\n")
+
+    def test_main_exits_with_the_code_of_run(self, capsys, monkeypatch):
+        # the console script and python -m gzflows.cli: sys.exit(run(sys.argv[1:]))
+        monkeypatch.setattr(sys, "argv", ["gzflows", "--help"])
+        with pytest.raises(SystemExit) as done, pytest.warns(RuntimeWarning, match="found in sys.modules"):
+            runpy.run_module("gzflows.cli", run_name="__main__")
+        assert done.value.code == 0 and capsys.readouterr() == (cli.USAGE + "\n", "")
+        monkeypatch.setattr(sys, "argv", ["gzflows"])
+        with pytest.raises(SystemExit) as done:
+            cli.main()
+        assert done.value.code == 64 and capsys.readouterr() == ("", cli.USAGE + "\n")
+
     def test_unwritable_output_65(self, capsys, tmp_path):
         target = tmp_path / "missing" / "out.json"
         code, out, err = call(
@@ -1632,6 +1650,8 @@ class TestArgvContract:
         pytest.param(["gz-map", "--input", MATRIX_2, "--mode", "charpoly", "--mode", "tr-power"], 0,
                      ["gz-map", "--input", MATRIX_2, "--mode", "tr-power"], id="last-wins"),
         pytest.param(["gz-map", "-h"], 0, None, id="help"),
+        pytest.param(["--help"], 0, None, id="help-as-subcommand"),
+        pytest.param(["-h"], 0, None, id="h-as-subcommand"),
     ])
     def test_argv(self, capsys, argv, code, same_as):
         got = call(capsys, *argv)
@@ -2144,6 +2164,14 @@ OVERFLOWING_ALPHA = ('{"alpha": {"type": "polynomial", "coefficients": [%s, [[[1
 NUMPY_PHRASES = ("Array must not contain", "need at least one array", "cannot reshape", "encountered in",
                  "RuntimeWarning")
 
+
+
+def gauge_request(grid, samples=None) -> str:
+    """A lax-gauge request on a constant 2 x 2 path sampled at grid (samples alpha matrices)."""
+    stack = [[[[1, 0], [0, 0]], [[0, 0], [2, 0]]]] * len(grid)
+    return json.dumps({"path": {"grid": grid, "alpha": stack[:samples], "beta": stack}})
+
+
 # (subcommand, request, exit code, its one stderr line): each request once gave another
 # code, numpy's text or a RuntimeWarning on stderr
 REFUSALS = [
@@ -2178,6 +2206,40 @@ REFUSALS = [
                  id="gz-flow-singular-factor"),
     pytest.param("lax-run", OVERFLOWING_ALPHA, 3, "numerical failure: alpha overflowed (not finite at t = 1.25e+299)",
                  id="lax-run-alpha-1e308"),
+] + [
+    # malformed requests that no other test sends: each has its own input-error line
+    pytest.param("lax-gauge", gauge_request(grid, samples), 65, f"input error: {text}", id=f"lax-gauge-{name}")
+    for name, grid, samples, text in (
+        ("one-time", [0.0], None, "grid must hold at least two times"),
+        ("decreasing", [1.0, 0.0], None, "grid must be strictly increasing"),
+        ("non-uniform", [0.0, 1.0, 3.0], None, "grid must be uniform"),
+        ("gap-past-the-largest-float", [-1.7e308, 1.7e308], None, "grid steps must be finite"),
+        ("short-alpha", [0.0, 1.0, 2.0], 2, "alpha and beta must be square and match the grid"),
+    )
+] + [
+    pytest.param("gz-map", '{"matrix": %s, "basis": "foo"}' % MATRIX_2, 65, "input error: unknown basis 'foo'",
+                 id="gz-map-basis"),
+    pytest.param("orbit-count", '{"polys": [[[-1, 0], [1, 0]]], "mode": "foo"}', 65,
+                 "input error: unknown mode 'foo'", id="orbit-count-mode"),
+    pytest.param("gz-flow", '{"matrix": %s, "flows": 3}' % MATRIX_2, 65,
+                 "input error: expected a 'flows' list of {m, i, z} objects", id="gz-flow-flows"),
+    pytest.param("strata", '{"polys": []}', 65, "input error: expected a nonempty 'polys' list", id="strata-polys"),
+    pytest.param("ak-act", model_request((1, 2), params=3), 65,
+                 "input error: expected 'params' as a list of coefficient vectors", id="ak-act-params"),
+] + [
+    pytest.param("lax-run", '{"alpha": %s, "beta": %s, "t_start": 0, "t_end": 1, "steps": 4}' % (alpha, MATRIX_2),
+                 65, f"input error: {text}", id=f"lax-run-alpha-{name}")
+    for name, alpha, text in (
+        ("no-type", '{"matrix": %s}' % MATRIX_2, "alpha spec needs a 'type'"),
+        ("no-coefficients", '{"type": "polynomial", "coefficients": []}',
+         "polynomial alpha needs matrix coefficients"),
+        ("unknown-type", '{"type": "cubic"}', "unknown alpha type 'cubic'"),
+    )
+] + [
+    pytest.param("md-validate", '{"data": 3}', 65,
+                 "input error: expected an object with keys ('k', 'B_minus', 'B_plus', 'g')", id="md-validate-data"),
+    pytest.param("md-validate", '{"data": {"k": "x", "B_minus": [], "B_plus": [], "g": []}}', 65,
+                 "input error: k must be a list of nonnegative integers", id="md-validate-k"),
 ]
 
 

@@ -134,6 +134,11 @@ class TestFlow:
         B = random_matrix(rng, 3)
         assert np.array_equal(gz_flow(B, GZGroupElement.zero(3)), B)
 
+    def test_group_element_of_another_n_is_refused(self):
+        B = random_matrix(np.random.default_rng(4), 3)
+        with pytest.raises(ValueError, match="^group element for n = 2 applied to n = 3$"):
+            gz_flow(B, GZGroupElement.zero(2))
+
     def test_top_indices_ignored(self):
         rng = np.random.default_rng(5)
         B = random_matrix(rng, 3)

@@ -232,6 +232,12 @@ class TestSymplectic:
         db = np.array([random_matrix(rng, 2)] * path.grid.size)
         assert lax_symplectic(path, (da, db), (da, db)) == 0
 
+    def test_tangents_off_the_grid_are_refused(self):
+        path = self.make_flat_path()
+        short = np.zeros((path.grid.size - 1, 2, 2), dtype=complex)
+        with pytest.raises(ValueError, match="^tangent samples must match the path grid$"):
+            lax_symplectic(path, (path.alpha, path.alpha), (short, short))
+
     def test_zero_second_slot(self):
         rng = np.random.default_rng(13)
         path = self.make_flat_path()

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gzflows.matpoly import (
+    _MONIC_TOL,
     _clusters,
     _coincident,
     _faddeev_leverrier,
@@ -17,10 +18,14 @@ from gzflows.matpoly import (
     as_matrix,
     charpoly,
     companion_of,
+    is_monic,
+    krylov_matrix,
     krylov_rank,
     matexp,
     newton_convert,
+    poly_divmod,
     poly_from_roots,
+    poly_trim,
     roots,
 )
 from gzflows.ratmodel import _charpoly_adjugate
@@ -269,11 +274,15 @@ class TestCompanion:
         back = charpoly(companion_of(p))
         assert np.max(np.abs(back - p) / (1 + np.abs(p))) < 1e-10
 
-    def test_non_monic(self):
-        with pytest.raises(ValueError):
-            companion_of([1, 2])
-        with pytest.raises(ValueError):
-            companion_of([1, 1 + 2e-9])
+    @pytest.mark.parametrize("p", [[1, 2], [1, 1 + 2e-9], [1, 2, 0]])
+    def test_non_monic(self, p):
+        with pytest.raises(ValueError, match=r"^companion matrix needs a monic polynomial$"):
+            companion_of(p)
+
+    @pytest.mark.parametrize("p", [[3.0], [0.0, 0.0], [2.0, 0.0]], ids=["constant", "zero", "constant-with-zero"])
+    def test_constant_is_refused(self, p):
+        with pytest.raises(ValueError, match=r"^companion matrix needs degree >= 1$"):
+            companion_of(p)
 
     def test_near_monic_is_divided_by_its_leading_coefficient(self):
         # one monic tolerance: what fixture_from_polar and strata accept, companion_of takes
@@ -310,6 +319,86 @@ class TestNewtonConvert:
     def test_bad_direction(self):
         with pytest.raises(ValueError):
             newton_convert([1.0], "sideways")
+
+    @pytest.mark.parametrize("p, psums", [([-1, 1, 0], [1]), ([2, -3, 1, 0], [3, 5]), ([2, -3, 1, 0, 0], [3, 5])])
+    def test_trailing_zeros_are_trimmed(self, p, psums):
+        # the degree used to be read from the untrimmed length: [-1, 3] and [-1, 7, -16]
+        got = newton_convert(p, "coeffs-to-power")
+        assert got.tobytes() == newton_convert(poly_trim(p), "coeffs-to-power").tobytes()
+        assert np.array_equal(got, psums)
+
+    @pytest.mark.parametrize("values, direction, text", [
+        pytest.param([], "power-to-coeffs", "empty input", id="empty-power-sums"),
+        pytest.param([], "coeffs-to-power", "empty input", id="empty-coefficients"),
+        pytest.param([1.0], "coeffs-to-power", "coeffs-to-power needs degree >= 1", id="degree-0"),
+        pytest.param([1.0, 0.0], "coeffs-to-power", "coeffs-to-power needs degree >= 1", id="degree-0-padded"),
+        pytest.param([0.0, 0.0], "coeffs-to-power", "coeffs-to-power needs degree >= 1", id="zero"),
+        pytest.param([1.0, 2.0], "coeffs-to-power", "coeffs-to-power needs a monic polynomial", id="not-monic"),
+    ])
+    def test_refusals(self, values, direction, text):
+        with pytest.raises(ValueError, match=f"^{text}$"):
+            newton_convert(values, direction)
+
+
+class TestPolyDivmod:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_quotient_and_remainder(self, seed):
+        rng = np.random.default_rng(seed)
+        dp, dq = sorted(rng.integers(1, 7, 2))[::-1]
+        p = rng.normal(size=dp + 1) + 1j * rng.normal(size=dp + 1)
+        q = rng.normal(size=dq + 1) + 1j * rng.normal(size=dq + 1)
+        quot, rem = poly_divmod(p, q)
+        assert quot.size == dp - dq + 1 and rem.size <= max(dq, 1)
+        back = np.convolve(q, quot)
+        back[: rem.size] += rem
+        assert np.max(np.abs(back - p)) < 1e-10 * np.max(np.abs(p))
+
+    def test_a_short_dividend_is_its_own_remainder(self):
+        quot, rem = poly_divmod([1.0, 2.0, 0.0], [0.0, 0.0, 1.0])
+        assert np.array_equal(quot, [0]) and np.array_equal(rem, [1.0, 2.0])
+
+    def test_an_exact_division_leaves_the_zero_polynomial(self):
+        quot, rem = poly_divmod(poly_from_roots([1, 2, 3]), poly_from_roots([2]))
+        assert np.allclose(quot, poly_from_roots([1, 3])) and np.array_equal(rem, [0])
+
+    @pytest.mark.parametrize("q", [[0.0], [0.0, 0.0], []])
+    def test_division_by_zero_is_refused(self, q):
+        with pytest.raises(ValueError, match="^division by the zero polynomial$"):
+            poly_divmod([1.0, 1.0], q)
+
+
+class TestIsMonic:
+    @pytest.mark.parametrize("p, monic", [
+        pytest.param([2.0, 1.0], True, id="one"),
+        pytest.param([2.0, 1.0 + 0.9 * _MONIC_TOL], True, id="inside"),
+        pytest.param([2.0, 1.0 - 0.9 * _MONIC_TOL], True, id="inside-below"),
+        pytest.param([2.0, 1.0 + 0.9j * _MONIC_TOL], True, id="inside-imaginary"),
+        pytest.param([2.0, 1.0 + 1.1 * _MONIC_TOL], False, id="outside"),
+        pytest.param([2.0, 1.0 - 1.1 * _MONIC_TOL], False, id="outside-below"),
+        pytest.param([2.0, 1.0 + 1.1j * _MONIC_TOL], False, id="outside-imaginary"),
+        pytest.param([2.0, 1.0, 0.0, 0.0], True, id="trailing-zeros"),
+        pytest.param([1.0], True, id="constant-one"),
+        pytest.param([0.0, 0.0], False, id="zero"),
+        pytest.param([1.0, float("nan")], False, id="nan"),
+    ])
+    def test_leading_coefficient_within_the_tolerance_of_one(self, p, monic):
+        assert is_monic(p) == monic
+
+
+class TestKrylovMatrix:
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_columns_are_b_bb_and_so_on(self, n):
+        rng = np.random.default_rng(n)
+        B, b = random_matrix(rng, n), rng.normal(size=n) + 1j * rng.normal(size=n)
+        K = krylov_matrix(B, b)
+        col = b
+        for j in range(n):
+            assert np.array_equal(K[:, j], col)
+            col = B @ col
+
+    def test_length_mismatch_is_refused(self):
+        with pytest.raises(ValueError, match="^vector length 2 does not match matrix size 3$"):
+            krylov_matrix(np.eye(3), [1.0, 2.0])
 
 
 class TestKrylovRank:

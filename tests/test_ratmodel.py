@@ -22,6 +22,7 @@ from gzflows.ratmodel import (
     chart_bracket,
     enumerate_sr,
     fixture_from_polar,
+    generalized_companion,
     gk_act,
     isotropy_nullity,
     md_strongly_regular,
@@ -197,6 +198,15 @@ class TestGkAct:
             rng=rng,
         )
 
+    @pytest.mark.parametrize("factors, text", [
+        pytest.param([np.eye(1)], "need 2 factors, got 1", id="count"),
+        pytest.param([np.eye(1), np.eye(1)], "factor 2 has shape (1, 1), expected (2, 2)", id="shape"),
+    ])
+    def test_wrong_factors_are_refused(self, factors, text):
+        F = self.fixture(np.random.default_rng(3))
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+            gk_act(F, factors)
+
     def test_identity(self):
         rng = np.random.default_rng(3)
         F = self.fixture(rng)
@@ -311,6 +321,11 @@ class TestAkAct:
         with pytest.raises(ValueError):
             ak_act(F, [np.array([0.1, 0.2]), np.zeros(2)])
 
+    def test_wrong_count_is_refused(self):
+        F = self.fixture(np.random.default_rng(11))
+        with pytest.raises(ValueError, match="^need 2 coefficient vectors, got 1$"):
+            ak_act(F, [np.zeros(1)])
+
 
 class TestPolar:
     def test_nilpotent_blocks(self):
@@ -340,6 +355,11 @@ class TestPolar:
 
 
 class TestSigma:
+    def test_a_zero_degree_is_refused(self):
+        F = fixture_from_polar([poly_from_roots([0.3]), [1.0], poly_from_roots([0.5, -0.2])], rng=0)
+        with pytest.raises(ValidationError, match="^sign classification needs all degrees >= 1$"):
+            sigma_of(F)
+
     def test_k11_positive(self):
         F = scalar_pair_fixture(0.0, 0.0, 1.0, 0.0)
         assert sigma_of(F).values == (1,)
@@ -415,6 +435,10 @@ class TestEnumerate:
         with pytest.raises(ValidationError):
             enumerate_sr((1, 0, 1))
 
+    def test_no_degree_rejected(self):
+        with pytest.raises(ValueError, match="^k must hold at least one degree$"):
+            enumerate_sr(())
+
     @pytest.mark.parametrize("k", [(1, 1), (2, 2, 2), (1, 2, 3, 3, 2), (3, 1, 3)])
     def test_no_two_blocks_share_an_array(self, k):
         # each size's shift is built once: every block must still be its own writable array
@@ -434,6 +458,34 @@ class TestStrongRegularity:
             E = relinked_shift(k, m)
             assert np.max(np.abs(np.linalg.matrix_power(E, k))) < 1e-12
             assert np.linalg.matrix_rank(E) == k - 1
+
+    @pytest.mark.parametrize("k, m", [(3, 0), (3, 3), (1, 1)])
+    def test_relinked_shift_out_of_range_is_refused(self, k, m):
+        with pytest.raises(ValueError, match=f"^need 1 <= m < k, got m={m}, k={k}$"):
+            relinked_shift(k, m)
+
+
+class TestGeneralizedCompanion:
+    def test_block_layout(self):
+        X = np.array([[1, 2], [3, 4]], dtype=complex)
+        a, b, c = np.array([5, 6]), np.array([7, 8]), np.array([9, 10, 11])
+        want = np.array([
+            [1, 2, 0, 0, 7],
+            [3, 4, 0, 0, 8],
+            [5, 6, 0, 0, 9],
+            [0, 0, 1, 0, 10],
+            [0, 0, 0, 1, 11],
+        ], dtype=complex)
+        assert np.array_equal(generalized_companion(X, a, b, c), want)
+
+    @pytest.mark.parametrize("a, b, c, text", [
+        pytest.param([1], [1, 2], [1], "a and b must have the X-block size", id="short-a"),
+        pytest.param([1, 2], [1, 2, 3], [1], "a and b must have the X-block size", id="long-b"),
+        pytest.param([1, 2], [1, 2], [], "tail length must be >= 1", id="empty-tail"),
+    ])
+    def test_wrong_sizes_are_refused(self, a, b, c, text):
+        with pytest.raises(ValueError, match=f"^{text}$"):
+            generalized_companion(np.eye(2), a, b, c)
 
 
 def zero_tangent(F):
@@ -754,6 +806,14 @@ class TestChartBracket:
         with pytest.raises(ValidationError):
             open_stratum_chart([[0.5, 0.5 + 1e-14]], [[1.0, 1.0]])
 
+    @pytest.mark.parametrize("poles, residues", [
+        pytest.param([[0.5], [0.2]], [[1.0]], id="levels"),
+        pytest.param([[0.5, 0.2]], [[1.0]], id="sizes"),
+    ])
+    def test_mismatched_levels_are_refused(self, poles, residues):
+        with pytest.raises(ValueError, match="^poles and residues must match level by level$"):
+            open_stratum_chart(poles, residues)
+
     def test_zero_residue_rejected(self):
         with pytest.raises(ValidationError):
             open_stratum_chart([[0.5]], [[0.0]])
@@ -815,6 +875,28 @@ FIXTURE_BITS = {
 }
 
 
+# sha256 of as_vector() bytes of fixture_from_polar when every target polynomial has the
+# leading coefficient 1 + 5e-10: the junction solves take that coefficient as it is
+LEAD_BITS = {
+    ((2, 2), 0): "15e45ab98853251f690d69386b62b060057f13a7eaaa683bf5ab3d14d9603b70",
+    ((2, 2), 1): "f6239f946d03e8dd11222e3b47681ec8c220b802c6ca6cfc64caf5cd4386364c",
+    ((2, 3), 0): "8df0c97e932606c4ce2c476f370456a76303814a6aa7b7b3ba1b0939c9e5ec17",
+    ((2, 3), 1): "fc069fb959508a39b8a9878ffe9763d607a85e70c005e1f9900e7176851d9ccb",
+    ((3, 2), 0): "736e27ae9d37c6919b3fdbd813109243895215aa21c75a72bec572a4bdf975d2",
+    ((1, 3, 3, 2), 0): "71e42e11636e7199a4d5be86e699c6ff65da0e2599347185b3c315f92da82372",
+}
+
+
+def fixture_rng(k, seed, lead=1.0):
+    """Target polynomials over k with random roots and leading coefficient lead, and the rng
+    that drew them."""
+    rng = np.random.default_rng(seed)
+    polys = [poly_from_roots(rng.uniform(-2, 2, d) + 1j * rng.uniform(-2, 2, d)) for d in k]
+    for p in polys:
+        p[-1] = lead
+    return polys, rng
+
+
 class TestFixtureFromPolar:
     @pytest.mark.parametrize(
         "degrees",
@@ -866,10 +948,94 @@ class TestFixtureFromPolar:
 
     @pytest.mark.parametrize("k, seed", list(FIXTURE_BITS), ids=str)
     def test_same_bits_at_a_fixed_seed(self, k, seed):
-        rng = np.random.default_rng(seed)
-        polys = [poly_from_roots(rng.uniform(-2, 2, d) + 1j * rng.uniform(-2, 2, d)) for d in k]
+        polys, rng = fixture_rng(k, seed)
         F = fixture_from_polar(polys, rng=rng)
         assert hashlib.sha256(F.as_vector().tobytes()).hexdigest() == FIXTURE_BITS[(k, seed)]
+
+    @pytest.mark.parametrize("k, seed", list(LEAD_BITS), ids=str)
+    def test_same_bits_for_a_near_monic_target(self, k, seed):
+        # the tied junction solves against target - char, not the remainder of the division
+        polys, rng = fixture_rng(k, seed, lead=1 + 5e-10)
+        F = fixture_from_polar(polys, rng=rng)
+        assert hashlib.sha256(F.as_vector().tobytes()).hexdigest() == LEAD_BITS[(k, seed)]
+
+    @pytest.mark.parametrize("polys", [
+        pytest.param([[-0.3, 1], [1.0], poly_from_roots([0.5, -0.2])], id="1-0-2"),
+        pytest.param([[-0.3, 1], [1.0], [1.0], [0.4, 1]], id="1-0-0-1"),
+    ])
+    def test_zero_degrees_pass_every_check(self, polys):
+        # each check skips the empty blocks and junctions of a zero degree
+        F = fixture_from_polar(polys, rng=0)
+        t = zero_tangent(F)
+        assert md_tangent_violations(F, t) == []
+        assert md_symplectic(F, t, t) == 0
+        assert isotropy_nullity(F) == 0
+        empty = gk_act(F, [np.zeros((F.junction_size(j),) * 2) for j in range(F.n - 1)])
+        assert empty.as_vector().tobytes() == F.as_vector().tobytes()
+        for got, want in zip(polar(F), polys):
+            assert np.max(np.abs(got - want)) < 1e-12
+
+
+class TestAdjugateSolve:
+    """The junction solves of fixture_from_polar share one 20-draw loop and one refusal."""
+
+    @staticmethod
+    def draws_left(rng, size, count):
+        """Whether rng is where count draws of a complex size-vector put a fresh twin."""
+        twin = np.random.default_rng(0)
+        for _ in range(count):
+            twin.normal(size=size) + 1j * twin.normal(size=size)
+        return rng.normal() == twin.normal()
+
+    @pytest.mark.parametrize("k", [(2, 2), (2, 3), (3, 2)])
+    def test_a_singular_solve_takes_every_draw_then_refuses(self, k):
+        # roots of size 1e5 leave each M numerically singular
+        rng = np.random.default_rng(0)
+        polys = [poly_from_roots(1e5 * (rng.uniform(-2, 2, d) + 1j * rng.uniform(-2, 2, d))) for d in k]
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValidationError, match="^could not realize the requested polar polynomial$"):
+            fixture_from_polar(polys, rng=rng)
+        assert self.draws_left(rng, min(k), 20)
+
+    @pytest.mark.parametrize("k", [(2, 2), (2, 3)])
+    def test_a_rejected_solution_takes_the_next_draw(self, monkeypatch, k):
+        # the first candidate's characteristic polynomial is read off by one: draw 2 is used
+        polys, _ = fixture_rng(k, 0)
+        calls, charpoly = [], ratmodel.charpoly
+
+        def charpoly_once_off(A):
+            calls.append(A.shape)
+            return charpoly(A) + (len(calls) == 1)
+
+        monkeypatch.setattr(ratmodel, "charpoly", charpoly_once_off)
+        F = fixture_from_polar(polys, rng=0)
+        assert len(calls) == 2
+        for got, want in zip(polar(F), polys):
+            assert np.max(np.abs(got - want)) < 1e-8
+        monkeypatch.undo()
+        assert fixture_from_polar(polys, rng=0).as_vector().tobytes() != F.as_vector().tobytes()
+
+    def test_a_leftover_above_the_tolerance_rejects_every_draw(self, monkeypatch):
+        polys, _ = fixture_rng((2, 3), 0)
+        divisions, poly_divmod = [], ratmodel.poly_divmod
+
+        def divmod_with_leftover(p, q):
+            divisions.append(1)
+            quot, rem = poly_divmod(p, q)
+            return quot, rem + (len(divisions) > 1)
+
+        monkeypatch.setattr(ratmodel, "poly_divmod", divmod_with_leftover)
+        monkeypatch.setattr(ratmodel, "generalized_companion", lambda *args: pytest.fail("built"))
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValidationError, match="^could not realize the requested polar polynomial$"):
+            fixture_from_polar(polys, rng=rng)
+        assert len(divisions) == 21 and self.draws_left(rng, 2, 20)
+
+    def test_no_conjugator_is_refused(self, monkeypatch):
+        # a singular Krylov basis never passes the condition test
+        monkeypatch.setattr(ratmodel, "krylov_matrix", lambda B, x: np.ones(B.shape, dtype=complex))
+        with pytest.raises(ValidationError, match="^could not build a well-conditioned conjugator$"):
+            fixture_from_polar([poly_from_roots([0.5, -0.2])], rng=0)
 
 
 class TestKron:
@@ -1262,6 +1428,9 @@ class TestModelPointIntake:
         ("wrong-size", "B_minus[2] has shape (1, 1), expected (2, 2)"),
         ("few-blocks", "g must have 2 blocks"),
         ("no-uw", "(u, w) pairs must sit exactly at the junctions of equal sizes (1)"),
+        ("other-k", "a stack holds points of one k: (1, 2) is not (2, 2)"),
+        ("non-square", "expected a square matrix, got shape (2, 3)"),
+        ("nan-u", "(u, w) at junction 1 must be finite with length 2"),
     ])
     @pytest.mark.parametrize("name", ["md_tangent_violations", "md_symplectic", "md_symplectic-unchecked"])
     def test_a_malformed_tangent_is_refused(self, name, fault, text):
@@ -1271,6 +1440,12 @@ class TestModelPointIntake:
             t.b_minus[1] = np.zeros((1, 1), dtype=complex)
         elif fault == "few-blocks":
             t.g = t.g[:1]
+        elif fault == "other-k":
+            t = zero_tangent(enumerate_sr((1, 2))[0])
+        elif fault == "non-square":
+            t.b_plus[0] = np.zeros((2, 3), dtype=complex)
+        elif fault == "nan-u":
+            t.u[0][1] = np.nan
         else:
             t.u, t.w = {}, {}
         call = {"md_tangent_violations": lambda: md_tangent_violations(F, t),

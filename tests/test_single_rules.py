@@ -14,7 +14,10 @@ code (``ValueError`` and ``TypeError`` to 65, ``ValidationError`` to 2,
 ``ToleranceError`` to 3), calls ``gzcore._singular_factor``, which builds a
 ToleranceError, or re-raises: a new exception type cannot escape as a traceback.
 Within ``ratmodel``, the refusals of a non-finite model point are raised only by its
-intake, ``ratmodel._intake``.
+intake, ``ratmodel._intake``.  A polynomial is monic by one rule: ``_MONIC_TOL`` is compared
+only in ``matpoly._monic``, and no other module names it.  The junction solves of
+``ratmodel`` share one adjugate routine, ``_adjugate_solve``: it alone takes the adjugate
+coefficients, solves in a loop and raises the ``could not realize`` refusal.
 """
 
 import ast
@@ -41,6 +44,8 @@ CACHE_DECORATORS = {"cache", "lru_cache", "cached_property"}
 # what a raise may name: an exception cli.run maps to its exit code, or the one function
 # that builds a refusal, gzcore._singular_factor (a ToleranceError)
 RAISABLE = {"ValueError", "TypeError", "ValidationError", "ToleranceError", "_singular_factor"}
+MONIC_RULE = ("matpoly.py", "_monic")
+ADJUGATE = ("ratmodel.py", "_adjugate_solve")
 INTAKE = ("ratmodel.py", "_intake")
 INTAKE_TEXTS = ("matrix entries must be finite", "scale overflows")
 
@@ -303,3 +308,95 @@ def test_the_guard_sees_a_second_intake_refusal():
 def test_the_intake_refusals_are_written_once():
     source = (Path(gzflows.__file__).resolve().parent / INTAKE[0]).read_text()
     assert raised_text_sites(INTAKE[0], source, INTAKE_TEXTS) == [INTAKE + (text,) for text in INTAKE_TEXTS]
+
+
+def monic_tol_sites(module: str, source: str) -> list:
+    """(module, function) of every comparison with ``_MONIC_TOL`` in matpoly, and of every
+    use of the name (an import, say) in another module, once each, in source order."""
+    sites = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if module == "matpoly.py":
+            if isinstance(node, ast.Compare) and any(
+                    ast.unparse(side).rpartition(".")[2] == "_MONIC_TOL" for side in (node.left, *node.comparators)):
+                sites.append((module, function))
+        elif ((isinstance(node, ast.Name) and node.id == "_MONIC_TOL")
+                or (isinstance(node, ast.alias) and node.name == "_MONIC_TOL")
+                or (isinstance(node, ast.Attribute) and node.attr == "_MONIC_TOL")):
+            sites.append((module, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return sites
+
+
+def test_the_guard_sees_a_second_monic_rule():
+    matpoly = (
+        "_MONIC_TOL = 1e-9\n"
+        "def _monic(p):\n"
+        "    return abs(p[-1] - 1.0) <= _MONIC_TOL\n"
+        "def is_monic(p):\n"
+        "    return d >= 0 and abs(p[d] - 1.0) <= matpoly._MONIC_TOL\n"
+    )
+    gzcore = (
+        "from .matpoly import _MONIC_TOL\n"
+        "def _checked_monic(p):\n"
+        "    if not abs(p[-1] - 1.0) <= _MONIC_TOL:\n"
+        "        raise ValidationError('not monic')\n"
+    )
+    assert monic_tol_sites("matpoly.py", matpoly) == [("matpoly.py", "_monic"), ("matpoly.py", "is_monic")]
+    assert monic_tol_sites("gzcore.py", gzcore) == [("gzcore.py", None), ("gzcore.py", "_checked_monic")]
+
+
+def test_the_monic_tolerance_is_compared_once():
+    package = Path(gzflows.__file__).resolve().parent
+    assert [site for path in sorted(package.glob("*.py"))
+            for site in monic_tol_sites(path.name, path.read_text())] == [MONIC_RULE]
+
+
+def adjugate_sites(module: str, source: str) -> list:
+    """(module, function) of every function that takes ``_charpoly_adjugate``, calls ``solve``
+    inside a ``for`` loop, or raises a text holding ``could not realize``, in source order."""
+    sites = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        own = list(ast.walk(node))
+        called = {ast.unparse(n.func).rpartition(".")[2] for n in own if isinstance(n, ast.Call)}
+        loop_solves = any(isinstance(call, ast.Call) and ast.unparse(call.func).rpartition(".")[2] == "solve"
+                          for loop in own if isinstance(loop, ast.For) for call in ast.walk(loop))
+        refuses = any(isinstance(n, ast.Raise) and n.exc is not None and "could not realize" in ast.unparse(n.exc)
+                      for n in own)
+        if "_charpoly_adjugate" in called or loop_solves or refuses:
+            sites.append((module, node.name))
+    return sorted(sites, key=lambda site: source.index(f"def {site[1]}("))
+
+
+def test_the_guard_sees_a_second_adjugate_loop():
+    source = (
+        "def _adjugate_attempt(H, rhs, rng):\n"
+        "    M = np.array([h @ v for h in H])\n"
+        "    return v, np.linalg.solve(M, rhs)\n"
+        "def _solve_gcomp(X, target, rng):\n"
+        "    qx, H = _charpoly_adjugate(X)\n"
+        "    for _ in range(20):\n"
+        "        b, a = _adjugate_attempt(H, rhs, rng)\n"
+        "    raise ValidationError('could not realize the requested polar polynomial')\n"
+        "def _solve_rank_one(b_plus, target, rng):\n"
+        "    for _ in range(20):\n"
+        "        w = np.linalg.solve(M, gap)\n"
+        "    raise ValidationError('could not realize the requested rank-one update')\n"
+        "def _conjugator(b_plus, b_minus, rng):\n"
+        "    for _ in range(20):\n"
+        "        g = K_minus @ np.linalg.inv(K_plus)\n"
+        "    raise ValidationError('could not build a well-conditioned conjugator')\n"
+    )
+    assert adjugate_sites("m.py", source) == [("m.py", "_solve_gcomp"), ("m.py", "_solve_rank_one")]
+
+
+def test_the_adjugate_loop_is_written_once():
+    source = (Path(gzflows.__file__).resolve().parent / ADJUGATE[0]).read_text()
+    assert adjugate_sites(ADJUGATE[0], source) == [ADJUGATE]

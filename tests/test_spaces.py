@@ -176,6 +176,11 @@ class TestCotangentFlows:
         with pytest.raises(ValueError, match=rf"^index \({m}, {i}\) invalid for n = 3$"):
             tgl_flow(x, side, m, i, 0.5)
 
+    def test_unknown_side_is_refused(self):
+        x = random_cotangent(np.random.default_rng(9), 3)
+        with pytest.raises(ValueError, match="^unknown side 'middle'$"):
+            tgl_flow(x, "middle", 2, 1, 0.5)
+
     def test_left_top_index_fixes_B(self):
         rng = np.random.default_rng(9)
         x = random_cotangent(rng, 3)

@@ -150,6 +150,11 @@ class TestChart:
         with pytest.raises(ValidationError):
             bad.tensor_at(np.zeros(2, dtype=complex))
 
+    def test_tensor_of_the_wrong_shape_is_refused(self):
+        bad = Chart(names=("x", "y"), poisson_tensor=lambda x: np.zeros((3, 3)))
+        with pytest.raises(ValidationError, match=r"^tensor shape \(3, 3\) does not match dim 2$"):
+            bad.tensor_at(np.zeros(2, dtype=complex))
+
     def test_canonical_pair(self):
         # {q, p} = 1 for the constant canonical tensor
         chart = Chart(
