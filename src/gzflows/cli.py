@@ -254,6 +254,9 @@ def cmd_kw_check(payload, args):
 
 def cmd_bracket_table(payload, args):
     n = serialize._need_int(payload.get("n", 3), "'n'", 1)
+    pairs = n * (n + 1) // 2 * (n * (n + 1) // 2 - 1) // 2
+    if pairs * n * n >= np.iinfo(np.intp).max:  # one sample's products, refused before any index list
+        raise ValueError(f"n = {n} is too large: one sample's bracket products hold more entries than numpy can index")
     rng = np.random.default_rng(args.seed)
     indices = gzcore.gz_indices(n)
     a, b = np.triu_indices(len(indices), 1)

@@ -164,7 +164,7 @@ def _level_values(B: np.ndarray, basis: str, low: int) -> np.ndarray:
             pos = m * (m - 1) // 2 - start
             minor = B[..., :m, :m]
             if basis == "tr-power":
-                by_power[pos : pos + m] = np.trace(_powers(minor, m + 1)[1:], axis1=-2, axis2=-1)
+                by_power[pos : pos + m] = _powers(minor, m + 1)[1:].trace(axis1=-2, axis2=-1)
             else:
                 values[..., pos : pos + m] = _charpoly(minor)[..., :m]
     return values

@@ -95,10 +95,10 @@ def _powers(A: np.ndarray, count: int) -> np.ndarray:
     A is not re-checked; an overflow leaves non-finite powers without warnings.
     """
     P = np.empty((count,) + A.shape, dtype=complex)
-    P[:1] = np.eye(A.shape[-1])
+    P[:1] = _identities(A.shape[-1])[1]
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, count):
-            np.matmul(P[k - 1], A, out=P[k])
+        for prev, out in zip(P, P[1:]):
+            np.matmul(prev, A, out)
     return P
 
 
@@ -126,7 +126,7 @@ def _faddeev_leverrier(A: np.ndarray):
     """
     n = A.shape[-1]
     ident, M = _identities(n)
-    M = np.broadcast_to(M, A.shape)
+    M = np.broadcast_to(M, A.shape) if A.ndim > 2 else M
     for k in range(1, n + 1):
         AM = A @ M
         c = -AM.trace(axis1=-2, axis2=-1) / k
@@ -180,6 +180,9 @@ _PADE_COEFFS = {
         960960.0, 16380.0, 182.0, 1.0,
     ],
 }
+# Orders 3..9: the coefficients (c[2k+1], c[2k]) of (A^2)^k in (U / A, V), highest k first.
+_PADE_ROWS = {order: np.array([c[order::-2], c[order - 1::-2]], dtype=complex).T[..., None, None]
+              for order, c in _PADE_COEFFS.items() if order < 13}
 _PADE_BOUNDS = [
     (3, 1.495585217958292e-2),
     (5, 2.539398330063230e-1),
@@ -190,9 +193,8 @@ _PADE_BOUNDS = [
 
 
 def _pade(A: np.ndarray, order: int) -> np.ndarray:
-    c = _PADE_COEFFS[order]
-    ident = _identities(A.shape[0])[1]
     if order == 13:
+        c, ident = _PADE_COEFFS[13], _identities(A.shape[0])[1]
         A2 = A @ A
         A4 = A2 @ A2
         A6 = A4 @ A2
@@ -201,16 +203,11 @@ def _pade(A: np.ndarray, order: int) -> np.ndarray:
         V = (A6 @ (c[12] * A6 + c[10] * A4 + c[8] * A2)
              + c[6] * A6 + c[4] * A4 + c[2] * A2 + c[0] * ident)
     else:
-        powers = [ident, A @ A]
-        for _ in range(2, order // 2 + 1):
-            powers.append(powers[-1] @ powers[1])
-        U = np.zeros_like(A)
-        for j in range(order, 0, -2):
-            U = U + c[j] * powers[j // 2]
-        U = A @ U
-        V = np.zeros_like(A)
-        for j in range(order - 1, -1, -2):
-            V = V + c[j] * powers[(j + 1) // 2]
+        # U / A and V as one stack of sums over (A^2)^k, highest k first from +0: that order fixes the bits
+        UV = np.zeros((2,) + A.shape, dtype=complex)
+        for row, power in zip(_PADE_ROWS[order], _powers(A @ A, order // 2 + 1)[::-1]):
+            UV += row * power
+        U, V = A @ UV[0], UV[1]
     return np.linalg.solve(V - U, V + U)
 
 

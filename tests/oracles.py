@@ -4,9 +4,9 @@ The program computes bracket gradients in closed form; these helpers take
 every gradient by finite differences, so a test can check one against the
 other.  The model-point measures at the end serve only the tests; the isotropy
 system, the validity check and the sign classification, each taken one point at
-a time, are the references for the stacked ones, and the RK4 loop and the Faddeev-LeVerrier
-recursion, each as one expression per operation, are the references for the
-buffered ones, and the full conjugation by an n-by-n flow factor is the reference
+a time, are the references for the stacked ones, and the RK4 loop, the Faddeev-LeVerrier
+recursion, the Pade step and the chain of powers, each as one expression per operation
+with a fresh identity, are the references for the buffered ones, and the full conjugation by an n-by-n flow factor is the reference
 for the flows that move only the off-diagonal blocks, as the gauge action by embedded
 factors is for the one that moves only the leading rows and columns.
 """
@@ -18,7 +18,17 @@ import warnings
 import numpy as np
 
 from gzflows.errors import ValidationError
-from gzflows.matpoly import _abs, _coincident, _expm, _powers, as_matrix, charpoly, numerical_rank
+from gzflows.matpoly import (
+    _PADE_BOUNDS,
+    _PADE_COEFFS,
+    _abs,
+    _coincident,
+    _expm,
+    _powers,
+    as_matrix,
+    charpoly,
+    numerical_rank,
+)
 from gzflows.ratmodel import (
     NONZERO_RTOL,
     VALIDATE_TOL,
@@ -396,6 +406,73 @@ def faddeev_leverrier(A: np.ndarray):
         c = -np.trace(AM, axis1=-2, axis2=-1) / k
         yield c, M
         M = AM + c[..., None, None] * ident
+
+
+def eye_powers(A: np.ndarray, count: int) -> np.ndarray:
+    """I, A, ..., A**(count-1) from a fresh ``np.eye``, each power one product with A, indexed by k.
+
+    The reference for ``matpoly._powers``, which seeds its chain from the shared
+    identity and steps over pairs of its slices; a stack (..., n, n) gives
+    (count, ..., n, n).
+    """
+    P = np.empty((count,) + A.shape, dtype=complex)
+    P[:1] = np.eye(A.shape[-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, count):
+            np.matmul(P[k - 1], A, out=P[k])
+    return P
+
+
+def pade_loops(A: np.ndarray, order: int) -> np.ndarray:
+    """The [order/order] Pade approximant of exp(A) with a fresh identity, orders 3..9 from a
+    list of powers of A @ A summed in two loops of single-matrix terms, U then V.
+
+    The reference for ``matpoly._pade``, which sums U and V as one stack of
+    two on the ``_powers`` chain of A @ A (order 13 is written out in both).
+    """
+    c = _PADE_COEFFS[order]
+    ident = np.eye(A.shape[0], dtype=complex)
+    if order == 13:
+        A2 = A @ A
+        A4 = A2 @ A2
+        A6 = A4 @ A2
+        U = A @ (A6 @ (c[13] * A6 + c[11] * A4 + c[9] * A2)
+                 + c[7] * A6 + c[5] * A4 + c[3] * A2 + c[1] * ident)
+        V = (A6 @ (c[12] * A6 + c[10] * A4 + c[8] * A2)
+             + c[6] * A6 + c[4] * A4 + c[2] * A2 + c[0] * ident)
+    else:
+        powers = [ident, A @ A]
+        for _ in range(2, order // 2 + 1):
+            powers.append(powers[-1] @ powers[1])
+        U = np.zeros_like(A)
+        for j in range(order, 0, -2):
+            U = U + c[j] * powers[j // 2]
+        U = A @ U
+        V = np.zeros_like(A)
+        for j in range(order - 1, -1, -2):
+            V = V + c[j] * powers[(j + 1) // 2]
+    return np.linalg.solve(V - U, V + U)
+
+
+def expm_loops(A: np.ndarray) -> np.ndarray:
+    """Scaling and squaring on :func:`pade_loops`, the 1-norm from ``np.linalg.norm``.
+
+    The reference for ``matpoly._expm``, which sums the 1-norm's columns itself.
+    """
+    if A.shape[0] == 0:
+        return A.copy()
+    norm = np.linalg.norm(A, 1)
+    if not np.isfinite(norm):
+        return np.full(A.shape, np.nan, dtype=complex)
+    if norm <= _PADE_BOUNDS[-1][1]:
+        for order, bound in _PADE_BOUNDS:
+            if norm <= bound:
+                return pade_loops(A, order)
+    squarings = max(0, int(np.ceil(np.log2(norm / _PADE_BOUNDS[-1][1]))))
+    F = pade_loops(A / 2.0 ** squarings, 13)
+    for _ in range(squarings):
+        F = F @ F
+    return F
 
 
 def full_conjugation_flow(B: np.ndarray, m: int, i: int, z: complex) -> tuple[np.ndarray, np.ndarray]:

@@ -1454,6 +1454,25 @@ class TestCliContract:
         assert call(capsys, "lax-run", "--input", payload) == (
             65, "", f"input error: steps must be below {np.iinfo(np.intp).max}, the grid size numpy can index\n")
 
+    @pytest.mark.parametrize("name", ["bracket-table", "verify-suite"])
+    @pytest.mark.parametrize("n", [2048, 10**20])
+    def test_verification_n_past_an_indexable_product_stack_65(self, capsys, monkeypatch, name, n):
+        # the n(n+1)/2 index pairs were built before any refusal, so n = 10**20 ran until killed;
+        # n = 2048 is the least n whose one-sample stack of bracket products reaches intp.max entries
+        def built(count):
+            raise AssertionError(f"gz_indices({count}) built")
+        monkeypatch.setattr(gzcore, "gz_indices", built)
+        assert call(capsys, name, "--input", json.dumps({"n": n}), "--samples", "1") == (
+            65, "", f"input error: n = {n} is too large: one sample's bracket products hold more entries "
+                    "than numpy can index\n")
+
+    def test_verification_n_below_the_product_stack_limit_goes_on(self, capsys, monkeypatch):
+        def built(count):
+            raise ValueError(f"gz_indices({count}) built")
+        monkeypatch.setattr(gzcore, "gz_indices", built)
+        assert call(capsys, "bracket-table", "--input", '{"n": 2047}') == (
+            65, "", "input error: gz_indices(2047) built\n")
+
     def test_json_nested_too_deep_to_decode_65(self, capsys):
         # json.loads raised RecursionError out of the request: a traceback, exit 1
         payload = '{"matrix": ' + "[" * 50000 + "]" * 50000 + "}"

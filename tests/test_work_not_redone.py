@@ -25,8 +25,8 @@ import pytest
 
 from gzflows import cli, gzcore, matpoly, verify
 from gzflows.gzcore import GZGroupElement, gz_flow, gz_indices, gz_map, strongly_regular
-from gzflows.matpoly import _PADE_BOUNDS, _PADE_COEFFS, _clusters, _expm, charpoly
-from oracles import mask_clusters
+from gzflows.matpoly import _PADE_BOUNDS, _clusters, _expm, charpoly
+from oracles import expm_loops, mask_clusters
 
 
 def bits(A):
@@ -166,50 +166,6 @@ class TestCharpolyBasis:
         assert not np.isfinite(values).all()
 
 
-def norm_form_pade(A, order):
-    """matpoly._pade as it was, with its own np.eye."""
-    c = _PADE_COEFFS[order]
-    ident = np.eye(A.shape[0], dtype=complex)
-    if order == 13:
-        A2 = A @ A
-        A4 = A2 @ A2
-        A6 = A4 @ A2
-        U = A @ (A6 @ (c[13] * A6 + c[11] * A4 + c[9] * A2)
-                 + c[7] * A6 + c[5] * A4 + c[3] * A2 + c[1] * ident)
-        V = (A6 @ (c[12] * A6 + c[10] * A4 + c[8] * A2)
-             + c[6] * A6 + c[4] * A4 + c[2] * A2 + c[0] * ident)
-    else:
-        powers = [ident, A @ A]
-        for _ in range(2, order // 2 + 1):
-            powers.append(powers[-1] @ powers[1])
-        U = np.zeros_like(A)
-        for j in range(order, 0, -2):
-            U = U + c[j] * powers[j // 2]
-        U = A @ U
-        V = np.zeros_like(A)
-        for j in range(order - 1, -1, -2):
-            V = V + c[j] * powers[(j + 1) // 2]
-    return np.linalg.solve(V - U, V + U)
-
-
-def norm_form_expm(A):
-    """matpoly._expm as it was: the 1-norm from np.linalg.norm."""
-    if A.shape[0] == 0:
-        return A.copy()
-    norm = np.linalg.norm(A, 1)
-    if not np.isfinite(norm):
-        return np.full(A.shape, np.nan, dtype=complex)
-    if norm <= _PADE_BOUNDS[-1][1]:
-        for order, bound in _PADE_BOUNDS:
-            if norm <= bound:
-                return norm_form_pade(A, order)
-    squarings = max(0, int(np.ceil(np.log2(norm / _PADE_BOUNDS[-1][1]))))
-    F = norm_form_pade(A / 2.0 ** squarings, 13)
-    for _ in range(squarings):
-        F = F @ F
-    return F
-
-
 def at_bounds():
     """Matrices whose 1-norm is each Pade bound, and the float on either side of it."""
     for _, bound in _PADE_BOUNDS:
@@ -228,19 +184,19 @@ class TestExpm:
         for scale in (1e-3, 0.1, 1, 3, 10, 100):
             A = scale * circular(rng, n)
             assert np.abs(A).sum(axis=0).max() == np.linalg.norm(A, 1)
-            assert same_bits(_expm(A), norm_form_expm(A))
+            assert same_bits(_expm(A), expm_loops(A))
 
     def test_equals_the_norm_form_at_each_pade_bound(self):
         for A in at_bounds():
             assert np.abs(A).sum(axis=0).max() == np.linalg.norm(A, 1)
-            assert same_bits(_expm(A), norm_form_expm(A))
+            assert same_bits(_expm(A), expm_loops(A))
 
     @pytest.mark.parametrize("A", [
         np.zeros((1, 1), dtype=complex), np.zeros((4, 4), dtype=complex), np.array([[2.5 - 1j]]),
         np.array([[np.inf + 0j]]), np.zeros((0, 0), dtype=complex),
     ], ids=["zero-1", "zero-4", "one-by-one", "infinite", "empty"])
     def test_edge_inputs(self, A):
-        got, want = _expm(A), norm_form_expm(A)
+        got, want = _expm(A), expm_loops(A)
         assert got.shape == want.shape and (same_bits(got, want) or np.isnan(got).all() and np.isnan(want).all())
 
     def test_the_shared_identity_is_never_written(self):

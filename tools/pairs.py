@@ -20,8 +20,20 @@ The result is written to ``BENCH_<NAME>.json`` at the root of the checkout:
 ``what``, ``command``, ``host``, ``pairing``, ``claim`` and ``runs`` (the last
 line of every run, with its workload, seed and side), then ``medians``: per
 workload and end-to-end metric of ``BENCHMARK.json``, each side's median and
-quartiles over the runs and the number of pairs the change won, and
-``traced`` with the per-layer figures of the traced runs.
+quartiles over the runs, the number of pairs the change won and a verdict, and
+``traced`` with the per-layer figures of the traced runs.  The verdicts are
+printed too.  With IQR the parent's interquartile range and the bound of
+``BENCHMARK.json`` a fraction of the parent's median, the verdict is the first
+that holds of
+
+* ``gain``: the change wins at least 9 of every 10 pairs (a tie is won by
+  neither side) and its median is better than the parent's by more than IQR;
+* ``unresolved``: IQR exceeds the bound and the runs of the two sides overlap
+  (neither side has every run better than every run of the other), so the
+  parent's own spread hides a move of the bound;
+* ``within bound``: the change's median is worse than the parent's by at most
+  the bound;
+* ``worse``.
 """
 
 from __future__ import annotations
@@ -90,8 +102,34 @@ def quartiles(values: list[float]) -> list[float]:
     return [q1, q3]
 
 
+def sign_of(metric: dict) -> float:
+    """1 for a metric that is better lower, -1 for one that is better higher."""
+    return 1.0 if metric["better"] == "lower" else -1.0
+
+
+def pairs_won(parent: list[float], change: list[float], metric: dict) -> int:
+    """The pairs (parent[j], change[j]) in which the change is better; a tie is won by neither."""
+    return sum(sign_of(metric) * (c - p) < 0 for p, c in zip(parent, change))
+
+
+def verdict(parent: list[float], change: list[float], metric: dict) -> str:
+    """The verdict on one metric of paired runs (see the top of this file)."""
+    sign = sign_of(metric)
+    # the change's lead over the parent's median, positive when the change is better
+    lead = sign * (statistics.median(parent) - statistics.median(change))
+    q1, q3 = quartiles(parent)
+    if 10 * pairs_won(parent, change, metric) >= 9 * len(change) and lead > q3 - q1:
+        return "gain"
+    bound = metric["bound"] * abs(statistics.median(parent))
+    signed_change, signed_parent = [sign * v for v in change], [sign * v for v in parent]
+    overlap = min(signed_parent) <= max(signed_change) and min(signed_change) <= max(signed_parent)
+    if q3 - q1 > bound and overlap:
+        return "unresolved"
+    return "within bound" if lead >= -bound else "worse"
+
+
 def summary(runs: list[dict], workload: str, metrics: list[dict]) -> dict:
-    """Each side's median and quartiles of every end-to-end metric, and the pairs won."""
+    """Each side's median and quartiles of every end-to-end metric, the pairs won and the verdict."""
     sides = {side: [r for r in runs if r["workload"] == workload and r["side"] == side]
              for side in ("parent", "change")}
     out = {"pairs": len(sides["change"]), "seeds": [r["seed"] for r in sides["change"]]}
@@ -99,15 +137,14 @@ def summary(runs: list[dict], workload: str, metrics: list[dict]) -> dict:
         name = metric["name"]
         values = {side: [r["result"]["metrics"][name]["value"] for r in rows]
                   for side, rows in sides.items()}
-        sign = 1.0 if metric["better"] == "lower" else -1.0
-        won = sum(sign * (c - p) < 0 for p, c in zip(values["parent"], values["change"]))
         out[name] = {
             "unit": metric["unit"],
             "parent": statistics.median(values["parent"]),
             "change": statistics.median(values["change"]),
             "parent_quartiles": quartiles(values["parent"]),
             "change_quartiles": quartiles(values["change"]),
-            "change_better_pairs": won,
+            "change_better_pairs": pairs_won(values["parent"], values["change"], metric),
+            "verdict": verdict(values["parent"], values["change"], metric),
         }
     return out
 
@@ -162,6 +199,13 @@ def main(argv=None) -> int:
     if traced:
         doc["traced"] = {"what": "one traced run per side (--trace 1 --seconds 1, the workload's "
                                  "first seed); per-layer figures are per round", "runs": traced}
+    for workload, rows in doc["medians"].items():
+        for metric in metrics:
+            row = rows[metric["name"]]
+            print(f"{workload} {metric['name']}: parent {row['parent']:.4g} "
+                  f"[{row['parent_quartiles'][0]:.4g}, {row['parent_quartiles'][1]:.4g}], change "
+                  f"{row['change']:.4g}, {row['change_better_pairs']} of {rows['pairs']} pairs won: "
+                  f"{row['verdict']}")
     path = ROOT / f"BENCH_{args.name}.json"
     path.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wrote {path.name}", file=sys.stderr)
