@@ -4,9 +4,10 @@ The program computes bracket gradients in closed form; these helpers take
 every gradient by finite differences, so a test can check one against the
 other.  The model-point measures at the end serve only the tests; the isotropy
 system, the validity check and the sign classification, each taken one point at
-a time, are the references for the stacked ones, and the RK4 loop, the Faddeev-LeVerrier
-recursion, the Pade step and the chain of powers, each as one expression per operation
-with a fresh identity, are the references for the buffered ones, and the full conjugation by an n-by-n flow factor is the reference
+a time, are the references for the stacked ones, and the RK4 loop, the
+Faddeev-LeVerrier recursion, the Pade step and the chain of powers, each as one
+expression per operation with a fresh identity, are the references for the
+buffered ones, and the full conjugation by an n-by-n flow factor is the reference
 for the flows that move only the off-diagonal blocks, as the gauge action by embedded
 factors is for the one that moves only the leading rows and columns.
 """

@@ -31,8 +31,8 @@ that holds of
 * ``unresolved``: IQR exceeds the bound and the runs of the two sides overlap
   (neither side has every run better than every run of the other), so the
   parent's own spread hides a move of the bound;
-* ``within bound``: the change's median is worse than the parent's by at most
-  the bound;
+* ``within bound``: the change's median is no worse than the parent's by more
+  than the bound;
 * ``worse``.
 """
 
