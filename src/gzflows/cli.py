@@ -339,10 +339,11 @@ def cmd_verify_suite(payload, args):
         m2, i2 = indices[rng.integers(len(indices))]
         z1 = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         z2 = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        flow1 = lambda M: gzcore.gz_flow(M, [(m1, i1, z1)])
+        moved = gzcore.gz_flow(B, [(m1, i1, z1)])  # flow1(B), computed once for both checks
+        flow1 = lambda M: moved if M is B else gzcore.gz_flow(M, [(m1, i1, z1)])
         flow2 = lambda M: gzcore.gz_flow(M, [(m2, i2, z2)])
         worst_comm = np.maximum(worst_comm, verify.commute_defect(flow1, flow2, B))
-        worst_cons = np.maximum(worst_cons, _conservation_defect(B, flow1(B), m1))
+        worst_cons = np.maximum(worst_cons, _conservation_defect(B, moved, m1))
     reports += [
         verify.report("flow-commutation", args.samples, worst_comm, _TOLERANCES["flow-commutation"]),
         # gz-flow's gate: a flow that passes here is one gz-flow answers

@@ -132,16 +132,17 @@ def _rk4(y, starts, mids, ends, h: float, commutator: bool) -> np.ndarray:
     """Classical RK4 for y' = y a - a y (commutator) or y' = y a, a(t) given at each
     step's start, midpoint and end.
 
-    A stack y of S matrices steps all S at once; the samples come back on the
-    axis before the matrix axes, C-contiguous ([S,] N, n, n).  The path and the
-    stage buffers are allocated once and every ufunc writes into one of them,
-    in the order of y + h/6 * (((k1 + 2 k2) + 2 k3) + k4) with each scalar
+    A stack y of S matrices steps all S at once, time-major: sample j of every
+    path is the contiguous block ys[j] of (N, [S,] n, n), since a sample strided
+    between paths sends each ufunc that touches it through numpy's strided loop;
+    one transpose at the end gives the C-contiguous ([S,] N, n, n).  The samples
+    and the stage buffers are allocated once and every ufunc writes into one of
+    them, in the order of y + h/6 * (((k1 + 2 k2) + 2 k3) + k4) with each scalar
     first, so each sample has the bits of the expression form.  For the commutator
     the stage value z and a sit side by side in W, and one stacked matmul of W
     with W[::-1] gives z a and a z, each through its own product.
     """
-    path = np.empty(y.shape[:-2] + (len(mids) + 1,) + y.shape[-2:], dtype=complex)
-    ys = np.moveaxis(path, -3, 0)  # ys[j] is every path's sample j
+    ys = np.empty((len(mids) + 1,) + y.shape, dtype=complex)
     ys[0] = y
     k1, k2, k3, k4 = k = np.empty((4,) + y.shape, dtype=complex)
     k23 = k[1:3]
@@ -177,7 +178,7 @@ def _rk4(y, starts, mids, ends, h: float, commutator: bool) -> np.ndarray:
         multiply(two, k23, k23)
         add(add(add(k1, k2, k1), k3, k1), k4, k1)
         add(y, multiply(sixth, k1, k1), y_next)
-    return path
+    return np.ascontiguousarray(np.moveaxis(ys, 0, -3))
 
 
 def lax_integrate(alpha_fn, beta_start, t_start: float, t_end: float, steps: int) -> LaxPath:

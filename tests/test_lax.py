@@ -535,7 +535,7 @@ class TestBufferedKernel:
 
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([1, 2, 3, 4, 5, 6, 12]),
-           stack=st.sampled_from([None, 1, 3]), shared=st.booleans(), steps=st.integers(1, 12))
+           stack=st.sampled_from([None, 1, 2, 3, 10]), shared=st.booleans(), steps=st.integers(1, 12))
     def test_bits_of_the_classical_loop(self, seed, n, stack, shared, steps):
         y, starts, mids, ends, h = kernel_case(seed, n, stack, shared or stack is None, steps)
         for commutator, rhs in ((True, _commutator), (False, np.matmul)):
@@ -601,6 +601,44 @@ class TestBufferedKernel:
             with pytest.raises(ToleranceError) as info:
                 gauge_fix_regular(path)
         assert str(info.value) == f"gauge factor overflowed (not finite at t = {first:.6g})"
+
+
+def torus_case(seed, n, stack, exps):
+    """(alpha_fn, beta, scale): a time-varying alpha of one path or a stack, and
+    scale[i, j] = 2^(e_i - e_j), so that D M D^-1 = scale * M for D = diag(2^e)."""
+    rng = np.random.default_rng(seed)
+    shape = (n, n) if stack is None else (stack, n, n)
+    A0, A1, beta = (random_stack(rng, 1 if stack is None else stack, n).reshape(shape) for _ in range(3))
+    d = np.ldexp(1.0, np.array(exps[:n]))
+    return (lambda t: A0 + t * A1), beta, d[:, None] / d[None, :]
+
+
+class TestTorusRelation:
+    """Conjugation by D = diag(2^e) is exact in floating point, so it commutes with
+    the Lax kernel and the gauge to the bit: the torus relation needs no oracle."""
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6), stack=st.sampled_from([None, 2, 3]),
+           exps=st.lists(st.integers(-8, 8), min_size=6, max_size=6), steps=st.integers(4, 40))
+    def test_lax_path_and_drift(self, seed, n, stack, exps, steps):
+        alpha, beta, scale = torus_case(seed, n, stack, exps)
+        path = lax_integrate(alpha, beta, 0.0, 1.0, steps)
+        moved = lax_integrate(lambda t: scale * alpha(t), scale * beta, 0.0, 1.0, steps)
+        assert moved.beta.tobytes() == (scale * path.beta).tobytes()
+        assert np.asarray(isospectral_drift(moved)).tobytes() == np.asarray(isospectral_drift(path)).tobytes()
+
+    @settings(max_examples=20, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6), stack=st.sampled_from([None, 2, 3]),
+           exps=st.lists(st.integers(-8, 8), min_size=6, max_size=6), steps=st.integers(20, 60))
+    def test_gauge(self, seed, n, stack, exps, steps):
+        alpha, beta, scale = torus_case(seed, n, stack, exps)
+        path = lax_integrate(alpha, beta, 0.0, 1.0, steps)
+        moved = lax_integrate(lambda t: scale * alpha(t), scale * beta, 0.0, 1.0, steps)
+        for a, b, ma, mb in zip(*(x.reshape((-1, steps + 1, n, n)) for x in
+                                  (path.alpha, path.beta, moved.alpha, moved.beta))):
+            g = gauge_fix_regular(LaxPath(path.grid, a, b)).g_path
+            mg = gauge_fix_regular(LaxPath(moved.grid, ma, mb)).g_path
+            assert mg.tobytes() == (scale * g).tobytes()
 
 
 class TestIntervalIntake:

@@ -4,6 +4,8 @@ Each shortcut is held to the expression it replaced:
 
 * gz-flow's conservation defect over the levels above the smallest flowed m, against
   the defect of one stacked gz_map over every level;
+* verify-suite's flow of each sample computed once for its commutation and its
+  conservation check, against the stdout of computing it for each;
 * GZGroupElement.items() over the nonzero entries, against a loop over every (m, i);
 * gz_map's charpoly basis through the unchecked kernel, against public charpoly;
 * _expm's 1-norm and identity, against np.linalg.norm(A, 1) and np.eye;
@@ -15,6 +17,7 @@ Each shortcut is held to the expression it replaced:
   split B's zero generator sent to the SVD before any factorization.
 """
 
+import hashlib
 import io
 import json
 import tracemalloc
@@ -109,6 +112,35 @@ class TestMovedLevelDefect:
         flows = [{"m": 2, "i": 1, "z": [0.1, 0]}, {"m": 1, "i": 1, "z": [0, 0]}]
         code, doc = cli_doc({"matrix": huge, "flows": flows})
         assert code == 0 and doc == {"matrix": huge, "conservation_defect": 0.0}
+
+
+# sha256 of verify-suite's stdout at (n, samples) and seed 36, recorded when each
+# sample's first flow was computed for the commutation check and again for conservation
+SUITE_BYTES = {
+    (3, 3): "14350afee6ff2d1c3683b417bb78b54ae271787fde05cdd01d7853d72ccd24d5",
+    (4, 2): "b2ff83a70f8a5c0622dccf5b7b2d0ab2a5c645bce43bd96674d6f044cde24fb2",
+    (5, 2): "9386632c5438c999b6d0190da8013500a928122b3640ed9a12aa14684274ac16",
+}
+
+
+class TestVerifySuiteFlows:
+    @pytest.mark.parametrize("n, samples", list(SUITE_BYTES))
+    def test_four_flows_a_sample_give_the_same_bytes(self, monkeypatch, n, samples):
+        calls = []
+        flow = gzcore.gz_flow
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return flow(*args, **kwargs)
+
+        monkeypatch.setattr(gzcore, "gz_flow", counting)
+        argv = ["verify-suite", "--input", json.dumps({"n": n}), "--samples", str(samples), "--seed", "36"]
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = cli.run(argv)
+        # flow2(B), flow1(flow2(B)), flow1(B) and flow2(flow1(B))
+        assert code == 0 and len(calls) == 4 * samples
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == SUITE_BYTES[n, samples]
 
 
 def zip_items(lam):
