@@ -32,7 +32,6 @@ from .matpoly import (
     _coincident,
     _expm,
     _blocks,
-    _faddeev_leverrier,
     _frobenius,
     _powers,
     _shift,
@@ -914,75 +913,38 @@ def _conjugator(b_plus: np.ndarray, b_minus: np.ndarray, rng: np.random.Generato
     raise ValidationError("could not build a well-conditioned conjugator")
 
 
-def _charpoly_adjugate(A: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Coefficients of det(zI - A) and H with adj(zI - A) = sum_l z**l H[l]."""
-    pairs = list(_faddeev_leverrier(A))[::-1]
-    return np.array([c for c, _ in pairs] + [1.0], dtype=complex), [M for _, M in pairs]
+def _solve_gcomp(q: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Generalized companion with X-block companion_of(q) and characteristic polynomial target.
 
-
-def _adjugate_solve(A: np.ndarray, target: np.ndarray, rhs_of, finish, rng: np.random.Generator):
-    """(v, x, B) for the first of up to 20 random v whose B = finish(v, x, char, H, tol) has
-    the characteristic polynomial target to within tol = 1e-8 (1 + max |target|).
-
-    char = det(zI - A) and adj(zI - A) = sum_l z**l H[l]; x solves M x = rhs_of(char) with
-    rows M[l] = H[l] v, and a numerically singular M (cond >= 1e10 / size) is skipped.
-    finish returns None to reject x.
+    For the companion C of size m, (1, z, ..., z**(m-1)) (zI - C) = q(z) e_m^T, so the
+    a-row e_m^T gives a adj(zI - C) b = b_0 + b_1 z + ... and det(zI - B) =
+    q r_c - a adj(zI - C) b is target for b = -(target mod q) and the tail r_c, the
+    quotient.  ValidationError unless charpoly(B) is target to 1e-8 (1 + max |target|).
     """
-    char, H = _charpoly_adjugate(A)
-    rhs, size = rhs_of(char), len(H)
-    tol = 1e-8 * (1 + np.max(np.abs(target)))
-    for _ in range(20):
-        v = rng.normal(size=size) + 1j * rng.normal(size=size)
-        M = np.array([h @ v for h in H])
-        if numerical_rank(M) < size:
-            continue
-        x = np.linalg.solve(M, rhs)
-        B = finish(v, x, char, H, tol)
-        if B is not None and np.max(np.abs(charpoly(B) - target)) < tol:
-            return v, x, B
-    raise ValidationError("could not realize the requested polar polynomial")
-
-
-def _solve_gcomp(X: np.ndarray, target: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Generalized companion with X-block X and characteristic polynomial target (trimmed).
-
-    Uses det(z - B) = det(z - X) r_c(z) - a adj(z - X) b: a random b fixes
-    the b-column, the a-row is solved from the remainder of target modulo
-    char(X), and the tail column from the exact quotient.
-    """
-    m, k = X.shape[0], target.size - 1
-
-    def rhs_of(qx):
-        rhs = np.zeros(m, dtype=complex)
-        rem = poly_divmod(target, qx)[1]
-        rhs[: rem.size] = -rem
-        return rhs
-
-    def finish(b, a, qx, H, tol):
-        cross = np.zeros(k + 1, dtype=complex)
-        for l in range(m):
-            cross[l] = a @ H[l] @ b
-        quotient, leftover = poly_divmod(target + cross, qx)
-        if np.max(np.abs(leftover)) > tol:
-            return None
-        r_c = np.zeros(k - m + 1, dtype=complex)
-        r_c[: quotient.size] = quotient
-        return generalized_companion(X, a, b, -r_c[: k - m])
-
-    return _adjugate_solve(X, target, rhs_of, finish, rng)[2]
+    m, k = q.size - 1, target.size - 1
+    quotient, rem = poly_divmod(target, q)
+    a, b = np.zeros(m, dtype=complex), np.zeros(m, dtype=complex)
+    a[-1] = 1.0
+    b[: rem.size] = -rem
+    B = generalized_companion(companion_of(q), a, b, -quotient[: k - m])
+    if not np.max(np.abs(charpoly(B) - target)) < 1e-8 * (1 + np.max(np.abs(target))):
+        raise ValidationError("could not realize the requested polar polynomial")
+    return B
 
 
 def fixture_from_polar(polys, rng=None) -> MatricialData:
     """Construct a valid model point with the prescribed polar part.
 
     The polynomials must be monic with simple generic roots (every block is
-    then cyclic).  Junctions are resolved left to right: the smaller side
-    is a plain companion matrix, the larger side is solved as a generalized
-    companion, and tied sizes get a rank-one update.  Conjugators come from
-    random Krylov bases.  The output is validated before return.
+    then cyclic).  Each junction is closed form: the smaller side is a plain
+    companion matrix and the larger side the generalized companion of
+    _solve_gcomp around it; tied sizes are both plain companions, which
+    differ by u e_k^T.  Only the conjugators are random (Krylov bases drawn
+    from rng).  The output is validated before return.
     """
     rng = np.random.default_rng(rng)
     polys = _checked_monic(polys)
+    q = [p / p[-1] for p in polys]
     k = tuple(p.size - 1 for p in polys)
     n = len(k)
     b_minus: list[np.ndarray | None] = [None] * n
@@ -996,20 +958,15 @@ def fixture_from_polar(polys, rng=None) -> MatricialData:
     b_minus[0] = plain(0)
     b_plus[n - 1] = plain(n - 1)
     for j in range(n - 1):
-        if min(k[j], k[j + 1]) == 0:
+        if k[j] == k[j + 1] or min(k[j], k[j + 1]) == 0:
             b_plus[j], b_minus[j + 1] = plain(j), plain(j + 1)
             if k[j] == k[j + 1]:
-                # two empty blocks tie: their (u, w) pair is empty
-                u[j], w[j] = np.zeros(0, dtype=complex), np.zeros(0, dtype=complex)
-        elif k[j] == k[j + 1]:
-            b_plus[j] = plain(j)
-            # the tied identity: det(z - B + u w^T) = det(z - B) + w^T adj(z - B) u
-            u[j], w[j], b_minus[j + 1] = _adjugate_solve(
-                b_plus[j], polys[j + 1], lambda char: (polys[j + 1] - char)[: k[j]],
-                lambda u, w, *_: b_plus[j] - np.outer(u, w), rng)
+                # C(q_j) - u e_k^T is the companion of q_j + (u, 0), that is of q_(j+1);
+                # two empty blocks tie with an empty (u, w) pair
+                u[j], w[j] = (q[j + 1] - q[j])[: k[j]], np.zeros(k[j], dtype=complex)
+                w[j][-1:] = 1.0
         else:
             big, small = _by_size(k, j, j, j + 1)
-            X = plain(small)
-            b_plus[j], b_minus[j + 1] = _by_size(k, j, _solve_gcomp(X, polys[big], rng), X)
+            b_plus[j], b_minus[j + 1] = _by_size(k, j, _solve_gcomp(q[small], q[big]), plain(small))
     g = [_conjugator(b_plus[i], b_minus[i], rng) if k[i] else np.zeros((0, 0), dtype=complex) for i in range(n)]
     return md_validate(MatricialData(k=k, b_minus=b_minus, b_plus=b_plus, g=g, u=u, w=w))

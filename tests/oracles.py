@@ -37,7 +37,6 @@ from gzflows.ratmodel import (
     OpenStratumChart,
     SigmaMap,
     _by_size,
-    _charpoly_adjugate,
     _free_mask,
     _kron,
     _minor_shapes,
@@ -176,7 +175,7 @@ def pairing_residual(F: MatricialData) -> float:
         else:
             big = _by_size(F.k, j, F.b_plus[j], F.b_minus[j + 1])[0]
             X, row, col = big[:m, :m], big[m, :m], big[:m, -1]
-        for H in _charpoly_adjugate(X)[1]:
+        for H in charpoly_adjugate(X)[1]:
             worst = max(worst, abs(row @ H @ col))
     return worst
 
@@ -407,6 +406,13 @@ def faddeev_leverrier(A: np.ndarray):
         c = -np.trace(AM, axis1=-2, axis2=-1) / k
         yield c, M
         M = AM + c[..., None, None] * ident
+
+
+def charpoly_adjugate(A: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Coefficients of det(zI - A) and H with adj(zI - A) = sum_l z**l H[l], ascending,
+    from :func:`faddeev_leverrier`."""
+    pairs = list(faddeev_leverrier(A))[::-1]
+    return np.array([c for c, _ in pairs] + [1.0], dtype=complex), [M for _, M in pairs]
 
 
 def eye_powers(A: np.ndarray, count: int) -> np.ndarray:

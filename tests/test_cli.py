@@ -1106,41 +1106,41 @@ MODEL_BYTES = {
     ("enumerate-orbits", (1, 2, 3, 3, 2), None): ("b4bb39714aabbf3e1561ecc821c701011b67c9d5cdd761b61c33984b41037904", 0),
     ("md-validate", (3, 2), "fixture"): ("1bc74e199bcc58b41274850ff74d9609d82c2e26cb4a253d86acd73ceb545328", 0),
     ("polar", (3, 2), "fixture"): ("0eaf96a62e212ce21dcde5dd442e65cdcfdcd4fbd3d182138c3ef2adfba0f143", 0),
-    ("ak-act", (3, 2), "fixture"): ("c5174225cc1e21772c906bf03ad072a88a757ea412ddcc26c3327558a5c3e9ea", 0),
+    ("ak-act", (3, 2), "fixture"): ("a4e901e6368d6e96f1673e523050cabe487de985856eb62cace0d21947238f7b", 0),
     ("md-validate", (2, 3), "fixture"): ("1bc74e199bcc58b41274850ff74d9609d82c2e26cb4a253d86acd73ceb545328", 0),
-    ("polar", (2, 3), "fixture"): ("3368b71b3a30bae62c3053c3d7a0ba2cb63064efb93b0e3fd431006a138a0e76", 0),
-    ("ak-act", (2, 3), "fixture"): ("e9dd0d406710008f47a67d96cde80f34ce4b2e2713e30447e46fa58b8c8946ba", 0),
+    ("polar", (2, 3), "fixture"): ("62290bdcae9beb9783c6e86ff396080c48676bed4a182126381d42b601b4b5f3", 0),
+    ("ak-act", (2, 3), "fixture"): ("cd8d27e06119e02336293aac0f8f49a7153e8fc499a411b6ebb03f68544ed4b2", 0),
     ("md-validate", (2, 2), "fixture"): ("1bc74e199bcc58b41274850ff74d9609d82c2e26cb4a253d86acd73ceb545328", 0),
-    ("polar", (2, 2), "fixture"): ("4d1f49ca5b33509a9a1eb9b78950f885fc371684bfa89af71c0dc5b4ab0a13df", 0),
-    ("ak-act", (2, 2), "fixture"): ("16b4ea3eccac8a902965d851cd5c265e99f4b012613cb1e18a532c6d166c23de", 0),
+    ("polar", (2, 2), "fixture"): ("d45021724b32709b9c7e522b53ec61024330277f70511ca64cbc6fa5b556b4fb", 0),
+    ("ak-act", (2, 2), "fixture"): ("e7a625b15301cb3ca986facc76f39da63d39b67ac9fc34b78746f4f10b9525c8", 0),
     ("md-validate", (1, 3, 2), "fixture"): ("1bc74e199bcc58b41274850ff74d9609d82c2e26cb4a253d86acd73ceb545328", 0),
-    ("polar", (1, 3, 2), "fixture"): ("23e001a9abec8c79de843b40fa6e5b54263ca7a93d32d14325a452ac4d728b34", 0),
-    ("ak-act", (1, 3, 2), "fixture"): ("1b4a517c4dd9213e5046a5fb6bbd142285c997a5ee63b6690f0e7882b50158b2", 0),
+    ("polar", (1, 3, 2), "fixture"): ("aa0a5aa095a531dafaca012a5d2dc01fc86b975429d48b6dab5b2f858dc932de", 0),
+    ("ak-act", (1, 3, 2), "fixture"): ("0b2906f4087932b31fc072b85d2eccce20e6eb878a82f6560f06fb26e87fb415", 0),
     ("md-validate", (1, 2, 3), "fixture"): ("1bc74e199bcc58b41274850ff74d9609d82c2e26cb4a253d86acd73ceb545328", 0),
-    ("polar", (1, 2, 3), "fixture"): ("befcffb472efe24f537e2c0721cfcafe491332ffa2b15e0be7ddd420b5131e0c", 0),
-    ("ak-act", (1, 2, 3), "fixture"): ("d9bd11543b4fa74b381da0874f5839bed876f5798da1b57a6c2d27d335129e47", 0),
+    ("polar", (1, 2, 3), "fixture"): ("426649baebe75e927a57658e4590bc54d84d1d9ddf8fbf74a3062597c1aca736", 0),
+    ("ak-act", (1, 2, 3), "fixture"): ("cffcffb909b861684881302c256bb3bee127216320e8233fbe3272fe0a6cf058", 0),
     ("md-validate", (2, 0, 3), "fixture"): ("1bc74e199bcc58b41274850ff74d9609d82c2e26cb4a253d86acd73ceb545328", 0),
     ("polar", (2, 0, 3), "fixture"): ("4f0b69deb50b4ff50ca42487d01bfedeee747e1886d3900dd65d64152b04e2f5", 0),
     ("ak-act", (2, 0, 3), "fixture"): ("7e55c510bb04a5cb8031db16ff5e9e224db51ad72cf3f350f36a17f091ac83d3", 0),
     ("md-validate", (0, 2, 2, 1), "fixture"): ("1bc74e199bcc58b41274850ff74d9609d82c2e26cb4a253d86acd73ceb545328", 0),
-    ("polar", (0, 2, 2, 1), "fixture"): ("cf052eb13cdffb285ff33da28e909b906f092d6043d5dba71a34ab1e07ed7f57", 0),
-    ("ak-act", (0, 2, 2, 1), "fixture"): ("c050bc6607faff1cfa8070159c51a1daeea45b99e3a0c7c515a6ee4027106df6", 0),
+    ("polar", (0, 2, 2, 1), "fixture"): ("099712944c4e4f0cc79d15bd8e078499c62e0ce9a9f700c52943d12fc81d212f", 0),
+    ("ak-act", (0, 2, 2, 1), "fixture"): ("adc72f4169eae157d6a86124b9605aa859f59a6b65207145df22564faf8d37c8", 0),
     ("md-validate", (3, 1, 2, 2), "fixture"): ("1bc74e199bcc58b41274850ff74d9609d82c2e26cb4a253d86acd73ceb545328", 0),
-    ("polar", (3, 1, 2, 2), "fixture"): ("c0a57591831ccbabf458cb4f6bdc7944e39b54957f4ea7e6377b8ddfda6524af", 0),
-    ("ak-act", (3, 1, 2, 2), "fixture"): ("56f638dacd1786b0020146cf70166ed0b59dd2b123ec9e47f8bb7926b4ede9c4", 0),
+    ("polar", (3, 1, 2, 2), "fixture"): ("b7a7351bf6af9fe7f66aa67f5225d86aac1a962fe579373e6038f4af07607c32", 0),
+    ("ak-act", (3, 1, 2, 2), "fixture"): ("d40b2c9567cf86b11c38be65cdab5979b6f5e0aaa37e55c3ebc66642ccd7a684", 0),
     ("md-validate", (3, 2), "enumerated"): ("1bc74e199bcc58b41274850ff74d9609d82c2e26cb4a253d86acd73ceb545328", 0),
     ("md-validate", (2, 3), "enumerated"): ("1bc74e199bcc58b41274850ff74d9609d82c2e26cb4a253d86acd73ceb545328", 0),
     ("md-validate", (2, 2), "enumerated"): ("1bc74e199bcc58b41274850ff74d9609d82c2e26cb4a253d86acd73ceb545328", 0),
     ("md-validate", (1, 3, 2), "enumerated"): ("1bc74e199bcc58b41274850ff74d9609d82c2e26cb4a253d86acd73ceb545328", 0),
-    ("md-validate", (3, 2), "B_plus"): ("7abba78368d0b5b45b10bd6b94a079f7a6476287c20761080c06632b53d21410", 2),
+    ("md-validate", (3, 2), "B_plus"): ("1eefce944516ca877c513488a19afae6fcbc4e39905427b9ebc28b7f448c092b", 2),
     ("md-validate", (3, 2), "B_minus"): ("a7ead0d77788cce01490108bec2034f677d18da8bc1179783034290bf22bba97", 2),
-    ("md-validate", (2, 3), "B_plus"): ("e7d6c0423e0e7988eb2685ce888c7af4ab142def7fb2753b05c841c513cee533", 2),
+    ("md-validate", (2, 3), "B_plus"): ("fa3770bbb178ec9a5b94ffabe74c6d37ff2caa749b33414b4168e14bbc04a994", 2),
     ("md-validate", (2, 3), "B_minus"): ("29fe0a6cc9a67afddf01979f048a2d8323e1d4722e21bc37cad8f01c53782d8c", 2),
-    ("md-validate", (2, 2), "B_plus"): ("e187dcfaa13e26e88a80451d035f1f804edcdb72d00527a6c9074b26e79a9ef1", 2),
+    ("md-validate", (2, 2), "B_plus"): ("b05d102fe4d8836f8df931c76ab448f0cc5673788429b61e6e51874442ef636d", 2),
     ("md-validate", (2, 2), "B_minus"): ("5d48dbb90d5e7435e854891735e420b8080c7daf8be0523b288a9bce254fa943", 2),
-    ("md-validate", (1, 3, 2), "B_plus"): ("6861eed3156923ed413e2d137714c8b308413e287076db8d3922c445cbff0cb2", 2),
+    ("md-validate", (1, 3, 2), "B_plus"): ("4e960131cf01d9a00c96b6ffa0c44d04ccedafb317c83ac76ca3dce83169bd72", 2),
     ("md-validate", (1, 3, 2), "B_minus"): ("a497a2e6f8e3b7f95b2cb400828a07e1d3c9238d1cd4dd08f9dda539bd108e7d", 2),
-    ("md-validate", (1, 2, 3), "B_plus"): ("f19abde44af78765b2f21ace02125f9e6734644c51bb620912acf0b74855bd14", 2),
+    ("md-validate", (1, 2, 3), "B_plus"): ("c7f875e7462a3a1416dda6dfc201fe805af4e1b83ca40d850f72161fde2035db", 2),
     ("md-validate", (1, 2, 3), "B_minus"): ("3a0b4100c4cc3c020fea097fb466e09888ceab49700968c97565ce90608c23ba", 2),
     ("md-validate", (2, 1, 1), "B_plus"): ("c34a8e6993703ce4d0187086688ef238e5e8bf6cc55ef8edc7e47bb894dd87af", 2),
     ("md-validate", (2, 1, 1), "B_minus"): ("def7aceef6597d7045040be122b9df9d20af4827262a8953b9e95590c39213f0", 2),

@@ -90,6 +90,31 @@ class TestGzMap:
             coords_to_polys(coords)
 
 
+def times_pow2(X, k):
+    """X * 2**k, exact in the real and in the imaginary part; k broadcasts against X."""
+    out = np.empty(np.broadcast_shapes(np.shape(X), np.shape(k)), dtype=complex)
+    out.real, out.imag = np.ldexp(X.real, k), np.ldexp(X.imag, k)
+    return out
+
+
+class TestTorusRelations:
+    """The maximal torus acts exactly on gz_map: D = diag(2**e) keeps every leading minor up
+    to an exact similarity, and 2**s B scales every value by a power of two."""
+
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 12),
+           e=st.lists(st.integers(-8, 8), min_size=12, max_size=12), s=st.integers(-8, 8))
+    def test_conjugation_keeps_and_scaling_moves_every_bit(self, seed, n, e, s):
+        rng = np.random.default_rng(seed)
+        B = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        e = np.array(e[:n])
+        m, i = np.array(gz_indices(n)).T
+        for basis, weight in (("tr-power", i), ("charpoly", m - i + 1)):
+            values = gz_map(B, basis).values
+            assert gz_map(times_pow2(B, e[:, None] - e[None, :]), basis).values.tobytes() == values.tobytes()
+            assert gz_map(times_pow2(B, s), basis).values.tobytes() == times_pow2(values, s * weight).tobytes()
+
+
 class TestVectorField:
     def test_center_acts_trivially(self):
         rng = np.random.default_rng(2)

@@ -28,7 +28,6 @@ from gzflows.matpoly import (
     poly_trim,
     roots,
 )
-from gzflows.ratmodel import _charpoly_adjugate
 from oracles import faddeev_leverrier, mask_clusters, pair_distances
 
 
@@ -164,10 +163,6 @@ class TestCharpoly:
         low = np.moveaxis(np.array([c for c, _ in want[::-1]]), 0, -1)
         coeffs = np.concatenate([low, np.ones(lead + (1,), dtype=complex)], axis=-1)
         assert charpoly(A).tobytes() == coeffs.tobytes()
-        if not lead:
-            base, H = _charpoly_adjugate(A)
-            assert base.tobytes() == coeffs.tobytes()
-            assert [np.asarray(M).tobytes() for M in H] == [np.asarray(M).tobytes() for _, M in want[::-1]]
 
     def test_the_shared_identities_are_read_only(self):
         M = next(_faddeev_leverrier(np.zeros((3, 3), dtype=complex)))[1]

@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gzflows import cli, ratmodel
 from gzflows.errors import ValidationError
@@ -36,8 +38,8 @@ from gzflows.ratmodel import (
     sigma_of,
 )
 from gzflows.verify import fd_gradient
-from oracles import (chart_symplectic_form, embedded_gk_act, isotropy_system, pairing_residual,
-                     per_point_classify, per_point_validate, poisson_bracket)
+from oracles import (charpoly_adjugate, chart_symplectic_form, embedded_gk_act, isotropy_system,
+                     pairing_residual, per_point_classify, per_point_validate, poisson_bracket)
 
 
 def scalar_pair_fixture(z1, z2, u, w, gamma1=1.0, gamma2=1.0):
@@ -843,17 +845,17 @@ class TestChartBracket:
 
 # sha256 of the bytes of fixture_from_polar(...).as_vector() over junctions
 # k_j > k_(j+1), k_j < k_(j+1), k_j = k_(j+1) and zero degrees, recorded
-# before the junction rule and the adjugate solve were shared
+# when the junctions became closed form
 FIXTURE_BITS = {
-    ((3, 2), 0): "0545b4a90f8e0dc10dbf36574839a373e7b1f02940c58a880b53512e348d974c",
-    ((3, 2), 1): "0827ccac3d51117959d24f5924fb27c5731bdde9e9b9a9fe2079fe5364c5dc1d",
-    ((3, 2), 2): "96df80a60ca5a2a9c751e595210b295921cca46da7e43323a904d2089bb62fe1",
-    ((2, 3), 0): "a7fb560867d593333321034d69b785c7cd404a8edf520667ebbbb8b07ae2258e",
-    ((2, 3), 1): "e577619d030172bbc47af1af81fff19d21785e022b8cdaa0d186722144fd1774",
-    ((2, 3), 2): "d4823d071465b9ec3b5f0d0ec0b26caf5c2e0ef916bc0c24c46836d4e6442510",
-    ((2, 2), 0): "81640da079aff626802f165ec3befd762ba2c6742dbc39209d2435dd1e25aef5",
-    ((2, 2), 1): "0b27757d294accf855ea1f8359111b5f0739275ec3d86877983418203ebf2661",
-    ((2, 2), 2): "268e9caf19c140416852834186ca26adbc8c72d0d9750c717a9962cfe1d80d5c",
+    ((3, 2), 0): "ea8b7cab449f579171dd2071bd2c8e67cbcad9ab5b3e2191153ae904c0c93abc",
+    ((3, 2), 1): "aa70013a0a460d05b447a5d8836349a1d123146c42ee89bcf2d1d81b132fa2f3",
+    ((3, 2), 2): "823c6f5ef4162743a29c7df0dc9e3c7b7f6358d7b3a86b870df3a031333e222e",
+    ((2, 3), 0): "9bfbb8f76de7645fa70ec62efbe29136048e930b52d161416662c19014f1d54e",
+    ((2, 3), 1): "f6170095d05ba320c782da0bc3f119ec9709ab43e33912dcf526b397f94c18c6",
+    ((2, 3), 2): "85a59fb464fd72a3b20667e904a4aed4d60af95ed2743614757491384917e456",
+    ((2, 2), 0): "702f048a542e93007021a2dd6935271d1281205f5fda49b0d3f4c3ea2ca65e9d",
+    ((2, 2), 1): "abb69100b8742d0adce2d8cbe0432aa719537b329f0b2c01fc462bc3a2068205",
+    ((2, 2), 2): "e98384559e1d5e9efb8761503b14329170c97a2b7b756a3fb3e570308457c902",
     ((0, 2), 0): "368f9b0d25aa97831e3ed52a1731890440bdaea9d6c26dfa79cf9457845c4811",
     ((0, 2), 1): "cb8a1d7f99f5b1e64f44aa68b93243b739db2649628692f3f275cf41b2974861",
     ((0, 2), 2): "11543bcf13b065f17fa15721c2612e8aaeb1376c8b40c18c886be6b0057d3c94",
@@ -863,27 +865,27 @@ FIXTURE_BITS = {
     ((2, 0, 3), 0): "4e883609dac649bf9b65f5a461c03f5ad4975f3f87738f56405ffb5696a47584",
     ((2, 0, 3), 1): "dc8b3e43ac87cfebdb7a6f8e02a77dc4b3cafd18cef1239de9d81c1f5abc1239",
     ((2, 0, 3), 2): "bdbae7f62d9453a3002143df37eaff7bd0ba0308c8833c8eef11c677abcaade0",
-    ((1, 3, 3, 2), 0): "d198d5e9f7e0ae94df9c77c8dfc00c4b580c11e66e8a5ac8c95efd658b76f007",
-    ((1, 3, 3, 2), 1): "2ee60805b3ada3652207b3fa5d2732809e95f6cf1f8e8f854adedb4f1bf3be24",
-    ((1, 3, 3, 2), 2): "2f641abb1ecb0c50650aa5b7e610048cce410bbed274a11f2a585dd01bdad84a",
-    ((3, 1, 2, 2), 0): "4884d6803b4f98c18ef1d59f7ca4424cc49f049f56a21112a4b3e81a1aef976d",
-    ((3, 1, 2, 2), 1): "95bd1c3ee7d4bd09bfc3d2a5d3192ee9607d41e391ece663189bd74c1c56fb7d",
-    ((3, 1, 2, 2), 2): "a2422a8e03d38d3f27a38754bf85c3d59c5c0f04b7f05da95fb12c7d4f6c78f1",
-    ((0, 2, 2, 1), 0): "5e1bb2c828a1ff999d2b551496141c56f40c9455a3f0e060623a245dc80f26e8",
-    ((0, 2, 2, 1), 1): "53dbe980c6a962e40fd32d44239b7dbefabbdde656fe1235286b4a974026e025",
-    ((0, 2, 2, 1), 2): "15f81781934106652ca9901ec508d080d254e82266f55ccd0f090e94abdcdf32",
+    ((1, 3, 3, 2), 0): "1c80a08f045f85033f08f7b6d6cac8f4759d44c8c3e4cf33f0b7bd2d6c263ce6",
+    ((1, 3, 3, 2), 1): "5e3f3414d4dfd82642f43bf93e938f7c150c2b66b7e8f8b362f54438c1cd38d5",
+    ((1, 3, 3, 2), 2): "b946aa70eeb8b5d1bb288d556ff9d4ba2ebc21e4bbd0646504f432acc057388d",
+    ((3, 1, 2, 2), 0): "06b1a49505a18995a8914e1ae4eae06d26ee298a3b51e4fc3a16337b7e66612d",
+    ((3, 1, 2, 2), 1): "358af922ccaa0c86485d57c47719594ac4e117c94d2f3af6ecdddb90b8810f7b",
+    ((3, 1, 2, 2), 2): "90c136dd16bb2a4e0dbba094e25b1319c7c128a1d1f28cb95481a9007be82a29",
+    ((0, 2, 2, 1), 0): "396a242dddc90a6c76ee3768428e8b35ebb498cb5c196cddf66c7e0f2becba12",
+    ((0, 2, 2, 1), 1): "297c2eee06455e9ababd5773b52e93dbc3d1167827799b5f9f5431fdc9a3a58e",
+    ((0, 2, 2, 1), 2): "d8e6f48c530b9c66e38c4e54db171cbd2b07384b968577f94a3d87c624320bed",
 }
 
 
 # sha256 of as_vector() bytes of fixture_from_polar when every target polynomial has the
-# leading coefficient 1 + 5e-10: the junction solves take that coefficient as it is
+# leading coefficient 1 + 5e-10: each junction takes its targets over that coefficient
 LEAD_BITS = {
-    ((2, 2), 0): "15e45ab98853251f690d69386b62b060057f13a7eaaa683bf5ab3d14d9603b70",
-    ((2, 2), 1): "f6239f946d03e8dd11222e3b47681ec8c220b802c6ca6cfc64caf5cd4386364c",
-    ((2, 3), 0): "8df0c97e932606c4ce2c476f370456a76303814a6aa7b7b3ba1b0939c9e5ec17",
-    ((2, 3), 1): "fc069fb959508a39b8a9878ffe9763d607a85e70c005e1f9900e7176851d9ccb",
-    ((3, 2), 0): "736e27ae9d37c6919b3fdbd813109243895215aa21c75a72bec572a4bdf975d2",
-    ((1, 3, 3, 2), 0): "71e42e11636e7199a4d5be86e699c6ff65da0e2599347185b3c315f92da82372",
+    ((2, 2), 0): "47928e30fd42fa9e58f98dc3266c065a6bb11e6827e647879f1a62d8e1f139dc",
+    ((2, 2), 1): "94c5a38f0e49997c96d6c94ff1f9999aecc29b729a8a710b5191a30876861f74",
+    ((2, 3), 0): "c1f511553847cb831a33defd602a40e2a6180a77a9b8e1c6c4ba2f6761ead0a8",
+    ((2, 3), 1): "524da1fcc19953aeac2e6f7f56cf885d9ba736cb1f0d02572c993e43756cf861",
+    ((3, 2), 0): "1d28276e0095e59910f1c8a125053f9cfc0fadebb908dce92f97834e70d69506",
+    ((1, 3, 3, 2), 0): "b5e8ad7fb629fa6a6b30b2c4930f776bf3755908c0efb3421284e6f5b0698392",
 }
 
 
@@ -930,8 +932,8 @@ class TestFixtureFromPolar:
 
     @pytest.mark.parametrize("scale", [100.0, 1000.0])
     def test_large_roots(self, scale):
-        # Krylov columns grow like the roots' powers; the leftover of the junction solve
-        # grows with the target's coefficients: neither refuses a point at this scale
+        # Krylov columns grow like the roots' powers and the junction's b-column like the
+        # target's coefficients: neither refuses a point at this scale
         rng = np.random.default_rng(0)
         roots = [scale * (rng.normal(size=d) + 1j * rng.normal(size=d)) for d in (2, 3)]
         F = fixture_from_polar([poly_from_roots(r) for r in roots], rng=0)
@@ -954,7 +956,7 @@ class TestFixtureFromPolar:
 
     @pytest.mark.parametrize("k, seed", list(LEAD_BITS), ids=str)
     def test_same_bits_for_a_near_monic_target(self, k, seed):
-        # the tied junction solves against target - char, not the remainder of the division
+        # both sides of a junction are built from the targets over their leading coefficients
         polys, rng = fixture_rng(k, seed, lead=1 + 5e-10)
         F = fixture_from_polar(polys, rng=rng)
         assert hashlib.sha256(F.as_vector().tobytes()).hexdigest() == LEAD_BITS[(k, seed)]
@@ -976,60 +978,82 @@ class TestFixtureFromPolar:
             assert np.max(np.abs(got - want)) < 1e-12
 
 
-class TestAdjugateSolve:
-    """The junction solves of fixture_from_polar share one 20-draw loop and one refusal."""
+def scaled_polys(k, seed, scale):
+    """Target polynomials over k whose roots are scale times U(-2, 2) + iU(-2, 2), the
+    roots, and the rng that drew them."""
+    rng = np.random.default_rng(seed)
+    roots = [scale * (rng.uniform(-2, 2, d) + 1j * rng.uniform(-2, 2, d)) for d in k]
+    return [poly_from_roots(r) for r in roots], roots, rng
 
-    @staticmethod
-    def draws_left(rng, size, count):
-        """Whether rng is where count draws of a complex size-vector put a fresh twin."""
-        twin = np.random.default_rng(0)
-        for _ in range(count):
-            twin.normal(size=size) + 1j * twin.normal(size=size)
-        return rng.normal() == twin.normal()
 
-    @pytest.mark.parametrize("k", [(2, 2), (2, 3), (3, 2)])
-    def test_a_singular_solve_takes_every_draw_then_refuses(self, k):
-        # roots of size 1e5 leave each M numerically singular
-        rng = np.random.default_rng(0)
-        polys = [poly_from_roots(1e5 * (rng.uniform(-2, 2, d) + 1j * rng.uniform(-2, 2, d))) for d in k]
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValidationError, match="^could not realize the requested polar polynomial$"):
-            fixture_from_polar(polys, rng=rng)
-        assert self.draws_left(rng, min(k), 20)
+class TestClosedFormJunctions:
+    """The junctions of fixture_from_polar in closed form: one check, one refusal, no draw."""
 
-    @pytest.mark.parametrize("k", [(2, 2), (2, 3)])
-    def test_a_rejected_solution_takes_the_next_draw(self, monkeypatch, k):
-        # the first candidate's characteristic polynomial is read off by one: draw 2 is used
-        polys, _ = fixture_rng(k, 0)
-        calls, charpoly = [], ratmodel.charpoly
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(low=st.lists(st.integers(-4, 4), min_size=1, max_size=6))
+    def test_the_last_adjugate_row_is_the_power_row(self, low):
+        # (1, z, ..., z**(m-1)) (zI - C) = q(z) e_m^T; integer entries keep every product exact
+        m = len(low)
+        char, H = charpoly_adjugate(companion_of(low + [1]))
+        assert np.array_equal(char, low + [1])
+        unit = np.eye(m, dtype=complex)
+        for l in range(m):
+            assert np.asarray(H[l])[-1].tobytes() == unit[l].tobytes()
 
-        def charpoly_once_off(A):
-            calls.append(A.shape)
-            return charpoly(A) + (len(calls) == 1)
+    @pytest.mark.parametrize("seed", range(10))
+    def test_a_tie_with_roots_of_size_1e5_builds(self, seed):
+        polys, roots, rng = scaled_polys((2, 2), seed, 1e5)
+        F = fixture_from_polar(polys, rng=rng)
+        for got, want in zip(polar(F), roots):
+            assert np.max(np.abs(np.sort_complex(matpoly_roots(got)) - np.sort_complex(want))) < 1e-9 * 1e5
 
-        monkeypatch.setattr(ratmodel, "charpoly", charpoly_once_off)
-        F = fixture_from_polar(polys, rng=0)
-        assert len(calls) == 2
+    # (4, 4, 4) at seed 7 is refused by _conjugator's condition cut, not by a junction
+    @pytest.mark.parametrize("k, seed", [((4, 4, 4), s) for s in range(10) if s != 7]
+                             + [((1, 3, 3, 2), s) for s in range(10)], ids=str)
+    def test_larger_blocks_with_roots_of_size_1e3_build(self, k, seed):
+        polys, _, rng = scaled_polys(k, seed, 1e3)
+        F = fixture_from_polar(polys, rng=rng)
         for got, want in zip(polar(F), polys):
-            assert np.max(np.abs(got - want)) < 1e-8
-        monkeypatch.undo()
-        assert fixture_from_polar(polys, rng=0).as_vector().tobytes() != F.as_vector().tobytes()
+            assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
-    def test_a_leftover_above_the_tolerance_rejects_every_draw(self, monkeypatch):
-        polys, _ = fixture_rng((2, 3), 0)
-        divisions, poly_divmod = [], ratmodel.poly_divmod
-
-        def divmod_with_leftover(p, q):
-            divisions.append(1)
-            quot, rem = poly_divmod(p, q)
-            return quot, rem + (len(divisions) > 1)
-
-        monkeypatch.setattr(ratmodel, "poly_divmod", divmod_with_leftover)
-        monkeypatch.setattr(ratmodel, "generalized_companion", lambda *args: pytest.fail("built"))
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValidationError, match="^could not realize the requested polar polynomial$"):
+    @pytest.mark.parametrize("k", [(2, 3), (3, 2)], ids=str)
+    @pytest.mark.parametrize("seed", range(10))
+    def test_unequal_sizes_at_1e5_meet_only_the_conjugacy_cut(self, k, seed):
+        # the junction is realized; a refusal names md_validate's singular g and nothing else
+        polys, _, rng = scaled_polys(k, seed, 1e5)
+        try:
             fixture_from_polar(polys, rng=rng)
-        assert len(divisions) == 21 and self.draws_left(rng, 2, 20)
+        except ValidationError as refusal:
+            assert str(refusal) == "matricial data rejected"
+            assert refusal.violations and all(re.fullmatch(r"conjugacy: g\[\d\] is numerically singular", v)
+                                              for v in refusal.violations)
+
+    def test_one_check_per_unequal_junction(self, monkeypatch):
+        # k = (1, 3, 3, 2): two unequal junctions take a charpoly each, the tie none
+        polys, _ = fixture_rng((1, 3, 3, 2), 0)
+        calls, charpoly = [], ratmodel.charpoly
+        monkeypatch.setattr(ratmodel, "charpoly", lambda A: calls.append(A.shape) or charpoly(A))
+        fixture_from_polar(polys, rng=0)
+        assert calls == [(3, 3), (3, 3)]
+
+    @pytest.mark.parametrize("k", [(2, 3), (3, 2)], ids=str)
+    def test_a_charpoly_one_off_refuses(self, monkeypatch, k):
+        polys, _ = fixture_rng(k, 0)
+        charpoly = ratmodel.charpoly
+        monkeypatch.setattr(ratmodel, "charpoly", lambda A: charpoly(A) + 1)
+        monkeypatch.setattr(ratmodel, "_conjugator", lambda *args: pytest.fail("conjugated"))
+        with pytest.raises(ValidationError, match="^could not realize the requested polar polynomial$"):
+            fixture_from_polar(polys, rng=0)
+
+    @pytest.mark.parametrize("k", [(2, 2), (2, 3), (1, 3, 3, 2)], ids=str)
+    def test_the_rng_feeds_only_the_conjugators(self, k):
+        polys, _ = fixture_rng(k, 0)
+        F, G = fixture_from_polar(polys, rng=0), fixture_from_polar(polys, rng=1)
+        assert F.g[0].tobytes() != G.g[0].tobytes()
+        G.g = F.g
+        assert G.as_vector().tobytes() == F.as_vector().tobytes()
+        for j in F.u:
+            assert F.w[j].tobytes() == np.eye(F.k[j], dtype=complex)[-1].tobytes()
 
     def test_no_conjugator_is_refused(self, monkeypatch):
         # a singular Krylov basis never passes the condition test
@@ -1106,17 +1130,17 @@ def plant(F):
     return F
 
 
-# md_validate's report on the planted point, taken from the point alone before the
-# model checks took stacks
+# md_validate's report on the planted point, re-derived when the junctions became closed
+# form; the one-point oracle per_point_validate gives the same report
 PLANTED_VIOLATIONS = [
     "shape: B_minus[1] subdiagonal entry (2,1) != 1",
     "shape: B_minus[1] has nonzero entries outside the displayed form",
     "matching: X-block of B_minus[2] differs from B_plus[1]",
-    "conjugacy: g[1] B_plus[1] g[1]^-1 != B_minus[1] (residual 4.545e-01)",
+    "conjugacy: g[1] B_plus[1] g[1]^-1 != B_minus[1] (residual 2.984e+00)",
 ]
-# the scales of planted_stack(), taken from each point alone the same way
-PLANTED_SCALES = ["0x1.52ab785391263p+5", "0x1.01223f9f9f9ccp+4", "0x1.5de838837f3ffp+4",
-                  "0x1.6318ebebdc6c3p+9", "0x1.6e0347e1d51b5p+6"]
+# the scales of planted_stack(), each taken from its point alone, re-derived the same way
+PLANTED_SCALES = ["0x1.8e0fa099f2789p+3", "0x1.81bd8c8c12ceap+9", "0x1.00f2720f112efp+6",
+                  "0x1.7c22190793a8bp+5", "0x1.33198a1ef748ep+9"]
 
 
 class TestStackedModelChecks:

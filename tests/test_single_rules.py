@@ -15,9 +15,11 @@ code (``ValueError`` and ``TypeError`` to 65, ``ValidationError`` to 2,
 ToleranceError, or re-raises: a new exception type cannot escape as a traceback.
 Within ``ratmodel``, the refusals of a non-finite model point are raised only by its
 intake, ``ratmodel._intake``.  A polynomial is monic by one rule: ``_MONIC_TOL`` is compared
-only in ``matpoly._monic``, and no other module names it.  The junction solves of
-``ratmodel`` share one adjugate routine, ``_adjugate_solve``: it alone takes the adjugate
-coefficients, solves in a loop and raises the ``could not realize`` refusal.
+only in ``matpoly._monic``, and no other module names it.  The junctions of
+``fixture_from_polar`` are closed form: no function takes adjugate coefficients (calls
+``_charpoly_adjugate`` or reads the adjugate term of ``_faddeev_leverrier``) or calls
+``solve`` inside a loop, and the ``could not realize`` refusal is raised in one function,
+``ratmodel._solve_gcomp``.
 """
 
 import ast
@@ -45,7 +47,7 @@ CACHE_DECORATORS = {"cache", "lru_cache", "cached_property"}
 # that builds a refusal, gzcore._singular_factor (a ToleranceError)
 RAISABLE = {"ValueError", "TypeError", "ValidationError", "ToleranceError", "_singular_factor"}
 MONIC_RULE = ("matpoly.py", "_monic")
-ADJUGATE = ("ratmodel.py", "_adjugate_solve")
+REALIZE = ("ratmodel.py", "_solve_gcomp")
 INTAKE = ("ratmodel.py", "_intake")
 INTAKE_TEXTS = ("matrix entries must be finite", "scale overflows")
 
@@ -357,33 +359,40 @@ def test_the_monic_tolerance_is_compared_once():
             for site in monic_tol_sites(path.name, path.read_text())] == [MONIC_RULE]
 
 
-def adjugate_sites(module: str, source: str) -> list:
-    """(module, function) of every function that takes ``_charpoly_adjugate``, calls ``solve``
-    inside a ``for`` loop, or raises a text holding ``could not realize``, in source order."""
-    sites = []
+def adjugate_sites(module: str, source: str) -> tuple[list, list]:
+    """(module, function) of every function that takes adjugate coefficients or calls
+    ``solve`` inside a ``for`` loop, and of every function that raises a text holding
+    ``could not realize``, each in source order.  A loop over ``_faddeev_leverrier`` takes
+    the adjugate terms unless the last name of its target, the term, is ``_``."""
+    takes, refuses = [], []
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
         own = list(ast.walk(node))
-        called = {ast.unparse(n.func).rpartition(".")[2] for n in own if isinstance(n, ast.Call)}
-        loop_solves = any(isinstance(call, ast.Call) and ast.unparse(call.func).rpartition(".")[2] == "solve"
-                          for loop in own if isinstance(loop, ast.For) for call in ast.walk(loop))
-        refuses = any(isinstance(n, ast.Raise) and n.exc is not None and "could not realize" in ast.unparse(n.exc)
-                      for n in own)
-        if "_charpoly_adjugate" in called or loop_solves or refuses:
-            sites.append((module, node.name))
-    return sorted(sites, key=lambda site: source.index(f"def {site[1]}("))
+        loops = [n for n in own if isinstance(n, ast.For)]
+        called = {id(n): ast.unparse(n.func).rpartition(".")[2] for n in own if isinstance(n, ast.Call)}
+        discarded = {id(n) for loop in loops
+                     if [t.id for t in ast.walk(loop.target) if isinstance(t, ast.Name)][-1:] == ["_"]
+                     for n in ast.walk(loop.iter)}
+        adjugates = [f for at, f in called.items()
+                     if f == "_charpoly_adjugate" or (f == "_faddeev_leverrier" and at not in discarded)]
+        if adjugates or any(called.get(id(n)) == "solve" for loop in loops for n in ast.walk(loop)):
+            takes.append((module, node.name))
+        if any(isinstance(n, ast.Raise) and n.exc is not None and "could not realize" in ast.unparse(n.exc)
+               for n in own):
+            refuses.append((module, node.name))
+    return tuple(sorted(sites, key=lambda site: source.index(f"def {site[1]}(")) for sites in (takes, refuses))
 
 
-def test_the_guard_sees_a_second_adjugate_loop():
+def test_the_guard_sees_adjugate_terms_and_a_second_refusal():
     source = (
-        "def _adjugate_attempt(H, rhs, rng):\n"
-        "    M = np.array([h @ v for h in H])\n"
-        "    return v, np.linalg.solve(M, rhs)\n"
+        "def _charpoly(A):\n"
+        "    for k, (c, _) in enumerate(_faddeev_leverrier(A), start=1):\n"
+        "        coeffs[n - k] = c\n"
+        "def _adjugate_terms(A):\n"
+        "    return [M for _, M in _faddeev_leverrier(A)]\n"
         "def _solve_gcomp(X, target, rng):\n"
         "    qx, H = _charpoly_adjugate(X)\n"
-        "    for _ in range(20):\n"
-        "        b, a = _adjugate_attempt(H, rhs, rng)\n"
         "    raise ValidationError('could not realize the requested polar polynomial')\n"
         "def _solve_rank_one(b_plus, target, rng):\n"
         "    for _ in range(20):\n"
@@ -394,9 +403,13 @@ def test_the_guard_sees_a_second_adjugate_loop():
         "        g = K_minus @ np.linalg.inv(K_plus)\n"
         "    raise ValidationError('could not build a well-conditioned conjugator')\n"
     )
-    assert adjugate_sites("m.py", source) == [("m.py", "_solve_gcomp"), ("m.py", "_solve_rank_one")]
+    takes, refuses = adjugate_sites("m.py", source)
+    assert takes == [("m.py", "_adjugate_terms"), ("m.py", "_solve_gcomp"), ("m.py", "_solve_rank_one")]
+    assert refuses == [("m.py", "_solve_gcomp"), ("m.py", "_solve_rank_one")]
 
 
-def test_the_adjugate_loop_is_written_once():
-    source = (Path(gzflows.__file__).resolve().parent / ADJUGATE[0]).read_text()
-    assert adjugate_sites(ADJUGATE[0], source) == [ADJUGATE]
+def test_junctions_take_no_adjugate_and_refuse_once():
+    package = Path(gzflows.__file__).resolve().parent
+    found = [adjugate_sites(path.name, path.read_text()) for path in sorted(package.glob("*.py"))]
+    assert [site for takes, _ in found for site in takes] == []
+    assert [site for _, refuses in found for site in refuses] == [REALIZE]
