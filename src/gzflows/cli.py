@@ -339,11 +339,17 @@ def cmd_verify_suite(payload, args):
         m2, i2 = indices[rng.integers(len(indices))]
         z1 = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         z2 = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        moved = gzcore.gz_flow(B, [(m1, i1, z1)])  # flow1(B), computed once for both checks
-        flow1 = lambda M: moved if M is B else gzcore.gz_flow(M, [(m1, i1, z1)])
-        flow2 = lambda M: gzcore.gz_flow(M, [(m2, i2, z2)])
+        # each flow of B once, for both checks; after the other flow a factor is taken again
+        # only at the larger m, since a flow at m keeps B[:m, :m] to the bit and a factor
+        # reads only its minor (a z of 0 gives exp(0) = I, which moves no reported figure)
+        g1, g2 = gzcore.flow_factor(B, m1, i1, z1), gzcore.flow_factor(B, m2, i2, z2)
+        moved1, moved2 = gzcore._move(B, g1, m1, i1), gzcore._move(B, g2, m2, i2)
+        h1 = g1 if m1 <= m2 else gzcore.flow_factor(moved2, m1, i1, z1)
+        h2 = g2 if m2 <= m1 else gzcore.flow_factor(moved1, m2, i2, z2)
+        flow1 = lambda M: moved1 if M is B else gzcore._move(M, h1, m1, i1)
+        flow2 = lambda M: moved2 if M is B else gzcore._move(M, h2, m2, i2)
         worst_comm = np.maximum(worst_comm, verify.commute_defect(flow1, flow2, B))
-        worst_cons = np.maximum(worst_cons, _conservation_defect(B, moved, m1))
+        worst_cons = np.maximum(worst_cons, _conservation_defect(B, moved1, m1))
     reports += [
         verify.report("flow-commutation", args.samples, worst_comm, _TOLERANCES["flow-commutation"]),
         # gz-flow's gate: a flow that passes here is one gz-flow answers

@@ -200,16 +200,21 @@ def flow_factor(B: np.ndarray, m: int, i: int, z: complex) -> np.ndarray:
 
 
 def _flow_step(B: np.ndarray, m: int, i: int, z: complex) -> tuple[np.ndarray, np.ndarray]:
-    """(g, B moved by g): a complex copy of B with B[:m, m:] <- g B[:m, m:] and
-    B[m:, :m] <- B[m:, :m] g^-1 (one solve with g^T); for m = n both are empty."""
+    """(g, B moved by g), g the factor of the flow (m, i, z) at B."""
     g = flow_factor(B, m, i, z)
+    return g, _move(B, g, m, i)
+
+
+def _move(B: np.ndarray, g: np.ndarray, m: int, i: int) -> np.ndarray:
+    """A complex copy of B keeping B[:m, :m] to the bit, with B[:m, m:] <- g B[:m, m:] and
+    B[m:, :m] <- B[m:, :m] g^-1 (one solve with g^T); for m = n both blocks are empty."""
     moved = B.astype(complex)
     moved[:m, m:] = g @ B[:m, m:]
     try:
         moved[m:, :m] = np.linalg.solve(g.T, B[m:, :m].T).T
     except np.linalg.LinAlgError:
         raise _singular_factor(m, i) from None
-    return g, moved
+    return moved
 
 
 def _singular_factor(m: int, i: int) -> ToleranceError:

@@ -140,7 +140,9 @@ def _rk4(y, starts, mids, ends, h: float, commutator: bool) -> np.ndarray:
     them, in the order of y + h/6 * (((k1 + 2 k2) + 2 k3) + k4) with each scalar
     first, so each sample has the bits of the expression form.  For the commutator
     the stage value z and a sit side by side in W, and one stacked matmul of W
-    with W[::-1] gives z a and a z, each through its own product.
+    with W[::-1] gives z a and a z, each through its own product; given one sequence
+    for starts, mids and ends, holding one alpha at every stage, it loads that alpha
+    into W once.
     """
     ys = np.empty((len(mids) + 1,) + y.shape, dtype=complex)
     ys[0] = y
@@ -155,9 +157,12 @@ def _rk4(y, starts, mids, ends, h: float, commutator: bool) -> np.ndarray:
         P = np.empty_like(W)
         za, az = P
         flipped = W[::-1]
+        if held := starts is mids is ends:
+            w[...] = starts[0]
 
         def rhs(a, out):
-            w[...] = a
+            if not held:
+                w[...] = a
             matmul(W, flipped, P)
             subtract(za, az, out)
     else:
@@ -190,7 +195,10 @@ def lax_integrate(alpha_fn, beta_start, t_start: float, t_end: float, steps: int
     RK4 loop, each with the bits it gets alone, and gives a stacked path.
     The times must be finite with a finite span, and ``steps`` an integer
     of at least 1 whose grid numpy can index.  An overflow and a step
-    outside RK4's stable range for ad alpha are refused.
+    outside RK4's stable range for ad alpha are refused.  ``alpha_fn`` is
+    called at every grid time, midpoint and step end, in time order; when
+    every call returns one and the same object, that one sample is checked
+    and loaded once, and the path's alpha is a copy of it at every time.
     """
     if not t_start < t_end:
         raise ValueError("need t_start < t_end")
@@ -216,14 +224,18 @@ def lax_integrate(alpha_fn, beta_start, t_start: float, t_end: float, steps: int
     values = [None] * times.size
     for k in sorted(range(times.size), key=times.tolist().__getitem__):
         values[k] = alpha_fn(times[k])
-    stack = np.array(values, dtype=complex)
+    # one object at every time is a constant alpha: one sample, checked and held once
+    held = all(value is values[0] for value in values)
+    stack = np.array(values[:1] if held else values, dtype=complex)
     if stack.shape[1:] not in ((n, n), beta.shape):
         raise ValueError(f"expected square alpha matrices like beta, got shape {stack.shape[1:]}")
     _check_square(stack)
     alphas, mids, ends = np.split(stack, [steps + 1, 2 * steps + 1])
+    # a held sample is one sequence for every stage, which _rk4 loads once
+    starts, mids, ends = ([alphas[0]] * steps,) * 3 if held else (alphas, mids, ends)
     # an overflow leaves non-finite samples, which are refused below
     with np.errstate(over="ignore", invalid="ignore"):
-        betas = _rk4(beta, alphas, mids, ends, h, commutator=True)
+        betas = _rk4(beta, starts, mids, ends, h, commutator=True)
     finite = np.isfinite(betas).reshape(-1, grid.size, n * n).all(axis=(0, 2))
     if not finite.all():
         t = grid[np.argmin(finite)]

@@ -115,6 +115,10 @@ class TestIntegrate:
         path = lax_integrate(lambda t: seen.append(t) or np.diag([t, 0.0]), np.eye(2), 0.0, 1.0, 10)
         assert len(seen) == 31 and seen == sorted(seen)
         assert np.array_equal(path.alpha[:, 0, 0], path.grid)
+        # a constant alpha, one object held once, is evaluated at the same times
+        held, alpha = [], np.diag([1.0, 0.0])
+        lax_integrate(lambda t: held.append(t) or alpha, np.eye(2), 0.0, 1.0, 10)
+        assert held == seen
 
     @pytest.mark.parametrize("value", [0.5, np.zeros((2, 3)), np.zeros((1, 2, 2))])
     def test_alpha_must_be_square_matrices(self, value):
@@ -464,6 +468,67 @@ class TestSampleAxis:
         assert drift.shape == (4,)
         for d, a, b in zip(drift, alphas, betas):
             assert d == isospectral_drift(lax_integrate(lambda t: a, b, 0.0, 1.0, 25))
+
+
+def constant_and_copied(seed, n, stack, shared):
+    """(alpha, beta): an alpha of one path, of a stack or shared by a stack, and a start."""
+    rng = np.random.default_rng(seed)
+    alpha = random_matrix(rng, n) if shared or stack is None else random_stack(rng, stack, n)
+    return alpha, random_matrix(rng, n) if stack is None else random_stack(rng, stack, n)
+
+
+class TestHeldAlpha:
+    """An alpha_fn that returns one object at every time is held once: the path and every
+    refusal are those of an alpha_fn that returns a fresh copy of it at every time."""
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), stack=st.sampled_from([None, 1, 2, 3, 10]),
+           shared=st.booleans(), steps=st.integers(1, 40))
+    def test_bits_of_a_fresh_copy_at_every_time(self, seed, n, stack, shared, steps):
+        alpha, beta = constant_and_copied(seed, n, stack, shared)
+        held = lax_integrate(lambda t: alpha, beta, 0.0, 1.0, steps)
+        fresh = lax_integrate(lambda t: alpha.copy(), beta, 0.0, 1.0, steps)
+        assert held.beta.shape == fresh.beta.shape == held.alpha.shape
+        assert held.beta.tobytes() == fresh.beta.tobytes()
+        assert held.alpha.tobytes() == fresh.alpha.tobytes()
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_one_sequence_is_loaded_once(self, shared):
+        # an array-like that counts its reads: _rk4 given one sequence for starts, mids and
+        # ends reads its alpha once, and three sequences are read at every stage
+        class Counted:
+            reads = 0
+
+            def __array__(self, dtype=None, copy=None):
+                Counted.reads += 1
+                return a
+
+        steps, rng = 7, np.random.default_rng(11)
+        a = random_matrix(rng, 3) if shared else random_stack(rng, 2, 3)
+        y, h = random_stack(rng, 2, 3), 0.05
+        want = classical_rk4(y, _commutator, [a] * (steps + 1), [a] * steps, [a] * steps, h)
+        one = [Counted()] * steps
+        assert lax._rk4(y, one, one, one, h, commutator=True).tobytes() == want.tobytes()
+        assert Counted.reads == 1
+        assert lax._rk4(y, one, list(one), list(one), h, commutator=True).tobytes() == want.tobytes()
+        assert Counted.reads == 1 + 4 * steps
+
+    @pytest.mark.parametrize("alpha, beta, steps, error, text", [
+        # h * gap = 0.1 * 60 = 6 > 2.78, and beta grows by R(6) ~ 115 a step: finite
+        (np.diag([30.0, -30.0]), [[1.0, 2.0], [3.0, 4.0]], 10, ToleranceError,
+         "Lax step is unstable (h * largest eigenvalue gap of alpha 6.000e+00 > 2.78)"),
+        (np.array([np.zeros((2, 2)), np.diag([800.0, -800.0])]), np.array([np.eye(2), [[1.0, 2.0], [3.0, 4.0]]]),
+         200, ToleranceError, "integration overflowed (not finite at t = 0.62)"),
+        (np.zeros((2, 3)), np.eye(2), 4, ValueError, "expected square alpha matrices like beta, got shape (2, 3)"),
+        (np.zeros((3, 2, 2)), np.zeros((2, 2, 2)), 4, ValueError,
+         "expected square alpha matrices like beta, got shape (3, 2, 2)"),
+        (np.full((2, 2), np.nan), np.eye(2), 4, ValueError, "matrix entries must be finite"),
+    ], ids=["unstable", "overflow", "not-square", "stack-mismatch", "not-finite"])
+    def test_refusals_of_a_fresh_copy_at_every_time(self, alpha, beta, steps, error, text):
+        for alpha_fn in (lambda t: alpha, lambda t: alpha.copy()):
+            with pytest.raises(error) as info:
+                lax_integrate(alpha_fn, beta, 0.0, 1.0, steps)
+            assert str(info.value) == text
 
 
 def stacked_path():

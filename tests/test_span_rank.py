@@ -13,6 +13,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gzflows import matpoly, serialize
 from gzflows.cli import _random_matrix, run
@@ -83,6 +85,34 @@ class TestStronglyRegular:
         assert json.loads(capsys.readouterr().out) == {
             "strongly_regular": True, "rank": 66, "required_rank": 66,
         }
+
+
+def query_draw(seed, n, split):
+    """A query-mix sregular request: generic, or with its first basis vector split off."""
+    B = circular(np.random.default_rng(seed), n)
+    if split:  # B = b (+) B'
+        B[0, 1:] = B[1:, 0] = 0.0
+    return B
+
+
+class TestRelations:
+    """The generators at 2^e B are those at B times 2^(e i), and those at B^T are the negated
+    transposes of those at B, so both spans have B's rank.  The first holds to the bit, since
+    the unit scaling removes a power of two without rounding; the second guards the
+    orientation the SVD is taken in."""
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([3, 6, 12]), split=st.booleans(),
+           e=st.integers(-20, 20))
+    def test_a_power_of_two_scale(self, seed, n, split, e):
+        B = query_draw(seed, n, split)
+        assert strongly_regular(B * 2.0**e) == strongly_regular(B)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([3, 6, 12]), split=st.booleans())
+    def test_the_transpose(self, seed, n, split):
+        B = query_draw(seed, n, split)
+        assert strongly_regular(B.T) == strongly_regular(B) == (not split, n * (n - 1) // 2 - split * (n - 1))
 
 
 class TestKrylovRank:

@@ -4,8 +4,12 @@ Each shortcut is held to the expression it replaced:
 
 * gz-flow's conservation defect over the levels above the smallest flowed m, against
   the defect of one stacked gz_map over every level;
-* verify-suite's flow of each sample computed once for its commutation and its
-  conservation check, against the stdout of computing it for each;
+* verify-suite's flows of each sample from one factor per flow at B, taken again after
+  the other flow only at the larger m, against the stdout of a gz_flow for each of the
+  four flows and of the first flow again for conservation, and gz_flow against the
+  factor and its move, the two halves of its step;
+* lax_integrate's constant alpha (one object at every time) read, checked and loaded
+  once, with no stack of its samples, against a peak of memory below that stack;
 * GZGroupElement.items() over the nonzero entries, against a loop over every (m, i);
 * gz_map's charpoly basis through the unchecked kernel, against public charpoly;
 * _expm's 1-norm and identity, against np.linalg.norm(A, 1) and np.eye;
@@ -26,7 +30,7 @@ from contextlib import redirect_stdout
 import numpy as np
 import pytest
 
-from gzflows import cli, gzcore, matpoly, verify
+from gzflows import cli, gzcore, lax, matpoly, verify
 from gzflows.gzcore import GZGroupElement, gz_flow, gz_indices, gz_map, strongly_regular
 from gzflows.matpoly import _PADE_BOUNDS, _clusters, _expm, charpoly
 from oracles import expm_loops, mask_clusters
@@ -125,22 +129,80 @@ SUITE_BYTES = {
 
 class TestVerifySuiteFlows:
     @pytest.mark.parametrize("n, samples", list(SUITE_BYTES))
-    def test_four_flows_a_sample_give_the_same_bytes(self, monkeypatch, n, samples):
+    def test_a_factor_per_moved_minor_gives_the_same_bytes(self, monkeypatch, n, samples):
         calls = []
-        flow = gzcore.gz_flow
+        factor = gzcore.flow_factor
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return flow(*args, **kwargs)
+        def counting(B, m, i, z):
+            calls.append((m, i, z))
+            return factor(B, m, i, z)
 
-        monkeypatch.setattr(gzcore, "gz_flow", counting)
+        monkeypatch.setattr(gzcore, "flow_factor", counting)
         argv = ["verify-suite", "--input", json.dumps({"n": n}), "--samples", str(samples), "--seed", "36"]
         out = io.StringIO()
         with redirect_stdout(out):
             code = cli.run(argv)
-        # flow2(B), flow1(flow2(B)), flow1(B) and flow2(flow1(B))
-        assert code == 0 and len(calls) == 4 * samples
+        assert code == 0
         assert hashlib.sha256(out.getvalue().encode()).hexdigest() == SUITE_BYTES[n, samples]
+        # g1 and g2 at B, then the factor of a flow whose m exceeds the other's, taken again
+        # after the other flow: 2 or 3 a sample
+        for _ in range(samples):
+            first, second = calls[:2]
+            again = [max(first, second, key=lambda c: c[0])] if first[0] != second[0] else []
+            assert calls[2 : 2 + len(again)] == again
+            del calls[: 2 + len(again)]
+        assert calls == []
+
+
+class TestSplitFlowStep:
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_gz_flow_has_the_bits_of_the_factor_and_its_move(self, n):
+        rng = np.random.default_rng(700 + n)
+        for m, i in gz_indices(n - 1):
+            B, z = circular(rng, n), complex(*rng.uniform(-1, 1, 2))
+            g = gzcore.flow_factor(B, m, i, z)
+            assert same_bits(gz_flow(B, [(m, i, z)]), gzcore._move(B, g, m, i))
+            assert same_bits(gzcore._flow_step(B, m, i, z)[1], gzcore._move(B, g, m, i))
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_a_flow_keeps_every_factor_of_its_minor(self, n):
+        # verify-suite's reuse: the factor of m1 <= m2 is the same at B and after flow m2
+        rng = np.random.default_rng(800 + n)
+        indices = gz_indices(n - 1)
+        for (m1, i1), (m2, i2) in zip(rng.permutation(indices), rng.permutation(indices)):
+            if m1 > m2:
+                (m1, i1), (m2, i2) = (m2, i2), (m1, i1)
+            B, z1, z2 = circular(rng, n), *(complex(*rng.uniform(-1, 1, 2)) for _ in range(2))
+            moved = gz_flow(B, [(m2, i2, z2)])
+            assert same_bits(moved[:m2, :m2], B[:m2, :m2])
+            assert same_bits(gzcore.flow_factor(moved, m1, i1, z1), gzcore.flow_factor(B, m1, i1, z1))
+
+    def test_a_zero_z_moves_no_absolute_value(self):
+        # gz_flow skips z = 0; its factor exp(0) = I moves B at most by the sign of a zero
+        rng = np.random.default_rng(9)
+        for n in (2, 3, 5):
+            for m, i in gz_indices(n - 1):
+                B = circular(rng, n)
+                B[0, -1] = complex(-0.0, 0.0)
+                moved = gzcore._move(B, gzcore.flow_factor(B, m, i, 0j), m, i)
+                assert np.array_equal(moved, gz_flow(B, [(m, i, 0j)]))
+                assert same_bits(np.abs(moved), np.abs(B))
+
+
+class TestHeldAlpha:
+    def test_a_constant_alpha_takes_less_memory_than_a_stack_of_its_samples(self):
+        n, steps = 4, 20000
+        rng = np.random.default_rng(10)
+        a, b = circular(rng, n), circular(rng, n)
+        tracemalloc.start()
+        try:
+            path = lax.lax_integrate(lambda t: a, b, 0.0, 1.0, steps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one (n, n) complex sample at each grid time, midpoint and step end: 14.65 MiB
+        assert path.alpha.shape == (steps + 1, n, n)
+        assert peak < (3 * steps + 1) * n * n * 16
 
 
 def zip_items(lam):
