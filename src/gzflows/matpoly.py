@@ -65,15 +65,13 @@ def _frobenius(A: np.ndarray) -> np.ndarray:
 
     For a C-ordered stack each norm has the bits of ``np.linalg.norm`` of
     that matrix alone, sqrt(re . re + im . im): the same dots, taken for
-    every sample as one stacked (1, d) @ (d, 1) product.
+    every sample as one stacked (1, d) @ (d, 1) product, for every dtype: the
+    zero imaginary part of a real A adds +0.0 to a non-negative dot, no bit.
     (``np.linalg.norm(axis=...)`` rounds differently.)
     """
     rows = A.reshape(A.shape[:-2] + (1, A.shape[-2] * A.shape[-1]))
-    if rows.dtype.kind == "c":
-        re, im = rows.real, rows.imag
-        dots = np.matmul(re, re.swapaxes(-1, -2)) + np.matmul(im, im.swapaxes(-1, -2))
-    else:
-        dots = np.matmul(rows, rows.swapaxes(-1, -2))
+    re, im = rows.real, rows.imag
+    dots = np.matmul(re, re.swapaxes(-1, -2)) + np.matmul(im, im.swapaxes(-1, -2))
     return np.sqrt(dots[..., 0, 0])
 
 
@@ -117,24 +115,6 @@ def _unit(P: np.ndarray) -> np.ndarray:
     return P
 
 
-def _faddeev_leverrier(A: np.ndarray):
-    """Faddeev-LeVerrier recursion on a matrix or a stack (..., n, n).
-
-    Yields (c, M) for k = 1, ..., n, the terms of z**(n-k) in det(zI - A)
-    and in adj(zI - A): one recursion for both, consistent to the last bit.
-    Adequate for the desk scales (n <= 12) this package targets.
-    """
-    n = A.shape[-1]
-    ident, M = _identities(n)
-    M = np.broadcast_to(M, A.shape) if A.ndim > 2 else M
-    for k in range(1, n + 1):
-        AM = A @ M
-        c = -AM.trace(axis1=-2, axis2=-1) / k
-        yield c, M
-        if k < n:  # no caller reads an M past the last coefficient
-            M = AM + c[..., None, None] * ident
-
-
 @functools.cache
 def _identities(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The real and the complex n x n identity (read-only: every call shares them)."""
@@ -154,12 +134,18 @@ def charpoly(A) -> np.ndarray:
 
 
 def _charpoly(A: np.ndarray) -> np.ndarray:
-    """:func:`charpoly` of a checked complex A, under the caller's error state."""
+    """:func:`charpoly` of a checked complex A, under the caller's error state: the
+    Faddeev-LeVerrier recursion M_1 = I, c_k = -tr(A M_k) / k, M_(k+1) = A M_k + c_k I, each
+    c_k (of z**(n-k)) written as it is formed, no M past c_n; adequate at desk scale, n <= 12."""
     n = A.shape[-1]
     coeffs = np.zeros(A.shape[:-2] + (n + 1,), dtype=complex)
     coeffs[..., n] = 1.0
-    for k, (c, _) in enumerate(_faddeev_leverrier(A), start=1):
-        coeffs[..., n - k] = c
+    ident, M = _identities(n)
+    for k in range(1, n + 1):
+        AM = A @ M
+        coeffs[..., n - k] = c = -AM.trace(axis1=-2, axis2=-1) / k
+        if k < n:
+            M = AM + c[..., None, None] * ident
     return coeffs
 
 

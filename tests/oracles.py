@@ -394,9 +394,10 @@ def classical_rk4(y, rhs, starts, mids, ends, h: float) -> np.ndarray:
 def faddeev_leverrier(A: np.ndarray):
     """The Faddeev-LeVerrier recursion with a fresh identity and ``np.trace`` per call.
 
-    The reference for ``matpoly._faddeev_leverrier``: yields (c, M) for
-    k = 1, ..., n, the terms of z**(n-k) in det(zI - A) and in adj(zI - A),
-    and forms M once more after the last coefficient.
+    Yields (c, M) for k = 1, ..., n, the terms of z**(n-k) in det(zI - A) and
+    in adj(zI - A), and forms M once more after the last coefficient.  Its c
+    terms are the reference for ``matpoly._charpoly``; its M terms serve
+    :func:`charpoly_adjugate`.
     """
     n = A.shape[-1]
     ident = np.eye(n)

@@ -101,12 +101,14 @@ class TestTorusRelations:
     """The maximal torus acts exactly on gz_map: D = diag(2**e) keeps every leading minor up
     to an exact similarity, and 2**s B scales every value by a power of two."""
 
+    # a stack of three independent draws takes the stacked _charpoly and _powers paths
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["single", "stack"])
     @settings(max_examples=120, derandomize=True, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 12),
            e=st.lists(st.integers(-8, 8), min_size=12, max_size=12), s=st.integers(-8, 8))
-    def test_conjugation_keeps_and_scaling_moves_every_bit(self, seed, n, e, s):
+    def test_conjugation_keeps_and_scaling_moves_every_bit(self, lead, seed, n, e, s):
         rng = np.random.default_rng(seed)
-        B = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        B = rng.normal(size=lead + (n, n)) + 1j * rng.normal(size=lead + (n, n))
         e = np.array(e[:n])
         m, i = np.array(gz_indices(n)).T
         for basis, weight in (("tr-power", i), ("charpoly", m - i + 1)):

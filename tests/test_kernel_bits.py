@@ -3,8 +3,9 @@
 * ``_expm``, ``_powers`` and ``gz_map``'s tr-power values keep, byte for byte, the
   bits of the plain loops in ``oracles.py`` (``expm_loops``, ``eye_powers``): one
   stacked Pade sum and a chain seeded from the shared identity change no bit.
-  (``charpoly`` on single matrices and stacks is held to ``oracles.faddeev_leverrier``
-  in ``test_matpoly.py``.)
+  (``charpoly``'s coefficients, single matrices and stacks, are held in ``test_matpoly.py``
+  to the ``c`` terms of ``oracles.faddeev_leverrier``, whose loop forms each ``M`` anew;
+  ``matpoly._charpoly`` keeps no ``M`` a caller could read.)
 * ``_expm`` against ``mpmath.expm`` at 50 digits, within a bound derived below.
 """
 

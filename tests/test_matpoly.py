@@ -10,8 +10,8 @@ from gzflows.matpoly import (
     _MONIC_TOL,
     _clusters,
     _coincident,
-    _faddeev_leverrier,
     _frobenius,
+    _identities,
     _max_scaled,
     _powers,
     _unit,
@@ -154,20 +154,18 @@ class TestCharpoly:
             A = A.real + 0j
         elif pattern == "zero":
             A = np.zeros_like(A)
-        got, want = list(_faddeev_leverrier(A)), list(faddeev_leverrier(A))
-        assert len(got) == len(want) == n
-        for (c, M), (c_ref, M_ref) in zip(got, want):
-            assert c.tobytes() == c_ref.tobytes()
-            assert M.shape == M_ref.shape and np.asarray(M).tobytes() == np.asarray(M_ref).tobytes()
+        want = [c for c, _ in faddeev_leverrier(A)]
+        assert len(want) == n
         # ascending: c_n, ..., c_1, then the leading 1
-        low = np.moveaxis(np.array([c for c, _ in want[::-1]]), 0, -1)
+        low = np.moveaxis(np.array(want[::-1]), 0, -1)
         coeffs = np.concatenate([low, np.ones(lead + (1,), dtype=complex)], axis=-1)
-        assert charpoly(A).tobytes() == coeffs.tobytes()
+        got = charpoly(A)
+        assert got.shape == coeffs.shape and got.tobytes() == coeffs.tobytes()
 
     def test_the_shared_identities_are_read_only(self):
-        M = next(_faddeev_leverrier(np.zeros((3, 3), dtype=complex)))[1]
-        with pytest.raises(ValueError, match="read-only"):
-            M[...] = 2.0
+        for ident in _identities(3):
+            with pytest.raises(ValueError, match="read-only"):
+                ident[...] = 2.0
         assert np.array_equal(charpoly(np.zeros((3, 3))), [0, 0, 0, 1])
 
     def test_as_matrix_stays_two_dimensional(self):

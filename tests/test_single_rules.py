@@ -16,10 +16,10 @@ ToleranceError, or re-raises: a new exception type cannot escape as a traceback.
 Within ``ratmodel``, the refusals of a non-finite model point are raised only by its
 intake, ``ratmodel._intake``.  A polynomial is monic by one rule: ``_MONIC_TOL`` is compared
 only in ``matpoly._monic``, and no other module names it.  The junctions of
-``fixture_from_polar`` are closed form: no function takes adjugate coefficients (calls
-``_charpoly_adjugate`` or reads the adjugate term of ``_faddeev_leverrier``) or calls
+``fixture_from_polar`` are closed form: no function calls ``_charpoly_adjugate`` or calls
 ``solve`` inside a loop, and the ``could not realize`` refusal is raised in one function,
-``ratmodel._solve_gcomp``.
+``ratmodel._solve_gcomp``.  There is one Faddeev-LeVerrier routine: its step, a trace
+divided by the loop index, is written only in ``matpoly._charpoly``.
 """
 
 import ast
@@ -47,6 +47,7 @@ CACHE_DECORATORS = {"cache", "lru_cache", "cached_property"}
 # that builds a refusal, gzcore._singular_factor (a ToleranceError)
 RAISABLE = {"ValueError", "TypeError", "ValidationError", "ToleranceError", "_singular_factor"}
 MONIC_RULE = ("matpoly.py", "_monic")
+FL_STEP = ("matpoly.py", "_charpoly")
 REALIZE = ("ratmodel.py", "_solve_gcomp")
 INTAKE = ("ratmodel.py", "_intake")
 INTAKE_TEXTS = ("matrix entries must be finite", "scale overflows")
@@ -360,10 +361,9 @@ def test_the_monic_tolerance_is_compared_once():
 
 
 def adjugate_sites(module: str, source: str) -> tuple[list, list]:
-    """(module, function) of every function that takes adjugate coefficients or calls
-    ``solve`` inside a ``for`` loop, and of every function that raises a text holding
-    ``could not realize``, each in source order.  A loop over ``_faddeev_leverrier`` takes
-    the adjugate terms unless the last name of its target, the term, is ``_``."""
+    """(module, function) of every function that takes adjugate coefficients (calls
+    ``_charpoly_adjugate``) or calls ``solve`` inside a ``for`` loop, and of every function
+    that raises a text holding ``could not realize``, each in source order."""
     takes, refuses = [], []
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -371,12 +371,8 @@ def adjugate_sites(module: str, source: str) -> tuple[list, list]:
         own = list(ast.walk(node))
         loops = [n for n in own if isinstance(n, ast.For)]
         called = {id(n): ast.unparse(n.func).rpartition(".")[2] for n in own if isinstance(n, ast.Call)}
-        discarded = {id(n) for loop in loops
-                     if [t.id for t in ast.walk(loop.target) if isinstance(t, ast.Name)][-1:] == ["_"]
-                     for n in ast.walk(loop.iter)}
-        adjugates = [f for at, f in called.items()
-                     if f == "_charpoly_adjugate" or (f == "_faddeev_leverrier" and at not in discarded)]
-        if adjugates or any(called.get(id(n)) == "solve" for loop in loops for n in ast.walk(loop)):
+        if "_charpoly_adjugate" in called.values() or any(
+                called.get(id(n)) == "solve" for loop in loops for n in ast.walk(loop)):
             takes.append((module, node.name))
         if any(isinstance(n, ast.Raise) and n.exc is not None and "could not realize" in ast.unparse(n.exc)
                for n in own):
@@ -387,10 +383,8 @@ def adjugate_sites(module: str, source: str) -> tuple[list, list]:
 def test_the_guard_sees_adjugate_terms_and_a_second_refusal():
     source = (
         "def _charpoly(A):\n"
-        "    for k, (c, _) in enumerate(_faddeev_leverrier(A), start=1):\n"
-        "        coeffs[n - k] = c\n"
-        "def _adjugate_terms(A):\n"
-        "    return [M for _, M in _faddeev_leverrier(A)]\n"
+        "    for k in range(1, n + 1):\n"
+        "        coeffs[n - k] = c = -(A @ M).trace() / k\n"
         "def _solve_gcomp(X, target, rng):\n"
         "    qx, H = _charpoly_adjugate(X)\n"
         "    raise ValidationError('could not realize the requested polar polynomial')\n"
@@ -404,7 +398,7 @@ def test_the_guard_sees_adjugate_terms_and_a_second_refusal():
         "    raise ValidationError('could not build a well-conditioned conjugator')\n"
     )
     takes, refuses = adjugate_sites("m.py", source)
-    assert takes == [("m.py", "_adjugate_terms"), ("m.py", "_solve_gcomp"), ("m.py", "_solve_rank_one")]
+    assert takes == [("m.py", "_solve_gcomp"), ("m.py", "_solve_rank_one")]
     assert refuses == [("m.py", "_solve_gcomp"), ("m.py", "_solve_rank_one")]
 
 
@@ -413,3 +407,52 @@ def test_junctions_take_no_adjugate_and_refuse_once():
     found = [adjugate_sites(path.name, path.read_text()) for path in sorted(package.glob("*.py"))]
     assert [site for takes, _ in found for site in takes] == []
     assert [site for _, refuses in found for site in refuses] == [REALIZE]
+
+
+def fl_step_sites(module: str, source: str) -> list:
+    """(module, function) of every Faddeev-LeVerrier step, a division whose numerator calls
+    ``trace`` and whose denominator is the index of a ``for`` loop or comprehension it sits
+    in, once per division, in source order; code outside any function is at function None."""
+    sites = []
+
+    def visit(node, function, indices):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function, indices = node.name, frozenset()
+        loops = [node] if isinstance(node, ast.For) else getattr(node, "generators", [])
+        indices |= {t.id for loop in loops for t in ast.walk(loop.target) if isinstance(t, ast.Name)}
+        if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+                and isinstance(node.right, ast.Name) and node.right.id in indices
+                and any(isinstance(n, ast.Call) and ast.unparse(n.func).rpartition(".")[2] == "trace"
+                        for n in ast.walk(node.left))):
+            sites.append((module, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function, indices)
+
+    visit(ast.parse(source), None, frozenset())
+    return sites
+
+
+def test_the_guard_sees_a_second_faddeev_leverrier_step():
+    source = (
+        "def _charpoly(A):\n"
+        "    for k in range(1, n + 1):\n"
+        "        AM = A @ M\n"
+        "        coeffs[..., n - k] = c = -AM.trace(axis1=-2, axis2=-1) / k\n"
+        "def _adjugate_terms(A):\n"
+        "    for j, k in enumerate(range(1, n + 1)):\n"
+        "        c = -np.trace(A @ M) / k\n"
+        "def _coefficients(P):\n"
+        "    return [-np.trace(P[k], axis1=-2, axis2=-1) / k for k in range(1, n + 1)]\n"
+        "def newton(psums, n):\n"
+        "    for k in range(1, n + 1):\n"
+        "        elem[k] = acc / k\n"
+        "    return np.trace(B) / n\n"
+    )
+    assert fl_step_sites("m.py", source) == [
+        ("m.py", "_charpoly"), ("m.py", "_adjugate_terms"), ("m.py", "_coefficients")]
+
+
+def test_one_faddeev_leverrier_routine():
+    package = Path(gzflows.__file__).resolve().parent
+    assert [site for path in sorted(package.glob("*.py"))
+            for site in fl_step_sites(path.name, path.read_text())] == [FL_STEP]
