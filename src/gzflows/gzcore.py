@@ -26,6 +26,7 @@ from .errors import ToleranceError, ValidationError
 from .matpoly import (
     CLUSTER_TOL,
     _abs,
+    _balance,
     _charpoly,
     _clusters,
     _companion,
@@ -199,12 +200,6 @@ def flow_factor(B: np.ndarray, m: int, i: int, z: complex) -> np.ndarray:
     return g
 
 
-def _flow_step(B: np.ndarray, m: int, i: int, z: complex) -> tuple[np.ndarray, np.ndarray]:
-    """(g, B moved by g), g the factor of the flow (m, i, z) at B."""
-    g = flow_factor(B, m, i, z)
-    return g, _move(B, g, m, i)
-
-
 def _move(B: np.ndarray, g: np.ndarray, m: int, i: int) -> np.ndarray:
     """A complex copy of B keeping B[:m, :m] to the bit, with B[:m, m:] <- g B[:m, m:] and
     B[m:, :m] <- B[m:, :m] g^-1 (one solve with g^T); for m = n both blocks are empty."""
@@ -243,7 +238,7 @@ def gz_flow(B, lam) -> np.ndarray:
     out = B.copy()
     for m, i, z in lam.items():
         if m < n:
-            out = _flow_step(out, m, i, z)[1]
+            out = _move(out, flow_factor(out, m, i, z), m, i)
     return out
 
 
@@ -270,19 +265,19 @@ def strongly_regular(B) -> tuple[bool, int]:
     generators' Gram matrix less tau I, tau = cut**2 plus twice its rounding budget
     (``matpoly._spans_rows``), shows sigma_min above the cut with room for the SVD's
     rounding, so it answers as the SVD would.  A B with a zero generator, such as
-    b (+) B', and any other B it does not prove go to the SVD.
+    b (+) B', and any other B it does not prove go to the SVD.  B-hat is balanced first
+    (``matpoly._balance``), so D B D^-1 with D = diag(2**e) gets the answer of B.
     """
-    B = as_matrix(B)
-    n = B.shape[0]
+    unit = _balance(_max_scaled(as_matrix(B)))
+    n = unit.shape[0]
     target = n * (n - 1) // 2
     if target == 0:
         return True, 0
     masks, eyes, chains, starts = _minor_frames(n)
     # lexicographic in (m, i = k + 1): powers of the padded minors, but pad(I_m) at k = 0
-    P = _powers(_max_scaled(B * masks), n - 1).swapaxes(0, 1)[chains]
+    P = _powers(_max_scaled(unit * masks), n - 1).swapaxes(0, 1)[chains]
     P[starts] = eyes
     _unit(P)
-    unit = _max_scaled(B)
     generators = P @ unit
     generators -= unit @ P
     rank = _rank(generators.reshape(target, n * n), 2 * np.linalg.norm(unit))

@@ -92,10 +92,6 @@ class GaugeFixResult:
     max_condition: float
 
 
-def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b - b @ a
-
-
 def _diff4(values: np.ndarray, h: float) -> np.ndarray:
     """Fourth-order first derivative along axis 0 (one-sided at the ends)."""
     if values.shape[0] < 5:
@@ -199,6 +195,8 @@ def lax_integrate(alpha_fn, beta_start, t_start: float, t_end: float, steps: int
     called at every grid time, midpoint and step end, in time order; when
     every call returns one and the same object, that one sample is checked
     and loaded once, and the path's alpha is a copy of it at every time.
+    Otherwise each value must have the first value's shape, and is written
+    into the stack of every time's sample as it comes.
     """
     if not t_start < t_end:
         raise ValueError("need t_start < t_end")
@@ -220,15 +218,25 @@ def lax_integrate(alpha_fn, beta_start, t_start: float, t_end: float, steps: int
         times = np.concatenate([grid, grid[:-1] + h / 2, grid[:-1] + h])
     if not np.isfinite(times).all():
         raise ValueError("t_start, t_end and every step time between them must be finite")
-    # evaluated in time order, so an alpha_fn that refuses a time refuses the first one
-    values = [None] * times.size
-    for k in sorted(range(times.size), key=times.tolist().__getitem__):
-        values[k] = alpha_fn(times[k])
-    # one object at every time is a constant alpha: one sample, checked and held once
-    held = all(value is values[0] for value in values)
-    stack = np.array(values[:1] if held else values, dtype=complex)
-    if stack.shape[1:] not in ((n, n), beta.shape):
-        raise ValueError(f"expected square alpha matrices like beta, got shape {stack.shape[1:]}")
+    # evaluated in time order, so an alpha_fn that refuses a time refuses the first one;
+    # one object at every time is a constant alpha, one sample checked and held once,
+    # and the stack of every time's sample is made at the first other object
+    order = np.argsort(times, kind="stable")
+    first = alpha_fn(times[order[0]])
+    stack = np.array([first], dtype=complex)
+    held, shape = True, stack.shape[1:]
+    if shape not in ((n, n), beta.shape):
+        raise ValueError(f"expected square alpha matrices like beta, got shape {shape}")
+    for k in order[1:]:
+        value = alpha_fn(times[k])
+        if held and value is first:
+            continue
+        value = np.asarray(value, dtype=complex)
+        if value.shape != shape:
+            raise ValueError(f"expected square alpha matrices like beta, got shape {value.shape}")
+        if held:  # every earlier time gave the first object
+            held, stack = False, np.repeat(stack, times.size, axis=0)
+        stack[k] = value
     _check_square(stack)
     alphas, mids, ends = np.split(stack, [steps + 1, 2 * steps + 1])
     # a held sample is one sequence for every stage, which _rk4 loads once
@@ -250,7 +258,7 @@ def lax_residual(path: LaxPath) -> float:
     """Max grid defect of d(beta)/dt - [beta, alpha], relative to (1 + |beta|); NaN stays NaN."""
     _one_path(path).validate()
     h = float(path.grid[1] - path.grid[0])
-    defects = _diff4(path.beta, h) - _commutator(path.beta, path.alpha)
+    defects = _diff4(path.beta, h) - (path.beta @ path.alpha - path.alpha @ path.beta)
     # an overflow gives NaN
     with np.errstate(over="ignore", invalid="ignore"):
         return float(np.max(_frobenius(defects) / (1.0 + _frobenius(path.beta))))

@@ -21,7 +21,6 @@ __all__ = [
     "charpoly",
     "matexp",
     "poly_trim",
-    "poly_degree",
     "poly_divmod",
     "poly_from_roots",
     "is_monic",
@@ -105,6 +104,37 @@ def _max_scaled(A: np.ndarray) -> np.ndarray:
     that is finite for every finite A; a zero matrix stays zero."""
     parts = np.abs(np.ascontiguousarray(A).view(float))
     return A * (1.0 / parts.max(axis=(-2, -1), keepdims=True, initial=np.finfo(float).tiny))
+
+
+def _balance(A: np.ndarray) -> np.ndarray:
+    """A itself, or D A D^-1 with D = diag(2**e) evening out each index's off-diagonal row and
+    column norms, for A over its largest part (:func:`_max_scaled`), whose squares cannot
+    overflow: Osborne 1960 and Parlett and Reinsch 1969, without LAPACK's permutation, which
+    would not keep leading minors.  Each sweep moves every index by half its own step, the
+    rounded (1/8) log2 of its squared column over row norm, so their sum never grows; an index
+    with a zero row or column (b (+) B') stays.  D adds no rounding short of underflow and lies
+    in the torus of every GL(m), so a span of the leading minors' generators keeps its rank."""
+    n = A.shape[-1]
+    base = np.abs(A)
+    base *= base
+    base.flat[:: n + 1] = 0.0
+    squares, e = base, np.zeros(n, dtype=int)
+    for _ in range(4 * n):  # a cap only: every sweep that moves an index lowers the sum
+        rows, cols = np.add.reduce(squares, 1), np.add.reduce(squares, 0)
+        low = np.minimum(rows, cols)
+        # the quick test: with every norm ratio within [1/4, 4] no step rounds away from 0
+        if not np.count_nonzero(np.maximum(rows, cols) > 16 * low):
+            break
+        ratios = np.divide(cols, rows, out=np.ones(n), where=low > 0)
+        step = np.rint(np.log2(ratios) / 8).astype(int)
+        if not np.count_nonzero(step):
+            break
+        e += step
+        squares = np.ldexp(base, 2 * (e[:, None] - e))
+    if not np.count_nonzero(e):
+        return A
+    parts = np.ascontiguousarray(A).view(float).reshape(n, n, 2)
+    return np.ldexp(parts, (e[:, None] - e)[..., None]).view(complex)[..., 0]
 
 
 def _unit(P: np.ndarray) -> np.ndarray:
@@ -249,11 +279,6 @@ def _monic_intake(p, what: str) -> np.ndarray:
     if not _monic(p):
         raise ValueError(f"{what} needs a monic polynomial")
     return p / p[-1]
-
-
-def poly_degree(p) -> int:
-    """Index of the last nonzero coefficient; -1 for the zero polynomial."""
-    return _degree(poly_trim(p))
 
 
 def poly_divmod(p, q) -> tuple[np.ndarray, np.ndarray]:

@@ -8,16 +8,16 @@ raises ValueError on anything malformed, as every library intake does.
 
 Encoders return float arrays (shape + (2,)) where the wire holds nested
 lists.  The CLI writes documents as :func:`_pieces`, an ordered list of text
-pieces whose join, :func:`_dumps`, is the bytes of ``json.dumps(doc,
-indent=2)``.  A float array of at most 512 floats is one piece, one ``%r``
-template of its shape filled with all its floats; a larger one is a piece
-per run of whole slices along its first axis of at most 512 floats, so that
-no piece of a megabyte document is large enough to be mapped fresh
-(see ``_PIECE_FLOATS``).  A list of flat records (dicts with one key order,
-each value a list of JSON ints and floats of one length per key, as the
-roots and multiplicities of a stratum signature) is one piece: one record's
-template, its keys' texts and a ``%r`` per number, repeated for every record
-and filled with all their numbers at once.
+pieces whose join is the bytes of ``json.dumps(doc, indent=2)``.  A float
+array of at most 512 floats is one piece, one ``%r`` template of its shape
+filled with all its floats; a larger one is a piece per run of whole slices
+along its first axis of at most 512 floats, so that no piece of a megabyte
+document is large enough to be mapped fresh (see ``_PIECE_FLOATS``).  A
+list of flat records (dicts with one key order, each value a list of JSON
+ints and floats of one length per key, as the roots and multiplicities of a
+stratum signature) is one piece: one record's template, its keys' texts and
+a ``%r`` per number, repeated for every record and filled with all their
+numbers at once.
 """
 
 from __future__ import annotations
@@ -210,17 +210,10 @@ def _need_list(obj, length: int, label: str) -> list:
 _NON_FINITE = "non-finite number in the output (NaN and Infinity are not JSON)"
 
 
-def _dumps(doc) -> str:
-    """The text of ``json.dumps(doc, indent=2)``, with float arrays as nested lists.
-
-    A float that is not finite raises :class:`ToleranceError`: NaN and
-    Infinity are not JSON.  A type ``json.dumps`` rejects raises TypeError.
-    """
-    return "".join(_pieces(doc))
-
-
 def _pieces(doc) -> list[str]:
-    """The text of :func:`_dumps` as an ordered list of pieces, all rendered before it returns."""
+    """The text of ``json.dumps(doc, indent=2)``, float arrays as nested lists, as ordered
+    pieces all rendered before it returns.  A float that is not finite raises
+    :class:`ToleranceError` (NaN and Infinity are not JSON), a type json.dumps rejects TypeError."""
     out: list[str] = []
     _render(doc, "\n", out)
     return out

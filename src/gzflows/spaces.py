@@ -5,8 +5,8 @@ no abstract cotangent structure.  A left flow moves (g, B) to (hg, hBh^-1), the
 first m rows of g; a right flow moves only the first m columns of g, to gh.  Here
 h = blockdiag(exp(z minor(M, m)**(i-1)), I) with M = B on the left, -g^-1 B g and -z on the right.
 
-The B-projection of a left flow calls the same single-index step as
-:func:`gzflows.gzcore.gz_flow`, so descent to gl(n,C) is bit-exact.
+The B-projection of a left flow takes the step of :func:`gzflows.gzcore.gz_flow`,
+``flow_factor`` and then ``_move``, so descent to gl(n,C) is bit-exact.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .gzcore import _as_group_element, _flow_step, _gz_position, _singular_factor, flow_factor
+from .gzcore import _as_group_element, _gz_position, _move, _singular_factor, flow_factor
 from .matpoly import _powers, as_matrix, krylov_matrix, krylov_rank, numerical_rank
 
 __all__ = [
@@ -90,7 +90,8 @@ def vn_gz_flow(p: VnPoint, lam) -> VnPoint:
     lam = _as_group_element(p.n, lam)
     B, b = p.B.astype(complex), p.b.astype(complex)
     for m, i, z in lam.items():
-        g, B = _flow_step(B, m, i, z)
+        g = flow_factor(B, m, i, z)
+        B = _move(B, g, m, i)
         b[:m] = g @ b[:m]
     return VnPoint(B=B, b=b)
 
@@ -129,7 +130,8 @@ def tgl_flow(x: CotangentPoint, side: str, m: int, i: int, z: complex) -> Cotang
     _gz_position(x.n, m, i)  # checks the index
     moved = x.g.astype(complex)
     if side == "left":
-        h, B = _flow_step(x.B, m, i, z)
+        h = flow_factor(x.B, m, i, z)
+        B = _move(x.B, h, m, i)
         moved[:m] = h @ x.g[:m]
         return CotangentPoint(g=moved, B=B)
     if side == "right":

@@ -486,9 +486,9 @@ def expm_loops(A: np.ndarray) -> np.ndarray:
 def full_conjugation_flow(B: np.ndarray, m: int, i: int, z: complex) -> tuple[np.ndarray, np.ndarray]:
     """(h, h B h^-1) with h = blockdiag(exp(z * minor(B, m)**(i-1)), I) built in full.
 
-    The reference for ``gzcore._flow_step``, which moves only the two
-    off-diagonal blocks of B by the (m, m) factor: here h is embedded in an
-    n-by-n identity and B is conjugated with a full inverse.
+    The reference for the flows' step, ``gzcore.flow_factor`` then ``gzcore._move``,
+    which moves only the two off-diagonal blocks of B by the (m, m) factor: here h
+    is embedded in an n-by-n identity and B is conjugated with a full inverse.
     """
     h = np.eye(B.shape[0], dtype=complex)
     h[:m, :m] = _expm(z * np.linalg.matrix_power(B[:m, :m], i - 1))

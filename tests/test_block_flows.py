@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from gzflows.errors import ToleranceError
-from gzflows.gzcore import _flow_step, flow_factor, gz_flow, gz_indices, gz_map
+from gzflows.gzcore import _move, flow_factor, gz_flow, gz_indices, gz_map
 from gzflows.spaces import CotangentPoint, VnPoint, tgl_flow, vn_gz_flow
 from oracles import full_conjugation_flow
 
@@ -20,6 +20,12 @@ from oracles import full_conjugation_flow
 def circular(rng, n):
     """Complex entries of variance 1/n: spectral radius near 1 at every n."""
     return (rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n))) / np.sqrt(2 * n / 3)
+
+
+def flow_step(B, m, i, z):
+    """(g, B moved by g): the factor of the flow (m, i, z) at B, then its move, as every flow takes them."""
+    g = flow_factor(B, m, i, z)
+    return g, _move(B, g, m, i)
 
 
 def unit_z(rng):
@@ -80,7 +86,7 @@ class TestLeadingBlockIsExact:
         rng = np.random.default_rng(40 + n)
         B = rng.standard_normal((n, n))
         for i in range(1, n + 1):
-            g, moved = _flow_step(B, n, i, unit_z(rng))
+            g, moved = flow_step(B, n, i, unit_z(rng))
             assert g.shape == (n, n) and moved.dtype == complex
             assert same_bits(moved, B) and not np.shares_memory(moved, B)
 
@@ -95,7 +101,7 @@ class TestLeadingBlockIsExact:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ToleranceError, match=r"^flow factor for \(m, i\) = \(2, 2\) is singular$"):
-                _flow_step(B, 2, 2, 1)
+                flow_step(B, 2, 2, 1)
 
     def test_singular_right_factor_is_a_numerical_failure(self):
         # C = -g^-1 B g = -B at g = I, and exp(-z minor(C, 2)) = exp(-1000 I_2) underflows
@@ -121,7 +127,7 @@ class TestFullConjugationOracle:
             B, b, g = circular(rng, n), circular(rng, n)[0], np.eye(n) + 0.3 * circular(rng, n)
             z = well_conditioned(rng, B, m, i)
             h, want = full_conjugation_flow(B, m, i, z)
-            factor, moved = _flow_step(B, m, i, z)
+            factor, moved = flow_step(B, m, i, z)
             assert same_bits(factor, h[:m, :m])
             assert rel_err(moved, want) <= 1e-12, (m, i)
             p = vn_gz_flow(VnPoint(B=B, b=b), [(m, i, z)])

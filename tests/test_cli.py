@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import runpy
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -21,6 +22,11 @@ from gzflows.errors import ToleranceError, ValidationError
 from gzflows.matpoly import poly_from_roots
 from gzflows.ratmodel import enumerate_sr, fixture_from_polar
 from oracles import per_level_chart
+
+
+def dumps(doc):
+    """The text the CLI writes for doc, the join of its pieces."""
+    return "".join(serialize._pieces(doc))
 
 
 def call(capsys, *argv):
@@ -1352,7 +1358,7 @@ class TestToleranceContract:
         B = np.arange(9.0).reshape(3, 3) + 1j
         for basis in gzcore.GZ_BASES:
             c = gzcore.gz_map(B, basis=basis)
-            back = serialize.decode_coords(json.loads(serialize._dumps(serialize.encode_coords(c))))
+            back = serialize.decode_coords(json.loads(dumps(serialize.encode_coords(c))))
             assert (back.n, back.basis) == (c.n, c.basis) and np.array_equal(back.values, c.values)
 
 
@@ -1614,7 +1620,7 @@ class TestCliContract:
         path = lax.lax_integrate(lambda t: alpha, beta, 0.0, 1.5, 500)
         doc = {"path": serialize.encode_lax_path(path), "lax_residual": float(lax.lax_residual(path)),
                "isospectral_drift": float(lax.isospectral_drift(path))}
-        text = serialize._dumps(doc) + "\n"
+        text = dumps(doc) + "\n"
         target = tmp_path / "lax.json"
         tracemalloc.start()
         try:
@@ -2001,7 +2007,7 @@ class TestRecordLists:
     def test_matches_json_dumps(self, records):
         assert serialize._render_records(records, "\n  ") is not None
         doc = signature_doc(records)
-        assert serialize._dumps(doc) == json.dumps(doc, indent=2)
+        assert dumps(doc) == json.dumps(doc, indent=2)
 
     @pytest.mark.parametrize("records", [
         [{"root": [-0.0, 5e-324], "multiplicities": [2**63, 1]},
@@ -2017,7 +2023,7 @@ class TestRecordLists:
     def test_template_matches_json_dumps(self, records):
         assert serialize._render_records(records, "\n  ") is not None
         doc = signature_doc(records)
-        assert serialize._dumps(doc) == json.dumps(doc, indent=2)
+        assert dumps(doc) == json.dumps(doc, indent=2)
 
     @pytest.mark.parametrize("records", [
         [{"root": [1.0, 0.0], "multiplicities": [True, 0]}, {"root": [2.0, 0.0], "multiplicities": [1, 0]}],
@@ -2037,7 +2043,7 @@ class TestRecordLists:
     def test_other_lists_take_the_walk(self, records):
         assert serialize._render_records(records, "\n  ") is None
         doc = signature_doc(records)
-        assert serialize._dumps(doc) == json.dumps(doc, indent=2)
+        assert dumps(doc) == json.dumps(doc, indent=2)
 
     @pytest.mark.parametrize("records", [
         [{"root": [float("nan"), 0.0], "multiplicities": [1]}],
@@ -2047,7 +2053,7 @@ class TestRecordLists:
     ])
     def test_non_finite_raises(self, records):
         with pytest.raises(ToleranceError):
-            serialize._dumps(signature_doc(records))
+            dumps(signature_doc(records))
 
 
 def lax_like_path(seed=0) -> np.ndarray:
@@ -2070,12 +2076,12 @@ def non_finite_last(A: np.ndarray) -> np.ndarray:
 
 
 class TestDumps:
-    """serialize._dumps writes the bytes of json.dumps(doc, indent=2)."""
+    """serialize._pieces join to the bytes of json.dumps(doc, indent=2)."""
 
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(doc=DOCS)
     def test_matches_json_dumps(self, doc):
-        assert serialize._dumps(doc) == json.dumps(doc, indent=2, default=np.ndarray.tolist)
+        assert dumps(doc) == json.dumps(doc, indent=2, default=np.ndarray.tolist)
 
     @pytest.mark.parametrize("doc", [
         np.array([0.0, -0.0, 0.0, -0.0]),
@@ -2090,7 +2096,7 @@ class TestDumps:
     ])
     def test_signed_zeros_keep_their_texts(self, doc):
         # 0.0 == -0.0: slices compared by value instead of by bytes would lose a sign
-        assert serialize._dumps(doc) == json.dumps(doc, indent=2, default=np.ndarray.tolist)
+        assert dumps(doc) == json.dumps(doc, indent=2, default=np.ndarray.tolist)
 
     @pytest.mark.parametrize("doc", [
         np.array(1.5),
@@ -2100,7 +2106,7 @@ class TestDumps:
         {"a": np.zeros((0, 2)), "b": np.zeros((3, 0))},
     ])
     def test_scalars_single_slices_and_empty_axes_match_json_dumps(self, doc):
-        assert serialize._dumps(doc) == json.dumps(doc, indent=2, default=np.ndarray.tolist)
+        assert dumps(doc) == json.dumps(doc, indent=2, default=np.ndarray.tolist)
 
     @pytest.mark.parametrize("doc", [
         lax_like_path(),  # (501, 5, 5) complex: 10 slices a piece, a short final piece of 1
@@ -2134,7 +2140,7 @@ class TestDumps:
         {"a": [3, 1], "b": [[1, 2], [True]], "c": [2**64, 1.5]},
     ])
     def test_int_lists_match_json_dumps(self, doc):
-        assert serialize._dumps(doc) == json.dumps(doc, indent=2)
+        assert dumps(doc) == json.dumps(doc, indent=2)
 
     @pytest.mark.parametrize("doc", [
         [-0.0, 0.0, 1e16, 5e-324, -5e-324, 1e308, 0.1],
@@ -2142,7 +2148,7 @@ class TestDumps:
         {"roots": [[0.5, -0.0]], "mixed": [1.0, 2, True, None]},
     ])
     def test_float_lists_match_json_dumps(self, doc):
-        assert serialize._dumps(doc) == json.dumps(doc, indent=2)
+        assert dumps(doc) == json.dumps(doc, indent=2)
 
     @pytest.mark.parametrize("doc", [
         float("nan"),
@@ -2158,14 +2164,14 @@ class TestDumps:
     ])
     def test_non_finite_raises(self, doc):
         with pytest.raises(ToleranceError):
-            serialize._dumps(doc)
+            dumps(doc)
 
     @pytest.mark.parametrize("doc", [object(), {"a": np.arange(3)}, [1j], {"a": {1, 2}}])
     def test_what_json_rejects_raises_type_error(self, doc):
         with pytest.raises(TypeError):
             json.dumps(doc)
         with pytest.raises(TypeError):
-            serialize._dumps(doc)
+            dumps(doc)
 
 
 MATRIX_2 = "[[[1, 0], [2, 0]], [[3, 0], [4, 0]]]"
@@ -2326,3 +2332,31 @@ class TestRefusalCorpus:
             code, out, err = call(capsys, "orbit-count", "--input", payload)
         assert (code, err, [str(w.message) for w in caught]) == (0, "", [])
         assert json.loads(out)["s"] == 3
+
+
+def readme_examples():
+    """The ``gzflows`` command lines of README's Examples block, each as the argv of cli.run."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("Examples:\n\n```sh\n", 1)[1].split("```", 1)[0]
+    words = shlex.split(block.replace("\\\n", " "), comments=True)
+    starts = [j for j, word in enumerate(words) if word == "gzflows"]
+    return [words[j + 1 : k] for j, k in zip(starts, starts[1:] + [len(words)])]
+
+
+class TestReadmeExamples:
+    """Each example line of README's CLI section runs as written, in order, in one directory."""
+
+    def test_every_example_answers_with_one_document(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        examples = readme_examples()
+        assert [argv[0] for argv in examples] == [
+            "gz-map", "orbit-count", "enumerate-orbits", "lax-run", "lax-gauge", "verify-suite"]
+        docs = {}
+        for argv in examples:
+            code, out, err = call(capsys, *argv)
+            assert (code, err) == (0, ""), argv
+            if "--output" in argv:
+                assert out == ""
+                out = Path(argv[argv.index("--output") + 1]).read_text()
+            docs[argv[0]] = json.loads(out)
+        assert docs["orbit-count"]["count"] == 2

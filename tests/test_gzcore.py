@@ -25,7 +25,6 @@ from gzflows.matpoly import (
     _clusters,
     _rank,
     charpoly,
-    poly_degree,
     poly_from_roots,
 )
 
@@ -429,7 +428,7 @@ def loop_clustered_roots(polys, tol):
     """Roots through companion_of, one Python complex at a time."""
     all_roots, owners = [], []
     for j, p in enumerate(polys):
-        d = poly_degree(p)
+        d = len(np.trim_zeros(p, "b")) - 1
         if d >= 1:
             C = np.zeros((d, d), dtype=complex)
             for k in range(d - 1):
@@ -461,7 +460,7 @@ def loop_fiber_orbit_data(polys, mode, tol):
     expected = list(range(1, len(polys) + 1)) if mode == "matrices" else None
     polys = _checked_monic(polys, expected_degrees=expected)
     n = len(polys)
-    total = sum(max(poly_degree(p), 0) for p in polys)
+    total = sum(max(len(np.trim_zeros(p, "b")) - 1, 0) for p in polys)
     reps, counts, _ = loop_clustered_roots(polys, tol)
     t_parts, s_parts = [], []
     for c in counts:

@@ -10,7 +10,6 @@ from gzflows.errors import ToleranceError
 from gzflows.lax import (
     LaxPath,
     _alpha_midpoints,
-    _commutator,
     _diff4,
     gauge_apply,
     gauge_fix_regular,
@@ -21,6 +20,11 @@ from gzflows.lax import (
 )
 from gzflows.matpoly import charpoly, matexp
 from oracles import classical_rk4
+
+
+def bracket(a, b):
+    """[a, b] = a b - b a, the right side of the Lax equation, written apart from lax."""
+    return a @ b - b @ a
 
 
 def random_matrix(rng, n, norm=1.0):
@@ -283,7 +287,7 @@ def loop_residual(path):
     dbeta = _diff4(path.beta, h)
     worst = 0.0
     for j in range(path.grid.size):
-        defect = dbeta[j] - _commutator(path.beta[j], path.alpha[j])
+        defect = dbeta[j] - bracket(path.beta[j], path.alpha[j])
         worst = max(
             worst,
             float(np.linalg.norm(defect) / (1.0 + np.linalg.norm(path.beta[j]))),
@@ -506,12 +510,35 @@ class TestHeldAlpha:
         steps, rng = 7, np.random.default_rng(11)
         a = random_matrix(rng, 3) if shared else random_stack(rng, 2, 3)
         y, h = random_stack(rng, 2, 3), 0.05
-        want = classical_rk4(y, _commutator, [a] * (steps + 1), [a] * steps, [a] * steps, h)
+        want = classical_rk4(y, bracket, [a] * (steps + 1), [a] * steps, [a] * steps, h)
         one = [Counted()] * steps
         assert lax._rk4(y, one, one, one, h, commutator=True).tobytes() == want.tobytes()
         assert Counted.reads == 1
         assert lax._rk4(y, one, list(one), list(one), h, commutator=True).tobytes() == want.tobytes()
         assert Counted.reads == 1 + 4 * steps
+
+    def test_the_first_object_again_among_fresh_copies(self):
+        # the times before the first other object gave the first one: the stack made there
+        # holds its sample at each of them
+        rng = np.random.default_rng(12)
+        a, beta = random_matrix(rng, 3), random_matrix(rng, 3)
+        mixed = lax_integrate(lambda t: a if t < 0.3 or t > 0.7 else a.copy(), beta, 0.0, 1.0, 20)
+        fresh = lax_integrate(lambda t: a.copy(), beta, 0.0, 1.0, 20)
+        assert mixed.beta.tobytes() == fresh.beta.tobytes()
+        assert mixed.alpha.tobytes() == fresh.alpha.tobytes()
+
+    def test_a_value_unlike_the_first_is_refused_before_it_is_stored(self):
+        # numpy would broadcast a (1, n, n) value into an (n, n) slot
+        calls = []
+
+        def alpha_fn(t):
+            calls.append(t)
+            return np.eye(2) if len(calls) < 3 else np.eye(2)[None]
+
+        with pytest.raises(ValueError) as info:
+            lax_integrate(alpha_fn, np.eye(2), 0.0, 1.0, 4)
+        assert str(info.value) == "expected square alpha matrices like beta, got shape (1, 2, 2)"
+        assert len(calls) == 3
 
     @pytest.mark.parametrize("alpha, beta, steps, error, text", [
         # h * gap = 0.1 * 60 = 6 > 2.78, and beta grows by R(6) ~ 115 a step: finite
@@ -603,7 +630,7 @@ class TestBufferedKernel:
            stack=st.sampled_from([None, 1, 2, 3, 10]), shared=st.booleans(), steps=st.integers(1, 12))
     def test_bits_of_the_classical_loop(self, seed, n, stack, shared, steps):
         y, starts, mids, ends, h = kernel_case(seed, n, stack, shared or stack is None, steps)
-        for commutator, rhs in ((True, _commutator), (False, np.matmul)):
+        for commutator, rhs in ((True, bracket), (False, np.matmul)):
             got = lax._rk4(y, starts, mids, ends, h, commutator=commutator)
             want = classical_rk4(y, rhs, starts, mids, ends, h)
             assert got.shape == want.shape and got.flags.c_contiguous
@@ -619,7 +646,7 @@ class TestBufferedKernel:
         h = 1.5 / 40
         samples = [np.array([alpha(t) for t in times]) for times in
                    (path.grid, path.grid[:-1] + h / 2, path.grid[:-1] + h)]
-        want = classical_rk4(betas, _commutator, *samples, h)
+        want = classical_rk4(betas, bracket, *samples, h)
         assert path.beta.flags.c_contiguous and path.beta.tobytes() == want.tobytes()
         fix = gauge_fix_regular(lax_integrate(alpha, betas[0], -0.5, 1.0, 40))
         # the gauge steps by the grid's own spacing
@@ -647,7 +674,7 @@ class TestBufferedKernel:
         betas = np.array([np.eye(2), [[1.0, 2.0], [3.0, 4.0]]])
         grid = np.linspace(0.0, 1.0, 201)
         with np.errstate(over="ignore", invalid="ignore"):
-            want = classical_rk4(betas.astype(complex), _commutator, [alphas] * 201,
+            want = classical_rk4(betas.astype(complex), bracket, [alphas] * 201,
                                  [alphas] * 200, [alphas] * 200, 1.0 / 200)
         first = grid[np.argmin(np.isfinite(want).all(axis=(0, 2, 3)))]
         with warnings.catch_warnings():

@@ -19,10 +19,14 @@ only in ``matpoly._monic``, and no other module names it.  The junctions of
 ``fixture_from_polar`` are closed form: no function calls ``_charpoly_adjugate`` or calls
 ``solve`` inside a loop, and the ``could not realize`` refusal is raised in one function,
 ``ratmodel._solve_gcomp``.  There is one Faddeev-LeVerrier routine: its step, a trace
-divided by the loop index, is written only in ``matpoly._charpoly``.
+divided by the loop index, is written only in ``matpoly._charpoly``.  No helper is
+kept for the tests alone: every private function of the package is read by package
+code, and every ``__all__`` name that no code in ``src``, ``bench`` or ``tools`` reads
+is listed in README's "Public names kept for the paper's statements".
 """
 
 import ast
+import re
 from pathlib import Path
 
 import gzflows
@@ -32,7 +36,7 @@ INDEX_CHECK = ("gzcore.py", "_gz_position")
 INDEX_TEXT = "invalid for n ="
 FLOW_MODULES = ("gzcore.py", "spaces.py")
 # a function that calls one of these builds or takes a flow factor
-FLOW_FACTOR_CALLS = {"_expm", "flow_factor", "_flow_step"}
+FLOW_FACTOR_CALLS = {"_expm", "flow_factor"}
 RANK_CUT = ("matpoly.py", "_rank")
 SHIFT = ("matpoly.py", "_shift")
 CACHED = {
@@ -51,6 +55,7 @@ FL_STEP = ("matpoly.py", "_charpoly")
 REALIZE = ("ratmodel.py", "_solve_gcomp")
 INTAKE = ("ratmodel.py", "_intake")
 INTAKE_TEXTS = ("matrix entries must be finite", "scale overflows")
+KEPT_HEADING = "### Public names kept for the paper's statements"
 
 
 def rule_sites(module: str, source: str) -> tuple[set, set]:
@@ -456,3 +461,79 @@ def test_one_faddeev_leverrier_routine():
     package = Path(gzflows.__file__).resolve().parent
     assert [site for path in sorted(package.glob("*.py"))
             for site in fl_step_sites(path.name, path.read_text())] == [FL_STEP]
+
+
+def code_references(source: str) -> set:
+    """Every name that code reads, as a name or as an attribute: not a definition, an import,
+    a store or a string, nor a function's own name inside its body."""
+    found = set()
+
+    def visit(node, own):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            own = own | {node.name}
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in own:
+            found.add(node.id)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and node.attr not in own:
+            found.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, own)
+
+    visit(ast.parse(source), frozenset())
+    return found
+
+
+def helpers_nothing_uses(package: dict, others: dict, kept: set) -> tuple[list, list]:
+    """From sources by module name: (module, name) of every private function of the package
+    (one leading underscore, methods included) that no package code reads, and of every
+    ``__all__`` name that no code of the package or of others reads and kept does not list."""
+    in_package = set().union(*(code_references(source) for source in package.values()))
+    anywhere = in_package.union(*(code_references(source) for source in others.values()))
+    private, public = [], []
+    for module, source in sorted(package.items()):
+        for node in ast.walk(ast.parse(source)):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name.startswith("_")
+                    and not node.name.endswith("__") and node.name not in in_package):
+                private.append((module, node.name))
+            if isinstance(node, ast.Assign) and any(ast.unparse(t) == "__all__" for t in node.targets):
+                public.extend((module, name) for name in ast.literal_eval(node.value)
+                              if name not in anywhere and name not in kept)
+    return private, public
+
+
+def kept_names(readme: str) -> set:
+    """The code names, in backquotes, of README's section of public names kept for the paper."""
+    section = readme.split(KEPT_HEADING, 1)[1].split("\n## ", 1)[0]
+    return {name.rpartition(".")[2] for name in re.findall(r"`([A-Za-z_][\w.]*)`", section)}
+
+
+def test_the_guard_sees_a_helper_only_a_test_uses():
+    package = {
+        "gzcore.py": (
+            "__all__ = ['gz_flow', 'flow_factor', 'matexp']\n"
+            "def flow_factor(B, m, i, z):\n"
+            "    return _expm(z * B[:m, :m])\n"
+            "def _move(B, g, m, i):\n"
+            "    return g @ B\n"
+            "def _flow_step(B, m, i, z):\n"
+            "    g = flow_factor(B, m, i, z)\n"
+            "    return g, _move(B, g, m, i)\n"
+            "def _chain(k):\n"
+            "    return _chain(k - 1) if k else 0\n"
+            "def gz_flow(B, lam):\n"
+            "    return [_move(B, flow_factor(B, m, i, z), m, i) for m, i, z in lam]\n"
+        ),
+        "spaces.py": "from .gzcore import _flow_step\n'_chain and matexp are named here only in a string'\n",
+    }
+    others = {"cli.py": "from gzflows import gzcore\nprint(gzcore.gz_flow(B, lam))\n"}
+    # flow_factor has a user in the package and gz_flow one outside it; matexp has none
+    assert helpers_nothing_uses(package, others, set()) == (
+        [("gzcore.py", "_flow_step"), ("gzcore.py", "_chain")], [("gzcore.py", "matexp")])
+    assert helpers_nothing_uses(package, others, {"matexp"})[1] == []
+    assert kept_names(f"## Layout\n`gz_map`\n{KEPT_HEADING}\n- `matpoly.matexp`: `tests/x.py::t`\n## CLI\n`run`\n") == {"matexp"}
+
+
+def test_every_helper_has_a_user_in_the_code():
+    root = Path(gzflows.__file__).resolve().parents[2]
+    package = {path.name: path.read_text() for path in (root / "src" / "gzflows").glob("*.py")}
+    others = {str(path): path.read_text() for folder in ("bench", "tools") for path in (root / folder).glob("*.py")}
+    assert helpers_nothing_uses(package, others, kept_names((root / "README.md").read_text())) == ([], [])

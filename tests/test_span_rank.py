@@ -96,10 +96,12 @@ def query_draw(seed, n, split):
 
 
 class TestRelations:
-    """The generators at 2^e B are those at B times 2^(e i), and those at B^T are the negated
-    transposes of those at B, so both spans have B's rank.  The first holds to the bit, since
-    the unit scaling removes a power of two without rounding; the second guards the
-    orientation the SVD is taken in."""
+    """The generators at 2^e B are those at B times 2^(e i), those at D B D^-1 (D = diag(2^e))
+    are D's conjugates of those at B, and those at B^T are the negated transposes of those at
+    B, so all three spans have B's rank.  The first holds to the bit, since the unit scaling
+    removes a power of two without rounding; the second needs the torus balance of
+    ``matpoly._balance``, without which a conjugate's span is cut as rank deficient; the
+    third guards the orientation the SVD is taken in."""
 
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([3, 6, 12]), split=st.booleans(),
@@ -107,6 +109,23 @@ class TestRelations:
     def test_a_power_of_two_scale(self, seed, n, split, e):
         B = query_draw(seed, n, split)
         assert strongly_regular(B * 2.0**e) == strongly_regular(B)
+
+    def test_a_torus_conjugate_of_the_benchmark_draw(self):
+        # D B D^-1 is exact and has B's answer; without balancing it answered (False, 58)
+        B = circular(np.random.default_rng(0), N)
+        d = 2.0 ** np.round(np.linspace(-7, 7, N))
+        assert strongly_regular(d[:, None] * B / d) == strongly_regular(B) == (True, 66)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 12), split=st.booleans(),
+           e=st.lists(st.integers(-8, 8), min_size=12, max_size=12))
+    def test_a_torus_conjugation(self, seed, n, split, e):
+        # conjugation by D = diag(2^e) maps the span of the generators at B onto the one at
+        # D B D^-1, exactly in floating point, so the answer is B's
+        B = query_draw(seed, n, split)
+        d = 2.0 ** np.array(e[:n])
+        want = (not split, n * (n - 1) // 2 - split * (n - 1))
+        assert strongly_regular(d[:, None] * B / d) == strongly_regular(B) == want
 
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([3, 6, 12]), split=st.booleans())
